@@ -16,13 +16,12 @@ package gortlint
 
 // GCRTDirs lists the load roots for the gcrt passes, relative to the
 // module root: the runtime, its adversarial workload driver, and the
-// non-test binaries that exercise it.
+// non-test binary that exercises it.
 func GCRTDirs() []string {
 	return []string{
 		"internal/gcrt",
 		"internal/gcrt/workload",
 		"cmd/gcrt-demo",
-		"cmd/gcrt-bench",
 	}
 }
 
@@ -193,8 +192,9 @@ func GCRTPublish() PublishConfig {
 }
 
 // GCRTHooks returns the benchmark-hook restriction: the raw mark-flag
-// mutators may only be referenced from benchmark binaries (and test
-// files, which the loader never parses).
+// mutators may only be referenced from test files (the Go benchmarks in
+// bench_test.go; the loader never parses _test.go), so no non-test
+// package is on the allow list.
 func GCRTHooks() HooksConfig {
 	return HooksConfig{
 		Package: gcrtPkg,
@@ -202,6 +202,5 @@ func GCRTHooks() HooksConfig {
 			"Arena.SetFlagForBenchmark",
 			"Arena.WhitenForBenchmark",
 		},
-		AllowedPkgSuffixes: []string{"cmd/gcrt-bench"},
 	}
 }

@@ -15,14 +15,14 @@ import (
 // calling either from a production path silently corrupts the tri-color
 // invariant the verified protocol maintains. Test files are never loaded
 // by the analyzer (parseDir skips _test.go), so the only legitimate
-// non-test callers are the packages listed here.
+// non-test callers are the packages listed here (none, on the real tree).
 type HooksConfig struct {
 	// Package declares the restricted functions (import path or suffix).
 	Package string
 	// RestrictedFns are the benchmark-only funcKeys.
 	RestrictedFns []string
 	// AllowedPkgSuffixes are import-path suffixes of packages permitted
-	// to reference the hooks (e.g. "cmd/gcrt-bench").
+	// to reference the hooks (e.g. "testdata/hooks/bench").
 	AllowedPkgSuffixes []string
 }
 
@@ -79,7 +79,7 @@ func CheckHooks(mod *golint.Module, cfg HooksConfig) ([]golint.Diagnostic, error
 						Pos:  mod.Fset().Position(id.Pos()),
 						Func: p.Path,
 						Message: fmt.Sprintf(
-							"benchmark-only hook %s referenced outside benchmark code: it writes the raw mark flag and breaks the tri-color invariant on production paths", key),
+							"benchmark-only hook %s referenced outside test and benchmark code: it writes the raw mark flag and breaks the tri-color invariant on production paths", key),
 					})
 				}
 				return true

@@ -127,11 +127,7 @@ func (v *Validator) CheckPOR(st cimp.System[*gcmodel.Local]) error {
 	sys := sysOf(st)
 	for p := 0; p < len(st.Procs)-1; p++ {
 		cfg := st.Procs[p]
-		heads := cimp.Heads(cfg.Stack, cfg.Data)
-		if len(heads) != 1 {
-			continue
-		}
-		r, ok := heads[0].Act.(*cimp.Request[*gcmodel.Local])
+		r, ok := cimp.SoleRequest(cfg)
 		if !ok {
 			continue
 		}

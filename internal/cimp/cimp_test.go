@@ -23,9 +23,18 @@ func incr(label string, by int) *LocalOp[*counter] {
 	}}
 }
 
+// boot compiles prog (the step engine only runs indexed programs) and
+// returns the one-frame stack a process starts from.
+func boot(prog Com[*counter]) []Com[*counter] {
+	if n := prog.meta(); n == nil || n.ix == nil {
+		NewIndex(prog)
+	}
+	return []Com[*counter]{prog}
+}
+
 func run(t *testing.T, prog Com[*counter], init *counter) *counter {
 	t.Helper()
-	cfg := Config[*counter]{Stack: Norm([]Com[*counter]{prog}, init), Data: init}
+	cfg := Config[*counter]{Stack: Norm(boot(prog), init), Data: init}
 	for i := 0; i < 10_000; i++ {
 		if Terminated(cfg) {
 			return cfg.Data
@@ -98,7 +107,7 @@ func TestLoopKeepsBodyBeneath(t *testing.T) {
 	// A Loop never terminates; after k body steps the head must again be
 	// the body's action.
 	prog := &Loop[*counter]{Body: incr("tick", 1)}
-	cfg := Config[*counter]{Stack: Norm([]Com[*counter]{prog}, &counter{}), Data: &counter{}}
+	cfg := Config[*counter]{Stack: Norm(boot(prog), &counter{}), Data: &counter{}}
 	for i := 0; i < 10; i++ {
 		if Terminated(cfg) {
 			t.Fatal("loop terminated")
@@ -120,7 +129,7 @@ func TestChooseExposesAllAlternatives(t *testing.T) {
 		incr("a", 1), incr("b", 2),
 		Seqs[*counter](incr("c", 3), incr("d", 4)),
 	}}
-	cfg := Config[*counter]{Stack: []Com[*counter]{prog}, Data: &counter{}}
+	cfg := Config[*counter]{Stack: boot(prog), Data: &counter{}}
 	labels := AtLabels(cfg)
 	sort.Strings(labels)
 	if !reflect.DeepEqual(labels, []string{"a", "b", "c"}) {
@@ -136,7 +145,7 @@ func TestChooseExposesAllAlternatives(t *testing.T) {
 
 func TestBlockedLocalOpHasNoSuccessors(t *testing.T) {
 	blocked := &LocalOp[*counter]{L: "blocked", F: func(*counter) []*counter { return nil }}
-	cfg := Config[*counter]{Stack: []Com[*counter]{blocked}, Data: &counter{}}
+	cfg := Config[*counter]{Stack: boot(blocked), Data: &counter{}}
 	count := 0
 	TauSuccessors(cfg, func(Config[*counter], string) { count++ })
 	if count != 0 {
@@ -151,7 +160,7 @@ func TestNondeterministicLocalOpBranches(t *testing.T) {
 		b.n = 2
 		return []*counter{a, b}
 	}}
-	cfg := Config[*counter]{Stack: []Com[*counter]{branch}, Data: &counter{}}
+	cfg := Config[*counter]{Stack: boot(branch), Data: &counter{}}
 	var ns []int
 	TauSuccessors(cfg, func(n Config[*counter], _ string) { ns = append(ns, n.Data.n) })
 	sort.Ints(ns)
@@ -178,8 +187,8 @@ func TestRendezvousExchangesMessages(t *testing.T) {
 		}}
 
 	sys := System[*counter]{Procs: []Config[*counter]{
-		{Stack: []Com[*counter]{reqP}, Data: &counter{n: 21}},
-		{Stack: []Com[*counter]{respP}, Data: &counter{}},
+		{Stack: boot(reqP), Data: &counter{n: 21}},
+		{Stack: boot(respP), Data: &counter{}},
 	}}
 	var got *System[*counter]
 	var ev Event
@@ -205,8 +214,8 @@ func TestRendezvousRefusedWhenResponseReturnsEmpty(t *testing.T) {
 	respP := &Response[*counter]{L: "never",
 		F: func(*counter, Msg) []Reply[*counter] { return nil }}
 	sys := System[*counter]{Procs: []Config[*counter]{
-		{Stack: []Com[*counter]{reqP}, Data: &counter{}},
-		{Stack: []Com[*counter]{respP}, Data: &counter{}},
+		{Stack: boot(reqP), Data: &counter{}},
+		{Stack: boot(respP), Data: &counter{}},
 	}}
 	n := 0
 	sys.Successors(func(System[*counter], Event) { n++ })
@@ -227,7 +236,7 @@ func TestFusionMergesDetSteps(t *testing.T) {
 		incr("visible2", 1000),
 	)
 	sys := System[*counter]{Procs: []Config[*counter]{
-		{Stack: []Com[*counter]{prog}, Data: &counter{}},
+		{Stack: boot(prog), Data: &counter{}},
 	}}
 	var next System[*counter]
 	count := 0
@@ -254,7 +263,7 @@ func TestNormTerminatesAndIsIdempotent(t *testing.T) {
 		incr("live", 1),
 	)
 	s := &counter{}
-	n1 := Norm([]Com[*counter]{prog}, s)
+	n1 := Norm(boot(prog), s)
 	n2 := Norm(n1, s)
 	if len(n1) == 0 || n1[0].Label() != "live" {
 		t.Fatalf("norm head = %v", AtLabels(Config[*counter]{Stack: n1, Data: s}))
@@ -297,35 +306,60 @@ func TestIndexStableAndComplete(t *testing.T) {
 	}
 }
 
-// TestSmallStepAgreesWithAtomicSemantics: running a deterministic program
-// to completion under the Figure 7 small-step rules reaches the same
-// final data state as the derived atomic-action semantics.
+// TestSmallStepAgreesWithAtomicSemantics: running a program to completion
+// under the Figure 7 small-step rules reaches the same final data states
+// as the derived atomic-action semantics, which runs through the Index's
+// unfolding tables. The first program is deterministic; the generated
+// ones resolve nested Choose, Choose under Cond, While with an empty body
+// and Skip-only alternatives every possible way, and the sets of final
+// states must coincide.
 func TestSmallStepAgreesWithAtomicSemantics(t *testing.T) {
-	mk := func() Com[*counter] {
-		return Seqs[*counter](
-			incr("a", 1),
-			If2("if", func(c *counter) bool { return c.n == 1 }, incr("t", 10), incr("e", 20)),
-			&While[*counter]{L: "w", C: func(c *counter) bool { return c.n < 100 }, Body: incr("i", 17)},
-		)
+	progs := []Com[*counter]{Seqs[*counter](
+		incr("a", 1),
+		If2("if", func(c *counter) bool { return c.n == 1 }, incr("t", 10), incr("e", 20)),
+		&While[*counter]{L: "w", C: func(c *counter) bool { return c.n < 100 }, Body: incr("i", 17)},
+	)}
+	for seed := uint32(0); seed < 150; seed++ {
+		// The trailing action keeps a Skip-only alternative from being the
+		// last thing a run does: the atomic semantics has no transition
+		// for "choose the empty alternative and stop".
+		progs = append(progs, Seqs[*counter](genTerminating(seed, 3), incr("end", 0)))
 	}
-
-	// Atomic-action run.
-	atomic := run(t, mk(), &counter{})
-
-	// Small-step run.
-	cfg := Config[*counter]{Stack: []Com[*counter]{mk()}, Data: &counter{}}
-	for i := 0; ; i++ {
-		if i > 100_000 {
-			t.Fatal("small-step run diverged")
+	for i, prog := range progs {
+		// finals collects the data states of every terminated run under
+		// the given one-step relation.
+		finals := func(step func(Config[*counter]) []Config[*counter]) map[counter]bool {
+			out := map[counter]bool{}
+			budget := 200_000
+			var walk func(Config[*counter])
+			walk = func(cfg Config[*counter]) {
+				if budget--; budget < 0 {
+					t.Fatalf("program %d: run tree too large", i)
+				}
+				next := step(cfg)
+				if len(next) == 0 {
+					out[*cfg.Data] = true
+				}
+				for _, n := range next {
+					walk(n)
+				}
+			}
+			walk(Config[*counter]{Stack: boot(prog), Data: &counter{}})
+			return out
 		}
-		steps := SmallSteps(cfg, nil)
-		if len(steps) == 0 {
-			break
+		small := finals(func(cfg Config[*counter]) (next []Config[*counter]) {
+			for _, st := range SmallSteps(cfg, nil) {
+				next = append(next, st.Next)
+			}
+			return next
+		})
+		atomic := finals(func(cfg Config[*counter]) (next []Config[*counter]) {
+			TauSuccessors(cfg, func(n Config[*counter], _ string) { next = append(next, n) })
+			return next
+		})
+		if !reflect.DeepEqual(small, atomic) {
+			t.Fatalf("program %d: small-step finals %v, atomic finals %v", i, small, atomic)
 		}
-		cfg = steps[0].Next
-	}
-	if cfg.Data.n != atomic.n {
-		t.Fatalf("small-step n = %d, atomic n = %d", cfg.Data.n, atomic.n)
 	}
 }
 
@@ -333,7 +367,7 @@ func TestSmallStepAgreesWithAtomicSemantics(t *testing.T) {
 // one transition per construct under the small-step semantics.
 func TestSmallStepControlCosts(t *testing.T) {
 	prog := &Seq[*counter]{A: incr("a", 1), B: incr("b", 1)}
-	cfg := Config[*counter]{Stack: []Com[*counter]{prog}, Data: &counter{}}
+	cfg := Config[*counter]{Stack: boot(prog), Data: &counter{}}
 	steps := SmallSteps(cfg, nil)
 	if len(steps) != 1 || steps[0].Kind != SSTau {
 		t.Fatalf("Seq unfold: %d steps", len(steps))
@@ -349,11 +383,17 @@ func TestSmallStepControlCosts(t *testing.T) {
 // configuration (quick-checked over random small programs).
 func TestNormPreservesSuccessorsQuick(t *testing.T) {
 	f := func(seed uint8, start int8) bool {
-		prog := genProg(int(seed), 3)
-		s := &counter{n: int(start)}
-		raw := Config[*counter]{Stack: []Com[*counter]{prog}, Data: s}
-		normed := Config[*counter]{Stack: Norm(raw.Stack, s), Data: s}
-		return sameSuccessorValues(raw, normed)
+		// genProg's shapes, then genWide's: nested Choose, Choose under
+		// Cond, While with an empty body, Skip-only alternatives, Loops.
+		for _, prog := range []Com[*counter]{genProg(int(seed), 3), genWide(uint32(seed), 3), genWide(uint32(seed)+256, 4)} {
+			s := &counter{n: int(start)}
+			raw := Config[*counter]{Stack: boot(prog), Data: s}
+			normed := Config[*counter]{Stack: Norm(raw.Stack, s), Data: s}
+			if !sameSuccessorValues(raw, normed) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -394,7 +434,7 @@ func sameSuccessorValues(a, b Config[*counter]) bool {
 func TestHeadsThroughNestedChoose(t *testing.T) {
 	inner := &Choose[*counter]{Alts: []Com[*counter]{incr("x", 1), incr("y", 2)}}
 	outer := &Choose[*counter]{Alts: []Com[*counter]{inner, incr("z", 3)}}
-	cfg := Config[*counter]{Stack: []Com[*counter]{outer}, Data: &counter{}}
+	cfg := Config[*counter]{Stack: boot(outer), Data: &counter{}}
 	labels := AtLabels(cfg)
 	sort.Strings(labels)
 	if !reflect.DeepEqual(labels, []string{"x", "y", "z"}) {
@@ -408,7 +448,7 @@ func TestChooseGuardedByConditions(t *testing.T) {
 	alt := If2("g", func(c *counter) bool { return c.n > 0 },
 		incr("then", 1), incr("else", 2))
 	prog := &Choose[*counter]{Alts: []Com[*counter]{alt, incr("other", 3)}}
-	cfg := Config[*counter]{Stack: []Com[*counter]{prog}, Data: &counter{n: 0}}
+	cfg := Config[*counter]{Stack: boot(prog), Data: &counter{n: 0}}
 	labels := AtLabels(cfg)
 	sort.Strings(labels)
 	if !reflect.DeepEqual(labels, []string{"else", "other"}) {
@@ -420,26 +460,49 @@ func TestOffersExposesAlpha(t *testing.T) {
 	req := &Request[*counter]{L: "ask",
 		Act: func(c *counter) Msg { return c.n * 2 },
 		Ret: func(c *counter, beta Msg) []*counter { return []*counter{c} }}
-	cfg := Config[*counter]{Stack: []Com[*counter]{req}, Data: &counter{n: 21}}
-	offers := Offers(cfg)
-	if len(offers) != 1 {
-		t.Fatalf("offers = %d", len(offers))
+	resp := &Response[*counter]{L: "echo", F: func(c *counter, alpha Msg) []Reply[*counter] {
+		return []Reply[*counter]{{S: c, Msg: alpha}}
+	}}
+	sys := System[*counter]{Procs: []Config[*counter]{
+		{Stack: boot(req), Data: &counter{n: 21}},
+		{Stack: boot(resp), Data: &counter{}},
+	}}
+	var evs []Event
+	var nexts []System[*counter]
+	sys.Successors(func(n System[*counter], ev Event) { nexts, evs = append(nexts, n), append(evs, ev) })
+	if len(evs) != 1 {
+		t.Fatalf("offers = %d", len(evs))
 	}
-	if offers[0].Alpha.(int) != 42 {
-		t.Fatalf("alpha = %v", offers[0].Alpha)
+	if evs[0].Alpha.(int) != 42 || evs[0].Beta.(int) != 42 {
+		t.Fatalf("alpha = %v, beta = %v", evs[0].Alpha, evs[0].Beta)
 	}
-	if offers[0].Label != "ask" {
-		t.Fatalf("label = %q", offers[0].Label)
+	if evs[0].Label != "ask" || evs[0].PeerLabel != "echo" {
+		t.Fatalf("labels = %q, %q", evs[0].Label, evs[0].PeerLabel)
 	}
-	next := offers[0].Accept(nil)
-	if len(next) != 1 || !Terminated(next[0]) {
+	if !Terminated(nexts[0].Procs[0]) || !Terminated(nexts[0].Procs[1]) {
 		t.Fatal("accept continuation wrong")
 	}
 }
 
 func TestAnswersOnlyFromResponses(t *testing.T) {
-	cfg := Config[*counter]{Stack: []Com[*counter]{incr("op", 1)}, Data: &counter{}}
-	if got := Answers(cfg, 7); len(got) != 0 {
+	ask := func(alpha int) *Request[*counter] {
+		return &Request[*counter]{L: "ask",
+			Act: func(*counter) Msg { return alpha },
+			Ret: func(c *counter, beta Msg) []*counter { return []*counter{c} }}
+	}
+	answers := func(alpha int, responder Com[*counter]) (betas []Msg) {
+		sys := System[*counter]{Procs: []Config[*counter]{
+			{Stack: boot(ask(alpha)), Data: &counter{}},
+			{Stack: boot(responder), Data: &counter{}},
+		}}
+		sys.Successors(func(_ System[*counter], ev Event) {
+			if !ev.Tau() {
+				betas = append(betas, ev.Beta)
+			}
+		})
+		return betas
+	}
+	if got := answers(7, incr("op", 1)); len(got) != 0 {
 		t.Fatalf("LocalOp answered a request: %v", got)
 	}
 	resp := &Response[*counter]{L: "r", F: func(c *counter, alpha Msg) []Reply[*counter] {
@@ -448,11 +511,10 @@ func TestAnswersOnlyFromResponses(t *testing.T) {
 		}
 		return []Reply[*counter]{{S: c, Msg: "ok"}}
 	}}
-	cfg = Config[*counter]{Stack: []Com[*counter]{resp}, Data: &counter{}}
-	if got := Answers(cfg, 7); len(got) != 1 || got[0].Beta.(string) != "ok" {
+	if got := answers(7, resp); len(got) != 1 || got[0].(string) != "ok" {
 		t.Fatalf("answers = %v", got)
 	}
-	if got := Answers(cfg, 8); len(got) != 0 {
+	if got := answers(8, resp); len(got) != 0 {
 		t.Fatal("guard ignored")
 	}
 }
@@ -467,7 +529,7 @@ func TestFusionStopsAtBranchingOp(t *testing.T) {
 	}}
 	prog := Seqs[*counter](incr("first", 1), branch)
 	sys := System[*counter]{Procs: []Config[*counter]{
-		{Stack: []Com[*counter]{prog}, Data: &counter{}},
+		{Stack: boot(prog), Data: &counter{}},
 	}}
 	var after []int
 	sys.Successors(func(n System[*counter], _ Event) {
@@ -490,7 +552,7 @@ func TestFusionStopsAtBlockedOp(t *testing.T) {
 	}}
 	prog := Seqs[*counter](incr("first", 1), gate)
 	sys := System[*counter]{Procs: []Config[*counter]{
-		{Stack: []Com[*counter]{prog}, Data: &counter{}},
+		{Stack: boot(prog), Data: &counter{}},
 	}}
 	var states []System[*counter]
 	sys.Successors(func(n System[*counter], _ Event) { states = append(states, n) })

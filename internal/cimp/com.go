@@ -40,8 +40,24 @@ type Com[S any] interface {
 	// Label returns the command's label, or "" for unlabeled control
 	// (Seq, Loop, Choose).
 	Label() string
-	isCom()
+	// meta returns the slot the command carries for its Index (nil for
+	// Skip, which is stateless and so is one command however many times
+	// it is written).
+	meta() *node[S]
 }
+
+// node is the per-command slot NewIndex fills in once per model: the
+// command's identity and its static unfolding (see index.go). It is
+// written only while the index is built and read-only afterwards, so
+// concurrent steppers share it freely.
+type node[S any] struct {
+	ix   *Index[S] // owning index; nil until NewIndex has visited the command
+	id   int
+	pre  []Com[S]  // static unfolding; capacity == length, never appended to
+	self [1]Com[S] // backing store for the unfolding of a command that is its own
+}
+
+func (n *node[S]) meta() *node[S] { return n }
 
 // LocalOp is {ℓ} LOCALOP R: a non-deterministic local computation. F maps
 // the current local data state to the set of possible successor states.
@@ -51,6 +67,7 @@ type Com[S any] interface {
 // observable by other processes; the system semantics may merge it into
 // the preceding transition of the same process (see System.Successors).
 type LocalOp[S any] struct {
+	node[S]
 	L    string
 	F    func(S) []S
 	Fuse bool
@@ -62,6 +79,7 @@ type LocalOp[S any] struct {
 // states. An empty Ret result refuses the response (the rendezvous does
 // not happen).
 type Request[S any] struct {
+	node[S]
 	L   string
 	Act func(S) Msg
 	Ret func(S, Msg) []S
@@ -72,6 +90,7 @@ type Request[S any] struct {
 // (successor state, response β) pairs. An empty result means this response
 // cannot answer α in the current state.
 type Response[S any] struct {
+	node[S]
 	L string
 	F func(S, Msg) []Reply[S]
 }
@@ -85,6 +104,7 @@ type Reply[S any] struct {
 
 // Seq is c1 ;; c2, sequential composition.
 type Seq[S any] struct {
+	node[S]
 	A, B Com[S]
 }
 
@@ -93,6 +113,7 @@ type Seq[S any] struct {
 // the atomic-action semantics, or as its own τ step in the small-step
 // semantics.
 type Cond[S any] struct {
+	node[S]
 	L          string
 	C          func(S) bool
 	Then, Else Com[S]
@@ -100,6 +121,7 @@ type Cond[S any] struct {
 
 // While is {ℓ} WHILE C DO Body.
 type While[S any] struct {
+	node[S]
 	L    string
 	C    func(S) bool
 	Body Com[S]
@@ -110,6 +132,7 @@ type While[S any] struct {
 // contain at least one action command on every control path, otherwise
 // control unfolding would diverge.
 type Loop[S any] struct {
+	node[S]
 	Body Com[S]
 }
 
@@ -117,6 +140,7 @@ type Loop[S any] struct {
 // of paper Figure 9). The choice is resolved at step time: any enabled
 // action of any alternative may fire.
 type Choose[S any] struct {
+	node[S]
 	Alts []Com[S]
 }
 
@@ -133,15 +157,7 @@ func (c *Loop[S]) Label() string     { return "" }
 func (c *Choose[S]) Label() string   { return "" }
 func (c *Skip[S]) Label() string     { return "" }
 
-func (*LocalOp[S]) isCom()  {}
-func (*Request[S]) isCom()  {}
-func (*Response[S]) isCom() {}
-func (*Seq[S]) isCom()      {}
-func (*Cond[S]) isCom()     {}
-func (*While[S]) isCom()    {}
-func (*Loop[S]) isCom()     {}
-func (*Choose[S]) isCom()   {}
-func (*Skip[S]) isCom()     {}
+func (*Skip[S]) meta() *node[S] { return nil }
 
 // Seqs folds a list of commands into nested Seq nodes. Seqs() is Skip.
 func Seqs[S any](cs ...Com[S]) Com[S] {

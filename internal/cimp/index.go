@@ -5,60 +5,98 @@ import (
 	"fmt"
 )
 
-// Index assigns a stable small-integer identity to every command node of a
-// program, enabling compact encodings of frame stacks for state
-// fingerprinting. Programs are static command graphs built once; pointer
-// identity of command nodes is therefore stable for the lifetime of a
-// model.
+// Index compiles a program once per model. It assigns every command node
+// a stable small-integer identity (for compact frame-stack encodings) and
+// records, in the slot each node carries, the node's static unfolding:
+// the frames deterministic control pushes in place of the node before it
+// reaches an action, a Choose, or a data-dependent Cond/While. The step
+// engine (step.go) then enumerates enabled actions by walking these
+// tables instead of re-deriving them per state. Programs are static
+// command graphs built once; a program belongs to exactly one Index.
+//
+// Static unfoldings, by node kind:
+//
+//	action, Choose, Cond, While   the node itself (unfolding stops here)
+//	Skip                          nothing
+//	Seq{A, B}                     unfold(A) ++ [B], or unfold(B) when A unfolds to nothing
+//	Loop{Body}                    unfold(Body) ++ [Loop]
+//
+// A Loop whose body unfolds to nothing keeps itself as its unfolding, so
+// stepping it trips the divergence guard rather than looping forever.
 type Index[S any] struct {
-	ids  map[Com[S]]int
 	coms []Com[S]
+	skip int // the identity every Skip shares, or -1 if the program has none
 }
 
-// NewIndex builds an index covering all the given program roots.
+// NewIndex compiles all the given program roots into one index.
 func NewIndex[S any](roots ...Com[S]) *Index[S] {
-	ix := &Index[S]{ids: make(map[Com[S]]int)}
+	ix := &Index[S]{skip: -1}
 	for _, r := range roots {
 		ix.walk(r)
 	}
 	return ix
 }
 
-func (ix *Index[S]) walk(c Com[S]) {
+// walk visits c and its descendants in depth-first pre-order (the order
+// identities are assigned in) and returns c's static unfolding.
+func (ix *Index[S]) walk(c Com[S]) []Com[S] {
 	if c == nil {
-		return
+		return nil
 	}
-	if _, ok := ix.ids[c]; ok {
-		return
+	n := c.meta()
+	if n == nil { // Skip
+		if ix.skip < 0 {
+			ix.skip = len(ix.coms)
+			ix.coms = append(ix.coms, c)
+		}
+		return nil
 	}
-	ix.ids[c] = len(ix.coms)
+	if n.ix == ix {
+		return n.pre
+	}
+	if n.ix != nil {
+		panic(fmt.Sprintf("cimp: command %T %q already belongs to another index", c, c.Label()))
+	}
+	n.ix, n.id = ix, len(ix.coms)
 	ix.coms = append(ix.coms, c)
-	switch n := c.(type) {
+	n.self[0] = c
+	n.pre = n.self[:]
+	switch c := c.(type) {
 	case *Seq[S]:
-		ix.walk(n.A)
-		ix.walk(n.B)
+		a, b := ix.walk(c.A), ix.walk(c.B)
+		if len(a) > 0 {
+			n.pre = concat(a, []Com[S]{c.B})
+		} else {
+			n.pre = b
+		}
 	case *Cond[S]:
-		ix.walk(n.Then)
-		ix.walk(n.Else)
+		ix.walk(c.Then)
+		ix.walk(c.Else)
 	case *While[S]:
-		ix.walk(n.Body)
+		ix.walk(c.Body)
 	case *Loop[S]:
-		ix.walk(n.Body)
+		if body := ix.walk(c.Body); len(body) > 0 {
+			n.pre = concat(body, n.self[:])
+		}
 	case *Choose[S]:
-		for _, a := range n.Alts {
+		for _, a := range c.Alts {
 			ix.walk(a)
 		}
 	}
+	return n.pre
 }
 
-// ID returns the identity of a command node; the node must belong to an
-// indexed program.
+// ID returns the identity of a command node; the node must belong to this
+// index.
 func (ix *Index[S]) ID(c Com[S]) int {
-	id, ok := ix.ids[c]
-	if !ok {
-		panic(fmt.Sprintf("cimp: command %T %q not in index", c, c.Label()))
+	n := c.meta()
+	switch {
+	case n == nil && ix.skip >= 0:
+		return ix.skip
+	case n != nil && n.ix == ix:
+		return n.id
 	}
-	return id
+	panic(fmt.Sprintf("cimp: command %T %q not in index", c, c.Label()))
 }
 
 // Len reports the number of indexed command nodes.

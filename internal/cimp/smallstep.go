@@ -7,6 +7,14 @@ package cimp
 // configurations (the paper derives the evaluation-context semantics from
 // this one).
 
+// pushed returns a fresh stack with c on top of stack.
+func pushed[S any](stack []Com[S], c Com[S]) []Com[S] {
+	ns := make([]Com[S], 0, len(stack)+1)
+	ns = append(ns, c)
+	ns = append(ns, stack...)
+	return ns
+}
+
 // SSKind classifies a small-step transition's communication action γ.
 type SSKind int
 

@@ -13,189 +13,237 @@ type Config[S any] struct {
 // an action-free loop in the program, which is a modeling error.
 const maxUnfold = 10_000
 
-// Norm unfolds deterministic control (Seq, Cond, While, Loop, Skip) on top
-// of the stack until the head is an action command (LocalOp, Request,
-// Response), a Choose, or the stack is empty. Conditions are pure functions
-// of the data state, so this unfolding is deterministic and corresponds to
-// the paper's derived evaluation-context semantics: control between two
-// atomic actions is folded into the preceding transition.
-//
-// The returned stack is fresh or shares a suffix with the input; the input
-// is not modified.
-func Norm[S any](stack []Com[S], s S) []Com[S] {
-	for i := 0; ; i++ {
-		if i > maxUnfold {
-			panic("cimp: control unfolding diverged (loop with no action command)")
-		}
-		if len(stack) == 0 {
-			return stack
-		}
-		switch c := stack[0].(type) {
-		case *Skip[S]:
-			stack = stack[1:]
-		case *Seq[S]:
-			ns := make([]Com[S], 0, len(stack)+1)
-			ns = append(ns, c.A, c.B)
-			ns = append(ns, stack[1:]...)
-			stack = ns
-		case *Cond[S]:
-			branch := c.Else
-			if c.C(s) {
-				branch = c.Then
-			}
-			stack = pushed(stack[1:], branch)
-		case *While[S]:
-			if c.C(s) {
-				ns := make([]Com[S], 0, len(stack)+1)
-				ns = append(ns, c.Body)
-				ns = append(ns, stack...) // While itself stays beneath the body
-				stack = ns
-			} else {
-				stack = stack[1:]
-			}
-		case *Loop[S]:
-			ns := make([]Com[S], 0, len(stack)+1)
-			ns = append(ns, c.Body)
-			ns = append(ns, stack...) // Loop stays beneath the body
-			stack = ns
-		default:
-			return stack
-		}
+// The step engine works on a frame stack held in two parts, seg ++ tail:
+// seg is a slice of one of the Index's static unfolding tables (or empty)
+// and tail is a suffix of the stack the step started from. Neither part is
+// ever written; unfolding control only re-slices them, and the stack
+// seg ++ tail is materialised (join) once, for a configuration that is
+// actually produced. Only when a second table segment would be needed —
+// control that is decided by data while static frames are still pending
+// above the tail — are the pending frames copied into a fresh tail.
+
+// unfolding returns the static unfolding NewIndex recorded for c.
+func unfolding[S any](c Com[S]) []Com[S] {
+	n := c.meta()
+	if n == nil {
+		return nil // Skip
 	}
+	if n.ix == nil {
+		panic(fmt.Sprintf("cimp: command %T %q is not indexed: build a NewIndex over the program before stepping it", c, c.Label()))
+	}
+	return n.pre
 }
 
-func pushed[S any](stack []Com[S], c Com[S]) []Com[S] {
-	ns := make([]Com[S], 0, len(stack)+1)
-	ns = append(ns, c)
-	ns = append(ns, stack...)
+func concat[S any](seg, tail []Com[S]) []Com[S] {
+	ns := make([]Com[S], len(seg)+len(tail))
+	copy(ns[copy(ns, seg):], tail)
 	return ns
 }
 
-// Head is one enabled action at the top of a (normalized) configuration:
-// the action command itself together with the continuation stack that
-// remains after it fires. Choose nodes fan out into several Heads.
-type Head[S any] struct {
-	Act  Com[S] // *LocalOp, *Request, or *Response
-	Cont []Com[S]
+// join materialises seg ++ tail. The result is fresh, or is tail or the
+// table segment itself when the other part is empty; either way it is
+// shared and must not be written.
+func join[S any](seg, tail []Com[S]) []Com[S] {
+	switch {
+	case len(seg) == 0:
+		return tail
+	case len(tail) == 0:
+		return seg
+	}
+	return concat(seg, tail)
 }
 
-// Heads enumerates the action commands reachable from the top of the stack
-// by resolving Choose alternatives and unfolding deterministic control.
-// The configuration's data state is needed to evaluate conditions.
-func Heads[S any](stack []Com[S], s S) []Head[S] {
-	stack = Norm(stack, s)
-	if len(stack) == 0 {
-		return nil
+// top returns the top frame of seg ++ tail, or nil when it is empty.
+func top[S any](seg, tail []Com[S]) Com[S] {
+	switch {
+	case len(seg) > 0:
+		return seg[0]
+	case len(tail) > 0:
+		return tail[0]
 	}
-	switch c := stack[0].(type) {
-	case *Choose[S]:
-		var hs []Head[S]
-		for _, alt := range c.Alts {
-			hs = append(hs, Heads(pushed(stack[1:], alt), s)...)
-		}
-		return hs
-	case *LocalOp[S], *Request[S], *Response[S]:
-		return []Head[S]{{Act: stack[0], Cont: stack[1:]}}
-	default:
-		panic(fmt.Sprintf("cimp: Norm returned unexpected head %T", c))
-	}
+	return nil
 }
+
+// pop removes the top frame of a non-empty seg ++ tail.
+func pop[S any](seg, tail []Com[S]) ([]Com[S], []Com[S]) {
+	if len(seg) > 0 {
+		return seg[1:], tail
+	}
+	return seg, tail[1:]
+}
+
+// settle unfolds deterministic control (Seq, Cond, While, Loop, Skip) on
+// top of seg ++ tail until the top is an action command (LocalOp, Request,
+// Response), a Choose, or the stack is empty. Conditions are pure
+// functions of the data state, so this unfolding is deterministic and
+// corresponds to the paper's derived evaluation-context semantics: control
+// between two atomic actions is folded into the preceding transition.
+func settle[S any](seg, tail []Com[S], s S) ([]Com[S], []Com[S]) {
+	for i := 0; i <= maxUnfold; i++ {
+		var push []Com[S] // what the top frame unfolds to
+		stays := false    // a While whose condition holds stays beneath its body
+		switch c := top(seg, tail).(type) {
+		case nil, *LocalOp[S], *Request[S], *Response[S], *Choose[S]:
+			return seg, tail
+		case *Cond[S]:
+			if c.C(s) {
+				push = unfolding(c.Then)
+			} else {
+				push = unfolding(c.Else)
+			}
+		case *While[S]:
+			if stays = c.C(s); stays {
+				push = unfolding(c.Body)
+			}
+		default: // Seq, Loop, Skip
+			push = unfolding(c)
+		}
+		if !stays {
+			seg, tail = pop(seg, tail)
+		}
+		if len(push) > 0 {
+			if len(seg) > 0 {
+				tail = concat(seg, tail)
+			}
+			seg = push
+		}
+	}
+	panic("cimp: control unfolding diverged (loop with no action command)")
+}
+
+// Norm unfolds deterministic control on top of the stack until the head
+// is an action command, a Choose, or the stack is empty (see settle). The
+// returned stack is fresh or shares structure with the input and the
+// program's tables; the input is not modified.
+func Norm[S any](stack []Com[S], s S) []Com[S] {
+	return join(settle(nil, stack, s))
+}
+
+// Head is one enabled action at the top of a configuration: the action
+// command itself together with the continuation stack that remains after
+// it fires, held as a static table segment above a shared tail. Choose
+// nodes fan out into several Heads.
+type Head[S any] struct {
+	Act       Com[S] // *LocalOp, *Request, or *Response
+	pre, tail []Com[S]
+}
+
+// Cont materialises the continuation stack.
+func (h *Head[S]) Cont() []Com[S] { return join(h.pre, h.tail) }
+
+// after is the configuration the process is in once h.Act has fired and
+// left data state s: the continuation with control unfolded against s.
+// With fusion, Fuse-marked deterministic LocalOps at the head are executed
+// too, merging them into the transition; only single-successor
+// applications are merged — a Fuse-marked op that blocks or branches is
+// left for the normal step relation.
+func (h *Head[S]) after(s S, fusion bool) Config[S] {
+	seg, tail := h.pre, h.tail
+	for i := 0; i <= maxUnfold; i++ {
+		seg, tail = settle(seg, tail, s)
+		op, ok := top(seg, tail).(*LocalOp[S])
+		if !fusion || !ok || !op.Fuse {
+			return Config[S]{Stack: join(seg, tail), Data: s}
+		}
+		next := op.F(s)
+		if len(next) != 1 {
+			return Config[S]{Stack: join(seg, tail), Data: s}
+		}
+		seg, tail = pop(seg, tail)
+		s = next[0]
+	}
+	panic("cimp: fusion diverged")
+}
+
+// AppendHeads appends to dst the action commands reachable from the top
+// of the stack by resolving Choose alternatives and unfolding
+// deterministic control, in program order, and returns the extended
+// slice. The data state is needed to evaluate conditions. With enough
+// capacity in dst it allocates nothing for a stack that is already
+// normalized.
+func AppendHeads[S any](dst []Head[S], stack []Com[S], s S) []Head[S] {
+	return appendHeads(dst, nil, stack, s, int(^uint(0)>>1))
+}
+
+// appendHeads is AppendHeads over seg ++ tail; it stops early once dst
+// holds max heads.
+func appendHeads[S any](dst []Head[S], seg, tail []Com[S], s S, max int) []Head[S] {
+	seg, tail = settle(seg, tail, s)
+	act := top(seg, tail)
+	if act == nil {
+		return dst
+	}
+	seg, tail = pop(seg, tail)
+	ch, ok := act.(*Choose[S])
+	if !ok {
+		return append(dst, Head[S]{Act: act, pre: seg, tail: tail})
+	}
+	tail = join(seg, tail)
+	for _, alt := range ch.Alts {
+		if len(dst) >= max {
+			break
+		}
+		dst = appendHeads(dst, unfolding(alt), tail, s, max)
+	}
+	return dst
+}
+
+// headScratch is the head capacity steppers keep on their own stack
+// frame; wider configurations spill to the heap through append.
+const headScratch = 16
 
 // TauSuccessors yields the successor configurations of all enabled local
 // (τ) actions of cfg, i.e. every LocalOp head. Each successor is already
 // normalized. The results share structure with cfg; LocalOp step functions
 // are responsible for the freshness of successor data states.
 func TauSuccessors[S any](cfg Config[S], yield func(next Config[S], label string)) {
-	for _, h := range Heads(cfg.Stack, cfg.Data) {
-		op, ok := h.Act.(*LocalOp[S])
+	var buf [headScratch]Head[S]
+	hs := AppendHeads(buf[:0], cfg.Stack, cfg.Data)
+	for i := range hs {
+		op, ok := hs[i].Act.(*LocalOp[S])
 		if !ok {
 			continue
 		}
 		for _, s2 := range op.F(cfg.Data) {
-			yield(Config[S]{Stack: Norm(h.Cont, s2), Data: s2}, op.L)
+			yield(hs[i].after(s2, false), op.L)
 		}
 	}
 }
 
-// Offer is a pending request: the α message the process would send, the
-// continuation applied once a response β arrives, and the request label.
-type Offer[S any] struct {
-	Label string
-	Alpha Msg
-	// Accept computes the successor configurations for a response β;
-	// an empty result refuses the response.
-	Accept func(beta Msg) []Config[S]
-}
-
-// Offers enumerates the Requests enabled at the top of cfg.
-func Offers[S any](cfg Config[S]) []Offer[S] {
-	var out []Offer[S]
-	for _, h := range Heads(cfg.Stack, cfg.Data) {
-		req, ok := h.Act.(*Request[S])
-		if !ok {
-			continue
-		}
-		cont := h.Cont
-		alpha := req.Act(cfg.Data)
-		out = append(out, Offer[S]{
-			Label: req.L,
-			Alpha: alpha,
-			Accept: func(beta Msg) []Config[S] {
-				var cs []Config[S]
-				for _, s2 := range req.Ret(cfg.Data, beta) {
-					cs = append(cs, Config[S]{Stack: Norm(cont, s2), Data: s2})
-				}
-				return cs
-			},
-		})
+// SoleRequest returns the Request that is cfg's one and only enabled
+// action, or false when cfg has no head, several, or a single head of
+// another kind. It is what the partial-order reduction asks of every
+// process in every state, so it stops at the second head and builds
+// nothing.
+func SoleRequest[S any](cfg Config[S]) (*Request[S], bool) {
+	var buf [2]Head[S]
+	hs := appendHeads(buf[:0], nil, cfg.Stack, cfg.Data, len(buf))
+	if len(hs) != 1 {
+		return nil, false
 	}
-	return out
-}
-
-// Answer is one way a process can answer a request α: the successor
-// configuration, the response β, and the response label.
-type Answer[S any] struct {
-	Label string
-	Beta  Msg
-	Next  Config[S]
-}
-
-// Answers enumerates the ways cfg can answer the request α via an enabled
-// Response head.
-func Answers[S any](cfg Config[S], alpha Msg) []Answer[S] {
-	var out []Answer[S]
-	for _, h := range Heads(cfg.Stack, cfg.Data) {
-		resp, ok := h.Act.(*Response[S])
-		if !ok {
-			continue
-		}
-		for _, r := range resp.F(cfg.Data, alpha) {
-			out = append(out, Answer[S]{
-				Label: resp.L,
-				Beta:  r.Msg,
-				Next:  Config[S]{Stack: Norm(h.Cont, r.S), Data: r.S},
-			})
-		}
-	}
-	return out
+	r, ok := hs[0].Act.(*Request[S])
+	return r, ok
 }
 
 // AtLabels returns the labels of all action commands enabled at the top of
 // the configuration. It implements the paper's "at p ℓ" predicate: process
 // p is at ℓ iff ℓ ∈ AtLabels of p's configuration.
 func AtLabels[S any](cfg Config[S]) []string {
-	hs := Heads(cfg.Stack, cfg.Data)
-	out := make([]string, 0, len(hs))
-	for _, h := range hs {
-		out = append(out, h.Act.Label())
+	var buf [headScratch]Head[S]
+	hs := AppendHeads(buf[:0], cfg.Stack, cfg.Data)
+	out := make([]string, len(hs))
+	for i := range hs {
+		out[i] = hs[i].Act.Label()
 	}
 	return out
 }
 
 // At reports whether the configuration is at a command labeled ℓ.
 func At[S any](cfg Config[S], label string) bool {
-	for _, l := range AtLabels(cfg) {
-		if l == label {
+	var buf [headScratch]Head[S]
+	hs := AppendHeads(buf[:0], cfg.Stack, cfg.Data)
+	for i := range hs {
+		if hs[i].Act.Label() == label {
 			return true
 		}
 	}
@@ -204,5 +252,5 @@ func At[S any](cfg Config[S], label string) bool {
 
 // Terminated reports whether the process has no commands left to run.
 func Terminated[S any](cfg Config[S]) bool {
-	return len(Norm(cfg.Stack, cfg.Data)) == 0
+	return top(settle(nil, cfg.Stack, cfg.Data)) == nil
 }

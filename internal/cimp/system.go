@@ -43,30 +43,6 @@ func (sys System[S]) CloneShallow() System[S] {
 	return System[S]{Procs: ps, DisableFusion: sys.DisableFusion}
 }
 
-// fuse repeatedly executes Fuse-marked deterministic LocalOps at the head
-// of the configuration, merging them into the transition that produced
-// it. Only single-successor applications are merged; a Fuse-marked op
-// that blocks or branches is left for the normal step relation.
-func fuse[S any](cfg Config[S]) Config[S] {
-	for i := 0; i < maxUnfold; i++ {
-		stack := Norm(cfg.Stack, cfg.Data)
-		cfg.Stack = stack
-		if len(stack) == 0 {
-			return cfg
-		}
-		op, ok := stack[0].(*LocalOp[S])
-		if !ok || !op.Fuse {
-			return cfg
-		}
-		next := op.F(cfg.Data)
-		if len(next) != 1 {
-			return cfg
-		}
-		cfg = Config[S]{Stack: stack[1:], Data: next[0]}
-	}
-	panic("cimp: fusion diverged")
-}
-
 // Successors enumerates every enabled system transition from sys,
 // invoking yield with the successor system state and the event that
 // produced it. Successor states share all unchanged process
@@ -78,36 +54,80 @@ func fuse[S any](cfg Config[S]) Config[S] {
 //	rendezvous: a Request of process p synchronizes with a Response of a
 //	            distinct process q; both update local state simultaneously.
 func (sys System[S]) Successors(yield func(next System[S], ev Event)) {
-	post := func(c Config[S]) Config[S] {
-		if sys.DisableFusion {
-			return c
-		}
-		return fuse(c)
+	sys.successors(func(next System[S], ev Event) bool {
+		yield(next, ev)
+		return true
+	})
+}
+
+// successors is Successors with early exit: it stops as soon as yield
+// returns false. Every process's heads are enumerated exactly once, into
+// scratch on this frame; a τ step fires a LocalOp head, and a rendezvous
+// pairs a Request head of p with a Response head of q. Transitions are
+// yielded in PID order, τ steps before rendezvous, heads in program order.
+func (sys System[S]) successors(yield func(next System[S], ev Event) bool) {
+	// heads[off[p]:off[p+1]] are process p's; eight processes and 32 heads
+	// fit on the frame, larger systems spill to the heap through append.
+	var headBuf [2 * headScratch]Head[S]
+	var offBuf [9]int
+	heads, off := headBuf[:0], offBuf[:0]
+	for _, cfg := range sys.Procs {
+		off = append(off, len(heads))
+		heads = AppendHeads(heads, cfg.Stack, cfg.Data)
 	}
-	for p := range sys.Procs {
+	off = append(off, len(heads))
+	fusion := !sys.DisableFusion
+
+	for p, cfg := range sys.Procs {
 		pid := PID(p)
-		// τ steps.
-		TauSuccessors(sys.Procs[p], func(next Config[S], label string) {
-			ns := sys.CloneShallow()
-			ns.Procs[p] = post(next)
-			yield(ns, Event{Proc: pid, Peer: -1, Label: label})
-		})
-		// Rendezvous with every other process.
-		for _, off := range Offers(sys.Procs[p]) {
-			for q := range sys.Procs {
+		mine := heads[off[p]:off[p+1]]
+		for i := range mine {
+			op, ok := mine[i].Act.(*LocalOp[S])
+			if !ok {
+				continue
+			}
+			for _, s2 := range op.F(cfg.Data) {
+				ns := sys.CloneShallow()
+				ns.Procs[p] = mine[i].after(s2, fusion)
+				if !yield(ns, Event{Proc: pid, Peer: -1, Label: op.L}) {
+					return
+				}
+			}
+		}
+		for i := range mine {
+			req, ok := mine[i].Act.(*Request[S])
+			if !ok {
+				continue
+			}
+			alpha := req.Act(cfg.Data)
+			for q, peer := range sys.Procs {
 				if q == p {
 					continue
 				}
-				for _, ans := range Answers(sys.Procs[q], off.Alpha) {
-					for _, pNext := range off.Accept(ans.Beta) {
-						ns := sys.CloneShallow()
-						ns.Procs[p] = post(pNext)
-						ns.Procs[q] = post(ans.Next)
-						yield(ns, Event{
-							Proc: pid, Peer: PID(q),
-							Label: off.Label, PeerLabel: ans.Label,
-							Alpha: off.Alpha, Beta: ans.Beta,
-						})
+				theirs := heads[off[q]:off[q+1]]
+				for j := range theirs {
+					resp, ok := theirs[j].Act.(*Response[S])
+					if !ok {
+						continue
+					}
+					for _, r := range resp.F(peer.Data, alpha) {
+						accepted := req.Ret(cfg.Data, r.Msg)
+						if len(accepted) == 0 {
+							continue // the requester refuses this response
+						}
+						qNext := theirs[j].after(r.S, fusion)
+						for _, s2 := range accepted {
+							ns := sys.CloneShallow()
+							ns.Procs[p] = mine[i].after(s2, fusion)
+							ns.Procs[q] = qNext
+							if !yield(ns, Event{
+								Proc: pid, Peer: PID(q),
+								Label: req.L, PeerLabel: resp.L,
+								Alpha: alpha, Beta: r.Msg,
+							}) {
+								return
+							}
+						}
 					}
 				}
 			}
@@ -118,9 +138,12 @@ func (sys System[S]) Successors(yield func(next System[S], ev Event)) {
 // Deadlocked reports whether no transition is enabled and at least one
 // process has commands left to run.
 func (sys System[S]) Deadlocked() bool {
-	any := false
-	sys.Successors(func(System[S], Event) { any = true })
-	if any {
+	enabled := false
+	sys.successors(func(System[S], Event) bool {
+		enabled = true
+		return false
+	})
+	if enabled {
 		return false
 	}
 	for _, p := range sys.Procs {

@@ -373,3 +373,16 @@ func TestDoWriteAppliesAllLocations(t *testing.T) {
 		t.Fatal("write resurrected a freed object")
 	}
 }
+
+// BenchmarkBuild measures model construction: the three programs, the
+// command index with its unfolding tables, and the initial state. It is
+// what cmd/bench reports as setup_s on the checker workloads.
+func BenchmarkBuild(b *testing.B) {
+	cfg := testConfig() // the tiny preset's programs
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -201,42 +201,43 @@ func Build(cfg Config) (*Model, error) {
 		SwRef: heap.NilRef, GHG: heap.NilRef,
 	}
 
-	gcProg := cfg.GCProgram()
+	// Programs first: the index compiles them (identities and unfolding
+	// tables), and nothing can be stepped — not even the control
+	// unfolding that normalizes the initial stacks — before that.
+	progs := make([]cimp.Com[*Local], 0, nproc)
+	progs = append(progs, cfg.GCProgram())
+	for i := 0; i < cfg.NMutators; i++ {
+		progs = append(progs, cfg.MutProgram(i))
+	}
 	sysProg := cfg.SysProgram()
-	progs := []cimp.Com[*Local]{gcProg}
+	progs = append(progs, sysProg)
+	index := cimp.NewIndex(progs...)
 
 	procs := make([]cimp.Config[*Local], 0, nproc)
-	gcData := &Local{Self: GCPID, GC: gcLocal}
-	procs = append(procs, cimp.Config[*Local]{
-		Stack: cimp.Norm([]cimp.Com[*Local]{gcProg}, gcData), Data: gcData})
-
+	spawn := func(data *Local) {
+		prog := progs[len(procs)]
+		procs = append(procs, cimp.Config[*Local]{
+			Stack: cimp.Norm([]cimp.Com[*Local]{prog}, data), Data: data})
+	}
+	spawn(&Local{Self: GCPID, GC: gcLocal})
 	for i := 0; i < cfg.NMutators; i++ {
 		var roots heap.RefSet
 		if i < len(cfg.InitRoots) {
 			roots = cfg.InitRoots[i]
 		}
-		ml := &MutLocal{
+		spawn(&Local{Self: MutPID(i), Mut: &MutLocal{
 			Roots: roots,
 			MRef:  heap.NilRef, SSrc: heap.NilRef, SDst: heap.NilRef,
 			TmpRef: heap.NilRef, GHG: heap.NilRef,
 			HP:      HpIdle,
 			OpsLeft: cfg.OpBudget,
-		}
-		prog := cfg.MutProgram(i)
-		progs = append(progs, prog)
-		data := &Local{Self: MutPID(i), Mut: ml}
-		procs = append(procs, cimp.Config[*Local]{
-			Stack: cimp.Norm([]cimp.Com[*Local]{prog}, data), Data: data})
+		}})
 	}
-
-	progs = append(progs, sysProg)
-	sysData := &Local{Self: cimp.PID(nproc - 1), Sys: sysLocal}
-	procs = append(procs, cimp.Config[*Local]{
-		Stack: cimp.Norm([]cimp.Com[*Local]{sysProg}, sysData), Data: sysData})
+	spawn(&Local{Self: cimp.PID(nproc - 1), Sys: sysLocal})
 
 	m := &Model{
 		Cfg:   cfg,
-		Index: cimp.NewIndex(progs...),
+		Index: index,
 		init:  cimp.System[*Local]{Procs: procs},
 	}
 	m.setupSymmetry(progs[1:1+cfg.NMutators], sysProg)

@@ -16,7 +16,7 @@ import (
 // A request is safe when it satisfies all of the classic ample-set
 // conditions with respect to the x86-TSO semantics of sys.go:
 //
-//   - it is the process's unique enabled action (singleton Heads, and
+//   - it is the process's unique enabled action (cimp.SoleRequest, and
 //     Request.Ret in this model always yields exactly one state);
 //   - it is currently enabled and cannot be disabled by other
 //     processes' transitions;
@@ -95,13 +95,11 @@ func (m *Model) AmpleChoice(st cimp.System[*Local]) Ample {
 	// process itself always has multiple heads (its reactive Choose).
 	for p := 0; p < len(st.Procs)-1; p++ {
 		cfg := st.Procs[p]
-		heads := cimp.Heads(cfg.Stack, cfg.Data)
-		if len(heads) != 1 {
-			continue // non-deterministic choice pending: not reducible
-		}
-		r, ok := heads[0].Act.(*cimp.Request[*Local])
+		r, ok := cimp.SoleRequest(cfg)
 		if !ok {
-			continue // multi-successor LocalOp or terminated process
+			// A non-deterministic choice is pending, the sole head is a
+			// LocalOp, or the process has terminated: not reducible.
+			continue
 		}
 		req, ok := r.Act(cfg.Data).(Req)
 		if !ok {

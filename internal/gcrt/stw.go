@@ -34,11 +34,13 @@ func (rt *Runtime) CollectSTW() int {
 	cycleStart := time.Now()
 
 	// Stop the world: every mutator must acknowledge at a safe point and
-	// then block until released.
-	rt.stw.Store(stwRequested)
+	// then block until released. The acknowledgements are cleared before
+	// the request is published: a mutator acknowledges only after it has
+	// seen the request, so no acknowledgement of this cycle can be erased.
 	for _, m := range rt.muts {
 		m.stwAcked.Store(false)
 	}
+	rt.stw.Store(stwRequested)
 	for _, m := range rt.muts {
 		for !m.stwAcked.Load() {
 			m.parkMu.Lock()
@@ -104,7 +106,15 @@ func (m *Mutator) stwCheck() {
 	}
 	start := time.Now()
 	m.stwAcked.Store(true)
-	for rt.stw.Load() != stwIdle {
+	for s := rt.stw.Load(); s != stwIdle; s = rt.stw.Load() {
+		// Back-to-back cycles: the next stop can be requested before this
+		// mutator was scheduled to see the previous one end. Its
+		// acknowledgement has then been cleared (before the request, see
+		// CollectSTW), and it is still at this safe point — acknowledge
+		// again rather than wait for a release that waits for us.
+		if s == stwRequested && !m.stwAcked.Load() {
+			m.stwAcked.Store(true)
+		}
 		runtime.Gosched()
 	}
 	m.recordPause(time.Since(start))

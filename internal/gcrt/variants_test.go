@@ -2,7 +2,9 @@ package gcrt
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -33,6 +35,52 @@ func TestSTWBasicCollection(t *testing.T) {
 			m.SafePoint()
 		}
 	}
+}
+
+// TestSTWBackToBackCyclesDoNotLoseAcks is the regression test for two
+// lost-wakeup bugs in the world-stop rendezvous: CollectSTW used to publish
+// the request before clearing the acknowledgements (a prompt mutator's ack
+// was erased and both sides spun forever), and a mutator that was never
+// scheduled between one cycle's release and the next cycle's request kept
+// waiting for the old release with its ack cleared. Thousands of
+// back-to-back cycles against two busy mutators on two Ps hit both windows.
+func TestSTWBackToBackCyclesDoNotLoseAcks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	rt := New(Options{Slots: 1024, Fields: 1, Mutators: 2})
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		m := rt.Mutator(i)
+		keep := m.Alloc() // before the other mutator can have churned through the arena
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if g := m.Alloc(); g >= 0 { // -1: arena full until the next sweep
+					m.Store(keep, 0, g)
+					m.Discard(g)
+				}
+				m.SafePoint()
+			}
+		}()
+	}
+	const cycles = 3000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for c := 0; c < cycles; c++ {
+			rt.CollectSTW()
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Errorf("world-stop rendezvous hung after %d of %d cycles", rt.Stats().Cycles, cycles)
+		// Unblock whoever can still be unblocked so the test binary exits.
+		rt.stw.Store(stwIdle)
+	}
+	stop.Store(true)
+	wg.Wait()
 }
 
 func TestSTWNoFloatingGarbage(t *testing.T) {
