@@ -42,13 +42,11 @@
 package explore
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/bits"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -351,164 +349,6 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// rec is the per-visited-state bookkeeping: the fingerprint hash of the
-// parent state and the index of the producing event in the parent's
-// (deterministic) successor enumeration. Both are meaningful only when
-// Options.Trace is set; eidx is -1 for the initial state.
-type rec struct {
-	parent uint64
-	eidx   int32
-}
-
-// recBytes is the visited-set payload per state in compact mode: the
-// 8-byte map key plus the 16-byte rec value (Go map bucket overhead not
-// counted).
-const recBytes = 8 + 16
-
-// shard is one lock stripe of the visited set.
-type shard struct {
-	mu   sync.Mutex
-	recs map[uint64]rec
-	// fps retains the canonical fingerprint per hash in audit mode.
-	fps        map[uint64]string
-	collisions int64
-	bytes      int64
-	// Spilled representation (see spill.go): keys is the membership-
-	// only set, hot buffers the records inserted since the last flush
-	// to disk (retained only when traces are needed).
-	keys map[uint64]struct{}
-	hot  map[uint64]rec
-}
-
-// visited is the sharded visited set, keyed by fingerprint hash; the
-// shard index is the hash's top bits, so any hash prefix ordering is
-// spread evenly across stripes.
-type visited struct {
-	shards []shard
-	shift  uint
-	audit  bool
-	// spilled switches the shards to membership+hot representation;
-	// spillTrace says the hot buffers are live (Options.Trace). Both
-	// flip only at a layer boundary.
-	spilled    bool
-	spillTrace bool
-}
-
-func newVisited(n int, audit bool) *visited {
-	if n <= 0 {
-		n = 64
-	}
-	n = 1 << bits.Len(uint(n-1)) // round up to a power of two
-	v := &visited{
-		shards: make([]shard, n),
-		shift:  uint(64 - bits.Len(uint(n-1))),
-		audit:  audit,
-	}
-	for i := range v.shards {
-		v.shards[i].recs = make(map[uint64]rec)
-		if audit {
-			v.shards[i].fps = make(map[uint64]string)
-		}
-	}
-	return v
-}
-
-func (v *visited) shard(h uint64) *shard { return &v.shards[h>>v.shift] }
-
-// insert records hash h with bookkeeping r and reports whether the state
-// was new. In audit mode fp must be the canonical encoding; a known hash
-// carried by a different encoding increments the collision counter (the
-// state is still treated as visited, keeping audit-mode verdicts
-// identical to compact mode).
-func (v *visited) insert(h uint64, r rec, fp []byte) bool {
-	s := v.shard(h)
-	s.mu.Lock()
-	if v.spilled {
-		if _, ok := s.keys[h]; ok {
-			s.mu.Unlock()
-			return false
-		}
-		s.keys[h] = struct{}{}
-		s.bytes += spillKeyBytes
-		if v.spillTrace {
-			s.hot[h] = r
-		}
-		s.mu.Unlock()
-		return true
-	}
-	if _, ok := s.recs[h]; ok {
-		if v.audit && s.fps[h] != string(fp) {
-			s.collisions++
-		}
-		s.mu.Unlock()
-		return false
-	}
-	s.recs[h] = r
-	s.bytes += recBytes
-	if v.audit {
-		s.fps[h] = string(fp)
-		s.bytes += int64(16 + len(fp))
-	}
-	s.mu.Unlock()
-	return true
-}
-
-func (v *visited) lookup(h uint64) (rec, bool) {
-	s := v.shard(h)
-	s.mu.Lock()
-	if v.spilled {
-		if r, ok := s.hot[h]; ok {
-			s.mu.Unlock()
-			return r, true
-		}
-		// Membership-only: the record, if retained at all, is on disk
-		// (spillState.loadRecs serves the trace path).
-		_, ok := s.keys[h]
-		s.mu.Unlock()
-		return rec{}, ok
-	}
-	r, ok := s.recs[h]
-	s.mu.Unlock()
-	return r, ok
-}
-
-// spillConvert switches every shard to the spilled representation:
-// membership keys plus (when keep) the existing records as the first
-// hot buffer, to be flushed to disk at the next boundary. Runs only at
-// a layer boundary (no workers), like dropAudit.
-func (v *visited) spillConvert(keep bool) {
-	for i := range v.shards {
-		s := &v.shards[i]
-		s.keys = make(map[uint64]struct{}, len(s.recs))
-		for h := range s.recs {
-			s.keys[h] = struct{}{}
-		}
-		if keep {
-			s.hot = s.recs
-		} else {
-			s.hot = nil
-		}
-		s.recs = nil
-		s.bytes = int64(len(s.keys)) * spillKeyBytes
-	}
-	v.spilled = true
-	v.spillTrace = keep
-}
-
-// dropAudit releases the audit-mode fingerprint strings and switches the
-// set to hash-only operation. Callers invoke it only at a layer boundary
-// (no workers running), so flipping v.audit is race-free.
-func (v *visited) dropAudit() {
-	for i := range v.shards {
-		s := &v.shards[i]
-		for _, fp := range s.fps {
-			s.bytes -= int64(16 + len(fp))
-		}
-		s.fps = nil
-	}
-	v.audit = false
-}
-
 // fpPool recycles the per-worker fingerprint scratch buffers.
 var fpPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
@@ -792,14 +632,6 @@ func (e *explorer) run() Result {
 	return res
 }
 
-// spillErr returns the latched spill failure (nil without a spill).
-func (e *explorer) spillErr() error {
-	if e.spill == nil {
-		return nil
-	}
-	return e.spill.firstErr()
-}
-
 // interrupted reports whether ctx (possibly nil) has been cancelled.
 func interrupted(ctx context.Context) bool {
 	if ctx == nil {
@@ -811,47 +643,6 @@ func interrupted(ctx context.Context) bool {
 	default:
 		return false
 	}
-}
-
-// watchdog is the layer-boundary memory ladder; see Options.MemBudget.
-// It reports true when the run must stop.
-func (e *explorer) watchdog(depth int, layer []qent, res *Result) bool {
-	if e.opt.MemBudget <= 0 {
-		return false
-	}
-	used := int64(e.memSample())
-	switch {
-	case used >= e.opt.MemBudget:
-		if e.spill != nil {
-			// The spill rung replaces the stop: activate (idempotent)
-			// and keep exploring from disk. If the spill is broken the
-			// run stops anyway — run() turns the latched error into
-			// StopSpill rather than StopMemBudget.
-			if err := e.activateSpill(); err == nil {
-				return false
-			}
-			return true
-		}
-		e.writeCheckpoint(depth, layer)
-		return true
-	case used >= e.opt.MemBudget*85/100:
-		if e.seen.audit {
-			e.seen.dropAudit()
-			e.degraded = true
-			runtime.GC()
-		}
-		if e.spill != nil {
-			if err := e.activateSpill(); err != nil {
-				return true // latched; run() reports StopSpill
-			}
-		}
-	case used >= e.opt.MemBudget*70/100:
-		if !e.emergency {
-			e.emergency = true
-			e.writeCheckpoint(depth, layer)
-		}
-	}
-	return false
 }
 
 // collect folds the atomic and per-shard counters into the result.
@@ -869,173 +660,6 @@ func (e *explorer) collect(res *Result) {
 	if e.spill != nil {
 		res.Spilled = e.spill.stats()
 	}
-}
-
-// activateSpill drops audit retention (spilled shards are hash-only by
-// construction) and switches the visited set to its on-disk
-// representation. Idempotent; boundary-only.
-func (e *explorer) activateSpill() error {
-	if e.seen.audit {
-		e.seen.dropAudit()
-		e.degraded = true
-	}
-	return e.spill.activate(e.seen)
-}
-
-// snapshot captures the search at a layer boundary: the frontier at
-// depth, the full visited set, and the settled counters. Frontier states
-// and shard entries are sorted by fingerprint hash so the snapshot bytes
-// are canonical for the cut.
-func (e *explorer) snapshot(depth int, layer []qent) *checkpoint.Snapshot {
-	s := &checkpoint.Snapshot{
-		OptionsFP:   e.optFP,
-		Options:     e.optSummary,
-		Depth:       depth,
-		States:      e.states.Load(),
-		Transitions: e.transitions.Load(),
-		Ample:       e.ample.Load(),
-		Deadlocks:   e.deadlocks.Load(),
-		Audit:       e.seen.audit,
-		Degraded:    e.degraded,
-		Checkpoints: e.checkpoints,
-	}
-	ord := make([]int, len(layer))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool { return layer[ord[a]].hash < layer[ord[b]].hash })
-	s.Frontier = make([][]byte, len(layer))
-	for i, j := range ord {
-		s.Frontier[i] = e.m.EncodeState(nil, layer[j].state)
-	}
-	s.Shards = make([]checkpoint.Shard, len(e.seen.shards))
-	for i := range e.seen.shards {
-		sh := &e.seen.shards[i]
-		hs := make([]uint64, 0, len(sh.recs))
-		for h := range sh.recs {
-			hs = append(hs, h)
-		}
-		sort.Slice(hs, func(a, b int) bool { return hs[a] < hs[b] })
-		out := checkpoint.Shard{
-			Hashes:  hs,
-			Parents: make([]uint64, len(hs)),
-			EIdxs:   make([]int32, len(hs)),
-		}
-		if e.seen.audit {
-			out.FPs = make([][]byte, len(hs))
-		}
-		for j, h := range hs {
-			r := sh.recs[h]
-			out.Parents[j] = r.parent
-			out.EIdxs[j] = r.eidx
-			if e.seen.audit {
-				out.FPs[j] = []byte(sh.fps[h])
-			}
-		}
-		s.Shards[i] = out
-	}
-	return s
-}
-
-// writeCheckpoint snapshots the cut and saves it atomically. A write
-// failure does not stop the search; the first failure is surfaced in
-// Result.Err.
-func (e *explorer) writeCheckpoint(depth int, layer []qent) {
-	if e.opt.Checkpoint.Path == "" {
-		return
-	}
-	if e.spill != nil && e.spill.isActive() {
-		// A spilled run's records and frontier live on disk already and
-		// the in-memory layer holds hashes only: there is nothing a
-		// snapshot could capture. Checkpointing is suspended; resuming a
-		// spilled run means its last pre-spill checkpoint.
-		return
-	}
-	e.checkpoints++
-	snap := e.snapshot(depth, layer)
-	if _, err := checkpoint.SaveFS(storage.OrOS(e.opt.FS), e.opt.Checkpoint.Path, snap); err != nil {
-		e.checkpoints--
-		if e.ckptErr == nil {
-			e.ckptErr = err
-		}
-	}
-}
-
-// restore rebuilds the search from a snapshot: validates the options
-// fingerprint, repopulates the visited shards (verifying every entry
-// lands in the shard its hash selects), and decodes the frontier,
-// re-encoding each state to prove the codec round-trips it and checking
-// it against the visited set. It returns the frontier and its depth.
-func (e *explorer) restore(snap *checkpoint.Snapshot) ([]qent, int, error) {
-	if snap.OptionsFP != e.optFP {
-		return nil, 0, fmt.Errorf(
-			"explore: checkpoint was taken under different options\n  checkpoint: %s\n  this run:   %s",
-			snap.Options, e.optSummary)
-	}
-	if len(snap.Shards) != len(e.seen.shards) {
-		return nil, 0, fmt.Errorf("explore: checkpoint has %d shards, this run %d", len(snap.Shards), len(e.seen.shards))
-	}
-	switch {
-	case snap.Audit && !e.seen.audit:
-		return nil, 0, fmt.Errorf("explore: audit-mode checkpoint resumed into a hash-only run")
-	case !snap.Audit && e.seen.audit:
-		if !snap.Degraded {
-			return nil, 0, fmt.Errorf("explore: hash-only checkpoint resumed into an audit-mode run")
-		}
-		// The original audit run was degraded to hash-only by the memory
-		// watchdog; the resumed run continues hash-only.
-		e.seen.dropAudit()
-	}
-	e.degraded = snap.Degraded
-	for i := range snap.Shards {
-		sh := &snap.Shards[i]
-		s := &e.seen.shards[i]
-		for j, h := range sh.Hashes {
-			if int(h>>e.seen.shift) != i {
-				return nil, 0, fmt.Errorf("explore: checkpoint shard %d holds hash %016x belonging to shard %d", i, h, h>>e.seen.shift)
-			}
-			if _, dup := s.recs[h]; dup {
-				return nil, 0, fmt.Errorf("explore: checkpoint shard %d holds duplicate hash %016x", i, h)
-			}
-			s.recs[h] = rec{parent: sh.Parents[j], eidx: sh.EIdxs[j]}
-			s.bytes += recBytes
-			if e.seen.audit {
-				s.fps[h] = string(sh.FPs[j])
-				s.bytes += int64(16 + len(sh.FPs[j]))
-			}
-		}
-	}
-	if _, ok := e.seen.lookup(e.initHash); !ok {
-		return nil, 0, fmt.Errorf("explore: checkpoint visited set does not contain the initial state")
-	}
-	layer := make([]qent, 0, len(snap.Frontier))
-	var scratch []byte
-	for i, enc := range snap.Frontier {
-		st, rest, err := e.m.DecodeState(enc)
-		if err != nil {
-			return nil, 0, fmt.Errorf("explore: checkpoint frontier state %d: %w", i, err)
-		}
-		if len(rest) != 0 {
-			return nil, 0, fmt.Errorf("explore: checkpoint frontier state %d: %d trailing bytes", i, len(rest))
-		}
-		scratch = e.m.EncodeState(scratch[:0], st)
-		if !bytes.Equal(scratch, enc) {
-			return nil, 0, fmt.Errorf("explore: checkpoint frontier state %d does not round-trip", i)
-		}
-		scratch = e.fp(scratch[:0], st)
-		h := gcmodel.Hash64(scratch)
-		if _, ok := e.seen.lookup(h); !ok {
-			return nil, 0, fmt.Errorf("explore: checkpoint frontier state %d (%016x) missing from visited set", i, h)
-		}
-		layer = append(layer, qent{state: st, hash: h})
-	}
-	e.states.Store(snap.States)
-	e.transitions.Store(snap.Transitions)
-	e.ample.Store(snap.Ample)
-	e.deadlocks.Store(snap.Deadlocks)
-	e.lastReport.Store(snap.States)
-	e.checkpoints = snap.Checkpoints
-	return layer, snap.Depth, nil
 }
 
 // expandLayer expands every state of the depth-d layer and returns the
