@@ -665,9 +665,9 @@ func seedList(rt *gcrt.Runtime, n int) {
 
 // --- E18: liveness — fair-cycle search over the state graph -----------
 
-// BenchmarkE18Liveness measures the full progress check (graph build
-// over the unreduced relation plus one SCC pass per property) on a
-// small stores-only configuration; EXPERIMENTS.md records the uncapped
+// BenchmarkE18Liveness measures the full progress check (one recorded
+// exploration of the unreduced relation, the graph build from its log,
+// and one SCC pass per property) on a small stores-only configuration; EXPERIMENTS.md records the uncapped
 // preset costs.
 func BenchmarkE18Liveness(b *testing.B) {
 	cfg := core.TinyConfig()
@@ -681,7 +681,7 @@ func BenchmarkE18Liveness(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := liveness.Check(m, liveness.Options{})
+		res, err := liveness.Check(m, liveness.Options{}, explore.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -39,7 +39,6 @@ func main() {
 		noDel   = flag.Bool("no-deletion-barrier", false, "ablate the deletion barrier (expect faults/findings)")
 		noIns   = flag.Bool("no-insertion-barrier", false, "ablate the insertion barrier")
 		allocW  = flag.Bool("alloc-white", false, "ablate black allocation (allocate unmarked in every phase)")
-		legacy  = flag.Bool("legacy-alloc", false, "use the seed's shared free-list allocator instead of TLABs")
 		version = flag.Bool("version", false, "print build identity and exit")
 	)
 	flag.Parse()
@@ -54,7 +53,6 @@ func main() {
 		NoDeletionBarrier:  *noDel,
 		NoInsertionBarrier: *noIns,
 		AllocWhite:         *allocW,
-		LegacyAlloc:        *legacy,
 	}
 
 	if *shape != "" {

@@ -38,7 +38,7 @@ import (
 func config() core.ModelConfig {
 	cfg := core.TinyConfig()
 	// Stores only, budget 1, buffers bounded at 1: small enough to keep
-	// all three graph builds instant.
+	// all three runs instant.
 	cfg.OpBudget = 1
 	cfg.MaxBuf = 1
 	cfg.DisableLoad = true

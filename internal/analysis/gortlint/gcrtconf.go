@@ -69,7 +69,6 @@ func GCRTDiscipline() DisciplineConfig {
 					"id":         {Class: Immutable},
 					"roots":      {Class: Owner, Domain: "mutator"},
 					"wl":         {Class: Owner, Domain: "mutator"},
-					"pool":       {Class: Owner, Domain: "mutator"},
 					"tlab":       {Class: Owner, Domain: "mutator"},
 					"bbuf":       {Class: Owner, Domain: "mutator"},
 					"bcap":       {Class: Immutable},
@@ -177,7 +176,6 @@ func GCRTPublish() PublishConfig {
 		Package: gcrtPkg,
 		ReservationFields: []string{
 			"Mutator.tlab",
-			"Mutator.pool",
 			"freeShard.free",
 		},
 		InstallFns: []string{"Arena.install"},

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/checkpoint"
-	"repro/internal/cimp"
 	"repro/internal/explore"
 	"repro/internal/gcmodel"
 	"repro/internal/gcrt"
@@ -76,12 +75,15 @@ type VerifyOptions struct {
 	// explore.Options.Symmetry. No-op for single-mutator models.
 	Symmetry bool
 	// Liveness additionally runs the fair-cycle liveness checker
-	// (package liveness) after the safety exploration: every progress
-	// property is checked for weakly fair violating cycles, with lasso
-	// counterexamples in VerifyResult.Liveness. The liveness pass always
-	// re-explores the full, unreduced relation, regardless of
-	// Reduce/Symmetry (see DESIGN.md "Liveness architecture"), and is
-	// skipped when the safety pass already found a violation.
+	// (package liveness): every progress property is checked for weakly
+	// fair violating cycles, with lasso counterexamples in
+	// VerifyResult.Liveness. The cycle search needs the graph of the
+	// full, unreduced relation from the initial state. When the safety
+	// pass walks exactly that (no Reduce, no Symmetry, no Resume) the
+	// graph is recorded during it and the run explores once; otherwise
+	// the liveness pass explores the unreduced relation itself (see
+	// DESIGN.md "Liveness architecture"). Skipped when the safety pass
+	// found a violation.
 	Liveness bool
 	// LivenessProps selects a subset of the progress properties by name
 	// (nil = all; see liveness.All).
@@ -238,10 +240,9 @@ func Fingerprint(cfg ModelConfig, opt VerifyOptions) (uint64, string, error) {
 	}
 	eopt := exploreOptions(opt)
 	if opt.ValidateEffects {
-		// Only non-nil-ness enters the summary; the stubs stand in for
-		// the validator hooks Verify installs.
-		eopt.EventCheck = func(_, _ cimp.System[*gcmodel.Local], _ cimp.Event) error { return nil }
-		eopt.StateCheck = func(cimp.System[*gcmodel.Local]) error { return nil }
+		// Only the presence of a checking visitor enters the summary; the
+		// empty adapter stands in for the one Verify installs.
+		eopt.Visitors = []explore.Visitor{effectsVisitor{}}
 	}
 	_, summary := explore.OptionsFingerprint(m, battery(opt), eopt)
 	summary = fmt.Sprintf("%s liveness=%v liveProps=%v", summary, opt.Liveness, opt.LivenessProps)
@@ -269,8 +270,27 @@ func Verify(cfg ModelConfig, opt VerifyOptions) (VerifyResult, error) {
 		if err != nil {
 			return VerifyResult{}, fmt.Errorf("core: %w", err)
 		}
-		eopt.EventCheck = val.CheckEvent
-		eopt.StateCheck = val.CheckPOR
+		eopt.Visitors = []explore.Visitor{effectsVisitor{val}}
+	}
+	var rec *liveness.Recorder
+	var lopt liveness.Options
+	if opt.Liveness {
+		if opt.LivenessProps != nil {
+			lopt.Properties, err = liveness.ByName(m, opt.LivenessProps)
+			if err != nil {
+				return VerifyResult{}, fmt.Errorf("core: %w", err)
+			}
+		}
+		// A safety pass that walks the full relation from the initial
+		// state is the exploration the cycle search needs: record its
+		// graph instead of exploring a second time.
+		if !opt.Reduce && !opt.Symmetry && opt.Resume == "" {
+			rec, err = liveness.NewRecorder(m, lopt)
+			if err != nil {
+				return VerifyResult{}, fmt.Errorf("core: %w", err)
+			}
+			eopt.Visitors = append(eopt.Visitors, rec)
+		}
 	}
 	res := explore.Run(m, checks, eopt)
 	vr := VerifyResult{Result: res, Model: m, Effects: val}
@@ -279,26 +299,18 @@ func Verify(cfg ModelConfig, opt VerifyOptions) (VerifyResult, error) {
 	}
 	// The liveness pass runs only when the safety pass ended on its own
 	// terms: an interruption, memory stop, or worker panic means the user
-	// (or the machine) wants the run over, not a second exploration.
+	// (or the machine) wants the run over, not more work.
 	switch res.Stopped {
 	case explore.StopInterrupted, explore.StopMemBudget, explore.StopPanic, explore.StopSpill:
 		return vr, nil
 	}
 	if opt.Liveness && res.Violation == nil {
-		var props []liveness.Property
-		if opt.LivenessProps != nil {
-			props, err = liveness.ByName(m, opt.LivenessProps)
-			if err != nil {
-				return vr, fmt.Errorf("core: %w", err)
-			}
+		var lres liveness.Result
+		if rec != nil {
+			lres, err = rec.Result(res)
+		} else {
+			lres, err = liveness.Check(m, lopt, eopt)
 		}
-		lres, err := liveness.Check(m, liveness.Options{
-			MaxStates:  opt.MaxStates,
-			MaxDepth:   opt.MaxDepth,
-			Progress:   opt.Progress,
-			Properties: props,
-			Context:    opt.Context,
-		})
 		if err != nil {
 			return vr, fmt.Errorf("core: %w", err)
 		}
@@ -306,6 +318,14 @@ func Verify(cfg ModelConfig, opt VerifyOptions) (VerifyResult, error) {
 	}
 	return vr, nil
 }
+
+// effectsVisitor adapts the effect validator to the checker's visitor
+// hooks: a disagreement with the declared footprint fails the run.
+type effectsVisitor struct{ val *analysis.Validator }
+
+func (v effectsVisitor) Edge(e explore.Edge) error  { return v.val.CheckEvent(e.From, e.To, e.Ev) }
+func (v effectsVisitor) State(n explore.Node) error { return v.val.CheckPOR(n.State) }
+func (effectsVisitor) Checks() bool                 { return true }
 
 // SimulateOptions configures a randomized deep run.
 type SimulateOptions struct {

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"context"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/explore"
 )
 
 func TestPresetsValidate(t *testing.T) {
@@ -65,7 +69,7 @@ func TestVerifyFindsAblationViolationWithTrace(t *testing.T) {
 }
 
 // livenessTestConfig is TinyConfig shrunk (stores only, budget 1) so
-// the sequential liveness graph build stays in test time.
+// the liveness tests stay in test time.
 func livenessTestConfig() ModelConfig {
 	cfg := TinyConfig()
 	cfg.OpBudget = 1
@@ -86,8 +90,8 @@ func TestVerifyLivenessCleanModel(t *testing.T) {
 	if !res.Holds() {
 		t.Fatalf("clean model violated: %+v", res.Liveness.Violations())
 	}
-	// The liveness pass re-explores the same unreduced relation the
-	// safety checker just walked: the graphs must agree exactly.
+	// The liveness graph is the relation the safety checker just
+	// walked: the two must agree exactly.
 	if res.Liveness.States != res.States ||
 		res.Liveness.Transitions != res.Transitions ||
 		res.Liveness.Depth != res.Depth {
@@ -114,6 +118,151 @@ func TestVerifyLivenessAblatedModel(t *testing.T) {
 	if len(vs) != 1 || vs[0].Name != "hs-ack-m0" || vs[0].Counterexample == nil {
 		t.Fatalf("expected a single hs-ack-m0 counterexample, got %+v", vs)
 	}
+}
+
+// progressLog collects a run's progress reports. The engine serializes
+// the callback, so no lock is needed.
+type progressLog []Progress
+
+func (l *progressLog) add(p Progress) { *l = append(*l, p) }
+
+// restarts counts the reports whose state count fell: each one is a
+// second exploration starting over.
+func (l progressLog) restarts() int {
+	n := 0
+	for i := 1; i < len(l); i++ {
+		if l[i].States <= l[i-1].States {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLivenessExploresOnce: when the safety pass walks the full relation
+// from the initial state, a Liveness run is that one exploration. Its
+// progress stream climbs at the requested cadence to the final count and
+// never starts over, and the liveness graph is the safety pass's —
+// on complete and on capped runs alike.
+func TestLivenessExploresOnce(t *testing.T) {
+	const every = 500
+	for name, opt := range map[string]VerifyOptions{
+		"complete":   {},
+		"max-depth":  {MaxDepth: 100},
+		"max-states": {MaxStates: 4000},
+		"validated":  {ValidateEffects: true, MaxDepth: 100},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var log progressLog
+			opt.Liveness = true
+			opt.Progress = log.add
+			opt.ProgressEvery = every
+			res, err := Verify(livenessTestConfig(), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := res.Liveness
+			if l == nil {
+				t.Fatal("liveness result missing")
+			}
+			if l.States != res.States || l.Transitions != res.Transitions || l.Depth != res.Depth ||
+				l.Complete != res.Complete || l.Stopped != res.Stopped {
+				t.Errorf("liveness graph %d/%d/%d complete=%v stopped=%q, safety pass %d/%d/%d complete=%v stopped=%q",
+					l.States, l.Transitions, l.Depth, l.Complete, l.Stopped,
+					res.States, res.Transitions, res.Depth, res.Complete, res.Stopped)
+			}
+			if res.Complete != (name == "complete") {
+				t.Errorf("complete=%v", res.Complete)
+			}
+			if !l.Holds() {
+				t.Errorf("clean model violated: %+v", l.Violations())
+			}
+			if res.Effects != nil {
+				if events, _ := res.Effects.Stats(); int(events) != res.Transitions {
+					t.Errorf("validator saw %d transitions of %d", events, res.Transitions)
+				}
+			}
+			if len(log) < res.States/every/2 || log.restarts() != 0 {
+				t.Fatalf("%d reports for %d states, %d restarts", len(log), res.States, log.restarts())
+			}
+			last := 0
+			for _, p := range log {
+				if p.States-last < every || p.States > res.States {
+					t.Fatalf("report at %d states after one at %d (cadence %d, final %d)", p.States, last, every, res.States)
+				}
+				last = p.States
+			}
+		})
+	}
+}
+
+// TestLivenessFallbackExploresUnreduced: a reduced or resumed safety pass
+// does not walk the graph the cycle search needs, so the liveness pass
+// explores the unreduced relation itself — seen as exactly one restart of
+// the progress stream — and reports that graph's counts.
+func TestLivenessFallbackExploresUnreduced(t *testing.T) {
+	cfg := livenessTestConfig()
+	full, err := Verify(cfg, VerifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, res VerifyResult, log progressLog) {
+		t.Helper()
+		l := res.Liveness
+		if l == nil || !res.Holds() {
+			t.Fatalf("liveness=%v status=%s", l, res.Status())
+		}
+		if l.States != full.States || l.Transitions != full.Transitions || l.Depth != full.Depth || !l.Complete {
+			t.Errorf("liveness graph %d/%d/%d complete=%v, unreduced relation %d/%d/%d",
+				l.States, l.Transitions, l.Depth, l.Complete, full.States, full.Transitions, full.Depth)
+		}
+		if log.restarts() != 1 {
+			t.Errorf("%d progress restarts, want the liveness pass's one", log.restarts())
+		}
+	}
+
+	t.Run("reduced", func(t *testing.T) {
+		var log progressLog
+		res, err := Verify(cfg, VerifyOptions{Liveness: true, Reduce: true, Progress: log.add, ProgressEvery: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.States >= full.States {
+			t.Fatalf("reduction visited %d of %d states", res.States, full.States)
+		}
+		check(t, res, log)
+	})
+
+	t.Run("resumed", func(t *testing.T) {
+		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		opt := VerifyOptions{Liveness: true, CheckpointPath: ckpt, ProgressEvery: 500}
+		opt.Context = ctx
+		opt.Progress = func(p Progress) {
+			if p.States > full.States/3 {
+				cancel()
+			}
+		}
+		cut, err := Verify(cfg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cut.Stopped != explore.StopInterrupted || cut.Liveness != nil {
+			t.Fatalf("first run: stopped=%q liveness=%v", cut.Stopped, cut.Liveness)
+		}
+		// The first run carried the recorder and the resumed one does not:
+		// the checkpoint must not care.
+		var log progressLog
+		opt.Context, opt.Resume, opt.Progress = nil, ckpt, log.add
+		res, err := Verify(cfg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.States != full.States || res.Transitions != full.Transitions {
+			t.Fatalf("resumed safety pass %d/%d, want %d/%d", res.States, res.Transitions, full.States, full.Transitions)
+		}
+		check(t, res, log)
+	})
 }
 
 func TestVerifyLivenessRejectsUnknownProperty(t *testing.T) {

@@ -106,6 +106,31 @@ func TestJobSpecFingerprint(t *testing.T) {
 	same("mem-budget", JobSpec{Preset: "tiny", Options: JobOptions{MaxDepth: 20, MemBudgetMiB: 256}})
 }
 
+// TestJobSpecFingerprintPinned pins fingerprints computed at the commit
+// before the checker's hooks became explore.Visitor: a checkpoint or a
+// cached verdict written by an older build must still be accepted.
+func TestJobSpecFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		spec JobSpec
+		want uint64
+	}{
+		{JobSpec{Preset: "tiny"}, 0xe6227d29c2678787},
+		{JobSpec{Preset: "tiny", Options: JobOptions{Liveness: true}}, 0x5a9e0f833c7ecde4},
+		{JobSpec{Preset: "tiny", Options: JobOptions{LivenessProps: []string{"gc-sweep"}, MaxDepth: 20}}, 0x95b4631a2885e0b9},
+		{JobSpec{Preset: "tiny", Options: JobOptions{ValidateEffects: true, Liveness: true}}, 0x87b0727c1f9e0c6e},
+		{JobSpec{Preset: "two-mutator", Options: JobOptions{Reduce: true}}, 0x680b09ab58ea049f},
+		{JobSpec{Preset: "two-sym", Ablations: Ablations{NoDeletionBarrier: true}, Options: JobOptions{Symmetry: true, Audit: true, MaxStates: 5000}}, 0x692341d444cc791b},
+	} {
+		fp, sum, err := tc.spec.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp != tc.want {
+			t.Errorf("%+v: fingerprint %016x, want %016x\n%s", tc.spec, fp, tc.want, sum)
+		}
+	}
+}
+
 // TestJobStateTerminal pins the lifecycle partition.
 func TestJobStateTerminal(t *testing.T) {
 	terminal := []JobState{JobDone, JobFailed, JobCancelled}

@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
-	"repro/internal/cimp"
-	"repro/internal/gcmodel"
 	"repro/internal/invariant"
 )
 
@@ -307,6 +305,13 @@ func TestResumeRefusesTamperedFrontier(t *testing.T) {
 	}
 }
 
+// edgeFunc is a checking Visitor that looks at transitions only.
+type edgeFunc func(Edge) error
+
+func (f edgeFunc) Edge(e Edge) error { return f(e) }
+func (edgeFunc) State(Node) error    { return nil }
+func (edgeFunc) Checks() bool        { return true }
+
 // TestWorkerPanicContained is the panic-containment acceptance test: a
 // panicking check in a worker must terminate the run within one layer
 // with a structured error — never a hang, never a crash, never a
@@ -318,12 +323,12 @@ func TestWorkerPanicContained(t *testing.T) {
 		opt := Options{
 			Workers:  workers,
 			HashOnly: true,
-			EventCheck: func(parent, next cimp.System[*gcmodel.Local], ev cimp.Event) error {
+			Visitors: []Visitor{edgeFunc(func(Edge) error {
 				if events.Add(1) == 2000 {
 					panic("injected fault: event check exploded")
 				}
 				return nil
-			},
+			})},
 		}
 		res := Run(m, invariant.Safety(), opt)
 		if res.Stopped != StopPanic {

@@ -47,6 +47,7 @@ import (
 	"math/bits"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,9 +64,14 @@ import (
 // Options bounds and instruments a run.
 type Options struct {
 	// MaxStates caps the number of distinct states visited (0 = no cap).
-	// The cap is checked concurrently by all workers, so a capped run
-	// may overshoot by a few states and its exact count can vary across
-	// worker counts; uncapped runs are exactly deterministic.
+	// A state is expanded whole or not at all: when the count crosses the
+	// cap, the state being expanded (and the one each other worker has in
+	// hand) is finished and all its successors are inserted, then the
+	// workers stop claiming states. A capped run therefore overshoots by
+	// at most one state's successors per worker, every visited state has
+	// either all of its out-transitions taken or none, and the exact
+	// count can vary across worker counts; uncapped runs are exactly
+	// deterministic.
 	MaxStates int
 	// MaxDepth caps the BFS depth (0 = no cap): states at MaxDepth are
 	// still visited and checked, but not expanded.
@@ -121,21 +127,9 @@ type Options struct {
 	// carries concrete states, so traces remain concrete runs. No-op
 	// for single-mutator models.
 	Symmetry bool
-	// EventCheck, if non-nil, is invoked for every transition the search
-	// takes (including transitions into already-visited states) with the
-	// source state, the successor, and the event. A non-nil error is
-	// reported as an "event-check" violation at the successor, with the
-	// usual minimal-depth/minimal-hash tie-breaking. Package core wires
-	// analysis.Validator.CheckEvent here to validate the declared effect
-	// footprint against the run.
-	EventCheck func(parent, next cimp.System[*gcmodel.Local], ev cimp.Event) error
-	// StateCheck, if non-nil, is invoked once per newly visited state
-	// after the invariant battery. A non-nil error is reported as a
-	// "state-check" violation. Package core wires
-	// analysis.Validator.CheckPOR here to diff the derived POR safe
-	// classification against the handwritten one on every reachable
-	// state.
-	StateCheck func(st cimp.System[*gcmodel.Local]) error
+	// Visitors are attached to the search's two observation points: every
+	// transition taken and every newly visited state. See Visitor.
+	Visitors []Visitor
 	// Context, if non-nil, requests graceful interruption: cancellation
 	// is observed at layer boundaries only ("finish the current layer"),
 	// so an interrupted run stops at a consistent cut, writes a final
@@ -191,6 +185,44 @@ type CheckpointOptions struct {
 	// snapshots (0 = 16 when Path is set). Interruption and the memory
 	// watchdog write additional snapshots regardless of cadence.
 	EveryLayers int
+}
+
+// Visitor is an analysis attached to the search. The engine calls it
+// from every worker concurrently, so implementations synchronize their
+// own state. A resumed run (Options.Resume) shows a visitor only the
+// part of the space explored after the cut.
+type Visitor interface {
+	// Edge is called for every transition the search takes, including
+	// transitions into already-visited states. A non-nil error is
+	// reported as an "event-check" violation at the successor, with the
+	// usual minimal-depth/minimal-hash tie-breaking.
+	Edge(Edge) error
+	// State is called once per newly visited state, after the invariant
+	// battery, by the worker that inserted it. A non-nil error is
+	// reported as a "state-check" violation.
+	State(Node) error
+	// Checks reports whether the visitor can fail the run. A checking
+	// visitor is part of what the verdict covers and enters
+	// OptionsFingerprint; one that only observes does not, so the same
+	// checkpoint serves a run with or without it.
+	Checks() bool
+}
+
+// Edge is one transition as a Visitor sees it.
+type Edge struct {
+	From, To         cimp.System[*gcmodel.Local]
+	FromHash, ToHash uint64
+	Ev               cimp.Event
+	// EIdx is the transition's index in From's unreduced successor
+	// enumeration: the recipe ReplayStep takes.
+	EIdx int
+}
+
+// Node is one newly visited state as a Visitor sees it.
+type Node struct {
+	State cimp.System[*gcmodel.Local]
+	Hash  uint64
+	Depth int
 }
 
 // Progress is one progress report.
@@ -490,11 +522,13 @@ func OptionsFingerprint(m *gcmodel.Model, checks []invariant.Check, opt Options)
 	for i, c := range checks {
 		names[i] = c.Name
 	}
+	// The summary is frozen (checkpoints and cached verdicts are keyed
+	// by it): its two hook fields both say whether any visitor checks.
+	checking := slices.ContainsFunc(opt.Visitors, Visitor.Checks)
 	summary := fmt.Sprintf(
 		"cfg=%+v checks=%v maxStates=%d maxDepth=%d trace=%v hashOnly=%v reduce=%v symmetry=%v shards=%d eventCheck=%v stateCheck=%v",
 		m.Cfg, names, opt.MaxStates, opt.MaxDepth, opt.Trace, opt.HashOnly,
-		opt.Reduce, opt.Symmetry, shards,
-		opt.EventCheck != nil, opt.StateCheck != nil,
+		opt.Reduce, opt.Symmetry, shards, checking, checking,
 	)
 	return gcmodel.Hash64([]byte(summary)), summary
 }
@@ -521,7 +555,7 @@ func (e *explorer) run() Result {
 	} else {
 		e.seen.insert(e.initHash, rec{eidx: -1}, buf)
 		e.states.Store(1)
-		if v := e.check(e.init, 0); v != nil {
+		if v := e.check(e.init, e.initHash, 0); v != nil {
 			*bp = buf
 			fpPool.Put(bp)
 			res.Violation = v
@@ -832,8 +866,9 @@ func (e *explorer) expandState(cur qent, nd int, amp gcmodel.Ample, next *[]qent
 		*transitions++
 		b = e.fp(b[:0], ns)
 		h := gcmodel.Hash64(b)
-		if e.opt.EventCheck != nil {
-			if err := e.opt.EventCheck(cur.state, ns, ev); err != nil {
+		for _, v := range e.opt.Visitors {
+			edge := Edge{From: cur.state, To: ns, FromHash: cur.hash, ToHash: h, Ev: ev, EIdx: eidx}
+			if err := v.Edge(edge); err != nil {
 				e.offerViolation(&Violation{Invariant: "event-check", Err: err, Depth: nd, State: ns}, h)
 				return
 			}
@@ -850,7 +885,7 @@ func (e *explorer) expandState(cur qent, nd int, amp gcmodel.Ample, next *[]qent
 		if e.opt.MaxStates > 0 && n >= int64(e.opt.MaxStates) {
 			e.capped.Store(true)
 		}
-		if v := e.check(ns, nd); v != nil {
+		if v := e.check(ns, h, nd); v != nil {
 			e.offerViolation(v, h)
 			return
 		}
@@ -862,8 +897,9 @@ func (e *explorer) expandState(cur qent, nd int, amp gcmodel.Ample, next *[]qent
 	return out, taken
 }
 
-// check evaluates the invariant battery at st.
-func (e *explorer) check(st cimp.System[*gcmodel.Local], depth int) *Violation {
+// check evaluates the invariant battery, then the visitors, at the newly
+// visited state st.
+func (e *explorer) check(st cimp.System[*gcmodel.Local], h uint64, depth int) *Violation {
 	if len(e.checks) > 0 {
 		g := gcmodel.Global{Model: e.m, State: st}
 		v := invariant.NewView(g)
@@ -873,8 +909,8 @@ func (e *explorer) check(st cimp.System[*gcmodel.Local], depth int) *Violation {
 			}
 		}
 	}
-	if e.opt.StateCheck != nil {
-		if err := e.opt.StateCheck(st); err != nil {
+	for _, v := range e.opt.Visitors {
+		if err := v.State(Node{State: st, Hash: h, Depth: depth}); err != nil {
 			return &Violation{Invariant: "state-check", Err: err, Depth: depth, State: st}
 		}
 	}
@@ -961,40 +997,40 @@ func (e *explorer) tracePath(h uint64) ([]pathStep, error) {
 }
 
 // replay materializes the states along a counterexample path by
-// re-running the transition relation from the initial state, selecting
-// at each step the recorded event index. Enumeration past the match does
-// no work, and one pooled scratch buffer serves every hash
-// cross-check along the way.
+// re-running the transition relation from the initial state.
 func (e *explorer) replay(path []pathStep) []Step {
 	steps := make([]Step, 0, len(path))
 	cur := e.init
-	bp := fpPool.Get().(*[]byte)
-	buf := *bp
 	for _, ps := range path {
-		found := false
-		idx := int32(0)
-		e.m.SuccessorsConcurrent(cur, func(next cimp.System[*gcmodel.Local], ev cimp.Event) {
-			if found {
-				return
-			}
-			if idx == ps.eidx {
-				buf = e.fp(buf[:0], next)
-				if gcmodel.Hash64(buf) != ps.hash {
-					panic("explore: counterexample replay diverged (fingerprint hash collision?)")
-				}
-				steps = append(steps, Step{Ev: ev, State: next})
-				cur = next
-				found = true
-				return
-			}
-			idx++
-		})
-		if !found {
+		st, err := ReplayStep(e.fp, cur, ps.eidx, ps.hash)
+		if err != nil {
 			// Should be impossible: the path came from this relation.
-			panic("explore: counterexample replay diverged")
+			panic("explore: counterexample " + err.Error())
 		}
+		steps = append(steps, st)
+		cur = st.State
 	}
-	*bp = buf
-	fpPool.Put(bp)
 	return steps
+}
+
+// ReplayStep re-runs one recorded transition — the successor of cur at
+// index eidx of its unreduced enumeration, which is how counterexample
+// traces and liveness lassos are stored — and cross-checks the hash of
+// the state it reaches under the fingerprint encoder fp.
+func ReplayStep(fp func([]byte, cimp.System[*gcmodel.Local]) []byte, cur cimp.System[*gcmodel.Local], eidx int32, want uint64) (Step, error) {
+	var st Step
+	n := int32(0)
+	cur.Successors(func(next cimp.System[*gcmodel.Local], ev cimp.Event) {
+		if n == eidx {
+			st = Step{Ev: ev, State: next}
+		}
+		n++
+	})
+	switch {
+	case eidx < 0 || eidx >= n:
+		return st, fmt.Errorf("replay: event index %d out of range (%d successors)", eidx, n)
+	case gcmodel.Hash64(fp(nil, st.State)) != want:
+		return st, fmt.Errorf("replay diverged at event index %d (fingerprint hash collision?)", eidx)
+	}
+	return st, nil
 }

@@ -1,8 +1,10 @@
 package explore
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/cimp"
 	"repro/internal/gcmodel"
 	"repro/internal/invariant"
 )
@@ -186,5 +188,81 @@ func TestProgressMonotonic(t *testing.T) {
 	}
 	if prev > res.States {
 		t.Fatalf("reported %d states, final count %d", prev, res.States)
+	}
+}
+
+// expansionLog is an observing Visitor that keeps, per expanded state,
+// the state and the event indices of the transitions taken from it.
+type expansionLog struct {
+	mu    sync.Mutex
+	from  map[uint64]cimp.System[*gcmodel.Local]
+	eidxs map[uint64][]int
+	nodes map[uint64]int
+}
+
+func (l *expansionLog) Edge(e Edge) error {
+	l.mu.Lock()
+	l.from[e.FromHash] = e.From
+	l.eidxs[e.FromHash] = append(l.eidxs[e.FromHash], e.EIdx)
+	l.mu.Unlock()
+	return nil
+}
+
+func (l *expansionLog) State(n Node) error {
+	l.mu.Lock()
+	l.nodes[n.Hash] = n.Depth
+	l.mu.Unlock()
+	return nil
+}
+
+func (*expansionLog) Checks() bool { return false }
+
+// TestVisitorSeesWholeExpansions pins what an analysis riding on the
+// search may rely on, capped or not: every visited state is reported
+// once, every transition counted is reported, and a state's transitions
+// arrive in event-index order and all of them or none — a cap never
+// leaves a state half expanded. An observing visitor also leaves the
+// options fingerprint alone.
+func TestVisitorSeesWholeExpansions(t *testing.T) {
+	m := mustBuild(t, safeCfg())
+	for _, opt := range []Options{
+		{Workers: 4, HashOnly: true},
+		{Workers: 4, HashOnly: true, MaxStates: 3000},
+		{Workers: 4, HashOnly: true, MaxDepth: 60},
+	} {
+		bare, _ := OptionsFingerprint(m, invariant.Safety(), opt)
+		log := &expansionLog{
+			from:  map[uint64]cimp.System[*gcmodel.Local]{},
+			eidxs: map[uint64][]int{},
+			nodes: map[uint64]int{},
+		}
+		opt.Visitors = []Visitor{log}
+		if fp, _ := OptionsFingerprint(m, invariant.Safety(), opt); fp != bare {
+			t.Errorf("observing visitor changed the options fingerprint")
+		}
+		res := Run(m, invariant.Safety(), opt)
+		if len(log.nodes) != res.States {
+			t.Errorf("cap %d/%d: %d states reported, %d visited", opt.MaxStates, opt.MaxDepth, len(log.nodes), res.States)
+		}
+		edges := 0
+		for h, got := range log.eidxs {
+			edges += len(got)
+			want := 0
+			m.Successors(log.from[h], func(cimp.System[*gcmodel.Local], cimp.Event) { want++ })
+			if len(got) != want {
+				t.Fatalf("cap %d/%d: state %016x reported %d of its %d transitions", opt.MaxStates, opt.MaxDepth, h, len(got), want)
+			}
+			for i, e := range got {
+				if e != i {
+					t.Fatalf("state %016x: transition %d carries event index %d", h, i, e)
+				}
+			}
+			if _, ok := log.nodes[h]; !ok {
+				t.Fatalf("state %016x expanded but never reported", h)
+			}
+		}
+		if edges != res.Transitions {
+			t.Errorf("cap %d/%d: %d transitions reported, %d taken", opt.MaxStates, opt.MaxDepth, edges, res.Transitions)
+		}
 	}
 }

@@ -213,26 +213,6 @@ func (a *Arena) install(o Obj, flag bool) {
 	a.headers[o].Store(h)
 }
 
-// alloc pops a free slot from some shard, installs a live object with
-// the given flag and NULL fields, and returns it; NilObj when every
-// shard is exhausted. This is the seed's global-allocation path; the
-// TLAB path (tlab.go) batches the shard traffic instead.
-func (a *Arena) alloc(flag bool) Obj {
-	for s := range a.shards {
-		sh := &a.shards[s]
-		sh.mu.Lock()
-		if n := len(sh.free); n > 0 {
-			o := sh.free[n-1]
-			sh.free = sh.free[:n-1]
-			sh.mu.Unlock()
-			a.install(o, flag)
-			return o
-		}
-		sh.mu.Unlock()
-	}
-	return NilObj
-}
-
 // reserveBatch moves up to n free slots into dst, preferring the given
 // shard and spilling to the others only when it runs dry. One lock
 // acquisition per visited shard; reserved slots keep a clear header, so

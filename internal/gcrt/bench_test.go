@@ -71,9 +71,11 @@ func BenchmarkMarkNil(b *testing.B) {
 func BenchmarkAllocRelease(b *testing.B) {
 	a := NewArena(64, 2)
 	b.ResetTimer()
+	var slot []Obj
 	for i := 0; i < b.N; i++ {
-		o := a.alloc(false)
-		a.release(o)
+		slot = a.reserveBatch(slot[:0], 0, 1)
+		a.install(slot[0], false)
+		a.release(slot[0])
 	}
 }
 
@@ -88,8 +90,10 @@ func BenchmarkSweepEmptyHeap(b *testing.B) {
 
 func BenchmarkFieldLoadStore(b *testing.B) {
 	a := NewArena(8, 2)
-	o := a.alloc(false)
-	p := a.alloc(false)
+	objs := a.reserveBatch(nil, 0, 2)
+	o, p := objs[0], objs[1]
+	a.install(o, false)
+	a.install(p, false)
 	b.Run("load", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = a.LoadField(o, 0)

@@ -6,141 +6,6 @@ import (
 	"testing"
 )
 
-// --- Allocation pools (§4 extension) ------------------------------------
-
-func TestAllocPooledBasics(t *testing.T) {
-	rt := New(Options{Slots: 32, Fields: 1, Mutators: 1, AllocPoolSize: 4})
-	m := rt.Mutator(0)
-	a := m.AllocPooled()
-	if a == -1 {
-		t.Fatal("pooled alloc failed")
-	}
-	if !rt.Arena().Allocated(m.Root(a)) {
-		t.Fatal("pooled object not allocated")
-	}
-	// The refill reserved PoolSize-1 more slots.
-	if got := m.PoolSize(); got != 3 {
-		t.Fatalf("pool size = %d, want 3", got)
-	}
-	// Reserved slots are invisible to LiveCount and to the sweep.
-	if live := rt.Arena().LiveCount(); live != 1 {
-		t.Fatalf("live = %d, want 1", live)
-	}
-	m.Park()
-	rt.Collect()
-	m.Unpark()
-	if got := m.PoolSize(); got != 3 {
-		t.Fatalf("sweep disturbed the pool: size = %d", got)
-	}
-	if !rt.Arena().Allocated(m.Root(a)) {
-		t.Fatal("pooled object swept while rooted")
-	}
-}
-
-func TestAllocPooledExhaustionAndReturn(t *testing.T) {
-	rt := New(Options{Slots: 8, Fields: 1, Mutators: 2, AllocPoolSize: 8})
-	m0, m1 := rt.Mutator(0), rt.Mutator(1)
-	// m0 reserves the whole arena into its pool.
-	if m0.AllocPooled() == -1 {
-		t.Fatal("first pooled alloc failed")
-	}
-	// m1 finds nothing.
-	if m1.AllocPooled() != -1 {
-		t.Fatal("m1 allocated from an exhausted free list")
-	}
-	// m0 returns its reserves; m1 can allocate again.
-	m0.ReturnPool()
-	if m0.PoolSize() != 0 {
-		t.Fatal("pool not drained by ReturnPool")
-	}
-	if m1.AllocPooled() == -1 {
-		t.Fatal("m1 still starved after ReturnPool")
-	}
-}
-
-func TestAllocPooledSurvivesCycles(t *testing.T) {
-	rt := New(Options{Slots: 128, Fields: 1, Mutators: 1, AllocPoolSize: 8})
-	m := rt.Mutator(0)
-	done := make(chan struct{})
-	go func() { rt.Collect(); close(done) }()
-	m.AwaitHandshakes(5)
-	mid := m.AllocPooled() // allocated black during marking, from the pool
-	midObj := m.Root(mid)
-	m.Park()
-	<-done
-	m.Unpark()
-	if !rt.Arena().Allocated(midObj) {
-		t.Fatal("pool-allocated object lost during marking")
-	}
-}
-
-func TestAllocPooledConcurrentStress(t *testing.T) {
-	const nMut = 4
-	rt := New(Options{Slots: 512, Fields: 1, Mutators: nMut, AllocPoolSize: 8})
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for i := 0; i < nMut; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			m := rt.Mutator(id)
-			rng := rand.New(rand.NewSource(int64(id) * 31))
-			for {
-				select {
-				case <-stop:
-					m.ReturnPool()
-					m.Park()
-					return
-				default:
-				}
-				n := m.NumRoots()
-				switch {
-				case n < 4:
-					m.AllocPooled()
-				case n > 16:
-					m.Discard(rng.Intn(n))
-				default:
-					switch rng.Intn(3) {
-					case 0:
-						m.AllocPooled()
-					case 1:
-						m.Store(rng.Intn(n), 0, rng.Intn(n))
-					case 2:
-						m.Discard(rng.Intn(n))
-					}
-				}
-				m.SafePoint()
-			}
-		}(i)
-	}
-	for c := 0; c < 15; c++ {
-		rt.Collect()
-	}
-	close(stop)
-	wg.Wait()
-	if f := rt.Arena().Faults.Load(); f != 0 {
-		t.Fatalf("%d faults with pooled allocation", f)
-	}
-	for i := 0; i < nMut; i++ {
-		for _, r := range rt.Mutator(i).Roots() {
-			if !rt.Arena().Allocated(r) {
-				t.Fatalf("dangling root %d", r)
-			}
-		}
-	}
-	// After return+quiesced cycles, every slot is accounted for: free or
-	// reachable.
-	rt.Collect()
-	rt.Collect()
-	var roots []Obj
-	for i := 0; i < nMut; i++ {
-		roots = append(roots, rt.Mutator(i).Roots()...)
-	}
-	if live, reach := rt.Arena().LiveCount(), len(reachable(rt.Arena(), roots)); live != reach {
-		t.Fatalf("live=%d reachable=%d", live, reach)
-	}
-}
-
 // --- Parallel marking (§1 extension) ------------------------------------
 
 func TestParallelMarkMatchesSerial(t *testing.T) {

@@ -27,12 +27,7 @@ type Mutator struct {
 	// wl is the private grey work-list W_m.
 	// gcrt:guard owner(mutator)
 	wl []Obj
-	// pool holds reserved free slots for the explicit AllocPooled API
-	// (pool.go, the paper's §4 extension).
-	// gcrt:guard owner(mutator)
-	pool []Obj
-	// tlab holds the implicit per-mutator allocation cache behind Alloc
-	// (tlab.go).
+	// tlab holds the per-mutator allocation cache behind Alloc (tlab.go).
 	// gcrt:guard owner(mutator)
 	tlab []Obj
 	// bbuf and bcap are the batched write-barrier buffer (barrier.go).
@@ -83,8 +78,7 @@ func (m *Mutator) Roots() []Obj { return append([]Obj(nil), m.roots...) }
 // Alloc allocates a new object with the current allocation color f_A,
 // pushes it as a new root, and returns its root index; -1 when the arena
 // is exhausted. (Figure 6 Alloc.) Slots come from the mutator's TLAB
-// (tlab.go) unless Options.LegacyAlloc selects the seed's shared
-// free-list path.
+// (tlab.go).
 func (m *Mutator) Alloc() int {
 	m.ops++
 	o := m.allocSlot()

@@ -59,9 +59,6 @@ type Options struct {
 	// AllocWhite allocates with the unmarked sense in every phase (E11).
 	AllocWhite bool
 
-	// AllocPoolSize sets the per-mutator allocation pool size used by
-	// AllocPooled (0 picks a default of 16). See pool.go.
-	AllocPoolSize int
 	// MarkWorkers sets the number of tracing workers in the mark loop
 	// (0 or 1 = single-threaded, the configuration the paper verifies;
 	// >1 exercises the multi-threaded-collector extension sketched in
@@ -76,10 +73,6 @@ type Options struct {
 	// TLABSize sets the per-mutator allocation-cache batch reserved per
 	// refill (0 picks a default of 64). See tlab.go.
 	TLABSize int
-	// LegacyAlloc disables the TLAB path: Alloc takes a shared free-list
-	// lock per allocation, the seed's behavior. Baseline benchmarks
-	// only.
-	LegacyAlloc bool
 	// BarrierBuffer sets the batched write-barrier buffer capacity
 	// (0 picks a default of 64; negative disables buffering so barrier
 	// targets are marked immediately, the paper figures' literal

@@ -41,16 +41,10 @@ func (m *Mutator) tlabRefill() bool {
 	return true
 }
 
-// allocSlot produces a reserved free slot: from the TLAB when the TLAB
-// path is enabled, else straight from the shared free list (the seed's
-// LegacyAlloc path, kept for baseline benchmarks). Returns NilObj when
-// the arena is exhausted (other mutators' reservations may hold slots).
+// allocSlot takes a reserved free slot from the TLAB, refilling it when
+// empty, and installs the object. Returns NilObj when the arena is
+// exhausted (other mutators' reservations may hold slots).
 func (m *Mutator) allocSlot() Obj {
-	if m.rt.opt.LegacyAlloc {
-		// Seed behavior: one shared-lock acquisition per allocation, no
-		// local cache. install() runs inside alloc.
-		return m.rt.arena.alloc(m.rt.fA.Load())
-	}
 	if len(m.tlab) == 0 && !m.tlabRefill() {
 		return NilObj
 	}

@@ -179,22 +179,3 @@ func collectWithMutators(rt *Runtime, muts ...*Mutator) {
 	stop.Store(true)
 	wg.Wait()
 }
-
-func TestLegacyAllocStillWorks(t *testing.T) {
-	rt := New(Options{Slots: 32, Fields: 1, Mutators: 1, LegacyAlloc: true})
-	m := rt.Mutator(0)
-	for i := 0; i < 32; i++ {
-		if m.Alloc() < 0 {
-			t.Fatalf("legacy alloc %d failed", i)
-		}
-	}
-	if m.Alloc() >= 0 {
-		t.Fatal("legacy alloc succeeded on a full arena")
-	}
-	if m.TLABSize() != 0 {
-		t.Fatal("legacy path populated a TLAB")
-	}
-	if rt.Stats().TLABRefills != 0 {
-		t.Fatal("legacy path counted TLAB refills")
-	}
-}

@@ -5,16 +5,14 @@ import (
 	"strings"
 
 	"repro/internal/cimp"
+	"repro/internal/explore"
 	"repro/internal/gcmodel"
 	"repro/internal/trace"
 )
 
 // Step is one transition of a lasso counterexample: the event taken and
 // the state reached.
-type Step struct {
-	Ev    cimp.Event
-	State gcmodel.SysState
-}
+type Step = explore.Step
 
 // Lasso is a lasso-shaped liveness counterexample: a finite stem from
 // the initial state to the cycle head, then a cycle that returns to the
@@ -54,7 +52,7 @@ func (g *graph) lasso(walk []walkEdge) (*Lasso, error) {
 	l := &Lasso{}
 	for i := len(rev) - 1; i >= 0; i-- {
 		v := rev[i]
-		st, err := g.step(cur, g.peidx[v], g.hash[v])
+		st, err := explore.ReplayStep(g.m.AppendFingerprint, cur, g.peidx[v], g.hash[v])
 		if err != nil {
 			return nil, fmt.Errorf("stem: %w", err)
 		}
@@ -64,7 +62,7 @@ func (g *graph) lasso(walk []walkEdge) (*Lasso, error) {
 
 	for _, e := range walk {
 		v := g.eto[e.j]
-		st, err := g.step(cur, g.eeidx[e.j], g.hash[v])
+		st, err := explore.ReplayStep(g.m.AppendFingerprint, cur, g.eeidx[e.j], g.hash[v])
 		if err != nil {
 			return nil, fmt.Errorf("cycle: %w", err)
 		}
@@ -72,29 +70,6 @@ func (g *graph) lasso(walk []walkEdge) (*Lasso, error) {
 		cur = st.State
 	}
 	return l, nil
-}
-
-// step replays one recorded transition: it enumerates the successors of
-// cur and selects the one at event index eidx, cross-checking its
-// fingerprint hash.
-func (g *graph) step(cur gcmodel.SysState, eidx int32, wantHash uint64) (Step, error) {
-	var out Step
-	found := false
-	i := int32(-1)
-	g.m.Successors(cur, func(ns gcmodel.SysState, ev cimp.Event) {
-		i++
-		if i == eidx {
-			out = Step{Ev: ev, State: ns}
-			found = true
-		}
-	})
-	if !found {
-		return Step{}, fmt.Errorf("replay: event index %d out of range (%d successors)", eidx, i+1)
-	}
-	if h := g.m.FingerprintHash(out.State); h != wantHash {
-		return Step{}, fmt.Errorf("replay: fingerprint hash mismatch at event index %d (64-bit collision?)", eidx)
-	}
-	return out, nil
 }
 
 // Render formats the lasso for human consumption: the numbered stem,

@@ -52,10 +52,12 @@
 //
 // # Algorithm
 //
-// Check materializes the reachable graph once (nodes are 64-bit
-// fingerprint hashes; edges carry the event index into the unreduced
-// successor enumeration plus a bitmask of the fairness entities they
-// serve), then runs, per property, Tarjan's SCC algorithm on the
+// The analysis does not explore: a Recorder rides on explore.Run as a
+// Visitor and logs every visited state (64-bit fingerprint hash, depth,
+// outstanding properties) and every transition taken (the event index
+// into the unreduced successor enumeration plus a bitmask of the
+// fairness entities it serves). From the log it builds the reachable
+// graph once, then runs, per property, Tarjan's SCC algorithm on the
 // subgraph induced by the Bad states. A strongly connected component
 // admits a weakly fair cycle iff every entity enabled at all of its
 // states is taken on some internal edge; from the first such component
@@ -63,15 +65,17 @@
 // paths and replayed through the transition relation, so a liveness
 // counterexample is a step-by-step run exactly like a safety one.
 //
-// The detector always runs on the full, unreduced transition relation:
-// the partial-order reduction of package explore preserves reachability
-// verdicts but not cycles or enabledness (see DESIGN.md "Liveness
-// architecture").
+// The recorded run must walk the full, unreduced transition relation
+// from the initial state: the partial-order reduction of package
+// explore preserves reachability verdicts but not cycles or enabledness
+// (see DESIGN.md "Liveness architecture"). A safety pass of that shape
+// carries the recorder itself (package core attaches it); Check runs
+// the engine once with an empty battery for the cases where it cannot.
 package liveness
 
 import (
-	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/cimp"
@@ -159,33 +163,12 @@ func propertyNames(props []Property) []string {
 	return ns
 }
 
-// Options bounds and instruments a liveness check.
+// Options selects what a liveness check looks for. Bounds, workers,
+// progress and cancellation belong to the engine run being recorded.
 type Options struct {
-	// MaxStates caps the number of distinct states in the graph (0 = no
-	// cap). A capped graph under-approximates the cycle structure:
-	// violations found are real, but a clean verdict is only conclusive
-	// when Result.Complete.
-	MaxStates int
-	// MaxDepth caps the BFS depth (0 = no cap); states at MaxDepth are
-	// kept as nodes but not expanded.
-	MaxDepth int
-	// Progress, if non-nil, receives a report roughly every
-	// ProgressEvery newly discovered states.
-	Progress func(explore.Progress)
-	// ProgressEvery is the number of new states between Progress calls
-	// (0 = 8192).
-	ProgressEvery int
 	// Properties selects the progress properties to check (nil =
 	// All(m)).
 	Properties []Property
-	// Context, if non-nil, requests graceful interruption of the graph
-	// materialization: on cancellation the builder stops expanding,
-	// closes the graph consistently (unexpanded nodes keep no out-edges,
-	// so no cycle is fabricated), and the check runs on the partial
-	// graph. Violations found are real; clean verdicts on an interrupted
-	// run are inconclusive (Result.Complete false, Result.Stopped
-	// "interrupted").
-	Context context.Context
 }
 
 // PropertyResult is the verdict for one property.
@@ -202,25 +185,25 @@ type PropertyResult struct {
 
 // Result summarizes a liveness check.
 type Result struct {
-	// States, Transitions and Depth describe the materialized graph;
-	// on a complete run they match the safety checker's exploration of
-	// the same configuration exactly (same relation, same counting).
+	// States, Transitions, Depth, Complete and Stopped are those of the
+	// recorded run: the graph is exactly what the engine explored. A
+	// capped or interrupted graph under-approximates the cycle
+	// structure, so violations found are real but a clean verdict is
+	// conclusive only when Complete.
 	States      int
 	Transitions int
 	Depth       int
-	// Complete reports that the full reachable graph was materialized
-	// within the caps, making clean verdicts conclusive.
-	Complete bool
-	// Stopped says why materialization ended early (explore.StopNone
-	// for a complete graph): max-states, max-depth, or interrupted.
-	Stopped explore.StopReason
+	Complete    bool
+	Stopped     explore.StopReason
 	// GraphBytes is the payload memory retained by the state graph
-	// (node and edge arrays; Go map overhead excluded).
+	// (node and edge arrays).
 	GraphBytes int64
 	// Properties holds one verdict per checked property, in the order
 	// they were given.
 	Properties []PropertyResult
-	// Elapsed is the wall-clock duration of the whole check.
+	// Elapsed is the wall-clock time the liveness pass added to the run:
+	// the graph build and the cycle search, plus the exploration when
+	// Check ran its own.
 	Elapsed time.Duration
 }
 
@@ -245,34 +228,61 @@ func (r Result) Violations() []PropertyResult {
 	return vs
 }
 
-// Check materializes the reachable state graph of m (always over the
-// full, unreduced relation) and searches it, per property, for a weakly
-// fair cycle on which the property's obligation is outstanding at every
-// state. Counterexamples are returned as replayable lassos.
-func Check(m *gcmodel.Model, opt Options) (Result, error) {
-	start := time.Now()
-	props := opt.Properties
-	if props == nil {
-		props = All(m)
+// Check records one engine run of its own over the full, unreduced
+// relation from the initial state, with an empty invariant battery, and
+// searches the recorded graph. eopt supplies the run's bounds, workers,
+// progress, cancellation and memory budget; whatever in it would change
+// the relation walked or belongs to a safety pass (reduction, symmetry,
+// resume, checkpoints, traces, visitors) is ignored.
+func Check(m *gcmodel.Model, opt Options, eopt explore.Options) (Result, error) {
+	rec, err := NewRecorder(m, opt)
+	if err != nil {
+		return Result{}, err
 	}
-	if len(props) > maxProperties {
-		return Result{}, fmt.Errorf("liveness: %d properties exceed the %d-property limit", len(props), maxProperties)
-	}
-	ents := entities{nmut: m.Cfg.NMutators}
-	if ents.count() > 64 {
-		return Result{}, fmt.Errorf("liveness: %d mutators exceed the fairness-entity limit", m.Cfg.NMutators)
-	}
+	eopt.Reduce, eopt.Symmetry, eopt.Resume = false, false, nil
+	eopt.Checkpoint = explore.CheckpointOptions{}
+	eopt.Trace, eopt.HashOnly = false, true
+	eopt.Visitors = []explore.Visitor{rec}
+	run := explore.Run(m, nil, eopt)
+	res, err := rec.Result(run)
+	res.Elapsed += run.Elapsed
+	return res, err
+}
 
-	g := buildGraph(m, props, ents, opt, start)
+// Result builds the state graph from the log of the finished run and
+// searches it, per property, for a weakly fair cycle on which the
+// property's obligation is outstanding at every state. Counterexamples
+// are returned as replayable lassos. The recorder is spent afterwards.
+func (r *Recorder) Result(run explore.Result) (Result, error) {
+	start := time.Now()
 	res := Result{
-		States:      len(g.hash),
-		Transitions: g.transitions,
-		Depth:       g.maxDepth,
-		Complete:    g.complete,
-		Stopped:     g.stopped,
-		GraphBytes:  g.bytes(),
+		States:      run.States,
+		Transitions: run.Transitions,
+		Depth:       run.Depth,
+		Complete:    run.Complete,
+		Stopped:     run.Stopped,
 	}
-	for i, p := range props {
+	switch run.Stopped {
+	case explore.StopPanic, explore.StopSpill:
+		// The last layer is torn: a state may be half expanded, which
+		// would under-report what is enabled there.
+		return res, fmt.Errorf("liveness: recorded run failed: %w", run.Err)
+	}
+	// The run's visited set and last frontier died with it, and the graph
+	// arrays are about to be allocated beside the log: collecting here,
+	// not when the pacer next gets to it, keeps the two from stacking
+	// (11 MiB of 78 at the peak of the benchmark's liveness-tiny-b1).
+	runtime.GC()
+	g, err := r.build()
+	if err != nil {
+		return res, err
+	}
+	if len(g.hash) != run.States || len(g.eto) != run.Transitions {
+		return res, fmt.Errorf("liveness: recorded %d states and %d transitions of a run that visited %d and took %d (not attached from the initial state?)",
+			len(g.hash), len(g.eto), run.States, run.Transitions)
+	}
+	res.GraphBytes = g.bytes()
+	for i, p := range r.props {
 		pr := PropertyResult{Name: p.Name, Desc: p.Desc, Holds: true}
 		if walk := g.fairCycle(i); walk != nil {
 			lasso, err := g.lasso(walk)

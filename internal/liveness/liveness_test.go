@@ -1,9 +1,11 @@
 package liveness_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/explore"
 	"repro/internal/gcmodel"
 	"repro/internal/heap"
 	"repro/internal/liveness"
@@ -42,7 +44,7 @@ func build(t *testing.T, cfg gcmodel.Config) *gcmodel.Model {
 
 func TestCleanModelSatisfiesAllProperties(t *testing.T) {
 	m := build(t, smallConfig())
-	res, err := liveness.Check(m, liveness.Options{})
+	res, err := liveness.Check(m, liveness.Options{}, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestMuteHandshakeViolatesAcknowledgement(t *testing.T) {
 	cfg := smallConfig()
 	cfg.MuteHandshake = true
 	m := build(t, cfg)
-	res, err := liveness.Check(m, liveness.Options{})
+	res, err := liveness.Check(m, liveness.Options{}, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func TestNoDequeueViolatesBufferDrain(t *testing.T) {
 	cfg := smallConfig()
 	cfg.NoDequeue = true
 	m := build(t, cfg)
-	res, err := liveness.Check(m, liveness.Options{})
+	res, err := liveness.Check(m, liveness.Options{}, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestLassoReplaysThroughUnreducedRelation(t *testing.T) {
 	cfg := smallConfig()
 	cfg.MuteHandshake = true
 	m := build(t, cfg)
-	res, err := liveness.Check(m, liveness.Options{})
+	res, err := liveness.Check(m, liveness.Options{}, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +177,7 @@ func TestByNameSelectsSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := liveness.Check(m, liveness.Options{Properties: props})
+	res, err := liveness.Check(m, liveness.Options{Properties: props}, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,14 +196,17 @@ func TestCappedRunIsInconclusiveButSound(t *testing.T) {
 	cfg := smallConfig()
 	cfg.MuteHandshake = true
 	m := build(t, cfg)
-	res, err := liveness.Check(m, liveness.Options{MaxStates: 50})
+	res, err := liveness.Check(m, liveness.Options{}, explore.Options{MaxStates: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Complete {
-		t.Fatal("capped run reported complete")
+	if res.Complete || res.Stopped != explore.StopMaxStates {
+		t.Fatalf("capped run: complete=%v stopped=%q", res.Complete, res.Stopped)
 	}
-	if res.States > 50 {
+	// explore.Options.MaxStates: the state that crosses the cap is still
+	// expanded whole, so the count overshoots by at most one state's
+	// successors per worker.
+	if res.States < 50 || res.States > 50+64 {
 		t.Fatalf("cap not respected: %d states", res.States)
 	}
 	// Any violation a capped run does report must still replay: capped
@@ -213,15 +218,15 @@ func TestCappedRunIsInconclusiveButSound(t *testing.T) {
 	}
 }
 
-// TestCappedCleanRunFabricatesNothing is the regression test for a
-// capped-run soundness bug: edges dropped at the MaxStates boundary
-// must not subtract from the enabled mask, or weak fairness would
-// excuse genuinely enabled entities and report "fair" cycles on a
-// model that has none.
+// TestCappedCleanRunFabricatesNothing pins capped-run soundness: a state
+// is expanded whole or not at all, so a cap can only remove cycles. If it
+// dropped single edges instead, their bits would be missing from the
+// enabled mask, weak fairness would excuse genuinely enabled entities,
+// and a model with no fair cycle would report one.
 func TestCappedCleanRunFabricatesNothing(t *testing.T) {
 	m := build(t, smallConfig())
 	for _, cap := range []int{50, 500, 5000} {
-		res, err := liveness.Check(m, liveness.Options{MaxStates: cap})
+		res, err := liveness.Check(m, liveness.Options{}, explore.Options{MaxStates: cap})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,21 +241,64 @@ func TestCappedCleanRunFabricatesNothing(t *testing.T) {
 }
 
 func TestGraphMatchesSafetyExploration(t *testing.T) {
-	// The liveness pass materializes the same unreduced relation the
-	// safety checker explores; states, transitions, and depth must agree
-	// exactly (this is also the EXPERIMENTS.md liveness-vs-safety
-	// comparison in miniature).
+	// The recorded graph is the unreduced relation the safety checker
+	// explores: states, transitions and depth agree exactly with a plain
+	// run, whatever reduction the caller's options asked for.
 	m := build(t, smallConfig())
-	res, err := liveness.Check(m, liveness.Options{})
+	want := explore.Run(m, nil, explore.Options{HashOnly: true})
+	res, err := liveness.Check(m, liveness.Options{}, explore.Options{Reduce: true, Symmetry: true, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.States == 0 || res.Transitions < res.States-1 {
-		t.Fatalf("implausible graph: %d states, %d transitions", res.States, res.Transitions)
+	if !res.Complete || res.States != want.States || res.Transitions != want.Transitions || res.Depth != want.Depth {
+		t.Fatalf("liveness graph %d/%d/%d complete=%v, plain exploration %d/%d/%d",
+			res.States, res.Transitions, res.Depth, res.Complete, want.States, want.Transitions, want.Depth)
 	}
 	if res.GraphBytes == 0 {
 		t.Fatal("graph bytes not accounted")
 	}
-	// The exact cross-check against explore.Run lives in the core
-	// package tests to avoid an import cycle here.
+}
+
+// TestDeterministicAcrossWorkers: the workers append to the edge log in
+// whatever order they run, and none of that may show. Counts, verdicts
+// and the rendered lassos are identical for every worker count, and every
+// lasso is a genuine run of the unreduced relation.
+func TestDeterministicAcrossWorkers(t *testing.T) {
+	for name, ablate := range map[string]func(*gcmodel.Config){
+		"clean":          func(*gcmodel.Config) {},
+		"mute-handshake": func(c *gcmodel.Config) { c.MuteHandshake = true },
+		"no-dequeue":     func(c *gcmodel.Config) { c.NoDequeue = true },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := smallConfig()
+			ablate(&cfg)
+			m := build(t, cfg)
+			var want string
+			for _, workers := range []int{1, 2, 4} {
+				res, err := liveness.Check(m, liveness.Options{}, explore.Options{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := fmt.Sprintf("%d/%d/%d complete=%v graph=%d\n", res.States, res.Transitions, res.Depth, res.Complete, res.GraphBytes)
+				for _, p := range res.Properties {
+					got += fmt.Sprintf("%s holds=%v\n", p.Name, p.Holds)
+					if p.Holds {
+						continue
+					}
+					if err := liveness.VerifyLasso(m, p.Counterexample); err != nil {
+						t.Errorf("workers=%d %s: lasso does not replay: %v", workers, p.Name, err)
+					}
+					got += p.Counterexample.Render(m)
+				}
+				if workers == 1 {
+					want = got
+				} else if got != want {
+					t.Errorf("workers=%d differs from workers=1:\n%s\nwant:\n%s", workers, got, want)
+				}
+			}
+			if name != "clean" && !strings.Contains(want, "holds=false") {
+				t.Error("ablation found no fair cycle")
+			}
+		})
+	}
 }
