@@ -328,6 +328,13 @@ func main() {
 	if res.Degraded {
 		fmt.Fprintln(os.Stderr, "gcmc: note: memory watchdog dropped audit fingerprints mid-run; collision count is partial")
 	}
+	if mm := res.Memo; mm.StepHits+mm.StepMisses > 0 {
+		// On stderr: the counts vary with worker timing and with where a
+		// resumed run started, and stdout is what runs are compared by.
+		fmt.Fprintf(os.Stderr, "gcmc: note: configuration table: %d configurations interned, %d table(s) retired; now %d configurations, %d entries, %d bytes; hits/misses: steps %d/%d, replies %d/%d, continuations %d/%d\n",
+			mm.Interned, mm.Retired, mm.Configs, mm.Entries, mm.Bytes,
+			mm.StepHits, mm.StepMisses, mm.ReplyHits, mm.ReplyMisses, mm.ContHits, mm.ContMisses)
+	}
 	if *audit {
 		if res.HashCollisions > 0 {
 			fmt.Fprintf(os.Stderr, "gcmc: WARNING: %d fingerprint hash collisions — hashed verdict unsound at this size\n",

@@ -126,12 +126,11 @@ func (v *Validator) CheckPOR(st cimp.System[*gcmodel.Local]) error {
 	v.states.Add(1)
 	sys := sysOf(st)
 	for p := 0; p < len(st.Procs)-1; p++ {
-		cfg := st.Procs[p]
-		r, ok := cimp.SoleRequest(cfg)
+		r, alpha, ok := cimp.SoleRequest(st.Procs[p])
 		if !ok {
 			continue
 		}
-		req, ok := r.Act(cfg.Data).(gcmodel.Req)
+		req, ok := alpha.(gcmodel.Req)
 		if !ok {
 			continue
 		}

@@ -1,6 +1,7 @@
 package cimp
 
 import (
+	"encoding/binary"
 	"reflect"
 	"sort"
 	"testing"
@@ -15,6 +16,12 @@ type counter struct {
 
 func (c *counter) clone() *counter { d := *c; return &d }
 
+// encCounter is the data encoder the tests' indexes key their
+// configuration tables with.
+func encCounter(c *counter, dst []byte) []byte {
+	return binary.AppendVarint(binary.AppendVarint(dst, int64(c.n)), int64(c.m))
+}
+
 func incr(label string, by int) *LocalOp[*counter] {
 	return &LocalOp[*counter]{L: label, F: func(c *counter) []*counter {
 		d := c.clone()
@@ -27,7 +34,7 @@ func incr(label string, by int) *LocalOp[*counter] {
 // returns the one-frame stack a process starts from.
 func boot(prog Com[*counter]) []Com[*counter] {
 	if n := prog.meta(); n == nil || n.ix == nil {
-		NewIndex(prog)
+		NewIndex(encCounter, prog)
 	}
 	return []Com[*counter]{prog}
 }
@@ -288,7 +295,7 @@ func TestIndexStableAndComplete(t *testing.T) {
 		Seqs[*counter](a, b),
 		&While[*counter]{L: "w", C: func(*counter) bool { return false }, Body: a},
 	}}}
-	ix := NewIndex[*counter](prog)
+	ix := NewIndex(encCounter, prog)
 	if ix.Len() < 5 {
 		t.Fatalf("index too small: %d", ix.Len())
 	}

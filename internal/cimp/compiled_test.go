@@ -101,7 +101,7 @@ func checkHeads(t *testing.T, cfg Config[*counter]) []RefHead[*counter] {
 func TestCompiledHeadsMatchReference(t *testing.T) {
 	for seed := uint32(0); seed < 400; seed++ {
 		prog := genWide(seed, 4)
-		NewIndex(prog)
+		NewIndex(encCounter, prog)
 		for _, start := range []int{0, 1, 4} {
 			layer := []Config[*counter]{{Stack: []Com[*counter]{prog}, Data: &counter{n: start}}}
 			for depth := 0; depth < 5 && len(layer) > 0; depth++ {
@@ -139,7 +139,8 @@ func TestCompiledHeadsMatchReference(t *testing.T) {
 
 // TestCompiledSuccessorsMatchReference runs small two-process systems —
 // a generated requester/τ program against a reactive responder — through
-// System.Successors and the reference, with fusion on and off.
+// System.Successors and the reference, with fusion on and off, against a
+// cold configuration table and again against the warm one.
 func TestCompiledSuccessorsMatchReference(t *testing.T) {
 	ask := func(label string, k int) Com[*counter] {
 		return &Request[*counter]{L: label,
@@ -173,8 +174,11 @@ func TestCompiledSuccessorsMatchReference(t *testing.T) {
 			Seqs[*counter](answer("ans3", 3), Det("note", (*counter).clone, func(c *counter) *counter { c.n++; return c })),
 			incr("srv-tau", 1),
 		}}}
-		NewIndex[*counter](client, server)
-		for _, noFusion := range []bool{false, true} {
+		ix := NewIndex(encCounter, client, server)
+		// Each setting twice: the second pass starts from fresh hand-built
+		// configurations that intern, by their bytes, into the tables the
+		// first pass filled.
+		for _, noFusion := range []bool{false, true, false, true} {
 			layer := []System[*counter]{{DisableFusion: noFusion, Procs: []Config[*counter]{
 				{Stack: []Com[*counter]{client}, Data: &counter{n: int(seed % 3)}},
 				{Stack: []Com[*counter]{server}, Data: &counter{}},
@@ -215,6 +219,9 @@ func TestCompiledSuccessorsMatchReference(t *testing.T) {
 				layer = nextLayer
 			}
 		}
+		if st := ix.MemoStats(); st.StepHits == 0 || st.ReplyHits == 0 || st.ContHits == 0 {
+			t.Fatalf("seed %d: the warm passes never read the table back: %+v", seed, st)
+		}
 	}
 }
 
@@ -246,9 +253,9 @@ func TestSoleRequest(t *testing.T) {
 	} {
 		req := newReq()
 		prog := tc.prog(req)
-		NewIndex(prog)
+		NewIndex(encCounter, prog)
 		cfg := Config[*counter]{Stack: []Com[*counter]{prog}, Data: &counter{}}
-		got, ok := SoleRequest(cfg)
+		got, _, ok := SoleRequest(cfg)
 		if ok != tc.want || (ok && got != req) {
 			t.Errorf("%s: SoleRequest = %v, %v; want %v", tc.name, got, ok, tc.want)
 		}
@@ -280,7 +287,7 @@ func TestUnfoldingTables(t *testing.T) {
 	choose := &Choose[*counter]{Alts: []Com[*counter]{right, left}}
 	loop := &Loop[*counter]{Body: choose}
 	idle := &Loop[*counter]{Body: &Skip[*counter]{}}
-	NewIndex[*counter](loop, skips, idle)
+	NewIndex(encCounter, loop, skips, idle)
 	for _, tc := range []struct {
 		name string
 		c    Com[*counter]
@@ -305,13 +312,13 @@ func TestUnfoldingTables(t *testing.T) {
 	mustPanic(t, "action-free loop", func() { Norm([]Com[*counter]{idle}, &counter{}) })
 	mustPanic(t, "while with an empty body that never exits", func() {
 		w := &While[*counter]{L: "spin", C: func(*counter) bool { return true }, Body: &Skip[*counter]{}}
-		NewIndex[*counter](w)
+		NewIndex(encCounter, w)
 		Norm([]Com[*counter]{w}, &counter{})
 	})
 	mustPanic(t, "stepping an unindexed program", func() {
 		Norm([]Com[*counter]{Seqs[*counter](incr("p", 1), incr("q", 1))}, &counter{})
 	})
-	mustPanic(t, "indexing a program twice", func() { NewIndex[*counter](loop) })
+	mustPanic(t, "indexing a program twice", func() { NewIndex(encCounter, loop) })
 }
 
 func mustPanic(t *testing.T, what string, f func()) {

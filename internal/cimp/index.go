@@ -3,6 +3,8 @@ package cimp
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
+	"sync/atomic"
 )
 
 // Index compiles a program once per model. It assigns every command node
@@ -23,14 +25,38 @@ import (
 //
 // A Loop whose body unfolds to nothing keeps itself as its unfolding, so
 // stepping it trips the divergence guard rather than looping forever.
+//
+// The index also owns the configuration table (memo.go), which interns
+// process configurations by their canonical bytes and caches the step
+// relation per configuration.
 type Index[S any] struct {
 	coms []Com[S]
 	skip int // the identity every Skip shares, or -1 if the program has none
+
+	// enc is the data-state encoder; a configuration's canonical bytes are
+	// AppendStack of its stack followed by enc of its data. nil (or a data
+	// type that == cannot compare) leaves the configuration table unused.
+	enc        func(s S, dst []byte) []byte
+	comparable bool
+	// The current tables (fused, unfused; created on first use), the
+	// bounds a table starts at and may grow to, and the counters that
+	// outlive a retired table.
+	memos             [2]atomic.Pointer[memo[S]]
+	memoBase, memoMax uint32
+	interned, retired atomic.Int64
+	stats             [statStripes]statStripe
 }
 
-// NewIndex compiles all the given program roots into one index.
-func NewIndex[S any](roots ...Com[S]) *Index[S] {
-	ix := &Index[S]{skip: -1}
+// NewIndex compiles all the given program roots into one index. enc
+// appends a canonical encoding of a data state — equal bytes for equal
+// states, and only for them — and is what keys the configuration table;
+// with a nil enc nothing is cached and every step is computed afresh.
+func NewIndex[S any](enc func(s S, dst []byte) []byte, roots ...Com[S]) *Index[S] {
+	ix := &Index[S]{
+		skip: -1, enc: enc,
+		comparable: reflect.TypeOf((*S)(nil)).Elem().Comparable(),
+		memoBase:   baseRecords, memoMax: maxRecords,
+	}
 	for _, r := range roots {
 		ix.walk(r)
 	}

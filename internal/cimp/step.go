@@ -4,9 +4,18 @@ import "fmt"
 
 // Config is a process configuration: a frame stack of commands (element 0
 // is the top / next to execute) paired with the process's local data state.
+//
+// Configurations the step engine produces also carry the id of their
+// record in the Index's configuration table (memo.go); a hand-built or
+// decoded one carries none and is interned the first time a system
+// holding it is expanded. The id is only a hint — resolving it re-checks
+// the record's data value and stack backing — so copying a Config and
+// replacing its Data or Stack is safe. Editing a data state in place after
+// the configuration has been stepped is not: the table's record shares it.
 type Config[S any] struct {
 	Stack []Com[S]
 	Data  S
+	id    uint32 // 0 = not interned
 }
 
 // maxUnfold bounds deterministic control unfolding; exceeding it indicates
@@ -210,44 +219,88 @@ func TauSuccessors[S any](cfg Config[S], yield func(next Config[S], label string
 	}
 }
 
+// cachedSteps returns the step table of an interned configuration,
+// computing it if this is the first time anyone asks, or nil for a
+// configuration that carries no (valid) id.
+func cachedSteps[S any](cfg Config[S]) *steps[S] {
+	if cfg.id == 0 {
+		return nil
+	}
+	m, r := indexOf(cfg).lookup(cfg)
+	if r == nil {
+		return nil
+	}
+	if st := r.steps.Load(); st != nil {
+		return st
+	}
+	var t tally
+	st := m.stepsOf(r, cfg, &t)
+	m.count(&t, cfg.id)
+	return st
+}
+
 // SoleRequest returns the Request that is cfg's one and only enabled
-// action, or false when cfg has no head, several, or a single head of
-// another kind. It is what the partial-order reduction asks of every
-// process in every state, so it stops at the second head and builds
-// nothing.
-func SoleRequest[S any](cfg Config[S]) (*Request[S], bool) {
+// action together with its request α, or false when cfg has no head,
+// several, or a single head of another kind. It is what the partial-order
+// reduction asks of every process in every state: an interned
+// configuration answers from its step table, any other stops at the
+// second head and builds nothing but α.
+func SoleRequest[S any](cfg Config[S]) (*Request[S], Msg, bool) {
+	if st := cachedSteps(cfg); st != nil {
+		if len(st.acts) != 1 || len(st.offers) != 1 {
+			return nil, nil, false
+		}
+		return st.offers[0].req, st.offers[0].alpha, true
+	}
 	var buf [2]Head[S]
 	hs := appendHeads(buf[:0], nil, cfg.Stack, cfg.Data, len(buf))
 	if len(hs) != 1 {
-		return nil, false
+		return nil, nil, false
 	}
 	r, ok := hs[0].Act.(*Request[S])
-	return r, ok
+	if !ok {
+		return nil, nil, false
+	}
+	return r, r.Act(cfg.Data), true
 }
 
 // AtLabels returns the labels of all action commands enabled at the top of
 // the configuration. It implements the paper's "at p ℓ" predicate: process
 // p is at ℓ iff ℓ ∈ AtLabels of p's configuration.
 func AtLabels[S any](cfg Config[S]) []string {
-	var buf [headScratch]Head[S]
-	hs := AppendHeads(buf[:0], cfg.Stack, cfg.Data)
-	out := make([]string, len(hs))
-	for i := range hs {
-		out[i] = hs[i].Act.Label()
+	var buf [headScratch]Com[S]
+	acts := headActs(buf[:0], cfg)
+	out := make([]string, len(acts))
+	for i, a := range acts {
+		out[i] = a.Label()
 	}
 	return out
 }
 
 // At reports whether the configuration is at a command labeled ℓ.
 func At[S any](cfg Config[S], label string) bool {
-	var buf [headScratch]Head[S]
-	hs := AppendHeads(buf[:0], cfg.Stack, cfg.Data)
-	for i := range hs {
-		if hs[i].Act.Label() == label {
+	var buf [headScratch]Com[S]
+	for _, a := range headActs(buf[:0], cfg) {
+		if a.Label() == label {
 			return true
 		}
 	}
 	return false
+}
+
+// headActs returns the actions of cfg's heads in program order: an
+// interned configuration's cached list, or the enumeration appended to
+// dst.
+func headActs[S any](dst []Com[S], cfg Config[S]) []Com[S] {
+	if st := cachedSteps(cfg); st != nil {
+		return st.acts
+	}
+	var buf [headScratch]Head[S]
+	hs := AppendHeads(buf[:0], cfg.Stack, cfg.Data)
+	for i := range hs {
+		dst = append(dst, hs[i].Act)
+	}
+	return dst
 }
 
 // Terminated reports whether the process has no commands left to run.

@@ -61,72 +61,93 @@ func (sys System[S]) Successors(yield func(next System[S], ev Event)) {
 }
 
 // successors is Successors with early exit: it stops as soon as yield
-// returns false. Every process's heads are enumerated exactly once, into
-// scratch on this frame; a τ step fires a LocalOp head, and a rendezvous
-// pairs a Request head of p with a Response head of q. Transitions are
-// yielded in PID order, τ steps before rendezvous, heads in program order.
+// returns false. Each process's configuration is resolved to its record in
+// the configuration table (memo.go) and its step table read — or, for a
+// configuration the table has not seen, computed — exactly once; a τ step
+// is one of a process's cached τ successors, and a rendezvous pairs a
+// Request head of p with the replies of q to its α and p's continuations
+// on each β. Transitions are yielded in PID order, τ steps before
+// rendezvous, heads in program order, replies and accepted states in
+// handler order — the order of the uncached enumeration, which is what
+// fills the table.
 func (sys System[S]) successors(yield func(next System[S], ev Event) bool) {
-	// heads[off[p]:off[p+1]] are process p's; eight processes and 32 heads
-	// fit on the frame, larger systems spill to the heap through append.
-	var headBuf [2 * headScratch]Head[S]
-	var offBuf [9]int
-	heads, off := headBuf[:0], offBuf[:0]
+	m := sys.memo()
+	// Eight processes fit on the frame; larger systems spill to the heap
+	// through append.
+	var recBuf [8]*record[S]
+	var stepBuf [8]*steps[S]
+	recs, sts := recBuf[:0], stepBuf[:0]
+	var t tally
+	var stripe uint32
+	stale := false
 	for _, cfg := range sys.Procs {
-		off = append(off, len(heads))
-		heads = AppendHeads(heads, cfg.Stack, cfg.Data)
+		r := m.intern(cfg)
+		if r != nil {
+			stripe = stripe*31 + r.cfg.id
+			stale = stale || r.cfg.id != cfg.id
+		}
+		recs = append(recs, r)
+		sts = append(sts, m.stepsOf(r, cfg, &t))
 	}
-	off = append(off, len(heads))
-	fusion := !sys.DisableFusion
-
-	for p, cfg := range sys.Procs {
-		pid := PID(p)
-		mine := heads[off[p]:off[p+1]]
-		for i := range mine {
-			op, ok := mine[i].Act.(*LocalOp[S])
-			if !ok {
-				continue
-			}
-			for _, s2 := range op.F(cfg.Data) {
-				ns := sys.CloneShallow()
-				ns.Procs[p] = mine[i].after(s2, fusion)
-				if !yield(ns, Event{Proc: pid, Peer: -1, Label: op.L}) {
-					return
-				}
+	if stale {
+		// A hand-built or decoded state, or one that outlived its table:
+		// successors inherit the unchanged processes from sys, so give them
+		// the interned configurations and the ids resolve from here on.
+		sys = sys.CloneShallow()
+		for p, r := range recs {
+			if r != nil {
+				sys.Procs[p] = r.cfg
 			}
 		}
-		for i := range mine {
-			req, ok := mine[i].Act.(*Request[S])
-			if !ok {
-				continue
+	}
+	sys.enumerate(m, recs, sts, &t, yield)
+	m.count(&t, stripe)
+}
+
+// memo returns the configuration table the system's processes are stepped
+// through: that of the first process whose program names an Index, under
+// the system's fusion setting. Processes of another Index (or of none:
+// terminated ones) are stepped without a record.
+func (sys System[S]) memo() *memo[S] {
+	for _, cfg := range sys.Procs {
+		if ix := indexOf(cfg); ix != nil {
+			return ix.memo(!sys.DisableFusion)
+		}
+	}
+	return &memo[S]{fusion: !sys.DisableFusion}
+}
+
+func (sys System[S]) enumerate(m *memo[S], recs []*record[S], sts []*steps[S], t *tally, yield func(next System[S], ev Event) bool) {
+	for p, cfg := range sys.Procs {
+		pid := PID(p)
+		st := sts[p]
+		for i := range st.taus {
+			ns := sys.CloneShallow()
+			ns.Procs[p] = st.taus[i].next.cfg
+			if !yield(ns, Event{Proc: pid, Peer: -1, Label: st.taus[i].op.L}) {
+				return
 			}
-			alpha := req.Act(cfg.Data)
+		}
+		for i := range st.offers {
+			o := &st.offers[i]
 			for q, peer := range sys.Procs {
-				if q == p {
+				if q == p || sts[q].nresp == 0 {
 					continue
 				}
-				theirs := heads[off[q]:off[q+1]]
-				for j := range theirs {
-					resp, ok := theirs[j].Act.(*Response[S])
-					if !ok {
-						continue
-					}
-					for _, r := range resp.F(peer.Data, alpha) {
-						accepted := req.Ret(cfg.Data, r.Msg)
-						if len(accepted) == 0 {
-							continue // the requester refuses this response
-						}
-						qNext := theirs[j].after(r.S, fusion)
-						for _, s2 := range accepted {
-							ns := sys.CloneShallow()
-							ns.Procs[p] = mine[i].after(s2, fusion)
-							ns.Procs[q] = qNext
-							if !yield(ns, Event{
-								Proc: pid, Peer: PID(q),
-								Label: req.L, PeerLabel: resp.L,
-								Alpha: alpha, Beta: r.Msg,
-							}) {
-								return
-							}
+				replies := m.repliesOf(recs[q], peer, o, t)
+				for j := range replies {
+					r := &replies[j]
+					// An empty answer means the requester refuses this response.
+					for _, c := range m.contsOf(recs[p], cfg, o, r, t) {
+						ns := sys.CloneShallow()
+						ns.Procs[p] = c.next.cfg
+						ns.Procs[q] = r.next.cfg
+						if !yield(ns, Event{
+							Proc: pid, Peer: PID(q),
+							Label: o.req.L, PeerLabel: r.resp.L,
+							Alpha: o.alpha, Beta: r.beta,
+						}) {
+							return
 						}
 					}
 				}

@@ -377,6 +377,12 @@ type Result struct {
 	// Spilled reports the disk-spill rung's counters; zero unless
 	// Options.SpillDir was set and the rung fired.
 	Spilled SpillStats
+	// Memo reports the model's configuration table (cimp/memo.go): its
+	// size when the run ended, and the lookups, interned configurations
+	// and retired tables of this run. Lookup counts depend on worker
+	// timing and on where a run started; they describe the run, not the
+	// verdict.
+	Memo cimp.MemoStats
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
 }
@@ -424,12 +430,10 @@ type explorer struct {
 
 	// Panic containment: a worker panic poisons the run (checked in the
 	// chunk-claim loop so every worker bails within its current chunk),
-	// and the first panic's structured report wins. curHash[w] tracks the
-	// state worker w is expanding, so the report can name it.
+	// and the first panic's structured report wins.
 	poisoned atomic.Bool
 	panicMu  sync.Mutex
 	panicErr *PanicError
-	curHash  []atomic.Uint64
 
 	// Durability bookkeeping, touched only at layer boundaries.
 	optFP       uint64
@@ -478,7 +482,6 @@ func RunFrom(m *gcmodel.Model, init cimp.System[*gcmodel.Local], checks []invari
 		init:      init,
 		seen:      newVisited(opt.Shards, !opt.HashOnly),
 		start:     start,
-		curHash:   make([]atomic.Uint64, workers),
 		memSample: opt.MemSample,
 	}
 	if opt.Symmetry {
@@ -497,7 +500,9 @@ func RunFrom(m *gcmodel.Model, init cimp.System[*gcmodel.Local], checks []invari
 	if opt.SpillDir != "" {
 		e.spill = newSpillState(opt.FS, opt.SpillDir, opt.Trace)
 	}
+	memo := m.Index.MemoStats()
 	res := e.run()
+	res.Memo = m.Index.MemoStats().Sub(memo)
 	res.Elapsed = time.Since(start)
 	return res
 }
@@ -717,8 +722,9 @@ func (e *explorer) expandLayer(layer []qent, depth int) []qent {
 		// goroutine path: a panic poisons the run instead of crashing.
 		var next []qent
 		func() {
-			defer e.contain(0, depth)
-			next = e.expandChunks(layer, depth, &cursor, chunk, 0)
+			var cur uint64
+			defer e.contain(&cur, depth)
+			next = e.expandChunks(layer, depth, &cursor, chunk, &cur)
 		}()
 		return next
 	}
@@ -731,8 +737,9 @@ func (e *explorer) expandLayer(layer []qent, depth int) []qent {
 			// the structured report are published before the barrier
 			// releases — a panicking worker can never hang the layer.
 			defer wg.Done()
-			defer e.contain(w, depth)
-			nexts[w] = e.expandChunks(layer, depth, &cursor, chunk, w)
+			var cur uint64
+			defer e.contain(&cur, depth)
+			nexts[w] = e.expandChunks(layer, depth, &cursor, chunk, &cur)
 		}(w)
 	}
 	wg.Wait()
@@ -749,16 +756,17 @@ func (e *explorer) expandLayer(layer []qent, depth int) []qent {
 
 // contain is deferred around every worker body: it recovers a panic,
 // captures the panicking stack (defers run before unwinding, so the
-// origin frames are present) and the state being expanded, and poisons
-// the run so the other workers drain their claim loops.
-func (e *explorer) contain(w, depth int) {
+// origin frames are present) and the state being expanded — *cur, a
+// variable on the worker's own frame that only the worker writes — and
+// poisons the run so the other workers drain their claim loops.
+func (e *explorer) contain(cur *uint64, depth int) {
 	r := recover()
 	if r == nil {
 		return
 	}
 	pe := &PanicError{
 		Depth:     depth,
-		StateHash: e.curHash[w].Load(),
+		StateHash: *cur,
 		Value:     r,
 		Stack:     debug.Stack(),
 	}
@@ -773,8 +781,9 @@ func (e *explorer) contain(w, depth int) {
 // expandChunks is the worker body: it claims chunks of the current layer
 // from the shared cursor until the layer is drained (or the state cap
 // fires, or a sibling worker poisons the run) and returns its share of
-// the next layer.
-func (e *explorer) expandChunks(layer []qent, depth int, cursor *atomic.Int64, chunk int, w int) []qent {
+// the next layer. *curHash is kept at the hash of the state in hand, for
+// contain.
+func (e *explorer) expandChunks(layer []qent, depth int, cursor *atomic.Int64, chunk int, curHash *uint64) []qent {
 	bp := fpPool.Get().(*[]byte)
 	buf := *bp
 	var next []qent
@@ -812,7 +821,7 @@ claim:
 			if fetched != nil {
 				cur.state = fetched[i-lo]
 			}
-			e.curHash[w].Store(cur.hash)
+			*curHash = cur.hash
 			var amp gcmodel.Ample
 			if e.opt.Reduce {
 				amp = e.m.AmpleChoice(cur.state)

@@ -17,8 +17,7 @@ import (
 // scratch buffer (dst[:0]) instead of materializing a string per state.
 func (m *Model) AppendFingerprint(dst []byte, st cimp.System[*Local]) []byte {
 	for _, p := range st.Procs {
-		dst = m.Index.AppendStack(dst, p.Stack)
-		dst = p.Data.AppendFingerprint(dst)
+		dst = m.Index.AppendConfig(dst, p)
 	}
 	return dst
 }

@@ -211,7 +211,7 @@ func Build(cfg Config) (*Model, error) {
 	}
 	sysProg := cfg.SysProgram()
 	progs = append(progs, sysProg)
-	index := cimp.NewIndex(progs...)
+	index := cimp.NewIndex((*Local).AppendFingerprint, progs...)
 
 	procs := make([]cimp.Config[*Local], 0, nproc)
 	spawn := func(data *Local) {

@@ -94,14 +94,13 @@ func (m *Model) AmpleChoice(st cimp.System[*Local]) Ample {
 	// Scan the collector and the mutators in PID order; the system
 	// process itself always has multiple heads (its reactive Choose).
 	for p := 0; p < len(st.Procs)-1; p++ {
-		cfg := st.Procs[p]
-		r, ok := cimp.SoleRequest(cfg)
+		r, alpha, ok := cimp.SoleRequest(st.Procs[p])
 		if !ok {
 			// A non-deterministic choice is pending, the sole head is a
 			// LocalOp, or the process has terminated: not reducible.
 			continue
 		}
-		req, ok := r.Act(cfg.Data).(Req)
+		req, ok := alpha.(Req)
 		if !ok {
 			continue
 		}

@@ -118,24 +118,40 @@ func (v *View) ReachableFrom(roots heap.RefSet) (reach heap.RefSet, dangling hea
 	return v.Sys.Heap.Reachable(roots), dangling
 }
 
-// worklists returns every work-list in the system, labeled.
-func (v *View) worklists() []labeledSet {
-	out := []labeledSet{
-		{"GC.W", v.G.GC().W},
-		{"Sys.W", v.Sys.W},
+// Work-lists are numbered: 0 is the collector's, 1 the system's, 2+m
+// mutator m's. The checks iterate by number so that a clean state costs
+// no slice and no name; names are formatted only for an error.
+func (v *View) nWorklists() int { return 2 + v.G.NMut() }
+
+func (v *View) worklist(i int) heap.RefSet {
+	switch i {
+	case 0:
+		return v.G.GC().W
+	case 1:
+		return v.Sys.W
 	}
-	for m := 0; m < v.G.NMut(); m++ {
-		out = append(out, labeledSet{mutName(m) + ".WM", v.G.Mut(m).WM})
-	}
-	return out
+	return v.G.Mut(i - 2).WM
 }
 
-type labeledSet struct {
-	name string
-	set  heap.RefSet
+func worklistName(i int) string {
+	switch i {
+	case 0:
+		return "GC.W"
+	case 1:
+		return "Sys.W"
+	}
+	return mutName(i-2) + ".WM"
 }
 
 func mutName(m int) string { return "mut" + string(rune('0'+m)) }
+
+// procName names PID p of the collector and the mutators.
+func procName(p int) string {
+	if p == int(gcmodel.GCPID) {
+		return "GC"
+	}
+	return mutName(p - 1)
+}
 
 // atGC reports whether the collector is at the given label.
 func (v *View) atGC(label string) bool {

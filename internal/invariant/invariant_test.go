@@ -480,3 +480,39 @@ func TestViewFMUsesCollectorPerspective(t *testing.T) {
 		t.Fatalf("colors under pending flip: white=%v marked=%v", v.White, v.Marked)
 	}
 }
+
+// TestViewAndBatteryAllocations: checking a clean state allocates the
+// View and nothing else — no work-list slice, no names. The states are
+// engine-produced (a few steps into the two-mutator scenario, past the
+// first handshake so the phase-keyed checks have work), so the
+// collector's "at" test reads its configuration's cached heads.
+func TestViewAndBatteryAllocations(t *testing.T) {
+	m, st := scenario(t)
+	checks := All()
+	for step := 0; step < 40; step++ {
+		var next cimp.System[*gcmodel.Local]
+		n := 0
+		m.Successors(st, func(ns cimp.System[*gcmodel.Local], _ cimp.Event) {
+			if n == step%3 || n == 0 {
+				next = ns
+			}
+			n++
+		})
+		if n == 0 {
+			t.Fatal("scenario deadlocked")
+		}
+		st = next
+		g := gcmodel.Global{Model: m, State: st}
+		allocs := testing.AllocsPerRun(20, func() {
+			v := NewView(g)
+			for _, c := range checks {
+				if err := c.Pred(v); err != nil {
+					t.Fatalf("step %d: %s: %v", step, c.Name, err)
+				}
+			}
+		})
+		if allocs > 1 {
+			t.Fatalf("step %d: NewView and the battery allocate %v objects on a clean state, want at most 1", step, allocs)
+		}
+	}
+}

@@ -120,41 +120,32 @@ func markedDeletions(v *View, m int) error {
 // ghost_honorary_grey and that process does not hold the TSO lock, the
 // object is marked on the heap; and any pending mark writes use f_M.
 var ValidW = Check{Name: "valid_W_inv", Pred: func(v *View) error {
-	wls := v.worklists()
-	for i := range wls {
-		for j := i + 1; j < len(wls); j++ {
-			if inter := wls[i].set.Intersect(wls[j].set); !inter.Empty() {
+	for i, n := 0, v.nWorklists(); i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if inter := v.worklist(i).Intersect(v.worklist(j)); !inter.Empty() {
 				return fmt.Errorf("work-lists %s and %s intersect at %v",
-					wls[i].name, wls[j].name, inter)
+					worklistName(i), worklistName(j), inter)
 			}
 		}
 	}
 
-	// Per-process marked-on-heap obligation.
-	procs := []struct {
-		name  string
-		pid   int
-		owned heap.RefSet
-	}{
-		{"GC", int(gcmodel.GCPID), v.G.GC().W.Add(v.G.GC().GHG)},
-	}
-	for m := 0; m < v.G.NMut(); m++ {
-		procs = append(procs, struct {
-			name  string
-			pid   int
-			owned heap.RefSet
-		}{mutName(m), int(gcmodel.MutPID(m)), v.G.Mut(m).WM.Add(v.G.Mut(m).GHG)})
-	}
-	for _, pr := range procs {
-		if int(v.Sys.Lock) == pr.pid {
+	// Per-process marked-on-heap obligation: process 0 is the collector,
+	// 1+m mutator m (their PIDs).
+	for p := 0; p <= v.G.NMut(); p++ {
+		if int(v.Sys.Lock) == p {
 			continue // a mark may be in flight inside the CAS
 		}
+		owned := v.G.GC().W.Add(v.G.GC().GHG)
+		if p > 0 {
+			owned = v.G.Mut(p - 1).WM.Add(v.G.Mut(p - 1).GHG)
+		}
 		var err error
-		pr.owned.Each(func(r heap.Ref) {
-			if !v.Sys.Heap.Valid(r) {
-				err = fmt.Errorf("%s owns grey %d with no object", pr.name, r)
-			} else if !v.Marked.Has(r) {
-				err = fmt.Errorf("%s owns grey %d not marked on heap", pr.name, r)
+		owned.Each(func(r heap.Ref) {
+			switch {
+			case !v.Sys.Heap.Valid(r):
+				err = fmt.Errorf("%s owns grey %d with no object", procName(p), r)
+			case !v.Marked.Has(r):
+				err = fmt.Errorf("%s owns grey %d not marked on heap", procName(p), r)
 			}
 		})
 		if err != nil {
