@@ -99,7 +99,7 @@ func main() {
 		ckptEvery = flag.Int("checkpoint-every", 16, "BFS layers between periodic checkpoints")
 		resume    = flag.String("resume", "", "resume the search from this checkpoint file (options must match; -workers may differ)")
 		memBudget = flag.Int("mem-budget", 0, "soft heap budget in MiB: degrade (checkpoint, drop audit, stop cleanly) as usage approaches it (0 = none)")
-		spillDir  = flag.String("spill-dir", "", "disk-spill directory: when the -mem-budget ladder would stop the run, spill cold visited shards and frontier layers here and complete exhaustively instead (remote runs: the daemon picks a per-job directory)")
+		spillDir  = flag.String("spill-dir", "", "disk-spill directory: when the -mem-budget ladder would stop the run, spill the visited records and frontier layers here and complete exhaustively instead (remote runs: the daemon picks a per-job directory)")
 
 		chaosFS    = flag.String("chaos-storage", "", "fault-injection spec for all disk I/O, e.g. 'eio@3', 'crash@run.ckpt+2', 'seed=7,rate=0.01,kinds=eio|enospc' (testing)")
 		chaosTrace = flag.String("chaos-trace", "", "write the storage op/fault trace to this file after the run (with -chaos-storage)")
@@ -334,6 +334,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gcmc: note: configuration table: %d configurations interned, %d table(s) retired; now %d configurations, %d entries, %d bytes; hits/misses: steps %d/%d, replies %d/%d, continuations %d/%d\n",
 			mm.Interned, mm.Retired, mm.Configs, mm.Entries, mm.Bytes,
 			mm.StepHits, mm.StepMisses, mm.ReplyHits, mm.ReplyMisses, mm.ContHits, mm.ContMisses)
+	}
+	if tb := res.Table; tb.Slots > 0 {
+		// On stderr for the same reason: capacity and rebuilds depend on
+		// where a resumed run started.
+		fmt.Fprintf(os.Stderr, "gcmc: note: visited table: %d slots, load %.2f, %d stripe rebuild(s), %d overflow hit(s)\n",
+			tb.Slots, tb.Load, tb.Grows, tb.Overflows)
 	}
 	if *audit {
 		if res.HashCollisions > 0 {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 )
 
@@ -45,6 +46,8 @@ type Index[S any] struct {
 	memoBase, memoMax uint32
 	interned, retired atomic.Int64
 	stats             [statStripes]statStripe
+	// scratch pools the Scratch values of Successors calls.
+	scratch sync.Pool
 }
 
 // NewIndex compiles all the given program roots into one index. enc

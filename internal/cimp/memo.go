@@ -170,8 +170,8 @@ type cont[S any] struct {
 	head, bid uint32
 }
 
-// tally counts one enumeration's lookups on the caller's frame; it is
-// added to the index's striped counters once, when the enumeration ends.
+// tally counts the lookups of one goroutine's enumerations in its Scratch;
+// Scratch.Flush adds it to the index's striped counters.
 type tally struct {
 	stepHit, stepMiss   uint32
 	replyHit, replyMiss uint32
@@ -325,8 +325,10 @@ func (ix *Index[S]) lookup(cfg Config[S]) (*memo[S], *record[S]) {
 
 // intern returns the table's record for cfg, adding one if the
 // configuration is new and the table has room; nil means cfg cannot be
-// (or can no longer be) interned and is stepped without the table.
-func (m *memo[S]) intern(cfg Config[S]) *record[S] {
+// (or can no longer be) interned and is stepped without the table. A
+// configuration that has to be found by its bytes is encoded into sc's
+// buffer.
+func (m *memo[S]) intern(cfg Config[S], sc *Scratch[S]) *record[S] {
 	if r := m.find(cfg); r != nil {
 		return r
 	}
@@ -336,8 +338,8 @@ func (m *memo[S]) intern(cfg Config[S]) *record[S] {
 	if len(cfg.Stack) > 0 && indexOf(cfg) != m.ix {
 		return nil // a process of another program: AppendStack could not name its frames
 	}
-	var scratch [192]byte
-	key := m.ix.enc(cfg.Data, m.ix.AppendStack(scratch[:0], cfg.Stack))
+	key := m.ix.enc(cfg.Data, m.ix.AppendStack(sc.key[:0], cfg.Stack))
+	sc.key = key
 	sh := &m.shards[maphash.Bytes(m.seed, key)%memoShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -373,8 +375,8 @@ func (m *memo[S]) intern(cfg Config[S]) *record[S] {
 
 // successor is the record a computed successor configuration is carried
 // in: the table's, or one of its own when the table cannot take it.
-func (m *memo[S]) successor(cfg Config[S]) *record[S] {
-	if r := m.intern(cfg); r != nil {
+func (m *memo[S]) successor(cfg Config[S], sc *Scratch[S]) *record[S] {
+	if r := m.intern(cfg, sc); r != nil {
 		return r
 	}
 	cfg.id = 0
@@ -445,7 +447,8 @@ func (m *memo[S]) stripe(r *record[S]) *sync.Mutex {
 
 // stepsOf returns cfg's step table: r's when r has one, else computed
 // (and stored, when r is in the table and there is room).
-func (m *memo[S]) stepsOf(r *record[S], cfg Config[S], t *tally) *steps[S] {
+func (m *memo[S]) stepsOf(r *record[S], cfg Config[S], sc *Scratch[S]) *steps[S] {
+	t := &sc.tally
 	if r != nil {
 		if st := r.steps.Load(); st != nil {
 			t.stepHit++
@@ -453,7 +456,7 @@ func (m *memo[S]) stepsOf(r *record[S], cfg Config[S], t *tally) *steps[S] {
 		}
 	}
 	t.stepMiss++
-	st := m.computeSteps(cfg)
+	st := m.computeSteps(cfg, sc)
 	size := int(unsafe.Sizeof(*st)) + len(st.acts)*int(unsafe.Sizeof(st.acts[0])) +
 		len(st.offers)*int(unsafe.Sizeof(offer[S]{})) + len(st.taus)*int(unsafe.Sizeof(tau[S]{}))
 	if r == nil || !m.room(size) {
@@ -468,7 +471,7 @@ func (m *memo[S]) stepsOf(r *record[S], cfg Config[S], t *tally) *steps[S] {
 
 // computeSteps enumerates cfg's heads and fires its LocalOps: the τ half
 // of System.successors, for one process.
-func (m *memo[S]) computeSteps(cfg Config[S]) *steps[S] {
+func (m *memo[S]) computeSteps(cfg Config[S], sc *Scratch[S]) *steps[S] {
 	var buf [headScratch]Head[S]
 	hs := AppendHeads(buf[:0], cfg.Stack, cfg.Data)
 	st := &steps[S]{acts: make([]Com[S], len(hs))}
@@ -477,7 +480,7 @@ func (m *memo[S]) computeSteps(cfg Config[S]) *steps[S] {
 		switch a := hs[i].Act.(type) {
 		case *LocalOp[S]:
 			for _, s2 := range a.F(cfg.Data) {
-				st.taus = append(st.taus, tau[S]{next: m.successor(hs[i].after(s2, m.fusion)), op: a})
+				st.taus = append(st.taus, tau[S]{next: m.successor(hs[i].after(s2, m.fusion), sc), op: a})
 			}
 		case *Request[S]:
 			alpha, aid := m.msg(a.Act(cfg.Data))
@@ -491,7 +494,8 @@ func (m *memo[S]) computeSteps(cfg Config[S]) *steps[S] {
 
 // repliesOf returns what the responder configuration peer (record rq,
 // possibly nil) answers to the offer's α, in handler order.
-func (m *memo[S]) repliesOf(rq *record[S], peer Config[S], o *offer[S], t *tally) []reply[S] {
+func (m *memo[S]) repliesOf(rq *record[S], peer Config[S], o *offer[S], sc *Scratch[S]) []reply[S] {
+	t := &sc.tally
 	keyed := rq != nil && o.aid != 0
 	if keyed {
 		if tab := rq.replies.Load(); tab != nil {
@@ -523,7 +527,7 @@ func (m *memo[S]) repliesOf(rq *record[S], peer Config[S], o *offer[S], t *tally
 		for _, r := range resp.F(peer.Data, o.alpha) {
 			beta, bid := m.msg(r.Msg)
 			out = append(out, reply[S]{
-				next: m.successor(hs[j].after(r.S, m.fusion)),
+				next: m.successor(hs[j].after(r.S, m.fusion), sc),
 				resp: resp, beta: beta, aid: o.aid, bid: bid,
 			})
 		}
@@ -544,7 +548,8 @@ func (m *memo[S]) repliesOf(rq *record[S], peer Config[S], o *offer[S], t *tally
 // (record rp, possibly nil) hears the reply's β: Ret's accepted states,
 // each carried through the head's continuation. Empty means the requester
 // refuses β.
-func (m *memo[S]) contsOf(rp *record[S], cfg Config[S], o *offer[S], r *reply[S], t *tally) []cont[S] {
+func (m *memo[S]) contsOf(rp *record[S], cfg Config[S], o *offer[S], r *reply[S], sc *Scratch[S]) []cont[S] {
+	t := &sc.tally
 	keyed := rp != nil && r.bid != 0
 	if keyed {
 		if tab := rp.conts.Load(); tab != nil {
@@ -571,7 +576,7 @@ func (m *memo[S]) contsOf(rp *record[S], cfg Config[S], o *offer[S], r *reply[S]
 		hs := AppendHeads(buf[:0], cfg.Stack, cfg.Data)
 		out = make([]cont[S], len(accepted))
 		for i, s2 := range accepted {
-			out[i] = cont[S]{next: m.successor(hs[o.head].after(s2, m.fusion)), head: o.head, bid: r.bid}
+			out[i] = cont[S]{next: m.successor(hs[o.head].after(s2, m.fusion), sc), head: o.head, bid: r.bid}
 		}
 	}
 	if size := (len(out) + 1) * int(unsafe.Sizeof(cont[S]{})); keyed && m.room(size) {
@@ -610,13 +615,10 @@ func appendRun[T any](mu *sync.Mutex, p *atomic.Pointer[[]T], run []T, is func(*
 	return true
 }
 
-// count adds one enumeration's tally to the index's striped counters;
-// which stripe is arbitrary, so concurrent enumerations rarely share one.
-func (m *memo[S]) count(t *tally, stripe uint32) {
-	if m.ix == nil {
-		return
-	}
-	s := &m.ix.stats[stripe%statStripes]
+// count adds a tally to the index's striped counters; which stripe is
+// arbitrary, so concurrent enumerations rarely share one.
+func (ix *Index[S]) count(t *tally, stripe uint32) {
+	s := &ix.stats[stripe%statStripes]
 	for _, c := range [...]struct {
 		to *atomic.Int64
 		n  uint32

@@ -233,9 +233,9 @@ func cachedSteps[S any](cfg Config[S]) *steps[S] {
 	if st := r.steps.Load(); st != nil {
 		return st
 	}
-	var t tally
-	st := m.stepsOf(r, cfg, &t)
-	m.count(&t, cfg.id)
+	sc := m.getScratch()
+	st := m.stepsOf(r, cfg, sc)
+	m.putScratch(sc)
 	return st
 }
 

@@ -97,28 +97,21 @@ func (e *explorer) snapshot(depth int, layer []qent) *checkpoint.Snapshot {
 	for i, j := range ord {
 		s.Frontier[i] = e.m.EncodeState(nil, layer[j].state)
 	}
-	s.Shards = make([]checkpoint.Shard, len(e.seen.shards))
-	for i := range e.seen.shards {
-		sh := &e.seen.shards[i]
-		hs := make([]uint64, 0, len(sh.recs))
-		for h := range sh.recs {
-			hs = append(hs, h)
-		}
-		sort.Slice(hs, func(a, b int) bool { return hs[a] < hs[b] })
+	s.Shards = make([]checkpoint.Shard, len(e.seen.stripes))
+	for i := range e.seen.stripes {
+		ents := e.seen.entries(i)
 		out := checkpoint.Shard{
-			Hashes:  hs,
-			Parents: make([]uint64, len(hs)),
-			EIdxs:   make([]int32, len(hs)),
+			Hashes:  make([]uint64, len(ents)),
+			Parents: make([]uint64, len(ents)),
+			EIdxs:   make([]int32, len(ents)),
 		}
 		if e.seen.audit {
-			out.FPs = make([][]byte, len(hs))
+			out.FPs = make([][]byte, len(ents))
 		}
-		for j, h := range hs {
-			r := sh.recs[h]
-			out.Parents[j] = r.parent
-			out.EIdxs[j] = r.eidx
+		for j, en := range ents {
+			out.Hashes[j], out.Parents[j], out.EIdxs[j] = en.hash, en.parent, en.eidx
 			if e.seen.audit {
-				out.FPs[j] = []byte(sh.fps[h])
+				out.FPs[j] = []byte(e.seen.stripes[i].fps[en.hash])
 			}
 		}
 		s.Shards[i] = out
@@ -161,8 +154,8 @@ func (e *explorer) restore(snap *checkpoint.Snapshot) ([]qent, int, error) {
 			"explore: checkpoint was taken under different options\n  checkpoint: %s\n  this run:   %s",
 			snap.Options, e.optSummary)
 	}
-	if len(snap.Shards) != len(e.seen.shards) {
-		return nil, 0, fmt.Errorf("explore: checkpoint has %d shards, this run %d", len(snap.Shards), len(e.seen.shards))
+	if len(snap.Shards) != len(e.seen.stripes) {
+		return nil, 0, fmt.Errorf("explore: checkpoint has %d shards, this run %d", len(snap.Shards), len(e.seen.stripes))
 	}
 	switch {
 	case snap.Audit && !e.seen.audit:
@@ -176,24 +169,24 @@ func (e *explorer) restore(snap *checkpoint.Snapshot) ([]qent, int, error) {
 		e.seen.dropAudit()
 	}
 	e.degraded = snap.Degraded
+	in := e.ins[0]
 	for i := range snap.Shards {
 		sh := &snap.Shards[i]
-		s := &e.seen.shards[i]
+		e.seen.reserve(i, len(sh.Hashes))
 		for j, h := range sh.Hashes {
 			if int(h>>e.seen.shift) != i {
 				return nil, 0, fmt.Errorf("explore: checkpoint shard %d holds hash %016x belonging to shard %d", i, h, h>>e.seen.shift)
 			}
-			if _, dup := s.recs[h]; dup {
-				return nil, 0, fmt.Errorf("explore: checkpoint shard %d holds duplicate hash %016x", i, h)
-			}
-			s.recs[h] = rec{parent: sh.Parents[j], eidx: sh.EIdxs[j]}
-			s.bytes += recBytes
+			var fp []byte
 			if e.seen.audit {
-				s.fps[h] = string(sh.FPs[j])
-				s.bytes += int64(16 + len(sh.FPs[j]))
+				fp = sh.FPs[j]
+			}
+			if !e.seen.insert(in, h, rec{parent: sh.Parents[j], eidx: sh.EIdxs[j]}, fp) {
+				return nil, 0, fmt.Errorf("explore: checkpoint shard %d holds duplicate hash %016x", i, h)
 			}
 		}
 	}
+	e.seen.settle(e.ins[:1], len(snap.Frontier))
 	if _, ok := e.seen.lookup(e.initHash); !ok {
 		return nil, 0, fmt.Errorf("explore: checkpoint visited set does not contain the initial state")
 	}

@@ -1,8 +1,10 @@
 package explore
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -488,5 +490,62 @@ func TestCheckpointRoundTripThroughExplorer(t *testing.T) {
 		t.Fatalf("symmetry+audit resume diverged: got s=%d t=%d d=%d c=%d, want s=%d t=%d d=%d c=%d",
 			res.States, res.Transitions, res.Depth, res.HashCollisions,
 			want.States, want.Transitions, want.Depth, want.HashCollisions)
+	}
+}
+
+// TestResumeParentCommitCheckpoint: testdata/pr15-safe-depth24.ckpt was
+// written by the commit before the visited set became one table (map
+// shards, 24 kill/resume rounds of safeCfg at one worker). The same chain
+// on this engine must write the same bytes — the snapshot is canonical for
+// the cut, so it cannot depend on how the set is laid out in memory — and
+// the old file must resume here to the clean run's verdict.
+func TestResumeParentCommitCheckpoint(t *testing.T) {
+	const golden = "testdata/pr15-safe-depth24.ckpt"
+	m := mustBuild(t, safeCfg())
+	base := Options{Trace: true, HashOnly: true, Shards: 8, Workers: 1}
+
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	for round := 0; round < 24; round++ {
+		opt := base
+		opt.Checkpoint = CheckpointOptions{Path: path, EveryLayers: 1}
+		if round > 0 {
+			snap, err := checkpoint.Load(path)
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			opt.Resume = snap
+		}
+		opt.Context = cancelled()
+		if res := Run(m, invariant.Safety(), opt); res.Stopped != StopInterrupted || res.Err != nil {
+			t.Fatalf("round %d: stopped=%q err=%v", round, res.Stopped, res.Err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("checkpoint at the same cut differs from the parent commit's (%d vs %d bytes)", len(got), len(want))
+	}
+
+	snap, err := checkpoint.Load(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := Run(m, invariant.Safety(), base)
+	for _, workers := range []int{1, 4} {
+		opt := base
+		opt.Workers, opt.Resume = workers, snap
+		res := Run(m, invariant.Safety(), opt)
+		if res.Err != nil {
+			t.Fatalf("workers=%d: %v", workers, res.Err)
+		}
+		if got, want := verdictOf(res), verdictOf(clean); got != want {
+			t.Fatalf("workers=%d: resumed from the parent's checkpoint:\n got %+v\nwant %+v", workers, got, want)
+		}
 	}
 }

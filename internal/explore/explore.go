@@ -16,13 +16,15 @@
 // chunks of the current layer from a shared cursor, so load balance is
 // dynamic within a layer.
 //
-// The visited set is sharded into Options.Shards lock-striped shards
-// keyed by the top bits of the state's 64-bit FNV-1a fingerprint hash.
-// By default only the hash is retained (Options.HashOnly), at ~24
-// payload bytes per state regardless of configuration size; the full
-// canonical fingerprint encoding is kept only in the opt-in audit mode,
-// which counts hash collisions (Result.HashCollisions) to back the
-// compaction's soundness argument — see DESIGN.md.
+// The visited set is one open-addressed table keyed by the state's
+// 64-bit FNV-1a fingerprint hash, cut into Options.Shards stripes by the
+// hash's top bits; a worker claims a key with one compare-and-swap, and
+// stripes are resized only at the layer barrier (visited.go). By default
+// only the hash is retained (Options.HashOnly), at 20 payload bytes per
+// state regardless of configuration size; the full canonical fingerprint
+// encoding is kept only in the opt-in audit mode, which counts hash
+// collisions (Result.HashCollisions) to back the compaction's soundness
+// argument — see DESIGN.md.
 //
 // Memory: full states live only on the two live BFS layers (current and
 // next); visited states are retained as hashes plus, when Options.Trace
@@ -67,11 +69,14 @@ type Options struct {
 	// A state is expanded whole or not at all: when the count crosses the
 	// cap, the state being expanded (and the one each other worker has in
 	// hand) is finished and all its successors are inserted, then the
-	// workers stop claiming states. A capped run therefore overshoots by
-	// at most one state's successors per worker, every visited state has
-	// either all of its out-transitions taken or none, and the exact
-	// count can vary across worker counts; uncapped runs are exactly
-	// deterministic.
+	// workers stop claiming states. Workers count their new states locally
+	// and publish them when they finish a chunk of the layer (at most 256
+	// states), and a worker compares the cap with the published count plus
+	// its own, so a capped run overshoots by at most one chunk's new states
+	// per other worker plus one state's successors (a single worker: the
+	// latter alone). Every visited state has either all of its
+	// out-transitions taken or none, and the exact count can vary across
+	// worker counts; uncapped runs are exactly deterministic.
 	MaxStates int
 	// MaxDepth caps the BFS depth (0 = no cap): states at MaxDepth are
 	// still visited and checked, but not expanded.
@@ -81,10 +86,12 @@ type Options struct {
 	Trace bool
 	// Progress, if non-nil, receives a Progress report roughly every
 	// ProgressEvery newly visited states. Reports are driven by a
-	// monotonic global state counter, so they can neither skip nor
-	// double-report an interval regardless of worker count. The
-	// transition count in a report is a mid-layer read of the workers'
-	// running totals and may trail the state count slightly.
+	// monotonic counter — the published state count plus the reporting
+	// worker's own, which trails the true count by what the other workers
+	// have not published yet — so they can neither skip nor double-report
+	// an interval regardless of worker count. The transition count in a
+	// report is a mid-layer read of the workers' published totals and may
+	// trail the state count slightly.
 	Progress func(Progress)
 	// ProgressEvery is the number of newly visited states between
 	// Progress calls (0 = 8192).
@@ -92,8 +99,10 @@ type Options struct {
 	// Workers is the number of goroutines expanding each BFS layer
 	// (0 = GOMAXPROCS). Verdicts do not depend on the worker count.
 	Workers int
-	// Shards is the number of lock-striped visited-set shards, rounded
-	// up to a power of two (0 = 64).
+	// Shards is the number of stripes the visited table is cut into by
+	// the hash's top bits, rounded up to a power of two (0 = 64). A stripe
+	// is the unit of growth, of a checkpoint section and of the audit-mode
+	// lock.
 	Shards int
 	// HashOnly stores only the 64-bit fingerprint hash per visited state
 	// (compact mode — the production default, wired by package core and
@@ -191,6 +200,11 @@ type CheckpointOptions struct {
 // from every worker concurrently, so implementations synchronize their
 // own state. A resumed run (Options.Resume) shows a visitor only the
 // part of the space explored after the cut.
+//
+// Edge.To is borrowed: it is the worker's scratch process table, valid
+// only during the Edge call and overwritten by the next transition. A
+// visitor that keeps the successor takes Edge.To.CloneShallow(). Edge.From
+// and Node.State are the search's own states and may be kept.
 type Visitor interface {
 	// Edge is called for every transition the search takes, including
 	// transitions into already-visited states. A non-nil error is
@@ -370,10 +384,14 @@ type Result struct {
 	// reduction restricted the successor set to a single safe
 	// transition. Always 0 unless Options.Reduce.
 	AmpleStates int
-	// VisitedBytes is the payload memory retained by the visited set
-	// (keys, records, and audit-mode fingerprint strings; Go map bucket
-	// overhead excluded).
+	// VisitedBytes is the payload memory retained by the visited set: 20
+	// bytes per state (key, parent hash, event index; 8 once the records
+	// have spilled) plus the audit-mode fingerprint strings. It is a
+	// function of the set, not of the table's capacity (Table has that).
 	VisitedBytes int64
+	// Table describes the visited table when the run ended: capacity,
+	// load, stripes rebuilt and overflow hits.
+	Table TableStats
 	// Spilled reports the disk-spill rung's counters; zero unless
 	// Options.SpillDir was set and the rung fired.
 	Spilled SpillStats
@@ -386,9 +404,6 @@ type Result struct {
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
 }
-
-// fpPool recycles the per-worker fingerprint scratch buffers.
-var fpPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 // qent is one frontier entry: a full state plus its fingerprint hash.
 type qent struct {
@@ -411,7 +426,20 @@ type explorer struct {
 	// encoding, or the mutator-symmetry-canonical one under
 	// Options.Symmetry.
 	fp func([]byte, cimp.System[*gcmodel.Local]) []byte
+	// hashOnly says a successor's hash is all the search needs of its
+	// fingerprint (compact mode, plain encoding): it is then folded from
+	// the processes' cached segments and the bytes are never assembled.
+	hashOnly bool
 
+	// ws are the workers' private states and ins their sides of the
+	// visited table (ins[i] is ws[i].ins), kept for the whole run; spare is
+	// the layer buffer not in use.
+	ws    []*worker
+	ins   []*inserter
+	spare []qent
+
+	// The run's counters. Workers count locally and publish when they
+	// finish a chunk of the layer.
 	states      atomic.Int64
 	transitions atomic.Int64
 	ample       atomic.Int64
@@ -464,6 +492,15 @@ func Run(m *gcmodel.Model, checks []invariant.Check, opt Options) Result {
 // RunFrom is Run starting at an explicit initial state, e.g. one with
 // fusion disabled for a validation pass.
 func RunFrom(m *gcmodel.Model, init cimp.System[*gcmodel.Local], checks []invariant.Check, opt Options) Result {
+	e := newExplorer(m, init, checks, opt)
+	memo := m.Index.MemoStats()
+	res := e.run()
+	res.Memo = m.Index.MemoStats().Sub(memo)
+	res.Elapsed = time.Since(e.start)
+	return res
+}
+
+func newExplorer(m *gcmodel.Model, init cimp.System[*gcmodel.Local], checks []invariant.Check, opt Options) *explorer {
 	start := time.Now()
 	workers := opt.Workers
 	if workers <= 0 {
@@ -488,6 +525,11 @@ func RunFrom(m *gcmodel.Model, init cimp.System[*gcmodel.Local], checks []invari
 		e.fp = m.AppendCanonicalFingerprint
 	} else {
 		e.fp = m.AppendFingerprint
+		e.hashOnly = opt.HashOnly
+	}
+	for i := 0; i < workers; i++ {
+		w := &worker{ins: e.seen.inserter(), buf: make([]byte, 0, 256)}
+		e.ws, e.ins = append(e.ws, w), append(e.ins, w.ins)
 	}
 	e.optFP, e.optSummary = OptionsFingerprint(m, checks, opt)
 	if e.memSample == nil {
@@ -500,11 +542,7 @@ func RunFrom(m *gcmodel.Model, init cimp.System[*gcmodel.Local], checks []invari
 	if opt.SpillDir != "" {
 		e.spill = newSpillState(opt.FS, opt.SpillDir, opt.Trace)
 	}
-	memo := m.Index.MemoStats()
-	res := e.run()
-	res.Memo = m.Index.MemoStats().Sub(memo)
-	res.Elapsed = time.Since(start)
-	return res
+	return e
 }
 
 // OptionsFingerprint hashes everything the verdict depends on: the model
@@ -541,8 +579,7 @@ func OptionsFingerprint(m *gcmodel.Model, checks []invariant.Check, opt Options)
 func (e *explorer) run() Result {
 	var res Result
 
-	bp := fpPool.Get().(*[]byte)
-	buf := e.fp((*bp)[:0], e.init)
+	buf := e.fp(nil, e.init)
 	e.initHash = gcmodel.Hash64(buf)
 
 	var layer []qent
@@ -551,18 +588,15 @@ func (e *explorer) run() Result {
 		var err error
 		layer, startDepth, err = e.restore(e.opt.Resume)
 		if err != nil {
-			*bp = buf
-			fpPool.Put(bp)
 			res.Stopped = StopResume
 			res.Err = err
 			return res
 		}
 	} else {
-		e.seen.insert(e.initHash, rec{eidx: -1}, buf)
+		e.seen.insert(e.ins[0], e.initHash, rec{eidx: -1}, buf)
+		e.seen.settle(e.ins[:1], 1)
 		e.states.Store(1)
-		if v := e.check(e.init, e.initHash, 0); v != nil {
-			*bp = buf
-			fpPool.Put(bp)
+		if v := e.check(e.ws[0], e.init, e.initHash, 0); v != nil {
 			res.Violation = v
 			res.Stopped = StopViolation
 			e.collect(&res)
@@ -570,8 +604,6 @@ func (e *explorer) run() Result {
 		}
 		layer = []qent{{state: e.init, hash: e.initHash}}
 	}
-	*bp = buf
-	fpPool.Put(bp)
 
 	every := e.opt.Checkpoint.EveryLayers
 	if every <= 0 {
@@ -684,7 +716,7 @@ func interrupted(ctx context.Context) bool {
 	}
 }
 
-// collect folds the atomic and per-shard counters into the result.
+// collect folds the counters and the visited table's into the result.
 func (e *explorer) collect(res *Result) {
 	res.States = int(e.states.Load())
 	res.Transitions = int(e.transitions.Load())
@@ -692,66 +724,116 @@ func (e *explorer) collect(res *Result) {
 	res.Deadlocks = int(e.deadlocks.Load())
 	res.Checkpoints = e.checkpoints
 	res.Degraded = e.degraded
-	for i := range e.seen.shards {
-		res.HashCollisions += int(e.seen.shards[i].collisions)
-		res.VisitedBytes += e.seen.shards[i].bytes
+	for i := range e.seen.stripes {
+		res.HashCollisions += int(e.seen.stripes[i].collisions)
 	}
+	res.VisitedBytes = e.seen.bytes()
+	res.Table = e.seen.stats()
 	if e.spill != nil {
 		res.Spilled = e.spill.stats()
 	}
 }
 
+// worker is one expansion goroutine's private state, kept for the whole
+// run so that the hot loop's buffers are allocated once: the process table
+// successors are borrowed in, the fingerprint buffer, the invariant view,
+// this worker's share of the next layer, and the counts it has not
+// published yet.
+type worker struct {
+	states, transitions int64
+	succ                gcmodel.Scratch
+	buf                 []byte
+	view                invariant.View
+	next                []qent
+	ins                 *inserter
+	_                   [64]byte // keep the next worker's counters off this one's last line
+}
+
+// publish adds the worker's counts to the run's. Called when a chunk of
+// the layer is done, so the shared counters are written once per chunk,
+// not once per state.
+func (e *explorer) publish(w *worker) {
+	e.states.Add(w.states)
+	e.transitions.Add(w.transitions)
+	w.states, w.transitions = 0, 0
+	w.succ.Flush()
+}
+
 // expandLayer expands every state of the depth-d layer and returns the
-// depth-d+1 layer. When a violation is found the remainder of the layer
-// is still expanded and checked, so that the reported violation is the
+// depth-d+1 layer; it ends with the layer barrier's work on the visited
+// table. When a violation is found the remainder of the layer is still
+// expanded and checked, so that the reported violation is the
 // deterministic minimum over the whole layer and the state/transition
 // counts do not depend on worker scheduling.
 func (e *explorer) expandLayer(layer []qent, depth int) []qent {
 	e.frontierLen.Store(int64(len(layer)))
-	k := e.workers
-	if k > len(layer) {
-		k = len(layer)
-	}
-	chunk := len(layer)/(k*8) + 1
-	if chunk > 256 {
-		chunk = 256
-	}
+	k := min(e.workers, len(layer))
+	chunk := min(len(layer)/(k*8)+1, 256)
 	var cursor atomic.Int64
 	if k == 1 {
 		// The single-worker path gets the same containment as the
 		// goroutine path: a panic poisons the run instead of crashing.
-		var next []qent
 		func() {
 			var cur uint64
 			defer e.contain(&cur, depth)
-			next = e.expandChunks(layer, depth, &cursor, chunk, &cur)
+			e.expandChunks(e.ws[0], layer, depth, &cursor, chunk, &cur)
 		}()
-		return next
+	} else {
+		var wg sync.WaitGroup
+		for _, w := range e.ws[:k] {
+			wg.Add(1)
+			go func() {
+				// Deferred LIFO: contain runs before Done, so the poison and
+				// the structured report are published before the barrier
+				// releases — a panicking worker can never hang the layer.
+				defer wg.Done()
+				var cur uint64
+				defer e.contain(&cur, depth)
+				e.expandChunks(w, layer, depth, &cursor, chunk, &cur)
+			}()
+		}
+		wg.Wait()
 	}
-	nexts := make([][]qent, k)
+	// The workers keep their segments, and the run its two layer buffers,
+	// from layer to layer: after the widest layer nothing here allocates.
+	// Entries are cleared as they are left behind so that no buffer keeps a
+	// state alive.
+	total := 0
+	for _, w := range e.ws[:k] {
+		total += len(w.next)
+	}
+	next := slices.Grow(e.spare[:0], total)
+	for _, w := range e.ws[:k] {
+		next = append(next, w.next...)
+		clear(w.next)
+		w.next = w.next[:0]
+	}
+	clear(layer)
+	e.spare = layer[:0]
+	e.settle(k, len(next), depth)
+	return next
+}
+
+// settle is the visited table's part of the barrier: the stripes the
+// coming layer of frontier states could overfill are rebuilt, the workers
+// sharing them out one at a time — so at most that many stripes exist
+// twice — under the same containment as an expansion.
+func (e *explorer) settle(k, frontier, depth int) {
+	due, head := e.seen.fold(e.ins[:k], frontier)
+	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < k; w++ {
+	for range min(e.workers, len(due)) {
 		wg.Add(1)
-		go func(w int) {
-			// Deferred LIFO: contain runs before Done, so the poison and
-			// the structured report are published before the barrier
-			// releases — a panicking worker can never hang the layer.
+		go func() {
 			defer wg.Done()
-			var cur uint64
-			defer e.contain(&cur, depth)
-			nexts[w] = e.expandChunks(layer, depth, &cursor, chunk, &cur)
-		}(w)
+			var none uint64 // no state is in hand at the barrier
+			defer e.contain(&none, depth)
+			for i := int(cursor.Add(1)) - 1; i < len(due); i = int(cursor.Add(1)) - 1 {
+				e.seen.rebuild(due[i], head)
+			}
+		}()
 	}
 	wg.Wait()
-	total := 0
-	for _, n := range nexts {
-		total += len(n)
-	}
-	next := make([]qent, 0, total)
-	for _, n := range nexts {
-		next = append(next, n...)
-	}
-	return next
 }
 
 // contain is deferred around every worker body: it recovers a panic,
@@ -780,14 +862,11 @@ func (e *explorer) contain(cur *uint64, depth int) {
 
 // expandChunks is the worker body: it claims chunks of the current layer
 // from the shared cursor until the layer is drained (or the state cap
-// fires, or a sibling worker poisons the run) and returns its share of
-// the next layer. *curHash is kept at the hash of the state in hand, for
-// contain.
-func (e *explorer) expandChunks(layer []qent, depth int, cursor *atomic.Int64, chunk int, curHash *uint64) []qent {
-	bp := fpPool.Get().(*[]byte)
-	buf := *bp
-	var next []qent
-	var transitions, ample, deadlocks int64
+// fires, or a sibling worker poisons the run) and leaves its share of the
+// next layer in w.next. *curHash is kept at the hash of the state in hand,
+// for contain.
+func (e *explorer) expandChunks(w *worker, layer []qent, depth int, cursor *atomic.Int64, chunk int, curHash *uint64) {
+	var ample, deadlocks int64
 	nd := depth + 1
 claim:
 	for {
@@ -795,10 +874,7 @@ claim:
 		if lo >= len(layer) {
 			break
 		}
-		hi := lo + chunk
-		if hi > len(layer) {
-			hi = len(layer)
-		}
+		hi := min(lo+chunk, len(layer))
 		// A parked layer's states live on disk: fetch this chunk's range
 		// with one contiguous read. A failed read poisons the spill (the
 		// layer can no longer be expanded completely) and drains every
@@ -826,7 +902,7 @@ claim:
 			if e.opt.Reduce {
 				amp = e.m.AmpleChoice(cur.state)
 			}
-			out, taken := e.expandState(cur, nd, amp, &next, &transitions, &buf)
+			out, taken := e.expandState(w, cur, nd, amp)
 			if amp.OK {
 				if taken > 0 {
 					ample++
@@ -836,84 +912,91 @@ claim:
 					// guards exactly); expand fully rather than
 					// truncate the search. Nothing was inserted by the
 					// filtered pass, so re-expansion is clean.
-					out, _ = e.expandState(cur, nd, gcmodel.Ample{}, &next, &transitions, &buf)
+					out, _ = e.expandState(w, cur, nd, gcmodel.Ample{})
 				}
 			}
 			if out == 0 {
 				deadlocks++
 			}
 		}
-		// Publish the transition total at chunk boundaries so progress
-		// reports see a near-current count mid-layer.
-		e.transitions.Add(transitions)
-		transitions = 0
+		// Progress reports see a near-current count mid-layer.
+		e.publish(w)
 	}
-	e.transitions.Add(transitions)
+	e.publish(w)
 	e.ample.Add(ample)
 	e.deadlocks.Add(deadlocks)
-	*bp = buf
-	fpPool.Put(bp)
-	return next
 }
 
 // expandState enumerates cur's successors — restricted to the ample
 // transition when amp.OK — inserting new states into the visited set
-// and the caller's next layer. It returns the full successor count and
+// and the worker's next layer. It returns the full successor count and
 // the number of transitions actually taken. Event indices always
 // number the complete, unreduced enumeration (skipped successors still
 // advance eidx), so traces recorded under reduction replay through the
 // unreduced relation.
-func (e *explorer) expandState(cur qent, nd int, amp gcmodel.Ample, next *[]qent, transitions *int64, buf *[]byte) (out, taken int) {
-	b := *buf
-	e.m.SuccessorsConcurrent(cur.state, func(ns cimp.System[*gcmodel.Local], ev cimp.Event) {
+//
+// Successors arrive borrowed, in the worker's scratch process table: they
+// are fingerprinted, hashed, shown to the Edge visitors and probed for as
+// they are, and only one that turns out to be new — or to violate — gets a
+// process table of its own.
+func (e *explorer) expandState(w *worker, cur qent, nd int, amp gcmodel.Ample) (out, taken int) {
+	e.m.SuccessorsBorrowed(&w.succ, cur.state, func(ns cimp.System[*gcmodel.Local], ev cimp.Event) bool {
 		eidx := out
 		out++
 		if amp.OK && !amp.Matches(ev) {
-			return
+			return true
 		}
 		taken++
-		*transitions++
-		b = e.fp(b[:0], ns)
-		h := gcmodel.Hash64(b)
+		w.transitions++
+		var h uint64
+		if e.hashOnly {
+			h, w.buf = e.m.BorrowedHash(&w.succ, ns, w.buf)
+		} else {
+			w.buf = e.fp(w.buf[:0], ns)
+			h = gcmodel.Hash64(w.buf)
+		}
 		for _, v := range e.opt.Visitors {
 			edge := Edge{From: cur.state, To: ns, FromHash: cur.hash, ToHash: h, Ev: ev, EIdx: eidx}
 			if err := v.Edge(edge); err != nil {
-				e.offerViolation(&Violation{Invariant: "event-check", Err: err, Depth: nd, State: ns}, h)
-				return
+				e.offerViolation(&Violation{Invariant: "event-check", Err: err, Depth: nd, State: ns.CloneShallow()}, h)
+				return true
 			}
 		}
 		var r rec
 		if e.opt.Trace {
 			r = rec{parent: cur.hash, eidx: int32(eidx)}
 		}
-		if !e.seen.insert(h, r, b) {
-			return
+		if !e.seen.insert(w.ins, h, r, w.buf) {
+			return true
 		}
-		n := e.states.Add(1)
-		e.maybeProgress(n, nd)
-		if e.opt.MaxStates > 0 && n >= int64(e.opt.MaxStates) {
-			e.capped.Store(true)
+		ns = ns.CloneShallow()
+		w.states++
+		if e.opt.Progress != nil || e.opt.MaxStates > 0 {
+			n := e.states.Load() + w.states
+			e.maybeProgress(n, nd)
+			if e.opt.MaxStates > 0 && n >= int64(e.opt.MaxStates) {
+				e.capped.Store(true)
+			}
 		}
-		if v := e.check(ns, h, nd); v != nil {
+		if v := e.check(w, ns, h, nd); v != nil {
 			e.offerViolation(v, h)
-			return
+			return true
 		}
 		if !e.violated.Load() {
-			*next = append(*next, qent{state: ns, hash: h})
+			w.next = append(w.next, qent{state: ns, hash: h})
 		}
+		return true
 	})
-	*buf = b
 	return out, taken
 }
 
 // check evaluates the invariant battery, then the visitors, at the newly
-// visited state st.
-func (e *explorer) check(st cimp.System[*gcmodel.Local], h uint64, depth int) *Violation {
+// visited state st, which the caller owns (a violation keeps it).
+func (e *explorer) check(w *worker, st cimp.System[*gcmodel.Local], h uint64, depth int) *Violation {
 	if len(e.checks) > 0 {
-		g := gcmodel.Global{Model: e.m, State: st}
-		v := invariant.NewView(g)
+		w.view.Reset(gcmodel.Global{Model: e.m, State: st})
 		for _, c := range e.checks {
-			if err := c.Pred(v); err != nil {
+			if err := c.Pred(&w.view); err != nil {
 				return &Violation{Invariant: c.Name, Err: err, Depth: depth, State: st}
 			}
 		}
@@ -939,10 +1022,10 @@ func (e *explorer) offerViolation(v *Violation, h uint64) {
 	e.violated.Store(true)
 }
 
-// maybeProgress reports progress when at least ProgressEvery states have
-// been visited since the last report. The CAS on the monotonic counter
-// guarantees each interval is reported exactly once, from whichever
-// worker crosses it.
+// maybeProgress reports progress when the caller's count n — the
+// published states plus its own — is at least ProgressEvery past the last
+// report. The CAS on the monotonic counter guarantees each interval is
+// reported exactly once, from whichever worker crosses it.
 func (e *explorer) maybeProgress(n int64, depth int) {
 	if e.opt.Progress == nil {
 		return
@@ -978,7 +1061,7 @@ type pathStep struct {
 func (e *explorer) tracePath(h uint64) ([]pathStep, error) {
 	var spilled map[uint64]rec
 	if e.spill != nil && e.spill.isActive() {
-		m, err := e.spill.loadRecs()
+		m, err := e.spill.loadRecs(e.seen.hot)
 		if err != nil {
 			return nil, err
 		}
@@ -987,9 +1070,7 @@ func (e *explorer) tracePath(h uint64) ([]pathStep, error) {
 	var rev []pathStep
 	for h != e.initHash {
 		r, ok := spilled[h]
-		if !ok {
-			// Not flushed yet: the hot buffer (or, unspilled, the
-			// ordinary record map) has it.
+		if spilled == nil {
 			r, ok = e.seen.lookup(h)
 		}
 		if !ok {

@@ -6,11 +6,13 @@ package explore
 // rung. Two things spill, both as CRC-framed sections reusing the
 // checkpoint file encoding:
 //
-//   - Visited-set records: each shard's (hash → parent,eidx) map is
-//     flushed to visited.spill and replaced by a membership-only key
-//     set (8 bytes/state instead of 24) plus a small "hot" buffer of
-//     records inserted since the last flush. Records are only kept at
-//     all when Options.Trace needs them for counterexample replay.
+//   - Visited-set records: the table's two payload arrays (parent,
+//     event index) are flushed to visited.spill stripe by stripe and
+//     released; the key array stays in place as the membership set
+//     (8 bytes/state instead of 20), and the records inserted since
+//     the last flush wait in an append-only "hot" buffer. Records are
+//     only kept at all when Options.Trace needs them for
+//     counterexample replay.
 //   - Frontier layers: at each layer boundary the freshly built next
 //     layer's states are encoded into frontier-NNNNNN.spill with a
 //     per-entry offset table, and the decoded states are dropped from
@@ -21,8 +23,8 @@ package explore
 // Spilling is verdict-neutral — it changes the representation of the
 // search state, never which states are visited or checked — so
 // SpillDir and FS are deliberately excluded from OptionsFingerprint.
-// Periodic checkpointing is suspended while spilled (the record maps
-// a snapshot needs are on disk); an interrupted spilled run restarts
+// Periodic checkpointing is suspended while spilled (the records a
+// snapshot needs are on disk); an interrupted spilled run restarts
 // from its last pre-spill checkpoint or from scratch.
 //
 // Any spill I/O failure is loud: the run stops at the next boundary
@@ -170,8 +172,8 @@ func (sp *spillState) takeParked() *parkedLayer {
 }
 
 // activate opens the spill directory and converts the visited set to
-// spilled (membership + hot buffer) representation. Idempotent; runs
-// only at a layer boundary.
+// spilled (keys + hot buffer) representation. Idempotent; runs only at
+// a layer boundary.
 func (sp *spillState) activate(v *visited) error {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
@@ -221,39 +223,40 @@ func (sp *spillState) boundary(m *gcmodel.Model, v *visited, layer []qent) error
 	return nil
 }
 
-// flushHotLocked appends every shard's hot records to visited.spill as
-// one CRC-framed "recs" section, then clears the hot buffers.
+// flushHotLocked appends the records still in memory to visited.spill
+// as CRC-framed "recs" sections and releases them: at the first flush
+// the table's payload arrays, one stripe (one section) at a time, then
+// the hot buffer.
 func (sp *spillState) flushHotLocked(v *visited) error {
 	if !sp.keep {
 		return nil
 	}
-	var payload []byte
-	n := 0
-	for i := range v.shards {
-		s := &v.shards[i]
-		s.mu.Lock()
-		for h, r := range s.hot {
-			payload = appendU64(payload, h)
-			payload = appendU64(payload, r.parent)
-			payload = appendU32(payload, uint32(r.eidx))
-			n++
+	var payload, frame []byte
+	wrote := false
+	for i := 0; i <= len(v.stripes); i++ {
+		if i < len(v.stripes) {
+			payload = v.drainRecords(i, payload[:0])
+		} else {
+			payload, v.hot = v.hot, v.hot[:0]
 		}
-		clear(s.hot)
-		s.mu.Unlock()
+		if len(payload) == 0 {
+			continue
+		}
+		frame = checkpoint.AppendSection(frame[:0], "recs", payload)
+		if _, err := sp.vf.Write(frame); err != nil {
+			return fmt.Errorf("explore: spill write %s: %w", sp.vfPath, err)
+		}
+		wrote = true
+		sp.states += int64(len(payload) / spillRecBytes)
+		sp.bytes += int64(len(frame))
 	}
-	if n == 0 {
+	if !wrote {
 		return nil
-	}
-	frame := checkpoint.AppendSection(nil, "recs", payload)
-	if _, err := sp.vf.Write(frame); err != nil {
-		return fmt.Errorf("explore: spill write %s: %w", sp.vfPath, err)
 	}
 	if err := sp.vf.Sync(); err != nil {
 		return fmt.Errorf("explore: spill sync %s: %w", sp.vfPath, err)
 	}
 	sp.flushes++
-	sp.states += int64(n)
-	sp.bytes += int64(len(frame))
 	return nil
 }
 
@@ -321,9 +324,10 @@ func (sp *spillState) closeParkedLocked() {
 }
 
 // loadRecs reads every spilled visited record back into one map — the
-// counterexample-trace path needs parent links that have gone to disk.
-// Only called after the search has stopped.
-func (sp *spillState) loadRecs() (map[uint64]rec, error) {
+// counterexample-trace path needs parent links that have gone to disk —
+// and adds those of hot, which have not gone yet. Only called after the
+// search has stopped.
+func (sp *spillState) loadRecs(hot []byte) (map[uint64]rec, error) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if sp.vf == nil {
@@ -333,7 +337,12 @@ func (sp *spillState) loadRecs() (map[uint64]rec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("explore: spill trace records unreadable: %w", err)
 	}
-	recs := make(map[uint64]rec, sp.states)
+	recs := make(map[uint64]rec, sp.states+int64(len(hot)/spillRecBytes))
+	add := func(payload []byte) {
+		for p := 0; p+spillRecBytes <= len(payload); p += spillRecBytes {
+			recs[readU64(payload[p:])] = rec{parent: readU64(payload[p+8:]), eidx: int32(readU32(payload[p+16:]))}
+		}
+	}
 	for off := 0; off < len(data); {
 		name, payload, next, err := checkpoint.ReadSection(data, off)
 		if err != nil {
@@ -342,12 +351,10 @@ func (sp *spillState) loadRecs() (map[uint64]rec, error) {
 		if name != "recs" || len(payload)%spillRecBytes != 0 {
 			return nil, fmt.Errorf("explore: spill trace records damaged: section %q, %d payload bytes", name, len(payload))
 		}
-		for p := 0; p+spillRecBytes <= len(payload); p += spillRecBytes {
-			h := readU64(payload[p:])
-			recs[h] = rec{parent: readU64(payload[p+8:]), eidx: int32(readU32(payload[p+16:]))}
-		}
+		add(payload)
 		off = next
 	}
+	add(hot)
 	return recs, nil
 }
 
@@ -363,6 +370,11 @@ func (sp *spillState) cleanup() {
 		sp.fs.Remove(sp.vfPath)
 		sp.vf = nil
 	}
+}
+
+// appendSpillRec appends one visited record in its on-disk encoding.
+func appendSpillRec(b []byte, h uint64, r rec) []byte {
+	return appendU32(appendU64(appendU64(b, h), r.parent), uint32(r.eidx))
 }
 
 func appendU64(b []byte, v uint64) []byte {

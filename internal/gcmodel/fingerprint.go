@@ -23,8 +23,7 @@ func (m *Model) AppendFingerprint(dst []byte, st cimp.System[*Local]) []byte {
 }
 
 // fpBufPool recycles fingerprint scratch buffers across FingerprintHash
-// callers; the checker's workers additionally hold one buffer each for
-// the duration of a BFS layer.
+// callers.
 var fpBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 // FingerprintHash is the fingerprint-to-hash fast path: it encodes st
@@ -42,20 +41,41 @@ func (m *Model) FingerprintHash(st cimp.System[*Local]) uint64 {
 	return h
 }
 
-// Hash64 is the 64-bit FNV-1a hash of b, the hash used for compact state
-// fingerprints.
-func Hash64(b []byte) uint64 {
-	const (
-		offset64 uint64 = 14695981039346656037
-		prime64  uint64 = 1099511628211
-	)
-	h := offset64
+// BorrowedHash is FingerprintHash of the successor st that sc currently
+// lends (inside a SuccessorsBorrowed yield), without the bytes: FNV-1a is
+// byte-sequential, so each process's cached segment is folded into the
+// running hash where it lies, and only a configuration the table does not
+// hold is encoded first, into buf (returned for reuse).
+func (m *Model) BorrowedHash(sc *Scratch, st cimp.System[*Local], buf []byte) (uint64, []byte) {
+	h := fnvOffset
+	for p, cfg := range st.Procs {
+		if seg, ok := sc.Segment(p); ok {
+			for i := 0; i < len(seg); i++ {
+				h = (h ^ uint64(seg[i])) * fnvPrime
+			}
+			continue
+		}
+		buf = m.Index.AppendConfig(buf[:0], cfg)
+		h = fnv(h, buf)
+	}
+	return h, buf
+}
+
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+func fnv(h uint64, b []byte) uint64 {
 	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
+		h = (h ^ uint64(c)) * fnvPrime
 	}
 	return h
 }
+
+// Hash64 is the 64-bit FNV-1a hash of b, the hash used for compact state
+// fingerprints.
+func Hash64(b []byte) uint64 { return fnv(fnvOffset, b) }
 
 // SuccessorsConcurrent is Successors for concurrent callers. The
 // transition relation is persistent: every LocalOp/Request/Response
@@ -68,4 +88,19 @@ func Hash64(b []byte) uint64 {
 // must not acquire locks or touch model-level scratch state.
 func (m *Model) SuccessorsConcurrent(st cimp.System[*Local], yield func(cimp.System[*Local], cimp.Event)) {
 	st.Successors(yield)
+}
+
+// Scratch is one goroutine's reusable successor-enumeration state; see
+// cimp.Scratch.
+type Scratch = cimp.Scratch[*Local]
+
+// SuccessorsBorrowed is SuccessorsConcurrent for a search: every successor
+// is handed to yield in sc's one process table and is valid only during the
+// call (a caller that keeps one takes its CloneShallow), enumeration stops
+// when yield returns false, and the configuration-table lookups are counted
+// in sc until the caller's sc.Flush. Same transitions, same order. Each
+// goroutine brings its own sc; nothing else is shared that
+// SuccessorsConcurrent does not share.
+func (m *Model) SuccessorsBorrowed(sc *Scratch, st cimp.System[*Local], yield func(cimp.System[*Local], cimp.Event) bool) {
+	st.Borrowed(sc, yield)
 }

@@ -44,32 +44,40 @@ type View struct {
 
 // NewView decomposes a global state.
 func NewView(g gcmodel.Global) *View {
-	v := &View{G: g, Sys: g.Sys(), FM: g.GCViewFM()}
+	v := new(View)
+	v.Reset(g)
+	return v
+}
 
-	grey := g.GC().W.Union(v.Sys.W)
+// Reset makes v the decomposition of g, in place: a caller that checks many
+// states keeps one View and pays no allocation per state.
+func (v *View) Reset(g gcmodel.Global) {
+	sys, fm := g.Sys(), g.GCViewFM()
+
+	grey := g.GC().W.Union(sys.W)
 	grey = grey.Add(g.GC().GHG)
 	for m := 0; m < g.NMut(); m++ {
 		mu := g.Mut(m)
 		grey = grey.Union(mu.WM).Add(mu.GHG)
 	}
-	v.Grey = grey
 
-	for i, o := range v.Sys.Heap.Objs {
+	var marked, white heap.RefSet
+	for i, o := range sys.Heap.Objs {
 		if o == nil {
 			continue
 		}
 		r := heap.Ref(i)
-		if o.Flag == v.FM {
-			v.Marked = v.Marked.Add(r)
+		if o.Flag == fm {
+			marked = marked.Add(r)
 		} else {
-			v.White = v.White.Add(r)
+			white = white.Add(r)
 		}
 	}
-	v.Black = v.Marked.Minus(v.Grey)
-	v.GreyProtected = v.Sys.Heap.ReachableVia(v.Grey, func(r heap.Ref) bool {
-		return v.White.Has(r) || v.Grey.Has(r)
-	}).Union(v.Grey)
-	return v
+	v.G, v.Sys, v.FM = g, sys, fm
+	v.Grey, v.Marked, v.White, v.Black = grey, marked, white, marked.Minus(grey)
+	v.GreyProtected = sys.Heap.ReachableVia(grey, func(r heap.Ref) bool {
+		return white.Has(r) || grey.Has(r)
+	}).Union(grey)
 }
 
 // MutExtraRoots returns the references mutator m can expose beyond its
