@@ -298,14 +298,13 @@ func BenchmarkExploreFingerprints(b *testing.B) {
 	}
 }
 
-// --- E17b: state-space reductions (POR + mutator symmetry) -------------
+// --- E17b: state-space reduction (POR) ---------------------------------
 //
 // BenchmarkExploreReduction compares exploration throughput and capped
-// state counts across the reduction modes on the standard tiny
-// configuration and on the symmetric two-mutator configuration (the one
-// where canonicalization folds). The soundness of the modes is the
-// subject of package diffcheck; EXPERIMENTS.md records the uncapped
-// shrink ratios.
+// state counts with and without the reduction on the standard tiny
+// configuration and on the identical-roots two-mutator configuration.
+// The soundness of the reduction is the subject of package diffcheck;
+// EXPERIMENTS.md records the uncapped shrink ratios.
 
 func BenchmarkExploreReduction(b *testing.B) {
 	for _, c := range []struct {
@@ -320,19 +319,17 @@ func BenchmarkExploreReduction(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, md := range []struct {
-			name             string
-			reduce, symmetry bool
+			name   string
+			reduce bool
 		}{
-			{"full", false, false},
-			{"reduce", true, false},
-			{"reduce+symmetry", true, true},
+			{"full", false},
+			{"reduce", true},
 		} {
 			b.Run(c.name+"/"+md.name, func(b *testing.B) {
 				states := 0
 				for i := 0; i < b.N; i++ {
 					res := explore.Run(m, invariant.All(), explore.Options{
-						MaxStates: 50_000, HashOnly: true,
-						Reduce: md.reduce, Symmetry: md.symmetry,
+						MaxStates: 50_000, HashOnly: true, Reduce: md.reduce,
 					})
 					if res.Violation != nil {
 						b.Fatal(res.Violation)

@@ -96,7 +96,7 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "emit a machine-readable JSON verdict on stdout")
 
 		ckptPath  = flag.String("checkpoint", "", "snapshot the search state to this file at layer boundaries (atomic writes)")
-		ckptEvery = flag.Int("checkpoint-every", 16, "BFS layers between periodic checkpoints")
+		ckptEvery = flag.Int("checkpoint-every", 0, "BFS layers between periodic checkpoints (0 = default: 16 locally, the daemon's cadence with -remote)")
 		resume    = flag.String("resume", "", "resume the search from this checkpoint file (options must match; -workers may differ)")
 		memBudget = flag.Int("mem-budget", 0, "soft heap budget in MiB: degrade (checkpoint, drop audit, stop cleanly) as usage approaches it (0 = none)")
 		spillDir  = flag.String("spill-dir", "", "disk-spill directory: when the -mem-budget ladder would stop the run, spill the visited records and frontier layers here and complete exhaustively instead (remote runs: the daemon picks a per-job directory)")
@@ -104,11 +104,9 @@ func main() {
 		chaosFS    = flag.String("chaos-storage", "", "fault-injection spec for all disk I/O, e.g. 'eio@3', 'crash@run.ckpt+2', 'seed=7,rate=0.01,kinds=eio|enospc' (testing)")
 		chaosTrace = flag.String("chaos-trace", "", "write the storage op/fault trace to this file after the run (with -chaos-storage)")
 
-		workers  = flag.Int("workers", 0, "checker worker goroutines per BFS layer (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "visited-set lock stripes (0 = checker default)")
-		audit    = flag.Bool("audit", false, "retain full fingerprints and audit 64-bit hash collisions (costs memory)")
-		reduce   = flag.Bool("reduce", false, "TSO-aware partial-order reduction (skip commuting buffer-local interleavings)")
-		symmetry = flag.Bool("symmetry", false, "canonicalize visited states modulo mutator permutation")
+		workers = flag.Int("workers", 0, "checker worker goroutines per BFS layer (0 = GOMAXPROCS)")
+		audit   = flag.Bool("audit", false, "retain full fingerprints and audit 64-bit hash collisions (costs memory)")
+		reduce  = flag.Bool("reduce", false, "TSO-aware partial-order reduction (skip commuting buffer-local interleavings)")
 
 		lint      = flag.Bool("lint", false, "static preflight: run the gclint placement rules on the configuration before exploring")
 		validate  = flag.Bool("validate-effects", false, "cross-check the declared effect footprint and derived POR class on every transition/state")
@@ -140,24 +138,36 @@ func main() {
 		NoDequeue:             *noDeq,
 	}
 
+	// The run's options, declared once: -remote submits them as they are,
+	// a local run maps them through the same JobOptions.VerifyOptions the
+	// daemon's executor uses and adds the process-local fields below.
+	jo := core.JobOptions{
+		MaxStates:       *maxStates,
+		MaxDepth:        *maxDepth,
+		HeadlineOnly:    *headline,
+		Audit:           *audit,
+		Reduce:          *reduce,
+		Liveness:        *live,
+		ValidateEffects: *validate,
+		Workers:         *workers,
+		CheckpointEvery: *ckptEvery,
+		MemBudgetMiB:    *memBudget,
+		Spill:           *spillDir != "",
+	}
+	if *liveProps != "" {
+		jo.LivenessProps = strings.Split(*liveProps, ",")
+	}
+
 	if *remote != "" {
-		jo := core.JobOptions{
-			MaxStates:       *maxStates,
-			MaxDepth:        *maxDepth,
-			HeadlineOnly:    *headline,
-			Audit:           *audit,
-			Reduce:          *reduce,
-			Symmetry:        *symmetry,
-			Liveness:        *live,
-			ValidateEffects: *validate,
-			Workers:         *workers,
-			Shards:          *shards,
-			MemBudgetMiB:    *memBudget,
-			Spill:           *spillDir != "",
-		}
-		if *liveProps != "" {
-			jo.LivenessProps = strings.Split(*liveProps, ",")
-		}
+		// Flags that name this process's files or preflight have no
+		// meaning for a daemon's run: refuse them rather than ignore them.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "checkpoint", "resume", "lint", "chaos-storage", "chaos-trace":
+				fmt.Fprintf(os.Stderr, "gcmc: -%s applies to local runs only and cannot be combined with -remote\n", f.Name)
+				os.Exit(2)
+			}
+		})
 		os.Exit(runRemote(*remote, *preset, abl, jo, *quiet, *jsonOut))
 	}
 
@@ -225,31 +235,13 @@ func main() {
 		}
 	}
 
-	opt := core.VerifyOptions{
-		MaxStates:       *maxStates,
-		MaxDepth:        *maxDepth,
-		Trace:           true,
-		HeadlineOnly:    *headline,
-		Workers:         *workers,
-		Shards:          *shards,
-		Audit:           *audit,
-		Reduce:          *reduce,
-		Symmetry:        *symmetry,
-		Liveness:        *live,
-		ValidateEffects: *validate,
-		Context:         ctx,
-		CheckpointPath:  *ckptPath,
-		CheckpointEvery: *ckptEvery,
-		Resume:          *resume,
-		MemBudget:       int64(*memBudget) << 20,
-		SpillDir:        *spillDir,
-	}
+	opt := jo.VerifyOptions()
+	opt.Context = ctx
+	opt.CheckpointPath = *ckptPath
+	opt.Resume = *resume
+	opt.SpillDir = *spillDir
 	if ffs != nil {
 		opt.FS = ffs
-	}
-	if *liveProps != "" {
-		opt.LivenessProps = strings.Split(*liveProps, ",")
-		opt.Liveness = true
 	}
 	if !*quiet {
 		opt.Progress = func(p core.Progress) {
@@ -292,13 +284,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gcmc: %d checkpoint(s) written to %s\n", res.Checkpoints, *ckptPath)
 	}
 
+	fp, _, _ := core.Fingerprint(cfg, opt) // 0 omits the field; Verify built this configuration, so it cannot fail here
+	rec := verdict.New(*preset, abl, fp, res)
+	rec.Build = buildinfo.String()
 	if *jsonOut {
-		fp, _, ferr := core.Fingerprint(cfg, opt)
-		if ferr != nil {
-			fp = 0
-		}
-		rec := verdict.New(*preset, abl, fp, res)
-		rec.Build = buildinfo.String()
 		b, merr := rec.Marshal()
 		if merr != nil {
 			fmt.Fprintln(os.Stderr, "gcmc:", merr)
@@ -308,84 +297,53 @@ func main() {
 		os.Exit(rec.ExitCode())
 	}
 
-	fmt.Printf("states=%d transitions=%d depth=%d complete=%v deadlocks=%d elapsed=%v\n",
-		res.States, res.Transitions, res.Depth, res.Complete, res.Deadlocks, res.Elapsed)
-	if *reduce {
-		fmt.Printf("reduction: ample at %d of %d states\n", res.AmpleStates, res.States)
-	}
-	if res.Effects != nil {
-		ev, st := res.Effects.Stats()
-		fmt.Printf("effects: %d transitions and %d states validated against the declared footprint\n", ev, st)
-	}
-	if res.States > 0 {
-		fmt.Printf("visited-set: %d bytes (%.1f B/state)\n",
-			res.VisitedBytes, float64(res.VisitedBytes)/float64(res.States))
-	}
-	if res.Spilled.Active {
-		fmt.Printf("spill: %d layer(s) parked, %d flush(es), %d record(s), %d bytes via %s\n",
-			res.Spilled.Layers, res.Spilled.Flushes, res.Spilled.States, res.Spilled.Bytes, *spillDir)
-	}
-	if res.Degraded {
-		fmt.Fprintln(os.Stderr, "gcmc: note: memory watchdog dropped audit fingerprints mid-run; collision count is partial")
-	}
-	if mm := res.Memo; mm.StepHits+mm.StepMisses > 0 {
-		// On stderr: the counts vary with worker timing and with where a
-		// resumed run started, and stdout is what runs are compared by.
-		fmt.Fprintf(os.Stderr, "gcmc: note: configuration table: %d configurations interned, %d table(s) retired; now %d configurations, %d entries, %d bytes; hits/misses: steps %d/%d, replies %d/%d, continuations %d/%d\n",
-			mm.Interned, mm.Retired, mm.Configs, mm.Entries, mm.Bytes,
-			mm.StepHits, mm.StepMisses, mm.ReplyHits, mm.ReplyMisses, mm.ContHits, mm.ContMisses)
-	}
-	if tb := res.Table; tb.Slots > 0 {
-		// On stderr for the same reason: capacity and rebuilds depend on
-		// where a resumed run started.
-		fmt.Fprintf(os.Stderr, "gcmc: note: visited table: %d slots, load %.2f, %d stripe rebuild(s), %d overflow hit(s)\n",
-			tb.Slots, tb.Load, tb.Grows, tb.Overflows)
-	}
-	if *audit {
-		if res.HashCollisions > 0 {
-			fmt.Fprintf(os.Stderr, "gcmc: WARNING: %d fingerprint hash collisions — hashed verdict unsound at this size\n",
-				res.HashCollisions)
-		} else {
-			fmt.Println("audit: 0 fingerprint hash collisions")
+	// The verdict prints through the one renderer; what only a local run
+	// knows (it holds the VerifyResult, not just the record) goes between
+	// the counts and the outcome.
+	os.Exit(printRecord(&rec, func() {
+		if *reduce {
+			fmt.Printf("reduction: ample at %d of %d states\n", res.AmpleStates, res.States)
 		}
-	}
-	if res.Violation != nil {
-		fmt.Println("VIOLATION:")
-		fmt.Print(res.RenderViolation())
-		os.Exit(1)
-	}
-	if lr := res.Liveness; lr != nil {
-		fmt.Printf("liveness: states=%d transitions=%d depth=%d complete=%v graph=%d bytes elapsed=%v\n",
-			lr.States, lr.Transitions, lr.Depth, lr.Complete, lr.GraphBytes, lr.Elapsed)
-		for _, p := range lr.Properties {
-			verdict := "holds"
-			if !p.Holds {
-				verdict = "FAIR CYCLE"
+		if res.Effects != nil {
+			ev, st := res.Effects.Stats()
+			fmt.Printf("effects: %d transitions and %d states validated against the declared footprint\n", ev, st)
+		}
+		if res.States > 0 {
+			fmt.Printf("visited-set: %d bytes (%.1f B/state)\n",
+				res.VisitedBytes, float64(res.VisitedBytes)/float64(res.States))
+		}
+		if res.Spilled.Active {
+			fmt.Printf("spill: %d layer(s) parked, %d flush(es), %d record(s), %d bytes via %s\n",
+				res.Spilled.Layers, res.Spilled.Flushes, res.Spilled.States, res.Spilled.Bytes, *spillDir)
+		}
+		if res.Degraded {
+			fmt.Fprintln(os.Stderr, "gcmc: note: memory watchdog dropped audit fingerprints mid-run; collision count is partial")
+		}
+		if mm := res.Memo; mm.StepHits+mm.StepMisses > 0 {
+			// On stderr: the counts vary with worker timing and with where a
+			// resumed run started, and stdout is what runs are compared by.
+			fmt.Fprintf(os.Stderr, "gcmc: note: configuration table: %d configurations interned, %d table(s) retired; now %d configurations, %d entries, %d bytes; hits/misses: steps %d/%d, replies %d/%d, continuations %d/%d\n",
+				mm.Interned, mm.Retired, mm.Configs, mm.Entries, mm.Bytes,
+				mm.StepHits, mm.StepMisses, mm.ReplyHits, mm.ReplyMisses, mm.ContHits, mm.ContMisses)
+		}
+		if tb := res.Table; tb.Slots > 0 {
+			// On stderr for the same reason: capacity and rebuilds depend on
+			// where a resumed run started.
+			fmt.Fprintf(os.Stderr, "gcmc: note: visited table: %d slots, load %.2f, %d stripe rebuild(s), %d overflow hit(s)\n",
+				tb.Slots, tb.Load, tb.Grows, tb.Overflows)
+		}
+		if *audit {
+			if res.HashCollisions > 0 {
+				fmt.Fprintf(os.Stderr, "gcmc: WARNING: %d fingerprint hash collisions — hashed verdict unsound at this size\n",
+					res.HashCollisions)
+			} else {
+				fmt.Println("audit: 0 fingerprint hash collisions")
 			}
-			fmt.Printf("  %-14s %-10s %s\n", p.Name, verdict, p.Desc)
 		}
-		if !lr.Holds() {
-			for _, p := range lr.Violations() {
-				fmt.Printf("LIVENESS VIOLATION: %s (%s)\n", p.Name, p.Desc)
-				fmt.Print(p.Counterexample.Render(res.Model))
-			}
-			os.Exit(1)
+		if lr := res.Liveness; lr != nil {
+			fmt.Printf("liveness-graph: %d bytes\n", lr.GraphBytes)
 		}
-	}
-	if res.Holds() {
-		if res.Liveness != nil {
-			fmt.Println("VERIFIED: all invariants and progress properties hold on the full reachable state space")
-		} else {
-			fmt.Println("VERIFIED: all invariants hold on the full reachable state space")
-		}
-		return
-	}
-	// No violation, but the exploration did not cover the full space:
-	// the verdict is explicitly inconclusive, never "holds".
-	fmt.Printf("INCOMPLETE (%s): no violation found in the explored portion — not a verification\n", stopReason(res))
-	if wasInterrupted(res) {
-		os.Exit(130)
-	}
+	}))
 }
 
 // runRemote submits the spec to a gcmcd daemon, streams progress back,
@@ -463,21 +421,25 @@ func runRemote(base, preset string, abl core.Ablations, jo core.JobOptions, quie
 	if rec.Cached {
 		fmt.Fprintf(os.Stderr, "gcmc: verdict served from cache (produced by %s)\n", rec.Build)
 	}
-	return printRecord(rec)
+	return printRecord(rec, nil)
 }
 
-// printRecord renders a verdict record the way the local path renders a
-// VerifyResult, returning the process exit code.
-func printRecord(rec *verdict.Record) int {
-	fmt.Printf("states=%d transitions=%d depth=%d complete=%v deadlocks=%d elapsed=%.2fs\n",
+// printRecord is the one rendering of a verdict, local or remote: the
+// counts line, then whatever detail lines the caller has beyond the
+// record (nil for none), then the outcome. It returns the exit code.
+func printRecord(rec *verdict.Record, details func()) int {
+	fmt.Printf("states=%d transitions=%d depth=%d complete=%v deadlocks=%d elapsed=%.3fs\n",
 		rec.States, rec.Transitions, rec.Depth, rec.Complete, rec.Deadlocks, rec.ElapsedSec)
+	if details != nil {
+		details()
+	}
 	if v := rec.Violation; v != nil {
 		fmt.Println("VIOLATION:")
 		fmt.Print(v.Rendered)
-		return 1
+		return rec.ExitCode()
 	}
 	if l := rec.Liveness; l != nil {
-		fmt.Printf("liveness: states=%d transitions=%d depth=%d complete=%v elapsed=%.2fs\n",
+		fmt.Printf("liveness: states=%d transitions=%d depth=%d complete=%v elapsed=%.3fs\n",
 			l.States, l.Transitions, l.Depth, l.Complete, l.ElapsedSec)
 		for _, p := range l.Properties {
 			v := "holds"
@@ -494,7 +456,7 @@ func printRecord(rec *verdict.Record) int {
 				fmt.Printf("LIVENESS VIOLATION: %s (%s)\n", p.Name, p.Desc)
 				fmt.Print(p.Rendered)
 			}
-			return 1
+			return rec.ExitCode()
 		}
 	}
 	if rec.Verdict == "verified" {
@@ -503,7 +465,7 @@ func printRecord(rec *verdict.Record) int {
 		} else {
 			fmt.Println("VERIFIED: all invariants hold on the full reachable state space")
 		}
-		return 0
+		return rec.ExitCode()
 	}
 	reason := rec.Stopped
 	if reason == "" {
@@ -513,26 +475,8 @@ func printRecord(rec *verdict.Record) int {
 			reason = "bounded"
 		}
 	}
+	// No violation, but the exploration did not cover the full space:
+	// the verdict is explicitly inconclusive, never "holds".
 	fmt.Printf("INCOMPLETE (%s): no violation found in the explored portion — not a verification\n", reason)
-	if rec.Interrupted() {
-		return 130
-	}
-	return 0
-}
-
-// stopReason names why the run is incomplete.
-func stopReason(res core.VerifyResult) string {
-	if res.Stopped != explore.StopNone {
-		return string(res.Stopped)
-	}
-	if res.Liveness != nil && res.Liveness.Stopped != explore.StopNone {
-		return "liveness " + string(res.Liveness.Stopped)
-	}
-	return "bounded"
-}
-
-// wasInterrupted reports whether either pass stopped on a signal.
-func wasInterrupted(res core.VerifyResult) bool {
-	return res.Stopped == explore.StopInterrupted ||
-		(res.Liveness != nil && res.Liveness.Stopped == explore.StopInterrupted)
+	return rec.ExitCode()
 }

@@ -43,13 +43,12 @@ func TestValidatedExploreCapped(t *testing.T) {
 }
 
 // TestValidatedExploreReduced exercises the validator together with the
-// partial-order reduction and symmetry: the POR diff must hold on the
-// reduced visited set too.
+// partial-order reduction: the POR diff must hold on the reduced visited
+// set too.
 func TestValidatedExploreReduced(t *testing.T) {
 	res, err := core.Verify(core.SymmetricConfig(), core.VerifyOptions{
 		MaxStates:       20_000,
 		Reduce:          true,
-		Symmetry:        true,
 		ValidateEffects: true,
 	})
 	if err != nil {

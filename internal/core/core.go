@@ -57,9 +57,6 @@ type VerifyOptions struct {
 	// Workers is the number of checker worker goroutines per BFS layer
 	// (0 = GOMAXPROCS). Verdicts do not depend on the worker count.
 	Workers int
-	// Shards is the number of lock-striped visited-set shards (0 =
-	// checker default).
-	Shards int
 	// Audit retains the full canonical fingerprint of every visited
 	// state alongside its 64-bit hash and counts hash collisions
 	// (VerifyResult.HashCollisions). It costs string-fingerprint memory
@@ -70,17 +67,13 @@ type VerifyOptions struct {
 	// explore.Options.Reduce. Verdicts are preserved; the BFS
 	// shortest-counterexample guarantee is not.
 	Reduce bool
-	// Symmetry collapses states that differ only by a
-	// standing-class-preserving permutation of the mutators; see
-	// explore.Options.Symmetry. No-op for single-mutator models.
-	Symmetry bool
 	// Liveness additionally runs the fair-cycle liveness checker
 	// (package liveness): every progress property is checked for weakly
 	// fair violating cycles, with lasso counterexamples in
 	// VerifyResult.Liveness. The cycle search needs the graph of the
 	// full, unreduced relation from the initial state. When the safety
-	// pass walks exactly that (no Reduce, no Symmetry, no Resume) the
-	// graph is recorded during it and the run explores once; otherwise
+	// pass walks exactly that (no Reduce, no Resume) the graph is
+	// recorded during it and the run explores once; otherwise
 	// the liveness pass explores the unreduced relation itself (see
 	// DESIGN.md "Liveness architecture"). Skipped when the safety pass
 	// found a violation.
@@ -210,10 +203,8 @@ func exploreOptions(opt VerifyOptions) explore.Options {
 		Progress:      opt.Progress,
 		ProgressEvery: opt.ProgressEvery,
 		Workers:       opt.Workers,
-		Shards:        opt.Shards,
 		HashOnly:      !opt.Audit,
 		Reduce:        opt.Reduce,
-		Symmetry:      opt.Symmetry,
 		Context:       opt.Context,
 		Checkpoint: explore.CheckpointOptions{
 			Path:        opt.CheckpointPath,
@@ -284,7 +275,7 @@ func Verify(cfg ModelConfig, opt VerifyOptions) (VerifyResult, error) {
 		// A safety pass that walks the full relation from the initial
 		// state is the exploration the cycle search needs: record its
 		// graph instead of exploring a second time.
-		if !opt.Reduce && !opt.Symmetry && opt.Resume == "" {
+		if !opt.Reduce && opt.Resume == "" {
 			rec, err = liveness.NewRecorder(m, lopt)
 			if err != nil {
 				return VerifyResult{}, fmt.Errorf("core: %w", err)
@@ -408,12 +399,11 @@ func TwoMutatorConfig() ModelConfig {
 	}
 }
 
-// SymmetricConfig makes TwoMutatorConfig's mutators fully
-// interchangeable — identical programs and identical initial roots — so
-// that mutator-symmetry canonicalization (VerifyOptions.Symmetry) can
-// fold permuted states. Discards and fences are disabled to keep the
-// exhaustive runs tractable; the state space still folds by nearly 2x
-// under symmetry (EXPERIMENTS.md E17).
+// SymmetricConfig is TwoMutatorConfig with identical initial roots: both
+// mutators start holding the same object, so they contend for one
+// reference instead of working on disjoint ones. Discards and fences are
+// disabled to keep the exhaustive run tractable (1,368,408 states;
+// EXPERIMENTS.md E17).
 func SymmetricConfig() ModelConfig {
 	cfg := TwoMutatorConfig()
 	cfg.InitRoots = []heap.RefSet{heap.SetOf(0), heap.SetOf(0)}

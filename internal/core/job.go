@@ -50,15 +50,12 @@ type JobOptions struct {
 	HeadlineOnly    bool     `json:"headline_only,omitempty"`
 	Audit           bool     `json:"audit,omitempty"`
 	Reduce          bool     `json:"reduce,omitempty"`
-	Symmetry        bool     `json:"symmetry,omitempty"`
 	Liveness        bool     `json:"liveness,omitempty"`
 	LivenessProps   []string `json:"liveness_props,omitempty"`
 	ValidateEffects bool     `json:"validate_effects,omitempty"`
-	// Workers and Shards tune the checker without affecting the verdict
-	// (both verdict-neutral; Workers is even excluded from the resume
-	// fingerprint).
+	// Workers tunes the checker without affecting the verdict; it is
+	// excluded from the fingerprint.
 	Workers int `json:"workers,omitempty"`
-	Shards  int `json:"shards,omitempty"`
 	// CheckpointEvery is the number of BFS layers between snapshots when
 	// the executor configures a checkpoint path (0 = checker default).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
@@ -89,27 +86,28 @@ func (s JobSpec) Build() (ModelConfig, VerifyOptions, error) {
 		return ModelConfig{}, VerifyOptions{}, err
 	}
 	s.Ablations.Apply(&cfg)
-	o := s.Options
-	opt := VerifyOptions{
+	return cfg, s.Options.VerifyOptions(), nil
+}
+
+// VerifyOptions is the one mapping from the serializable options onto
+// the ones Verify takes; the process-local fields (context, progress,
+// checkpoint and spill paths, filesystem) are left for the executor.
+// Naming a progress property selects the liveness pass.
+func (o JobOptions) VerifyOptions() VerifyOptions {
+	return VerifyOptions{
 		MaxStates:       o.MaxStates,
 		MaxDepth:        o.MaxDepth,
 		Trace:           true,
 		HeadlineOnly:    o.HeadlineOnly,
 		Audit:           o.Audit,
 		Reduce:          o.Reduce,
-		Symmetry:        o.Symmetry,
-		Liveness:        o.Liveness,
+		Liveness:        o.Liveness || len(o.LivenessProps) > 0,
 		LivenessProps:   o.LivenessProps,
 		ValidateEffects: o.ValidateEffects,
 		Workers:         o.Workers,
-		Shards:          o.Shards,
 		CheckpointEvery: o.CheckpointEvery,
 		MemBudget:       int64(o.MemBudgetMiB) << 20,
 	}
-	if len(o.LivenessProps) > 0 {
-		opt.Liveness = true
-	}
-	return cfg, opt, nil
 }
 
 // Fingerprint identifies the verdict the spec requests: the checkpoint

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -119,7 +120,6 @@ func TestJobSpecFingerprintPinned(t *testing.T) {
 		{JobSpec{Preset: "tiny", Options: JobOptions{LivenessProps: []string{"gc-sweep"}, MaxDepth: 20}}, 0x95b4631a2885e0b9},
 		{JobSpec{Preset: "tiny", Options: JobOptions{ValidateEffects: true, Liveness: true}}, 0x87b0727c1f9e0c6e},
 		{JobSpec{Preset: "two-mutator", Options: JobOptions{Reduce: true}}, 0x680b09ab58ea049f},
-		{JobSpec{Preset: "two-sym", Ablations: Ablations{NoDeletionBarrier: true}, Options: JobOptions{Symmetry: true, Audit: true, MaxStates: 5000}}, 0x692341d444cc791b},
 	} {
 		fp, sum, err := tc.spec.Fingerprint()
 		if err != nil {
@@ -127,6 +127,41 @@ func TestJobSpecFingerprintPinned(t *testing.T) {
 		}
 		if fp != tc.want {
 			t.Errorf("%+v: fingerprint %016x, want %016x\n%s", tc.spec, fp, tc.want, sum)
+		}
+	}
+}
+
+// TestJobOptionsWireFormat pins the option keys a job may carry: every
+// field round-trips, and the two options that were deleted (symmetry,
+// shards) are not on the wire, so the daemon's strict decoder names them
+// instead of dropping them.
+func TestJobOptionsWireFormat(t *testing.T) {
+	full := JobOptions{
+		MaxStates: 1, MaxDepth: 2, HeadlineOnly: true, Audit: true, Reduce: true,
+		Liveness: true, LivenessProps: []string{"gc-sweep"}, ValidateEffects: true,
+		Workers: 3, CheckpointEvery: 4, MemBudgetMiB: 5, Spill: true,
+	}
+	b, err := json.Marshal(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back JobOptions
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, full) {
+		t.Errorf("round trip lost a field:\n got %+v\nwant %+v", back, full)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(b, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if n := reflect.TypeOf(full).NumField(); len(keys) != n {
+		t.Errorf("%d keys on the wire for %d fields (a field is unset in this test): %s", len(keys), n, b)
+	}
+	for _, gone := range []string{"symmetry", "shards"} {
+		if _, ok := keys[gone]; ok {
+			t.Errorf("deleted option %q is still on the wire: %s", gone, b)
 		}
 	}
 }

@@ -1,21 +1,15 @@
 // Package diffcheck is the differential-testing harness that proves the
-// model checker's state-space reductions sound in practice. The
-// reductions under test are:
+// model checker's state-space reduction sound in practice. The
+// reduction under test is the TSO-aware partial-order reduction of the
+// litmus explorer (tso.ExploreOptions.Reduce) and of the collector-model
+// checker (explore.Options.Reduce), which at states with a provably
+// commuting "safe" buffer-local step pursue only that step.
 //
-//   - the TSO-aware partial-order reduction of the litmus explorer
-//     (tso.ExploreOptions.Reduce) and of the collector-model checker
-//     (explore.Options.Reduce), which at states with a provably
-//     commuting "safe" buffer-local step pursue only that step; and
-//   - the mutator-symmetry canonicalization of the collector-model
-//     checker (explore.Options.Symmetry), which folds visited states
-//     that differ only by a standing-class-preserving permutation of
-//     the mutators.
-//
-// Both reductions come with pen-and-paper commutation arguments (see
-// gcmodel/reduce.go, gcmodel/symmetry.go, and DESIGN.md), but the
-// arguments are subtle — an earlier draft wrongly classified
-// store-forwarded reads as safe — so this package re-derives the
-// soundness claim empirically on every run of the test suite:
+// It comes with a pen-and-paper commutation argument (see
+// gcmodel/reduce.go and DESIGN.md), but the argument is subtle — an
+// earlier draft wrongly classified store-forwarded reads as safe — so
+// this package re-derives the soundness claim empirically on every run
+// of the test suite:
 //
 //   - every published litmus test and a corpus of randomly generated
 //     small TSO programs must produce the identical terminal-outcome
@@ -28,8 +22,8 @@
 //   - reduced runs must never visit more states than full runs.
 //
 // The harness is a permanent regression suite: any future change to the
-// safe-step classification or the canonicalization that breaks
-// soundness on the covered configurations fails these tests.
+// safe-step classification that breaks soundness on the covered
+// configurations fails these tests.
 package diffcheck
 
 import (
@@ -85,9 +79,8 @@ func CompareTSO(p tso.Program, model tso.Model) (TSOComparison, error) {
 
 // Mode names one reduced configuration of the collector-model checker.
 type Mode struct {
-	Name     string
-	Reduce   bool
-	Symmetry bool
+	Name   string
+	Reduce bool
 }
 
 // Modes returns every reduced checker configuration that the harness
@@ -95,8 +88,6 @@ type Mode struct {
 func Modes() []Mode {
 	return []Mode{
 		{Name: "reduce", Reduce: true},
-		{Name: "symmetry", Symmetry: true},
-		{Name: "reduce+symmetry", Reduce: true, Symmetry: true},
 	}
 }
 
@@ -128,8 +119,7 @@ func CompareModel(cfg gcmodel.Config, modes []Mode) (*ModelComparison, error) {
 	c.Full = explore.Run(m, c.Checks, explore.Options{Trace: true, HashOnly: true})
 	for _, mode := range modes {
 		res := explore.Run(m, c.Checks, explore.Options{
-			Trace: true, HashOnly: true,
-			Reduce: mode.Reduce, Symmetry: mode.Symmetry,
+			Trace: true, HashOnly: true, Reduce: mode.Reduce,
 		})
 		c.Runs = append(c.Runs, ModelRun{Mode: mode, Result: res})
 	}

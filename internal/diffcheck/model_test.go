@@ -49,16 +49,16 @@ func corpus() []corpusEntry {
 	return []corpusEntry{
 		// Safe single-mutator configuration under TSO: the main
 		// partial-order-reduction workload.
-		{name: "tiny", cfg: tinySmall(), strict: []string{"reduce", "reduce+symmetry"}, heavy: true},
+		{name: "tiny", cfg: tinySmall(), strict: []string{"reduce"}, heavy: true},
 		// The SC oracle: reduction logic takes the SCMemory paths.
-		{name: "tiny-sc", cfg: tinySC, strict: []string{"reduce", "reduce+symmetry"}, heavy: true},
-		// Two interchangeable mutators, handshake-only: small enough to
-		// run everywhere and the one config where symmetry must fold.
-		{name: "sym-handshake", cfg: symHS, strict: []string{"reduce", "symmetry", "reduce+symmetry"}},
+		{name: "tiny-sc", cfg: tinySC, strict: []string{"reduce"}, heavy: true},
+		// Two mutators with identical roots, handshake-only: small enough
+		// to run everywhere, with ragged handshakes across two mutators.
+		{name: "sym-handshake", cfg: symHS, strict: []string{"reduce"}},
 		// Ablated (violating) configurations: verdict preservation and
 		// counterexample replay on the buggy side of the fence.
 		{name: "tiny-no-deletion-barrier", cfg: tinyDel},
-		{name: "sym-no-deletion-barrier", cfg: symDel, strict: []string{"reduce", "symmetry", "reduce+symmetry"}},
+		{name: "sym-no-deletion-barrier", cfg: symDel, strict: []string{"reduce"}},
 	}
 }
 
@@ -101,7 +101,7 @@ func TestModelCorpusDifferential(t *testing.T) {
 }
 
 // TestCounterexampleReplayUnderReduction pins the replay property on
-// its own: a violation found with BOTH reductions active must still be
+// its own: a violation found under reduction must still be
 // a concrete run of the unreduced system ending in a violating state.
 // (TestModelCorpusDifferential exercises the same property across the
 // corpus; this test keeps a direct, cheap witness of it.)
@@ -113,9 +113,7 @@ func TestCounterexampleReplayUnderReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	checks := invariant.All()
-	res := explore.Run(m, checks, explore.Options{
-		Trace: true, HashOnly: true, Reduce: true, Symmetry: true,
-	})
+	res := explore.Run(m, checks, explore.Options{Trace: true, HashOnly: true, Reduce: true})
 	if res.Violation == nil {
 		t.Fatal("deletion-barrier ablation should violate an invariant")
 	}

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/checkpoint"
-	"repro/internal/gcmodel"
 	"repro/internal/storage"
 )
 
@@ -204,8 +203,7 @@ func (e *explorer) restore(snap *checkpoint.Snapshot) ([]qent, int, error) {
 		if !bytes.Equal(scratch, enc) {
 			return nil, 0, fmt.Errorf("explore: checkpoint frontier state %d does not round-trip", i)
 		}
-		scratch = e.fp(scratch[:0], st)
-		h := gcmodel.Hash64(scratch)
+		h := e.m.FingerprintHash(st)
 		if _, ok := e.seen.lookup(h); !ok {
 			return nil, 0, fmt.Errorf("explore: checkpoint frontier state %d (%016x) missing from visited set", i, h)
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/gcmodel"
 	"repro/internal/invariant"
 )
 
@@ -235,10 +236,22 @@ func TestResumeRefusesOptionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	refused := func(t *testing.T, opt Options) {
+		t.Helper()
+		res := Run(m, invariant.Safety(), opt)
+		if res.Stopped != StopResume || res.Err == nil {
+			t.Fatalf("mismatched resume accepted: stopped=%q err=%v", res.Stopped, res.Err)
+		}
+		if res.States != 0 {
+			t.Fatalf("refused resume explored %d states", res.States)
+		}
+		if !strings.Contains(res.Err.Error(), "different options") {
+			t.Fatalf("unhelpful refusal: %v", res.Err)
+		}
+	}
 	for name, tweak := range map[string]func(*Options){
 		"reduce-off":    func(o *Options) { o.Reduce = false },
 		"audit-on":      func(o *Options) { o.HashOnly = false },
-		"symmetry-on":   func(o *Options) { o.Symmetry = true },
 		"trace-on":      func(o *Options) { o.Trace = true },
 		"depth-capped":  func(o *Options) { o.MaxDepth = 5 },
 		"states-capped": func(o *Options) { o.MaxStates = 100 },
@@ -246,18 +259,21 @@ func TestResumeRefusesOptionMismatch(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			opt := Options{HashOnly: true, Reduce: true, Workers: 2, Resume: snap}
 			tweak(&opt)
-			res := Run(m, invariant.Safety(), opt)
-			if res.Stopped != StopResume || res.Err == nil {
-				t.Fatalf("mismatched resume accepted: stopped=%q err=%v", res.Stopped, res.Err)
-			}
-			if res.States != 0 {
-				t.Fatalf("refused resume explored %d states", res.States)
-			}
-			if !strings.Contains(res.Err.Error(), "different options") {
-				t.Fatalf("unhelpful refusal: %v", res.Err)
-			}
+			refused(t, opt)
 		})
 	}
+	// A checkpoint an older build wrote under mutator symmetry is keyed by
+	// canonical fingerprints this engine cannot reproduce: its embedded
+	// summary says symmetry=true, which no run's summary matches.
+	t.Run("symmetry-on", func(t *testing.T) {
+		old := *snap
+		old.Options = strings.Replace(snap.Options, "symmetry=false", "symmetry=true", 1)
+		if old.Options == snap.Options {
+			t.Fatalf("summary lost its frozen symmetry field: %s", snap.Options)
+		}
+		old.OptionsFP = gcmodel.Hash64([]byte(old.Options))
+		refused(t, Options{HashOnly: true, Reduce: true, Workers: 2, Resume: &old})
+	})
 	// Worker count is NOT verdict-relevant: resuming with any worker
 	// count must be accepted (covered throughout this file); the battery
 	// itself changing must refuse.
@@ -449,16 +465,12 @@ func TestCapsReportStopReasons(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTripThroughExplorer: a checkpoint of a
-// symmetry+audit+trace run — the most stateful deterministic
-// configuration — must load and resume to the uninterrupted verdict.
-// (Multi-mutator symmetry runs have run-to-run count variation from the
-// racy choice of raw orbit representative, so the determinism check
-// uses the single-mutator config, where the orbit is trivial but the
-// canonical-fingerprint snapshot path is still exercised.)
+// TestCheckpointRoundTripThroughExplorer: a checkpoint of an audit+trace
+// run — the most stateful configuration — must load and resume to the
+// uninterrupted verdict.
 func TestCheckpointRoundTripThroughExplorer(t *testing.T) {
 	m := mustBuild(t, safeCfg())
-	base := Options{HashOnly: false, Symmetry: true, Trace: true, Workers: 2, Shards: 4}
+	base := Options{HashOnly: false, Trace: true, Workers: 2, Shards: 4}
 
 	want := Run(m, invariant.Safety(), base)
 	if !want.Complete {
@@ -487,7 +499,7 @@ func TestCheckpointRoundTripThroughExplorer(t *testing.T) {
 	}
 	if res.States != want.States || res.Transitions != want.Transitions ||
 		res.Depth != want.Depth || res.HashCollisions != want.HashCollisions {
-		t.Fatalf("symmetry+audit resume diverged: got s=%d t=%d d=%d c=%d, want s=%d t=%d d=%d c=%d",
+		t.Fatalf("audit resume diverged: got s=%d t=%d d=%d c=%d, want s=%d t=%d d=%d c=%d",
 			res.States, res.Transitions, res.Depth, res.HashCollisions,
 			want.States, want.Transitions, want.Depth, want.HashCollisions)
 	}

@@ -36,11 +36,9 @@
 //
 // Options.Reduce enables a TSO-aware partial-order reduction (the ample
 // sets are chosen by gcmodel.AmpleChoice; see gcmodel/reduce.go for the
-// commutation argument) and Options.Symmetry keys the visited set by
-// mutator-symmetry-canonical fingerprints (gcmodel/symmetry.go). Both
-// preserve deterministic verdicts and concrete counterexample replay;
-// both are validated against full exploration by the differential
-// harness in internal/diffcheck. See DESIGN.md.
+// commutation argument). It preserves deterministic verdicts and concrete
+// counterexample replay, and is validated against full exploration by the
+// differential harness in internal/diffcheck. See DESIGN.md.
 package explore
 
 import (
@@ -129,13 +127,6 @@ type Options struct {
 	// so a violation may be reported at a greater depth than the
 	// minimal one (never a different verdict).
 	Reduce bool
-	// Symmetry keys the visited set by mutator-symmetry-canonical
-	// fingerprints (gcmodel.AppendCanonicalFingerprint): states that
-	// differ only by a standing-class-preserving permutation of the
-	// mutators collapse into one visited entry. The frontier still
-	// carries concrete states, so traces remain concrete runs. No-op
-	// for single-mutator models.
-	Symmetry bool
 	// Visitors are attached to the search's two observation points: every
 	// transition taken and every newly visited state. See Visitor.
 	Visitors []Visitor
@@ -422,14 +413,6 @@ type explorer struct {
 	init     cimp.System[*gcmodel.Local]
 	initHash uint64
 	seen     *visited
-	// fp is the visited-set fingerprint encoder: the model's plain
-	// encoding, or the mutator-symmetry-canonical one under
-	// Options.Symmetry.
-	fp func([]byte, cimp.System[*gcmodel.Local]) []byte
-	// hashOnly says a successor's hash is all the search needs of its
-	// fingerprint (compact mode, plain encoding): it is then folded from
-	// the processes' cached segments and the bytes are never assembled.
-	hashOnly bool
 
 	// ws are the workers' private states and ins their sides of the
 	// visited table (ins[i] is ws[i].ins), kept for the whole run; spare is
@@ -521,12 +504,6 @@ func newExplorer(m *gcmodel.Model, init cimp.System[*gcmodel.Local], checks []in
 		start:     start,
 		memSample: opt.MemSample,
 	}
-	if opt.Symmetry {
-		e.fp = m.AppendCanonicalFingerprint
-	} else {
-		e.fp = m.AppendFingerprint
-		e.hashOnly = opt.HashOnly
-	}
 	for i := 0; i < workers; i++ {
 		w := &worker{ins: e.seen.inserter(), buf: make([]byte, 0, 256)}
 		e.ws, e.ins = append(e.ws, w), append(e.ins, w.ins)
@@ -566,12 +543,14 @@ func OptionsFingerprint(m *gcmodel.Model, checks []invariant.Check, opt Options)
 		names[i] = c.Name
 	}
 	// The summary is frozen (checkpoints and cached verdicts are keyed
-	// by it): its two hook fields both say whether any visitor checks.
+	// by it): its two hook fields both say whether any visitor checks, and
+	// symmetry=false is a literal, so a checkpoint an older build keyed by
+	// mutator-symmetry-canonical fingerprints is refused, not resumed.
 	checking := slices.ContainsFunc(opt.Visitors, Visitor.Checks)
 	summary := fmt.Sprintf(
-		"cfg=%+v checks=%v maxStates=%d maxDepth=%d trace=%v hashOnly=%v reduce=%v symmetry=%v shards=%d eventCheck=%v stateCheck=%v",
+		"cfg=%+v checks=%v maxStates=%d maxDepth=%d trace=%v hashOnly=%v reduce=%v symmetry=false shards=%d eventCheck=%v stateCheck=%v",
 		m.Cfg, names, opt.MaxStates, opt.MaxDepth, opt.Trace, opt.HashOnly,
-		opt.Reduce, opt.Symmetry, shards, checking, checking,
+		opt.Reduce, shards, checking, checking,
 	)
 	return gcmodel.Hash64([]byte(summary)), summary
 }
@@ -579,7 +558,7 @@ func OptionsFingerprint(m *gcmodel.Model, checks []invariant.Check, opt Options)
 func (e *explorer) run() Result {
 	var res Result
 
-	buf := e.fp(nil, e.init)
+	buf := e.m.AppendFingerprint(nil, e.init)
 	e.initHash = gcmodel.Hash64(buf)
 
 	var layer []qent
@@ -949,10 +928,10 @@ func (e *explorer) expandState(w *worker, cur qent, nd int, amp gcmodel.Ample) (
 		taken++
 		w.transitions++
 		var h uint64
-		if e.hashOnly {
+		if e.opt.HashOnly {
 			h, w.buf = e.m.BorrowedHash(&w.succ, ns, w.buf)
 		} else {
-			w.buf = e.fp(w.buf[:0], ns)
+			w.buf = e.m.AppendFingerprint(w.buf[:0], ns)
 			h = gcmodel.Hash64(w.buf)
 		}
 		for _, v := range e.opt.Visitors {
@@ -1092,7 +1071,7 @@ func (e *explorer) replay(path []pathStep) []Step {
 	steps := make([]Step, 0, len(path))
 	cur := e.init
 	for _, ps := range path {
-		st, err := ReplayStep(e.fp, cur, ps.eidx, ps.hash)
+		st, err := ReplayStep(e.m, cur, ps.eidx, ps.hash)
 		if err != nil {
 			// Should be impossible: the path came from this relation.
 			panic("explore: counterexample " + err.Error())
@@ -1105,9 +1084,9 @@ func (e *explorer) replay(path []pathStep) []Step {
 
 // ReplayStep re-runs one recorded transition — the successor of cur at
 // index eidx of its unreduced enumeration, which is how counterexample
-// traces and liveness lassos are stored — and cross-checks the hash of
-// the state it reaches under the fingerprint encoder fp.
-func ReplayStep(fp func([]byte, cimp.System[*gcmodel.Local]) []byte, cur cimp.System[*gcmodel.Local], eidx int32, want uint64) (Step, error) {
+// traces and liveness lassos are stored — and cross-checks the
+// fingerprint hash of the state it reaches.
+func ReplayStep(m *gcmodel.Model, cur cimp.System[*gcmodel.Local], eidx int32, want uint64) (Step, error) {
 	var st Step
 	n := int32(0)
 	cur.Successors(func(next cimp.System[*gcmodel.Local], ev cimp.Event) {
@@ -1119,7 +1098,7 @@ func ReplayStep(fp func([]byte, cimp.System[*gcmodel.Local]) []byte, cur cimp.Sy
 	switch {
 	case eidx < 0 || eidx >= n:
 		return st, fmt.Errorf("replay: event index %d out of range (%d successors)", eidx, n)
-	case gcmodel.Hash64(fp(nil, st.State)) != want:
+	case m.FingerprintHash(st.State) != want:
 		return st, fmt.Errorf("replay diverged at event index %d (fingerprint hash collision?)", eidx)
 	}
 	return st, nil

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cimp"
 	"repro/internal/gcmodel"
+	"repro/internal/heap"
 	"repro/internal/invariant"
 )
 
@@ -55,6 +56,32 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("opt %+v: results diverge: got (s=%d t=%d d=%d dl=%d), want (s=%d t=%d d=%d dl=%d)",
 				opt, res.States, res.Transitions, res.Depth, res.Deadlocks,
 				base.States, base.Transitions, base.Depth, base.Deadlocks)
+		}
+	}
+
+	// Two mutators (distinct roots, stores on: ~100k states to depth 70),
+	// with and without the reduction: nothing about a run may depend on
+	// how many workers shared it.
+	cfg := symCfg()
+	cfg.InitRoots = []heap.RefSet{heap.SetOf(0), heap.SetOf(1)}
+	cfg.DisableStore = false
+	m = mustBuild(t, cfg)
+	for _, reduce := range []bool{false, true} {
+		counts := func(workers int) [5]int {
+			res := Run(m, invariant.Safety(), Options{HashOnly: true, Reduce: reduce, MaxDepth: 70, Workers: workers})
+			if res.Violation != nil {
+				t.Fatalf("reduce=%v workers=%d: unexpected violation: %v", reduce, workers, res.Violation)
+			}
+			return [5]int{res.States, res.Transitions, res.Depth, res.Deadlocks, res.AmpleStates}
+		}
+		want := counts(1)
+		if reduce == (want[4] == 0) {
+			t.Fatalf("reduce=%v: ample at %d states", reduce, want[4])
+		}
+		for _, workers := range []int{2, 4} {
+			if got := counts(workers); got != want {
+				t.Errorf("reduce=%v workers=%d: (states, transitions, depth, deadlocks, ample) = %v, want %v", reduce, workers, got, want)
+			}
 		}
 	}
 }

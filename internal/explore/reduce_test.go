@@ -8,10 +8,9 @@ import (
 	"repro/internal/invariant"
 )
 
-// symCfg is a two-mutator configuration with interchangeable mutators
-// (identical programs and roots) and only handshakes as heap-free work:
-// small enough for uncapped exploration in milliseconds, yet exercising
-// both the ample filter and the symmetry canonicalization.
+// symCfg is a two-mutator configuration with identical roots and only
+// handshakes as heap-free work: small enough for uncapped exploration in
+// milliseconds, yet exercising the ample filter over ragged handshakes.
 func symCfg() gcmodel.Config {
 	return gcmodel.Config{
 		NMutators: 2,
@@ -34,7 +33,7 @@ func symCfg() gcmodel.Config {
 }
 
 // TestReduceVerdictMatchesFull checks the basic soundness contract on a
-// small uncapped run: the reduced explorations reach the same verdict
+// small uncapped run: the reduced exploration reaches the same verdict
 // as the full one while visiting no more states. (Package diffcheck
 // validates this across a whole corpus; this keeps a fast witness next
 // to the checker itself.)
@@ -44,29 +43,21 @@ func TestReduceVerdictMatchesFull(t *testing.T) {
 	if full.Violation != nil {
 		t.Fatalf("base configuration should be safe: %v", full.Violation)
 	}
-	for _, opt := range []Options{
-		{Reduce: true},
-		{Symmetry: true},
-		{Reduce: true, Symmetry: true},
-	} {
-		opt.Trace = true
-		opt.HashOnly = true
-		res := Run(m, invariant.All(), opt)
-		if res.Violation != nil {
-			t.Errorf("reduce=%v symmetry=%v: spurious violation %v", opt.Reduce, opt.Symmetry, res.Violation)
-		}
-		if res.States > full.States {
-			t.Errorf("reduce=%v symmetry=%v: %d states exceeds full %d", opt.Reduce, opt.Symmetry, res.States, full.States)
-		}
+	res := Run(m, invariant.All(), Options{Trace: true, HashOnly: true, Reduce: true})
+	if res.Violation != nil {
+		t.Errorf("reduce: spurious violation %v", res.Violation)
+	}
+	if res.States > full.States {
+		t.Errorf("reduce: %d states exceeds full %d", res.States, full.States)
 	}
 }
 
-// TestReduceDeterministicAcrossWorkers: the reductions are functions of
+// TestReduceDeterministicAcrossWorkers: the reduction is a function of
 // the state, not the schedule, so every statistic of an uncapped run
 // must be identical at any worker count.
 func TestReduceDeterministicAcrossWorkers(t *testing.T) {
 	m := mustBuild(t, symCfg())
-	opt := Options{Trace: true, HashOnly: true, Reduce: true, Symmetry: true}
+	opt := Options{Trace: true, HashOnly: true, Reduce: true}
 	opt.Workers = 1
 	base := Run(m, invariant.All(), opt)
 	for _, w := range []int{2, 4} {
@@ -92,7 +83,7 @@ func TestReduceStillFindsAblationViolation(t *testing.T) {
 	cfg.MaxBuf = 1
 	cfg.NoDeletionBarrier = true
 	m := mustBuild(t, cfg)
-	res := Run(m, invariant.All(), Options{Trace: true, HashOnly: true, Reduce: true, Symmetry: true})
+	res := Run(m, invariant.All(), Options{Trace: true, HashOnly: true, Reduce: true})
 	if res.Violation == nil {
 		t.Fatalf("ablation violation lost under reduction (%d states, complete=%v)", res.States, res.Complete)
 	}

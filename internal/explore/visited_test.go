@@ -453,7 +453,7 @@ func TestVisitedAllocsPerTransition(t *testing.T) {
 	// Duplicates: expand the initial state twice; the second time every
 	// successor is visited and every table lookup a hit.
 	e := newExplorer(m, m.Initial(), invariant.All(), opt)
-	cur := qent{state: e.init, hash: gcmodel.Hash64(e.fp(nil, e.init))}
+	cur := qent{state: e.init, hash: m.FingerprintHash(e.init)}
 	w := e.ws[0]
 	if out, _ := e.expandState(w, cur, 1, gcmodel.Ample{}); out == 0 || w.states == 0 {
 		t.Fatalf("initial state has %d successors, %d new", out, w.states)

@@ -149,12 +149,6 @@ type Model struct {
 	Cfg   Config
 	Index *cimp.Index[*Local]
 	init  cimp.System[*Local]
-
-	// Mutator-symmetry support (symmetry.go): the command-ID block base
-	// of each mutator program and the uniform block size, or mutBlock 0
-	// when canonicalization is unavailable.
-	mutBase  []int
-	mutBlock int
 }
 
 // NProcs is the total process count: collector + mutators + system.
@@ -209,8 +203,7 @@ func Build(cfg Config) (*Model, error) {
 	for i := 0; i < cfg.NMutators; i++ {
 		progs = append(progs, cfg.MutProgram(i))
 	}
-	sysProg := cfg.SysProgram()
-	progs = append(progs, sysProg)
+	progs = append(progs, cfg.SysProgram())
 	index := cimp.NewIndex((*Local).AppendFingerprint, progs...)
 
 	procs := make([]cimp.Config[*Local], 0, nproc)
@@ -235,13 +228,11 @@ func Build(cfg Config) (*Model, error) {
 	}
 	spawn(&Local{Self: cimp.PID(nproc - 1), Sys: sysLocal})
 
-	m := &Model{
+	return &Model{
 		Cfg:   cfg,
 		Index: index,
 		init:  cimp.System[*Local]{Procs: procs},
-	}
-	m.setupSymmetry(progs[1:1+cfg.NMutators], sysProg)
-	return m, nil
+	}, nil
 }
 
 // Initial returns the initial system state.

@@ -52,7 +52,7 @@ func (g *graph) lasso(walk []walkEdge) (*Lasso, error) {
 	l := &Lasso{}
 	for i := len(rev) - 1; i >= 0; i-- {
 		v := rev[i]
-		st, err := explore.ReplayStep(g.m.AppendFingerprint, cur, g.peidx[v], g.hash[v])
+		st, err := explore.ReplayStep(g.m, cur, g.peidx[v], g.hash[v])
 		if err != nil {
 			return nil, fmt.Errorf("stem: %w", err)
 		}
@@ -62,7 +62,7 @@ func (g *graph) lasso(walk []walkEdge) (*Lasso, error) {
 
 	for _, e := range walk {
 		v := g.eto[e.j]
-		st, err := explore.ReplayStep(g.m.AppendFingerprint, cur, g.eeidx[e.j], g.hash[v])
+		st, err := explore.ReplayStep(g.m, cur, g.eeidx[e.j], g.hash[v])
 		if err != nil {
 			return nil, fmt.Errorf("cycle: %w", err)
 		}

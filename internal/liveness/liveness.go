@@ -232,14 +232,14 @@ func (r Result) Violations() []PropertyResult {
 // relation from the initial state, with an empty invariant battery, and
 // searches the recorded graph. eopt supplies the run's bounds, workers,
 // progress, cancellation and memory budget; whatever in it would change
-// the relation walked or belongs to a safety pass (reduction, symmetry,
-// resume, checkpoints, traces, visitors) is ignored.
+// the relation walked or belongs to a safety pass (reduction, resume,
+// checkpoints, traces, visitors) is ignored.
 func Check(m *gcmodel.Model, opt Options, eopt explore.Options) (Result, error) {
 	rec, err := NewRecorder(m, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	eopt.Reduce, eopt.Symmetry, eopt.Resume = false, false, nil
+	eopt.Reduce, eopt.Resume = false, nil
 	eopt.Checkpoint = explore.CheckpointOptions{}
 	eopt.Trace, eopt.HashOnly = false, true
 	eopt.Visitors = []explore.Visitor{rec}

@@ -246,7 +246,7 @@ func TestGraphMatchesSafetyExploration(t *testing.T) {
 	// run, whatever reduction the caller's options asked for.
 	m := build(t, smallConfig())
 	want := explore.Run(m, nil, explore.Options{HashOnly: true})
-	res, err := liveness.Check(m, liveness.Options{}, explore.Options{Reduce: true, Symmetry: true, Trace: true})
+	res, err := liveness.Check(m, liveness.Options{}, explore.Options{Reduce: true, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

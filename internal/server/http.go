@@ -52,9 +52,18 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxSubmitBytes bounds a POST /v1/jobs body; a spec is a few hundred
+// bytes.
+const maxSubmitBytes = 1 << 20
+
+// handleSubmit is strict about what it accepts — a misspelt or deleted
+// option is an error naming the field, never a silently different job.
+// (Job records read back from disk stay lenient: see recover.)
 func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

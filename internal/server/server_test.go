@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"container/heap"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -274,6 +277,61 @@ func TestHTTPAPI(t *testing.T) {
 	}
 	if _, err := cli.Job(ctx, "j999999"); err == nil {
 		t.Error("get of unknown job should 404")
+	}
+}
+
+// TestSubmitRejectsWhatItDoesNotUnderstand: a request the daemon cannot
+// read in full is a 400 naming the offending field and creates no job — a
+// misspelt cap must not run the uncapped job, and the options this build
+// deleted must not be silently dropped.
+func TestSubmitRejectsWhatItDoesNotUnderstand(t *testing.T) {
+	e := newEngine(t, t.TempDir())
+	defer shutdown(t, e)
+	ts := httptest.NewServer(e.Handler())
+	defer ts.Close()
+
+	for name, tc := range map[string]struct{ body, want string }{
+		"misspelt":  {`{"spec":{"preset":"tiny","options":{"max_state":20000}}}`, `"max_state"`},
+		"symmetry":  {`{"spec":{"preset":"tiny","options":{"max_depth":16,"symmetry":true}}}`, `"symmetry"`},
+		"shards":    {`{"spec":{"preset":"tiny","options":{"max_depth":16,"shards":8}}}`, `"shards"`},
+		"top-level": {`{"spec":{"preset":"tiny"},"prio":1}`, `"prio"`},
+		"oversized": {`{"spec":{"preset":"` + strings.Repeat("x", maxSubmitBytes) + `"}}`, "too large"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg apiError
+		err = json.NewDecoder(resp.Body).Decode(&msg)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.Error, tc.want) {
+			t.Errorf("%s: status %d, error %q (%v); want 400 mentioning %s", name, resp.StatusCode, msg.Error, err, tc.want)
+		}
+	}
+	if jobs := e.List(); len(jobs) != 0 {
+		t.Errorf("rejected requests created %d job(s)", len(jobs))
+	}
+}
+
+// TestRecoverOlderJobRecord: job records on disk are read leniently, so a
+// data directory written by a daemon that still had the symmetry and
+// shards options loads, and its unfinished job runs.
+func TestRecoverOlderJobRecord(t *testing.T) {
+	dir := t.TempDir()
+	jobDir := filepath.Join(dir, "jobs", "j000007")
+	if err := os.MkdirAll(jobDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rec := `{"id":"j000007","state":"queued","priority":0,"submitted":"2026-01-01T00:00:00Z",
+		"spec":{"preset":"tiny","options":{"max_depth":16,"symmetry":true,"shards":8}}}`
+	if err := os.WriteFile(filepath.Join(jobDir, "job.json"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := newEngine(t, dir)
+	defer shutdown(t, e)
+	done := waitState(t, e, "j000007", core.JobDone)
+	if done.Verdict == nil || done.Verdict.Depth != 16 {
+		t.Fatalf("recovered job: %+v", done)
 	}
 }
 
