@@ -1,8 +1,10 @@
 package repro
 
 // One benchmark per experiment in DESIGN.md's per-experiment index
-// (E1–E16). The paper has no performance tables — it is a verification
-// paper — so these benchmarks regenerate the cost profile of every
+// (E1–E16; E14's write-barrier pair needs the arena's raw mark flag, so
+// it lives with the kernel in internal/gcrt). The paper has no
+// performance tables — it is a verification paper — so these
+// benchmarks regenerate the cost profile of every
 // artifact the paper's figures define: the semantics, the TSO machine,
 // the model checker that re-establishes the theorem, and the runtime
 // kernel's barrier/handshake/cycle costs that motivate the design
@@ -419,64 +421,6 @@ func BenchmarkE13TSOvsSC(b *testing.B) {
 			}
 		}
 	})
-}
-
-// --- E14 (§2.3): write-barrier cost fast path vs CAS path ---------------
-
-func BenchmarkE14BarrierFastPath(b *testing.B) {
-	// During marking, stores whose targets are already marked take the
-	// flag-test-only path. Hold the collector mid-mark-loop by never
-	// serving its get-work handshake from this (unparked) mutator.
-	rt, m, cleanup := heldInMarkPhase(b)
-	defer cleanup()
-	a, x := 0, 1
-	m.Store(a, 0, x) // first store CAS-marks x and a's old value
-	before := rt.Stats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Store(a, 0, x) // all targets marked: fast path only
-	}
-	b.StopTimer()
-	after := rt.Stats()
-	if after.MarkCAS != before.MarkCAS {
-		b.Fatalf("CAS on fast path: %d", after.MarkCAS-before.MarkCAS)
-	}
-}
-
-func BenchmarkE14BarrierCASPath(b *testing.B) {
-	// Freshly unmarked targets force the locked CMPXCHG each time. We
-	// re-whiten the object between iterations (test-only access) to
-	// isolate the CAS cost.
-	rt, m, cleanup := heldInMarkPhase(b)
-	defer cleanup()
-	a, x := 0, 1
-	obj := m.Root(x)
-	fM := rt.FM()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rt.Arena().WhitenForBenchmark(obj, fM)
-		m.Store(a, 0, x) // insertion barrier must CAS-mark x
-	}
-}
-
-// heldInMarkPhase starts a collection and drives the mutator through the
-// root-marking round, leaving the collector blocked on mark-loop
-// termination so that phase == Mark for the duration of the benchmark.
-func heldInMarkPhase(b *testing.B) (*gcrt.Runtime, *gcrt.Mutator, func()) {
-	b.Helper()
-	rt := gcrt.New(gcrt.Options{Slots: 64, Fields: 1, Mutators: 1})
-	m := rt.Mutator(0)
-	m.Alloc() // a
-	m.Alloc() // x
-	done := make(chan struct{})
-	go func() { rt.Collect(); close(done) }()
-	m.AwaitHandshakes(5)
-	cleanup := func() {
-		m.Park()
-		<-done
-		m.Unpark()
-	}
-	return rt, m, cleanup
 }
 
 // --- E15: floating garbage dies within two cycles -----------------------

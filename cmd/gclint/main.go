@@ -27,9 +27,10 @@
 //     internal/gcrt must install a deferred recover guard; and the
 //     gortlint conformance passes run over the concrete collector
 //     (field-access discipline, write-barrier coverage, publication
-//     discipline, benchmark-hook confinement) and the verification
-//     service (discipline again — the analyzer is generic over the
-//     table). Exit status 1 on any finding; -json emits the
+//     discipline), the verification service and the disk layer
+//     (discipline again — the analyzer is generic over the `gcrt:guard`
+//     annotations). Every pass shares one type-checked load of the
+//     tree. Exit status 1 on any finding; -json emits the
 //     gclint.gosrc/v1 report.
 //
 //   - -gosrc-fixtures: run every gortlint pass against its seeded-
@@ -271,11 +272,11 @@ func runAll(ctx context.Context, jsonOut bool) int {
 // runGoSrc lints the checker's and runtime's own Go source: the
 // fingerprint call graph must be map-iteration free, every
 // verification-worker spawn must carry a recover guard, and the
-// gortlint conformance passes must find the concrete collector and the
-// verification service clean. Directories are resolved against the
-// enclosing module root, so the gate works from any working directory
-// inside the repository. With jsonOut the gclint.gosrc/v1 report is
-// emitted on stdout.
+// gortlint conformance passes must find the concrete collector, the
+// verification service and the disk layer clean. Directories are
+// resolved against the enclosing module root, so the gate works from
+// any working directory inside the repository. With jsonOut the
+// gclint.gosrc/v1 report is emitted on stdout.
 func runGoSrc(jsonOut bool) int {
 	root, err := golint.ModuleRoot(".")
 	if err != nil {
@@ -317,63 +318,16 @@ func runGoSrc(jsonOut bool) int {
 		}
 	}
 
-	fpDir := filepath.Join(root, "internal", "gcmodel")
-	diags, err := golint.CheckDir(fpDir, []string{"AppendFingerprint"})
-	report("fingerprint-map-order", "internal/gcmodel", diags, err)
-
-	for _, rel := range []string{
-		"internal/explore",
-		"internal/liveness",
-		"internal/server",
-		"internal/gcrt",
-	} {
-		diags, err := golint.CheckGoRecover(filepath.Join(root, filepath.FromSlash(rel)))
-		report("goroutine-recover-guard", rel, diags, err)
+	// One load, type-checking each package of the union once, serves
+	// every pass.
+	mod, err := golint.LoadPackages(underRoot(root, gortlint.Roots())...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gclint:", err)
+		return 2
 	}
-
-	// The gortlint conformance passes share one loaded module per tree.
-	gcrtDirs := make([]string, 0, len(gortlint.GCRTDirs()))
-	for _, rel := range gortlint.GCRTDirs() {
-		gcrtDirs = append(gcrtDirs, filepath.Join(root, filepath.FromSlash(rel)))
-	}
-	if mod, merr := golint.LoadPackages(gcrtDirs...); merr != nil {
-		fmt.Fprintln(os.Stderr, "gclint: load internal/gcrt:", merr)
-		status = 2
-	} else {
-		d, e := gortlint.CheckDiscipline(mod, gortlint.GCRTDiscipline())
-		report("gcrt-discipline", "internal/gcrt", d, e)
-		d, e = gortlint.CheckBarriers(mod, gortlint.GCRTBarriers())
-		report("gcrt-barriers", "internal/gcrt", d, e)
-		d, e = gortlint.CheckPublish(mod, gortlint.GCRTPublish())
-		report("gcrt-publication", "internal/gcrt", d, e)
-		d, e = gortlint.CheckHooks(mod, gortlint.GCRTHooks())
-		report("gcrt-bench-hooks", "internal/gcrt", d, e)
-	}
-
-	serverDirs := make([]string, 0, len(gortlint.ServerDirs()))
-	for _, rel := range gortlint.ServerDirs() {
-		serverDirs = append(serverDirs, filepath.Join(root, filepath.FromSlash(rel)))
-	}
-	if mod, merr := golint.LoadPackages(serverDirs...); merr != nil {
-		fmt.Fprintln(os.Stderr, "gclint: load internal/server:", merr)
-		status = 2
-	} else {
-		d, e := gortlint.CheckDiscipline(mod, gortlint.ServerDiscipline())
-		report("server-discipline", "internal/server", d, e)
-	}
-
-	storageDirs := make([]string, 0, len(gortlint.StorageDirs()))
-	for _, rel := range gortlint.StorageDirs() {
-		storageDirs = append(storageDirs, filepath.Join(root, filepath.FromSlash(rel)))
-	}
-	if mod, merr := golint.LoadPackages(storageDirs...); merr != nil {
-		fmt.Fprintln(os.Stderr, "gclint: load internal/storage:", merr)
-		status = 2
-	} else {
-		d, e := gortlint.CheckDiscipline(mod, gortlint.StorageDiscipline())
-		report("storage-discipline", "internal/storage", d, e)
-		d, e = gortlint.CheckDiscipline(mod, gortlint.ExploreSpillDiscipline())
-		report("explore-spill-discipline", "internal/explore", d, e)
+	for _, p := range gortlint.Passes() {
+		diags, err := p.Run(mod)
+		report(p.Name, p.Dir, diags, err)
 	}
 
 	if jsonOut {
@@ -395,11 +349,7 @@ func runGoSrcFixtures() int {
 	}
 	healthy := true
 	for _, spec := range gortlint.Fixtures() {
-		dirs := make([]string, 0, len(spec.Dirs))
-		for _, rel := range spec.Dirs {
-			dirs = append(dirs, filepath.Join(root, filepath.FromSlash(rel)))
-		}
-		mod, err := golint.LoadPackages(dirs...)
+		mod, err := golint.LoadPackages(underRoot(root, spec.Dirs)...)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gclint: fixture %s: %v\n", spec.Name, err)
 			return 2
@@ -419,6 +369,15 @@ func runGoSrcFixtures() int {
 		return 1
 	}
 	return 0
+}
+
+// underRoot resolves module-relative directories against the module root.
+func underRoot(root string, rels []string) []string {
+	dirs := make([]string, len(rels))
+	for i, rel := range rels {
+		dirs[i] = filepath.Join(root, filepath.FromSlash(rel))
+	}
+	return dirs
 }
 
 // relPos renders a diagnostic position relative to the module root, so

@@ -16,7 +16,7 @@
 //	gcmc -preset tiny -no-deletion-barrier  # reproduce the lost-object bug
 //	gcmc -preset tiny -liveness           # also check progress properties
 //	gcmc -preset tiny -liveness -mute-handshake  # find a fair cycle
-//	gcmc -mutators 2 -refs 2 -budget 1    # custom configuration
+//	gcmc -preset custom -mutators 2 -budget 1  # custom configuration
 //	gcmc -preset tiny -json               # machine-readable verdict
 //	gcmc -preset tiny -lint -no-hs-fence  # static preflight names the broken rule
 //	gcmc -preset tiny -validate-effects   # cross-check the static effect table
@@ -120,6 +120,17 @@ func main() {
 	if *version {
 		fmt.Println(buildinfo.String())
 		return
+	}
+	if *preset != "custom" {
+		// A named preset fixes its own bounds: refuse a bound flag rather
+		// than print the preset's counts as if it had taken effect.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "mutators", "refs", "fields", "budget", "maxbuf":
+				fmt.Fprintf(os.Stderr, "gcmc: -%s applies to -preset custom only; preset %s fixes its own bounds\n", f.Name, *preset)
+				os.Exit(2)
+			}
+		})
 	}
 
 	abl := core.Ablations{

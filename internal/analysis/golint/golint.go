@@ -12,11 +12,13 @@
 //
 // The pass is a deliberately minimal go/analysis-style framework built
 // on the standard library only (go/parser + go/types; no x/tools): it
-// loads a package and its in-module dependencies from source, builds a
-// conservative static call graph from the requested root functions
-// (direct calls, method calls, and interface calls widened to every
-// same-name concrete method in the loaded packages), and reports every
-// range statement over a map-typed operand in the reachable set.
+// loads packages and their in-module dependencies from source once
+// (LoadPackages), builds a conservative static call graph from the
+// requested root functions (direct calls, method calls, and interface
+// calls widened to every same-name concrete method in the loaded
+// packages), and reports every range statement over a map-typed operand
+// in the reachable set. Every pass, here and in package gortlint, takes
+// the loaded *Module, so one load serves them all.
 package golint
 
 import (
@@ -184,17 +186,17 @@ func ModuleRoot(dir string) (string, error) {
 	return root, err
 }
 
-// CheckDir loads the package in dir (resolving in-module imports from
-// source) and reports every range-over-map in a function reachable from
-// the functions or methods named in roots. A fixture directory outside
-// any module is rejected only if it imports non-stdlib packages.
+// Check reports every range-over-map in a function reachable from the
+// functions or methods of package pkg named in roots. Roots resolve in
+// pkg only, so loading more packages into mod never adds entry points;
+// the call graph they start from spans every loaded package.
 //
 // Reachability runs over the exported Module call graph (module.go),
 // which includes edges for every function reference — direct calls,
 // method values, function values, go/defer targets — not just direct
 // call expressions.
-func CheckDir(dir string, roots []string) ([]Diagnostic, error) {
-	mod, err := LoadPackages(dir)
+func Check(mod *Module, pkg string, roots []string) ([]Diagnostic, error) {
+	p, err := mod.Package(pkg)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +207,7 @@ func CheckDir(dir string, roots []string) ([]Diagnostic, error) {
 	var work []*types.Func
 	found := make(map[string]bool, len(roots))
 	for _, f := range mod.Functions() {
-		if rootSet[f.Fn.Name()] {
+		if f.Pkg == p && rootSet[f.Fn.Name()] {
 			work = append(work, f.Fn)
 			found[f.Fn.Name()] = true
 		}
@@ -214,7 +216,7 @@ func CheckDir(dir string, roots []string) ([]Diagnostic, error) {
 	// entry point must fail the lint, not trivially pass it.
 	for _, r := range roots {
 		if !found[r] {
-			return nil, fmt.Errorf("golint: root %q matches no function declaration", r)
+			return nil, fmt.Errorf("golint: root %q matches no function declaration in %s", r, p.Path)
 		}
 	}
 
@@ -248,6 +250,6 @@ func CheckDir(dir string, roots []string) ([]Diagnostic, error) {
 			return true
 		})
 	}
-	sortDiagnostics(out)
+	SortDiagnostics(out)
 	return out, nil
 }

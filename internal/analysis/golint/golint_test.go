@@ -62,11 +62,24 @@ func checkWants(t *testing.T, dir string, diags []Diagnostic) {
 	}
 }
 
+// loadFixture loads the fixture packages in dirs as one module.
+func loadFixture(t *testing.T, dirs ...string) *Module {
+	t.Helper()
+	mod, err := LoadPackages(dirs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mod
+}
+
 // TestFixture runs the pass over the testdata package and compares the
-// diagnostics against the `// want` comments in the fixture source.
+// diagnostics against the `// want` comments in the fixture source. The
+// indirect fixture is loaded alongside it: its own AppendFingerprint
+// must not become a root, because roots resolve in the named package.
 func TestFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "fingerprint")
-	diags, err := CheckDir(dir, []string{"AppendFingerprint"})
+	mod := loadFixture(t, dir, filepath.Join("testdata", "indirect"))
+	diags, err := Check(mod, "testdata/fingerprint", []string{"AppendFingerprint"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +91,7 @@ func TestFixture(t *testing.T) {
 // and goroutine closures must all be flagged.
 func TestIndirectFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "indirect")
-	diags, err := CheckDir(dir, []string{"AppendFingerprint"})
+	diags, err := Check(loadFixture(t, dir), "testdata/indirect", []string{"AppendFingerprint"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,18 +111,5 @@ func TestFixtureParses(t *testing.T) {
 	}
 	if f.Name.Name != "fingerprint" {
 		t.Fatalf("fixture package %q", f.Name.Name)
-	}
-}
-
-// TestRealFingerprintGraph runs the pass over the real gcmodel package:
-// the fingerprint call graph must contain no map iteration.
-func TestRealFingerprintGraph(t *testing.T) {
-	dir := filepath.Join("..", "..", "gcmodel")
-	diags, err := CheckDir(dir, []string{"AppendFingerprint"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("nondeterministic fingerprint: %s", d)
 	}
 }

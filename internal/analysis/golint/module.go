@@ -48,14 +48,10 @@ type Function struct {
 	Pkg  *Package
 }
 
-// Key returns the function's table key: "Recv.Name" for methods (with
-// any pointer receiver stripped), "Name" for plain functions.
-func (f *Function) Key() string {
-	return funcKey(f.Fn)
-}
-
-// funcKey formats a *types.Func as "Recv.Name" or "Name".
-func funcKey(fn *types.Func) string {
+// FuncKey formats a function as the analyzers' configuration tables
+// name it: "Recv.Name" for methods (with any pointer receiver
+// stripped), "Name" for plain functions.
+func FuncKey(fn *types.Func) string {
 	sig, ok := fn.Type().(*types.Signature)
 	if ok && sig.Recv() != nil {
 		t := sig.Recv().Type()
@@ -74,15 +70,15 @@ func funcKey(fn *types.Func) string {
 // conservative call graph over the whole set.
 type Module struct {
 	fset   *token.FileSet
-	root   string // module directory
 	pkgs   map[string]*Package
 	funcs  map[*types.Func]*Function
 	byName map[string][]*types.Func // concrete methods, for interface widening
 }
 
 // LoadPackages loads the packages at the given directories (resolving
-// each against the enclosing module, like CheckDir) and every in-module
-// package they import. All directories must belong to the same module.
+// each against the enclosing module) and every in-module package they
+// import, type-checking each package once however many roots share it.
+// All directories must belong to the same module.
 func LoadPackages(dirs ...string) (*Module, error) {
 	if len(dirs) == 0 {
 		return nil, fmt.Errorf("golint: LoadPackages needs at least one directory")
@@ -127,7 +123,6 @@ func importPathFor(modRoot, modPath, dir string) (string, error) {
 func newModule(l *loader) *Module {
 	m := &Module{
 		fset:   l.fset,
-		root:   l.modRoot,
 		pkgs:   make(map[string]*Package, len(l.pkgs)),
 		funcs:  make(map[*types.Func]*Function),
 		byName: make(map[string][]*types.Func),
@@ -155,38 +150,23 @@ func newModule(l *loader) *Module {
 	return m
 }
 
-// SortDiagnostics orders diagnostics by file position, for stable
-// output across passes (sibling analyzers use it too).
-func SortDiagnostics(out []Diagnostic) { sortDiagnostics(out) }
-
 // Fset returns the module's file set (for positions).
 func (m *Module) Fset() *token.FileSet { return m.fset }
 
-// Root returns the module directory.
-func (m *Module) Root() string { return m.root }
-
 // Package returns the loaded package with the given import path, or the
 // one whose path ends with the given suffix when no exact match exists.
-func (m *Module) Package(path string) *Package {
+// A package that was not loaded is an error: a pass must never pass
+// vacuously because its target fell out of the load.
+func (m *Module) Package(path string) (*Package, error) {
 	if p, ok := m.pkgs[path]; ok {
-		return p
+		return p, nil
 	}
 	for key, p := range m.pkgs {
 		if strings.HasSuffix(key, "/"+path) {
-			return p
+			return p, nil
 		}
 	}
-	return nil
-}
-
-// Packages returns every loaded package, sorted by import path.
-func (m *Module) Packages() []*Package {
-	out := make([]*Package, 0, len(m.pkgs))
-	for _, p := range m.pkgs {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
+	return nil, fmt.Errorf("golint: package %s not loaded", path)
 }
 
 // Functions returns every declared function with a body across the
@@ -210,11 +190,11 @@ func (m *Module) Functions() []*Function {
 // the object was not declared in a loaded package (stdlib).
 func (m *Module) FunctionFor(fn *types.Func) *Function { return m.funcs[fn] }
 
-// Callees returns the static callees of one function: every *types.Func
+// callees returns the static callees of one function: every *types.Func
 // the body references — direct calls, method calls, method values,
 // function values, go/defer targets — with interface methods widened to
 // every same-name concrete method among the loaded packages.
-func (m *Module) Callees(f *Function) []*types.Func {
+func (m *Module) callees(f *Function) []*types.Func {
 	var out []*types.Func
 	seen := make(map[*types.Func]bool)
 	add := func(fn *types.Func) {
@@ -264,7 +244,7 @@ func (m *Module) Reachable(roots []*types.Func) map[*types.Func]bool {
 		if !ok {
 			continue // declared outside the loaded packages (stdlib)
 		}
-		for _, callee := range m.Callees(f) {
+		for _, callee := range m.callees(f) {
 			if !reached[callee] {
 				work = append(work, callee)
 			}

@@ -3,11 +3,10 @@ package golint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"sort"
 )
 
-// CheckGoRecover reports every `go` statement in the package at dir
+// CheckGoRecover reports every `go` statement in the loaded package pkg
 // whose spawned function is not guarded by a deferred recover.
 //
 // A panic in a goroutine that nobody recovers crashes the whole
@@ -16,8 +15,8 @@ import (
 // layer in package explore exists to prevent. This pass keeps the
 // property from regressing: every worker spawn must install its guard.
 //
-// The pass is parse-only (no type checking), so its resolution is
-// name-based and deliberately conservative:
+// The pass reads only the package's syntax (no type information), so
+// its resolution is name-based and deliberately conservative:
 //
 //   - `go func() {...}()`: the literal's body must defer a recover
 //     guard.
@@ -33,9 +32,8 @@ import (
 // g's declaration calls recover() directly. Go only honours recover
 // when the deferred function itself calls it, so transitive calls do
 // not count.
-func CheckGoRecover(dir string) ([]Diagnostic, error) {
-	fset := token.NewFileSet()
-	files, err := parseDir(fset, dir)
+func CheckGoRecover(mod *Module, pkg string) ([]Diagnostic, error) {
+	p, err := mod.Package(pkg)
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +44,7 @@ func CheckGoRecover(dir string) ([]Diagnostic, error) {
 	// a lint is over-approximating guards only when the alternative is
 	// resolving types, and under-approximating them everywhere else.
 	decls := make(map[string][]*ast.FuncDecl)
-	for _, f := range files {
+	for _, f := range p.Files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
 				decls[fd.Name.Name] = append(decls[fd.Name.Name], fd)
@@ -91,7 +89,7 @@ func CheckGoRecover(dir string) ([]Diagnostic, error) {
 	}
 
 	var out []Diagnostic
-	for _, f := range files {
+	for _, f := range p.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -117,7 +115,7 @@ func CheckGoRecover(dir string) ([]Diagnostic, error) {
 				}
 				if msg != "" {
 					out = append(out, Diagnostic{
-						Pos:     fset.Position(gs.Pos()),
+						Pos:     mod.Fset().Position(gs.Pos()),
 						Func:    fd.Name.Name,
 						Message: msg,
 					})
@@ -126,7 +124,7 @@ func CheckGoRecover(dir string) ([]Diagnostic, error) {
 			})
 		}
 	}
-	sortDiagnostics(out)
+	SortDiagnostics(out)
 	return out, nil
 }
 
@@ -178,8 +176,9 @@ func inspectOwnFrame(body *ast.BlockStmt, visit func(ast.Node)) {
 	})
 }
 
-// sortDiagnostics orders findings by position for stable output.
-func sortDiagnostics(out []Diagnostic) {
+// SortDiagnostics orders findings by file position, for stable output
+// across passes (sibling analyzers use it too).
+func SortDiagnostics(out []Diagnostic) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
 		if a.Filename != b.Filename {

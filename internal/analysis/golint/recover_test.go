@@ -1,93 +1,17 @@
 package golint
 
 import (
-	"go/token"
 	"path/filepath"
-	"strings"
 	"testing"
 )
-
-// wantsIn collects the `// want "..."` comments of a fixture directory.
-func wantsIn(t *testing.T, dir string) []struct {
-	line int
-	frag string
-} {
-	t.Helper()
-	type want = struct {
-		line int
-		frag string
-	}
-	var wants []want
-	fset := token.NewFileSet()
-	files, err := parseDir(fset, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, `// want "`)
-				if !ok {
-					continue
-				}
-				wants = append(wants, want{
-					line: fset.Position(c.Pos()).Line,
-					frag: strings.TrimSuffix(rest, `"`),
-				})
-			}
-		}
-	}
-	if len(wants) == 0 {
-		t.Fatal("fixture has no want comments")
-	}
-	return wants
-}
 
 // TestRecoverFixture runs the recover-guard pass over the spawn fixture
 // and compares the diagnostics against its `// want` comments.
 func TestRecoverFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "spawn")
-	diags, err := CheckGoRecover(dir)
+	diags, err := CheckGoRecover(loadFixture(t, dir), "testdata/spawn")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wants := wantsIn(t, dir)
-	matched := make([]bool, len(diags))
-	for _, w := range wants {
-		found := false
-		for i, d := range diags {
-			if d.Pos.Line == w.line && strings.Contains(d.Message, w.frag) {
-				matched[i] = true
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("no diagnostic at fixture line %d matching %q; got %v", w.line, w.frag, diags)
-		}
-	}
-	for i, d := range diags {
-		if !matched[i] {
-			t.Errorf("unexpected diagnostic: %s", d)
-		}
-	}
-}
-
-// TestRealSpawnsGuarded runs the pass over the packages that actually
-// spawn verification workers: every goroutine there must install its
-// panic-containment guard, or a worker panic takes down the run the
-// durability layer exists to save.
-func TestRealSpawnsGuarded(t *testing.T) {
-	for _, dir := range []string{
-		filepath.Join("..", "..", "explore"),
-		filepath.Join("..", "..", "liveness"),
-	} {
-		diags, err := CheckGoRecover(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range diags {
-			t.Errorf("%s: unguarded goroutine: %s", dir, d)
-		}
-	}
+	checkWants(t, dir, diags)
 }

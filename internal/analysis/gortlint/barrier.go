@@ -49,9 +49,9 @@ type BarrierConfig struct {
 
 // CheckBarriers runs the barrier-coverage pass over the target package.
 func CheckBarriers(mod *golint.Module, cfg BarrierConfig) ([]golint.Diagnostic, error) {
-	pkg := mod.Package(cfg.Package)
-	if pkg == nil {
-		return nil, fmt.Errorf("gortlint: package %s not loaded", cfg.Package)
+	pkg, err := mod.Package(cfg.Package)
+	if err != nil {
+		return nil, err
 	}
 	storeFns := toSet(cfg.StoreFns)
 	audited := cfg.Audited
@@ -70,7 +70,7 @@ func CheckBarriers(mod *golint.Module, cfg BarrierConfig) ([]golint.Diagnostic, 
 		if f.Pkg != pkg {
 			continue
 		}
-		key := f.Key()
+		key := golint.FuncKey(f.Fn)
 
 		// Raw element writes: x.fields[i].Store(...) and friends.
 		if !allowedRaw[key] {
@@ -112,7 +112,7 @@ func CheckBarriers(mod *golint.Module, cfg BarrierConfig) ([]golint.Diagnostic, 
 			if !ok {
 				return true
 			}
-			if fn := calleeOf(f, call); fn != nil && storeFns[funcKeyOf(fn)] {
+			if fn := calleeOf(f, call); fn != nil && storeFns[golint.FuncKey(fn)] {
 				storePos = append(storePos, call.Pos())
 			}
 			return true
@@ -176,7 +176,7 @@ func barrierHits(f *golint.Function, barrierFn string, ablation map[string]bool)
 		if !ok {
 			return
 		}
-		if fn := calleeOf(f, call); fn != nil && funcKeyOf(fn) == barrierFn && countable {
+		if fn := calleeOf(f, call); fn != nil && golint.FuncKey(fn) == barrierFn && countable {
 			hits = append(hits, call.Pos())
 		}
 	}
@@ -242,22 +242,6 @@ func calleeOf(f *golint.Function, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// funcKeyOf formats a *types.Func as "Recv.Name" or "Name" (the table
-// key convention shared with golint.Function.Key).
-func funcKeyOf(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			return n.Obj().Name() + "." + fn.Name()
-		}
-	}
-	return fn.Name()
 }
 
 // toSet builds a membership set.

@@ -9,35 +9,29 @@ import (
 	"repro/internal/analysis/golint"
 )
 
-// CheckDiscipline runs the field-access discipline pass: it resolves
-// cfg.Table against the declaring package, cross-checks the
-// `gcrt:guard` annotations, and then walks every function body in the
-// loaded module checking each access to a classified field against its
-// class. See the package comment for the class semantics and the
-// soundness caveats.
+// CheckDiscipline runs the field-access discipline pass: it reads the
+// `gcrt:guard` annotations of cfg.Structs in the declaring package, and
+// then walks every function body in the loaded module checking each
+// access to a classified field against its class. See the package
+// comment for the class semantics and the soundness caveats.
 func CheckDiscipline(mod *golint.Module, cfg DisciplineConfig) ([]golint.Diagnostic, error) {
-	pkg := mod.Package(cfg.Package)
-	if pkg == nil {
-		return nil, fmt.Errorf("gortlint: package %s not loaded", cfg.Package)
-	}
-	r, diags, err := resolveTable(mod, pkg, cfg.Table)
+	pkg, err := mod.Package(cfg.Package)
 	if err != nil {
 		return nil, err
 	}
-	diags = append(diags, checkAnnotations(mod, r)...)
+	r, diags, err := resolve(mod, pkg, cfg)
+	if err != nil {
+		return nil, err
+	}
 
 	// Spawn-reachability: functions reachable from the target package's
 	// own `go` statements run off the spawning goroutine — an owner-
 	// confined access there is cross-thread by construction.
 	spawnReach := mod.Reachable(mod.SpawnRoots(pkg))
-
-	init := make(map[string]bool, len(cfg.Table.Init))
-	for _, k := range cfg.Table.Init {
-		init[k] = true
-	}
+	init := toSet(cfg.Init)
 
 	for _, f := range mod.Functions() {
-		key := f.Key()
+		key := golint.FuncKey(f.Fn)
 		samePkg := f.Pkg == pkg
 		if samePkg && init[key] {
 			continue // trusted constructor
@@ -50,17 +44,13 @@ func CheckDiscipline(mod *golint.Module, cfg DisciplineConfig) ([]golint.Diagnos
 			spawned: spawnReach[f.Fn],
 			exempt:  make(map[string]bool),
 		}
-		if samePkg {
-			for _, fieldKey := range cfg.Table.Exempt[key] {
-				w.exempt[fieldKey] = true
-			}
-		}
 		ls := newLockset()
 		if samePkg {
-			for _, guard := range cfg.Table.Holds[key] {
-				if mv := r.mutexes[guard]; mv != nil {
-					ls.add(mv)
-				}
+			for _, fieldKey := range cfg.Exempt[key] {
+				w.exempt[fieldKey] = true
+			}
+			for _, mv := range r.holds[key] {
+				ls.add(mv)
 			}
 		}
 		w.walkStmts(f.Decl.Body.List, ls)
@@ -179,51 +169,43 @@ func (w *walker) isMethodOf(structName string) bool {
 // checkAccess applies the field's class rule to one access.
 func (w *walker) checkAccess(fv *types.Var, sel *ast.SelectorExpr, mode accessMode, ls lockset) {
 	fr := w.r.fields[fv]
-	switch fr.rule.Class {
-	case Atomic:
+	switch fr.rule.class {
+	case classAtomic:
 		if mode != modeRecv {
 			w.report(sel.Sel.Pos(),
 				"%s of atomic field %s bypasses the memory-order contract: use its methods",
 				mode, fr)
 		}
-	case Guarded:
-		guard := guardKey(fr.structName, fr.rule.Guard)
-		mv := w.r.mutexes[guard]
-		if mv == nil {
-			w.report(sel.Sel.Pos(), "field %s names guard %s which is not a classified mutex field", fr, guard)
-			return
-		}
-		if !ls[mv] {
+	case classGuarded:
+		if !ls[fr.rule.guard] {
 			w.report(sel.Sel.Pos(),
 				"%s of lock-guarded field %s outside its critical section: %s.Lock() is not held on this path",
-				mode, fr, guard)
+				mode, fr, fr.rule.guardKey)
 		}
-	case Owner:
-		fieldKey := fr.String()
+	case classOwner:
 		switch {
 		case w.inSpawn:
 			w.report(sel.Sel.Pos(),
 				"owner-confined field %s (%s) accessed inside a spawned goroutine literal",
-				fr, fr.rule.Domain)
+				fr, fr.rule.domain)
 		case w.spawned:
 			w.report(sel.Sel.Pos(),
 				"owner-confined field %s (%s) accessed in a function reachable from a `go` statement: it runs off the owner's thread",
-				fr, fr.rule.Domain)
-		case !w.isMethodOf(fr.structName) && !w.exempt[fieldKey]:
+				fr, fr.rule.domain)
+		case !w.isMethodOf(fr.structName) && !w.exempt[fr.String()]:
 			w.report(sel.Sel.Pos(),
 				"owner-confined field %s (%s) accessed outside %s's methods without an exemption",
-				fr, fr.rule.Domain, fr.structName)
+				fr, fr.rule.domain, fr.structName)
 		}
-	case Immutable:
+	case classImmutable:
 		if mode != modeWrite {
 			return
 		}
-		// A write is legal only in this field's Init functions.
-		if len(fr.rule.Init) > 0 {
-			for _, k := range fr.rule.Init {
-				if k == w.fnKey && w.fn.Pkg == w.r.pkg {
-					return
-				}
+		// Past the package's Init functions (never walked), a write is
+		// legal only in the field's own immutable(...) list.
+		for _, k := range fr.rule.init {
+			if k == w.fnKey && w.fn.Pkg == w.r.pkg {
+				return
 			}
 		}
 		w.report(sel.Sel.Pos(),

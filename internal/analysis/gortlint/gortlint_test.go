@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis/golint"
@@ -72,183 +73,137 @@ func checkWants(t *testing.T, dir string, diags []golint.Diagnostic) {
 	}
 }
 
-// loadFixture loads a spec's fixture dirs (module-root-relative).
-func loadFixture(t *testing.T, spec FixtureSpec) *golint.Module {
+// load loads module-root-relative dirs as one module.
+func load(t *testing.T, dirs []string) *golint.Module {
 	t.Helper()
 	root, err := golint.ModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs := make([]string, len(spec.Dirs))
-	for i, d := range spec.Dirs {
-		dirs[i] = filepath.Join(root, d)
+	abs := make([]string, len(dirs))
+	for i, d := range dirs {
+		abs[i] = filepath.Join(root, d)
 	}
-	mod, err := golint.LoadPackages(dirs...)
+	mod, err := golint.LoadPackages(abs...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return mod
 }
 
-// wantDirFor maps a fixture spec to the directory holding its want
-// comments (for hooks, only prod carries wants).
-func wantDirFor(t *testing.T, spec FixtureSpec) string {
-	t.Helper()
+// TestFixtures runs every seeded-defect fixture and checks the findings
+// exactly against the want comments.
+func TestFixtures(t *testing.T) {
 	root, err := golint.ModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range spec.Dirs {
-		if spec.Name != "bench-hooks" || strings.HasSuffix(d, "/prod") {
-			return filepath.Join(root, d)
-		}
-	}
-	t.Fatalf("no want dir for %s", spec.Name)
-	return ""
-}
-
-// TestFixtures runs every seeded-defect fixture and checks the findings
-// exactly against the want comments.
-func TestFixtures(t *testing.T) {
 	for _, spec := range Fixtures() {
 		t.Run(spec.Name, func(t *testing.T) {
-			mod := loadFixture(t, spec)
-			diags, err := spec.Run(mod)
+			diags, err := spec.Run(load(t, spec.Dirs))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(diags) < spec.Min {
 				t.Errorf("expected at least %d findings, got %d: %v", spec.Min, len(diags), diags)
 			}
-			checkWants(t, wantDirFor(t, spec), diags)
+			checkWants(t, filepath.Join(root, spec.Dirs[0]), diags)
 		})
 	}
 }
 
-// loadGCRT loads the real runtime module once for the zero-findings
-// gates.
-var gcrtMod *golint.Module
+// TestDisciplineNamesResolve misspells one name of each kind in the
+// fixture's config: each must fail the pass with an error naming the
+// entry, not drop out of the check silently.
+func TestDisciplineNamesResolve(t *testing.T) {
+	mod := load(t, []string{fixtureBase + "/discipline"})
+	for _, tc := range []struct {
+		name  string
+		edit  func(cfg *DisciplineConfig)
+		entry string
+	}{
+		{"struct", func(cfg *DisciplineConfig) { cfg.Structs = []string{"registr"} }, "registr"},
+		{"init", func(cfg *DisciplineConfig) { cfg.Init = []string{"newRegistr"} }, "newRegistr"},
+		{"exempt-func", func(cfg *DisciplineConfig) { cfg.Exempt = map[string][]string{"audt": {"register.wl"}} }, "audt"},
+		{"exempt-field", func(cfg *DisciplineConfig) { cfg.Exempt = map[string][]string{"audit": {"register.wll"}} }, "register.wll"},
+		{"holds-func", func(cfg *DisciplineConfig) { cfg.Holds = map[string][]string{"bumpLockd": {"register.mu"}} }, "bumpLockd"},
+		{"holds-guard", func(cfg *DisciplineConfig) { cfg.Holds = map[string][]string{"bumpLocked": {"register.mux"}} }, "register.mux"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fixtureDiscipline()
+			tc.edit(&cfg)
+			_, err := CheckDiscipline(mod, cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.entry) {
+				t.Fatalf("misspelt %s entry %q: got error %v", tc.name, tc.entry, err)
+			}
+		})
+	}
+}
 
-func loadGCRT(t *testing.T) *golint.Module {
+// The zero-findings gates below run the `gclint -gosrc` passes over one
+// module loaded from Roots, shared by every test in the package.
+var (
+	treeOnce sync.Once
+	tree     *golint.Module
+)
+
+// gate runs the named `gclint -gosrc` passes over the real tree and
+// requires zero findings from each.
+func gate(t *testing.T, names ...string) {
 	t.Helper()
-	if gcrtMod != nil {
-		return gcrtMod
+	treeOnce.Do(func() { tree = load(t, Roots()) })
+	if tree == nil {
+		t.Fatal("the real tree did not load")
 	}
-	root, err := golint.ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range names {
+		ran := false
+		for _, p := range Passes() {
+			if p.Name != name {
+				continue
+			}
+			ran = true
+			diags, err := p.Run(tree)
+			if err != nil {
+				t.Fatalf("%s %s: %v", p.Name, p.Dir, err)
+			}
+			for _, d := range diags {
+				t.Errorf("%s %s: %s", p.Name, p.Dir, d)
+			}
+		}
+		if !ran {
+			t.Fatalf("no gclint -gosrc pass named %s", name)
+		}
 	}
-	dirs := make([]string, 0, len(GCRTDirs()))
-	for _, d := range GCRTDirs() {
-		dirs = append(dirs, filepath.Join(root, d))
-	}
-	mod, err := golint.LoadPackages(dirs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gcrtMod = mod
-	return mod
 }
 
 // TestGCRTDiscipline is the zero-findings gate over the real runtime:
-// every shared field classified, annotated, and accessed per its class.
-func TestGCRTDiscipline(t *testing.T) {
-	diags, err := CheckDiscipline(loadGCRT(t), GCRTDiscipline())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("discipline: %s", d)
-	}
-}
+// every shared field annotated, and accessed per its class.
+func TestGCRTDiscipline(t *testing.T) { gate(t, "gcrt-discipline") }
 
 // TestGCRTBarriers gates the barrier placement on the real runtime.
-func TestGCRTBarriers(t *testing.T) {
-	diags, err := CheckBarriers(loadGCRT(t), GCRTBarriers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("barriers: %s", d)
-	}
-}
+func TestGCRTBarriers(t *testing.T) { gate(t, "gcrt-barriers") }
 
 // TestGCRTPublish gates the publication discipline on the real runtime.
-func TestGCRTPublish(t *testing.T) {
-	diags, err := CheckPublish(loadGCRT(t), GCRTPublish())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("publication: %s", d)
-	}
-}
-
-// TestGCRTHooks gates the benchmark-hook restriction on the real tree.
-func TestGCRTHooks(t *testing.T) {
-	diags, err := CheckHooks(loadGCRT(t), GCRTHooks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("hooks: %s", d)
-	}
-}
+func TestGCRTPublish(t *testing.T) { gate(t, "gcrt-publication") }
 
 // TestServerDiscipline gates the verification service's engine: the
-// same analyzer, a different table — the discipline framework is
+// same analyzer, different annotations — the discipline framework is
 // generic over the declaration.
-func TestServerDiscipline(t *testing.T) {
-	root, err := golint.ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs := make([]string, 0, len(ServerDirs()))
-	for _, d := range ServerDirs() {
-		dirs = append(dirs, filepath.Join(root, d))
-	}
-	mod, err := golint.LoadPackages(dirs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := CheckDiscipline(mod, ServerDiscipline())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("server discipline: %s", d)
-	}
-}
+func TestServerDiscipline(t *testing.T) { gate(t, "server-discipline") }
 
 // TestStorageDiscipline gates the hostile-disk layer: the fault-
 // injecting filesystem and the checker's spill state conform to their
 // declared access disciplines with zero findings.
 func TestStorageDiscipline(t *testing.T) {
-	root, err := golint.ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs := make([]string, 0, len(StorageDirs()))
-	for _, d := range StorageDirs() {
-		dirs = append(dirs, filepath.Join(root, d))
-	}
-	mod, err := golint.LoadPackages(dirs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []struct {
-		name string
-		cfg  DisciplineConfig
-	}{
-		{"storage", StorageDiscipline()},
-		{"explore-spill", ExploreSpillDiscipline()},
-	} {
-		diags, err := CheckDiscipline(mod, cfg.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range diags {
-			t.Errorf("%s discipline: %s", cfg.name, d)
-		}
-	}
+	gate(t, "storage-discipline", "explore-spill-discipline")
 }
+
+// TestRealFingerprintGraph requires the fingerprint call graph of the
+// real gcmodel package to contain no map iteration.
+func TestRealFingerprintGraph(t *testing.T) { gate(t, "fingerprint-map-order") }
+
+// TestRealSpawnsGuarded requires every goroutine spawned by the
+// checker, the liveness pass, the service and the runtime to install
+// its panic-containment guard, or a worker panic takes down the run
+// the durability layer exists to save.
+func TestRealSpawnsGuarded(t *testing.T) { gate(t, "goroutine-recover-guard") }

@@ -38,9 +38,9 @@ type PublishConfig struct {
 // CheckPublish runs the publication-discipline pass over the target
 // package.
 func CheckPublish(mod *golint.Module, cfg PublishConfig) ([]golint.Diagnostic, error) {
-	pkg := mod.Package(cfg.Package)
-	if pkg == nil {
-		return nil, fmt.Errorf("gortlint: package %s not loaded", cfg.Package)
+	pkg, err := mod.Package(cfg.Package)
+	if err != nil {
+		return nil, err
 	}
 	resVars, err := resolveFieldKeys(pkg, cfg.ReservationFields)
 	if err != nil {
@@ -54,7 +54,7 @@ func CheckPublish(mod *golint.Module, cfg PublishConfig) ([]golint.Diagnostic, e
 	}
 	exempt := toSet(cfg.Exempt)
 	for _, f := range mod.Functions() {
-		if f.Pkg != pkg || exempt[f.Key()] {
+		if f.Pkg != pkg || exempt[golint.FuncKey(f.Fn)] {
 			continue
 		}
 		pw.f = f
@@ -262,7 +262,7 @@ func (w *pubWalker) checkExpr(e ast.Expr, t taint) {
 		if fn == nil {
 			return true
 		}
-		key := funcKeyOf(fn)
+		key := golint.FuncKey(fn)
 		switch {
 		case w.publish[key]:
 			for _, arg := range call.Args {

@@ -9,18 +9,34 @@ import (
 	"sync/atomic"
 )
 
-// register is the fixture's shared struct. The test's table classifies
-// every field except stray, and label's annotation contradicts the
-// table on purpose.
+// register is the fixture's shared struct, the one struct the test's
+// config lists. stray has no annotation, and the fields after it carry
+// one malformed annotation of each kind.
 type register struct {
 	ticks atomic.Int64 // gcrt:guard atomic
 	mu    sync.Mutex   // gcrt:guard atomic
 	count int          // gcrt:guard by(mu)
 	wl    []int        // gcrt:guard owner(mutator)
-	limit int          // want "lacks its"
+	limit int          // gcrt:guard immutable
+	label string       // gcrt:guard immutable(register.relabel)
+	stray int          // want "has no `gcrt:guard` annotation"
+	// gcrt:guard volatile
+	odd int // want "unknown class"
+	// gcrt:guard by()
+	loner int // want "empty by()"
+	// gcrt:guard owner()
+	orphan int // want "empty owner()"
+	// gcrt:guard by(count)
+	misguarded int // want "count is not a mutex field"
+	// gcrt:guard immutable(reinit)
+	frozen int // want "is not a function of this package"
+}
+
+// loose is annotated, but no config lists it, so nothing would check
+// its annotation.
+type loose struct {
 	// gcrt:guard atomic
-	label string // want "but the table says"
-	stray int    // want "has no access-discipline classification"
+	n int // want "not in the discipline's struct list"
 }
 
 // newRegister is the fixture's trusted constructor.
@@ -31,6 +47,10 @@ func newRegister() *register {
 	r.stray = 1
 	return r
 }
+
+// relabel is the one function besides the constructor that label's
+// immutable(...) list lets write it.
+func (r *register) relabel(s string) { r.label = s }
 
 // Tick is clean: the atomic field is touched as a method receiver.
 func (r *register) Tick() { r.ticks.Add(1) }

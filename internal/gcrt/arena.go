@@ -276,26 +276,6 @@ func (a *Arena) releaseBatch(objs []Obj) {
 	a.returnBatch(objs)
 }
 
-// SetFlagForBenchmark forces o's raw mark flag; benchmarks only.
-func (a *Arena) SetFlagForBenchmark(o Obj, flag bool) {
-	h := a.headers[o].Load() &^ hdrFlag
-	if flag {
-		h |= hdrFlag
-	}
-	a.headers[o].Store(h)
-}
-
-// WhitenForBenchmark resets o's mark flag to the unmarked sense (the
-// opposite of fM). It exists solely so benchmarks can re-measure the
-// marking CAS on the same object; it has no legitimate collector use.
-func (a *Arena) WhitenForBenchmark(o Obj, fM bool) {
-	h := a.headers[o].Load() &^ hdrFlag
-	if !fM {
-		h |= hdrFlag
-	}
-	a.headers[o].Store(h)
-}
-
 // LiveCount counts allocated slots (O(n); diagnostics and tests).
 func (a *Arena) LiveCount() int {
 	n := 0

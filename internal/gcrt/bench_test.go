@@ -7,8 +7,20 @@ import (
 // Microbenchmarks with direct access to the kernel internals, isolating
 // the §2.3 cost structure of the mark operation: the flag-test fast path
 // that skips the CAS entirely, the CAS path a race winner pays, and the
-// surrounding operations. The root-level bench_test.go measures the same
-// effects through the public API.
+// surrounding operations. The E14 pair measures the same two paths
+// through Mutator.Store's write barriers.
+
+// setFlag forces o's raw mark flag, so a benchmark can re-measure the
+// marking CAS on the same object. Being test code, it cannot reach a
+// production path, where a raw flag write breaks the tri-colour
+// invariant.
+func (a *Arena) setFlag(o Obj, flag bool) {
+	h := a.headers[o].Load() &^ hdrFlag
+	if flag {
+		h |= hdrFlag
+	}
+	a.headers[o].Store(h)
+}
 
 func BenchmarkMarkFastPathAlreadyMarked(b *testing.B) {
 	rt := New(Options{Slots: 8, Fields: 1, Mutators: 1})
@@ -16,7 +28,7 @@ func BenchmarkMarkFastPathAlreadyMarked(b *testing.B) {
 	x := m.Root(m.Alloc())
 	rt.phase.Store(int32(PhMark))
 	rt.fM.Store(true)
-	rt.arena.SetFlagForBenchmark(x, true) // already marked
+	rt.arena.setFlag(x, true) // already marked
 	var wl []Obj
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -51,12 +63,69 @@ func BenchmarkMarkCASWin(b *testing.B) {
 	var wl []Obj
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.arena.SetFlagForBenchmark(x, false) // whiten again
+		rt.arena.setFlag(x, false) // whiten again
 		rt.mark(x, &wl)
 	}
 	if int64(len(wl)) != int64(b.N) {
 		b.Fatalf("wins = %d, want %d", len(wl), b.N)
 	}
+}
+
+// --- E14 (§2.3): write-barrier cost fast path vs CAS path ---------------
+
+func BenchmarkE14BarrierFastPath(b *testing.B) {
+	// During marking, stores whose targets are already marked take the
+	// flag-test-only path. Hold the collector mid-mark-loop by never
+	// serving its get-work handshake from this (unparked) mutator.
+	rt, m, cleanup := heldInMarkPhase(b)
+	defer cleanup()
+	a, x := 0, 1
+	m.Store(a, 0, x) // first store CAS-marks x and a's old value
+	before := rt.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Store(a, 0, x) // all targets marked: fast path only
+	}
+	b.StopTimer()
+	after := rt.Stats()
+	if after.MarkCAS != before.MarkCAS {
+		b.Fatalf("CAS on fast path: %d", after.MarkCAS-before.MarkCAS)
+	}
+}
+
+func BenchmarkE14BarrierCASPath(b *testing.B) {
+	// Freshly unmarked targets force the locked CMPXCHG each time. We
+	// re-whiten the object between iterations to isolate the CAS cost.
+	rt, m, cleanup := heldInMarkPhase(b)
+	defer cleanup()
+	a, x := 0, 1
+	obj := m.Root(x)
+	fM := rt.FM()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.arena.setFlag(obj, !fM) // the unmarked sense
+		m.Store(a, 0, x)           // insertion barrier must CAS-mark x
+	}
+}
+
+// heldInMarkPhase starts a collection and drives the mutator through the
+// root-marking round, leaving the collector blocked on mark-loop
+// termination so that phase == Mark for the duration of the benchmark.
+func heldInMarkPhase(b *testing.B) (*Runtime, *Mutator, func()) {
+	b.Helper()
+	rt := New(Options{Slots: 64, Fields: 1, Mutators: 1})
+	m := rt.Mutator(0)
+	m.Alloc() // a
+	m.Alloc() // x
+	done := make(chan struct{})
+	go func() { rt.Collect(); close(done) }()
+	m.AwaitHandshakes(5)
+	cleanup := func() {
+		m.Park()
+		<-done
+		m.Unpark()
+	}
+	return rt, m, cleanup
 }
 
 func BenchmarkMarkNil(b *testing.B) {

@@ -112,8 +112,9 @@ type Runtime struct {
 	wq   []Obj      // gcrt:guard by(wqMu)
 
 	// oracle, when non-nil, runs sampled online invariant checks
-	// against the live arena (oracle.go).
-	// gcrt:guard immutable
+	// against the live arena (oracle.go). EnableOracle attaches it
+	// before the runtime is shared.
+	// gcrt:guard immutable(New, Runtime.EnableOracle)
 	oracle *Oracle
 
 	// sweepScratch carries freed slots between sweep and batched

@@ -117,21 +117,22 @@ type Engine struct {
 	lastStorageMsg string    // gcrt:guard by(mu)
 }
 
-// job is the engine-internal job state; all fields are guarded by
-// Engine.mu.
+// job is the engine-internal job state. Identity fields freeze when
+// Submit (or crash recovery) publishes the job, and workers read them
+// unlocked; the mutable run state is guarded by Engine.mu.
 type job struct {
-	id        string                    // gcrt:guard immutable
-	spec      core.JobSpec              // gcrt:guard immutable
-	fp        uint64                    // gcrt:guard immutable
-	summary   string                    // gcrt:guard immutable
+	id        string                    // gcrt:guard immutable(Engine.Submit, Engine.recover)
+	spec      core.JobSpec              // gcrt:guard immutable(Engine.Submit, Engine.recover)
+	fp        uint64                    // gcrt:guard immutable(Engine.Submit, Engine.recover)
+	summary   string                    // gcrt:guard immutable(Engine.Submit, Engine.recover)
 	state     core.JobState             // gcrt:guard by(Engine.mu)
-	priority  int                       // gcrt:guard immutable
-	corpus    bool                      // gcrt:guard immutable
+	priority  int                       // gcrt:guard immutable(Engine.Submit, Engine.recover)
+	corpus    bool                      // gcrt:guard immutable(Engine.Submit, Engine.recover)
 	cached    bool                      // gcrt:guard by(Engine.mu)
 	resumed   bool                      // gcrt:guard by(Engine.mu)
 	cancelReq bool                      // gcrt:guard by(Engine.mu)
 	pushSeq   int                       // gcrt:guard by(Engine.mu)
-	submitted time.Time                 // gcrt:guard immutable
+	submitted time.Time                 // gcrt:guard immutable(Engine.Submit, Engine.recover)
 	started   time.Time                 // gcrt:guard by(Engine.mu)
 	finished  time.Time                 // gcrt:guard by(Engine.mu)
 	progress  *ProgressInfo             // gcrt:guard by(Engine.mu)
