@@ -84,13 +84,15 @@ const gcrtPkg = "repro/internal/gcrt"
 func gcrtDiscipline() DisciplineConfig {
 	return DisciplineConfig{
 		Package: gcrtPkg,
-		Structs: []string{"Arena", "freeShard", "Runtime", "Mutator", "wsDeque", "traceState", "Oracle", "Stats", "latHist"},
+		Structs: []string{"Arena", "freeShard", "Runtime", "Mutator", "wsDeque", "traceState", "Oracle", "Stats", "mutatorStats", "latHist"},
 		Init:    []string{"New", "NewArenaSharded", "newWSDeque"},
 		Exempt: map[string][]string{
 			// The parked-mutator protocol: the collector services a
-			// parked mutator's handshake under parkMu, operating on its
-			// private roots and work-list on its behalf (§2.2).
-			"Runtime.collectorSideHandshake": {"Mutator.roots", "Mutator.wl"},
+			// parked mutator's handshake under parkMu, handing its
+			// private work-list over on its behalf (§2.2); the root and
+			// barrier-buffer marking it does through the Mutator's own
+			// methods.
+			"Runtime.collectorSideHandshake": {"Mutator.wl"},
 			// The STW baseline scans roots with the world stopped.
 			"Runtime.CollectSTW": {"Mutator.roots"},
 			// The oracle samples a mutator's roots at its own safe point

@@ -56,21 +56,23 @@ func (m *Mutator) barrierHit(ref Obj) {
 	rt := m.rt
 	if Phase(rt.phase.Load()) == PhIdle {
 		// No cycle in flight: the barrier is a no-op (Figure 5 line 4).
-		rt.stats.markFast.Add(1)
+		m.stats.markFast.Add(1)
 		return
 	}
 	if m.bcap == 0 {
-		rt.mark(ref, &m.wl)
+		var c counts
+		rt.mark(ref, &m.wl, &c)
+		m.stats.publish(&c)
 		return
 	}
 	// Inline fast path: skip targets that are already at the mark sense.
 	// Racy like mark()'s own test; the flush re-checks under the CAS.
 	if !rt.arena.Allocated(ref) || rt.arena.flag(ref) == rt.fM.Load() {
-		rt.stats.markFast.Add(1)
+		m.stats.markFast.Add(1)
 		return
 	}
 	m.bbuf = append(m.bbuf, ref)
-	rt.stats.barrierBuffered.Add(1)
+	m.stats.barrierBuffered.Add(1)
 	if len(m.bbuf) >= m.bcap {
 		m.flushBarriers()
 	}
@@ -84,11 +86,13 @@ func (m *Mutator) flushBarriers() {
 	if len(m.bbuf) == 0 {
 		return
 	}
+	var c counts
 	for _, ref := range m.bbuf {
-		m.rt.mark(ref, &m.wl)
+		m.rt.mark(ref, &m.wl, &c)
 	}
 	m.bbuf = m.bbuf[:0]
-	m.rt.stats.barrierFlushes.Add(1)
+	m.stats.publish(&c)
+	m.stats.barrierFlushes.Add(1)
 }
 
 // inBarrierBuf reports whether ref is pending in the barrier buffer.

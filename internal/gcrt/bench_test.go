@@ -1,6 +1,10 @@
 package gcrt
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -30,9 +34,10 @@ func BenchmarkMarkFastPathAlreadyMarked(b *testing.B) {
 	rt.fM.Store(true)
 	rt.arena.setFlag(x, true) // already marked
 	var wl []Obj
+	var c counts
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.mark(x, &wl)
+		rt.mark(x, &wl, &c)
 	}
 	if len(wl) != 0 {
 		b.Fatal("fast path won a mark")
@@ -45,9 +50,10 @@ func BenchmarkMarkFastPathIdlePhase(b *testing.B) {
 	x := m.Root(m.Alloc())
 	rt.fM.Store(true) // x unmarked, but phase stays Idle: no CAS
 	var wl []Obj
+	var c counts
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.mark(x, &wl)
+		rt.mark(x, &wl, &c)
 	}
 	if len(wl) != 0 {
 		b.Fatal("idle-phase mark won")
@@ -61,10 +67,11 @@ func BenchmarkMarkCASWin(b *testing.B) {
 	rt.phase.Store(int32(PhMark))
 	rt.fM.Store(true)
 	var wl []Obj
+	var c counts
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rt.arena.setFlag(x, false) // whiten again
-		rt.mark(x, &wl)
+		rt.mark(x, &wl, &c)
 	}
 	if int64(len(wl)) != int64(b.N) {
 		b.Fatalf("wins = %d, want %d", len(wl), b.N)
@@ -73,31 +80,51 @@ func BenchmarkMarkCASWin(b *testing.B) {
 
 // --- E14 (§2.3): write-barrier cost fast path vs CAS path ---------------
 
+// BenchmarkE14BarrierFastPath reports ns per store whose barrier targets
+// are all marked already: the flag-test-only path. With two mutators the
+// second stores the same way on its own objects throughout, so the
+// difference between the two forms is what the mutators share on that
+// path.
 func BenchmarkE14BarrierFastPath(b *testing.B) {
-	// During marking, stores whose targets are already marked take the
-	// flag-test-only path. Hold the collector mid-mark-loop by never
-	// serving its get-work handshake from this (unparked) mutator.
-	rt, m, cleanup := heldInMarkPhase(b)
-	defer cleanup()
-	a, x := 0, 1
-	m.Store(a, 0, x) // first store CAS-marks x and a's old value
-	before := rt.Stats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Store(a, 0, x) // all targets marked: fast path only
-	}
-	b.StopTimer()
-	after := rt.Stats()
-	if after.MarkCAS != before.MarkCAS {
-		b.Fatalf("CAS on fast path: %d", after.MarkCAS-before.MarkCAS)
+	for _, n := range []int{1, 2} {
+		b.Run(fmt.Sprintf("mutators=%d", n), func(b *testing.B) {
+			rt, muts, cleanup := heldInMarkPhase(b, n)
+			defer cleanup()
+			a, x := 0, 1 // the root-marking round marked both
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			for _, m := range muts[1:] {
+				wg.Add(1)
+				go func(m *Mutator) {
+					defer wg.Done()
+					for !stop.Load() {
+						m.Store(a, 0, x)
+					}
+				}(m)
+			}
+			m := muts[0]
+			before := rt.Stats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Store(a, 0, x)
+			}
+			b.StopTimer()
+			stop.Store(true)
+			wg.Wait()
+			after := rt.Stats()
+			if after.MarkCAS != before.MarkCAS {
+				b.Fatalf("CAS on fast path: %d", after.MarkCAS-before.MarkCAS)
+			}
+		})
 	}
 }
 
 func BenchmarkE14BarrierCASPath(b *testing.B) {
 	// Freshly unmarked targets force the locked CMPXCHG each time. We
 	// re-whiten the object between iterations to isolate the CAS cost.
-	rt, m, cleanup := heldInMarkPhase(b)
+	rt, muts, cleanup := heldInMarkPhase(b, 1)
 	defer cleanup()
+	m := muts[0]
 	a, x := 0, 1
 	obj := m.Root(x)
 	fM := rt.FM()
@@ -108,32 +135,52 @@ func BenchmarkE14BarrierCASPath(b *testing.B) {
 	}
 }
 
-// heldInMarkPhase starts a collection and drives the mutator through the
+// heldInMarkPhase starts a collection and drives n mutators through the
 // root-marking round, leaving the collector blocked on mark-loop
-// termination so that phase == Mark for the duration of the benchmark.
-func heldInMarkPhase(b *testing.B) (*Runtime, *Mutator, func()) {
+// termination — no mutator serves its get-work round — so that phase ==
+// Mark for the duration of the benchmark. Each mutator holds its own a
+// and x in roots 0 and 1. Sixteen fields put every object's fields on a
+// cache line of their own, and each mutator's TLAB comes from its own
+// shard, so two mutators storing share no arena line they write.
+func heldInMarkPhase(b *testing.B, n int) (*Runtime, []*Mutator, func()) {
 	b.Helper()
-	rt := New(Options{Slots: 64, Fields: 1, Mutators: 1})
-	m := rt.Mutator(0)
-	m.Alloc() // a
-	m.Alloc() // x
+	rt := New(Options{Slots: 1024, Fields: 16, Mutators: n})
+	muts := make([]*Mutator, n)
+	for i := range muts {
+		muts[i] = rt.Mutator(i)
+		muts[i].Alloc() // a
+		muts[i].Alloc() // x
+	}
 	done := make(chan struct{})
 	go func() { rt.Collect(); close(done) }()
-	m.AwaitHandshakes(5)
-	cleanup := func() {
-		m.Park()
-		<-done
-		m.Unpark()
+	for behind := true; behind; runtime.Gosched() {
+		behind = false
+		for _, m := range muts {
+			if m.Served() < 5 {
+				m.SafePoint()
+				behind = true
+			}
+		}
 	}
-	return rt, m, cleanup
+	cleanup := func() {
+		for _, m := range muts {
+			m.Park()
+		}
+		<-done
+		for _, m := range muts {
+			m.Unpark()
+		}
+	}
+	return rt, muts, cleanup
 }
 
 func BenchmarkMarkNil(b *testing.B) {
 	rt := New(Options{Slots: 8, Fields: 1, Mutators: 1})
 	var wl []Obj
+	var c counts
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.mark(NilObj, &wl)
+		rt.mark(NilObj, &wl, &c)
 	}
 }
 

@@ -61,6 +61,12 @@ type Mutator struct {
 	// oracleTick is the sampling counter for online invariant checks.
 	// gcrt:guard owner(mutator)
 	oracleTick int64
+
+	// stats are the counters this mutator's operations write (stats.go).
+	// Last, so that its trailing padding also keeps the fields above off
+	// the lines of the next mutator allocated.
+	// gcrt:guard immutable
+	stats mutatorStats
 }
 
 // ID returns the mutator's ordinal.
@@ -186,9 +192,7 @@ func (m *Mutator) serviceHandshake(t HSType) {
 	m.flushBarriers()
 	switch t {
 	case HSGetRoots:
-		for _, r := range m.roots {
-			m.rt.mark(r, &m.wl)
-		}
+		m.markRoots()
 		m.rt.transfer(m.wl)
 		m.wl = m.wl[:0]
 	case HSGetWork:
@@ -199,6 +203,17 @@ func (m *Mutator) serviceHandshake(t HSType) {
 			o.validateMutator(m)
 		}
 	}
+}
+
+// markRoots marks every root into the private work-list: the mutator's
+// share of a get-roots round. The caller must be the mutator's goroutine,
+// or the collector while the mutator is parked.
+func (m *Mutator) markRoots() {
+	var c counts
+	for _, r := range m.roots {
+		m.rt.mark(r, &m.wl, &c)
+	}
+	m.stats.publish(&c)
 }
 
 // Served reports how many handshakes this mutator has completed

@@ -45,8 +45,7 @@ type traceState struct {
 	ovMu     sync.Mutex // gcrt:guard atomic
 	overflow []Obj      // gcrt:guard by(ovMu)
 
-	pending   atomic.Int64 // gcrt:guard atomic
-	processed atomic.Int64 // gcrt:guard atomic
+	pending atomic.Int64 // gcrt:guard atomic
 
 	// failed flips when a worker panics, so the siblings stop instead
 	// of spinning on a conservation counter that will never drain; the
@@ -89,14 +88,25 @@ func (st *traceState) fromOverflow() (Obj, bool) {
 
 // traceAll drains the work queue, tracing children, until no work
 // remains; with workers > 1 the tracing is parallel over work-stealing
-// deques. It returns the number of objects scanned.
+// deques. It publishes the trace's counts and returns the number of
+// objects scanned.
 func (rt *Runtime) traceAll(workers int) int {
+	var c counts
 	if workers <= 1 {
-		return rt.traceSerial()
+		c = rt.traceSerial()
+	} else {
+		c = rt.traceParallel(workers)
 	}
+	rt.stats.publish(&c)
+	return int(c.scanned)
+}
+
+// traceParallel is traceAll's parallel trace. Each worker counts in its
+// own locals; the sum is the trace's counts.
+func (rt *Runtime) traceParallel(workers int) counts {
 	work := rt.drainQueue()
 	if len(work) == 0 {
-		return 0
+		return counts{}
 	}
 	st := &traceState{deques: make([]*wsDeque, workers)}
 	for w := range st.deques {
@@ -111,6 +121,7 @@ func (rt *Runtime) traceAll(workers int) int {
 		}
 	}
 
+	perWorker := make([]counts, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -124,7 +135,7 @@ func (rt *Runtime) traceAll(workers int) int {
 					st.noteFailure(r)
 				}
 			}()
-			rt.traceWorker(st, self)
+			perWorker[self] = rt.traceWorker(st, self)
 		}(w)
 	}
 	wg.Wait()
@@ -134,15 +145,20 @@ func (rt *Runtime) traceAll(workers int) int {
 		st.ovMu.Unlock()
 		panic(r)
 	}
-	return int(st.processed.Load())
+	var c counts
+	for w := range perWorker {
+		c.add(&perWorker[w])
+	}
+	return c
 }
 
 // traceWorker runs one tracer: pop locally, steal on empty, fall back
 // to the overflow list, and exit when the conservation counter says the
-// whole trace is drained.
-func (rt *Runtime) traceWorker(st *traceState, self int) {
+// whole trace is drained. It returns what it counted.
+func (rt *Runtime) traceWorker(st *traceState, self int) counts {
 	own := st.deques[self]
 	nw := len(st.deques)
+	var c counts
 	var scratch []Obj
 	for {
 		v, ok := own.pop()
@@ -151,7 +167,7 @@ func (rt *Runtime) traceWorker(st *traceState, self int) {
 			for i := 1; i < nw && !ok; i++ {
 				v, ok = st.deques[(self+i)%nw].steal()
 				if ok {
-					rt.stats.steals.Add(1)
+					c.steals++
 				}
 			}
 		}
@@ -160,7 +176,7 @@ func (rt *Runtime) traceWorker(st *traceState, self int) {
 		}
 		if !ok {
 			if st.pending.Load() == 0 || st.failed.Load() {
-				return
+				return c
 			}
 			runtime.Gosched()
 			continue
@@ -170,26 +186,25 @@ func (rt *Runtime) traceWorker(st *traceState, self int) {
 		for f := 0; f < rt.arena.NumFields(); f++ {
 			child := rt.arena.LoadField(v, f)
 			if child != NilObj {
-				rt.mark(child, &scratch)
+				rt.mark(child, &scratch, &c)
 			}
 		}
 		if len(scratch) > 0 {
 			st.pending.Add(int64(len(scratch)))
-			for _, c := range scratch {
-				if !own.push(c) {
-					st.spill(c)
+			for _, g := range scratch {
+				if !own.push(g) {
+					st.spill(g)
 				}
 			}
 		}
-		rt.stats.scanned.Add(1)
-		st.processed.Add(1)
+		c.scanned++
 		st.pending.Add(-1)
 	}
 }
 
 // traceSerial is the single-threaded tracing the paper verifies.
-func (rt *Runtime) traceSerial() int {
-	count := 0
+func (rt *Runtime) traceSerial() counts {
+	var c counts
 	work := rt.drainQueue()
 	var scratch []Obj
 	for len(work) > 0 {
@@ -201,11 +216,10 @@ func (rt *Runtime) traceSerial() int {
 				continue
 			}
 			scratch = scratch[:0]
-			rt.mark(child, &scratch)
+			rt.mark(child, &scratch, &c)
 			work = append(work, scratch...)
 		}
-		rt.stats.scanned.Add(1)
-		count++
+		c.scanned++
 	}
-	return count
+	return c
 }

@@ -40,26 +40,11 @@ func (rt *Runtime) CollectRescan() int {
 
 	// Rescan until a root-marking round yields no new grey objects and
 	// the trace is complete. Unlike Collect, the roots handshake repeats.
+	// The trace is the serial one whatever MarkWorkers says.
 	for {
 		rt.handshake(HSGetRoots)
-		work := rt.drainQueue()
-		if len(work) == 0 {
+		if rt.traceAll(1) == 0 {
 			break
-		}
-		var scratch []Obj
-		for len(work) > 0 {
-			src := work[len(work)-1]
-			work = work[:len(work)-1]
-			for f := 0; f < rt.arena.NumFields(); f++ {
-				child := rt.arena.LoadField(src, f)
-				if child == NilObj {
-					continue
-				}
-				scratch = scratch[:0]
-				rt.mark(child, &scratch)
-				work = append(work, scratch...)
-			}
-			rt.stats.scanned.Add(1)
 		}
 	}
 

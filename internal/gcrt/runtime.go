@@ -152,8 +152,20 @@ func (rt *Runtime) Mutator(i int) *Mutator { return rt.muts[i] }
 // NumMutators reports the number of registered mutators.
 func (rt *Runtime) NumMutators() int { return len(rt.muts) }
 
-// Stats returns a snapshot of the runtime counters.
-func (rt *Runtime) Stats() StatsSnapshot { return rt.stats.snapshot() }
+// Stats returns a snapshot of the runtime counters: the collector's plus
+// every mutator's. Each total only grows, and it is safe to call at any
+// time, but a barrier flush, root scan or trace publishes its counts when
+// it ends and the totals are read one after another. So they are exact,
+// and consistent with each other, whenever no flush or trace is in
+// flight: for example between collections with the mutators parked or
+// stopped, which is when cmd/bench reads them.
+func (rt *Runtime) Stats() StatsSnapshot {
+	s := rt.stats.snapshot()
+	for _, m := range rt.muts {
+		m.stats.addTo(&s)
+	}
+	return s
+}
 
 // Phase reads the collector phase (racy, as mutators do).
 func (rt *Runtime) Phase() Phase { return Phase(rt.phase.Load()) }
@@ -240,9 +252,7 @@ func (rt *Runtime) collectorSideHandshake(m *Mutator, t HSType) {
 	m.flushBarriers()
 	switch t {
 	case HSGetRoots:
-		for _, r := range m.roots {
-			rt.mark(r, &m.wl)
-		}
+		m.markRoots()
 		rt.transfer(m.wl)
 		m.wl = m.wl[:0]
 	case HSGetWork:
@@ -257,8 +267,8 @@ func (rt *Runtime) collectorSideHandshake(m *Mutator, t HSType) {
 
 // mark is Figure 5: test the flag against the expected (unmarked) sense,
 // and only then attempt the CAS; the winner takes the object grey by
-// appending it to the work-list wl.
-func (rt *Runtime) mark(ref Obj, wl *[]Obj) {
+// appending it to the work-list wl. It counts into the caller's c.
+func (rt *Runtime) mark(ref Obj, wl *[]Obj, c *counts) {
 	if ref == NilObj {
 		return
 	}
@@ -266,14 +276,14 @@ func (rt *Runtime) mark(ref Obj, wl *[]Obj) {
 	expected := !fM
 	if rt.arena.Allocated(ref) && rt.arena.flag(ref) == expected {
 		if Phase(rt.phase.Load()) != PhIdle {
-			rt.stats.markCAS.Add(1)
+			c.markCAS++
 			if rt.arena.casFlag(ref, expected, fM) {
 				*wl = append(*wl, ref) // we win: ref is grey
-				rt.stats.marked.Add(1)
+				c.marked++
 			}
 		}
 	} else {
-		rt.stats.markFast.Add(1)
+		c.markFast++
 	}
 }
 

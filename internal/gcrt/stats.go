@@ -53,7 +53,12 @@ func (h *latHist) percentile(p float64) time.Duration {
 	return time.Duration(int64(1) << (latBuckets - 1))
 }
 
-// Stats holds the runtime's internal counters.
+// Stats holds the collector's counters. No counter sits on a line that
+// two goroutines write: the collector owns Stats, adding per cycle and
+// per handshake round and publishing a trace's counts once, when the
+// trace ends; each mutator owns a padded mutatorStats. The hot paths — a
+// barrier hit, a mark, a scanned object — add to a line their own
+// goroutine owns, or to a counts on its stack.
 type Stats struct {
 	cycles         atomic.Int64 // gcrt:guard atomic
 	freed          atomic.Int64 // gcrt:guard atomic
@@ -65,11 +70,7 @@ type Stats struct {
 	handshakeNanos atomic.Int64 // gcrt:guard atomic
 	cycleNanos     atomic.Int64 // gcrt:guard atomic
 	rootsRounds    atomic.Int64 // gcrt:guard atomic
-
-	tlabRefills     atomic.Int64 // TLAB batch reservations (tlab.go); gcrt:guard atomic
-	steals          atomic.Int64 // successful deque steals (parallel.go); gcrt:guard atomic
-	barrierBuffered atomic.Int64 // barrier targets that entered a buffer; gcrt:guard atomic
-	barrierFlushes  atomic.Int64 // barrier-buffer drains (barrier.go); gcrt:guard atomic
+	steals         atomic.Int64 // successful deque steals (parallel.go); gcrt:guard atomic
 
 	// hsHist is the per-round handshake latency histogram.
 	// gcrt:guard immutable
@@ -79,6 +80,73 @@ type Stats struct {
 func (s *Stats) recordHandshake(d time.Duration) {
 	s.handshakeNanos.Add(d.Nanoseconds())
 	s.hsHist.record(d)
+}
+
+// publish adds a finished trace's counts.
+func (s *Stats) publish(c *counts) {
+	s.markFast.Add(c.markFast)
+	s.markCAS.Add(c.markCAS)
+	s.marked.Add(c.marked)
+	s.scanned.Add(c.scanned)
+	s.steals.Add(c.steals)
+}
+
+// counts is a count sink owned by one goroutine for one trace, barrier
+// flush or root scan: mark adds to it with plain increments, and the
+// owner publishes it once, when the work is done.
+type counts struct {
+	markFast, markCAS, marked, scanned, steals int64
+}
+
+func (c *counts) add(d *counts) {
+	c.markFast += d.markFast
+	c.markCAS += d.markCAS
+	c.marked += d.marked
+	c.scanned += d.scanned
+	c.steals += d.steals
+}
+
+// cacheLine is the padding that keeps a mutator's counters off the lines
+// of everything allocated around them.
+const cacheLine = 64
+
+// mutatorStats holds the counters a mutator's own operations write: its
+// barrier hits, flushes, root marks and TLAB refills. The collector adds
+// to them only while serving the parked mutator's handshake. They are
+// atomics because Runtime.Stats reads them from other goroutines.
+type mutatorStats struct {
+	_               [cacheLine]byte
+	markFast        atomic.Int64 // gcrt:guard atomic
+	markCAS         atomic.Int64 // gcrt:guard atomic
+	marked          atomic.Int64 // gcrt:guard atomic
+	barrierBuffered atomic.Int64 // gcrt:guard atomic
+	barrierFlushes  atomic.Int64 // gcrt:guard atomic
+	tlabRefills     atomic.Int64 // gcrt:guard atomic
+	_               [cacheLine]byte
+}
+
+// publish adds the marks of a flush or root scan. A single barrier mark
+// publishes too, so zero counts skip their locked add.
+func (s *mutatorStats) publish(c *counts) {
+	if c.markFast != 0 {
+		s.markFast.Add(c.markFast)
+	}
+	if c.markCAS != 0 {
+		s.markCAS.Add(c.markCAS)
+	}
+	if c.marked != 0 {
+		s.marked.Add(c.marked)
+	}
+}
+
+// addTo adds the mutator's counters to a snapshot.
+func (s *mutatorStats) addTo(snap *StatsSnapshot) {
+	snap.MarkFast += s.markFast.Load()
+	snap.MarkCAS += s.markCAS.Load()
+	snap.Marked += s.marked.Load()
+	snap.BarrierBuffered += s.barrierBuffered.Load()
+	snap.BarrierFlushes += s.barrierFlushes.Load()
+	snap.TLABRefills += s.tlabRefills.Load()
 }
 
 // StatsSnapshot is an immutable copy of the counters.
@@ -123,31 +191,31 @@ type StatsSnapshot struct {
 	BarrierFlushes  int64
 }
 
+// snapshot reads the collector's counters; Runtime.Stats adds the
+// mutators'.
 func (s *Stats) snapshot() StatsSnapshot {
 	return StatsSnapshot{
-		Cycles:          s.cycles.Load(),
-		Freed:           s.freed.Load(),
-		Marked:          s.marked.Load(),
-		Scanned:         s.scanned.Load(),
-		MarkFast:        s.markFast.Load(),
-		MarkCAS:         s.markCAS.Load(),
-		Handshakes:      s.handshakes.Load(),
-		HandshakeTime:   time.Duration(s.handshakeNanos.Load()),
-		HandshakeP50:    s.hsHist.percentile(0.50),
-		HandshakeP99:    s.hsHist.percentile(0.99),
-		CycleTime:       time.Duration(s.cycleNanos.Load()),
-		RootsRounds:     s.rootsRounds.Load(),
-		TLABRefills:     s.tlabRefills.Load(),
-		Steals:          s.steals.Load(),
-		BarrierBuffered: s.barrierBuffered.Load(),
-		BarrierFlushes:  s.barrierFlushes.Load(),
+		Cycles:        s.cycles.Load(),
+		Freed:         s.freed.Load(),
+		Marked:        s.marked.Load(),
+		Scanned:       s.scanned.Load(),
+		MarkFast:      s.markFast.Load(),
+		MarkCAS:       s.markCAS.Load(),
+		Handshakes:    s.handshakes.Load(),
+		HandshakeTime: time.Duration(s.handshakeNanos.Load()),
+		HandshakeP50:  s.hsHist.percentile(0.50),
+		HandshakeP99:  s.hsHist.percentile(0.99),
+		CycleTime:     time.Duration(s.cycleNanos.Load()),
+		RootsRounds:   s.rootsRounds.Load(),
+		Steals:        s.steals.Load(),
 	}
 }
 
 func (s StatsSnapshot) String() string {
 	return fmt.Sprintf(
-		"cycles=%d freed=%d marked=%d scanned=%d fastpath=%d cas=%d handshakes=%d hsTime=%v hsP50=%v hsP99=%v cycleTime=%v tlabRefills=%d steals=%d barrierBuffered=%d",
+		"cycles=%d freed=%d marked=%d scanned=%d fastpath=%d cas=%d handshakes=%d hsTime=%v hsP50=%v hsP99=%v cycleTime=%v rootsRounds=%d tlabRefills=%d steals=%d barrierBuffered=%d barrierFlushes=%d",
 		s.Cycles, s.Freed, s.Marked, s.Scanned, s.MarkFast, s.MarkCAS,
 		s.Handshakes, s.HandshakeTime, s.HandshakeP50, s.HandshakeP99,
-		s.CycleTime, s.TLABRefills, s.Steals, s.BarrierBuffered)
+		s.CycleTime, s.RootsRounds, s.TLABRefills, s.Steals,
+		s.BarrierBuffered, s.BarrierFlushes)
 }

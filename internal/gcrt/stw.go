@@ -58,31 +58,22 @@ func (rt *Runtime) CollectSTW() int {
 	rt.fM.Store(!rt.fM.Load())
 	fM := rt.fM.Load()
 	rt.fA.Store(fM)
+	var c counts
 	var work []Obj
 	for _, m := range rt.muts {
 		for _, r := range m.roots {
-			if r != NilObj && rt.arena.Allocated(r) && rt.arena.flag(r) != fM {
-				if rt.arena.casFlag(r, !fM, fM) {
-					work = append(work, r)
-					rt.stats.marked.Add(1)
-				}
-			}
+			rt.markStopped(r, fM, &work, &c)
 		}
 	}
 	for len(work) > 0 {
 		src := work[len(work)-1]
 		work = work[:len(work)-1]
 		for f := 0; f < rt.arena.NumFields(); f++ {
-			c := rt.arena.LoadField(src, f)
-			if c != NilObj && rt.arena.Allocated(c) && rt.arena.flag(c) != fM {
-				if rt.arena.casFlag(c, !fM, fM) {
-					work = append(work, c)
-					rt.stats.marked.Add(1)
-				}
-			}
+			rt.markStopped(rt.arena.LoadField(src, f), fM, &work, &c)
 		}
-		rt.stats.scanned.Add(1)
+		c.scanned++
 	}
+	rt.stats.publish(&c)
 
 	// Sweep (batched free-list release, one lock per shard).
 	freed := rt.sweep()
@@ -94,6 +85,23 @@ func (rt *Runtime) CollectSTW() int {
 	rt.stats.freed.Add(int64(freed))
 	rt.stats.cycleNanos.Add(time.Since(cycleStart).Nanoseconds())
 	return freed
+}
+
+// markStopped is mark for a stopped world: the phase stays Idle through
+// CollectSTW, so there is no phase test, and fM is the new mark sense.
+func (rt *Runtime) markStopped(ref Obj, fM bool, wl *[]Obj, c *counts) {
+	if ref == NilObj {
+		return
+	}
+	if !rt.arena.Allocated(ref) || rt.arena.flag(ref) == fM {
+		c.markFast++
+		return
+	}
+	c.markCAS++
+	if rt.arena.casFlag(ref, !fM, fM) {
+		*wl = append(*wl, ref)
+		c.marked++
+	}
 }
 
 // stwCheck is called from SafePoint: acknowledge a pending world-stop and

@@ -37,7 +37,7 @@ func (m *Mutator) tlabRefill() bool {
 	if len(m.tlab) == 0 {
 		return false
 	}
-	m.rt.stats.tlabRefills.Add(1)
+	m.stats.tlabRefills.Add(1)
 	return true
 }
 
