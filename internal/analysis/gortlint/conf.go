@@ -85,7 +85,7 @@ func gcrtDiscipline() DisciplineConfig {
 	return DisciplineConfig{
 		Package: gcrtPkg,
 		Structs: []string{"Arena", "freeShard", "Runtime", "Mutator", "wsDeque", "traceState", "Oracle", "Stats", "mutatorStats", "latHist"},
-		Init:    []string{"New", "NewArenaSharded", "newWSDeque"},
+		Init:    []string{"New", "newWSDeque"},
 		Exempt: map[string][]string{
 			// The parked-mutator protocol: the collector services a
 			// parked mutator's handshake under parkMu, handing its

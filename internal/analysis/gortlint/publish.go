@@ -267,7 +267,7 @@ func (w *pubWalker) checkExpr(e ast.Expr, t taint) {
 		case w.publish[key]:
 			for _, arg := range call.Args {
 				if w.exprRaw(arg, t) {
-					w.report(arg, "uninstalled reserved slot reaches publication point %s before install: the header store must come first (§4 no-fence argument)", key)
+					w.report(arg, "uninstalled reserved slot reaches publication point %s before install: the header-word CAS must come first (§4 no-fence argument)", key)
 				}
 			}
 		case w.install[key]:

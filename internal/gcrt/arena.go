@@ -32,6 +32,7 @@ package gcrt
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -43,11 +44,33 @@ type Obj int32
 // NilObj is the NULL reference.
 const NilObj Obj = -1
 
-// Header bits.
+// Header bits. Each slot's header is two bits of a packed header word,
+// 32 slots to a word: bit 2k is slot k's allocated bit and bit 2k+1 its
+// mark flag. Every transition of a slot's header is one atomic
+// read-modify-write of its word, so writers of different slots in the
+// same word never lose each other's bits.
 const (
-	hdrFlag  uint32 = 1 << 0 // the mark flag; "marked" iff equal to f_M
-	hdrAlloc uint32 = 1 << 1 // the slot holds a live object
+	hdrAlloc uint64 = 1 << 0 // the slot holds a live object
+	hdrFlag  uint64 = 1 << 1 // the mark flag; "marked" iff equal to f_M
+
+	slotsPerWord = 32
+	// allocBits has every slot's allocated bit set.
+	allocBits uint64 = 0x5555555555555555
+
+	// blockShift sizes a free-list block: 256 slots, whose header words
+	// fill one 64-byte cache line. Whole blocks belong to one shard.
+	blockShift = 8
 )
+
+// unmarked returns the allocated bits (bit 2k) of the slots in header
+// word h that are allocated with a flag other than fM.
+func unmarked(h uint64, fM bool) uint64 {
+	flags := h >> 1 & allocBits
+	if fM {
+		return h & allocBits &^ flags
+	}
+	return h & allocBits & flags
+}
 
 // freeShard is one shard of the free list. Padding keeps two shards'
 // locks off the same cache line under contention.
@@ -58,14 +81,18 @@ type freeShard struct {
 }
 
 // Arena is the simulated heap: a fixed pool of object slots, each with a
-// header word (mark flag + allocated bit) and a fixed number of
-// reference fields. Free slots live on sharded free lists: slot i
-// belongs to shard i mod nshards, so concurrent allocators and the
-// sweep contend on different locks.
+// two-bit header (allocated bit + mark flag) packed into a shared header
+// word, and a fixed number of reference fields. Free slots live on
+// sharded free lists: slot i belongs to block i/256, and block b to
+// shard b mod nshards, so concurrent allocators fill different header
+// and field lines and contend on different locks.
 type Arena struct {
-	nslots  int             // gcrt:guard immutable
-	nfields int             // gcrt:guard immutable
-	headers []atomic.Uint32 // gcrt:guard immutable
+	nslots  int // gcrt:guard immutable
+	nfields int // gcrt:guard immutable
+	// headers holds slot i's header at bits 2(i%32) and 2(i%32)+1 of
+	// word i/32.
+	// gcrt:guard immutable
+	headers []atomic.Uint64
 	// fields holds slot i's references at [i*nfields, (i+1)*nfields).
 	// gcrt:guard immutable
 	fields []atomic.Int32
@@ -83,43 +110,35 @@ type Arena struct {
 }
 
 // NewArena creates an arena of nslots objects with nfields reference
-// fields each, with the free list sharded by GOMAXPROCS.
+// fields each, with the free list sharded by GOMAXPROCS (rounded up to a
+// power of two, at most 64).
 func NewArena(nslots, nfields int) *Arena {
-	return NewArenaSharded(nslots, nfields, 0)
-}
-
-// NewArenaSharded creates an arena with an explicit free-list shard
-// count (rounded up to a power of two; 0 picks a default from
-// GOMAXPROCS, 1 reproduces the seed's single global free list).
-func NewArenaSharded(nslots, nfields, nshards int) *Arena {
-	if nshards <= 0 {
-		nshards = runtime.GOMAXPROCS(0)
-		if nshards > 64 {
-			nshards = 64
-		}
+	nshards := 1
+	for nshards < runtime.GOMAXPROCS(0) && nshards < 64 {
+		nshards <<= 1
 	}
-	pow := 1
-	for pow < nshards {
-		pow <<= 1
+	// High slots first within each shard, so each shard hands out its
+	// lowest slot first.
+	free := make([][]Obj, nshards)
+	for s := range free {
+		free[s] = make([]Obj, 0, nslots/nshards+1<<blockShift)
 	}
-	nshards = pow
-	a := &Arena{
+	for i := nslots - 1; i >= 0; i-- {
+		s := (i >> blockShift) & (nshards - 1)
+		free[s] = append(free[s], Obj(i))
+	}
+	shards := make([]freeShard, nshards)
+	for s := range shards {
+		shards[s] = freeShard{free: free[s]}
+	}
+	return &Arena{
 		nslots:  nslots,
 		nfields: nfields,
-		headers: make([]atomic.Uint32, nslots),
+		headers: make([]atomic.Uint64, (nslots+slotsPerWord-1)/slotsPerWord),
 		fields:  make([]atomic.Int32, nslots*nfields),
-		shards:  make([]freeShard, nshards),
+		shards:  shards,
 		smask:   uint32(nshards - 1),
 	}
-	for s := range a.shards {
-		a.shards[s].free = make([]Obj, 0, nslots/nshards+1)
-	}
-	// High slots first within each shard, matching the seed's LIFO order.
-	for i := nslots - 1; i >= 0; i-- {
-		s := uint32(i) & a.smask
-		a.shards[s].free = append(a.shards[s].free, Obj(i))
-	}
-	return a
 }
 
 // NumSlots reports the arena capacity.
@@ -131,9 +150,28 @@ func (a *Arena) NumFields() int { return a.nfields }
 // NumShards reports the free-list shard count.
 func (a *Arena) NumShards() int { return len(a.shards) }
 
+// shardOf is the home shard of slot o: the shard of its block.
+func (a *Arena) shardOf(o Obj) uint32 { return uint32(o) >> blockShift & a.smask }
+
+// word returns the header word holding o and the shift of o's two bits.
+func (a *Arena) word(o Obj) (*atomic.Uint64, uint) {
+	return &a.headers[uint32(o)/slotsPerWord], uint(uint32(o)%slotsPerWord) * 2
+}
+
+// hdrBits returns o's two header bits from one load of its word.
+func (a *Arena) hdrBits(o Obj) uint64 {
+	return a.headers[uint32(o)/slotsPerWord].Load() >> (uint32(o) % slotsPerWord * 2)
+}
+
+// header reads o's allocated bit and mark flag with one load.
+func (a *Arena) header(o Obj) (alloc, flag bool) {
+	h := a.hdrBits(o)
+	return h&hdrAlloc != 0, h&hdrFlag != 0
+}
+
 // Allocated reports whether the slot holds a live object.
 func (a *Arena) Allocated(o Obj) bool {
-	return o != NilObj && a.headers[o].Load()&hdrAlloc != 0
+	return o != NilObj && a.hdrBits(o)&hdrAlloc != 0
 }
 
 // fault records a touch of a dead slot (a lost-object symptom) and
@@ -168,49 +206,77 @@ func (a *Arena) StoreField(o Obj, f int, v Obj) {
 	a.fields[int(o)*a.nfields+f].Store(int32(v))
 }
 
-// flag reads the raw mark flag of o.
-func (a *Arena) flag(o Obj) bool {
-	return a.headers[o].Load()&hdrFlag != 0
-}
-
 // casFlag attempts to set the mark flag of o from old to new, preserving
-// the allocated bit: the single locked CMPXCHG of Figure 5. It fails only
-// if another thread changed the header first.
+// the allocated bit: the single locked CMPXCHG of Figure 5, on o's header
+// word. It retries only when another slot's bits in the word changed; it
+// fails if another thread changed o's flag first.
 func (a *Arena) casFlag(o Obj, old, new bool) bool {
+	w, sh := a.word(o)
 	for {
-		h := a.headers[o].Load()
-		if h&hdrAlloc == 0 {
+		h := w.Load()
+		if h>>sh&hdrAlloc == 0 {
 			a.fault()
 			return false
 		}
-		cur := h&hdrFlag != 0
-		if cur != old {
+		if (h>>sh&hdrFlag != 0) != old {
 			return false // some other thread won the race
 		}
-		nh := h &^ hdrFlag
+		nh := h &^ (hdrFlag << sh)
 		if new {
-			nh |= hdrFlag
+			nh |= hdrFlag << sh
 		}
-		if a.headers[o].CompareAndSwap(h, nh) {
+		if w.CompareAndSwap(h, nh) {
 			return true
 		}
 	}
 }
 
 // install writes a live header with NULL fields onto a reserved slot.
-// The header store publishes the object; on x86-TSO the initializing
-// field stores drain before any later store that could publish the
-// reference, which is why no fence is needed — the paper's §4 argument.
+// The CAS that sets the header bits publishes the object; on x86-TSO the
+// initializing field stores drain before any later store that could
+// publish the reference, which is why no fence is needed — the paper's
+// §4 argument.
 func (a *Arena) install(o Obj, flag bool) {
 	base := int(o) * a.nfields
 	for i := 0; i < a.nfields; i++ {
 		a.fields[base+i].Store(int32(NilObj))
 	}
-	h := hdrAlloc
+	set := hdrAlloc
 	if flag {
-		h |= hdrFlag
+		set |= hdrFlag
 	}
-	a.headers[o].Store(h)
+	w, sh := a.word(o)
+	for {
+		h := w.Load()
+		if w.CompareAndSwap(h, h|set<<sh) {
+			return
+		}
+	}
+}
+
+// freeUnmarked clears the header of every slot that is allocated with a
+// flag other than fM, one CAS per header word holding such a slot, and
+// appends the freed slots to dst in slot order. If a word's CAS fails — a
+// mutator installed or a marker flagged another of its slots — it
+// reloads that word and recomputes.
+func (a *Arena) freeUnmarked(fM bool, dst []Obj) []Obj {
+	for wi := range a.headers {
+		w := &a.headers[wi]
+		for {
+			h := w.Load()
+			dead := unmarked(h, fM)
+			if dead == 0 {
+				break
+			}
+			if w.CompareAndSwap(h, h&^(dead|dead<<1)) {
+				for ; dead != 0; dead &= dead - 1 {
+					dst = append(dst, Obj(wi*slotsPerWord+bits.TrailingZeros64(dead)/2))
+				}
+				break
+			}
+		}
+	}
+	return dst
 }
 
 // reserveBatch moves up to n free slots into dst, preferring the given
@@ -242,7 +308,7 @@ func (a *Arena) returnBatch(objs []Obj) {
 		sh := &a.shards[s]
 		first := true
 		for _, o := range objs {
-			if uint32(o)&a.smask != uint32(s) {
+			if a.shardOf(o) != uint32(s) {
 				continue
 			}
 			if first {
@@ -257,32 +323,11 @@ func (a *Arena) returnBatch(objs []Obj) {
 	}
 }
 
-// release returns a single slot to its shard's free list (sweep only).
-func (a *Arena) release(o Obj) {
-	a.headers[o].Store(0)
-	sh := &a.shards[uint32(o)&a.smask]
-	sh.mu.Lock()
-	sh.free = append(sh.free, o)
-	sh.mu.Unlock()
-}
-
-// releaseBatch clears the headers of the given slots and returns them to
-// their shards, taking each shard lock at most once. The sweep uses it
-// so reclamation costs one lock per shard, not one per object.
-func (a *Arena) releaseBatch(objs []Obj) {
-	for _, o := range objs {
-		a.headers[o].Store(0)
-	}
-	a.returnBatch(objs)
-}
-
 // LiveCount counts allocated slots (O(n); diagnostics and tests).
 func (a *Arena) LiveCount() int {
 	n := 0
 	for i := range a.headers {
-		if a.headers[i].Load()&hdrAlloc != 0 {
-			n++
-		}
+		n += bits.OnesCount64(a.headers[i].Load() & allocBits)
 	}
 	return n
 }

@@ -67,7 +67,7 @@ func (m *Mutator) barrierHit(ref Obj) {
 	}
 	// Inline fast path: skip targets that are already at the mark sense.
 	// Racy like mark()'s own test; the flush re-checks under the CAS.
-	if !rt.arena.Allocated(ref) || rt.arena.flag(ref) == rt.fM.Load() {
+	if alloc, flag := rt.arena.header(ref); !alloc || flag == rt.fM.Load() {
 		m.stats.markFast.Add(1)
 		return
 	}

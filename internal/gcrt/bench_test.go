@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // Microbenchmarks with direct access to the kernel internals, isolating
@@ -17,13 +18,16 @@ import (
 // setFlag forces o's raw mark flag, so a benchmark can re-measure the
 // marking CAS on the same object. Being test code, it cannot reach a
 // production path, where a raw flag write breaks the tri-colour
-// invariant.
+// invariant. It is a casFlag from the flag it reads, so it never loses
+// another slot's bits in the header word.
 func (a *Arena) setFlag(o Obj, flag bool) {
-	h := a.headers[o].Load() &^ hdrFlag
-	if flag {
-		h |= hdrFlag
-	}
-	a.headers[o].Store(h)
+	a.casFlag(o, a.flag(o), flag)
+}
+
+// flag reads the raw mark flag of o.
+func (a *Arena) flag(o Obj) bool {
+	_, flag := a.header(o)
+	return flag
 }
 
 func BenchmarkMarkFastPathAlreadyMarked(b *testing.B) {
@@ -191,17 +195,45 @@ func BenchmarkAllocRelease(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		slot = a.reserveBatch(slot[:0], 0, 1)
 		a.install(slot[0], false)
-		a.release(slot[0])
+		slot = a.freeUnmarked(true, slot[:0])
+		a.returnBatch(slot)
 	}
 }
 
-func BenchmarkSweepEmptyHeap(b *testing.B) {
-	rt := New(Options{Slots: 4096, Fields: 1, Mutators: 1})
-	rt.Mutator(0).Park()
+// BenchmarkSweep measures one sweep at the rt-churn shape: 2^20 slots,
+// of which the previous cycle's 10,000 allocations are garbage and the
+// current cycle's 10,000 survive. Each iteration flips the mark sense and
+// allocates the next survivors, so every sweep frees exactly the last
+// iteration's objects. Only the sweep is timed: ns/op is per cycle.
+func BenchmarkSweep(b *testing.B) {
+	const slots, perCycle = 1 << 20, 10_000
+	rt := New(Options{Slots: slots, Fields: 1, Mutators: 1})
+	a := rt.arena
+	var batch []Obj
+	var swept time.Duration
+	cycle := func() int {
+		fM := !rt.fM.Load()
+		rt.fM.Store(fM)
+		batch = a.reserveBatch(batch[:0], 0, perCycle)
+		for _, o := range batch {
+			a.install(o, fM) // allocated black: survives this sweep
+		}
+		start := time.Now()
+		freed := rt.sweep()
+		swept += time.Since(start)
+		return freed
+	}
+	cycle() // the first sweep has no garbage yet
+	swept = 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Collect()
+		if freed := cycle(); freed != perCycle {
+			b.Fatalf("sweep freed %d, want %d", freed, perCycle)
+		}
 	}
+	ns := float64(swept.Nanoseconds()) / float64(b.N)
+	b.ReportMetric(ns, "ns/op")
+	b.ReportMetric(ns/slots, "ns/slot")
 }
 
 func BenchmarkFieldLoadStore(b *testing.B) {

@@ -2,6 +2,7 @@ package gcrt
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -167,7 +168,11 @@ func (o *Oracle) checkStore(m *Mutator, victim, inserted Obj, phBefore Phase) {
 	rt := o.rt
 	fM := rt.fM.Load()
 	white := func(x Obj) bool {
-		return x != NilObj && rt.arena.Allocated(x) && rt.arena.flag(x) != fM
+		if x == NilObj {
+			return false
+		}
+		alloc, flag := rt.arena.header(x)
+		return alloc && flag != fM
 	}
 	badIns := white(inserted) && !m.inBarrierBuf(inserted)
 	badDel := white(victim) && !m.inBarrierBuf(victim)
@@ -254,10 +259,10 @@ func (rt *Runtime) Audit() int64 {
 	// non-ablated configuration.
 	fM := rt.fM.Load()
 	a := rt.arena
-	for i := 0; i < a.NumSlots(); i++ {
-		h := a.headers[i].Load()
-		o.checks.Add(1)
-		if h&hdrAlloc != 0 && (h&hdrFlag != 0) != fM {
+	o.checks.Add(int64(a.NumSlots()))
+	for wi := range a.headers {
+		for stale := unmarked(a.headers[wi].Load(), fM); stale != 0; stale &= stale - 1 {
+			i := wi*slotsPerWord + bits.TrailingZeros64(stale)/2
 			o.report(CheckMarkSense, -1,
 				fmt.Sprintf("allocated object %d has stale mark sense at idle (f_M=%v)", i, fM))
 		}
@@ -269,7 +274,7 @@ func (rt *Runtime) Audit() int64 {
 		sh.mu.Lock()
 		for _, f := range sh.free {
 			o.checks.Add(1)
-			if a.headers[f].Load()&hdrAlloc != 0 {
+			if a.Allocated(f) {
 				o.report(CheckFreeList, -1,
 					fmt.Sprintf("free-list slot %d has a live header", f))
 			}

@@ -87,3 +87,33 @@ func TestOracleSilentOnCleanBarriers(t *testing.T) {
 		t.Fatal("oracle ran zero checks — vacuous pass")
 	}
 }
+
+// The arena scans of Audit, each fed one deterministic violation: an
+// allocated object at the stale mark sense between cycles, and a live
+// slot on a free list. Each must be reported once, under its own check.
+func TestAuditReportsStaleMarkSense(t *testing.T) {
+	rt := New(Options{Slots: 64, Fields: 1, Mutators: 1})
+	o := rt.EnableOracle(OracleOptions{})
+	m := rt.Mutator(0)
+	x := m.Root(m.Alloc())
+	m.Alloc() // a second object, at the current sense
+	m.Park()
+	rt.arena.setFlag(x, !rt.FM())
+	rt.Audit()
+	if got := o.CountByCheck(); got[CheckMarkSense] != 1 || o.FindingCount() != 1 {
+		t.Fatalf("findings %v, want one %s", got, CheckMarkSense)
+	}
+}
+
+func TestAuditReportsLiveSlotOnFreeList(t *testing.T) {
+	rt := New(Options{Slots: 64, Fields: 1, Mutators: 1})
+	o := rt.EnableOracle(OracleOptions{})
+	m := rt.Mutator(0)
+	x := m.Root(m.Alloc())
+	m.Park()
+	rt.arena.returnBatch([]Obj{x}) // still allocated
+	rt.Audit()
+	if got := o.CountByCheck(); got[CheckFreeList] != 1 || o.FindingCount() != 1 {
+		t.Fatalf("findings %v, want one %s", got, CheckFreeList)
+	}
+}

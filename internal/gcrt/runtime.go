@@ -66,10 +66,6 @@ type Options struct {
 	// workers race safely.
 	MarkWorkers int
 
-	// ArenaShards sets the free-list shard count (rounded up to a power
-	// of two; 0 derives it from GOMAXPROCS, 1 reproduces the seed's
-	// single global free list).
-	ArenaShards int
 	// TLABSize sets the per-mutator allocation-cache batch reserved per
 	// refill (0 picks a default of 64). See tlab.go.
 	TLABSize int
@@ -117,8 +113,8 @@ type Runtime struct {
 	// gcrt:guard immutable(New, Runtime.EnableOracle)
 	oracle *Oracle
 
-	// sweepScratch carries freed slots between sweep and batched
-	// release; collector goroutine only.
+	// sweepScratch carries freed slots between the sweep's word clears
+	// and the batched return to the free lists; collector goroutine only.
 	// gcrt:guard owner(collector)
 	sweepScratch []Obj
 
@@ -132,7 +128,7 @@ func New(opt Options) *Runtime {
 	}
 	rt := &Runtime{
 		opt:   opt,
-		arena: NewArenaSharded(opt.Slots, opt.Fields, opt.ArenaShards),
+		arena: NewArena(opt.Slots, opt.Fields),
 	}
 	for i := 0; i < opt.Mutators; i++ {
 		m := &Mutator{rt: rt, id: i}
@@ -274,7 +270,7 @@ func (rt *Runtime) mark(ref Obj, wl *[]Obj, c *counts) {
 	}
 	fM := rt.fM.Load()
 	expected := !fM
-	if rt.arena.Allocated(ref) && rt.arena.flag(ref) == expected {
+	if alloc, flag := rt.arena.header(ref); alloc && flag == expected {
 		if Phase(rt.phase.Load()) != PhIdle {
 			c.markCAS++
 			if rt.arena.casFlag(ref, expected, fM) {
@@ -287,19 +283,13 @@ func (rt *Runtime) mark(ref Obj, wl *[]Obj, c *counts) {
 	}
 }
 
-// sweep releases every object still at the unmarked sense, batching the
-// free-list traffic per shard, and returns the number freed.
+// sweep releases every object still at the unmarked sense and returns
+// the number freed. It clears dead headers a word (32 slots) at a time,
+// so its cost is O(slots/32 + freed), then returns the freed slots to
+// their shards with one lock acquisition per shard.
 func (rt *Runtime) sweep() int {
-	fM := rt.fM.Load()
-	freed := rt.sweepScratch[:0]
-	for i := 0; i < rt.arena.NumSlots(); i++ {
-		o := Obj(i)
-		h := rt.arena.headers[o].Load()
-		if h&hdrAlloc != 0 && (h&hdrFlag != 0) != fM {
-			freed = append(freed, o)
-		}
-	}
-	rt.arena.releaseBatch(freed)
+	freed := rt.arena.freeUnmarked(rt.fM.Load(), rt.sweepScratch[:0])
+	rt.arena.returnBatch(freed)
 	rt.sweepScratch = freed[:0]
 	return len(freed)
 }

@@ -93,7 +93,7 @@ func (rt *Runtime) markStopped(ref Obj, fM bool, wl *[]Obj, c *counts) {
 	if ref == NilObj {
 		return
 	}
-	if !rt.arena.Allocated(ref) || rt.arena.flag(ref) == fM {
+	if alloc, flag := rt.arena.header(ref); !alloc || flag == fM {
 		c.markFast++
 		return
 	}

@@ -59,16 +59,26 @@ func TestTLABReservedSlotsInvisibleToSweep(t *testing.T) {
 }
 
 func TestTLABExhaustionAndRecovery(t *testing.T) {
-	// Two mutators, arena smaller than two full TLABs: reservation must
-	// spill across shards and exhaust cleanly, and ReturnTLAB must make
-	// the hoarded slots allocatable by the other mutator.
-	rt := New(Options{Slots: 48, Fields: 1, Mutators: 2, TLABSize: 32})
+	// Two mutators, two shards: shard 0 holds the first 256-slot block and
+	// shard 1 only 16 slots, less than one TLAB. m1's reservation must
+	// spill from its own shard into m0's, the arena must exhaust cleanly,
+	// and ReturnTLAB must make the hoarded slots allocatable by the other
+	// mutator.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const slots = 1<<blockShift + 16
+	rt := New(Options{Slots: slots, Fields: 1, Mutators: 2, TLABSize: 32})
+	if n := rt.Arena().NumShards(); n != 2 {
+		t.Fatalf("%d shards at GOMAXPROCS 2, want 2", n)
+	}
 	m0, m1 := rt.Mutator(0), rt.Mutator(1)
 
-	m0.Alloc() // m0 reserves 32
-	m1.Alloc() // m1 reserves the remaining 16
+	m0.Alloc() // m0 reserves 32 from shard 0
+	m1.Alloc() // m1 takes shard 1's 16 and spills 16 from shard 0
+	if got := m1.TLABSize(); got != 31 {
+		t.Fatalf("m1 holds %d reserved slots after its first alloc, want 31 (a spill)", got)
+	}
 
-	// Drain everything: 48 slots total, 2 already allocated.
+	// Drain everything: 2 already allocated.
 	allocated := 2
 	for m0.Alloc() >= 0 {
 		allocated++
@@ -76,8 +86,8 @@ func TestTLABExhaustionAndRecovery(t *testing.T) {
 	for m1.Alloc() >= 0 {
 		allocated++
 	}
-	if allocated != 48 {
-		t.Fatalf("allocated %d slots from a 48-slot arena", allocated)
+	if allocated != slots {
+		t.Fatalf("allocated %d slots from a %d-slot arena", allocated, slots)
 	}
 	if m0.Alloc() >= 0 || m1.Alloc() >= 0 {
 		t.Fatal("allocation succeeded on an exhausted arena")
@@ -106,8 +116,8 @@ func TestTLABExhaustionAndRecovery(t *testing.T) {
 	for m1.Alloc() >= 0 {
 		got++
 	}
-	if got < 40 { // 48 - m0's one live object - m1's prior small remainder
-		t.Fatalf("m1 allocated only %d slots after m0 parked", got)
+	if got != slots-1 { // all but m0's one live object
+		t.Fatalf("m1 allocated %d slots after m0 parked, want %d", got, slots-1)
 	}
 	m0.Unpark()
 }
