@@ -1,8 +1,9 @@
 package repro
 
 // One benchmark per experiment in DESIGN.md's per-experiment index
-// (E1–E16; E14's write-barrier pair needs the arena's raw mark flag, so
-// it lives with the kernel in internal/gcrt). The paper has no
+// (E1–E16; E14's write-barrier pair needs the arena's raw mark flag, and
+// E2c's rescanning collector is test code of package gcrt, so both live
+// with the kernel in internal/gcrt). The paper has no
 // performance tables — it is a verification paper — so these
 // benchmarks regenerate the cost profile of every
 // artifact the paper's figures define: the semantics, the TSO machine,
@@ -12,6 +13,7 @@ package repro
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/explore"
@@ -344,30 +346,6 @@ func BenchmarkExploreReduction(b *testing.B) {
 	}
 }
 
-// BenchmarkLitmusReduction runs the whole published litmus battery
-// through the TSO explorer with and without partial-order reduction.
-func BenchmarkLitmusReduction(b *testing.B) {
-	for _, md := range []struct {
-		name string
-		opt  tso.ExploreOptions
-	}{
-		{"full", tso.ExploreOptions{}},
-		{"reduce", tso.ExploreOptions{Reduce: true}},
-	} {
-		b.Run(md.name, func(b *testing.B) {
-			states := 0
-			for i := 0; i < b.N; i++ {
-				for _, tc := range litmus.All() {
-					for _, model := range []tso.Model{tso.TSO, tso.SC} {
-						states += tso.ExploreX(tc.Prog, model, md.opt).States
-					}
-				}
-			}
-			b.ReportMetric(float64(states)/float64(b.N), "states/suite")
-		})
-	}
-}
-
 // --- E11: time-to-counterexample for the barrier ablations -------------
 
 func BenchmarkE11AblationCounterexample(b *testing.B) {
@@ -516,9 +494,14 @@ func itoa(n int) string {
 
 // --- E2b: mutator pause, stop-the-world baseline vs on-the-fly ----------
 
+// BenchmarkE2bMaxPause compares the worst mutator-observed pause. The
+// stopped world parks the mutator for one Collect, so its pause is the
+// whole cycle; it leaves out the rendezvous wait a real world-stop adds.
+// The on-the-fly mutator keeps running and pauses only to service
+// handshakes.
 func BenchmarkE2bMaxPause(b *testing.B) {
-	run := func(b *testing.B, collect func(*gcrt.Runtime) int) {
-		var worst int64
+	run := func(b *testing.B, collect func(*gcrt.Runtime, *gcrt.Mutator) time.Duration) {
+		var worst time.Duration
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			rt := gcrt.New(gcrt.Options{Slots: 8192, Fields: 1, Mutators: 1})
@@ -533,75 +516,38 @@ func BenchmarkE2bMaxPause(b *testing.B) {
 			for k := m.NumRoots() - 1; k > head; k-- {
 				m.Discard(k)
 			}
-			done := make(chan struct{})
 			b.StartTimer()
-			go func() { collect(rt); close(done) }()
-		spin:
+			p := collect(rt, m)
+			b.StopTimer()
+			worst = max(worst, p)
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(worst.Nanoseconds()), "worst-pause-ns")
+	}
+	b.Run("stop-the-world", func(b *testing.B) {
+		run(b, func(rt *gcrt.Runtime, m *gcrt.Mutator) time.Duration {
+			m.Park()
+			start := time.Now()
+			rt.Collect()
+			pause := time.Since(start)
+			m.Unpark()
+			return pause
+		})
+	})
+	b.Run("on-the-fly", func(b *testing.B) {
+		run(b, func(rt *gcrt.Runtime, m *gcrt.Mutator) time.Duration {
+			done := make(chan struct{})
+			go func() { rt.Collect(); close(done) }()
 			for {
 				select {
 				case <-done:
-					break spin
+					return m.MaxPause()
 				default:
 					m.SafePoint()
 				}
 			}
-			b.StopTimer()
-			if p := int64(m.MaxPause()); p > worst {
-				worst = p
-			}
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(worst), "worst-pause-ns")
-	}
-	b.Run("stop-the-world", func(b *testing.B) {
-		run(b, func(rt *gcrt.Runtime) int { return rt.CollectSTW() })
+		})
 	})
-	b.Run("on-the-fly", func(b *testing.B) {
-		run(b, func(rt *gcrt.Runtime) int { return rt.Collect() })
-	})
-}
-
-// --- E2c: rescanning variant round inflation -----------------------------
-
-func BenchmarkE2cRescanRounds(b *testing.B) {
-	// Quiesced comparison: with parked mutators both variants trace the
-	// same heap; the rescanning variant still pays one extra (empty)
-	// roots round per cycle, and under adversarial mutators its rounds
-	// grow with the hidden chain (see TestRescanUnboundedRounds).
-	b.Run("snapshot", func(b *testing.B) {
-		rt := gcrt.New(gcrt.Options{Slots: 512, Fields: 1, Mutators: 1})
-		seedList(rt, 256)
-		rt.Mutator(0).Park()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rt.Collect()
-		}
-	})
-	b.Run("rescan", func(b *testing.B) {
-		rt := gcrt.New(gcrt.Options{Slots: 512, Fields: 1, Mutators: 1, NoDeletionBarrier: true})
-		seedList(rt, 256)
-		rt.Mutator(0).Park()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rt.CollectRescan()
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(rt.RescanRounds())/float64(b.N), "rounds/cycle")
-	})
-}
-
-func seedList(rt *gcrt.Runtime, n int) {
-	m := rt.Mutator(0)
-	head := m.Alloc()
-	prev := head
-	for i := 1; i < n; i++ {
-		x := m.Alloc()
-		m.Store(prev, 0, x)
-		prev = x
-	}
-	for i := m.NumRoots() - 1; i > head; i-- {
-		m.Discard(i)
-	}
 }
 
 // --- E18: liveness — fair-cycle search over the state graph -----------

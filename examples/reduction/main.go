@@ -51,6 +51,8 @@ func main() {
 	fmt.Println()
 	fmt.Println("both runs explore the same reachable behaviours: the reduced run")
 	fmt.Println("visits representatives of the skipped interleavings. go test")
-	fmt.Println("./internal/diffcheck proves the verdicts match on litmus tests,")
-	fmt.Println("random TSO programs, and a model corpus.")
+	fmt.Println("./internal/diffcheck checks, on a corpus of safe and ablated")
+	fmt.Println("configurations, that the verdicts match, that the reduced run")
+	fmt.Println("visits no more states, and that every counterexample replays")
+	fmt.Println("through the unreduced relation.")
 }

@@ -93,8 +93,6 @@ func gcrtDiscipline() DisciplineConfig {
 			// barrier-buffer marking it does through the Mutator's own
 			// methods.
 			"Runtime.collectorSideHandshake": {"Mutator.wl"},
-			// The STW baseline scans roots with the world stopped.
-			"Runtime.CollectSTW": {"Mutator.roots"},
 			// The oracle samples a mutator's roots at its own safe point
 			// (on the mutator's goroutine) and ticks its sampling
 			// counter inside Store.

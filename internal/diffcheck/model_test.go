@@ -10,17 +10,17 @@ import (
 )
 
 // corpusEntry is one collector-model configuration of the differential
-// corpus, with the reduction modes expected to strictly shrink it.
+// corpus.
 type corpusEntry struct {
 	name string
 	cfg  gcmodel.Config
-	// strict lists mode names whose reduced run must visit strictly
-	// fewer states than the full run (the ISSUE acceptance criterion);
-	// modes not listed only need the sound "no more states" bound.
-	strict []string
+	// strict requires the reduced run to visit strictly fewer states
+	// than the full run; otherwise only the sound "no more states"
+	// bound applies.
+	strict bool
 	// heavy marks entries skipped under the race detector, where their
 	// ~200k-state explorations would take minutes. The remaining
-	// entries still exercise every mode under -race.
+	// entries still exercise the reduction under -race.
 	heavy bool
 }
 
@@ -49,24 +49,23 @@ func corpus() []corpusEntry {
 	return []corpusEntry{
 		// Safe single-mutator configuration under TSO: the main
 		// partial-order-reduction workload.
-		{name: "tiny", cfg: tinySmall(), strict: []string{"reduce"}, heavy: true},
+		{name: "tiny", cfg: tinySmall(), strict: true, heavy: true},
 		// The SC oracle: reduction logic takes the SCMemory paths.
-		{name: "tiny-sc", cfg: tinySC, strict: []string{"reduce"}, heavy: true},
+		{name: "tiny-sc", cfg: tinySC, strict: true, heavy: true},
 		// Two mutators with identical roots, handshake-only: small enough
 		// to run everywhere, with ragged handshakes across two mutators.
-		{name: "sym-handshake", cfg: symHS, strict: []string{"reduce"}},
+		{name: "sym-handshake", cfg: symHS, strict: true},
 		// Ablated (violating) configurations: verdict preservation and
 		// counterexample replay on the buggy side of the fence.
 		{name: "tiny-no-deletion-barrier", cfg: tinyDel},
-		{name: "sym-no-deletion-barrier", cfg: symDel, strict: []string{"reduce"}},
+		{name: "sym-no-deletion-barrier", cfg: symDel, strict: true},
 	}
 }
 
-// TestModelCorpusDifferential is the collector-model half of the
-// harness: every corpus configuration is explored in full and under
-// every reduction mode; verdicts must match, reduced state counts must
-// not exceed the full count (strictly smaller where declared), and
-// every counterexample must replay through the unreduced relation.
+// TestModelCorpusDifferential is the harness: every corpus configuration
+// is explored in full and reduced; verdicts must match, the reduced state
+// count must not exceed the full count (strictly smaller where declared),
+// and every counterexample must replay through the unreduced relation.
 func TestModelCorpusDifferential(t *testing.T) {
 	for _, e := range corpus() {
 		e := e
@@ -74,7 +73,7 @@ func TestModelCorpusDifferential(t *testing.T) {
 			if e.heavy && raceEnabled {
 				t.Skip("heavy corpus entry skipped under -race")
 			}
-			c, err := CompareModel(e.cfg, Modes())
+			c, err := CompareModel(e.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,15 +85,12 @@ func TestModelCorpusDifferential(t *testing.T) {
 				verdict = "violates " + c.Full.Violation.Invariant
 			}
 			t.Logf("full: states=%d depth=%d (%s)", c.Full.States, c.Full.Depth, verdict)
-			for _, r := range c.Runs {
-				t.Logf("%-16s states=%d (%.2fx) ample=%d", r.Mode.Name, r.Result.States,
-					float64(c.Full.States)/float64(r.Result.States), r.Result.AmpleStates)
-				for _, want := range e.strict {
-					if r.Mode.Name == want && r.Result.States >= c.Full.States {
-						t.Errorf("%s: expected strictly fewer states than full (%d), got %d",
-							r.Mode.Name, c.Full.States, r.Result.States)
-					}
-				}
+			r := c.Reduced
+			t.Logf("reduced: states=%d (%.2fx) ample=%d", r.States,
+				float64(c.Full.States)/float64(r.States), r.AmpleStates)
+			if e.strict && r.States >= c.Full.States {
+				t.Errorf("reduced: expected strictly fewer states than full (%d), got %d",
+					c.Full.States, r.States)
 			}
 		})
 	}

@@ -253,3 +253,46 @@ func BenchmarkFieldLoadStore(b *testing.B) {
 		}
 	})
 }
+
+// --- E2c: rescanning variant round inflation -----------------------------
+
+func BenchmarkE2cRescanRounds(b *testing.B) {
+	// Quiesced comparison: with parked mutators both variants trace the
+	// same heap; the rescanning variant still pays one extra (empty)
+	// roots round per cycle, and under adversarial mutators its rounds
+	// grow with the hidden chain (see TestRescanUnboundedRounds).
+	b.Run("snapshot", func(b *testing.B) {
+		rt := New(Options{Slots: 512, Fields: 1, Mutators: 1})
+		seedList(rt, 256)
+		rt.Mutator(0).Park()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rt.Collect()
+		}
+	})
+	b.Run("rescan", func(b *testing.B) {
+		rt := New(Options{Slots: 512, Fields: 1, Mutators: 1, NoDeletionBarrier: true})
+		seedList(rt, 256)
+		rt.Mutator(0).Park()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			collectRescan(rt)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(rt.Stats().RootsRounds)/float64(b.N), "rounds/cycle")
+	})
+}
+
+func seedList(rt *Runtime, n int) {
+	m := rt.Mutator(0)
+	head := m.Alloc()
+	prev := head
+	for i := 1; i < n; i++ {
+		x := m.Alloc()
+		m.Store(prev, 0, x)
+		prev = x
+	}
+	for i := m.NumRoots() - 1; i > head; i-- {
+		m.Discard(i)
+	}
+}

@@ -47,8 +47,6 @@ type Mutator struct {
 	parkMu sync.Mutex   // gcrt:guard atomic
 	served atomic.Int64 // gcrt:guard atomic
 
-	// Acknowledgement flag for the stop-the-world baseline.
-	stwAcked atomic.Bool // gcrt:guard atomic
 	// Pause accounting: the longest and cumulative time this mutator has
 	// been held at a safe point.
 	pauseMax   atomic.Int64 // gcrt:guard atomic
@@ -172,7 +170,6 @@ func (m *Mutator) DiscardAll() {
 // number, and the mutator compares it against its private copy of the
 // last round it acknowledged.
 func (m *Mutator) SafePoint() {
-	m.stwCheck() // stop-the-world baseline rendezvous (no-op otherwise)
 	want := m.hsWanted.Load()
 	if want == m.lastAck {
 		return
@@ -183,6 +180,28 @@ func (m *Mutator) SafePoint() {
 	m.hsAcked.Store(want)
 	m.served.Add(1)
 	m.recordPause(time.Since(start))
+}
+
+// recordPause tracks the maximum and total pause this mutator observed.
+func (m *Mutator) recordPause(d time.Duration) {
+	n := d.Nanoseconds()
+	m.pauseTotal.Add(n)
+	m.pauseCount.Add(1)
+	for {
+		cur := m.pauseMax.Load()
+		if n <= cur || m.pauseMax.CompareAndSwap(cur, n) {
+			break
+		}
+	}
+}
+
+// MaxPause reports the largest single pause this mutator has observed at
+// a safe point servicing a handshake.
+func (m *Mutator) MaxPause() time.Duration { return time.Duration(m.pauseMax.Load()) }
+
+// TotalPause reports the cumulative pause time and the number of pauses.
+func (m *Mutator) TotalPause() (time.Duration, int64) {
+	return time.Duration(m.pauseTotal.Load()), m.pauseCount.Load()
 }
 
 // serviceHandshake performs the mutator-side work of the current round.

@@ -94,10 +94,6 @@ type Runtime struct {
 	hsRound int64        // gcrt:guard owner(collector)
 	muts    []*Mutator   // gcrt:guard immutable
 
-	// stw is the world-stop protocol state used by the stop-the-world
-	// baseline (stw.go).
-	stw atomic.Int32 // gcrt:guard atomic
-
 	// The collector's work queue; mutators transfer their private
 	// work-lists here when completing get-roots/get-work handshakes.
 	// Schism transfers work-lists with wait-free list splicing; a mutex

@@ -176,7 +176,7 @@ type StatsSnapshot struct {
 	CycleTime time.Duration
 	// RootsRounds counts root-marking handshake rounds: exactly one per
 	// cycle for the snapshot collector, one per rescan round for the
-	// incremental-update rescanning variant.
+	// incremental-update rescanning variant (variants_test.go).
 	RootsRounds int64
 
 	// TLABRefills counts per-mutator allocation-cache batch

@@ -96,8 +96,7 @@ func TestStatsCountsExact(t *testing.T) {
 		{"Collect/MarkWorkers=0", Options{}, (*Runtime).Collect},
 		{"Collect/MarkWorkers=4", Options{MarkWorkers: 4}, (*Runtime).Collect},
 		{"Collect/BarrierBuffer=-1", Options{BarrierBuffer: -1}, (*Runtime).Collect},
-		{"CollectSTW", Options{}, (*Runtime).CollectSTW},
-		{"CollectRescan", Options{NoDeletionBarrier: true}, (*Runtime).CollectRescan},
+		{"collectRescan", Options{NoDeletionBarrier: true}, collectRescan},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := tc.opt

@@ -2,14 +2,89 @@ package gcrt
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // --- Stop-the-world baseline (E2b) -------------------------------------
+//
+// The design the paper's §2 ("On-the-Fly") argues against: "The most
+// straightforward way to achieve this is to stop all mutator threads
+// before sampling their roots, and afterwards restarting the mutators
+// ... But this imposes relatively long and unpredictable pauses on
+// mutators." A stopped world is every mutator parked for the length of
+// one Collect: the collector services the parked mutators' handshakes
+// itself, so the cycle runs with exclusive access and the
+// mutator-observed pause is the whole cycle, Θ(live heap), where the
+// on-the-fly collector's pauses are the handshake services, Θ(roots) at
+// worst.
+
+// collectStopped runs one Collect with the world stopped and returns the
+// pause. The pause leaves out the rendezvous wait a real world-stop adds,
+// so the comparison with the on-the-fly collector is conservative.
+func collectStopped(rt *Runtime) time.Duration {
+	for i := 0; i < rt.NumMutators(); i++ {
+		rt.Mutator(i).Park()
+	}
+	start := time.Now()
+	rt.Collect()
+	pause := time.Since(start)
+	for i := 0; i < rt.NumMutators(); i++ {
+		rt.Mutator(i).Unpark()
+	}
+	return pause
+}
+
+// TestStoppedWorldCollect: with the world stopped there is no floating
+// garbage. One cycle frees every object unreachable at its start, and
+// keeps every parked mutator's roots.
+func TestStoppedWorldCollect(t *testing.T) {
+	rt := New(Options{Slots: 256, Fields: 2, Mutators: 2})
+	for i := 0; i < 2; i++ {
+		m := rt.Mutator(i)
+		// A rooted chain of three, hanging a garbage cycle of two off
+		// its tail and then cutting it loose.
+		head := m.Alloc()
+		prev := head
+		for k := 1; k < 3; k++ {
+			n := m.Alloc()
+			m.Store(prev, 0, n)
+			prev = n
+		}
+		a, b := m.Alloc(), m.Alloc()
+		m.Store(a, 0, b)
+		m.Store(b, 0, a)
+		m.Store(prev, 1, a)
+		m.Store(prev, 1, -1)
+		// Garbage that was only ever rooted.
+		for k := 0; k < 4+i; k++ {
+			m.Alloc()
+		}
+		for m.NumRoots() > 1 {
+			m.Discard(m.NumRoots() - 1)
+		}
+	}
+	var roots []Obj
+	for i := 0; i < 2; i++ {
+		roots = append(roots, rt.Mutator(i).Roots()...)
+	}
+	want := len(reachable(rt.Arena(), roots))
+	collectStopped(rt)
+	if got := rt.Arena().LiveCount(); got != want {
+		t.Fatalf("live = %d, want the %d reachable objects (a stopped world has no floating garbage)", got, want)
+	}
+	for i := 0; i < 2; i++ {
+		for _, r := range rt.Mutator(i).Roots() {
+			if !rt.Arena().Allocated(r) {
+				t.Fatalf("mutator %d: parked root %d collected", i, r)
+			}
+		}
+	}
+	if f := rt.Arena().Faults.Load(); f != 0 {
+		t.Fatalf("faults = %d", f)
+	}
+}
 
 func TestSTWBasicCollection(t *testing.T) {
 	rt := New(Options{Slots: 32, Fields: 1, Mutators: 1})
@@ -17,105 +92,51 @@ func TestSTWBasicCollection(t *testing.T) {
 	keep := m.Alloc()
 	g := m.Alloc()
 	m.Discard(g)
-
-	done := make(chan struct{})
-	go func() { rt.CollectSTW(); close(done) }()
-	// The mutator must acknowledge the stop before collection proceeds.
-	for {
-		select {
-		case <-done:
-			if !rt.Arena().Allocated(m.Root(keep)) {
-				t.Fatal("rooted object collected by STW")
-			}
-			if rt.Arena().LiveCount() != 1 {
-				t.Fatalf("live = %d, want 1 (STW has no floating garbage)", rt.Arena().LiveCount())
-			}
-			return
-		default:
-			m.SafePoint()
-		}
+	collectStopped(rt)
+	if !rt.Arena().Allocated(m.Root(keep)) {
+		t.Fatal("rooted object collected with the world stopped")
 	}
-}
-
-// TestSTWBackToBackCyclesDoNotLoseAcks is the regression test for two
-// lost-wakeup bugs in the world-stop rendezvous: CollectSTW used to publish
-// the request before clearing the acknowledgements (a prompt mutator's ack
-// was erased and both sides spun forever), and a mutator that was never
-// scheduled between one cycle's release and the next cycle's request kept
-// waiting for the old release with its ack cleared. Thousands of
-// back-to-back cycles against two busy mutators on two Ps hit both windows.
-func TestSTWBackToBackCyclesDoNotLoseAcks(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	rt := New(Options{Slots: 1024, Fields: 1, Mutators: 2})
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		m := rt.Mutator(i)
-		keep := m.Alloc() // before the other mutator can have churned through the arena
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				if g := m.Alloc(); g >= 0 { // -1: arena full until the next sweep
-					m.Store(keep, 0, g)
-					m.Discard(g)
-				}
-				m.SafePoint()
-			}
-		}()
+	if rt.Arena().LiveCount() != 1 {
+		t.Fatalf("live = %d, want 1 (a stopped world has no floating garbage)", rt.Arena().LiveCount())
 	}
-	const cycles = 3000
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for c := 0; c < cycles; c++ {
-			rt.CollectSTW()
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(20 * time.Second):
-		t.Errorf("world-stop rendezvous hung after %d of %d cycles", rt.Stats().Cycles, cycles)
-		// Unblock whoever can still be unblocked so the test binary exits.
-		rt.stw.Store(stwIdle)
-	}
-	stop.Store(true)
-	wg.Wait()
 }
 
 func TestSTWNoFloatingGarbage(t *testing.T) {
-	// Unlike the snapshot collector, STW reclaims everything unreachable
-	// at the stop — in one cycle.
+	// Unlike the on-the-fly collector, a stopped world reclaims
+	// everything unreachable at the stop — in one cycle.
 	rt := New(Options{Slots: 32, Fields: 1, Mutators: 1})
 	m := rt.Mutator(0)
 	for i := 0; i < 10; i++ {
 		r := m.Alloc()
 		m.Discard(r)
 	}
-	m.Park()
-	rt.CollectSTW()
-	m.Unpark()
+	collectStopped(rt)
 	if got := rt.Arena().LiveCount(); got != 0 {
-		t.Fatalf("live = %d after one STW cycle", got)
+		t.Fatalf("live = %d after one stopped-world cycle", got)
 	}
 }
 
 func TestSTWWorksWithParkedMutators(t *testing.T) {
 	rt := New(Options{Slots: 16, Fields: 1, Mutators: 2})
 	a := rt.Mutator(0).Alloc()
-	rt.Mutator(0).Park()
-	rt.Mutator(1).Park()
-	rt.CollectSTW() // must not deadlock
+	done := make(chan struct{})
+	go func() { collectStopped(rt); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("Collect with every mutator parked did not finish")
+	}
 	if !rt.Arena().Allocated(rt.Mutator(0).Root(a)) {
 		t.Fatal("parked mutator's root collected")
 	}
 }
 
 func TestSTWPausesScaleWithHeap(t *testing.T) {
-	// The mutator-observed STW pause covers the whole collection and
-	// grows with live-heap size; the on-the-fly handshake pause does not
-	// cover the trace. Compare max pauses over identical heaps.
-	pause := func(collect func(*Runtime) int) time.Duration {
+	// The mutator-observed stop-the-world pause covers the whole
+	// collection and grows with live-heap size; the on-the-fly handshake
+	// pause does not cover the trace. Compare max pauses over identical
+	// heaps.
+	heap := func() *Runtime {
 		rt := New(Options{Slots: 8192, Fields: 1, Mutators: 1})
 		m := rt.Mutator(0)
 		// A long live chain: tracing it takes real work.
@@ -129,19 +150,23 @@ func TestSTWPausesScaleWithHeap(t *testing.T) {
 		for i := m.NumRoots() - 1; i > head; i-- {
 			m.Discard(i)
 		}
-		done := make(chan struct{})
-		go func() { collect(rt); close(done) }()
-		for {
-			select {
-			case <-done:
-				return m.MaxPause()
-			default:
-				m.SafePoint()
-			}
+		return rt
+	}
+	stw := collectStopped(heap())
+	rt := heap()
+	m := rt.Mutator(0)
+	done := make(chan struct{})
+	go func() { rt.Collect(); close(done) }()
+spin:
+	for {
+		select {
+		case <-done:
+			break spin
+		default:
+			m.SafePoint()
 		}
 	}
-	stw := pause(func(rt *Runtime) int { return rt.CollectSTW() })
-	otf := pause(func(rt *Runtime) int { return rt.Collect() })
+	otf := m.MaxPause()
 	t.Logf("max pause: stop-the-world=%v on-the-fly=%v", stw, otf)
 	if stw <= otf {
 		t.Skipf("scheduling noise: stw=%v otf=%v (expected stw >> otf)", stw, otf)
@@ -149,6 +174,63 @@ func TestSTWPausesScaleWithHeap(t *testing.T) {
 }
 
 // --- Incremental-update rescanning variant (E2c) ------------------------
+//
+// The design alternative the paper's §2 ("Timeliness") rejects: a pure
+// incremental-update collector that keeps only the insertion barrier and,
+// instead of snapshotting, **rescans the mutators' roots** until a rescan
+// discovers nothing new:
+//
+//	"One solution to this is for the collector to rescan the mutators'
+//	roots before marking terminates. However, such references might hide
+//	long chains of unmarked objects, potentially prolonging the marking
+//	phase ... our collector ensures the timely completion of the
+//	collection cycle by employing a snapshot (or deletion) barrier."
+//
+// collectRescan is safe without the deletion barrier (the insertion
+// barrier maintains the strong tricolor invariant on the heap, and roots
+// are re-greyed every round), but the number of rounds is driven by the
+// mutators: a mutator that keeps loading white references keeps the
+// marking phase alive. The snapshot collector's round count is bounded by
+// design. Experiment E2c quantifies the difference; Stats().RootsRounds
+// counts the rounds.
+
+// collectRescan runs one incremental-update collection cycle with root
+// rescanning and returns the number of objects freed. Use it with
+// Options.NoDeletionBarrier set; the deletion barrier is harmless but
+// redundant here.
+func collectRescan(rt *Runtime) int {
+	cycleStart := time.Now()
+
+	rt.handshake(HSNoop)
+	rt.fM.Store(!rt.fM.Load())
+	rt.handshake(HSNoop)
+	rt.phase.Store(int32(PhInit))
+	rt.handshake(HSNoop)
+	rt.phase.Store(int32(PhMark))
+	if !rt.opt.AllocWhite {
+		rt.fA.Store(rt.fM.Load())
+	}
+	rt.handshake(HSNoop)
+
+	// Rescan until a root-marking round yields no new grey objects and
+	// the trace is complete. Unlike Collect, the roots handshake repeats.
+	// The trace is the serial one whatever MarkWorkers says.
+	for {
+		rt.handshake(HSGetRoots)
+		if rt.traceAll(1) == 0 {
+			break
+		}
+	}
+
+	rt.phase.Store(int32(PhSweep))
+	freed := rt.sweep()
+	rt.phase.Store(int32(PhIdle))
+
+	rt.stats.cycles.Add(1)
+	rt.stats.freed.Add(int64(freed))
+	rt.stats.cycleNanos.Add(time.Since(cycleStart).Nanoseconds())
+	return freed
+}
 
 func TestRescanBasicCollection(t *testing.T) {
 	rt := New(Options{Slots: 32, Fields: 1, Mutators: 1, NoDeletionBarrier: true})
@@ -157,7 +239,7 @@ func TestRescanBasicCollection(t *testing.T) {
 	g := m.Alloc()
 	m.Discard(g)
 	m.Park()
-	freed := rt.CollectRescan()
+	freed := collectRescan(rt)
 	m.Unpark()
 	if freed != 1 {
 		t.Fatalf("freed = %d, want 1", freed)
@@ -165,8 +247,8 @@ func TestRescanBasicCollection(t *testing.T) {
 	if !rt.Arena().Allocated(m.Root(keep)) {
 		t.Fatal("rooted object collected")
 	}
-	if rt.RescanRounds() < 2 {
-		t.Fatalf("rescan rounds = %d, want ≥ 2 (work round + empty round)", rt.RescanRounds())
+	if r := rt.Stats().RootsRounds; r < 2 {
+		t.Fatalf("rescan rounds = %d, want ≥ 2 (work round + empty round)", r)
 	}
 }
 
@@ -184,7 +266,7 @@ func TestRescanSurvivesDeletionRace(t *testing.T) {
 	m1.Discard(x)
 
 	done := make(chan struct{})
-	go func() { rt.CollectRescan(); close(done) }()
+	go func() { collectRescan(rt); close(done) }()
 
 	for m1.Served() < 4 || m2.Served() < 4 {
 		m1.SafePoint()
@@ -243,12 +325,12 @@ func TestRescanUnboundedRounds(t *testing.T) {
 	// Root slot 0 now holds the current chain node.
 
 	done := make(chan struct{})
-	go func() { rt.CollectRescan(); close(done) }()
+	go func() { collectRescan(rt); close(done) }()
 
 	for {
 		select {
 		case <-done:
-			rounds := rt.RescanRounds()
+			rounds := rt.Stats().RootsRounds
 			t.Logf("rescan rounds = %d (chain length %d)", rounds, chain)
 			// One round per chain node plus the final empty round; allow
 			// slack for the initialization rounds' interleaving.
@@ -333,7 +415,7 @@ func TestRescanConcurrentStress(t *testing.T) {
 		}(i)
 	}
 	for c := 0; c < 12; c++ {
-		rt.CollectRescan()
+		collectRescan(rt)
 	}
 	close(stop)
 	wg.Wait()

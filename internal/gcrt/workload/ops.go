@@ -1,13 +1,10 @@
 // Package workload generates adversarial heap workloads for the gcrt
 // runtime and drives them with the online invariant oracle attached.
 //
-// The package is the runtime-scale analogue of the model checker's
-// random program generator (internal/diffcheck): op streams are a pure
-// function of (seed, shape, mutator id), so a failing configuration
-// replays exactly, and Shrink minimizes a failing program the same way
-// diffcheck.Shrink minimizes a failing litmus test — drop a whole
-// mutator, then single ops, keeping any removal that preserves the
-// failure.
+// Op streams are a pure function of (seed, shape, mutator id), so a
+// failing configuration replays exactly, and Shrink minimizes a failing
+// program: drop a whole mutator, then single ops, keeping any removal
+// that preserves the failure.
 //
 // The shapes are chosen to stress the protocol windows the paper's
 // proof obligations guard: DeepList grows long unlink-able chains
@@ -207,11 +204,10 @@ func NewProgram(cfg Config) [][]Op {
 	return prog
 }
 
-// Shrink greedily minimizes a failing program, mirroring
-// diffcheck.Shrink: repeatedly try dropping a whole mutator's stream,
-// then a single op, keeping any removal after which fails still reports
-// true, until no removal preserves the failure. Deterministic given a
-// deterministic predicate.
+// Shrink greedily minimizes a failing program: repeatedly try dropping
+// a whole mutator's stream, then a single op, keeping any removal after
+// which fails still reports true, until no removal preserves the
+// failure. Deterministic given a deterministic predicate.
 func Shrink(prog [][]Op, fails func([][]Op) bool) [][]Op {
 	for changed := true; changed; {
 		changed = false

@@ -9,7 +9,7 @@ import (
 
 // TestOpsDeterministic: op generation is a pure function of
 // (seed, shape, mutator id) — the property that makes a failing
-// workload replayable, mirroring diffcheck.RandProgram.
+// workload replayable.
 func TestOpsDeterministic(t *testing.T) {
 	for _, shape := range Shapes {
 		cfg := Config{Shape: shape, Seed: 42, Fields: 4}
@@ -51,8 +51,7 @@ func TestProgramsExecutable(t *testing.T) {
 	}
 }
 
-// TestShrinkMinimizes: the greedy shrinker (mirroring diffcheck.Shrink)
-// reduces a failing program to the smallest one preserving the
+// TestShrinkMinimizes: the greedy shrinker reduces a failing program to the smallest one preserving the
 // predicate — here, "contains an OpUnlink" shrinks to exactly one op.
 func TestShrinkMinimizes(t *testing.T) {
 	cfg := Config{Shape: Churn, Mutators: 3, Seed: 11, Fields: 2, OpsPerMutator: 200}

@@ -129,139 +129,10 @@ const (
 	SC
 )
 
-// ExploreOptions configures ExploreX.
-type ExploreOptions struct {
-	// Reduce enables a partial-order reduction: at states where some
-	// thread's next instruction is a provably commuting "safe" step
-	// (see safeThread), only that single transition is pursued,
-	// skipping its interleavings against unrelated steps. The terminal
-	// outcome set is preserved exactly; the reduced run visits a subset
-	// of the full run's states. Package diffcheck differentially
-	// validates the equivalence on every litmus test and on generated
-	// random programs.
-	Reduce bool
-}
-
-// ExploreResult carries the terminal outcome set plus exploration
-// statistics.
-type ExploreResult struct {
-	// Outcomes is the set of terminal outcomes, keyed canonically.
-	Outcomes map[string]Outcome
-	// States is the number of distinct states visited.
-	States int
-	// AmpleStates counts the states expanded by a single safe step.
-	AmpleStates int
-}
-
 // Explore exhaustively enumerates all interleavings (and, under TSO, all
 // buffer-commit schedules) of the program and returns the set of terminal
 // outcomes keyed canonically.
 func Explore(p Program, model Model) map[string]Outcome {
-	return ExploreX(p, model, ExploreOptions{}).Outcomes
-}
-
-// instrWrites reports whether executing in could write addr.
-func instrWrites(in Instr, a Addr) bool {
-	switch in := in.(type) {
-	case St:
-		return in.Addr == a
-	case CAS:
-		return in.Addr == a
-	case XchgAdd:
-		return in.Addr == a
-	}
-	return false
-}
-
-// instrAccesses reports whether executing in could read or write addr.
-func instrAccesses(in Instr, a Addr) bool {
-	if instrWrites(in, a) {
-		return true
-	}
-	ld, ok := in.(Ld)
-	return ok && ld.Addr == a
-}
-
-// othersCanTouch reports whether any thread other than t could still
-// affect (pred = instrWrites) or observe-or-affect (pred =
-// instrAccesses) address a: a matching remaining instruction, or an
-// already-buffered store to a awaiting commit.
-func othersCanTouch(p Program, ps *progState, t int, a Addr, pred func(Instr, Addr) bool) bool {
-	for u := range p.Threads {
-		if u == t {
-			continue
-		}
-		for _, w := range ps.m.Bufs[u] {
-			if w.Addr == a {
-				return true
-			}
-		}
-		for i := ps.pc[u]; i < len(p.Threads[u]); i++ {
-			if pred(p.Threads[u][i], a) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// safeThread returns the first thread whose next instruction is a safe
-// step — enabled, invisible to (or provably non-interfering with) every
-// other thread, and commuting with all their enabled transitions — or
-// -1. Safe cases:
-//
-//   - St under TSO: the store only appends to the thread's own FIFO
-//     buffer, which no other thread reads; the only other operation on
-//     the buffer is the thread's own commit, which pops the opposite
-//     end. Under SC the store writes memory directly and is safe only
-//     when no other thread has any remaining access to the address.
-//   - Ld when no other thread can still write the address (neither a
-//     remaining instruction nor an already-buffered store): the
-//     observed value is then determined by the thread's own buffer
-//     and memory, both invariant under every other enabled transition
-//     (own commits are shadowed by store forwarding). The litmus
-//     machine never carries the TSO lock across states (locked
-//     instructions are coarse single transitions), so an enabled load
-//     stays enabled in every skipped interleaving.
-//   - MFence with an empty buffer: a pure program-counter advance that
-//     only the thread itself could re-disable.
-//
-// Locked instructions (CAS, XchgAdd) are never safe: they drain the
-// buffer and access memory atomically.
-//
-// Safety is decided by the thread's position only, so the choice is a
-// deterministic function of the state. Litmus programs are loop-free,
-// so safe chains terminate and reduction cannot ignore a thread
-// forever.
-func safeThread(p Program, ps *progState, model Model) int {
-	for t := range p.Threads {
-		if ps.pc[t] >= len(p.Threads[t]) {
-			continue
-		}
-		tid := ThreadID(t)
-		switch in := p.Threads[t][ps.pc[t]].(type) {
-		case St:
-			if model == TSO {
-				return t
-			}
-			if !ps.m.Blocked(tid) && !othersCanTouch(p, ps, t, in.Addr, instrAccesses) {
-				return t
-			}
-		case Ld:
-			if !ps.m.Blocked(tid) && !othersCanTouch(p, ps, t, in.Addr, instrWrites) {
-				return t
-			}
-		case MFence:
-			if ps.m.FenceReady(tid) {
-				return t
-			}
-		}
-	}
-	return -1
-}
-
-// ExploreX is Explore with options and statistics.
-func ExploreX(p Program, model Model, opt ExploreOptions) ExploreResult {
 	init := &progState{
 		pc:   make([]int, len(p.Threads)),
 		regs: make([][]Word, len(p.Threads)),
@@ -277,7 +148,6 @@ func ExploreX(p Program, model Model, opt ExploreOptions) ExploreResult {
 	outcomes := make(map[string]Outcome)
 	seen := map[string]struct{}{init.fingerprint(): {}}
 	stack := []*progState{init}
-	ampleStates := 0
 
 	for len(stack) > 0 {
 		ps := stack[len(stack)-1]
@@ -291,18 +161,6 @@ func ExploreX(p Program, model Model, opt ExploreOptions) ExploreResult {
 			}
 			seen[fp] = struct{}{}
 			stack = append(stack, ns)
-		}
-
-		if opt.Reduce {
-			if t := safeThread(p, ps, model); t >= 0 {
-				ns, ok := stepInstr(ps, ThreadID(t), p.Threads[t][ps.pc[t]], model)
-				if !ok {
-					panic("tso: safe step refused (safeThread out of sync with stepInstr)")
-				}
-				ampleStates++
-				visit(ns)
-				continue // a safe step exists, so ps is not terminal
-			}
 		}
 
 		for t := range p.Threads {
@@ -339,7 +197,7 @@ func ExploreX(p Program, model Model, opt ExploreOptions) ExploreResult {
 			outcomes[o.Key()] = o
 		}
 	}
-	return ExploreResult{Outcomes: outcomes, States: len(seen), AmpleStates: ampleStates}
+	return outcomes
 }
 
 func stepInstr(ps *progState, t ThreadID, in Instr, model Model) (*progState, bool) {
