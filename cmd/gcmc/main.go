@@ -19,7 +19,7 @@
 //	gcmc -preset custom -mutators 2 -budget 1  # custom configuration
 //	gcmc -preset tiny -json               # machine-readable verdict
 //	gcmc -preset tiny -lint -no-hs-fence  # static preflight names the broken rule
-//	gcmc -preset tiny -validate-effects   # cross-check the static effect table
+//	gcmc -preset tiny -validate-effects   # check effects and each ample step
 //	gcmc -preset tiny -checkpoint run.ckpt  # snapshot the search periodically
 //	gcmc -preset tiny -resume run.ckpt    # continue an interrupted run
 //	gcmc -remote http://127.0.0.1:8322 -preset tiny  # run on a gcmcd daemon
@@ -109,7 +109,7 @@ func main() {
 		reduce  = flag.Bool("reduce", false, "TSO-aware partial-order reduction (skip commuting buffer-local interleavings)")
 
 		lint      = flag.Bool("lint", false, "static preflight: run the gclint placement rules on the configuration before exploring")
-		validate  = flag.Bool("validate-effects", false, "cross-check the declared effect footprint and derived POR class on every transition/state")
+		validate  = flag.Bool("validate-effects", false, "check every transition against the declared effect footprint, and run each nominated ample step against every other enabled step")
 		live      = flag.Bool("liveness", false, "also run the fair-cycle liveness checker on the unreduced state graph")
 		liveProps = flag.String("live-prop", "", "comma-separated progress properties to check (default all: hs-ack-m<i>, gc-sweep, buf-drain-gc, buf-drain-m<i>)")
 
@@ -317,7 +317,8 @@ func main() {
 		}
 		if res.Effects != nil {
 			ev, st := res.Effects.Stats()
-			fmt.Printf("effects: %d transitions and %d states validated against the declared footprint\n", ev, st)
+			fmt.Printf("effects: %d transitions and %d states validated against the declared footprint; %d ample steps run in both orders\n",
+				ev, st, res.Effects.AmpleChecked())
 		}
 		if res.States > 0 {
 			fmt.Printf("visited-set: %d bytes (%.1f B/state)\n",

@@ -23,7 +23,7 @@
 //     detection over the model's state graph;
 //   - internal/analysis: the static effect/robustness analyzer (declared
 //     effect footprints, CFG dataflow, Shasha–Snir robustness, placement
-//     rules, POR safe-class derivation), cross-checked against the
+//     rules, the executed ample-step check), cross-checked against the
 //     dynamic checker; cmd/gclint is its CLI;
 //   - internal/analysis/golint, internal/analysis/gortlint: the
 //     self-lint layer — a stdlib-only module loader and call graph, and

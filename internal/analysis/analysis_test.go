@@ -225,42 +225,4 @@ func TestFootprintExtraction(t *testing.T) {
 	if pid, ok := fp.Locals["sys-dequeue-write-buffer"]; !ok || pid != 2 {
 		t.Errorf("dequeue τ label: pid=%d ok=%v, want system PID 2", pid, ok)
 	}
-	// Writers: the collector is the sole writer of every control word;
-	// heap classes are multi-writer (mutator stores/CAS plus the
-	// collector's CAS and free).
-	gcBit := uint64(1) << uint(gcmodel.GCPID)
-	for _, cls := range []analysis.LocClass{analysis.ClassFA, analysis.ClassFM, analysis.ClassPhase} {
-		if w := fp.WritersOf(cls); w != gcBit {
-			t.Errorf("writers(%v) = %b, want collector only", cls, w)
-		}
-	}
-	for _, cls := range []analysis.LocClass{analysis.ClassMark, analysis.ClassField} {
-		if w := fp.WritersOf(cls); w == gcBit || w == 0 {
-			t.Errorf("writers(%v) = %b, want multiple writers", cls, w)
-		}
-	}
-}
-
-// TestDeriveSafeInitial diffs the derived POR classification against
-// the handwritten one on the initial state of every preset (the full
-// reachable-state diff runs during validated exploration; see
-// validate_test.go).
-func TestDeriveSafeInitial(t *testing.T) {
-	for name, cfg := range map[string]gcmodel.Config{
-		"tiny":        core.TinyConfig(),
-		"two-mutator": core.TwoMutatorConfig(),
-		"chain":       core.ChainConfig(),
-	} {
-		m, err := gcmodel.Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := analysis.NewValidator(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := v.CheckPOR(m.Initial()); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
 }

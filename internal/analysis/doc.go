@@ -33,13 +33,14 @@
 //     NoInsertionBarrier, InsertionBarrierOnlyBeforeRootsDone,
 //     UnlockedMark, NoHSFence, ElideHS1–3) without running the checker.
 //
-//   - POR safe-class derivation (por.go): the handwritten partial-order
-//     reduction classification (gcmodel.Model.SafeRequest) is re-derived
-//     from the declared effect table plus a writers-per-class analysis
-//     of the extracted sites, and the two classifications are diffed at
-//     every reachable state during validated exploration
-//     ("por-safe-class"). A disagreement means either the handwritten
-//     commutation argument or the effect table is wrong.
+//   - Executed ample-step check (validate.go): at every state of a
+//     validated exploration where gcmodel's AmpleChoice nominates a
+//     step for the partial-order reduction, CheckAmple runs that step
+//     against every other enabled transition. It must have one
+//     successor, disable nothing, and reach the same state in both
+//     orders with every step that leaves it enabled; a buffered write to
+//     a class the battery observes (ObservedBuffered) is refused
+//     outright.
 //
 // cmd/gclint is the command-line front end; cmd/gcmc -lint runs the
 // static preflight and enables the dynamic validation hooks.

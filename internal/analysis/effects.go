@@ -19,8 +19,6 @@ const (
 	ClassPhase
 	ClassMark
 	ClassField
-
-	numClasses = 5
 )
 
 // ClassControl is the GC control words fA, fM and phase.
@@ -33,8 +31,10 @@ const ClassAny = ClassControl | ClassMark | ClassField
 // observable by the verification itself: the tso_control invariant and
 // the GC-view color abstraction read control writes out of the writer's
 // buffer, so enqueue order against other processes' steps is visible.
-// The POR derivation (por.go) must therefore refuse to treat buffered
-// stores to these classes as invisible.
+// Validator.CheckAmple therefore refuses an ample step that stores to
+// one of these classes through the buffer. Running both orders cannot
+// show the problem: the two orders reach equal states, and what differs
+// is which states the battery is evaluated on.
 const ObservedBuffered = ClassControl
 
 // ClassOf maps a location kind to its class bit.

@@ -23,9 +23,9 @@ type Site struct {
 }
 
 // Footprint is the whole-model effect declaration: the per-site table,
-// the internal (τ) step labels, the per-kind effect and response-label
-// tables, and the derived writers-per-class sets. It is a pure function
-// of the Config — building it does not build or explore the model.
+// the internal (τ) step labels, and the per-kind effect and
+// response-label tables. It is a pure function of the Config — building
+// it does not build or explore the model.
 type Footprint struct {
 	Cfg gcmodel.Config
 	// Sites maps every Request label of the collector and the mutators
@@ -38,10 +38,6 @@ type Footprint struct {
 	// Kinds and Resp are the declared per-kind tables (effects.go).
 	Kinds [gcmodel.NumReqKinds]KindEffect
 	Resp  [gcmodel.NumReqKinds]string
-
-	// writers[i] is the PID bitmask of processes with a declared write
-	// to class bit 1<<i, derived from the extracted sites.
-	writers [numClasses]uint64
 
 	// Program roots, kept for CFG construction (rules.go).
 	gcRoot   cimp.Com[*gcmodel.Local]
@@ -179,35 +175,5 @@ func NewFootprint(cfg gcmodel.Config) (*Footprint, error) {
 			return nil, fmt.Errorf("analysis: undeclared system response %q", l)
 		}
 	}
-
-	// Derive writers-per-class from the extracted sites: a site writes
-	// its declared request class (RWrite) or its kind's declared direct
-	// write classes (RAlloc, RFree).
-	for _, s := range fp.Sites {
-		var cls LocClass
-		if s.Kind == gcmodel.RWrite {
-			cls = s.Loc
-		} else {
-			cls = fp.Kinds[s.Kind].Writes
-		}
-		for i := 0; i < numClasses; i++ {
-			if cls&(1<<i) != 0 {
-				fp.writers[i] |= pidBit(s.PID)
-			}
-		}
-	}
 	return fp, nil
 }
-
-// WritersOf returns the PID bitmask of processes with a declared write
-// to the (single-bit) class.
-func (fp *Footprint) WritersOf(c LocClass) uint64 {
-	for i := 0; i < numClasses; i++ {
-		if c == 1<<i {
-			return fp.writers[i]
-		}
-	}
-	return 0
-}
-
-func pidBit(p cimp.PID) uint64 { return 1 << uint(p) }

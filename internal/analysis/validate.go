@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/cimp"
@@ -16,10 +18,9 @@ import (
 //     if the observed kind, location class, responder label, τ label,
 //     or lock/buffer effect falls outside the declared footprint
 //     ("declared-effects").
-//   - CheckPOR fires on every newly visited state and fails if the
-//     derived POR safe classification (por.go) disagrees with the
-//     handwritten gcmodel classification on any pending singleton
-//     request ("por-safe-class").
+//   - CheckState fires on every newly visited state. Where
+//     gcmodel's AmpleChoice nominates a step, it runs CheckAmple, which
+//     executes that step against every other enabled transition.
 //
 // The maps are built once and only read afterwards; the counters are
 // atomic. A single Validator is safe for concurrent use by all checker
@@ -29,6 +30,7 @@ type Validator struct {
 	m      *gcmodel.Model
 	events atomic.Int64
 	states atomic.Int64
+	ample  atomic.Int64
 }
 
 // NewValidator extracts the footprint of m's configuration and returns
@@ -48,6 +50,10 @@ func (v *Validator) Footprint() *Footprint { return v.fp }
 func (v *Validator) Stats() (events, states int64) {
 	return v.events.Load(), v.states.Load()
 }
+
+// AmpleChecked returns the number of nominated ample steps CheckAmple
+// has executed.
+func (v *Validator) AmpleChecked() int64 { return v.ample.Load() }
 
 func sysOf(st cimp.System[*gcmodel.Local]) *gcmodel.SysLocal {
 	return st.Procs[len(st.Procs)-1].Data.Sys
@@ -118,27 +124,89 @@ func (v *Validator) CheckEvent(parent, next cimp.System[*gcmodel.Local], ev cimp
 	return nil
 }
 
-// CheckPOR diffs the derived POR safe classification against the
-// handwritten one at st. It inspects the same pending requests the
-// reduction oracle inspects: each non-system process with a unique
-// enabled Request head.
-func (v *Validator) CheckPOR(st cimp.System[*gcmodel.Local]) error {
+// The reasons CheckAmple gives for refusing a nominated step.
+var (
+	ErrAmpleNotSingle    = errors.New("ample step does not have exactly one successor")
+	ErrAmpleObserved     = errors.New("ample step is a buffered write the battery observes")
+	ErrAmpleDisables     = errors.New("ample step disables another step")
+	ErrAmpleOrdersDiffer = errors.New("the two orders reach different states")
+)
+
+// CheckState runs CheckAmple on the step gcmodel nominates at st, if
+// any.
+func (v *Validator) CheckState(st cimp.System[*gcmodel.Local]) error {
 	v.states.Add(1)
-	sys := sysOf(st)
-	for p := 0; p < len(st.Procs)-1; p++ {
-		r, alpha, ok := cimp.SoleRequest(st.Procs[p])
-		if !ok {
-			continue
+	return v.CheckAmple(st, v.m.AmpleChoice(st))
+}
+
+// stepKey names a transition across states: the same process firing
+// the same command against the same responder. Transitions that share a
+// key (the system's dequeues, one per non-empty buffer; the refs an
+// allocation may return) are matched as a multiset.
+type stepKey struct {
+	proc, peer       cimp.PID
+	label, peerLabel string
+}
+
+func keyOf(ev cimp.Event) stepKey { return stepKey{ev.Proc, ev.Peer, ev.Label, ev.PeerLabel} }
+
+// CheckAmple executes the ample step amp at st against every other
+// transition enabled at st. It fails unless
+//
+//   - (a) amp has exactly one successor, and it is not a buffered store
+//     to an ObservedBuffered class;
+//   - (b) amp disables no other step: after it, every key is enabled at
+//     least as often as before;
+//   - (c) for each other step t that leaves amp enabled, t then amp
+//     reaches the same fingerprint as amp then some step keyed like t.
+//
+// A step t that disables amp is allowed; gcmodel/reduce.go says why
+// that is sound.
+func (v *Validator) CheckAmple(st cimp.System[*gcmodel.Local], amp gcmodel.Ample) error {
+	if !amp.OK {
+		return nil
+	}
+	v.ample.Add(1)
+	type step struct {
+		ev cimp.Event
+		to cimp.System[*gcmodel.Local]
+	}
+	var amps, others []step
+	v.m.Successors(st, func(n cimp.System[*gcmodel.Local], ev cimp.Event) {
+		if amp.Matches(ev) {
+			amps = append(amps, step{ev, n})
+		} else {
+			others = append(others, step{ev, n})
 		}
-		req, ok := alpha.(gcmodel.Req)
-		if !ok {
-			continue
+	})
+	if len(amps) != 1 {
+		return fmt.Errorf("%w: %q by p%d has %d", ErrAmpleNotSingle, amp.Label, amp.Proc, len(amps))
+	}
+	a := amps[0]
+	if req, ok := a.ev.Alpha.(gcmodel.Req); ok && v.fp.Kinds[req.Kind].Buffered && ClassOf(req.Loc.Kind)&ObservedBuffered != 0 {
+		return fmt.Errorf("%w: %q (%v)", ErrAmpleObserved, amp.Label, req)
+	}
+	after := map[stepKey][]string{}
+	v.m.Successors(a.to, func(n cimp.System[*gcmodel.Local], ev cimp.Event) {
+		k := keyOf(ev)
+		after[k] = append(after[k], v.m.Fingerprint(n))
+	})
+	before := map[stepKey]int{}
+	for _, t := range others {
+		k := keyOf(t.ev)
+		if before[k]++; before[k] > len(after[k]) {
+			return fmt.Errorf("%w: %q by p%d disables %q by p%d", ErrAmpleDisables, amp.Label, amp.Proc, t.ev.Label, t.ev.Proc)
 		}
-		hand := v.m.SafeRequest(sys, req)
-		derived := v.fp.DeriveSafe(sys, req)
-		if hand != derived {
-			return fmt.Errorf("POR safe-class disagreement at %q (%v): handwritten=%v derived=%v",
-				r.Label(), req, hand, derived)
+	}
+	var err error
+	for _, t := range others {
+		v.m.Successors(t.to, func(n cimp.System[*gcmodel.Local], ev cimp.Event) {
+			if err == nil && amp.Matches(ev) && !slices.Contains(after[keyOf(t.ev)], v.m.Fingerprint(n)) {
+				err = fmt.Errorf("%w: %q by p%d against %q by p%d", ErrAmpleOrdersDiffer, amp.Label, amp.Proc, t.ev.Label, t.ev.Proc)
+			}
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -83,9 +83,10 @@ type VerifyOptions struct {
 	LivenessProps []string
 	// ValidateEffects cross-checks the static analysis layer against the
 	// exploration (see package analysis): every taken transition is
-	// checked against the declared effect footprint, and the derived POR
-	// safe classification is diffed against the handwritten one at every
-	// visited state. Any disagreement is reported as a violation
+	// checked against the declared effect footprint, and at every visited
+	// state where the reduction would nominate an ample step, that step
+	// is run against every other enabled step (analysis.CheckAmple). Any
+	// failure is reported as a violation
 	// ("event-check" / "state-check"). VerifyResult.Effects carries the
 	// validation counters.
 	ValidateEffects bool
@@ -315,7 +316,7 @@ func Verify(cfg ModelConfig, opt VerifyOptions) (VerifyResult, error) {
 type effectsVisitor struct{ val *analysis.Validator }
 
 func (v effectsVisitor) Edge(e explore.Edge) error  { return v.val.CheckEvent(e.From, e.To, e.Ev) }
-func (v effectsVisitor) State(n explore.Node) error { return v.val.CheckPOR(n.State) }
+func (v effectsVisitor) State(n explore.Node) error { return v.val.CheckState(n.State) }
 func (effectsVisitor) Checks() bool                 { return true }
 
 // SimulateOptions configures a randomized deep run.

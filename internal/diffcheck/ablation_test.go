@@ -1,0 +1,75 @@
+package diffcheck
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/explore"
+	"repro/internal/gcmodel"
+	"repro/internal/invariant"
+)
+
+// tinyAlloc is the tiny configuration with allocation enabled: what
+// gcmc -preset custom runs with its default bounds.
+func tinyAlloc() gcmodel.Config {
+	cfg := core.TinyConfig()
+	cfg.DisableAlloc = false
+	return cfg
+}
+
+// pinnedViolation explores cfg against checks and requires the first
+// violation to be of want, at the given depth after the given number of
+// states, with a trace that replays through the unreduced relation.
+func pinnedViolation(t *testing.T, cfg gcmodel.Config, checks []invariant.Check, want string, states, depth int) {
+	t.Helper()
+	m, err := gcmodel.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := explore.Run(m, checks, explore.Options{Trace: true, HashOnly: true, MaxStates: 3_000_000})
+	if res.Violation == nil {
+		t.Fatalf("no violation in %d states (complete=%v)", res.States, res.Complete)
+	}
+	if res.Violation.Invariant != want || res.Violation.Depth != depth || res.States != states {
+		t.Fatalf("%s at depth %d after %d states, want %s at depth %d after %d",
+			res.Violation.Invariant, res.Violation.Depth, res.States, want, depth, states)
+	}
+	if err := VerifyReplay(m, res.Violation, checks); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAblationNoInsertionBarrierWithAllocation (E11): with allocation
+// enabled (gcmc -preset custom -no-insertion-barrier -headline-only),
+// removing the insertion barrier loses a reachable object, under TSO
+// and under the SC oracle. With allocation disabled the same ablation
+// verifies on these bounds.
+func TestAblationNoInsertionBarrierWithAllocation(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("deep hunt")
+	}
+	for _, c := range []struct {
+		sc            bool
+		states, depth int
+	}{{false, 725_504, 131}, {true, 223_327, 120}} {
+		cfg := tinyAlloc()
+		cfg.NoInsertionBarrier = true
+		cfg.SCMemory = c.sc
+		pinnedViolation(t, cfg, invariant.Safety(), "valid_refs_inv", c.states, c.depth)
+	}
+}
+
+// TestAblationElideHS3FullBattery (E12): with allocation enabled
+// (gcmc -preset custom -elide-hs3), skipping handshake round 3 violates
+// mutator_phase_inv at depth 81, with the op budget at 2 and unbounded.
+func TestAblationElideHS3FullBattery(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("deep hunt")
+	}
+	for _, c := range []struct{ budget, states int }{{2, 333_509}, {0, 2_023_453}} {
+		cfg := tinyAlloc()
+		cfg.ElideHS3 = true
+		cfg.OpBudget = c.budget
+		pinnedViolation(t, cfg, invariant.All(), "mutator_phase_inv", c.states, 81)
+	}
+}

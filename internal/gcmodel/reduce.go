@@ -5,70 +5,62 @@ import (
 )
 
 // This file is the model's side of the TSO-aware partial-order reduction
-// (ample-set style, package explore wires it behind Options.Reduce). The
-// oracle AmpleChoice inspects a state and, when some process's only
-// enabled action is a "safe" interaction with the memory system — one
-// that is invisible to every other process and commutes with all of
-// their enabled transitions — nominates that single transition as the
+// (ample-set style; package explore wires it behind Options.Reduce).
+// AmpleChoice inspects a state and, when some process's only enabled
+// action is a safe request, nominates that single transition as the
 // ample set. The checker then pursues only it, skipping the
-// interleavings of unrelated steps against it.
+// interleavings of other processes' steps against it.
 //
-// A request is safe when it satisfies all of the classic ample-set
-// conditions with respect to the x86-TSO semantics of sys.go:
+// A nominated step a at state s must meet the condition that
+// analysis.Validator.CheckAmple executes at every nominated state of a
+// validated run (gcmc -validate-effects):
 //
-//   - it is the process's unique enabled action (cimp.SoleRequest, and
-//     Request.Ret in this model always yields exactly one state);
-//   - it is currently enabled and cannot be disabled by other
-//     processes' transitions;
-//   - it neither observes nor modifies state that any other process's
-//     enabled transition observes or modifies, so it commutes with all
-//     of them.
+//   - a is its process's only enabled action and has exactly one
+//     successor;
+//   - a disables no other step enabled at s;
+//   - every other step t enabled at s that leaves a enabled commutes
+//     with it: t then a and a then t reach the same state;
+//   - a is not a buffered write to fA, fM or phase. The tso_control
+//     invariant and the GC-view colour read control writes out of the
+//     writer's buffer, so where the enqueue falls decides which states
+//     the battery is evaluated on. Both orders still reach equal states,
+//     so running them cannot show this; the check asserts it directly.
 //
-// The safe kinds, and why they qualify under TSO:
+// Another step may disable a. The one case in this model is a mutator's
+// lock acquire against the collector's read of a control word,
+// nominated while the lock is free (mut0_delbar_lock against
+// gc_mark_load_fM). It is still sound. The read changes only the
+// collector's own local state, which no other process reads, so it
+// neither disables nor alters any other step. The mutator's locked
+// instruction ends in an unlock, which re-enables the read, and the
+// read then returns the same value: the collector is the sole writer of
+// the control words and is parked at the read, so the value is its
+// newest write, buffered or committed, whatever the others did. A path
+// that takes the lock first therefore reaches, once the read fires, the
+// state that the read-first path reaches after the same steps.
 //
-//   - RWrite to a heap location (LField or LMark): the store is only
-//     appended to the requester's own FIFO buffer. No other process
-//     reads another's buffer; the only other operation on this buffer
-//     is the system's dequeue of its *oldest* entry, which commutes
-//     with appending at the tail. Control-variable writes (f_A, f_M,
-//     phase) are excluded: the tso_control invariant and the GC-view
-//     color abstraction read buffered control writes, so their enqueue
-//     order against other processes' steps is observable. Under the
-//     SCMemory oracle writes commit immediately and nothing is safe.
-//   - RRead whose value cannot depend on the interleaving: any read
-//     while the requester holds the TSO lock (memory commits, SC
-//     writes, allocation, free and snapshots by every other process
-//     are disabled by the notBlocked guard, and the requester's own
-//     commits are shadowed by store forwarding); and the collector's
-//     reads of f_A, f_M and phase, of which it is the sole writer (a
-//     control variable's value is the collector's newest write,
-//     buffered or committed — invariant under drains and untouched by
-//     mutators). Reads change no shared state at all, so they commute
-//     with every enabled transition of every other process. Note that
-//     store forwarding alone does NOT make a read safe: in a skipped
-//     interleaving the requester's matching buffer entries can drain
-//     and another process can then overwrite the location, changing
-//     the value the read returns.
-//   - RMFence with an empty buffer: a pure control advance. Only the
-//     requester could refill its own buffer, and it is standing at the
-//     fence.
-//   - RUnlock (owner, empty buffer): resets the lock to free. Every
-//     transition of another process that is enabled while the lock is
-//     held neither reads nor writes the lock word (blocked memory
-//     operations are disabled, not conditional), so the release
-//     commutes with all of them; it can only enable transitions, never
-//     disable them.
+// The safe kinds (safeRequest):
 //
-// Safe chains always terminate: every safe step deterministically
-// advances its process's control stack toward a non-safe head (each
-// loop body in the collector's and mutators' programs contains
-// rendezvous that are never safe — handshake signals and polls, lock
-// acquisition, unforwarded heap loads), so the reduction has no
-// "ignoring" problem: within finitely many ample steps the checker is
-// back to full expansion. Reduced exploration therefore visits a
-// subset of the full reachable state space (no spurious violations);
-// verdict equality against full exploration is validated continuously
-// by the differential harness in package diffcheck.
+//   - RWrite to a heap location (LField or LMark) while the buffer has
+//     room: the store appends to the requester's own FIFO buffer, whose
+//     only other operation is the dequeue of its oldest entry. Under the
+//     SCMemory oracle writes commit at once and are never safe.
+//   - RRead while the lock is free or the requester's: any read by the
+//     lock holder (every other memory operation is blocked), and the
+//     collector's reads of fA, fM and phase. Store forwarding alone does
+//     NOT make a read safe: in a skipped interleaving the forwarded
+//     entries can drain and another process overwrite the location.
+//   - RMFence with an empty buffer: a pure control advance.
+//   - RUnlock by the owner with an empty buffer: it only enables other
+//     processes' steps.
+//
+// Safe chains always terminate: every loop of the collector's and the
+// mutators' programs contains a step that is never safe (handshake
+// signals and polls, lock acquisition, unforwarded heap loads), so the
+// reduction has no ignoring problem. Reduced exploration visits a subset
+// of the full state space, so it reports no spurious violation; verdict
+// equality against full exploration is tested differentially (package
+// diffcheck).
 
 // Ample is the partial-order-reduction oracle's verdict on one state:
 // when OK, the transition relation restricted to process Proc firing
@@ -111,16 +103,8 @@ func (m *Model) AmpleChoice(st cimp.System[*Local]) Ample {
 	return Ample{}
 }
 
-// SafeRequest exposes the handwritten safe classification for
-// cross-checking: package analysis re-derives the same classification
-// from the declared-effects table and diffs the two at every reachable
-// state (the por-safe-class rule), so a drift between this function and
-// the documented commutation argument is caught dynamically.
-func (m *Model) SafeRequest(s *SysLocal, r Req) bool { return m.safeRequest(s, r) }
-
-// safeRequest classifies a request as safe (invisible, enabled, and
-// undisablable) in the system state s. See the file comment for the
-// soundness argument per kind.
+// safeRequest classifies a request as safe in the system state s. See
+// the file comment for the condition and the argument per kind.
 func (m *Model) safeRequest(s *SysLocal, r Req) bool {
 	p := r.P
 	switch r.Kind {
