@@ -23,7 +23,6 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/litmus"
 	"repro/internal/liveness"
-	"repro/internal/sched"
 	"repro/internal/tso"
 )
 
@@ -446,27 +445,6 @@ func BenchmarkE16InvariantCheck(b *testing.B) {
 			}
 		}
 	}
-}
-
-// --- random-walk simulation throughput (gcsim's engine) -----------------
-
-func BenchmarkSimulatorWalk(b *testing.B) {
-	cfg := core.AllocConfig()
-	cfg.OpBudget = 0
-	m, err := gcmodel.Build(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	steps := 0
-	for i := 0; i < b.N; i++ {
-		res := sched.Walk(m, invariant.All(), sched.Options{Seed: int64(i + 1), Steps: 2000})
-		if res.Violation != nil {
-			b.Fatal(res.Violation)
-		}
-		steps += res.Steps
-	}
-	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
 }
 
 func sizeName(n int) string {

@@ -6,7 +6,7 @@
 // mark-sweep collector over the x86-TSO relaxed memory model. This
 // repository rebuilds every system the paper describes as executable
 // code and re-establishes its results by exhaustive bounded model
-// checking, randomized simulation, and a runnable collector kernel:
+// checking and a runnable collector kernel:
 //
 //   - internal/cimp: the CIMP language and its two operational semantics
 //     (paper Figures 7–8);
@@ -17,8 +17,7 @@
 //     process as CIMP programs (Figures 2–6, 10);
 //   - internal/invariant: the proof's invariants as executable
 //     predicates (§3.2);
-//   - internal/explore, internal/sched: the explicit-state model checker
-//     and random-walk simulator;
+//   - internal/explore: the explicit-state model checker;
 //   - internal/liveness: progress properties and weakly fair cycle
 //     detection over the model's state graph;
 //   - internal/analysis: the static effect/robustness analyzer (declared

@@ -20,6 +20,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/gcrt"
 )
 
 func main() {
@@ -43,7 +44,7 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("=== Part 2: the same bug bites the runtime kernel ===")
-	rt := core.NewRuntime(core.RuntimeOptions{
+	rt := gcrt.New(gcrt.Options{
 		Slots: 16, Fields: 1, Mutators: 2, NoDeletionBarrier: true,
 	})
 	m1, m2 := rt.Mutator(0), rt.Mutator(1)

@@ -13,11 +13,11 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/gcrt"
 )
 
 func main() {
-	rt := core.NewRuntime(core.RuntimeOptions{
+	rt := gcrt.New(gcrt.Options{
 		Slots:    128, // arena capacity (objects)
 		Fields:   1,   // reference fields per object
 		Mutators: 1,

@@ -1,15 +1,17 @@
-// Package core is the library façade for the reproduction of "Relaxing
-// Safely: Verified On-the-fly Garbage Collection for x86-TSO" (Gammie,
-// Hosking, Engelhardt; PLDI 2015). It ties together:
+// Package core is the model checker's job layer for the reproduction of
+// "Relaxing Safely: Verified On-the-fly Garbage Collection for x86-TSO"
+// (Gammie, Hosking, Engelhardt; PLDI 2015). It ties together:
 //
 //   - the formal model of the collector over CIMP and x86-TSO
 //     (packages cimp, tso, heap, gcmodel),
 //   - the safety invariants of the paper's proof (package invariant),
-//   - the explicit-state model checker and randomized simulator that
-//     re-establish the headline theorem on bounded configurations
-//     (packages explore, sched),
-//   - and the executable collector kernel with real goroutine mutators
-//     (package gcrt).
+//   - and the explicit-state model checker that re-establishes the
+//     headline theorem by exhaustive search of bounded configurations
+//     (packages explore, liveness).
+//
+// A run is one serializable JobSpec (job.go), executed the same way by
+// gcmc, gclint and the gcmcd daemon. The executable collector kernel
+// with real goroutine mutators is package gcrt; core does not link it.
 //
 // The headline property, checked at every reachable state:
 //
@@ -24,11 +26,9 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/explore"
 	"repro/internal/gcmodel"
-	"repro/internal/gcrt"
 	"repro/internal/heap"
 	"repro/internal/invariant"
 	"repro/internal/liveness"
-	"repro/internal/sched"
 	"repro/internal/storage"
 )
 
@@ -318,37 +318,6 @@ type effectsVisitor struct{ val *analysis.Validator }
 func (v effectsVisitor) Edge(e explore.Edge) error  { return v.val.CheckEvent(e.From, e.To, e.Ev) }
 func (v effectsVisitor) State(n explore.Node) error { return v.val.CheckState(n.State) }
 func (effectsVisitor) Checks() bool                 { return true }
-
-// SimulateOptions configures a randomized deep run.
-type SimulateOptions struct {
-	Seed       int64
-	Steps      int
-	CheckEvery int
-	// Context, when non-nil, interrupts the walk between steps
-	// (Result.Interrupted).
-	Context context.Context
-}
-
-// Simulate performs a seeded random walk with invariant monitors — depth
-// and scale where Verify gives exhaustiveness.
-func Simulate(cfg ModelConfig, opt SimulateOptions) (sched.Result, error) {
-	m, err := gcmodel.Build(cfg)
-	if err != nil {
-		return sched.Result{}, fmt.Errorf("core: %w", err)
-	}
-	return sched.Walk(m, invariant.All(), sched.Options{
-		Seed:       opt.Seed,
-		Steps:      opt.Steps,
-		CheckEvery: opt.CheckEvery,
-		Context:    opt.Context,
-	}), nil
-}
-
-// RuntimeOptions re-exports the collector kernel options.
-type RuntimeOptions = gcrt.Options
-
-// NewRuntime creates the executable collector kernel.
-func NewRuntime(opt RuntimeOptions) *gcrt.Runtime { return gcrt.New(opt) }
 
 // TinyConfig is the smallest interesting verification instance: one
 // mutator over two objects (h → x, only h rooted), with stores, loads

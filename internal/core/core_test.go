@@ -272,32 +272,29 @@ func TestVerifyLivenessRejectsUnknownProperty(t *testing.T) {
 	}
 }
 
-func TestSimulateRunsToCompletion(t *testing.T) {
-	cfg := AllocConfig()
-	cfg.OpBudget = 0 // walks need no bounded-context reduction
-	res, err := Simulate(cfg, SimulateOptions{Seed: 1, Steps: 20_000})
+// TestAllocBudgetZeroVerifies (E10): tiny with allocation and the op
+// budget off, store buffers bounded at 1 — the spec
+// {"preset":"alloc","bounds":{"refs":2,"budget":0,"maxbuf":1}} — is
+// explored exhaustively and every invariant holds at every reachable
+// state.
+func TestAllocBudgetZeroVerifies(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("exhaustive 1.6M-state run")
+	}
+	refs, budget, maxbuf := 2, 0, 1
+	cfg, opt, err := JobSpec{Preset: "alloc", Bounds: Bounds{Refs: &refs, Budget: &budget, MaxBuf: &maxbuf}}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Violation != nil {
-		t.Fatalf("violation: %v", res.Violation)
+	res, err := Verify(cfg, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Cycles == 0 {
-		t.Fatal("no cycles completed")
+	if !res.Holds() {
+		t.Fatalf("status %s:\n%s", res.Status(), res.RenderViolation())
 	}
-}
-
-func TestNewRuntimeRoundTrip(t *testing.T) {
-	rt := NewRuntime(RuntimeOptions{Slots: 8, Fields: 1, Mutators: 1})
-	m := rt.Mutator(0)
-	a := m.Alloc()
-	if a == -1 {
-		t.Fatal("alloc failed")
-	}
-	m.Park()
-	rt.Collect()
-	m.Unpark()
-	if !rt.Arena().Allocated(m.Root(a)) {
-		t.Fatal("rooted object collected")
+	if res.States != 1_627_664 || res.Transitions != 4_701_322 || res.Depth != 223 {
+		t.Fatalf("%d states, %d transitions, depth %d; want 1627664, 4701322, 223",
+			res.States, res.Transitions, res.Depth)
 	}
 }

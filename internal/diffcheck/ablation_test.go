@@ -62,6 +62,25 @@ func TestAblationNoInsertionBarrierWithAllocation(t *testing.T) {
 	}
 }
 
+// TestAblationAllocWhiteHeadline (E11): with allocation enabled
+// (tinyAlloc with alloc_white and headline_only), allocating white
+// during marking loses a reachable object, under TSO and under the SC
+// oracle.
+func TestAblationAllocWhiteHeadline(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("deep hunt")
+	}
+	for _, c := range []struct {
+		sc            bool
+		states, depth int
+	}{{false, 1_094_475, 121}, {true, 369_506, 111}} {
+		cfg := tinyAlloc(t)
+		cfg.AllocWhite = true
+		cfg.SCMemory = c.sc
+		pinnedViolation(t, cfg, invariant.Safety(), "valid_refs_inv", c.states, c.depth)
+	}
+}
+
 // TestAblationElideHS3FullBattery (E12): with allocation enabled
 // (tinyAlloc with elide_hs3), skipping handshake round 3 violates
 // mutator_phase_inv at depth 81, with the op budget at 2 and unbounded.

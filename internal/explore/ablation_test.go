@@ -95,12 +95,12 @@ func TestAblationNoDeletionBarrierAuxiliaryFailsFirst(t *testing.T) {
 }
 
 // TestAblationAllocWhite (E11): allocating with the unmarked sense during
-// marking loses freshly allocated objects. The proof's auxiliary
-// invariants refute the ablation within a few hundred thousand states;
-// the headline consequence (a white-allocated object freed while rooted)
-// lies deeper than a BFS of this budget reaches and is demonstrated by
-// the random-walk test (sched.TestWalkFindsAblationViolation) and
-// deterministically at runtime scale (gcrt.TestLostObjectWithAllocWhite).
+// marking loses freshly allocated objects. On three refs the proof's
+// auxiliary invariants refute the ablation within a few hundred thousand
+// states. The headline consequence (a white-allocated object freed while
+// rooted) is pinned by exhaustive search on two refs, at depth 121
+// (diffcheck.TestAblationAllocWhiteHeadline), and deterministically at
+// runtime scale (gcrt.TestLostObjectWithAllocWhite).
 func TestAblationAllocWhite(t *testing.T) {
 	skipDeepHuntUnderRace(t)
 	cfg := baseCfg()

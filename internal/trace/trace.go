@@ -1,6 +1,6 @@
 // Package trace renders model states and counterexample traces in a
-// compact human-readable form, for the gcmc/gcsim command-line tools and
-// for test failure output.
+// compact human-readable form: the counterexamples that explore and
+// liveness attach to their verdicts, and test failure output.
 package trace
 
 import (
