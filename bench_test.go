@@ -349,7 +349,7 @@ func BenchmarkExploreReduction(b *testing.B) {
 
 func BenchmarkE11AblationCounterexample(b *testing.B) {
 	cfg := core.TinyConfig()
-	cfg.NoDeletionBarrier = true
+	cfg.Drop = gcmodel.AblationDrop("no_deletion_barrier", cfg.NMutators)
 	m, err := gcmodel.Build(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -367,7 +367,7 @@ func BenchmarkE11AblationCounterexample(b *testing.B) {
 
 func BenchmarkE12ElideHandshake(b *testing.B) {
 	cfg := core.TinyConfig()
-	cfg.ElideHS2 = true
+	cfg.Drop = gcmodel.AblationDrop("elide_hs2", cfg.NMutators)
 	m, err := gcmodel.Build(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -26,7 +26,7 @@ import (
 func main() {
 	fmt.Println("=== Part 1: model checker finds the lost-object interleaving ===")
 	cfg := core.TinyConfig()
-	cfg.NoDeletionBarrier = true
+	core.Ablations{NoDeletionBarrier: true}.Apply(&cfg)
 
 	// Workers 0 = one checker goroutine per CPU; the layer-synchronous
 	// search finds the same minimal-depth counterexample at any width.

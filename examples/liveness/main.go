@@ -75,14 +75,14 @@ func main() {
 	}
 
 	muted := config()
-	muted.MuteHandshake = true
+	core.Ablations{MuteHandshake: true}.Apply(&muted)
 	res := check("mute-handshake (mutators never poll)", muted)
 	if res.Holds() {
 		panic("muted handshake should violate hs-ack")
 	}
 
 	nodeq := config()
-	nodeq.NoDequeue = true
+	core.Ablations{NoDequeue: true}.Apply(&nodeq)
 	check("no-dequeue (buffers never commit)", nodeq)
 
 	// Show one counterexample in full: the first violated property of

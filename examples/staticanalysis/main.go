@@ -45,10 +45,10 @@ func main() {
 		name string
 		mut  func(*core.ModelConfig)
 	}{
-		{"no-deletion-barrier", func(c *core.ModelConfig) { c.NoDeletionBarrier = true }},
-		{"unlocked-mark", func(c *core.ModelConfig) { c.UnlockedMark = true }},
-		{"no-hs-fence", func(c *core.ModelConfig) { c.NoHSFence = true }},
-		{"elide-hs2", func(c *core.ModelConfig) { c.ElideHS2 = true }},
+		{"no-deletion-barrier", func(c *core.ModelConfig) { core.Ablations{NoDeletionBarrier: true}.Apply(c) }},
+		{"unlocked-mark", func(c *core.ModelConfig) { core.Ablations{UnlockedMark: true}.Apply(c) }},
+		{"no-hs-fence", func(c *core.ModelConfig) { core.Ablations{NoHSFence: true}.Apply(c) }},
+		{"elide-hs2", func(c *core.ModelConfig) { core.Ablations{ElideHS2: true}.Apply(c) }},
 	}
 	for _, abl := range ablations {
 		cfg := core.TinyConfig()

@@ -103,7 +103,7 @@ func TestLintCleanPresets(t *testing.T) {
 	// is verified safe dynamically (E12) and the ladder rule exempts
 	// it; SCMemory strengthens the model.
 	hs4 := core.TinyConfig()
-	hs4.ElideHS4 = true
+	hs4.Drop = gcmodel.AblationDrop("elide_hs4", hs4.NMutators)
 	presets["tiny+elide-hs4"] = hs4
 	sc := core.TinyConfig()
 	sc.SCMemory = true
@@ -136,25 +136,25 @@ func TestLintAblations(t *testing.T) {
 		mut   func(*gcmodel.Config)
 		rules []string // expected distinct rules, in any order
 	}{
-		{"no-deletion-barrier", func(c *gcmodel.Config) { c.NoDeletionBarrier = true },
+		{"no-deletion-barrier", func(c *gcmodel.Config) { c.Drop = gcmodel.AblationDrop("no_deletion_barrier", c.NMutators) },
 			[]string{"deletion-barrier"}},
-		{"no-insertion-barrier", func(c *gcmodel.Config) { c.NoInsertionBarrier = true },
+		{"no-insertion-barrier", func(c *gcmodel.Config) { c.Drop = gcmodel.AblationDrop("no_insertion_barrier", c.NMutators) },
 			[]string{"insertion-barrier"}},
 		{"insertion-gate", func(c *gcmodel.Config) { c.InsertionBarrierOnlyBeforeRootsDone = true },
 			[]string{"insertion-barrier"}},
-		{"unlocked-mark", func(c *gcmodel.Config) { c.UnlockedMark = true },
+		{"unlocked-mark", func(c *gcmodel.Config) { c.Drop = gcmodel.AblationDrop("unlocked_mark", c.NMutators) },
 			[]string{"mark-cas"}},
-		{"no-hs-fence", func(c *gcmodel.Config) { c.NoHSFence = true },
+		{"no-hs-fence", func(c *gcmodel.Config) { c.Drop = gcmodel.AblationDrop("no_hs_fence", c.NMutators) },
 			[]string{"handshake-fence"}},
-		{"elide-hs1", func(c *gcmodel.Config) { c.ElideHS1 = true },
+		{"elide-hs1", func(c *gcmodel.Config) { c.Drop = gcmodel.AblationDrop("elide_hs1", c.NMutators) },
 			[]string{"phase-ladder"}},
-		{"elide-hs2", func(c *gcmodel.Config) { c.ElideHS2 = true },
+		{"elide-hs2", func(c *gcmodel.Config) { c.Drop = gcmodel.AblationDrop("elide_hs2", c.NMutators) },
 			[]string{"phase-ladder"}},
-		{"elide-hs3", func(c *gcmodel.Config) { c.ElideHS3 = true },
+		{"elide-hs3", func(c *gcmodel.Config) { c.Drop = gcmodel.AblationDrop("elide_hs3", c.NMutators) },
 			[]string{"phase-ladder"}},
 		{"no-barriers-at-all", func(c *gcmodel.Config) {
-			c.NoDeletionBarrier = true
-			c.NoInsertionBarrier = true
+			c.Drop = gcmodel.AblationDrop("no_deletion_barrier", c.NMutators)
+			c.Drop = append(c.Drop, gcmodel.AblationDrop("no_insertion_barrier", c.NMutators)...)
 		}, []string{"deletion-barrier", "insertion-barrier"}},
 	}
 	for _, tc := range cases {

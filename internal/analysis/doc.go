@@ -29,9 +29,10 @@
 //     in rules.go: deletion/insertion barrier on every store path, CAS
 //     under the TSO lock, empty buffers at handshake signals, and a
 //     full handshake round between phase-protocol writes. These flag
-//     exactly the barrier/lock ablations (Config.NoDeletionBarrier,
-//     NoInsertionBarrier, InsertionBarrierOnlyBeforeRootsDone,
-//     UnlockedMark, NoHSFence, ElideHS1–3) without running the checker.
+//     exactly the barrier/lock ablations without running the checker:
+//     the drop lists no_deletion_barrier, no_insertion_barrier,
+//     unlocked_mark, no_hs_fence and elide_hs1–3 (gcmodel.AblationDrop),
+//     and Config.InsertionBarrierOnlyBeforeRootsDone.
 //
 //   - Executed ample-step check (validate.go): at every state of a
 //     validated exploration where gcmodel's AmpleChoice nominates a

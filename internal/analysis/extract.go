@@ -53,13 +53,13 @@ func probeLocal(p cimp.PID, nmut int) *gcmodel.Local {
 	switch {
 	case p == gcmodel.GCPID:
 		return &gcmodel.Local{Self: p, GC: &gcmodel.GCLocal{
-			MRef: heap.NilRef, Src: heap.NilRef, TmpRef: heap.NilRef,
-			SwRef: heap.NilRef, GHG: heap.NilRef,
+			MarkState: gcmodel.MarkState{MRef: heap.NilRef, GHG: heap.NilRef},
+			Src:       heap.NilRef, TmpRef: heap.NilRef, SwRef: heap.NilRef,
 		}}
 	case int(p) <= nmut:
 		return &gcmodel.Local{Self: p, Mut: &gcmodel.MutLocal{
-			MRef: heap.NilRef, SSrc: heap.NilRef, SDst: heap.NilRef,
-			TmpRef: heap.NilRef, GHG: heap.NilRef,
+			MarkState: gcmodel.MarkState{MRef: heap.NilRef, GHG: heap.NilRef},
+			SSrc:      heap.NilRef, SDst: heap.NilRef, TmpRef: heap.NilRef,
 		}}
 	default:
 		return &gcmodel.Local{Self: p, Sys: &gcmodel.SysLocal{}}

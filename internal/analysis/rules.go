@@ -15,18 +15,19 @@ import (
 // deliberately non-robust (tolerating relaxed behavior is the paper's
 // point), so every configuration has critical cycles. Pass/fail instead
 // comes from named placement rules that encode the paper's protocol
-// obligations — each one flags exactly the ablation that removes it:
+// obligations — each one flags exactly the ablation (the named drop
+// list of gcmodel.AblationDrop) that removes it:
 //
 //	deletion-barrier   every store path marks the overwritten reference
-//	                   (flags NoDeletionBarrier)
+//	                   (flags no_deletion_barrier)
 //	insertion-barrier  every store path marks the stored reference
-//	                   (flags NoInsertionBarrier and the §4 gated variant)
+//	                   (flags no_insertion_barrier and the §4 gated variant)
 //	mark-cas           mark-flag stores happen under the TSO lock
-//	                   (flags UnlockedMark)
+//	                   (flags unlocked_mark)
 //	handshake-fence    buffers are empty at handshake signal/completion
-//	                   (flags NoHSFence)
+//	                   (flags no_hs_fence)
 //	phase-ladder       a full handshake round separates consecutive
-//	                   phase-protocol writes (flags ElideHS1–3; ElideHS4
+//	                   phase-protocol writes (flags elide_hs1–3; elide_hs4
 //	                   is exempt by design, matching experiment E12)
 //
 // Whole-program relaxed store→load pairs and per-fence coverage are
@@ -34,7 +35,7 @@ import (
 //
 // Out of scope statically: AllocWhite (a value-level ablation — the
 // allocation color is data, not placement), SCMemory (strengthens the
-// model), and the liveness ablations MuteHandshake/NoDequeue (package
+// model), and the liveness ablations mute_handshake/no_dequeue (package
 // liveness finds those dynamically).
 
 // Finding is one rule violation.

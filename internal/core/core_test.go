@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/gcmodel"
 )
 
 func TestPresetsValidate(t *testing.T) {
@@ -54,7 +55,7 @@ func TestVerifyBoundedRunHoldsOnSafeModel(t *testing.T) {
 
 func TestVerifyFindsAblationViolationWithTrace(t *testing.T) {
 	cfg := TinyConfig()
-	cfg.NoDeletionBarrier = true
+	cfg.Drop = gcmodel.AblationDrop("no_deletion_barrier", cfg.NMutators)
 	res, err := Verify(cfg, VerifyOptions{Trace: true, HeadlineOnly: true})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +104,7 @@ func TestVerifyLivenessCleanModel(t *testing.T) {
 
 func TestVerifyLivenessAblatedModel(t *testing.T) {
 	cfg := livenessTestConfig()
-	cfg.MuteHandshake = true
+	cfg.Drop = gcmodel.AblationDrop("mute_handshake", cfg.NMutators)
 	res, err := Verify(cfg, VerifyOptions{Liveness: true, LivenessProps: []string{"hs-ack-m0"}})
 	if err != nil {
 		t.Fatal(err)

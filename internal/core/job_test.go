@@ -5,9 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/gcmodel"
 )
 
 // TestPresetRegistry checks the shared preset registry the CLIs and
@@ -39,7 +42,7 @@ func TestAblationsApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	abl.Apply(&cfg)
-	if !cfg.NoDeletionBarrier || !cfg.InsertionBarrierOnlyBeforeRootsDone || !cfg.SCMemory {
+	if !slices.Equal(cfg.Drop, gcmodel.AblationDrop("no_deletion_barrier", cfg.NMutators)) || !cfg.InsertionBarrierOnlyBeforeRootsDone || !cfg.SCMemory {
 		t.Errorf("Apply did not set the config switches: %+v", cfg)
 	}
 	if got := abl.String(); got != "no-deletion-barrier,insertion-barrier-gated,sc" {
@@ -116,6 +119,7 @@ func TestJobSpecFingerprint(t *testing.T) {
 // before the checker's hooks became explore.Visitor: a checkpoint or a
 // cached verdict written by an older build must still be accepted.
 func TestJobSpecFingerprintPinned(t *testing.T) {
+	two := 2
 	for _, tc := range []struct {
 		spec JobSpec
 		want uint64
@@ -125,6 +129,14 @@ func TestJobSpecFingerprintPinned(t *testing.T) {
 		{JobSpec{Preset: "tiny", Options: JobOptions{LivenessProps: []string{"gc-sweep"}, MaxDepth: 20}}, 0x95b4631a2885e0b9},
 		{JobSpec{Preset: "tiny", Options: JobOptions{ValidateEffects: true, Liveness: true}}, 0x87b0727c1f9e0c6e},
 		{JobSpec{Preset: "two-mutator", Options: JobOptions{Reduce: true}}, 0x680b09ab58ea049f},
+		// Ablated specs: with violation.golden's no_deletion_barrier key
+		// these cover every alias that drops commands.
+		{JobSpec{Preset: "tiny", Ablations: Ablations{NoHSFence: true}}, 0x31aef466ea2ad036},
+		{JobSpec{Preset: "tiny", Ablations: Ablations{UnlockedMark: true}, Options: JobOptions{HeadlineOnly: true}}, 0xbb0fe193d799f2a3},
+		{JobSpec{Preset: "alloc", Bounds: Bounds{Refs: &two}, Ablations: Ablations{ElideHS3: true}}, 0xf22003fe602564e7},
+		{JobSpec{Preset: "tiny", Ablations: Ablations{MuteHandshake: true}, Options: JobOptions{Liveness: true}}, 0xd2d5932ffe93cbf3},
+		{JobSpec{Preset: "tiny", Ablations: Ablations{NoDequeue: true}, Options: JobOptions{Liveness: true}}, 0x11875d845ed95253},
+		{JobSpec{Preset: "two-mutator", Ablations: Ablations{NoInsertionBarrier: true, ElideHS1: true, ElideHS2: true, ElideHS4: true}}, 0xb1d3b57dfbb87050},
 	} {
 		fp, sum, err := tc.spec.Fingerprint()
 		if err != nil {

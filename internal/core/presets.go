@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/gcmodel"
 )
 
 // presetBuilders maps preset names to their configuration constructors.
@@ -61,21 +63,19 @@ type Ablations struct {
 	NoDequeue             bool `json:"no_dequeue,omitempty"`
 }
 
-// Apply overlays the ablation switches onto cfg.
+// Apply overlays the ablation switches onto cfg: three set fields of
+// the configuration, and the rest become its drop list
+// (gcmodel.AblationDrop).
 func (a Ablations) Apply(cfg *ModelConfig) {
-	cfg.NoDeletionBarrier = a.NoDeletionBarrier
-	cfg.NoInsertionBarrier = a.NoInsertionBarrier
 	cfg.InsertionBarrierOnlyBeforeRootsDone = a.InsertionBarrierGated
 	cfg.SCMemory = a.SCMemory
 	cfg.AllocWhite = a.AllocWhite
-	cfg.UnlockedMark = a.UnlockedMark
-	cfg.NoHSFence = a.NoHSFence
-	cfg.ElideHS1 = a.ElideHS1
-	cfg.ElideHS2 = a.ElideHS2
-	cfg.ElideHS3 = a.ElideHS3
-	cfg.ElideHS4 = a.ElideHS4
-	cfg.MuteHandshake = a.MuteHandshake
-	cfg.NoDequeue = a.NoDequeue
+	cfg.Drop = nil
+	for _, s := range a.switches() {
+		if s.on {
+			cfg.Drop = append(cfg.Drop, gcmodel.AblationDrop(s.alias, cfg.NMutators)...)
+		}
+	}
 }
 
 // String renders the active switches as a stable comma-joined label
@@ -83,23 +83,36 @@ func (a Ablations) Apply(cfg *ModelConfig) {
 // records use it as the human-readable cell name.
 func (a Ablations) String() string {
 	var on []string
-	add := func(set bool, name string) {
-		if set {
-			on = append(on, name)
+	for _, s := range a.switches() {
+		if s.on {
+			on = append(on, s.name)
 		}
 	}
-	add(a.NoDeletionBarrier, "no-deletion-barrier")
-	add(a.NoInsertionBarrier, "no-insertion-barrier")
-	add(a.InsertionBarrierGated, "insertion-barrier-gated")
-	add(a.SCMemory, "sc")
-	add(a.AllocWhite, "alloc-white")
-	add(a.UnlockedMark, "unlocked-mark")
-	add(a.NoHSFence, "no-hs-fence")
-	add(a.ElideHS1, "elide-hs1")
-	add(a.ElideHS2, "elide-hs2")
-	add(a.ElideHS3, "elide-hs3")
-	add(a.ElideHS4, "elide-hs4")
-	add(a.MuteHandshake, "mute-handshake")
-	add(a.NoDequeue, "no-dequeue")
 	return strings.Join(on, ",")
+}
+
+// ablationSwitch is one switch of Ablations: its JSON name, the name
+// String gives it, and whether it is set.
+type ablationSwitch struct {
+	alias, name string
+	on          bool
+}
+
+// switches lists every switch in the order String names them.
+func (a Ablations) switches() [13]ablationSwitch {
+	return [...]ablationSwitch{
+		{"no_deletion_barrier", "no-deletion-barrier", a.NoDeletionBarrier},
+		{"no_insertion_barrier", "no-insertion-barrier", a.NoInsertionBarrier},
+		{"insertion_barrier_gated", "insertion-barrier-gated", a.InsertionBarrierGated},
+		{"sc_memory", "sc", a.SCMemory},
+		{"alloc_white", "alloc-white", a.AllocWhite},
+		{"unlocked_mark", "unlocked-mark", a.UnlockedMark},
+		{"no_hs_fence", "no-hs-fence", a.NoHSFence},
+		{"elide_hs1", "elide-hs1", a.ElideHS1},
+		{"elide_hs2", "elide-hs2", a.ElideHS2},
+		{"elide_hs3", "elide-hs3", a.ElideHS3},
+		{"elide_hs4", "elide-hs4", a.ElideHS4},
+		{"mute_handshake", "mute-handshake", a.MuteHandshake},
+		{"no_dequeue", "no-dequeue", a.NoDequeue},
+	}
 }

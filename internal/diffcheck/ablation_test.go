@@ -56,7 +56,7 @@ func TestAblationNoInsertionBarrierWithAllocation(t *testing.T) {
 		states, depth int
 	}{{false, 725_504, 131}, {true, 223_327, 120}} {
 		cfg := tinyAlloc(t)
-		cfg.NoInsertionBarrier = true
+		cfg.Drop = gcmodel.AblationDrop("no_insertion_barrier", cfg.NMutators)
 		cfg.SCMemory = c.sc
 		pinnedViolation(t, cfg, invariant.Safety(), "valid_refs_inv", c.states, c.depth)
 	}
@@ -90,8 +90,38 @@ func TestAblationElideHS3FullBattery(t *testing.T) {
 	}
 	for _, c := range []struct{ budget, states int }{{2, 333_509}, {0, 2_023_453}} {
 		cfg := tinyAlloc(t)
-		cfg.ElideHS3 = true
+		cfg.Drop = gcmodel.AblationDrop("elide_hs3", cfg.NMutators)
 		cfg.OpBudget = c.budget
 		pinnedViolation(t, cfg, invariant.All(), "mutator_phase_inv", c.states, 81)
+	}
+}
+
+// TestFenceDrops (E12): single and paired handshake fences dropped
+// through Config.Drop on tiny. The collector's fence before signalling
+// round 3 breaks the full battery on its own. The mutator's accept and
+// finish fences together break the headline property. The collector's
+// fence after round 2 can go under both batteries.
+func TestFenceDrops(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("deep hunt")
+	}
+	tiny := func(drop ...string) gcmodel.Config {
+		cfg := core.TinyConfig()
+		cfg.Drop = drop
+		return cfg
+	}
+	pinnedViolation(t, tiny("gc_hs_init_mfence_init"), invariant.All(), "mutator_phase_inv", 31_283, 35)
+	pinnedViolation(t, tiny("mut0_hs_mfence_accept", "mut0_hs_mfence_finish"), invariant.Safety(),
+		"valid_refs_inv", 1_186_471, 55)
+	m, err := gcmodel.Build(tiny("gc_hs_flip_mfence_done"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, checks := range [][]invariant.Check{invariant.Safety(), invariant.All()} {
+		res := explore.Run(m, checks, explore.Options{HashOnly: true})
+		if res.Violation != nil || !res.Complete || res.States != 988_244 || res.Transitions != 2_768_359 || res.Depth != 255 {
+			t.Errorf("%d checks: violation %v, complete %v, %d / %d / %d, want verified 988244 / 2768359 / 255",
+				len(checks), res.Violation != nil, res.Complete, res.States, res.Transitions, res.Depth)
+		}
 	}
 }

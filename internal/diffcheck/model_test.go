@@ -41,10 +41,10 @@ func corpus() []corpusEntry {
 	symHS.DisableStore = true
 
 	tinyDel := tinySmall()
-	tinyDel.NoDeletionBarrier = true
+	tinyDel.Drop = gcmodel.AblationDrop("no_deletion_barrier", tinyDel.NMutators)
 
 	symDel := core.SymmetricConfig()
-	symDel.NoDeletionBarrier = true
+	symDel.Drop = gcmodel.AblationDrop("no_deletion_barrier", symDel.NMutators)
 
 	return []corpusEntry{
 		// Safe single-mutator configuration under TSO: the main
@@ -103,7 +103,7 @@ func TestModelCorpusDifferential(t *testing.T) {
 // corpus; this test keeps a direct, cheap witness of it.)
 func TestCounterexampleReplayUnderReduction(t *testing.T) {
 	cfg := tinySmall()
-	cfg.NoDeletionBarrier = true
+	cfg.Drop = gcmodel.AblationDrop("no_deletion_barrier", cfg.NMutators)
 	m, err := gcmodel.Build(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestCounterexampleReplayUnderReduction(t *testing.T) {
 // has teeth: corrupting a recorded step must make it fail.
 func TestVerifyReplayRejectsTamperedTraces(t *testing.T) {
 	cfg := tinySmall()
-	cfg.NoDeletionBarrier = true
+	cfg.Drop = gcmodel.AblationDrop("no_deletion_barrier", cfg.NMutators)
 	m, err := gcmodel.Build(cfg)
 	if err != nil {
 		t.Fatal(err)

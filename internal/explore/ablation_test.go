@@ -71,7 +71,7 @@ func findViolation(t *testing.T, cfg gcmodel.Config, checks []invariant.Check, c
 func TestAblationNoDeletionBarrier(t *testing.T) {
 	skipDeepHuntUnderRace(t)
 	cfg := baseCfg()
-	cfg.NoDeletionBarrier = true
+	cfg.Drop = gcmodel.AblationDrop("no_deletion_barrier", cfg.NMutators)
 	v := findViolation(t, cfg, invariant.Safety(), 2_000_000)
 	if v.Invariant != "valid_refs_inv" {
 		t.Fatalf("violated %s, want valid_refs_inv", v.Invariant)
@@ -87,7 +87,7 @@ func TestAblationNoDeletionBarrier(t *testing.T) {
 // of the paper made observable.
 func TestAblationNoDeletionBarrierAuxiliaryFailsFirst(t *testing.T) {
 	cfg := baseCfg()
-	cfg.NoDeletionBarrier = true
+	cfg.Drop = gcmodel.AblationDrop("no_deletion_barrier", cfg.NMutators)
 	v := findViolation(t, cfg, invariant.All(), 2_000_000)
 	if v.Invariant == "valid_refs_inv" {
 		t.Fatalf("headline property failed before any auxiliary invariant")
@@ -118,7 +118,7 @@ func TestAblationAllocWhite(t *testing.T) {
 func TestAblationElideMarkHandshake(t *testing.T) {
 	skipDeepHuntUnderRace(t)
 	cfg := baseCfg()
-	cfg.ElideHS4 = true
+	cfg.Drop = gcmodel.AblationDrop("elide_hs4", cfg.NMutators)
 	cfg.DisableAlloc = false
 	cfg.NRefs = 3
 	m := mustBuild(t, cfg)
@@ -141,7 +141,7 @@ func TestAblationElideMarkHandshake(t *testing.T) {
 func TestCounterexampleTraceIsWellFormed(t *testing.T) {
 	skipDeepHuntUnderRace(t)
 	cfg := baseCfg()
-	cfg.NoDeletionBarrier = true
+	cfg.Drop = gcmodel.AblationDrop("no_deletion_barrier", cfg.NMutators)
 	m := mustBuild(t, cfg)
 	res := Run(m, invariant.Safety(), Options{Trace: true, MaxStates: 2_000_000})
 	if res.Violation == nil {
@@ -191,7 +191,7 @@ func TestSafeModelShortExhaust(t *testing.T) {
 func TestFusionAgreesWithUnfusedOnViolation(t *testing.T) {
 	skipDeepHuntUnderRace(t)
 	cfg := baseCfg()
-	cfg.NoDeletionBarrier = true
+	cfg.Drop = gcmodel.AblationDrop("no_deletion_barrier", cfg.NMutators)
 	cfg.DisableMFence = true
 	m := mustBuild(t, cfg)
 

@@ -168,7 +168,7 @@ func TestInterruptOnceResumeToCompletion(t *testing.T) {
 // the clean run's.
 func TestResumeViolationTraceReplays(t *testing.T) {
 	cfg := baseCfg()
-	cfg.NoDeletionBarrier = true
+	cfg.Drop = gcmodel.AblationDrop("no_deletion_barrier", cfg.NMutators)
 	m := mustBuild(t, cfg)
 	base := Options{Trace: true, HashOnly: true}
 

@@ -45,6 +45,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -56,6 +57,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cimp"
 	"repro/internal/gcmodel"
+	"repro/internal/heap"
 	"repro/internal/invariant"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -547,12 +549,68 @@ func OptionsFingerprint(m *gcmodel.Model, checks []invariant.Check, opt Options)
 	// symmetry=false is a literal, so a checkpoint an older build keyed by
 	// mutator-symmetry-canonical fingerprints is refused, not resumed.
 	checking := slices.ContainsFunc(opt.Visitors, Visitor.Checks)
+	cfg, drop := frozenConfig(m.Cfg)
 	summary := fmt.Sprintf(
 		"cfg=%+v checks=%v maxStates=%d maxDepth=%d trace=%v hashOnly=%v reduce=%v symmetry=false shards=%d eventCheck=%v stateCheck=%v",
-		m.Cfg, names, opt.MaxStates, opt.MaxDepth, opt.Trace, opt.HashOnly,
+		cfg, names, opt.MaxStates, opt.MaxDepth, opt.Trace, opt.HashOnly,
 		opt.Reduce, shards, checking, checking,
 	)
+	if len(drop) > 0 {
+		summary += fmt.Sprintf(" drop=%q", drop)
+	}
 	return gcmodel.Hash64([]byte(summary)), summary
+}
+
+// configV1 is gcmodel.Config as the frozen summary renders it: the 27
+// fields it had while each ablation was a switch. A tagged switch is set
+// when every label of the gcmodel ablation it names is dropped.
+type configV1 struct {
+	NMutators, NRefs, NFields, MaxBuf           int
+	AllowNilStore                               bool
+	InitObjects                                 map[heap.Ref][]heap.Ref
+	InitRoots                                   []heap.RefSet
+	NoDeletionBarrier                           bool `drop:"no_deletion_barrier"`
+	NoInsertionBarrier                          bool `drop:"no_insertion_barrier"`
+	InsertionBarrierOnlyBeforeRootsDone         bool
+	SCMemory, AllocWhite                        bool
+	MuteHandshake                               bool `drop:"mute_handshake"`
+	NoDequeue                                   bool `drop:"no_dequeue"`
+	UnlockedMark                                bool `drop:"unlocked_mark"`
+	NoHSFence                                   bool `drop:"no_hs_fence"`
+	ElideHS1                                    bool `drop:"elide_hs1"`
+	ElideHS2                                    bool `drop:"elide_hs2"`
+	ElideHS3                                    bool `drop:"elide_hs3"`
+	ElideHS4                                    bool `drop:"elide_hs4"`
+	OpBudget                                    int
+	NondetPickSrc, DisableLoad, DisableStore    bool
+	DisableAlloc, DisableDiscard, DisableMFence bool
+}
+
+// frozenConfig renders c as a configV1, and returns the dropped labels
+// that no switch accounts for.
+func frozenConfig(c gcmodel.Config) (configV1, []string) {
+	v := configV1{NMutators: c.NMutators, NRefs: c.NRefs, NFields: c.NFields, MaxBuf: c.MaxBuf,
+		AllowNilStore: c.AllowNilStore, InitObjects: c.InitObjects, InitRoots: c.InitRoots,
+		InsertionBarrierOnlyBeforeRootsDone: c.InsertionBarrierOnlyBeforeRootsDone, SCMemory: c.SCMemory,
+		AllocWhite: c.AllocWhite, OpBudget: c.OpBudget, DisableLoad: c.DisableLoad, DisableStore: c.DisableStore,
+		DisableAlloc: c.DisableAlloc, DisableDiscard: c.DisableDiscard, DisableMFence: c.DisableMFence}
+	drop := c.Drop
+	if len(drop) == 0 {
+		return v, nil
+	}
+	rv := reflect.ValueOf(&v).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		labels := gcmodel.AblationDrop(rv.Type().Field(i).Tag.Get("drop"), c.NMutators)
+		all := len(labels) > 0
+		for _, l := range labels {
+			all = all && slices.Contains(drop, l)
+		}
+		if all {
+			rv.Field(i).SetBool(true)
+			drop = slices.DeleteFunc(slices.Clone(drop), func(l string) bool { return slices.Contains(labels, l) })
+		}
+	}
+	return v, drop
 }
 
 func (e *explorer) run() Result {

@@ -93,7 +93,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 // and N workers.
 func TestShortestCounterexampleAcrossWorkers(t *testing.T) {
 	cfg := baseCfg()
-	cfg.NoDeletionBarrier = true
+	cfg.Drop = gcmodel.AblationDrop("no_deletion_barrier", cfg.NMutators)
 	m := mustBuild(t, cfg)
 
 	var depth int

@@ -81,7 +81,7 @@ func TestReduceStillFindsAblationViolation(t *testing.T) {
 	cfg := baseCfg()
 	cfg.OpBudget = 1
 	cfg.MaxBuf = 1
-	cfg.NoDeletionBarrier = true
+	cfg.Drop = gcmodel.AblationDrop("no_deletion_barrier", cfg.NMutators)
 	m := mustBuild(t, cfg)
 	res := Run(m, invariant.All(), Options{Trace: true, HashOnly: true, Reduce: true})
 	if res.Violation == nil {

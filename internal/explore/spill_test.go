@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gcmodel"
 	"repro/internal/invariant"
 	"repro/internal/storage"
 )
@@ -80,7 +81,7 @@ func TestSpillCompletesUnderBudget(t *testing.T) {
 // itself cross-checks every hash along the path.
 func TestSpillViolationTrace(t *testing.T) {
 	cfg := baseCfg()
-	cfg.NoDeletionBarrier = true
+	cfg.Drop = gcmodel.AblationDrop("no_deletion_barrier", cfg.NMutators)
 	m := mustBuild(t, cfg)
 	opt := spillOpt(t, true)
 	opt.MaxStates = 2_000_000

@@ -336,7 +336,7 @@ func TestTableConcurrentClaims(t *testing.T) {
 func TestVisitedGrowsEveryLayer(t *testing.T) {
 	safe := mustBuild(t, safeCfg())
 	bad := baseCfg()
-	bad.NoDeletionBarrier = true
+	bad.Drop = gcmodel.AblationDrop("no_deletion_barrier", bad.NMutators)
 	unsafe := mustBuild(t, bad)
 
 	type outcome struct {

@@ -18,15 +18,14 @@ import (
 //
 // The mutators are signaled in a fixed order; the paper allows an
 // arbitrary order, but the order of signaling is immaterial because
-// mutators accept asynchronously (the handshakes remain ragged).
+// mutators accept asynchronously (the handshakes remain ragged). Both
+// fences may be dropped.
 func (c *Config) hsRound(pfx string, tag RoundTag, ty HSType) cimp.Com[*Local] {
 	steps := []cimp.Com[*Local]{
 		req(pfx+"_start",
 			func(*Local) Req { return Req{Kind: RHsStart, HS: ty, Tag: tag} }, nil),
 	}
-	if !c.NoHSFence {
-		steps = append(steps, mfence(pfx+"_mfence_init"))
-	}
+	steps = c.keep(steps, mfence(pfx+"_mfence_init"))
 	steps = append(steps,
 		det(pfx+"_sig_first", func(l *Local) { l.GC.MutIdx = 0 }),
 		&cimp.While[*Local]{L: pfx + "_sig_loop",
@@ -40,13 +39,12 @@ func (c *Config) hsRound(pfx string, tag RoundTag, ty HSType) cimp.Com[*Local] {
 			func(*Local) Req { return Req{Kind: RHsWaitAll} },
 			func(l *Local, r Resp) { l.GC.W = l.GC.W.Union(r.W) }),
 	)
-	if !c.NoHSFence {
-		steps = append(steps, mfence(pfx+"_mfence_done"))
-	}
+	steps = c.keep(steps, mfence(pfx+"_mfence_done"))
 	return seqs(steps...)
 }
 
-// GCProgram builds the collector process.
+// GCProgram builds the collector process. Handshake rounds 1–4 may be
+// dropped.
 func (c *Config) GCProgram() cimp.Com[*Local] {
 	markLoop := &cimp.While[*Local]{L: "gc_mark_outer",
 		C: func(l *Local) bool { return !l.GC.W.Empty() },
@@ -54,12 +52,12 @@ func (c *Config) GCProgram() cimp.Com[*Local] {
 			&cimp.While[*Local]{L: "gc_mark_inner",
 				C: func(l *Local) bool { return !l.GC.W.Empty() },
 				Body: seqs(
-					// src ← r. r ∈ W (line 27). Non-deterministic choice
-					// of source; optionally reduced to lowest-first, which
-					// is sound because marking is commutative and all
-					// interleavings with other processes are still
-					// explored.
-					c.pickSrc(),
+					// src ← r. r ∈ W (line 27). The paper's
+					// non-deterministic choice of source is fixed to
+					// W.Any(), which is sound because marking is
+					// commutative and all interleavings with other
+					// processes are still explored.
+					det("gc_pick_src", func(l *Local) { l.GC.Src = l.GC.W.Any() }),
 					det("gc_fld_first", func(l *Local) { l.GC.FldIdx = 0 }),
 					&cimp.While[*Local]{L: "gc_fld_loop",
 						C: func(l *Local) bool { return l.GC.FldIdx < c.NFields },
@@ -69,7 +67,7 @@ func (c *Config) GCProgram() cimp.Com[*Local] {
 									return Loc{Kind: LField, R: l.GC.Src, F: heap.Field(l.GC.FldIdx)}
 								},
 								func(l *Local, v Val) { l.GC.TmpRef = v.Ref() }),
-							markCom("gc_mark", false, c.UnlockedMark,
+							c.markCom("gc_mark", false,
 								func(l *Local) heap.Ref { return l.GC.TmpRef }),
 							det("gc_fld_next", func(l *Local) { l.GC.FldIdx++ }),
 						)},
@@ -119,8 +117,8 @@ func (c *Config) GCProgram() cimp.Com[*Local] {
 	steps := []cimp.Com[*Local]{}
 	// Round 1 (lines 3–4): ensure all mutators know the collector is
 	// idle.
-	if !c.ElideHS1 {
-		steps = append(steps, c.hsRound("gc_hs_idle", TagIdle, HSNoop))
+	if idle := c.hsRound("gc_hs_idle", TagIdle, HSNoop); !c.dropped(idle) {
+		steps = append(steps, idle)
 	} else {
 		steps = append(steps, det("gc_hs_idle_elided", func(l *Local) {}))
 	}
@@ -132,9 +130,7 @@ func (c *Config) GCProgram() cimp.Com[*Local] {
 			func(l *Local) Val { return BoolVal(l.GC.FM) }, nil),
 	)
 	// Round 2 (lines 6–7).
-	if !c.ElideHS2 {
-		steps = append(steps, c.hsRound("gc_hs_flip", TagIdleInit, HSNoop))
-	}
+	steps = c.keep(steps, c.hsRound("gc_hs_flip", TagIdleInit, HSNoop))
 	steps = append(steps,
 		// phase ← Init (line 8); write barriers become enabled.
 		writeVal("gc_write_phase_init",
@@ -143,9 +139,7 @@ func (c *Config) GCProgram() cimp.Com[*Local] {
 			func(l *Local) { l.GC.Phase = PhInit }),
 	)
 	// Round 3 (lines 9–10).
-	if !c.ElideHS3 {
-		steps = append(steps, c.hsRound("gc_hs_init", TagInitMark, HSNoop))
-	}
+	steps = c.keep(steps, c.hsRound("gc_hs_init", TagInitMark, HSNoop))
 	steps = append(steps,
 		// phase ← Mark; f_A ← f_M (lines 11–12); allocate black from
 		// here (after the handshake).
@@ -159,9 +153,7 @@ func (c *Config) GCProgram() cimp.Com[*Local] {
 			func(l *Local) { l.GC.FA = l.GC.FM }),
 	)
 	// Round 4 (lines 13–14).
-	if !c.ElideHS4 {
-		steps = append(steps, c.hsRound("gc_hs_mark", TagMark, HSNoop))
-	}
+	steps = c.keep(steps, c.hsRound("gc_hs_mark", TagMark, HSNoop))
 	steps = append(steps,
 		// Round 5 (lines 15–20): mutators mark their roots and transfer
 		// them; the wait-all collects them into W.
@@ -178,13 +170,4 @@ func (c *Config) GCProgram() cimp.Com[*Local] {
 	)
 
 	return &cimp.Loop[*Local]{Body: seqs(steps...)}
-}
-
-func (c *Config) pickSrc() cimp.Com[*Local] {
-	if c.NondetPickSrc {
-		return pick("gc_pick_src",
-			func(l *Local) heap.RefSet { return l.GC.W },
-			func(l *Local, r heap.Ref) { l.GC.Src = r })
-	}
-	return det("gc_pick_src", func(l *Local) { l.GC.Src = l.GC.W.Any() })
 }

@@ -330,6 +330,38 @@ func TestValidateRejectsBoundsItCannotHonour(t *testing.T) {
 	}
 }
 
+// TestDropRejectsUnknownLabel: Build fails on a label that names no
+// droppable command: a misspelling, a command that is not a drop point,
+// or a mutator the configuration does not have.
+func TestDropRejectsUnknownLabel(t *testing.T) {
+	for _, l := range []string{"gc_hs_flip_mfence", "gc_hs_roots_start", "mut1_hs_poll"} {
+		cfg := testConfig()
+		cfg.Drop = []string{l}
+		if _, err := Build(cfg); err == nil || !strings.Contains(err.Error(), l) {
+			t.Errorf("Drop %q: Build error %v, want one naming it", l, err)
+		}
+	}
+}
+
+// TestEveryDropLabelDropsACommand: each label of every ablation, dropped
+// alone, removes commands from the programs of a one- and a two-mutator
+// configuration, so no label in the table is dead.
+func TestEveryDropLabelDropsACommand(t *testing.T) {
+	for _, nmut := range []int{1, 2} {
+		cfg := testConfig()
+		cfg.NMutators = nmut
+		full := build(t, cfg).Index.Len()
+		for name := range ablationLabels {
+			for _, l := range AblationDrop(name, nmut) {
+				cfg.Drop = []string{l}
+				if n := build(t, cfg).Index.Len(); n >= full {
+					t.Errorf("%d mutator(s), %s: dropping %s leaves %d commands of %d", nmut, name, l, n, full)
+				}
+			}
+		}
+	}
+}
+
 func TestHpAfterMapping(t *testing.T) {
 	cases := map[RoundTag]HandshakePhase{
 		TagIdle:     HpIdle,

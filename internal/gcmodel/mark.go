@@ -34,72 +34,67 @@ import (
 // mark from the caller's registers; a NULL target skips the operation.
 // del records (as ghost state) that this mark is a deletion barrier,
 // whose target the safety argument treats as a root for the duration of
-// the operation (§3.2). unlocked is the Config.UnlockedMark ablation:
-// the re-load / compare / store sequence runs without the TSO lock, so
-// it is no longer atomic and the mark store drains at the system's
-// leisure instead of before the locked instruction completes.
-func markCom(pfx string, del, unlocked bool, target func(*Local) heap.Ref) cimp.Com[*Local] {
-	expected := func(l *Local) bool { return !l.mFM() }
+// the operation (§3.2). The lock and the unlock may be dropped; without
+// them the re-load / compare / store sequence is no longer atomic, and
+// the mark store drains at the system's leisure instead of before the
+// locked instruction completes.
+func (c *Config) markCom(pfx string, del bool, target func(*Local) heap.Ref) cimp.Com[*Local] {
+	expected := func(l *Local) bool { return !l.mark().MFM }
 
 	casWin := writeVal(pfx+"_cas_store",
-		func(l *Local) Loc { return Loc{Kind: LMark, R: l.mRef()} },
-		func(l *Local) Val { return BoolVal(l.mFM()) },
+		func(l *Local) Loc { return Loc{Kind: LMark, R: l.mark().MRef} },
+		func(l *Local) Val { return BoolVal(l.mark().MFM) },
 		func(l *Local) {
-			l.setWinner(true)
-			l.setGHG(l.mRef()) // ghost_honorary_grey ← ref
+			m := l.mark()
+			m.Winner, m.GHG = true, m.MRef // ghost_honorary_grey ← ref
 		})
 
-	casSteps := []cimp.Com[*Local]{
+	casSteps := c.keep(make([]cimp.Com[*Local], 0, 4), req(pfx+"_lock", func(*Local) Req { return Req{Kind: RLock} }, nil))
+	casSteps = append(casSteps,
 		readTo(pfx+"_cas_load",
-			func(l *Local) Loc { return Loc{Kind: LMark, R: l.mRef()} },
-			func(l *Local, v Val) { l.setMFlag(v.Bool()) }),
+			func(l *Local) Loc { return Loc{Kind: LMark, R: l.mark().MRef} },
+			func(l *Local, v Val) { l.mark().MFlag = v.Bool() }),
 		cimp.If2(pfx+"_cas_cmp",
-			func(l *Local) bool { return l.mFlag() == expected(l) },
+			func(l *Local) bool { return l.mark().MFlag == expected(l) },
 			casWin,
-			det(pfx+"_cas_fail", func(l *Local) { l.setWinner(false) })),
-	}
-	if !unlocked {
-		casSteps = append([]cimp.Com[*Local]{
-			req(pfx+"_lock", func(*Local) Req { return Req{Kind: RLock} }, nil)},
-			append(casSteps,
-				req(pfx+"_unlock", func(*Local) Req { return Req{Kind: RUnlock} }, nil))...)
-	}
+			det(pfx+"_cas_fail", func(l *Local) { l.mark().Winner = false })))
+	casSteps = c.keep(casSteps, req(pfx+"_unlock", func(*Local) Req { return Req{Kind: RUnlock} }, nil))
 	cas := seqs(casSteps...)
 
 	body := seqs(
 		readTo(pfx+"_load_fM",
 			func(*Local) Loc { return Loc{Kind: LFM} },
-			func(l *Local, v Val) { l.setMFM(v.Bool()) }),
+			func(l *Local, v Val) { l.mark().MFM = v.Bool() }),
 		readTo(pfx+"_load_flag",
-			func(l *Local) Loc { return Loc{Kind: LMark, R: l.mRef()} },
-			func(l *Local, v Val) { l.setMFlag(v.Bool()) }),
+			func(l *Local) Loc { return Loc{Kind: LMark, R: l.mark().MRef} },
+			func(l *Local, v Val) { l.mark().MFlag = v.Bool() }),
 		cimp.If1(pfx+"_flag_chk",
-			func(l *Local) bool { return l.mFlag() == expected(l) },
+			func(l *Local) bool { return l.mark().MFlag == expected(l) },
 			seqs(
 				readTo(pfx+"_load_phase",
 					func(*Local) Loc { return Loc{Kind: LPhase} },
-					func(l *Local, v Val) { l.setMPhase(v.Phase()) }),
+					func(l *Local, v Val) { l.mark().MPhase = v.Phase() }),
 				cimp.If1(pfx+"_phase_chk",
-					func(l *Local) bool { return l.mPhase() != PhIdle },
+					func(l *Local) bool { return l.mark().MPhase != PhIdle },
 					cas))),
 		cimp.If1(pfx+"_win_chk",
-			func(l *Local) bool { return l.winner() },
+			func(l *Local) bool { return l.mark().Winner },
 			det(pfx+"_add_w", func(l *Local) {
-				l.setWorklist(l.worklist().Add(l.mRef()))
-				l.setGHG(heap.NilRef) // ghost_honorary_grey ← null
+				m, w := l.mark(), l.worklist()
+				*w = w.Add(m.MRef)
+				m.GHG = heap.NilRef // ghost_honorary_grey ← null
 			})),
-		det(pfx+"_end", func(l *Local) { l.resetMarkRegs() }),
+		det(pfx+"_end", (*Local).resetMark),
 	)
 
 	return seqs(
 		det(pfx+"_begin", func(l *Local) {
-			l.setMRef(target(l))
-			l.setWinner(false)
-			l.setInMark(true, del)
+			m := l.mark()
+			m.MRef, m.Winner, m.InMark, m.InMarkDel = target(l), false, true, del
 		}),
 		cimp.If2(pfx+"_null_chk",
-			func(l *Local) bool { return l.mRef() != heap.NilRef },
+			func(l *Local) bool { return l.mark().MRef != heap.NilRef },
 			body,
-			det(pfx+"_skip", func(l *Local) { l.resetMarkRegs() })),
+			det(pfx+"_skip", (*Local).resetMark)),
 	)
 }

@@ -2,14 +2,15 @@ package gcmodel
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cimp"
 	"repro/internal/heap"
 )
 
 // Config describes a bounded model instance: the numbers of mutators,
-// references and fields, the initial heap, and the ablation switches used
-// by the necessity experiments (E11/E12).
+// references and fields, the initial heap, and the ablations used by the
+// necessity experiments (E11/E12).
 type Config struct {
 	// NMutators is the number of mutator processes (PIDs 1..NMutators).
 	NMutators int
@@ -38,9 +39,14 @@ type Config struct {
 	// len(InitRoots) start with no roots.
 	InitRoots []heap.RefSet
 
-	// Ablations (experiments E11/E12).
-	NoDeletionBarrier  bool // omit the deletion (snapshot) barrier
-	NoInsertionBarrier bool // omit the insertion (incremental-update) barrier
+	// Drop lists the labels of commands the program builders omit: the
+	// ablations of the necessity experiments (E11/E12/E19) and the
+	// liveness ablations. A dropped command in a sequence is left out; a
+	// dropped Choose alternative is removed. A compound command is named
+	// by the label of its first command. AblationDrop gives the labels of
+	// each named ablation; Validate rejects a label that names no
+	// droppable command.
+	Drop []string
 	// InsertionBarrierOnlyBeforeRootsDone implements the paper's §4
 	// observation: the insertion barrier can be removed across the mark
 	// loop in exchange for an extra branch in the store barrier. The
@@ -53,32 +59,7 @@ type Config struct {
 	// state spaces and to demonstrate which invariant subtleties are
 	// TSO-specific (E13).
 	SCMemory   bool
-	AllocWhite bool // allocate with the unmarked sense during all phases
-	// Liveness ablations (package liveness): each removes one
-	// progress-critical transition without touching safety, so the
-	// fair-cycle detector has a real, fair violation to find.
-	// MuteHandshake drops the mutators' handshake alternative entirely:
-	// handshakes are still signaled but never polled or acknowledged.
-	// NoDequeue drops the system's internal dequeue transition: stores
-	// enter the buffers but are never committed to memory.
-	MuteHandshake bool
-	NoDequeue     bool
-	// UnlockedMark drops the TSO lock around the mark operation's CAS
-	// (Figure 5): the flag is re-read, compared and stored without the
-	// locked-instruction prefix, so two processes can both win and the
-	// buffered mark store can be overtaken. The static mark-cas rule of
-	// package analysis flags this variant without exploration.
-	UnlockedMark bool
-	// NoHSFence drops the four handshake memory fences (the collector's
-	// mfence_init/mfence_done around signaling, Figure 4, and the
-	// mutators' mfence_accept/mfence_finish around handshake work): a
-	// handshake can then complete while control/barrier stores are
-	// still buffered. The static handshake-fence rule flags it.
-	NoHSFence bool
-	ElideHS1  bool // skip handshake round 1 (idle noop)
-	ElideHS2  bool // skip handshake round 2 (after f_M flip)
-	ElideHS3  bool // skip handshake round 3 (after phase ← Init)
-	ElideHS4  bool // skip handshake round 4 (after phase ← Mark)
+	AllocWhite bool // allocate with the unmarked sense during all phases (E11)
 
 	// State-space controls.
 	//
@@ -90,7 +71,6 @@ type Config struct {
 	// context-bounded analysis: all interleavings of the budgeted
 	// operations are still explored.
 	OpBudget       int
-	NondetPickSrc  bool // non-deterministic src pick in the mark loop
 	DisableLoad    bool
 	DisableStore   bool
 	DisableAlloc   bool
@@ -117,6 +97,15 @@ func (c *Config) Validate() error {
 	}
 	if len(c.InitRoots) > c.NMutators {
 		return fmt.Errorf("gcmodel: %d initial root sets for %d mutator(s)", len(c.InitRoots), c.NMutators)
+	}
+	for _, l := range c.Drop {
+		found := false
+		for name := range ablationLabels {
+			found = found || slices.Contains(AblationDrop(name, c.NMutators), l)
+		}
+		if !found {
+			return fmt.Errorf("gcmodel: Drop names %q, which labels no droppable command", l)
+		}
 	}
 	for r, fs := range c.InitObjects {
 		if int(r) < 0 || int(r) >= c.NRefs {
@@ -200,8 +189,8 @@ func Build(cfg Config) (*Model, error) {
 	}
 
 	gcLocal := &GCLocal{
-		MRef: heap.NilRef, Src: heap.NilRef, TmpRef: heap.NilRef,
-		SwRef: heap.NilRef, GHG: heap.NilRef,
+		MarkState: MarkState{MRef: heap.NilRef, GHG: heap.NilRef},
+		Src:       heap.NilRef, TmpRef: heap.NilRef, SwRef: heap.NilRef,
 	}
 
 	// Programs first: the index compiles them (identities and unfolding
@@ -228,9 +217,9 @@ func Build(cfg Config) (*Model, error) {
 			roots = cfg.InitRoots[i]
 		}
 		spawn(&Local{Self: MutPID(i), Mut: &MutLocal{
-			Roots: roots,
-			MRef:  heap.NilRef, SSrc: heap.NilRef, SDst: heap.NilRef,
-			TmpRef: heap.NilRef, GHG: heap.NilRef,
+			Roots:     roots,
+			MarkState: MarkState{MRef: heap.NilRef, GHG: heap.NilRef},
+			SSrc:      heap.NilRef, SDst: heap.NilRef, TmpRef: heap.NilRef,
 			HP:      HpIdle,
 			OpsLeft: cfg.OpBudget,
 		}})

@@ -30,7 +30,9 @@ func hpAfter(tag RoundTag, cur HandshakePhase) HandshakePhase {
 	return cur
 }
 
-// MutProgram builds the mutator process with ordinal m (PID m+1).
+// MutProgram builds the mutator process with ordinal m (PID m+1). Both
+// write barriers, both handshake fences and the handshake alternative
+// may be dropped.
 func (c *Config) MutProgram(m int) cimp.Com[*Local] {
 	pfx := fmt.Sprintf("mut%d", m)
 
@@ -105,12 +107,9 @@ func (c *Config) MutProgram(m int) cimp.Com[*Local] {
 			func(l *Local) Loc { return Loc{Kind: LField, R: l.Mut.SSrc, F: l.Mut.SFld} },
 			func(l *Local, v Val) { l.Mut.TmpRef = v.Ref() }),
 	}
-	if !c.NoDeletionBarrier {
-		storeSteps = append(storeSteps,
-			markCom(pfx+"_delbar", true, c.UnlockedMark, func(l *Local) heap.Ref { return l.Mut.TmpRef }))
-	}
-	if !c.NoInsertionBarrier {
-		ins := markCom(pfx+"_insbar", false, c.UnlockedMark, func(l *Local) heap.Ref { return l.Mut.SDst })
+	storeSteps = c.keep(storeSteps,
+		c.markCom(pfx+"_delbar", true, func(l *Local) heap.Ref { return l.Mut.TmpRef }))
+	if ins := c.markCom(pfx+"_insbar", false, func(l *Local) heap.Ref { return l.Mut.SDst }); !c.dropped(ins) {
 		if c.InsertionBarrierOnlyBeforeRootsDone {
 			// §4 observation: one extra thread-local branch removes the
 			// insertion barrier across the mark loop.
@@ -168,7 +167,7 @@ func (c *Config) MutProgram(m int) cimp.Com[*Local] {
 					l.Mut.TmpRef = l.Mut.PendRoots.Any()
 					l.Mut.PendRoots = l.Mut.PendRoots.Remove(l.Mut.TmpRef)
 				}),
-				markCom(pfx+"_rootmark", false, c.UnlockedMark, func(l *Local) heap.Ref { return l.Mut.TmpRef }),
+				c.markCom(pfx+"_rootmark", false, func(l *Local) heap.Ref { return l.Mut.TmpRef }),
 			)},
 	)
 	hsDone := req(pfx+"_hs_done",
@@ -205,19 +204,13 @@ func (c *Config) MutProgram(m int) cimp.Com[*Local] {
 			l.Mut.TmpRef = heap.NilRef // root-marking iteration residue
 		})
 
-	// The accepted-handshake body; Config.NoHSFence (an ablation the
-	// static handshake-fence rule exists to flag) drops both fences.
-	var accept []cimp.Com[*Local]
-	if !c.NoHSFence {
-		accept = append(accept, mfence(pfx+"_hs_mfence_accept"))
-	}
+	// The accepted-handshake body, between its two fences.
+	accept := c.keep(nil, mfence(pfx+"_hs_mfence_accept"))
 	accept = append(accept,
 		cimp.If1(pfx+"_hs_is_roots",
 			func(l *Local) bool { return l.Mut.HSTy == HSGetRoots },
 			rootsWork))
-	if !c.NoHSFence {
-		accept = append(accept, mfence(pfx+"_hs_mfence_finish"))
-	}
+	accept = c.keep(accept, mfence(pfx+"_hs_mfence_finish"))
 	accept = append(accept, hsDone)
 
 	handshake := seqs(
@@ -237,10 +230,7 @@ func (c *Config) MutProgram(m int) cimp.Com[*Local] {
 			seqs(accept...)),
 	)
 
-	var alts []cimp.Com[*Local]
-	if !c.MuteHandshake {
-		alts = append(alts, handshake)
-	}
+	alts := c.keep(nil, handshake)
 	if !c.DisableLoad {
 		alts = append(alts, load)
 	}

@@ -2,7 +2,6 @@ package gcmodel
 
 import (
 	"repro/internal/cimp"
-	"repro/internal/heap"
 )
 
 // Helpers for building collector and mutator programs. Every interaction
@@ -66,18 +65,4 @@ func writeVal(label string, loc func(*Local) Loc, val func(*Local) Val, then fun
 // empty).
 func mfence(label string) cimp.Com[*Local] {
 	return req(label, func(*Local) Req { return Req{Kind: RMFence} }, nil)
-}
-
-// pick builds a non-deterministic local step with one successor per
-// element of a register-held reference set.
-func pick(label string, from func(*Local) heap.RefSet, set func(*Local, heap.Ref)) cimp.Com[*Local] {
-	return &cimp.LocalOp[*Local]{L: label, F: func(l *Local) []*Local {
-		var out []*Local
-		from(l).Each(func(r heap.Ref) {
-			n := l.Clone()
-			set(n, r)
-			out = append(out, n)
-		})
-		return out
-	}}
 }

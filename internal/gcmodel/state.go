@@ -212,18 +212,28 @@ type WAct struct {
 
 func (w WAct) String() string { return fmt.Sprintf("%v←%d", w.Loc, int64(w.Val)) }
 
+// MarkState is the state of the mark operation (Figure 5), the same for
+// the collector and the mutators: its registers and its ghost state.
+type MarkState struct {
+	MRef   heap.Ref // ref — the reference being marked
+	MFM    bool     // loaded f_M
+	MFlag  bool     // loaded flag(ref)
+	MPhase Phase    // loaded phase
+	Winner bool     // whether this thread won the CAS
+
+	// Ghost state.
+	GHG       heap.Ref // ghost_honorary_grey (Figure 5 lines 9/14), NilRef if none
+	InMark    bool     // inside the mark operation
+	InMarkDel bool     // the in-flight mark is a deletion barrier (its MRef is a root, §3.2)
+}
+
 // MutLocal is a mutator's private data state: its roots and work-list,
 // the registers of the in-flight operation, and ghost state.
 type MutLocal struct {
 	Roots heap.RefSet // local variables holding references (stack+registers)
 	WM    heap.RefSet // private grey work-list W_m
 
-	// Registers of the mark operation (Figure 5).
-	MRef   heap.Ref // ref — the reference being marked
-	MFM    bool     // loaded f_M
-	MFlag  bool     // loaded flag(ref)
-	MPhase Phase    // loaded phase
-	Winner bool     // whether this thread won the CAS
+	MarkState
 
 	// Registers of the Store operation (Figure 6).
 	SSrc   heap.Ref   // src object
@@ -246,9 +256,6 @@ type MutLocal struct {
 	OpsLeft int
 
 	// Ghost state.
-	GHG       heap.Ref       // ghost_honorary_grey (Figure 5 lines 9/14), NilRef if none
-	InMark    bool           // inside the mark operation
-	InMarkDel bool           // the in-flight mark is a deletion barrier (its MRef is a root, §3.2)
 	HP        HandshakePhase // handshake phase (Figure 3)
 	RootsDone bool           // completed the get-roots handshake this cycle
 }
@@ -262,12 +269,7 @@ type GCLocal struct {
 	FM, FA bool
 	Phase  Phase
 
-	// Registers of the mark operation (shared shape with MutLocal).
-	MRef   heap.Ref
-	MFM    bool
-	MFlag  bool
-	MPhase Phase
-	Winner bool
+	MarkState
 
 	// Mark-loop registers (Figures 2 and 10).
 	Src    heap.Ref    // current grey source object
@@ -279,10 +281,6 @@ type GCLocal struct {
 
 	// Handshake registers.
 	MutIdx int // next mutator to signal in the current round
-
-	// Ghost state.
-	GHG    heap.Ref
-	InMark bool
 }
 
 // SysLocal is the system process's data state: shared memory, TSO buffers
@@ -346,124 +344,26 @@ func (l *Local) Clone() *Local {
 
 // --- Accessors shared between the collector's and mutators' mark code ---
 
-func (l *Local) worklist() heap.RefSet {
+// worklist returns the work-list the mark operation at l adds to.
+func (l *Local) worklist() *heap.RefSet {
 	if l.Mut != nil {
-		return l.Mut.WM
+		return &l.Mut.WM
 	}
-	return l.GC.W
+	return &l.GC.W
 }
 
-func (l *Local) setWorklist(w heap.RefSet) {
+// mark returns the state of the mark operation at the collector or
+// mutator l.
+func (l *Local) mark() *MarkState {
 	if l.Mut != nil {
-		l.Mut.WM = w
-	} else {
-		l.GC.W = w
+		return &l.Mut.MarkState
 	}
+	return &l.GC.MarkState
 }
 
-func (l *Local) mRef() heap.Ref {
-	if l.Mut != nil {
-		return l.Mut.MRef
-	}
-	return l.GC.MRef
-}
-
-func (l *Local) setMRef(r heap.Ref) {
-	if l.Mut != nil {
-		l.Mut.MRef = r
-	} else {
-		l.GC.MRef = r
-	}
-}
-
-func (l *Local) mFM() bool {
-	if l.Mut != nil {
-		return l.Mut.MFM
-	}
-	return l.GC.MFM
-}
-
-func (l *Local) setMFM(b bool) {
-	if l.Mut != nil {
-		l.Mut.MFM = b
-	} else {
-		l.GC.MFM = b
-	}
-}
-
-func (l *Local) mFlag() bool {
-	if l.Mut != nil {
-		return l.Mut.MFlag
-	}
-	return l.GC.MFlag
-}
-
-func (l *Local) setMFlag(b bool) {
-	if l.Mut != nil {
-		l.Mut.MFlag = b
-	} else {
-		l.GC.MFlag = b
-	}
-}
-
-func (l *Local) mPhase() Phase {
-	if l.Mut != nil {
-		return l.Mut.MPhase
-	}
-	return l.GC.MPhase
-}
-
-func (l *Local) setMPhase(p Phase) {
-	if l.Mut != nil {
-		l.Mut.MPhase = p
-	} else {
-		l.GC.MPhase = p
-	}
-}
-
-func (l *Local) winner() bool {
-	if l.Mut != nil {
-		return l.Mut.Winner
-	}
-	return l.GC.Winner
-}
-
-func (l *Local) setWinner(b bool) {
-	if l.Mut != nil {
-		l.Mut.Winner = b
-	} else {
-		l.GC.Winner = b
-	}
-}
-
-func (l *Local) setGHG(r heap.Ref) {
-	if l.Mut != nil {
-		l.Mut.GHG = r
-	} else {
-		l.GC.GHG = r
-	}
-}
-
-// resetMarkRegs clears every scratch register of the mark operation so
-// completed marks leave no dead-register residue to distinguish
-// otherwise-identical states.
-func (l *Local) resetMarkRegs() {
-	l.setMRef(heap.NilRef)
-	l.setMFM(false)
-	l.setMFlag(false)
-	l.setMPhase(PhIdle)
-	l.setWinner(false)
-	l.setInMark(false, false)
-}
-
-func (l *Local) setInMark(in, del bool) {
-	if l.Mut != nil {
-		l.Mut.InMark = in
-		l.Mut.InMarkDel = in && del
-	} else {
-		l.GC.InMark = in
-	}
-}
+// resetMark clears the mark operation's state, so completed marks leave
+// no dead-register residue to distinguish otherwise-identical states.
+func (l *Local) resetMark() { *l.mark() = MarkState{MRef: heap.NilRef, GHG: heap.NilRef} }
 
 // --- Fingerprinting ---
 

@@ -88,7 +88,8 @@ func one(s *Local, beta Resp) []cimp.Reply[*Local] {
 	return []cimp.Reply[*Local]{{S: s, Msg: beta}}
 }
 
-// SysProgram builds the system process for a model configuration.
+// SysProgram builds the system process for a model configuration. The
+// dequeue may be dropped.
 func (c *Config) SysProgram() cimp.Com[*Local] {
 	alts := []cimp.Com[*Local]{
 		resp("sys-read", RRead, func(l *Local, req Req) []cimp.Reply[*Local] {
@@ -218,29 +219,27 @@ func (c *Config) SysProgram() cimp.Com[*Local] {
 			return one(n, Resp{W: w})
 		}),
 	}
-	if !c.NoDequeue {
-		// The single internal transition of Figure 9: commit the oldest
-		// pending write of any unblocked process.
-		alts = append(alts, &cimp.LocalOp[*Local]{L: "sys-dequeue-write-buffer", F: func(l *Local) []*Local {
-			var out []*Local
-			for p := range l.Sys.Bufs {
-				pid := cimp.PID(p)
-				if len(l.Sys.Bufs[p]) == 0 || !notBlocked(l.Sys, pid) {
-					continue
-				}
-				n := l.Clone()
-				w := n.Sys.Bufs[p][0]
-				rest := n.Sys.Bufs[p][1:]
-				if len(rest) == 0 {
-					n.Sys.Bufs[p] = nil
-				} else {
-					n.Sys.Bufs[p] = append([]WAct(nil), rest...)
-				}
-				doWrite(n.Sys, w)
-				out = append(out, n)
+	// The single internal transition of Figure 9: commit the oldest
+	// pending write of any unblocked process.
+	alts = c.keep(alts, &cimp.LocalOp[*Local]{L: "sys-dequeue-write-buffer", F: func(l *Local) []*Local {
+		var out []*Local
+		for p := range l.Sys.Bufs {
+			pid := cimp.PID(p)
+			if len(l.Sys.Bufs[p]) == 0 || !notBlocked(l.Sys, pid) {
+				continue
 			}
-			return out
-		}})
-	}
+			n := l.Clone()
+			w := n.Sys.Bufs[p][0]
+			rest := n.Sys.Bufs[p][1:]
+			if len(rest) == 0 {
+				n.Sys.Bufs[p] = nil
+			} else {
+				n.Sys.Bufs[p] = append([]WAct(nil), rest...)
+			}
+			doWrite(n.Sys, w)
+			out = append(out, n)
+		}
+		return out
+	}})
 	return &cimp.Loop[*Local]{Body: &cimp.Choose[*Local]{Alts: alts}}
 }

@@ -64,7 +64,7 @@ func TestCleanModelSatisfiesAllProperties(t *testing.T) {
 
 func TestMuteHandshakeViolatesAcknowledgement(t *testing.T) {
 	cfg := smallConfig()
-	cfg.MuteHandshake = true
+	cfg.Drop = gcmodel.AblationDrop("mute_handshake", cfg.NMutators)
 	m := build(t, cfg)
 	res, err := liveness.Check(m, liveness.Options{}, explore.Options{})
 	if err != nil {
@@ -92,7 +92,7 @@ func TestMuteHandshakeViolatesAcknowledgement(t *testing.T) {
 
 func TestNoDequeueViolatesBufferDrain(t *testing.T) {
 	cfg := smallConfig()
-	cfg.NoDequeue = true
+	cfg.Drop = gcmodel.AblationDrop("no_dequeue", cfg.NMutators)
 	m := build(t, cfg)
 	res, err := liveness.Check(m, liveness.Options{}, explore.Options{})
 	if err != nil {
@@ -119,7 +119,7 @@ func TestNoDequeueViolatesBufferDrain(t *testing.T) {
 // exactly to the cycle head, and tampering with either must be caught.
 func TestLassoReplaysThroughUnreducedRelation(t *testing.T) {
 	cfg := smallConfig()
-	cfg.MuteHandshake = true
+	cfg.Drop = gcmodel.AblationDrop("mute_handshake", cfg.NMutators)
 	m := build(t, cfg)
 	res, err := liveness.Check(m, liveness.Options{}, explore.Options{})
 	if err != nil {
@@ -194,7 +194,7 @@ func TestByNameSelectsSubset(t *testing.T) {
 
 func TestCappedRunIsInconclusiveButSound(t *testing.T) {
 	cfg := smallConfig()
-	cfg.MuteHandshake = true
+	cfg.Drop = gcmodel.AblationDrop("mute_handshake", cfg.NMutators)
 	m := build(t, cfg)
 	res, err := liveness.Check(m, liveness.Options{}, explore.Options{MaxStates: 50})
 	if err != nil {
@@ -266,8 +266,8 @@ func TestGraphMatchesSafetyExploration(t *testing.T) {
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	for name, ablate := range map[string]func(*gcmodel.Config){
 		"clean":          func(*gcmodel.Config) {},
-		"mute-handshake": func(c *gcmodel.Config) { c.MuteHandshake = true },
-		"no-dequeue":     func(c *gcmodel.Config) { c.NoDequeue = true },
+		"mute-handshake": func(c *gcmodel.Config) { c.Drop = gcmodel.AblationDrop("mute_handshake", c.NMutators) },
+		"no-dequeue":     func(c *gcmodel.Config) { c.Drop = gcmodel.AblationDrop("no_dequeue", c.NMutators) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := smallConfig()

@@ -657,6 +657,12 @@ func (e *Engine) runJob(ctx context.Context, j *job) {
 		}
 		j.state = core.JobDone
 		j.verdict = &rec
+		if rec.StoppedOn(explore.StopMemBudget) {
+			// The key leaves the budget out, so a cached entry would
+			// answer the same spec under any budget with this
+			// incomplete verdict.
+			break
+		}
 		if err := e.cache.put(j.fp, j.summary, rec); err != nil {
 			// The per-job verdict survived; a cache-write failure only
 			// costs a future cache hit.

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/explore"
 	"repro/internal/verdict"
 )
 
@@ -147,6 +148,36 @@ func TestSubmitRunCache(t *testing.T) {
 	}
 	if got, want := canonBytes(t, second.Verdict), canonBytes(t, done.Verdict); !bytes.Equal(got, want) {
 		t.Errorf("cached verdict differs canonically:\n%s\n%s", got, want)
+	}
+}
+
+// TestMemBudgetStopIsNotCached: a run that the memory budget stopped
+// settles, but its verdict is not cached. The key leaves the budget out,
+// so the same spec submitted without a budget must run again and stop
+// on its depth cap.
+func TestMemBudgetStopIsNotCached(t *testing.T) {
+	e := newEngine(t, t.TempDir())
+	defer shutdown(t, e)
+	run := func(spec core.JobSpec, want explore.StopReason) {
+		t.Helper()
+		info, err := e.Submit(spec, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Cached {
+			t.Fatalf("%+v: served from the cache", spec.Options)
+		}
+		done := waitState(t, e, info.ID, core.JobDone)
+		if done.Verdict == nil || done.Verdict.Stopped != string(want) {
+			t.Fatalf("%+v: verdict %+v, want stopped %q", spec.Options, done.Verdict, want)
+		}
+	}
+	spec := core.JobSpec{Preset: "tiny", Options: core.JobOptions{MaxDepth: 40, MemBudgetMiB: 1}}
+	run(spec, explore.StopMemBudget)
+	spec.Options.MemBudgetMiB = 0
+	run(spec, explore.StopMaxDepth)
+	if m := e.Metrics(); m.CacheEntries != 1 {
+		t.Errorf("cache entries = %d, want 1 (the max-depth run only)", m.CacheEntries)
 	}
 }
 

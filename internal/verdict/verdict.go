@@ -172,9 +172,11 @@ func (r Record) Marshal() ([]byte, error) {
 
 // Interrupted reports whether the run (either pass) stopped on a
 // cancellation signal — the CLIs map it to exit status 130.
-func (r Record) Interrupted() bool {
-	return r.Stopped == string(explore.StopInterrupted) ||
-		(r.Liveness != nil && r.Liveness.Stopped == string(explore.StopInterrupted))
+func (r Record) Interrupted() bool { return r.StoppedOn(explore.StopInterrupted) }
+
+// StoppedOn reports whether either pass of the run stopped for reason.
+func (r Record) StoppedOn(reason explore.StopReason) bool {
+	return r.Stopped == string(reason) || (r.Liveness != nil && r.Liveness.Stopped == string(reason))
 }
 
 // ExitCode maps the verdict to the shared CLI exit convention:
