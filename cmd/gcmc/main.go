@@ -37,8 +37,11 @@
 //
 // # Run durability
 //
-// With -checkpoint the search state is snapshotted atomically every
-// options.checkpoint_every BFS layers (default 16). SIGINT/SIGTERM
+// With -checkpoint the search state is snapshotted every
+// options.checkpoint_every BFS layers (default 16): the first snapshot
+// is written whole and atomically (temp file, fsync, rename), and each
+// later one appends only the visited records added since, fsynced, so
+// the file is a log that loads as the latest cut. SIGINT/SIGTERM
 // interrupt gracefully: the checker finishes its current layer, writes a
 // final checkpoint, prints the partial result marked INCOMPLETE, and
 // exits 130; a second signal kills immediately. -resume restarts from a
@@ -86,7 +89,7 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit a machine-readable JSON verdict on stdout")
 		lint     = flag.Bool("lint", false, "static preflight: run the gclint placement rules on the configuration before exploring")
 
-		ckptPath = flag.String("checkpoint", "", "snapshot the search state to this file at layer boundaries (atomic writes)")
+		ckptPath = flag.String("checkpoint", "", "snapshot the search state to this file at layer boundaries (an atomic first write, then fsynced appends of what changed)")
 		resume   = flag.String("resume", "", "resume the search from this checkpoint file (the spec must match; options.workers may differ)")
 		spillDir = flag.String("spill-dir", "", "disk-spill directory, and sets options.spill: when the mem_budget_mib ladder would stop the run, spill the visited records and frontier layers here and complete exhaustively instead (remote runs: the daemon picks a per-job directory)")
 
@@ -223,7 +226,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gcmc: warning:", res.Err)
 	}
 	if res.Checkpoints > 0 && *ckptPath != "" {
-		fmt.Fprintf(os.Stderr, "gcmc: %d checkpoint(s) written to %s\n", res.Checkpoints, *ckptPath)
+		fmt.Fprintf(os.Stderr, "gcmc: %d checkpoint(s), %d bytes written to %s\n", res.Checkpoints, res.CheckpointBytes, *ckptPath)
 	}
 
 	fp, _, _ := core.Fingerprint(cfg, opt) // 0 omits the field; Verify built this configuration, so it cannot fail here

@@ -96,7 +96,8 @@ type VerifyOptions struct {
 	// (Stopped == explore.StopInterrupted). See explore.Options.Context.
 	Context context.Context
 	// CheckpointPath enables periodic snapshots of the search state to
-	// this file (atomic temp-file-and-rename writes); empty disables.
+	// this file, a log: the first is written whole (temp file and
+	// rename), each later one appended as what changed; empty disables.
 	CheckpointPath string
 	// CheckpointEvery is the number of BFS layers between snapshots
 	// (0 = checker default).

@@ -2,9 +2,10 @@ package explore
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/storage"
@@ -41,8 +42,7 @@ func (e *explorer) watchdog(depth int, layer []qent, res *Result) bool {
 		return true
 	case used >= e.opt.MemBudget*85/100:
 		if e.seen.audit {
-			e.seen.dropAudit()
-			e.degraded = true
+			e.dropAudit()
 			runtime.GC()
 		}
 		if e.spill != nil {
@@ -64,16 +64,25 @@ func (e *explorer) watchdog(depth int, layer []qent, res *Result) bool {
 // representation. Idempotent; boundary-only.
 func (e *explorer) activateSpill() error {
 	if e.seen.audit {
-		e.seen.dropAudit()
-		e.degraded = true
+		e.dropAudit()
 	}
+	e.closeLog() // checkpointing is suspended while spilled
 	return e.spill.activate(e.seen)
 }
 
+// dropAudit degrades the run to hash-only. The open checkpoint log holds
+// fingerprints, so the next checkpoint rewrites the file whole.
+func (e *explorer) dropAudit() {
+	e.seen.dropAudit()
+	e.degraded = true
+	e.closeLog()
+}
+
 // snapshot captures the search at a layer boundary: the frontier at
-// depth, the full visited set, and the settled counters. Frontier states
-// and shard entries are sorted by fingerprint hash so the snapshot bytes
-// are canonical for the cut.
+// depth and the settled counters, with the whole visited set — or, while
+// a checkpoint log is open, only the records it does not hold yet.
+// Frontier states and shard entries are sorted by fingerprint hash so
+// the snapshot bytes are canonical for the cut.
 func (e *explorer) snapshot(depth int, layer []qent) *checkpoint.Snapshot {
 	s := &checkpoint.Snapshot{
 		OptionsFP:   e.optFP,
@@ -85,20 +94,16 @@ func (e *explorer) snapshot(depth int, layer []qent) *checkpoint.Snapshot {
 		Deadlocks:   e.deadlocks.Load(),
 		Audit:       e.seen.audit,
 		Degraded:    e.degraded,
-		Checkpoints: e.checkpoints,
+		Frontier:    e.encodeFrontier(layer),
+		Shards:      make([]checkpoint.Shard, len(e.seen.stripes)),
 	}
-	ord := make([]int, len(layer))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool { return layer[ord[a]].hash < layer[ord[b]].hash })
-	s.Frontier = make([][]byte, len(layer))
-	for i, j := range ord {
-		s.Frontier[i] = e.m.EncodeState(nil, layer[j].state)
-	}
-	s.Shards = make([]checkpoint.Shard, len(e.seen.stripes))
-	for i := range e.seen.stripes {
-		ents := e.seen.entries(i)
+	e.share(len(s.Shards), depth, func(i int) {
+		var ents []entry
+		if e.log != nil {
+			ents = e.seen.entriesOf(e.fresh[i])
+		} else {
+			ents = e.seen.entries(i)
+		}
 		out := checkpoint.Shard{
 			Hashes:  make([]uint64, len(ents)),
 			Parents: make([]uint64, len(ents)),
@@ -114,11 +119,54 @@ func (e *explorer) snapshot(depth int, layer []qent) *checkpoint.Snapshot {
 			}
 		}
 		s.Shards[i] = out
-	}
+	})
 	return s
 }
 
-// writeCheckpoint snapshots the cut and saves it atomically. A write
+// encodeFrontier serializes the layer in hash order into one buffer,
+// reused from checkpoint to checkpoint; the returned slices share it.
+func (e *explorer) encodeFrontier(layer []qent) [][]byte {
+	type ref struct {
+		hash uint64
+		i    int
+	}
+	ord := make([]ref, len(layer))
+	for i, q := range layer {
+		ord[i] = ref{q.hash, i}
+	}
+	slices.SortFunc(ord, func(a, b ref) int { return cmp.Compare(a.hash, b.hash) })
+	ends := make([]int, len(ord))
+	buf := e.frontierBuf[:0]
+	for k, r := range ord {
+		buf = e.m.EncodeState(buf, layer[r.i].state)
+		ends[k] = len(buf)
+	}
+	e.frontierBuf = buf
+	out := make([][]byte, len(ends))
+	start := 0
+	for k, end := range ends {
+		out[k] = buf[start:end:end]
+		start = end
+	}
+	return out
+}
+
+// trackFresh adds a new layer's hashes, stripe by stripe, to the records
+// the open checkpoint log does not hold yet: every state a layer visits
+// is in the layer, so the next segment needs nothing else.
+func (e *explorer) trackFresh(layer []qent) {
+	if e.log == nil {
+		return
+	}
+	for _, q := range layer {
+		i := q.hash >> e.seen.shift
+		e.fresh[i] = append(e.fresh[i], q.hash)
+	}
+}
+
+// writeCheckpoint writes the cut: the base of a new log when none is
+// open — after start, resume, a failed write, or dropped audit
+// retention — and a delta segment appended to it otherwise. A write
 // failure does not stop the search; the first failure is surfaced in
 // Result.Err.
 func (e *explorer) writeCheckpoint(depth int, layer []qent) {
@@ -132,14 +180,49 @@ func (e *explorer) writeCheckpoint(depth int, layer []qent) {
 		// spilled run means its last pre-spill checkpoint.
 		return
 	}
-	e.checkpoints++
 	snap := e.snapshot(depth, layer)
-	if _, err := checkpoint.SaveFS(storage.OrOS(e.opt.FS), e.opt.Checkpoint.Path, snap); err != nil {
+	if e.poisoned.Load() {
+		// A shard was left unbuilt: the run stops with StopPanic at the
+		// next layer, and nothing of this cut is written.
+		return
+	}
+	e.checkpoints++
+	snap.Checkpoints = e.checkpoints
+	each := func(n int, f func(i int)) { e.share(n, depth, f) }
+	var n int64
+	var err error
+	if e.log != nil {
+		n, err = e.log.Append(snap, each)
+	} else {
+		e.log, n, err = checkpoint.Create(storage.OrOS(e.opt.FS), e.opt.Checkpoint.Path, snap, each)
+	}
+	if err != nil {
 		e.checkpoints--
+		e.closeLog()
 		if e.ckptErr == nil {
 			e.ckptErr = err
 		}
+		return
 	}
+	e.ckptBytes += n
+	if e.fresh == nil {
+		e.fresh = make([][]uint64, len(e.seen.stripes))
+	}
+	for i := range e.fresh {
+		e.fresh[i] = e.fresh[i][:0]
+	}
+}
+
+// closeLog closes the checkpoint log, if one is open: the next
+// checkpoint rewrites the file whole.
+func (e *explorer) closeLog() {
+	if e.log == nil {
+		return
+	}
+	// Every segment was fsynced as it was written; a failed close loses
+	// nothing the file does not already hold.
+	_ = e.log.Close()
+	e.log, e.fresh = nil, nil
 }
 
 // restore rebuilds the search from a snapshot: validates the options

@@ -179,9 +179,12 @@ type Options struct {
 
 // CheckpointOptions configures run snapshots.
 type CheckpointOptions struct {
-	// Path is the checkpoint file; empty disables checkpointing. Writes
-	// are atomic (temp file + rename), so the file always holds the
-	// latest complete snapshot.
+	// Path is the checkpoint file; empty disables checkpointing. The
+	// file is a log (package checkpoint): the run's first snapshot, and
+	// the first after a failed write or dropped audit retention, replaces
+	// it atomically (temp file + rename); each later one appends the
+	// records visited since, fsynced. checkpoint.Load reads the latest
+	// cut that verifies.
 	Path string
 	// EveryLayers is the number of BFS layers between periodic
 	// snapshots (0 = 16 when Path is set). Interruption and the memory
@@ -361,6 +364,9 @@ type Result struct {
 	// Checkpoints is the cumulative number of snapshots written,
 	// carried across resumes.
 	Checkpoints int
+	// CheckpointBytes is the number of bytes this run wrote to its
+	// checkpoint file, over every full rewrite and appended segment.
+	CheckpointBytes int64
 	// Degraded reports that the memory watchdog dropped audit-mode
 	// fingerprint retention mid-run (or that the run resumed from a
 	// degraded snapshot): HashCollisions then undercounts.
@@ -448,11 +454,18 @@ type explorer struct {
 	panicMu  sync.Mutex
 	panicErr *PanicError
 
-	// Durability bookkeeping, touched only at layer boundaries.
+	// Durability bookkeeping, touched only at layer boundaries. log is the
+	// open checkpoint log (durability.go), nil until the first write and
+	// after a failed one; fresh holds, per stripe, the hashes visited since
+	// its last segment; frontierBuf is the encoded frontier's buffer.
 	optFP       uint64
 	optSummary  string
 	checkpoints int
+	ckptBytes   int64
 	ckptErr     error
+	log         *checkpoint.Log
+	fresh       [][]uint64
+	frontierBuf []byte
 	degraded    bool
 	emergency   bool
 	memSample   func() uint64
@@ -685,6 +698,7 @@ func (e *explorer) run() Result {
 			res.Stopped = StopMaxStates
 			break
 		}
+		e.trackFresh(layer)
 		// The layer barrier has been crossed: the frontier at depth+1 is
 		// complete and every counter is settled — the only consistent
 		// cut. Checkpoints, the memory watchdog, the spill rung, and
@@ -736,6 +750,7 @@ func (e *explorer) run() Result {
 	if e.spill != nil {
 		e.spill.cleanup()
 	}
+	e.closeLog()
 	e.collect(&res)
 	return res
 }
@@ -760,6 +775,7 @@ func (e *explorer) collect(res *Result) {
 	res.AmpleStates = int(e.ample.Load())
 	res.Deadlocks = int(e.deadlocks.Load())
 	res.Checkpoints = e.checkpoints
+	res.CheckpointBytes = e.ckptBytes
 	res.Degraded = e.degraded
 	for i := range e.seen.stripes {
 		res.HashCollisions += int(e.seen.stripes[i].collisions)
@@ -854,19 +870,26 @@ func (e *explorer) expandLayer(layer []qent, depth int) []qent {
 // settle is the visited table's part of the barrier: the stripes the
 // coming layer of frontier states could overfill are rebuilt, the workers
 // sharing them out one at a time — so at most that many stripes exist
-// twice — under the same containment as an expansion.
+// twice.
 func (e *explorer) settle(k, frontier, depth int) {
 	due, head := e.seen.fold(e.ins[:k], frontier)
+	e.share(len(due), depth, func(i int) { e.seen.rebuild(due[i], head) })
+}
+
+// share is barrier work: it calls f(i) for every i in [0, n), the workers
+// taking indices one at a time, under the same containment as an
+// expansion.
+func (e *explorer) share(n, depth int, f func(i int)) {
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	for range min(e.workers, len(due)) {
+	for range min(e.workers, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var none uint64 // no state is in hand at the barrier
 			defer e.contain(&none, depth)
-			for i := int(cursor.Add(1)) - 1; i < len(due); i = int(cursor.Add(1)) - 1 {
-				e.seen.rebuild(due[i], head)
+			for i := int(cursor.Add(1)) - 1; i < n; i = int(cursor.Add(1)) - 1 {
+				f(i)
 			}
 		}()
 	}

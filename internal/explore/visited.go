@@ -367,6 +367,18 @@ func (v *visited) entries(i int) []entry {
 	return out
 }
 
+// entriesOf returns the entries of the keys hs, all of one stripe, in
+// ascending hash order; it sorts hs. Only between layers.
+func (v *visited) entriesOf(hs []uint64) []entry {
+	slices.Sort(hs)
+	out := make([]entry, len(hs))
+	for j, h := range hs {
+		r, _ := v.lookup(h)
+		out[j] = entry{h, r}
+	}
+	return out
+}
+
 // spillConvert switches the table to its spilled representation: the key
 // arrays stay where they are and the two payload arrays go — at once when
 // the records are not wanted (keep false), else stripe by stripe as

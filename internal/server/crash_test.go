@@ -162,8 +162,9 @@ func TestCrashRecovery(t *testing.T) {
 }
 
 // TestCrashAtCheckpointSave kills the daemon AT chosen operations
-// inside a checkpoint save — the create of the staging file, a
-// mid-payload write, and an op deep enough to land in a later save —
+// inside a checkpoint save — the create of the staging file, the
+// rename that installs it, and an op deep enough to land in a later,
+// appended segment —
 // using FaultFS crash-points (the injected crash tears the in-flight
 // write and exits 137, like SIGKILL at the worst instant). A clean
 // restart on the remains must finish the job with a verdict
@@ -190,9 +191,11 @@ func TestCrashAtCheckpointSave(t *testing.T) {
 	ref := verdict.New("tiny", core.Ablations{}, fp, res)
 	want := canonBytes(t, &ref)
 
-	// Skips select which run.ckpt.tmp operation dies: 0 is the staging
-	// file's create, 3 a mid-payload write of the first save, 13 lands
-	// in a later save's write/sync/rename sequence.
+	// Skips select which run.ckpt.tmp operation dies. The first save is
+	// create, write, sync, rename (0-3), and each later cut appends a
+	// segment through the same handle with a write and a sync: 0 is the
+	// staging file's create, 3 the first save's rename, 13 the sync of
+	// the sixth checkpoint (the fifth appended segment).
 	for _, skip := range []int{0, 3, 13} {
 		t.Run(fmt.Sprintf("skip=%d", skip), func(t *testing.T) {
 			data := t.TempDir()
