@@ -91,7 +91,7 @@ func main() {
 
 		ckptPath = flag.String("checkpoint", "", "snapshot the search state to this file at layer boundaries (an atomic first write, then fsynced appends of what changed)")
 		resume   = flag.String("resume", "", "resume the search from this checkpoint file (the spec must match; options.workers may differ)")
-		spillDir = flag.String("spill-dir", "", "disk-spill directory, and sets options.spill: when the mem_budget_mib ladder would stop the run, spill the visited records and frontier layers here and complete exhaustively instead (remote runs: the daemon picks a per-job directory)")
+		spillDir = flag.String("spill-dir", "", "disk-spill directory, and sets options.spill: when the mem_budget_mib ladder would stop the run, move the visited records to the checkpoint log (-checkpoint, else run.ckpt here) and park frontier layers here, and complete exhaustively instead (remote runs: the daemon picks a per-job directory)")
 
 		chaosFS    = flag.String("chaos-storage", "", "fault-injection spec for all disk I/O, e.g. 'eio@3', 'crash@run.ckpt+2', 'seed=7,rate=0.01,kinds=eio|enospc' (testing)")
 		chaosTrace = flag.String("chaos-trace", "", "write the storage op/fault trace to this file after the run (with -chaos-storage)")
@@ -225,6 +225,9 @@ func main() {
 		// A checkpoint write failed but the run went on: warn, don't die.
 		fmt.Fprintln(os.Stderr, "gcmc: warning:", res.Err)
 	}
+	if res.ResumeDropped > 0 {
+		fmt.Fprintf(os.Stderr, "gcmc: note: resume dropped %d torn checkpoint segment(s)\n", res.ResumeDropped)
+	}
 	if res.Checkpoints > 0 && *ckptPath != "" {
 		fmt.Fprintf(os.Stderr, "gcmc: %d checkpoint(s), %d bytes written to %s\n", res.Checkpoints, res.CheckpointBytes, *ckptPath)
 	}
@@ -259,8 +262,8 @@ func main() {
 				res.VisitedBytes, float64(res.VisitedBytes)/float64(res.States))
 		}
 		if res.Spilled.Active {
-			fmt.Printf("spill: %d layer(s) parked, %d flush(es), %d record(s), %d bytes via %s\n",
-				res.Spilled.Layers, res.Spilled.Flushes, res.Spilled.States, res.Spilled.Bytes, *spillDir)
+			fmt.Printf("spill: %d layer(s) parked, %d bytes via %s; visited records in %d checkpoint bytes\n",
+				res.Spilled.Layers, res.Spilled.Bytes, *spillDir, res.CheckpointBytes)
 		}
 		if res.Degraded {
 			fmt.Fprintln(os.Stderr, "gcmc: note: memory watchdog dropped audit fingerprints mid-run; collision count is partial")

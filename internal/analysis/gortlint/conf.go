@@ -184,7 +184,7 @@ func storageDiscipline() DisciplineConfig {
 }
 
 // exploreSpillDiscipline is the checker's disk-spill discipline: spill
-// activation, the hot-record file and the parked frontier layer mutate
+// activation, the failure latch and the parked frontier layer mutate
 // under one spillState lock (workers fetch parked states read-only
 // through the immutable parkedLayer handle the boundary published).
 func exploreSpillDiscipline() DisciplineConfig {
@@ -194,8 +194,7 @@ func exploreSpillDiscipline() DisciplineConfig {
 		Init:    []string{"newSpillState"},
 		Holds: map[string][]string{
 			// The *Locked suffix is the caller-holds convention:
-			// boundary (and activate) take the lock, then delegate.
-			"spillState.flushHotLocked":    {"spillState.mu"},
+			// park (and cleanup) take the lock, then delegate.
 			"spillState.parkLayerLocked":   {"spillState.mu"},
 			"spillState.closeParkedLocked": {"spillState.mu"},
 		},

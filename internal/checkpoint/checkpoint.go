@@ -138,9 +138,9 @@ func appendSection(dst []byte, name string, payload []byte) []byte {
 }
 
 // AppendSection frames one named, CRC-32-checksummed section onto dst
-// using the checkpoint file encoding. The explorer's disk-spill files
-// reuse this framing so spilled visited-set records and frontier
-// entries get the same corruption detection as checkpoints.
+// using the checkpoint file encoding. The explorer's parked frontier
+// files reuse this framing so their entries get the same corruption
+// detection as checkpoints.
 func AppendSection(dst []byte, name string, payload []byte) []byte {
 	return appendSection(dst, name, payload)
 }

@@ -116,9 +116,11 @@ type VerifyOptions struct {
 	MemBudget int64
 	// SpillDir, if non-empty, arms the disk-spill degradation rung: when
 	// the memory ladder would otherwise drop audit data or stop the run,
-	// cold visited-set shards and frontier layers spill to CRC-framed
-	// files under this directory and the run completes exhaustively
-	// instead. Representation-only — excluded from the options
+	// the visited records move to the checkpoint log (CheckpointPath, or
+	// run.ckpt in this directory) and frontier layers are parked here, and
+	// the run completes exhaustively instead; a spilled run with a
+	// CheckpointPath resumes from its latest cut. The directory holds
+	// working files only. Representation-only — excluded from the options
 	// fingerprint. See explore.Options.SpillDir.
 	SpillDir string
 	// FS, when non-nil, routes all of the run's disk I/O (checkpoints
@@ -140,6 +142,10 @@ type VerifyResult struct {
 	// VerifyOptions.ValidateEffects was set. Its Stats method reports
 	// how many transitions and states were validated.
 	Effects *analysis.Validator
+	// ResumeDropped is the number of torn segments at the end of the
+	// checkpoint log that the resume dropped (checkpoint.Snapshot.Dropped):
+	// the run redid their layers.
+	ResumeDropped int
 }
 
 // Holds reports whether the checked properties are established on the
@@ -250,12 +256,13 @@ func Verify(cfg ModelConfig, opt VerifyOptions) (VerifyResult, error) {
 	}
 	checks := battery(opt)
 	eopt := exploreOptions(opt)
+	dropped := 0
 	if opt.Resume != "" {
 		snap, err := checkpoint.LoadFS(storage.OrOS(opt.FS), opt.Resume)
 		if err != nil {
 			return VerifyResult{}, fmt.Errorf("core: %w", err)
 		}
-		eopt.Resume = snap
+		eopt.Resume, dropped = snap, snap.Dropped
 	}
 	var val *analysis.Validator
 	if opt.ValidateEffects {
@@ -286,7 +293,7 @@ func Verify(cfg ModelConfig, opt VerifyOptions) (VerifyResult, error) {
 		}
 	}
 	res := explore.Run(m, checks, eopt)
-	vr := VerifyResult{Result: res, Model: m, Effects: val}
+	vr := VerifyResult{Result: res, Model: m, Effects: val, ResumeDropped: dropped}
 	if res.Stopped == explore.StopResume {
 		return vr, fmt.Errorf("core: %w", res.Err)
 	}

@@ -210,8 +210,10 @@ type JobRun struct {
 	ProgressEvery int
 	// Context requests graceful interruption at layer boundaries.
 	Context context.Context
-	// SpillDir is the directory for the disk-spill rung when the spec
-	// asks for it (JobOptions.Spill); empty leaves the rung unarmed.
+	// SpillDir is the directory for the disk-spill rung's parked
+	// frontiers when the spec asks for it (JobOptions.Spill); empty
+	// leaves the rung unarmed. The spilled records go to the checkpoint
+	// log (CheckpointPath, else run.ckpt in this directory).
 	SpillDir string
 	// FS routes the run's disk I/O (checkpoint, spill) through a
 	// pluggable filesystem; nil means the real one. Fault injection for

@@ -21,7 +21,7 @@ func (e *explorer) spillErr() error {
 
 // watchdog is the layer-boundary memory ladder; see Options.MemBudget.
 // It reports true when the run must stop.
-func (e *explorer) watchdog(depth int, layer []qent, res *Result) bool {
+func (e *explorer) watchdog(depth int, layer []qent) bool {
 	if e.opt.MemBudget <= 0 {
 		return false
 	}
@@ -33,10 +33,7 @@ func (e *explorer) watchdog(depth int, layer []qent, res *Result) bool {
 			// and keep exploring from disk. If the spill is broken the
 			// run stops anyway — run() turns the latched error into
 			// StopSpill rather than StopMemBudget.
-			if err := e.activateSpill(); err == nil {
-				return false
-			}
-			return true
+			return e.activateSpill(depth, layer) != nil
 		}
 		e.writeCheckpoint(depth, layer)
 		return true
@@ -46,9 +43,7 @@ func (e *explorer) watchdog(depth int, layer []qent, res *Result) bool {
 			runtime.GC()
 		}
 		if e.spill != nil {
-			if err := e.activateSpill(); err != nil {
-				return true // latched; run() reports StopSpill
-			}
+			return e.activateSpill(depth, layer) != nil // latched; run() reports StopSpill
 		}
 	case used >= e.opt.MemBudget*70/100:
 		if !e.emergency {
@@ -59,15 +54,28 @@ func (e *explorer) watchdog(depth int, layer []qent, res *Result) bool {
 	return false
 }
 
-// activateSpill drops audit retention (spilled shards are hash-only by
-// construction) and switches the visited set to its on-disk
-// representation. Idempotent; boundary-only.
-func (e *explorer) activateSpill() error {
+// activateSpill moves the visited records to the checkpoint log: it
+// drops audit retention (a spilled table is hash-only, and the log then
+// rewrites whole without fingerprints), writes the cut at depth, and only
+// once the log holds every record releases the table's payload arrays.
+// Idempotent; boundary-only.
+func (e *explorer) activateSpill(depth int, layer []qent) error {
+	if e.spill.isActive() {
+		return e.spill.firstErr()
+	}
 	if e.seen.audit {
 		e.dropAudit()
 	}
-	e.closeLog() // checkpointing is suspended while spilled
-	return e.spill.activate(e.seen)
+	if err := e.spill.activate(); err != nil {
+		return err
+	}
+	e.writeCheckpoint(depth, layer)
+	if err := e.spill.firstErr(); err != nil || e.log == nil || e.logDepth != depth {
+		// Failed, or a poisoned run wrote nothing: the records stay.
+		return err
+	}
+	e.seen.spill()
+	return nil
 }
 
 // dropAudit degrades the run to hash-only. The open checkpoint log holds
@@ -76,6 +84,16 @@ func (e *explorer) dropAudit() {
 	e.seen.dropAudit()
 	e.degraded = true
 	e.closeLog()
+}
+
+// logPath is where the run's checkpoint log is: Checkpoint.Path, or once
+// the spill is active in a run without one, run.ckpt in the spill
+// directory. Empty means the run writes no checkpoints.
+func (e *explorer) logPath() string {
+	if e.opt.Checkpoint.Path == "" && e.spill != nil && e.spill.isActive() {
+		return e.spill.log
+	}
+	return e.opt.Checkpoint.Path
 }
 
 // snapshot captures the search at a layer boundary: the frontier at
@@ -98,26 +116,32 @@ func (e *explorer) snapshot(depth int, layer []qent) *checkpoint.Snapshot {
 		Shards:      make([]checkpoint.Shard, len(e.seen.stripes)),
 	}
 	e.share(len(s.Shards), depth, func(i int) {
-		var ents []entry
+		var n int
+		var each func(yield func(j int, en entry))
 		if e.log != nil {
-			ents = e.seen.entriesOf(e.fresh[i])
+			n, each = sinceCut(e.ins, i)
 		} else {
-			ents = e.seen.entries(i)
+			all := e.seen.entries(i)
+			n, each = len(all), func(yield func(int, entry)) {
+				for j, en := range all {
+					yield(j, en)
+				}
+			}
 		}
 		out := checkpoint.Shard{
-			Hashes:  make([]uint64, len(ents)),
-			Parents: make([]uint64, len(ents)),
-			EIdxs:   make([]int32, len(ents)),
+			Hashes:  make([]uint64, n),
+			Parents: make([]uint64, n),
+			EIdxs:   make([]int32, n),
 		}
 		if e.seen.audit {
-			out.FPs = make([][]byte, len(ents))
+			out.FPs = make([][]byte, n)
 		}
-		for j, en := range ents {
+		each(func(j int, en entry) {
 			out.Hashes[j], out.Parents[j], out.EIdxs[j] = en.hash, en.parent, en.eidx
 			if e.seen.audit {
 				out.FPs[j] = []byte(e.seen.stripes[i].fps[en.hash])
 			}
-		}
+		})
 		s.Shards[i] = out
 	})
 	return s
@@ -151,33 +175,17 @@ func (e *explorer) encodeFrontier(layer []qent) [][]byte {
 	return out
 }
 
-// trackFresh adds a new layer's hashes, stripe by stripe, to the records
-// the open checkpoint log does not hold yet: every state a layer visits
-// is in the layer, so the next segment needs nothing else.
-func (e *explorer) trackFresh(layer []qent) {
-	if e.log == nil {
-		return
-	}
-	for _, q := range layer {
-		i := q.hash >> e.seen.shift
-		e.fresh[i] = append(e.fresh[i], q.hash)
-	}
-}
-
-// writeCheckpoint writes the cut: the base of a new log when none is
-// open — after start, resume, a failed write, or dropped audit
-// retention — and a delta segment appended to it otherwise. A write
-// failure does not stop the search; the first failure is surfaced in
-// Result.Err.
+// writeCheckpoint writes the cut at depth to the log: the base of a new
+// log when none is open — after start, resume, a failed write, or dropped
+// audit retention — and a delta segment of the records inserted since the
+// last cut otherwise. A cut the open log already ends with is not written
+// again. Before the spill a write failure does not stop the search: the
+// first is surfaced in Result.Err, and the next cut rewrites the file
+// whole. Once the spill is active the log is the only copy of the
+// records, so a failure is latched as the spill's and stops the run.
 func (e *explorer) writeCheckpoint(depth int, layer []qent) {
-	if e.opt.Checkpoint.Path == "" {
-		return
-	}
-	if e.spill != nil && e.spill.isActive() {
-		// A spilled run's records and frontier live on disk already and
-		// the in-memory layer holds hashes only: there is nothing a
-		// snapshot could capture. Checkpointing is suspended; resuming a
-		// spilled run means its last pre-spill checkpoint.
+	path := e.logPath()
+	if path == "" || (e.log != nil && depth == e.logDepth) {
 		return
 	}
 	snap := e.snapshot(depth, layer)
@@ -189,32 +197,37 @@ func (e *explorer) writeCheckpoint(depth int, layer []qent) {
 	e.checkpoints++
 	snap.Checkpoints = e.checkpoints
 	each := func(n int, f func(i int)) { e.share(n, depth, f) }
+	op := "append"
 	var n int64
 	var err error
 	if e.log != nil {
 		n, err = e.log.Append(snap, each)
 	} else {
-		e.log, n, err = checkpoint.Create(storage.OrOS(e.opt.FS), e.opt.Checkpoint.Path, snap, each)
+		op = "base"
+		e.log, n, err = checkpoint.Create(storage.OrOS(e.opt.FS), path, snap, each)
 	}
 	if err != nil {
 		e.checkpoints--
 		e.closeLog()
-		if e.ckptErr == nil {
+		switch {
+		case e.spill != nil && e.spill.isActive():
+			e.spill.fail(fmt.Errorf("explore: spill log %s %s: %w", op, path, err))
+		case e.ckptErr == nil:
 			e.ckptErr = err
 		}
 		return
 	}
 	e.ckptBytes += n
-	if e.fresh == nil {
-		e.fresh = make([][]uint64, len(e.seen.stripes))
-	}
-	for i := range e.fresh {
-		e.fresh[i] = e.fresh[i][:0]
+	e.logDepth = depth
+	e.seen.logged = true
+	for _, in := range e.ins {
+		in.cut()
 	}
 }
 
 // closeLog closes the checkpoint log, if one is open: the next
-// checkpoint rewrites the file whole.
+// checkpoint rewrites the file whole, so the records since the last cut
+// are no longer kept.
 func (e *explorer) closeLog() {
 	if e.log == nil {
 		return
@@ -222,7 +235,11 @@ func (e *explorer) closeLog() {
 	// Every segment was fsynced as it was written; a failed close loses
 	// nothing the file does not already hold.
 	_ = e.log.Close()
-	e.log, e.fresh = nil, nil
+	e.log = nil
+	e.seen.logged = false
+	for _, in := range e.ins {
+		in.cut()
+	}
 }
 
 // restore rebuilds the search from a snapshot: validates the options

@@ -28,7 +28,8 @@
 //
 // Memory: full states live only on the two live BFS layers (current and
 // next); visited states are retained as hashes plus, when Options.Trace
-// is set, a compact (parent hash, event index) pair per state.
+// is set, a compact (parent hash, event index) pair per state, which the
+// disk-spill rung moves to the checkpoint log (spill.go).
 // Counterexample traces are materialized afterwards by replaying the
 // recorded event indices from the initial state.
 //
@@ -163,13 +164,17 @@ type Options struct {
 	// means runtime.ReadMemStats HeapAlloc).
 	MemSample func() uint64
 	// SpillDir, if set, arms the disk-spill degradation rung: at the
-	// watchdog's 85% rung the explorer spills visited-set records and
-	// frontier layers to CRC-framed section files under this directory
-	// and keeps going, so a run that would stop at the 100% rung
-	// completes degraded-but-exhaustive (see Result.Spilled). Spilling
-	// changes only the representation of the search state, never the
-	// verdict, so it is excluded from OptionsFingerprint. A spill I/O
-	// failure stops the run loudly with StopSpill. See spill.go.
+	// watchdog's 85% rung the explorer moves the visited-set records to
+	// the checkpoint log (Checkpoint.Path, else run.ckpt in this
+	// directory) and parks frontier layers in CRC-framed files here, and
+	// keeps going, so a run that would stop at the 100% rung completes
+	// degraded-but-exhaustive (see Result.Spilled). Checkpoints keep
+	// their cadence, so a spilled run with a Checkpoint.Path resumes from
+	// its latest cut; the directory holds working files only, removed
+	// when the run ends. Spilling changes only the representation of the
+	// search state, never the verdict, so it is excluded from
+	// OptionsFingerprint. A spill I/O failure, or a failed log write once
+	// spilled, stops the run loudly with StopSpill. See spill.go.
 	SpillDir string
 	// FS routes the run's durable writes (checkpoints and spill files)
 	// through a storage.FS; nil means the real filesystem. Process-
@@ -179,12 +184,14 @@ type Options struct {
 
 // CheckpointOptions configures run snapshots.
 type CheckpointOptions struct {
-	// Path is the checkpoint file; empty disables checkpointing. The
-	// file is a log (package checkpoint): the run's first snapshot, and
-	// the first after a failed write or dropped audit retention, replaces
-	// it atomically (temp file + rename); each later one appends the
+	// Path is the checkpoint file; empty disables checkpointing until a
+	// spill, which logs to run.ckpt in Options.SpillDir. The file is a
+	// log (package checkpoint): the run's first snapshot, and the first
+	// after a failed write or dropped audit retention, replaces it
+	// atomically (temp file + rename); each later one appends the
 	// records visited since, fsynced. checkpoint.Load reads the latest
-	// cut that verifies.
+	// cut that verifies. Once the spill is active the log is the only
+	// copy of the visited records.
 	Path string
 	// EveryLayers is the number of BFS layers between periodic
 	// snapshots (0 = 16 when Path is set). Interruption and the memory
@@ -384,9 +391,11 @@ type Result struct {
 	// transition. Always 0 unless Options.Reduce.
 	AmpleStates int
 	// VisitedBytes is the payload memory retained by the visited set: 20
-	// bytes per state (key, parent hash, event index; 8 once the records
-	// have spilled) plus the audit-mode fingerprint strings. It is a
-	// function of the set, not of the table's capacity (Table has that).
+	// bytes per state (key, parent hash, event index; 8 once the spill has
+	// moved the records to the checkpoint log) plus the audit-mode
+	// fingerprint strings. It is a function of the set, not of the table's
+	// capacity (Table has that), and leaves out the records buffered for
+	// the log's next cut.
 	VisitedBytes int64
 	// Table describes the visited table when the run ended: capacity,
 	// load, stripes rebuilt and overflow hits.
@@ -456,15 +465,15 @@ type explorer struct {
 
 	// Durability bookkeeping, touched only at layer boundaries. log is the
 	// open checkpoint log (durability.go), nil until the first write and
-	// after a failed one; fresh holds, per stripe, the hashes visited since
-	// its last segment; frontierBuf is the encoded frontier's buffer.
+	// after a failed one, and logDepth the depth of its last cut;
+	// frontierBuf is the encoded frontier's buffer.
 	optFP       uint64
 	optSummary  string
 	checkpoints int
 	ckptBytes   int64
 	ckptErr     error
 	log         *checkpoint.Log
-	fresh       [][]uint64
+	logDepth    int
 	frontierBuf []byte
 	degraded    bool
 	emergency   bool
@@ -532,7 +541,7 @@ func newExplorer(m *gcmodel.Model, init cimp.System[*gcmodel.Local], checks []in
 		}
 	}
 	if opt.SpillDir != "" {
-		e.spill = newSpillState(opt.FS, opt.SpillDir, opt.Trace)
+		e.spill = newSpillState(opt.FS, opt.SpillDir, opt.Checkpoint.Path)
 	}
 	return e
 }
@@ -683,14 +692,12 @@ func (e *explorer) run() Result {
 			res.Stopped = StopViolation
 			break
 		}
-		if e.spill != nil {
-			if err := e.spill.firstErr(); err != nil {
-				// A worker's spill read failed mid-layer: the layer is
-				// torn, so nothing below may treat it as a cut.
-				res.Stopped = StopSpill
-				res.Err = err
-				break
-			}
+		if err := e.spillErr(); err != nil {
+			// A worker's spill read failed mid-layer: the layer is torn,
+			// so nothing below may treat it as a cut.
+			res.Stopped = StopSpill
+			res.Err = err
+			break
 		}
 		if e.capped.Load() {
 			// Workers bail mid-layer on the cap, so the frontier is not
@@ -698,12 +705,12 @@ func (e *explorer) run() Result {
 			res.Stopped = StopMaxStates
 			break
 		}
-		e.trackFresh(layer)
 		// The layer barrier has been crossed: the frontier at depth+1 is
 		// complete and every counter is settled — the only consistent
-		// cut. Checkpoints, the memory watchdog, the spill rung, and
-		// cancellation all act here.
-		if stop := e.watchdog(depth+1, layer, &res); stop {
+		// cut. The memory watchdog acts first (activating the spill writes
+		// a cut), then the interrupt or cadence cut, and only then is the
+		// next layer parked, so every cut encodes an in-memory frontier.
+		if stop := e.watchdog(depth+1, layer); stop {
 			if err := e.spillErr(); err != nil {
 				res.Stopped = StopSpill
 				res.Err = err
@@ -712,20 +719,21 @@ func (e *explorer) run() Result {
 			}
 			break
 		}
-		if e.spill != nil && e.spill.isActive() {
-			if err := e.spill.boundary(e.m, e.seen, layer); err != nil {
-				res.Stopped = StopSpill
-				res.Err = err
-				break
-			}
-		}
-		if interrupted(e.opt.Context) {
+		stop := interrupted(e.opt.Context)
+		if stop || (layersDone%every == 0 && len(layer) > 0) {
 			e.writeCheckpoint(depth+1, layer)
-			res.Stopped = StopInterrupted
+		}
+		if !stop && e.spill != nil && e.spill.isActive() {
+			e.spill.park(e.m, layer) // a failure is latched, like the cut's
+		}
+		if err := e.spillErr(); err != nil {
+			res.Stopped = StopSpill
+			res.Err = err
 			break
 		}
-		if e.opt.Checkpoint.Path != "" && layersDone%every == 0 && len(layer) > 0 {
-			e.writeCheckpoint(depth+1, layer)
+		if stop {
+			res.Stopped = StopInterrupted
+			break
 		}
 	}
 
@@ -747,10 +755,10 @@ func (e *explorer) run() Result {
 	if res.Err == nil {
 		res.Err = e.ckptErr
 	}
+	e.closeLog()
 	if e.spill != nil {
 		e.spill.cleanup()
 	}
-	e.closeLog()
 	e.collect(&res)
 	return res
 }
@@ -1114,27 +1122,43 @@ type pathStep struct {
 }
 
 // tracePath walks parent links from h back to the initial state and
-// returns the path in forward order, initial state excluded. Under an
-// active spill the flushed records are read back from disk first; an
-// unreadable spill file is an error (the violation verdict stands,
-// only its replayed counterexample is lost).
+// returns the path in forward order, initial state excluded. A spilled
+// table holds no records: the chain is read from the checkpoint log and
+// the records inserted since its last cut. A log that cannot be read, or
+// a broken chain, is an error (the violation verdict stands, only its
+// replayed counterexample is lost).
 func (e *explorer) tracePath(h uint64) ([]pathStep, error) {
-	var spilled map[uint64]rec
-	if e.spill != nil && e.spill.isActive() {
-		m, err := e.spill.loadRecs(e.seen.hot)
+	recOf := e.seen.lookup
+	if e.seen.spilled {
+		snap, err := checkpoint.LoadFS(storage.OrOS(e.opt.FS), e.logPath())
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("explore: spill trace records unreadable: %w", err)
 		}
-		spilled = m
+		recent := make(map[uint64]rec)
+		for _, in := range e.ins {
+			for _, es := range in.recs {
+				for _, en := range es {
+					recent[en.hash] = en.rec
+				}
+			}
+		}
+		recOf = func(h uint64) (rec, bool) {
+			if r, ok := recent[h]; ok {
+				return r, true
+			}
+			sh := &snap.Shards[h>>e.seen.shift]
+			j, ok := slices.BinarySearch(sh.Hashes, h)
+			if !ok {
+				return rec{}, false
+			}
+			return rec{parent: sh.Parents[j], eidx: sh.EIdxs[j]}, true
+		}
 	}
 	var rev []pathStep
 	for h != e.initHash {
-		r, ok := spilled[h]
-		if spilled == nil {
-			r, ok = e.seen.lookup(h)
-		}
+		r, ok := recOf(h)
 		if !ok {
-			panic("explore: visited-set parent chain broken (fingerprint hash collision?)")
+			return nil, fmt.Errorf("explore: no record of %016x on the counterexample's parent chain (fingerprint hash collision?)", h)
 		}
 		rev = append(rev, pathStep{hash: h, eidx: r.eidx})
 		h = r.parent

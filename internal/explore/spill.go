@@ -3,32 +3,38 @@ package explore
 // The disk-spill degradation rung: when the memory watchdog reaches
 // its 85% rung and Options.SpillDir is set, the explorer moves its
 // bulk state to disk instead of (eventually) stopping at the 100%
-// rung. Two things spill, both as CRC-framed sections reusing the
-// checkpoint file encoding:
+// rung. Two things go to disk:
 //
-//   - Visited-set records: the table's two payload arrays (parent,
-//     event index) are flushed to visited.spill stripe by stripe and
-//     released; the key array stays in place as the membership set
-//     (8 bytes/state instead of 20), and the records inserted since
-//     the last flush wait in an append-only "hot" buffer. Records are
-//     only kept at all when Options.Trace needs them for
-//     counterexample replay.
-//   - Frontier layers: at each layer boundary the freshly built next
-//     layer's states are encoded into frontier-NNNNNN.spill with a
-//     per-entry offset table, and the decoded states are dropped from
-//     memory. Workers re-read and decode their claimed chunk ranges
+//   - Visited-set records go to the run's checkpoint log (package
+//     checkpoint): Checkpoint.Path when the run has one, else run.ckpt
+//     in the spill directory. Activation first writes a cut, so the log
+//     holds every record so far, and only then releases the table's two
+//     payload arrays (parent, event index); the key array stays in place
+//     as the membership set (8 bytes/state instead of 20). From then on
+//     the records inserted since the last cut wait in the inserters'
+//     buffers, as in any logged run, and each cut — at the usual cadence,
+//     never suspended — appends them as a segment. A spilled run is
+//     therefore resumable from its latest cut, and its counterexample
+//     trace reads the parent chain back from the log.
+//   - Frontier layers: at each layer boundary, after the cut, the freshly
+//     built next layer's states are encoded into frontier-NNNNNN.spill
+//     with a per-entry offset table, and the decoded states are dropped
+//     from memory. Workers re-read and decode their claimed chunk ranges
 //     with one ReadAt per chunk, so at most one layer's decoded states
-//     (the one being built) are resident instead of two.
+//     (the one being built) are resident instead of two. A parked layer
+//     is working state, not a durable record: the cut encodes the
+//     frontier before it is parked.
 //
 // Spilling is verdict-neutral — it changes the representation of the
 // search state, never which states are visited or checked — so
 // SpillDir and FS are deliberately excluded from OptionsFingerprint.
-// Periodic checkpointing is suspended while spilled (the records a
-// snapshot needs are on disk); an interrupted spilled run restarts
-// from its last pre-spill checkpoint or from scratch.
+// The spill directory holds working files only: cleanup removes the
+// parked frontier and a log kept there.
 //
 // Any spill I/O failure is loud: the run stops at the next boundary
-// with Result.Stopped == StopSpill and a named error in Result.Err.
+// with Result.Stopped == StopSpill and a named error in Result.Err. That
+// includes every write to the log once the spill is active: the table's
+// records are gone, so a failed segment cannot be rewritten from memory.
 // Completing on a disk that lies is not an option.
 
 import (
@@ -44,23 +50,16 @@ import (
 )
 
 // SpillStats counts the disk-spill rung's work; zero unless the rung
-// fired (Active).
+// fired (Active). The visited records it moved are counted in
+// Result.CheckpointBytes.
 type SpillStats struct {
 	// Active reports that the spill rung activated.
 	Active bool
 	// Layers is the number of frontier layers parked to disk.
 	Layers int
-	// Flushes is the number of visited-record flushes to visited.spill.
-	Flushes int
-	// States is the number of visited-set records resident on disk.
-	States int64
-	// Bytes is the total bytes written to spill files.
+	// Bytes is the total bytes written to parked frontier files.
 	Bytes int64
 }
-
-// spillRecBytes is the on-disk encoding of one visited record:
-// hash(8) + parent(8) + eidx(4).
-const spillRecBytes = 8 + 8 + 4
 
 // spillKeyBytes is the in-memory payload per visited state once its
 // record has spilled: just the 8-byte membership key.
@@ -108,31 +107,33 @@ func (pl *parkedLayer) fetchRange(m *gcmodel.Model, lo, hi int) ([]cimp.System[*
 	return out, nil
 }
 
-// spillState owns the spill directory and files. Its methods lock mu
-// internally; the hot paths workers touch (parkedLayer reads) go
+// spillState owns the spill directory and its files. Its methods lock
+// mu internally; the hot paths workers touch (parkedLayer reads) go
 // through immutable fields only.
 type spillState struct {
-	fs   storage.FS // gcrt:guard immutable
-	dir  string     // gcrt:guard immutable
-	keep bool       // gcrt:guard immutable
+	fs  storage.FS // gcrt:guard immutable
+	dir string     // gcrt:guard immutable
+	// log is run.ckpt in dir when the run has no checkpoint path of its
+	// own, "" otherwise.
+	log string // gcrt:guard immutable
 
-	mu      sync.Mutex   // gcrt:guard atomic
-	active  bool         // gcrt:guard by(mu)
-	err     error        // gcrt:guard by(mu)
-	vf      storage.File // gcrt:guard by(mu)
-	vfPath  string       // gcrt:guard by(mu)
-	parked  *parkedLayer // gcrt:guard by(mu)
-	seq     int          // gcrt:guard by(mu)
-	layers  int          // gcrt:guard by(mu)
-	flushes int          // gcrt:guard by(mu)
-	states  int64        // gcrt:guard by(mu)
-	bytes   int64        // gcrt:guard by(mu)
+	mu     sync.Mutex   // gcrt:guard atomic
+	active bool         // gcrt:guard by(mu)
+	err    error        // gcrt:guard by(mu)
+	parked *parkedLayer // gcrt:guard by(mu)
+	seq    int          // gcrt:guard by(mu)
+	layers int          // gcrt:guard by(mu)
+	bytes  int64        // gcrt:guard by(mu)
 }
 
-// newSpillState wires the rung without activating it; keep says
-// whether visited records must be retained for trace replay.
-func newSpillState(fsys storage.FS, dir string, keep bool) *spillState {
-	return &spillState{fs: storage.OrOS(fsys), dir: dir, keep: keep}
+// newSpillState wires the rung without activating it; ckpt is the run's
+// checkpoint path.
+func newSpillState(fsys storage.FS, dir, ckpt string) *spillState {
+	sp := &spillState{fs: storage.OrOS(fsys), dir: dir}
+	if ckpt == "" {
+		sp.log = filepath.Join(dir, "run.ckpt")
+	}
+	return sp
 }
 
 func (sp *spillState) isActive() bool {
@@ -160,7 +161,7 @@ func (sp *spillState) fail(err error) {
 func (sp *spillState) stats() SpillStats {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	return SpillStats{Active: sp.active, Layers: sp.layers, Flushes: sp.flushes, States: sp.states, Bytes: sp.bytes}
+	return SpillStats{Active: sp.active, Layers: sp.layers, Bytes: sp.bytes}
 }
 
 // takeParked returns the parked file for the layer about to be
@@ -171,93 +172,36 @@ func (sp *spillState) takeParked() *parkedLayer {
 	return sp.parked
 }
 
-// activate opens the spill directory and converts the visited set to
-// spilled (keys + hot buffer) representation. Idempotent; runs only at
-// a layer boundary.
-func (sp *spillState) activate(v *visited) error {
+// activate opens the spill directory and marks the rung active; the
+// explorer then writes the cut that lets it release the table's records
+// (activateSpill). Runs only at a layer boundary.
+func (sp *spillState) activate() error {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if sp.err != nil {
 		return sp.err
-	}
-	if sp.active {
-		return nil
 	}
 	if err := sp.fs.MkdirAll(sp.dir); err != nil {
 		sp.err = fmt.Errorf("explore: spill dir %s: %w", sp.dir, err)
 		return sp.err
 	}
-	path := filepath.Join(sp.dir, "visited.spill")
-	f, err := sp.fs.Create(path)
-	if err != nil {
-		sp.err = fmt.Errorf("explore: spill file %s: %w", path, err)
-		return sp.err
-	}
-	sp.vf, sp.vfPath = f, path
-	v.spillConvert(sp.keep)
 	sp.active = true
 	return nil
 }
 
-// boundary runs the per-layer spill work at a consistent cut: flush
-// the hot visited records, then park the freshly built next layer.
-// Returns (and latches) the first failure.
-func (sp *spillState) boundary(m *gcmodel.Model, v *visited, layer []qent) error {
+// park runs the per-layer spill work after the boundary's cut: it parks
+// the freshly built next layer, latching a failure.
+func (sp *spillState) park(m *gcmodel.Model, layer []qent) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if sp.err != nil {
-		return sp.err
-	}
-	if !sp.active {
-		return nil
-	}
-	if err := sp.flushHotLocked(v); err != nil {
-		sp.err = err
-		return err
+		return
 	}
 	if err := sp.parkLayerLocked(m, layer); err != nil {
 		sp.err = err
-		return err
+		return
 	}
-	runtime.GC() // the layer's decoded states and flushed records just became garbage
-	return nil
-}
-
-// flushHotLocked appends the records still in memory to visited.spill
-// as CRC-framed "recs" sections and releases them: at the first flush
-// the table's payload arrays, one stripe (one section) at a time, then
-// the hot buffer.
-func (sp *spillState) flushHotLocked(v *visited) error {
-	if !sp.keep {
-		return nil
-	}
-	var payload, frame []byte
-	wrote := false
-	for i := 0; i <= len(v.stripes); i++ {
-		if i < len(v.stripes) {
-			payload = v.drainRecords(i, payload[:0])
-		} else {
-			payload, v.hot = v.hot, v.hot[:0]
-		}
-		if len(payload) == 0 {
-			continue
-		}
-		frame = checkpoint.AppendSection(frame[:0], "recs", payload)
-		if _, err := sp.vf.Write(frame); err != nil {
-			return fmt.Errorf("explore: spill write %s: %w", sp.vfPath, err)
-		}
-		wrote = true
-		sp.states += int64(len(payload) / spillRecBytes)
-		sp.bytes += int64(len(frame))
-	}
-	if !wrote {
-		return nil
-	}
-	if err := sp.vf.Sync(); err != nil {
-		return fmt.Errorf("explore: spill sync %s: %w", sp.vfPath, err)
-	}
-	sp.flushes++
-	return nil
+	runtime.GC() // the layer's decoded states just became garbage
 }
 
 // parkLayerLocked writes the next layer's encoded states to a fresh
@@ -323,73 +267,15 @@ func (sp *spillState) closeParkedLocked() {
 	sp.parked = nil
 }
 
-// loadRecs reads every spilled visited record back into one map — the
-// counterexample-trace path needs parent links that have gone to disk —
-// and adds those of hot, which have not gone yet. Only called after the
-// search has stopped.
-func (sp *spillState) loadRecs(hot []byte) (map[uint64]rec, error) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.vf == nil {
-		return nil, nil
-	}
-	data, err := storage.ReadFile(sp.fs, sp.vfPath)
-	if err != nil {
-		return nil, fmt.Errorf("explore: spill trace records unreadable: %w", err)
-	}
-	recs := make(map[uint64]rec, sp.states+int64(len(hot)/spillRecBytes))
-	add := func(payload []byte) {
-		for p := 0; p+spillRecBytes <= len(payload); p += spillRecBytes {
-			recs[readU64(payload[p:])] = rec{parent: readU64(payload[p+8:]), eidx: int32(readU32(payload[p+16:]))}
-		}
-	}
-	for off := 0; off < len(data); {
-		name, payload, next, err := checkpoint.ReadSection(data, off)
-		if err != nil {
-			return nil, fmt.Errorf("explore: spill trace records damaged: %w", err)
-		}
-		if name != "recs" || len(payload)%spillRecBytes != 0 {
-			return nil, fmt.Errorf("explore: spill trace records damaged: section %q, %d payload bytes", name, len(payload))
-		}
-		add(payload)
-		off = next
-	}
-	add(hot)
-	return recs, nil
-}
-
-// cleanup best-effort removes the spill working files; they are a
-// representation of a finished (or failed) search, not a durability
-// artifact.
+// cleanup best-effort removes the spill's working files: the parked
+// frontier and, when it lives in the spill directory, the checkpoint log
+// (closed by then). They are a representation of a finished (or failed)
+// search, not a durability artifact.
 func (sp *spillState) cleanup() {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	sp.closeParkedLocked()
-	if sp.vf != nil {
-		sp.vf.Close()
-		sp.fs.Remove(sp.vfPath)
-		sp.vf = nil
+	if sp.active && sp.log != "" {
+		sp.fs.Remove(sp.log)
 	}
-}
-
-// appendSpillRec appends one visited record in its on-disk encoding.
-func appendSpillRec(b []byte, h uint64, r rec) []byte {
-	return appendU32(appendU64(appendU64(b, h), r.parent), uint32(r.eidx))
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func readU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func readU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

@@ -1,9 +1,11 @@
 package explore
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/gcmodel"
 	"repro/internal/invariant"
 	"repro/internal/storage"
@@ -68,8 +70,8 @@ func TestSpillCompletesUnderBudget(t *testing.T) {
 			if !res.Spilled.Active || res.Spilled.Layers == 0 || res.Spilled.Bytes == 0 {
 				t.Fatalf("spill rung did not do disk work: %+v", res.Spilled)
 			}
-			if trace && res.Spilled.States == 0 {
-				t.Fatalf("trace mode flushed no visited records: %+v", res.Spilled)
+			if res.CheckpointBytes == 0 {
+				t.Fatalf("no visited records reached the checkpoint log: %+v", res.Spilled)
 			}
 		})
 	}
@@ -104,23 +106,111 @@ func TestSpillViolationTrace(t *testing.T) {
 }
 
 // TestSpillENOSPC: a disk that fills up mid-spill stops the run loudly
-// with StopSpill and a named error — never a silent partial verdict.
+// with StopSpill and a named error — never a silent partial verdict —
+// whether the full write parks a frontier layer or appends to the
+// checkpoint log that holds the spilled records.
 func TestSpillENOSPC(t *testing.T) {
 	m := mustBuild(t, safeCfg())
-	ffs := storage.NewFaultFS(nil)
-	ffs.FailPath("frontier-", storage.ENOSPC, 0)
-	opt := spillOpt(t, false)
-	opt.FS = ffs
-	res := Run(m, invariant.Safety(), opt)
-	if res.Stopped != StopSpill {
-		t.Fatalf("stopped=%q, want spill-failed", res.Stopped)
+	for _, tc := range []struct {
+		name, path string
+		skip       int    // matching ops let through first
+		op         string // the op the fault hits
+	}{
+		{"park", "frontier-", 0, "create"},
+		{"log", "run.ckpt", 4, "write"}, // past the log's base (create, write, sync, rename): an append
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ffs := storage.NewFaultFS(nil)
+			ffs.FailPath(tc.path, storage.ENOSPC, tc.skip)
+			opt := spillOpt(t, false)
+			opt.FS = ffs
+			res := Run(m, invariant.Safety(), opt)
+			if res.Stopped != StopSpill {
+				t.Fatalf("stopped=%q, want spill-failed", res.Stopped)
+			}
+			if res.Complete {
+				t.Fatal("failed spill claimed a complete exploration")
+			}
+			if res.Err == nil || !strings.Contains(res.Err.Error(), "spill") {
+				t.Fatalf("spill failure not named: %v", res.Err)
+			}
+			for _, op := range ffs.Trace() {
+				if op.Injected != "" && (op.Name != tc.op || !strings.Contains(op.Path, tc.path)) {
+					t.Fatalf("the fault hit %s %s, want %s of %s", op.Name, op.Path, tc.op, tc.path)
+				}
+			}
+		})
 	}
-	if res.Complete {
-		t.Fatal("failed spill claimed a complete exploration")
+}
+
+// TestSpillResumesFromSpilledCut: a spilled run keeps its checkpoint
+// cadence, so every interruption leaves a cut of the spilled search that
+// resumes — spilling again — to the unconstrained run's verdict at any
+// worker count, and a violation found after such a resume replays its
+// counterexample through the records the log holds.
+func TestSpillResumesFromSpilledCut(t *testing.T) {
+	m := mustBuild(t, safeCfg())
+	want := Run(m, invariant.Safety(), Options{Workers: 2, Trace: true, HashOnly: true})
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	var snap *checkpoint.Snapshot
+	for round := 0; round < 6; round++ {
+		opt := spillOpt(t, true)
+		opt.Checkpoint = CheckpointOptions{Path: path, EveryLayers: 1}
+		opt.Resume, opt.Context = snap, cancelled()
+		res := Run(m, invariant.Safety(), opt)
+		if res.Stopped != StopInterrupted || res.Err != nil || !res.Spilled.Active {
+			t.Fatalf("round %d: stopped=%q err=%v spilled=%v", round, res.Stopped, res.Err, res.Spilled.Active)
+		}
+		var err error
+		if snap, err = checkpoint.Load(path); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		// The run expanded the layer at res.Depth and cut at the next.
+		if snap.Depth != res.Depth+1 || snap.Depth != round+1 {
+			t.Fatalf("round %d: the log's last cut is at depth %d, the run stopped after depth %d", round, snap.Depth, res.Depth)
+		}
 	}
-	if res.Err == nil || !strings.Contains(res.Err.Error(), "spill") {
-		t.Fatalf("spill failure not named: %v", res.Err)
+	for _, workers := range []int{1, 4} {
+		opt := spillOpt(t, true)
+		opt.Workers, opt.Resume = workers, snap
+		res := Run(m, invariant.Safety(), opt)
+		if res.Err != nil || !res.Complete || !res.Spilled.Active {
+			t.Fatalf("workers=%d: stopped=%q err=%v spilled=%v", workers, res.Stopped, res.Err, res.Spilled.Active)
+		}
+		if res.States != want.States || res.Transitions != want.Transitions ||
+			res.Depth != want.Depth || res.Deadlocks != want.Deadlocks {
+			t.Fatalf("workers=%d: resumed spilled run got s=%d t=%d d=%d dl=%d, want s=%d t=%d d=%d dl=%d",
+				workers, res.States, res.Transitions, res.Depth, res.Deadlocks,
+				want.States, want.Transitions, want.Depth, want.Deadlocks)
+		}
 	}
+
+	t.Run("violation", func(t *testing.T) {
+		cfg := baseCfg()
+		cfg.Drop = gcmodel.AblationDrop("no_deletion_barrier", cfg.NMutators)
+		m := mustBuild(t, cfg)
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		opt := spillOpt(t, true)
+		opt.MaxStates = 2_000_000
+		opt.Checkpoint = CheckpointOptions{Path: path, EveryLayers: 1}
+		opt.Context = cancelled()
+		if res := Run(m, invariant.Safety(), opt); res.Stopped != StopInterrupted || !res.Spilled.Active {
+			t.Fatalf("setup: stopped=%q spilled=%v err=%v", res.Stopped, res.Spilled.Active, res.Err)
+		}
+		snap, err := checkpoint.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt = spillOpt(t, true)
+		opt.MaxStates, opt.Resume = 2_000_000, snap
+		res := Run(m, invariant.Safety(), opt)
+		if res.Err != nil || res.Violation == nil || !res.Spilled.Active {
+			t.Fatalf("resumed: violation=%v spilled=%v stopped=%q err=%v", res.Violation, res.Spilled.Active, res.Stopped, res.Err)
+		}
+		if len(res.Violation.Trace) != res.Violation.Depth {
+			t.Fatalf("resumed violation at depth %d has a %d-step trace", res.Violation.Depth, len(res.Violation.Trace))
+		}
+	})
 }
 
 // TestSpillFingerprintNeutral: SpillDir and FS change only the

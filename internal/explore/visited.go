@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -77,13 +78,12 @@ type visited struct {
 	stripes []stripe
 	shift   uint // a hash's stripe is h >> shift
 	audit   bool
-	// spilled says the records live on disk (spill.go) and spillTrace that
-	// new ones are still wanted: they go to the inserting worker's hot
-	// buffer. Both flip only at a layer boundary.
-	spilled    bool
-	spillTrace bool
-	// hot is the spilled records not yet flushed, as spill frames.
-	hot []byte
+	// logged says a checkpoint log is open: every inserter keeps the
+	// records it adds for the log's next segment. spilled says the payload
+	// arrays are gone (spill.go): the records are in the log and in those
+	// buffers. Both flip only at a layer boundary.
+	logged  bool
+	spilled bool
 
 	// The hash 0 cannot mark its own slot; it is kept here and counted in
 	// stripe 0.
@@ -95,10 +95,11 @@ type visited struct {
 }
 
 // inserter is one worker's private side of the table: what it inserted
-// since the last settle.
+// since the last settle, and while the table is logged, the records it
+// inserted since the last cut.
 type inserter struct {
-	added []int32 // new keys per stripe
-	hot   []byte  // their records as spill frames, while spillTrace
+	added []int32   // new keys per stripe
+	recs  [][]entry // per stripe, the records since the last cut
 }
 
 func newVisited(n int, audit bool) *visited {
@@ -121,7 +122,7 @@ func newVisited(n int, audit bool) *visited {
 }
 
 func (v *visited) inserter() *inserter {
-	return &inserter{added: make([]int32, len(v.stripes))}
+	return &inserter{added: make([]int32, len(v.stripes)), recs: make([][]entry, len(v.stripes))}
 }
 
 func (s *stripe) alloc(slots int) {
@@ -162,8 +163,8 @@ func (v *visited) insert(in *inserter, h uint64, r rec, fp []byte) bool {
 	}
 	if fresh {
 		in.added[si]++
-		if v.spillTrace {
-			in.hot = appendSpillRec(in.hot, h, r)
+		if v.logged {
+			in.recs[si] = append(in.recs[si], entry{h, r})
 		}
 	}
 	return fresh
@@ -221,7 +222,7 @@ func (s *stripe) overflow(h uint64, r rec, locked bool) bool {
 
 // lookup returns h's record. Only between layers: it reads payload
 // without synchronization. Of a spilled table it reports membership alone
-// (the record, if retained at all, is in the hot buffer or on disk).
+// (the record is in the checkpoint log or an inserter's buffer).
 func (v *visited) lookup(h uint64) (rec, bool) {
 	if h == 0 {
 		return v.zeroRec, v.zero.Load()
@@ -247,8 +248,7 @@ func (v *visited) lookup(h uint64) (rec, bool) {
 }
 
 // fold is the first half of the table's part of the layer barrier: it
-// folds the workers' counts into the stripes, collects their hot records,
-// and returns the stripes that have to be rebuilt before the coming layer
+// folds the workers' counts into the stripes and returns the stripes that have to be rebuilt before the coming layer
 // of frontier states — one with an overflow set to merge, or one that
 // layer could fill past maxLoad — with the room (head) each is to be given.
 func (v *visited) fold(ins []*inserter, frontier int) (due []*stripe, head int) {
@@ -257,8 +257,6 @@ func (v *visited) fold(ins []*inserter, frontier int) (due []*stripe, head int) 
 			v.stripes[i].n += int(a)
 		}
 		clear(in.added)
-		v.hot = append(v.hot, in.hot...)
-		in.hot = in.hot[:0]
 	}
 	head = layerFanout*frontier/len(v.stripes) + 16
 	for i := range v.stripes {
@@ -338,9 +336,11 @@ type entry struct {
 	rec
 }
 
+func byHash(a, b entry) int { return cmp.Compare(a.hash, b.hash) }
+
 // entries returns stripe i's keys and records in ascending hash order: the
-// canonical form a snapshot stores. Only between layers, of a table whose
-// records have not spilled.
+// canonical form a snapshot stores. Only between layers, of a table that
+// has not spilled.
 func (v *visited) entries(i int) []entry {
 	s := &v.stripes[i]
 	out := make([]entry, 0, s.n)
@@ -355,57 +355,55 @@ func (v *visited) entries(i int) []entry {
 	for h, r := range s.over {
 		out = append(out, entry{h, r})
 	}
-	slices.SortFunc(out, func(a, b entry) int {
-		switch {
-		case a.hash < b.hash:
-			return -1
-		case a.hash > b.hash:
-			return 1
+	slices.SortFunc(out, byHash)
+	return out
+}
+
+// sinceCut sorts, in place, every inserter's records of stripe i inserted
+// since the last cut, and returns their count and a function that yields
+// their merge in ascending hash order. Only between layers.
+func sinceCut(ins []*inserter, i int) (int, func(yield func(j int, en entry))) {
+	var runs [][]entry
+	n := 0
+	for _, in := range ins {
+		if r := in.recs[i]; len(r) > 0 {
+			slices.SortFunc(r, byHash)
+			runs = append(runs, r)
+			n += len(r)
 		}
-		return 0
-	})
-	return out
+	}
+	return n, func(yield func(int, entry)) {
+		for j := range n {
+			k := 0
+			for m := 1; m < len(runs); m++ {
+				if runs[m][0].hash < runs[k][0].hash {
+					k = m
+				}
+			}
+			yield(j, runs[k][0])
+			if runs[k] = runs[k][1:]; len(runs[k]) == 0 {
+				runs = slices.Delete(runs, k, k+1)
+			}
+		}
+	}
 }
 
-// entriesOf returns the entries of the keys hs, all of one stripe, in
-// ascending hash order; it sorts hs. Only between layers.
-func (v *visited) entriesOf(hs []uint64) []entry {
-	slices.Sort(hs)
-	out := make([]entry, len(hs))
-	for j, h := range hs {
-		r, _ := v.lookup(h)
-		out[j] = entry{h, r}
+// cut empties the inserter's buffers: a segment holds their records, or
+// the next cut rewrites the log whole.
+func (in *inserter) cut() {
+	for i := range in.recs {
+		in.recs[i] = in.recs[i][:0]
 	}
-	return out
 }
 
-// spillConvert switches the table to its spilled representation: the key
-// arrays stay where they are and the two payload arrays go — at once when
-// the records are not wanted (keep false), else stripe by stripe as
-// drainRecords hands them to the spill file. Runs only at a layer
-// boundary (no workers), like dropAudit.
-func (v *visited) spillConvert(keep bool) {
-	v.spilled, v.spillTrace = true, keep
-	if keep {
-		return
-	}
+// spill releases the payload arrays, leaving the key arrays as the
+// membership set. Only at a layer boundary, once the checkpoint log holds
+// every record.
+func (v *visited) spill() {
 	for i := range v.stripes {
 		v.stripes[i].parents, v.stripes[i].eidx = nil, nil
 	}
-}
-
-// drainRecords appends the records stripe i still holds in memory to dst,
-// as spill frames, and releases its payload arrays.
-func (v *visited) drainRecords(i int, dst []byte) []byte {
-	s := &v.stripes[i]
-	if s.parents == nil {
-		return dst
-	}
-	for _, e := range v.entries(i) {
-		dst = appendSpillRec(dst, e.hash, e.rec)
-	}
-	s.parents, s.eidx = nil, nil
-	return dst
+	v.spilled = true
 }
 
 // dropAudit releases the audit-mode fingerprint strings and switches the

@@ -599,6 +599,9 @@ func (e *Engine) runJob(ctx context.Context, j *job) {
 		FS:            e.fs,
 	})
 
+	if res.ResumeDropped > 0 {
+		e.log.Printf("job %s: resume dropped %d torn checkpoint segment(s)", j.id, res.ResumeDropped)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	j.resumed = j.resumed || resumed
@@ -630,7 +633,9 @@ func (e *Engine) runJob(ctx context.Context, j *job) {
 	case res.Stopped == explore.StopSpill:
 		// The disk-spill rung failed mid-run: the exploration is
 		// incomplete and cannot settle a verdict. A transient disk
-		// re-enqueues; a permanent one fails loudly.
+		// re-enqueues, and the job resumes from the latest cut in its
+		// run.ckpt, which a spilled run keeps writing; a permanent one
+		// fails loudly.
 		e.noteStorageErrorLocked(res.Err)
 		if storage.IsTransient(res.Err) && e.requeueLocked(j, res.Err) {
 			return
