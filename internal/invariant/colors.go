@@ -1,9 +1,9 @@
 // Package invariant implements the paper's safety invariants (§2.1, §3.2)
 // as executable predicates over global model states, for use by the
-// explicit-state model checker (package explore) and the simulator. The
-// names follow the paper: valid_refs_inv, the strong and weak tricolor
-// invariants, reachable_snapshot_inv, marked_insertions,
-// marked_deletions, valid_W_inv, sys_phase_inv, mutator_phase_inv, and
+// explicit-state model checker (package explore). The names follow the
+// paper: valid_refs_inv, the strong and weak tricolor invariants,
+// reachable_snapshot_inv, marked_insertions, marked_deletions,
+// valid_W_inv, sys_phase_inv, mutator_phase_inv, and
 // gc_W_empty_mut_inv.
 //
 // Color interpretation (§3.2): an object is white if it is not marked on

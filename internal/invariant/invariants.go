@@ -374,15 +374,3 @@ func All() []Check {
 // Safety returns just the headline property, for ablation hunts where the
 // auxiliary invariants are expected to fail first.
 func Safety() []Check { return []Check{ValidRefs} }
-
-// Failure is a named invariant failure, used by the simulator (package
-// sched) where no counterexample trace is retained.
-type Failure struct {
-	Name string
-	Err  error
-	Step int
-}
-
-func (f *Failure) Error() string {
-	return fmt.Sprintf("%s violated at step %d: %v", f.Name, f.Step, f.Err)
-}

@@ -59,10 +59,11 @@ func (g *graph) fairCycle(pi int) []walkEdge {
 	inSCC := make([]bool, n) // membership scratch, reused per SCC
 
 	// Iterative DFS: one frame per open node, ei is the cursor into its
-	// CSR edge range.
+	// CSR edge range, loop records a self-loop met on the way.
 	type frame struct {
-		v  int32
-		ei int32
+		v    int32
+		ei   int32
+		loop bool
 	}
 	var dfs []frame
 
@@ -82,6 +83,7 @@ func (g *graph) fairCycle(pi int) []walkEdge {
 			if f.ei < g.estart[v+1] {
 				w := g.eto[f.ei]
 				f.ei++
+				f.loop = f.loop || w == v
 				if g.bad[w]&pbit == 0 {
 					continue
 				}
@@ -97,6 +99,7 @@ func (g *graph) fairCycle(pi int) []walkEdge {
 				continue
 			}
 			// v is finished: pop its SCC if it is a root.
+			loop := f.loop
 			dfs = dfs[:len(dfs)-1]
 			if len(dfs) > 0 && low[v] < low[dfs[len(dfs)-1].v] {
 				low[dfs[len(dfs)-1].v] = low[v]
@@ -111,6 +114,12 @@ func (g *graph) fairCycle(pi int) []walkEdge {
 			}
 			scc := stack[i:]
 			stack = stack[:i]
+			if len(scc) == 1 && !loop {
+				// Trivial: no internal edge, never fair. On a clean
+				// model every component is one.
+				onStack[v] = false
+				continue
+			}
 			for _, u := range scc {
 				onStack[u] = false
 				inSCC[u] = true
@@ -202,52 +211,66 @@ func (g *graph) buildWalk(scc []int32, inSCC []bool, andEn uint64, internal []wa
 	}
 
 	var walk []walkEdge
+	sc := newPathScratch(len(g.hash))
 	cur := head
 	for _, e := range edgeTargets {
-		walk = append(walk, g.pathInSCC(cur, e.from, inSCC)...)
+		walk = append(walk, g.pathInSCC(cur, e.from, inSCC, sc)...)
 		walk = append(walk, e)
 		cur = g.eto[e.j]
 	}
 	for _, u := range nodeTargets {
-		walk = append(walk, g.pathInSCC(cur, u, inSCC)...)
+		walk = append(walk, g.pathInSCC(cur, u, inSCC, sc)...)
 		cur = u
 	}
-	walk = append(walk, g.pathInSCC(cur, head, inSCC)...)
+	walk = append(walk, g.pathInSCC(cur, head, inSCC, sc)...)
 	return walk
+}
+
+// pathScratch is pathInSCC's breadth-first search state, indexed by node
+// id and reused across the calls of one buildWalk: y has been reached in
+// the current call iff seen[y] == stamp, over the edge prev[y].
+type pathScratch struct {
+	seen  []uint32
+	stamp uint32
+	prev  []walkEdge
+	queue []int32
+}
+
+func newPathScratch(n int) *pathScratch {
+	return &pathScratch{seen: make([]uint32, n), prev: make([]walkEdge, n)}
 }
 
 // pathInSCC returns a shortest edge path from u to v using only nodes
 // of the component (empty if u == v). Strong connectivity guarantees
 // one exists.
-func (g *graph) pathInSCC(u, v int32, inSCC []bool) []walkEdge {
+func (g *graph) pathInSCC(u, v int32, inSCC []bool, sc *pathScratch) []walkEdge {
 	if u == v {
 		return nil
 	}
-	prev := make(map[int32]walkEdge)
-	queue := []int32{u}
-	seen := map[int32]bool{u: true}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
+	sc.stamp++
+	sc.seen[u] = sc.stamp
+	sc.queue = append(sc.queue[:0], u)
+	for h := 0; h < len(sc.queue); h++ {
+		x := sc.queue[h]
 		lo, hi := g.outEdges(x)
 		for j := lo; j < hi; j++ {
 			y := g.eto[j]
-			if !inSCC[y] || seen[y] {
+			if !inSCC[y] || sc.seen[y] == sc.stamp {
 				continue
 			}
-			prev[y] = walkEdge{from: x, j: j}
+			sc.prev[y] = walkEdge{from: x, j: j}
 			if y == v {
 				var rev []walkEdge
-				for at := v; at != u; at = prev[at].from {
-					rev = append(rev, prev[at])
+				for at := v; at != u; at = sc.prev[at].from {
+					rev = append(rev, sc.prev[at])
 				}
 				for i, k := 0, len(rev)-1; i < k; i, k = i+1, k-1 {
 					rev[i], rev[k] = rev[k], rev[i]
 				}
 				return rev
 			}
-			seen[y] = true
-			queue = append(queue, y)
+			sc.seen[y] = sc.stamp
+			sc.queue = append(sc.queue, y)
 		}
 	}
 	panic("liveness: SCC not strongly connected")

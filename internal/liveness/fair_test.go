@@ -1,6 +1,9 @@
 package liveness
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // Synthetic-graph tests for the weak-fairness filter: hand-built CSR
 // graphs exercise exactly the scheduler-artifact loops the detector
@@ -162,5 +165,82 @@ func TestTakenEntityOnCycleIsFair(t *testing.T) {
 	}
 	if walk := g.fairCycle(0); walk == nil {
 		t.Fatal("cycle on which every enabled entity steps was not reported")
+	}
+}
+
+// pathInSCCRef is pathInSCC as it was with per-call maps: the reference
+// the id-indexed scratch must reproduce path for path.
+func pathInSCCRef(g *graph, u, v int32, inSCC []bool) []walkEdge {
+	if u == v {
+		return nil
+	}
+	prev := make(map[int32]walkEdge)
+	queue := []int32{u}
+	seen := map[int32]bool{u: true}
+	for len(queue) > 0 {
+		x := queue[0]
+		queue = queue[1:]
+		lo, hi := g.outEdges(x)
+		for j := lo; j < hi; j++ {
+			y := g.eto[j]
+			if !inSCC[y] || seen[y] {
+				continue
+			}
+			prev[y] = walkEdge{from: x, j: j}
+			if y == v {
+				var rev []walkEdge
+				for at := v; at != u; at = prev[at].from {
+					rev = append(rev, prev[at])
+				}
+				slices.Reverse(rev)
+				return rev
+			}
+			seen[y] = true
+			queue = append(queue, y)
+		}
+	}
+	panic("liveness: SCC not strongly connected")
+}
+
+// TestPathInSCCMatchesMapSearch: one scratch serves every path of a
+// walk, and each path is the one the map-based search found. The graph
+// is a 40-node ring with pseudo-random chords (the component) plus ten
+// outside nodes that offer shortcuts a path must not take.
+func TestPathInSCCMatchesMapSearch(t *testing.T) {
+	const ring, outside = 40, 10
+	n := ring + outside
+	adj := make([][]int32, n)
+	seed := uint32(7)
+	rnd := func(k int) int32 {
+		seed = seed*1664525 + 1013904223
+		return int32(seed>>8) % int32(k)
+	}
+	for u := 0; u < ring; u++ {
+		adj[u] = append(adj[u], int32((u+1)%ring))
+		for c := 0; c < 2; c++ {
+			adj[u] = append(adj[u], rnd(ring))
+		}
+		adj[u] = append(adj[u], ring+rnd(outside))
+	}
+	for u := ring; u < n; u++ {
+		adj[u] = append(adj[u], rnd(ring))
+	}
+	g := &graph{estart: make([]int32, n+1), hash: make([]uint64, n)}
+	for u := range adj {
+		g.eto = append(g.eto, adj[u]...)
+		g.estart[u+1] = int32(len(g.eto))
+	}
+	inSCC := make([]bool, n)
+	for u := 0; u < ring; u++ {
+		inSCC[u] = true
+	}
+	sc := newPathScratch(n)
+	for u := int32(0); u < ring; u++ {
+		for v := int32(0); v < ring; v++ {
+			got := g.pathInSCC(u, v, inSCC, sc)
+			if want := pathInSCCRef(g, u, v, inSCC); !slices.Equal(got, want) {
+				t.Fatalf("path %d→%d: got %v, want %v", u, v, got, want)
+			}
+		}
 	}
 }

@@ -3,8 +3,11 @@ package liveness
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
+	"runtime/debug"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cimp"
 	"repro/internal/explore"
@@ -144,27 +147,44 @@ func (r *Recorder) State(n explore.Node) error {
 // Checks is false: the recorder only observes.
 func (r *Recorder) Checks() bool { return false }
 
-// build turns the log into the graph, releasing the log as it goes. Node
-// ids are ordered by (depth, hash) and a node's edges by event index, so
-// the graph — and every verdict and lasso derived from it — is the same
-// for every worker count.
-func (r *Recorder) build() (*graph, error) {
+// build turns the log into the graph on procs goroutines, releasing the
+// log as it goes. Node ids are ordered by (depth, hash) and a node's
+// edges by event index, so the graph — and every verdict and lasso
+// derived from it — is the same for every worker count and every procs.
+//
+// Stripes are keyed by the top bits of the hash, so once each is sorted
+// by hash their concatenation is the whole log in hash order. That order
+// gives the ids (a stable counting sort over depth) and the index that
+// resolves an edge's endpoints. An edge lives in its source's stripe, so
+// the degree, enabled mask and CSR slots of a source are written by the
+// goroutine that owns its stripe and no other.
+func (r *Recorder) build(procs int) (*graph, error) {
+	err := parallel(procs, logStripes, func(i int) error {
+		slices.SortFunc(r.stripes[i].nodes, func(a, b nodeRec) int { return cmp.Compare(a.hash, b.hash) })
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	n, nedges := 0, 0
+	maxDepth := int32(0)
 	for i := range r.stripes {
 		n += len(r.stripes[i].nodes)
 		nedges += len(r.stripes[i].edges)
-	}
-	nodes := make([]nodeRec, 0, n)
-	for i := range r.stripes {
-		nodes = append(nodes, r.stripes[i].nodes...)
-		r.stripes[i].nodes = nil
-	}
-	slices.SortFunc(nodes, func(a, b nodeRec) int {
-		if a.depth != b.depth {
-			return cmp.Compare(a.depth, b.depth)
+		for _, nd := range r.stripes[i].nodes {
+			maxDepth = max(maxDepth, nd.depth)
 		}
-		return cmp.Compare(a.hash, b.hash)
-	})
+	}
+	// next[d] is the id of the next node at depth d met in hash order.
+	next := make([]int32, maxDepth+2)
+	for i := range r.stripes {
+		for _, nd := range r.stripes[i].nodes {
+			next[nd.depth+1]++
+		}
+	}
+	for d := 1; d < len(next); d++ {
+		next[d] += next[d-1]
+	}
 
 	g := &graph{
 		m: r.m, ents: r.ents,
@@ -179,19 +199,31 @@ func (r *Recorder) build() (*graph, error) {
 		etaken: make([]uint64, nedges),
 		eeidx:  make([]int32, nedges),
 	}
-	ids := make(map[uint64]int32, n)
-	for i, nd := range nodes {
-		g.hash[i], g.bad[i], g.depth[i] = nd.hash, nd.bad, nd.depth
-		g.parent[i], g.peidx[i] = -1, -1
-		ids[nd.hash] = int32(i)
+	x := newHashIndex(n)
+	for i := range r.stripes {
+		for _, nd := range r.stripes[i].nodes {
+			id := next[nd.depth]
+			next[nd.depth]++
+			g.hash[id], g.bad[id], g.depth[id] = nd.hash, nd.bad, nd.depth
+			x.add(nd.hash, id)
+		}
+		r.stripes[i].nodes = nil
 	}
-	nodes = nil
+	x.seal()
 
 	// Out-degrees, then their prefix sums.
-	for i := range r.stripes {
+	err = parallel(procs, logStripes, func(i int) error {
 		for _, e := range r.stripes[i].edges {
-			g.estart[ids[e.from]+1]++
+			u, ok := x.lookup(e.from)
+			if !ok || e.from>>logShift != uint64(i) {
+				return partialLog(e)
+			}
+			g.estart[u+1]++
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for u := 0; u < n; u++ {
 		g.estart[u+1] += g.estart[u]
@@ -201,26 +233,126 @@ func (r *Recorder) build() (*graph, error) {
 	}
 	// An expanded state's edges carry the event indices 0..deg-1, so an
 	// edge's slot is its source's base plus its event index.
-	for i := range r.stripes {
+	err = parallel(procs, logStripes, func(i int) error {
 		s := &r.stripes[i]
 		for _, e := range s.edges {
-			u, known := ids[e.from]
-			v, ok := ids[e.to]
+			u, _ := x.lookup(e.from) // the degree pass resolved every source
+			v, ok := x.lookup(e.to)
 			j := g.estart[u] + e.eidx
-			if !known || !ok || j >= g.estart[u+1] || g.eto[j] != -1 {
-				return nil, fmt.Errorf("liveness: edge log is not a full expansion (state %016x, event index %d)", e.from, e.eidx)
+			if !ok || e.eidx < 0 || j >= g.estart[u+1] || g.eto[j] != -1 {
+				return partialLog(e)
 			}
 			g.eto[j], g.etaken[j], g.eeidx[j] = v, e.taken, e.eidx
 			g.en[u] |= e.taken
-			if g.depth[u]+1 == g.depth[v] {
-				if p := g.parent[v]; p < 0 || u < p || (u == p && e.eidx < g.peidx[v]) {
-					g.parent[v], g.peidx[v] = u, e.eidx
-				}
-			}
 		}
 		s.edges = nil
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// BFS parents: the least (u, event index) in-edge from the previous
+	// layer, which is the first one an ascending pass over the CSR meets.
+	for u := range g.parent {
+		g.parent[u], g.peidx[u] = -1, -1
+	}
+	for u := int32(0); u < int32(n); u++ {
+		for j := g.estart[u]; j < g.estart[u+1]; j++ {
+			if v := g.eto[j]; g.depth[u]+1 == g.depth[v] && g.parent[v] < 0 {
+				g.parent[v], g.peidx[v] = u, g.eeidx[j]
+			}
+		}
 	}
 	return g, nil
+}
+
+func partialLog(e edgeRec) error {
+	return fmt.Errorf("liveness: edge log is not a full expansion (state %016x, event index %d)", e.from, e.eidx)
+}
+
+// hashIndex resolves a recorded hash to its node id without a map: the
+// (hash, id) pairs in hash order, and for each value of the hash's top
+// bits the offset of the first pair carrying it. With ⌈log₂ n⌉ top bits
+// a bucket holds about one pair; lookups are exact whatever the spread,
+// only their speed depends on it.
+type hashIndex struct {
+	pairs []hashID
+	start []int32 // bucket b is pairs[start[b]:start[b+1]]
+	shift uint
+}
+
+type hashID struct {
+	hash uint64
+	id   int32
+}
+
+func newHashIndex(n int) *hashIndex {
+	b := 0
+	if n > 1 {
+		b = bits.Len(uint(n - 1))
+	}
+	return &hashIndex{
+		pairs: make([]hashID, 0, n),
+		start: make([]int32, 1<<b+1),
+		shift: uint(64 - b),
+	}
+}
+
+// add appends a pair; pairs must come in ascending hash order.
+func (x *hashIndex) add(h uint64, id int32) {
+	x.pairs = append(x.pairs, hashID{h, id})
+	x.start[h>>x.shift+1]++
+}
+
+// seal turns the per-bucket counts add left into start offsets.
+func (x *hashIndex) seal() {
+	for b := 1; b < len(x.start); b++ {
+		x.start[b] += x.start[b-1]
+	}
+}
+
+func (x *hashIndex) lookup(h uint64) (int32, bool) {
+	b := h >> x.shift
+	for _, p := range x.pairs[x.start[b]:x.start[b+1]] {
+		if p.hash == h {
+			return p.id, true
+		}
+	}
+	return -1, false
+}
+
+// parallel calls f(i) for every i in [0, n) on min(procs, n) goroutines,
+// handing the indices out in ascending order, and waits for them. It
+// returns the error of the least index that failed; a panic in f is that
+// index's error, so a bug in the post-pass fails the check, not the
+// process.
+func parallel(procs, n int, f func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(max(procs, 1), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			i := 0
+			defer func() {
+				if p := recover(); p != nil {
+					errs[i] = fmt.Errorf("liveness: panic: %v\n%s", p, debug.Stack())
+				}
+			}()
+			for i = int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				errs[i] = f(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // takenMask computes the fairness entities served by the transition

@@ -57,13 +57,14 @@
 // outstanding properties) and every transition taken (the event index
 // into the unreduced successor enumeration plus a bitmask of the
 // fairness entities it serves). From the log it builds the reachable
-// graph once, then runs, per property, Tarjan's SCC algorithm on the
-// subgraph induced by the Bad states. A strongly connected component
-// admits a weakly fair cycle iff every entity enabled at all of its
-// states is taken on some internal edge; from the first such component
-// a concrete lasso (stem + cycle) is stitched together from shortest
-// paths and replayed through the transition relation, so a liveness
-// counterexample is a step-by-step run exactly like a safety one.
+// graph once, on every core, then runs Tarjan's SCC algorithm on the
+// subgraph induced by each property's Bad states, one property per
+// core. A strongly connected component admits a weakly fair cycle iff
+// every entity enabled at all of its states is taken on some internal
+// edge; from the first such component a concrete lasso (stem + cycle)
+// is stitched together from shortest paths and replayed through the
+// transition relation, so a liveness counterexample is a step-by-step
+// run exactly like a safety one.
 //
 // The recorded run must walk the full, unreduced transition relation
 // from the initial state: the partial-order reduction of package
@@ -273,7 +274,8 @@ func (r *Recorder) Result(run explore.Result) (Result, error) {
 	// not when the pacer next gets to it, keeps the two from stacking
 	// (11 MiB of 78 at the peak of the benchmark's liveness-tiny-b1).
 	runtime.GC()
-	g, err := r.build()
+	procs := runtime.GOMAXPROCS(0)
+	g, err := r.build(procs)
 	if err != nil {
 		return res, err
 	}
@@ -282,10 +284,19 @@ func (r *Recorder) Result(run explore.Result) (Result, error) {
 			len(g.hash), len(g.eto), run.States, run.Transitions)
 	}
 	res.GraphBytes = g.bytes()
+	// One search per property per core; each reads the graph and writes
+	// only its own walk, so the verdicts do not depend on procs.
+	walks := make([][]walkEdge, len(r.props))
+	if err := parallel(procs, len(r.props), func(i int) error {
+		walks[i] = g.fairCycle(i)
+		return nil
+	}); err != nil {
+		return res, err
+	}
 	for i, p := range r.props {
 		pr := PropertyResult{Name: p.Name, Desc: p.Desc, Holds: true}
-		if walk := g.fairCycle(i); walk != nil {
-			lasso, err := g.lasso(walk)
+		if walks[i] != nil {
+			lasso, err := g.lasso(walks[i])
 			if err != nil {
 				return res, fmt.Errorf("liveness: %s: %w", p.Name, err)
 			}
