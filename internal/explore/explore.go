@@ -83,7 +83,12 @@ type Options struct {
 	// still visited and checked, but not expanded.
 	MaxDepth int
 	// Trace records a compact (parent hash, event index) pair per state
-	// so a counterexample path can be reconstructed by replay.
+	// so a counterexample path can be reconstructed by replay. What the
+	// path passes through depends on the worker count: the violating
+	// state, the invariant and the depth do not, but each state's record
+	// names whichever parent won the race to insert it, so at Workers > 1
+	// two runs may report different paths of the same length. At
+	// Workers == 1 the path is the same on every run.
 	Trace bool
 	// Progress, if non-nil, receives a Progress report roughly every
 	// ProgressEvery newly visited states. Reports are driven by a
@@ -212,7 +217,8 @@ type Visitor interface {
 	// Edge is called for every transition the search takes, including
 	// transitions into already-visited states. A non-nil error is
 	// reported as an "event-check" violation at the successor, with the
-	// usual minimal-depth/minimal-hash tie-breaking.
+	// usual minimal-depth/minimal-hash tie-breaking; its trace ends with
+	// the refused transition.
 	Edge(Edge) error
 	// State is called once per newly visited state, after the invariant
 	// battery, by the worker that inserted it. A non-nil error is
@@ -448,9 +454,13 @@ type explorer struct {
 	violated    atomic.Bool
 	lastReport  atomic.Int64
 
+	// viol is the violation to report, violHash the state it was found
+	// at and violLast the transition into that state: the parent's hash
+	// and the event index, the counterexample's last step.
 	violMu   sync.Mutex
 	viol     *Violation
 	violHash uint64
+	violLast rec
 
 	progressMu  sync.Mutex
 	start       time.Time
@@ -740,13 +750,14 @@ func (e *explorer) run() Result {
 	if e.viol != nil {
 		res.Violation = e.viol
 		if e.opt.Trace {
-			if path, err := e.tracePath(e.violHash); err != nil {
+			if path, err := e.tracePath(e.violLast.parent); err != nil {
 				// The verdict (a violation) stands; only its replayed
 				// counterexample was lost to the failed spill read.
 				if res.Err == nil {
 					res.Err = err
 				}
 			} else {
+				path = append(path, pathStep{hash: e.violHash, eidx: e.violLast.eidx})
 				res.Violation.Trace = e.replay(path)
 			}
 		}
@@ -1016,6 +1027,7 @@ func (e *explorer) expandState(w *worker, cur qent, nd int, amp gcmodel.Ample) (
 		}
 		taken++
 		w.transitions++
+		via := rec{parent: cur.hash, eidx: int32(eidx)}
 		var h uint64
 		if e.opt.HashOnly {
 			h, w.buf = e.m.BorrowedHash(&w.succ, ns, w.buf)
@@ -1026,13 +1038,13 @@ func (e *explorer) expandState(w *worker, cur qent, nd int, amp gcmodel.Ample) (
 		for _, v := range e.opt.Visitors {
 			edge := Edge{From: cur.state, To: ns, FromHash: cur.hash, ToHash: h, Ev: ev, EIdx: eidx}
 			if err := v.Edge(edge); err != nil {
-				e.offerViolation(&Violation{Invariant: "event-check", Err: err, Depth: nd, State: ns.CloneShallow()}, h)
+				e.offerViolation(&Violation{Invariant: "event-check", Err: err, Depth: nd, State: ns.CloneShallow()}, h, via)
 				return true
 			}
 		}
 		var r rec
 		if e.opt.Trace {
-			r = rec{parent: cur.hash, eidx: int32(eidx)}
+			r = via
 		}
 		if !e.seen.insert(w.ins, h, r, w.buf) {
 			return true
@@ -1047,7 +1059,7 @@ func (e *explorer) expandState(w *worker, cur qent, nd int, amp gcmodel.Ample) (
 			}
 		}
 		if v := e.check(w, ns, h, nd); v != nil {
-			e.offerViolation(v, h)
+			e.offerViolation(v, h, via)
 			return true
 		}
 		if !e.violated.Load() {
@@ -1077,14 +1089,17 @@ func (e *explorer) check(w *worker, st cimp.System[*gcmodel.Local], h uint64, de
 	return nil
 }
 
-// offerViolation records a violation candidate. All candidates of a run
-// come from the same BFS layer (the barrier stops descent), so they
-// share the minimal depth; the fingerprint hash breaks the tie between
-// them deterministically, independent of worker scheduling.
-func (e *explorer) offerViolation(v *Violation, h uint64) {
+// offerViolation records a violation candidate found at the state hashed
+// h, reached by the transition via. All candidates of a run come from the
+// same BFS layer (the barrier stops descent), so they share the minimal
+// depth; the fingerprint hash, then the transition (several edges may
+// fail into one state), breaks the tie between them deterministically,
+// independent of worker scheduling.
+func (e *explorer) offerViolation(v *Violation, h uint64, via rec) {
 	e.violMu.Lock()
-	if e.viol == nil || h < e.violHash {
-		e.viol, e.violHash = v, h
+	if e.viol == nil || h < e.violHash || h == e.violHash &&
+		(via.parent < e.violLast.parent || via.parent == e.violLast.parent && via.eidx < e.violLast.eidx) {
+		e.viol, e.violHash, e.violLast = v, h, via
 	}
 	e.violMu.Unlock()
 	e.violated.Store(true)

@@ -413,6 +413,34 @@ func TestVisitedEdgeViolationOwnsItsState(t *testing.T) {
 	}
 }
 
+// TestEdgeViolationTrace: a refused transition's counterexample is the
+// path to its source state followed by the transition itself, even when
+// the search never inserts the state it leads to. At every worker count
+// the trace replays to the reported state, and its last step is the
+// refused one.
+func TestEdgeViolationTrace(t *testing.T) {
+	m := mustBuild(t, safeCfg())
+	const refused = "sys-dequeue-write-buffer"
+	for _, workers := range []int{1, 2, 4} {
+		res := Run(m, nil, Options{Trace: true, HashOnly: true, Workers: workers, Visitors: []Visitor{edgeFunc(func(e Edge) error {
+			if e.Ev.Label == refused {
+				return errors.New("edge refused")
+			}
+			return nil
+		})}})
+		v := res.Violation
+		if v == nil || v.Invariant != "event-check" || res.Err != nil {
+			t.Fatalf("workers=%d: violation %+v, err %v", workers, v, res.Err)
+		}
+		if len(v.Trace) != v.Depth || v.Trace[len(v.Trace)-1].Ev.Label != refused {
+			t.Fatalf("workers=%d: %d-step trace at depth %d", workers, len(v.Trace), v.Depth)
+		}
+		if last := v.Trace[len(v.Trace)-1].State; m.FingerprintHash(last) != m.FingerprintHash(v.State) {
+			t.Fatalf("workers=%d: the trace ends at a state other than the reported one", workers)
+		}
+	}
+}
+
 // TestVisitedHashMatchesFingerprint: the hash folded from the borrowed
 // successor's cached segments is Hash64 of its canonical bytes, for every
 // transition — duplicates included — of a 50,000-state prefix, with and

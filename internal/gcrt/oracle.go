@@ -56,11 +56,12 @@ const (
 // counters keep counting past it.
 const maxRecordedFindings = 128
 
+// maxWalk bounds the number of objects visited per mutator per
+// validation walk.
+const maxWalk = 512
+
 // OracleOptions configures the online invariant oracle.
 type OracleOptions struct {
-	// MaxWalk bounds the number of objects visited per mutator per
-	// validation walk (0 picks 512).
-	MaxWalk int
 	// SampleEvery checks every n-th Store for the marked_insertions /
 	// marked_deletions obligations (0 picks 4; 1 checks every store).
 	SampleEvery int
@@ -94,9 +95,6 @@ type Oracle struct {
 // EnableOracle attaches an online invariant oracle to the runtime.
 // Call before any mutator or collector activity.
 func (rt *Runtime) EnableOracle(opt OracleOptions) *Oracle {
-	if opt.MaxWalk <= 0 {
-		opt.MaxWalk = 512
-	}
 	if opt.SampleEvery <= 0 {
 		opt.SampleEvery = 4
 	}
@@ -195,12 +193,12 @@ func (o *Oracle) checkStore(m *Mutator, victim, inserted Obj, phBefore Phase) {
 
 // validateMutator runs the valid_refs walk for one mutator at an
 // HSValidate safe point: every root must be allocated, and every edge
-// reachable from the roots (bounded by MaxWalk) must point at an
+// reachable from the roots (bounded by maxWalk) must point at an
 // allocated object. The collector is idle during the audit round, so no
 // sweep runs concurrently and a dangling reference is a genuine loss.
 func (o *Oracle) validateMutator(m *Mutator) {
 	a := o.rt.arena
-	visited := make(map[Obj]bool, o.opt.MaxWalk)
+	visited := make(map[Obj]bool, maxWalk)
 	var stack []Obj
 	for i, r := range m.roots {
 		o.checks.Add(1)
@@ -217,7 +215,7 @@ func (o *Oracle) validateMutator(m *Mutator) {
 			stack = append(stack, r)
 		}
 	}
-	for len(stack) > 0 && len(visited) < o.opt.MaxWalk {
+	for len(stack) > 0 && len(visited) < maxWalk {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for f := 0; f < a.NumFields(); f++ {

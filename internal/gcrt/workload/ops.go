@@ -243,17 +243,24 @@ func cloneProgram(prog [][]Op) [][]Op {
 // → root-index mapping (Discard moves the last root into the vacated
 // slot, so the mapping must be patched on every drop).
 type interp struct {
-	m      *Mutator
-	reg    [nregs]int // root index per register, -1 = empty
-	period int        // ops between safe points
-	count  int
+	m     *Mutator
+	reg   [nregs]int // root index per register, -1 = empty
+	count int
 }
+
+// safePointEvery is the number of ops between GC-safe points. Real
+// compilers emit safe points at loop back-edges and call returns, not at
+// every instruction; a period > 1 is what opens the protocol windows an
+// adversarial workload needs — with a safe point after every op, a
+// mutator acknowledges each handshake round immediately and its stores
+// never land between the enable-barriers round and its own root scan.
+const safePointEvery = 4
 
 // Mutator aliases gcrt.Mutator so the interpreter reads naturally.
 type Mutator = gcrt.Mutator
 
-func newInterp(m *Mutator, period int) *interp {
-	it := &interp{m: m, period: period}
+func newInterp(m *Mutator) *interp {
+	it := &interp{m: m}
 	for i := range it.reg {
 		it.reg[i] = -1
 	}
@@ -283,13 +290,13 @@ func (it *interp) drop(r int) {
 // first happens in the callers that need it).
 func (it *interp) set(r, ri int) { it.reg[r] = ri }
 
-// step executes one op and services a safe point every `period` ops;
+// step executes one op and services a safe point every safePointEvery ops;
 // ops over empty registers are skipped (but the safe-point cadence
 // continues, so any subsequence of a program keeps handshakes live).
 func (it *interp) step(op Op) {
 	it.exec(op)
 	it.count++
-	if it.count%it.period == 0 {
+	if it.count%safePointEvery == 0 {
 		it.m.SafePoint()
 		// Yield at every safe point so the collector goroutine advances
 		// between handshake rounds even on GOMAXPROCS=1. Without this a

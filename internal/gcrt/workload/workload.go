@@ -25,15 +25,6 @@ type Config struct {
 	Cycles        int
 	OpsPerMutator int
 
-	// SafePointEvery is the number of ops between GC-safe points
-	// (default 4). Real compilers emit safe points at loop back-edges
-	// and call returns, not at every instruction; a period > 1 is what
-	// opens the protocol windows an adversarial workload needs — with a
-	// safe point after every op, a mutator acknowledges each handshake
-	// round immediately and its stores never land between the
-	// enable-barriers round and its own root scan.
-	SafePointEvery int
-
 	Runtime gcrt.Options
 	Oracle  gcrt.OracleOptions
 }
@@ -71,13 +62,6 @@ func (cfg Config) opsPerMutator() int {
 		return 4096
 	}
 	return cfg.OpsPerMutator
-}
-
-func (cfg Config) safePointEvery() int {
-	if cfg.SafePointEvery <= 0 {
-		return 4
-	}
-	return cfg.SafePointEvery
 }
 
 // Result is the outcome of a workload run.
@@ -148,7 +132,7 @@ func RunProgram(cfg Config, prog [][]Op) Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			it := newInterp(m, cfg.safePointEvery())
+			it := newInterp(m)
 			if hubRoots[i] >= 0 {
 				it.set(0, hubRoots[i])
 			}

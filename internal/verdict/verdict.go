@@ -146,7 +146,9 @@ func New(preset string, ablations core.Ablations, fp uint64, res core.VerifyResu
 // zeroed: build identity, wall-clock timings, checkpoint counts and
 // cache provenance. Two runs of the same configuration — including one
 // that crashed mid-run and resumed from a checkpoint — marshal to
-// byte-identical canonical records.
+// byte-identical canonical records, except that a violation found at
+// more than one worker may render a different path of the same length
+// (explore.Options.Trace).
 func (r Record) Canonical() Record {
 	r.Build = ""
 	r.ElapsedSec = 0
