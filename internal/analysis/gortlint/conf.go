@@ -78,21 +78,15 @@ const gcrtPkg = "repro/internal/gcrt"
 // kernel's ownership story: control variables and mark headers are
 // atomic (the TSO argument lives in their method calls), free lists
 // hang off per-shard locks, mutator-private state (roots, work-lists,
-// reservations) is owner-confined with the parked-mutator protocol as
-// the sole exemption, and everything set up before sharing is
-// immutable.
+// reservations) is owner-confined — the collector services a parked
+// mutator's handshake through the Mutator's own serviceHandshake, under
+// parkMu — and everything set up before sharing is immutable.
 func gcrtDiscipline() DisciplineConfig {
 	return DisciplineConfig{
 		Package: gcrtPkg,
 		Structs: []string{"Arena", "freeShard", "Runtime", "Mutator", "wsDeque", "traceState", "Oracle", "Stats", "mutatorStats", "latHist"},
 		Init:    []string{"New", "newWSDeque"},
 		Exempt: map[string][]string{
-			// The parked-mutator protocol: the collector services a
-			// parked mutator's handshake under parkMu, handing its
-			// private work-list over on its behalf (§2.2); the root and
-			// barrier-buffer marking it does through the Mutator's own
-			// methods.
-			"Runtime.collectorSideHandshake": {"Mutator.wl"},
 			// The oracle samples a mutator's roots at its own safe point
 			// (on the mutator's goroutine) and ticks its sampling
 			// counter inside Store.
@@ -150,8 +144,8 @@ func gcrtPublish() PublishConfig {
 func serverDiscipline() DisciplineConfig {
 	return DisciplineConfig{
 		Package: "repro/internal/server",
-		Structs: []string{"Engine", "job", "cache"},
-		Init:    []string{"New", "Engine.recover", "openCache"},
+		Structs: []string{"Engine", "job"},
+		Init:    []string{"New", "Engine.recover"},
 		Holds: map[string][]string{
 			// The *Locked suffix is the caller-holds convention.
 			"Engine.persistLocked":          {"Engine.mu"},
@@ -161,6 +155,7 @@ func serverDiscipline() DisciplineConfig {
 			"Engine.corpusCellsLocked":      {"Engine.mu"},
 			"Engine.requeueLocked":          {"Engine.mu"},
 			"Engine.noteStorageErrorLocked": {"Engine.mu"},
+			"reusableLocked":                {"Engine.mu"},
 			// container/heap invokes the jobQueue methods only from
 			// heap.Push/Pop/Fix calls made under the engine lock.
 			"jobQueue.Len":  {"Engine.mu"},

@@ -107,8 +107,8 @@ type DisciplineConfig struct {
 	// before it is shared.
 	Init []string
 	// Exempt grants a function access to specific owner-confined fields
-	// it does not own: the parked-mutator protocol, where the collector
-	// operates on a mutator's private state under parkMu.
+	// it does not own: the gcrt oracle, for one, samples a mutator's
+	// roots at that mutator's safe point.
 	Exempt map[string][]string // funcKey -> ["Struct.field", ...]
 	// Holds declares locks held on entry by caller-holds convention
 	// (the *Locked suffix functions, heap.Interface methods invoked

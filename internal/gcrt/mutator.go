@@ -206,7 +206,9 @@ func (m *Mutator) TotalPause() (time.Duration, int64) {
 
 // serviceHandshake performs the mutator-side work of the current round.
 // Every round starts by draining the barrier buffer — the handshake is
-// the runtime's MFENCE point (barrier.go).
+// the runtime's MFENCE point (barrier.go). The caller is the mutator's
+// goroutine at a safe point, or the collector holding parkMu while the
+// mutator is parked, which excludes Unpark until the work completes.
 func (m *Mutator) serviceHandshake(t HSType) {
 	m.flushBarriers()
 	switch t {

@@ -215,7 +215,7 @@ func (rt *Runtime) handshake(t HSType) {
 				// touches the mutator's roots, buffer and work-list.
 				m.parkMu.Lock()
 				if m.parked.Load() && m.hsAcked.Load() < round {
-					rt.collectorSideHandshake(m, t)
+					m.serviceHandshake(t)
 					m.hsAcked.Store(round)
 					m.served.Add(1)
 				}
@@ -233,27 +233,6 @@ func (rt *Runtime) handshake(t HSType) {
 	rt.stats.recordHandshake(time.Since(start))
 	if t == HSGetRoots {
 		rt.stats.rootsRounds.Add(1)
-	}
-}
-
-// collectorSideHandshake performs m's handshake work while m is parked.
-// The caller holds m.parkMu, so Unpark (and hence any mutator activity)
-// is excluded until the work completes. Like the mutator-side service,
-// it starts by draining the barrier buffer.
-func (rt *Runtime) collectorSideHandshake(m *Mutator, t HSType) {
-	m.flushBarriers()
-	switch t {
-	case HSGetRoots:
-		m.markRoots()
-		rt.transfer(m.wl)
-		m.wl = m.wl[:0]
-	case HSGetWork:
-		rt.transfer(m.wl)
-		m.wl = m.wl[:0]
-	case HSValidate:
-		if rt.oracle != nil {
-			rt.oracle.validateMutator(m)
-		}
 	}
 }
 

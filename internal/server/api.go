@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -99,19 +101,34 @@ type Health struct {
 	StorageError string `json:"storage_error,omitempty"`
 }
 
-// persistedJob is the on-disk job record (jobs/<id>/job.json).
+// persistedJob is a job's durable state: its spec, state and times,
+// and once it is done, its verdict.
 type persistedJob struct {
-	ID        string        `json:"id"`
-	Spec      core.JobSpec  `json:"spec"`
-	State     core.JobState `json:"state"`
-	Priority  int           `json:"priority"`
-	Corpus    bool          `json:"corpus,omitempty"`
-	Cached    bool          `json:"cached,omitempty"`
-	Resumed   bool          `json:"resumed,omitempty"`
-	Submitted time.Time     `json:"submitted"`
-	Started   time.Time     `json:"started,omitempty"`
-	Finished  time.Time     `json:"finished,omitempty"`
-	Error     string        `json:"error,omitempty"`
+	ID        string          `json:"id"`
+	Spec      core.JobSpec    `json:"spec"`
+	State     core.JobState   `json:"state"`
+	Priority  int             `json:"priority"`
+	Corpus    bool            `json:"corpus,omitempty"`
+	Cached    bool            `json:"cached,omitempty"`
+	Resumed   bool            `json:"resumed,omitempty"`
+	Submitted time.Time       `json:"submitted"`
+	Started   time.Time       `json:"started,omitempty"`
+	Finished  time.Time       `json:"finished,omitempty"`
+	Error     string          `json:"error,omitempty"`
+	Verdict   *verdict.Record `json:"verdict,omitempty"`
+}
+
+// jobSchema tags a checksummed job record.
+const jobSchema = "gcmc.job/v2"
+
+// jobRecord is the file jobs/<id>/job.json: the persisted job and a
+// CRC-32 over its compact JSON. The file is written indented, which
+// reformats the embedded job, so the checksum covers the compact form:
+// it survives the round trip and still catches any content change.
+type jobRecord struct {
+	Schema string          `json:"schema"`
+	CRC32  uint32          `json:"crc32"`
+	Job    json.RawMessage `json:"job"`
 }
 
 // jobQueue is a priority heap: lower Priority first, FIFO within a
@@ -146,32 +163,67 @@ func sortJobMetrics(jobs []JobMetric) {
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID < jobs[j].ID })
 }
 
-// writeJSONAtomic marshals v and writes it with the storage package's
-// atomic discipline: staged tmp file, fsync, rename. A job record is
-// never half-written, whatever kills the process — and every byte goes
-// through the engine's FS, so fault injection covers it.
-func writeJSONAtomic(fsys storage.FS, path string, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
+// writeJobRecord writes a job record with the storage package's atomic
+// discipline: staged tmp file, fsync, rename. Every byte goes through
+// the engine's FS, so fault injection covers it; a torn rename, the one
+// fault that discipline cannot stop, fails the checksum on reload.
+func writeJobRecord(fsys storage.FS, path string, pj *persistedJob) error {
+	raw, err := json.Marshal(pj)
 	if err != nil {
 		return fmt.Errorf("server: marshal %s: %w", path, err)
 	}
-	b = append(b, '\n')
-	if err := storage.WriteFileAtomic(fsys, path, b); err != nil {
+	b, err := json.MarshalIndent(jobRecord{Schema: jobSchema, CRC32: crc32.ChecksumIEEE(raw), Job: raw}, "", "  ")
+	if err != nil {
+		return fmt.Errorf("server: marshal %s: %w", path, err)
+	}
+	if err := storage.WriteFileAtomic(fsys, path, append(b, '\n')); err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
 	return nil
 }
 
-// readJSON loads a JSON file into v.
-func readJSON(fsys storage.FS, path string, v any) error {
+// readJobRecord loads and checks a job record. A file without the
+// schema tag was written before job records were checksummed (it is a
+// bare persistedJob, with the verdict in a verdict.json beside it); it
+// is read leniently and reported as unchecked.
+func readJobRecord(fsys storage.FS, path string) (pj persistedJob, unchecked bool, err error) {
 	b, err := storage.ReadFile(fsys, path)
 	if err != nil {
-		return fmt.Errorf("server: %w", err)
+		return pj, false, err
 	}
-	if err := json.Unmarshal(b, v); err != nil {
-		return fmt.Errorf("server: parse %s: %w", path, err)
+	var rec jobRecord
+	if err := json.Unmarshal(b, &rec); err != nil {
+		return pj, false, fmt.Errorf("parse: %w", err)
 	}
-	return nil
+	if rec.Schema == "" {
+		if err := json.Unmarshal(b, &pj); err != nil {
+			return pj, false, fmt.Errorf("parse: %w", err)
+		}
+		if pj.State == core.JobDone {
+			b, err := storage.ReadFile(fsys, filepath.Join(filepath.Dir(path), "verdict.json"))
+			if err != nil {
+				return pj, false, fmt.Errorf("done, but its verdict is unreadable: %w", err)
+			}
+			if err := json.Unmarshal(b, &pj.Verdict); err != nil {
+				return pj, false, fmt.Errorf("verdict: %w", err)
+			}
+		}
+		return pj, true, nil
+	}
+	if rec.Schema != jobSchema {
+		return pj, false, fmt.Errorf("schema %q (want %q)", rec.Schema, jobSchema)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, rec.Job); err != nil {
+		return pj, false, fmt.Errorf("job: %w", err)
+	}
+	if got := crc32.ChecksumIEEE(compact.Bytes()); got != rec.CRC32 {
+		return pj, false, fmt.Errorf("crc mismatch: file says %08x, job hashes to %08x", rec.CRC32, got)
+	}
+	if err := json.Unmarshal(rec.Job, &pj); err != nil {
+		return pj, false, fmt.Errorf("job: %w", err)
+	}
+	return pj, false, nil
 }
 
 // sweepTmp quarantines stale atomic-write staging files left in dir by

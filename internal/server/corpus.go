@@ -83,8 +83,8 @@ func (e *Engine) corpusCellsLocked() ([]CorpusCell, error) {
 }
 
 // Corpus returns the matrix with each cell annotated by the most
-// recent job (by id) carrying its fingerprint, plus the cached verdict
-// when one exists.
+// recent job (by id) carrying its fingerprint: its state, and its
+// verdict once settled.
 func (e *Engine) Corpus() ([]CorpusCell, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -108,13 +108,6 @@ func (e *Engine) Corpus() ([]CorpusCell, error) {
 			if j.verdict != nil {
 				c.Verdict = j.verdict.Verdict
 			}
-		} else {
-			var fp uint64
-			fmt.Sscanf(c.Fingerprint, "%x", &fp)
-			if rec, ok := e.cache.get(fp); ok {
-				c.Verdict = rec.Verdict
-				c.Cached = true
-			}
 		}
 		out[i] = c
 	}
@@ -133,11 +126,11 @@ func (e *Engine) EnqueueCorpus() (int, error) {
 	}
 	fresh := 0
 	for _, c := range cells {
-		info, err := e.Submit(c.Spec, CorpusPriority, true)
+		_, enqueued, err := e.submit(c.Spec, CorpusPriority, true)
 		if err != nil {
 			return fresh, err
 		}
-		if info.State == core.JobQueued {
+		if enqueued {
 			fresh++
 		}
 	}

@@ -1,16 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -19,112 +21,214 @@ import (
 	"repro/internal/verdict"
 )
 
-// discardLog is a logger for cache-level tests that do not go through
-// an Engine.
-func discardLog() *log.Logger { return log.New(io.Discard, "", 0) }
+// recordOps is the number of FaultFS operations one job-record write
+// makes on job.json paths: create, write, sync and close of the staging
+// file, then the rename. TestRecordWriteBudget pins it.
+const recordOps = 5
 
-// fakeRecord builds a distinguishable verdict record (states is the
-// marker the matrix asserts on).
-func fakeRecord(states int) verdict.Record {
-	return verdict.Record{
-		Schema:  verdict.Schema,
-		Preset:  "tiny",
-		Verdict: "no-violation",
-		States:  states,
-		Depth:   7,
-	}
-}
+// settleSkip is the number of job.json operations before a fresh job's
+// settling write: the record written at Submit and the one written when
+// a worker starts the job.
+const settleSkip = 2 * recordOps
 
-// TestCacheFaultMatrix walks every fault kind through every operation
-// of a cache put that overwrites an existing entry, then reopens the
-// directory with a clean filesystem. The durability invariant: the
-// reloaded cache serves the old record, the new record, or nothing —
-// never a third, silently corrupt image. (openCache logs and skips
-// entries that fail the CRC; a skip is a loud miss, not a wrong
-// answer.)
-func TestCacheFaultMatrix(t *testing.T) {
-	const fp = 0xfeedface
-	// Probe: count the ops one put performs so the matrix can target
-	// each of them by index.
-	probeDir := t.TempDir()
-	probe := storage.NewFaultFS(nil)
-	pc, _, err := openCache(probe, probeDir, discardLog())
+// faultEngine is an engine over fsys with a retry policy fast enough
+// for tests.
+func faultEngine(t *testing.T, dir string, fsys storage.FS, attempts int) *Engine {
+	t.Helper()
+	e, err := New(Options{
+		DataDir:         dir,
+		Workers:         1,
+		CorpusPresets:   []string{"tiny"},
+		CorpusMaxStates: 2000,
+		FS:              fsys,
+		Retry:           RetryPolicy{MaxAttempts: attempts, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pc.put(fp, "probe", fakeRecord(100)); err != nil {
-		t.Fatal(err)
-	}
-	base := probe.Ops()
-	if err := pc.put(fp, "probe", fakeRecord(200)); err != nil {
-		t.Fatal(err)
-	}
-	putOps := probe.Ops() - base
-	if putOps < 4 {
-		t.Fatalf("probe counted only %d ops for a put; expected at least create/write/sync/rename", putOps)
-	}
+	return e
+}
 
+// quickVerdict is quickSpec's verdict from an uninterrupted in-process
+// run, in canonical form.
+func quickVerdict(t *testing.T) []byte {
+	t.Helper()
+	res, _, err := core.RunJob(quickSpec(), core.JobRun{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, _, err := quickSpec().Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := verdict.New("tiny", core.Ablations{}, fp, res)
+	return canonBytes(t, &ref)
+}
+
+// TestCacheFaultMatrix walks every fault kind through every operation
+// of the record write that settles a job, then restarts on the same
+// directory with a clean filesystem. The durability invariant: the job
+// is done with its verdict, or it runs again to the same canonical
+// verdict. It is never done without a verdict and never done with a
+// corrupt one. A torn rename reports success and leaves a truncated
+// record, which fails its checksum: that job is skipped, and a
+// resubmission of its spec is a miss that runs again.
+func TestCacheFaultMatrix(t *testing.T) {
+	want := quickVerdict(t)
 	for _, kind := range storage.Kinds {
-		for off := 0; off < putOps; off++ {
+		for off := 0; off < recordOps; off++ {
 			t.Run(fmt.Sprintf("%s@put+%d", kind, off), func(t *testing.T) {
 				dir := t.TempDir()
 				ffs := storage.NewFaultFS(nil)
-				c, _, err := openCache(ffs, dir, discardLog())
+				ffs.FailPath("job.json", kind, settleSkip+off)
+				e := faultEngine(t, dir, ffs, 3)
+				info, err := e.Submit(quickSpec(), 0, false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := c.put(fp, "old", fakeRecord(100)); err != nil {
-					t.Fatal(err)
-				}
-				ffs.FailAt(ffs.Ops()+off, kind)
-				putErr := c.put(fp, "new", fakeRecord(200))
-				if putErr != nil && kind == storage.TornRename {
-					// A torn rename that surfaced an error fired on a
-					// non-rename op — still a loud failure, still fine.
-					t.Logf("torn-rename surfaced as: %v", putErr)
-				}
+				waitFor(t, e, info.ID, "terminal", func(i JobInfo) bool { return i.State.Terminal() })
+				shutdown(t, e)
 
-				// Recovery: reopen with a clean FS, like a restarted
-				// daemon would.
-				reopened, _, err := openCache(storage.OrOS(nil), dir, discardLog())
-				if err != nil {
-					t.Fatalf("reopen after %s at put+%d: %v", kind, off, err)
-				}
-				rec, ok := reopened.get(fp)
+				// Recovery: a clean FS, like a restarted daemon.
+				e2 := newEngine(t, dir)
+				defer shutdown(t, e2)
+				got, ok := e2.Get(info.ID)
 				switch {
 				case !ok:
-					if putErr == nil && kind != storage.TornRename && kind != storage.Crash {
-						t.Errorf("put claimed success but the entry vanished (fault %s at put+%d)", kind, off)
+					if kind != storage.TornRename {
+						t.Fatalf("job lost after %s at put+%d", kind, off)
 					}
-				case rec.States == 100, rec.States == 200:
-					// Old or new image — both are settled verdicts.
+					again, err := e2.Submit(quickSpec(), 0, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if again.Cached {
+						t.Fatalf("resubmission after a torn record was a cache hit: %+v", again)
+					}
+					got = waitState(t, e2, again.ID, core.JobDone)
+				case got.State == core.JobDone:
+					// Settled on disk: on the first write or on a retry.
+				case got.State.Terminal():
+					t.Fatalf("job settled %s after %s at put+%d: %s", got.State, kind, off, got.Error)
 				default:
-					t.Errorf("reloaded cache serves a corrupt record (states=%d) after %s at put+%d",
-						rec.States, kind, off)
+					got = waitState(t, e2, info.ID, core.JobDone)
+				}
+				if got.Verdict == nil {
+					t.Fatalf("job done without a verdict after %s at put+%d", kind, off)
+				}
+				if b := canonBytes(t, got.Verdict); !bytes.Equal(b, want) {
+					t.Errorf("verdict after %s at put+%d differs from a clean run's:\n%s\n%s", kind, off, b, want)
 				}
 			})
 		}
 	}
 }
 
-// TestEngineRetryTransient injects a transient EIO into the first
-// verdict.json write and requires the engine to retry the job to a
-// correct completion: attempts counted, metrics incremented, /healthz
-// degraded, verdict identical to a clean run's.
-func TestEngineRetryTransient(t *testing.T) {
+// TestRecordWriteBudget pins what a job costs on disk: a miss writes
+// its record three times (submitted, started, settled), a cache hit
+// once, and nothing else is written but the checkpoint log.
+func TestRecordWriteBudget(t *testing.T) {
 	ffs := storage.NewFaultFS(nil)
-	ffs.FailPath("verdict.json", storage.EIO, 0)
-	e, err := New(Options{
-		DataDir:         t.TempDir(),
-		Workers:         1,
-		CorpusPresets:   []string{"tiny"},
-		CorpusMaxStates: 2000,
-		FS:              ffs,
-		Retry:           RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
-	})
+	e := faultEngine(t, t.TempDir(), ffs, 3)
+	defer shutdown(t, e)
+	count := func(from int) (writes, ops int) {
+		for _, op := range ffs.Trace()[from:] {
+			switch {
+			case strings.Contains(op.Path, "job.json"):
+				ops++
+				if op.Name == "rename" {
+					writes++
+				}
+			case op.Name == "create" || op.Name == "rename" || op.Name == "write":
+				if !strings.Contains(op.Path, "run.ckpt") {
+					t.Errorf("unexpected %s of %s", op.Name, op.Path)
+				}
+			}
+		}
+		return writes, ops
+	}
+
+	miss, err := e.Submit(quickSpec(), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitState(t, e, miss.ID, core.JobDone)
+	if writes, ops := count(0); writes != 3 || ops != 3*recordOps {
+		t.Errorf("a miss made %d record writes in %d ops, want 3 in %d", writes, ops, 3*recordOps)
+	}
+
+	base := ffs.Ops()
+	hit, err := e.Submit(quickSpec(), 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached {
+		t.Fatalf("resubmission missed: %+v", hit)
+	}
+	if writes, ops := count(base); writes != 1 || ops != recordOps {
+		t.Errorf("a hit made %d record writes in %d ops, want 1 in %d", writes, ops, recordOps)
+	}
+}
+
+// TestSubmitFailureLeavesNothing fails the record write of a miss and
+// of a hit: Submit errors, the job is not listed, no job or cache
+// counter moves, and the next Submit succeeds. Only the storage-error
+// counter records the failed write.
+func TestSubmitFailureLeavesNothing(t *testing.T) {
+	for _, hit := range []bool{false, true} {
+		t.Run(map[bool]string{false: "miss", true: "hit"}[hit], func(t *testing.T) {
+			ffs := storage.NewFaultFS(nil)
+			e := faultEngine(t, t.TempDir(), ffs, 3)
+			defer shutdown(t, e)
+			if hit {
+				info, err := e.Submit(quickSpec(), 0, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				waitState(t, e, info.ID, core.JobDone)
+			}
+			before, jobs := e.Metrics(), e.List()
+
+			ffs.FailPath("job.json", storage.EIO, 0)
+			if info, err := e.Submit(quickSpec(), 0, false); err == nil {
+				t.Fatalf("Submit succeeded through a failed record write: %+v", info)
+			}
+			after := e.Metrics()
+			if got := e.List(); len(got) != len(jobs) {
+				t.Errorf("failed Submit left a job listed: %d jobs, want %d", len(got), len(jobs))
+			}
+			if _, ok := e.Get(fmt.Sprintf("j%06d", len(jobs)+1)); ok {
+				t.Error("failed Submit's job answers Get")
+			}
+			if after.CacheHits != before.CacheHits || after.CacheMisses != before.CacheMisses ||
+				after.CacheEntries != before.CacheEntries || after.QueueDepth != before.QueueDepth ||
+				!reflect.DeepEqual(after.JobsByState, before.JobsByState) || len(after.Jobs) != len(before.Jobs) {
+				t.Errorf("failed Submit moved the metrics:\nbefore %+v\nafter  %+v", before, after)
+			}
+			if after.StorageErrors != before.StorageErrors+1 {
+				t.Errorf("storage errors %d -> %d, want one more", before.StorageErrors, after.StorageErrors)
+			}
+
+			next, err := e.Submit(quickSpec(), 0, false)
+			if err != nil {
+				t.Fatalf("Submit after the failure: %v", err)
+			}
+			if next.Cached != hit {
+				t.Errorf("Submit after the failure: cached=%v, want %v", next.Cached, hit)
+			}
+			waitState(t, e, next.ID, core.JobDone)
+		})
+	}
+}
+
+// TestEngineRetryTransient injects a transient EIO into the record
+// write that settles the job and requires the engine to retry the job
+// to a correct completion: attempts counted, metrics incremented,
+// /healthz degraded, verdict identical to a clean run's.
+func TestEngineRetryTransient(t *testing.T) {
+	ffs := storage.NewFaultFS(nil)
+	ffs.FailPath("job.json", storage.EIO, settleSkip)
+	e := faultEngine(t, t.TempDir(), ffs, 3)
 	defer shutdown(t, e)
 
 	info, err := e.Submit(quickSpec(), 0, false)
@@ -167,27 +271,22 @@ func TestEngineRetryTransient(t *testing.T) {
 	}
 }
 
+// verdictEIO fails every rename that would install a job record
+// carrying a verdict: no job can settle done.
+type verdictEIO struct{ storage.FS }
+
+func (f verdictEIO) Rename(oldpath, newpath string) error {
+	if b, err := storage.ReadFile(f.FS, oldpath); err == nil && bytes.Contains(b, []byte(`"verdict"`)) {
+		return &os.PathError{Op: "rename", Path: oldpath, Err: syscall.EIO}
+	}
+	return f.FS.Rename(oldpath, newpath)
+}
+
 // TestRetryBudgetExhausted pins the other side of the policy: a
 // storage fault that never clears fails the job loudly once the
 // attempt budget is spent, instead of retrying forever.
 func TestRetryBudgetExhausted(t *testing.T) {
-	ffs := storage.NewFaultFS(nil)
-	// Every verdict write fails: one scheduled path-fault per possible
-	// attempt (each fires once).
-	for i := 0; i < 8; i++ {
-		ffs.FailPath("verdict.json", storage.EIO, 0)
-	}
-	e, err := New(Options{
-		DataDir:         t.TempDir(),
-		Workers:         1,
-		CorpusPresets:   []string{"tiny"},
-		CorpusMaxStates: 2000,
-		FS:              ffs,
-		Retry:           RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := faultEngine(t, t.TempDir(), verdictEIO{storage.OSFS{}}, 2)
 	defer shutdown(t, e)
 
 	info, err := e.Submit(quickSpec(), 0, false)
@@ -203,24 +302,26 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	if failed.Attempts != 1 {
 		t.Errorf("attempts = %d, want 1 (MaxAttempts 2 = one retry)", failed.Attempts)
 	}
+	if failed.Verdict != nil {
+		t.Error("failed job carries a verdict")
+	}
 }
 
 // TestTmpSweep plants stale atomic-write staging files — the debris a
-// crash mid-write leaves — in the cache and a job directory, and
-// requires engine startup to quarantine (not delete) every one.
+// crash mid-write leaves — in two job directories, and requires engine
+// startup to quarantine (not delete) every one.
 func TestTmpSweep(t *testing.T) {
 	dir := t.TempDir()
-	cacheDir := filepath.Join(dir, "cache")
-	jobDir := filepath.Join(dir, "jobs", "j000001")
-	for _, d := range []string{cacheDir, jobDir} {
+	jobDirs := []string{filepath.Join(dir, "jobs", "j000001"), filepath.Join(dir, "jobs", "j000002")}
+	for _, d := range jobDirs {
 		if err := os.MkdirAll(d, 0o777); err != nil {
 			t.Fatal(err)
 		}
 	}
 	stale := []string{
-		filepath.Join(cacheDir, "0123456789abcdef.json.tmp"),
-		filepath.Join(cacheDir, ".verdict.json.tmp424242"), // legacy CreateTemp pattern
-		filepath.Join(jobDir, "job.json.tmp"),
+		filepath.Join(jobDirs[0], "job.json.tmp"),
+		filepath.Join(jobDirs[0], ".job.json.tmp424242"), // legacy CreateTemp pattern
+		filepath.Join(jobDirs[1], "run.ckpt.tmp"),
 	}
 	for _, p := range stale {
 		if err := os.WriteFile(p, []byte("{\"torn\":"), 0o666); err != nil {

@@ -7,26 +7,31 @@
 //
 // # Durability
 //
-// Every job checkpoints at the checker's layer barriers (internal/
-// checkpoint) into its own job directory, and every state transition is
-// persisted atomically, so a daemon that crashes — or is SIGKILLed —
-// mid-job resumes in-flight work on restart: jobs found non-terminal
-// are re-enqueued, resuming from their latest checkpoint when one
-// exists, and the resumed run's verdict is byte-identical (in canonical
-// form, see verdict.Record.Canonical) to an uninterrupted run's.
+// A job is one record: its spec, state and times and, once it is done,
+// its verdict, with a CRC-32 that recovery checks. The record is
+// written atomically at every state transition, so a verdict is on disk
+// exactly when its job is done. Every job also checkpoints at the
+// checker's layer barriers (internal/checkpoint) into its own job
+// directory, so a daemon that crashes — or is SIGKILLed — mid-job
+// resumes in-flight work on restart: jobs found non-terminal are
+// re-enqueued, resuming from their latest checkpoint when one exists,
+// and the resumed run's verdict is byte-identical (in canonical form,
+// see verdict.Record.Canonical) to an uninterrupted run's. A record
+// that fails its checksum is logged and skipped: never listed, never
+// reused.
 //
-// Completed verdicts are cached in a CRC-checked on-disk index keyed by
-// the options fingerprint (core.Fingerprint — the same fingerprint the
-// checkpoint layer validates on resume), so resubmitting an identical
-// configuration returns the cached verdict instantly, with zero new
-// states explored.
+// The job table is the verdict cache. A submission whose options
+// fingerprint (core.Fingerprint — the same fingerprint the checkpoint
+// layer validates on resume) matches a done job's returns that job's
+// verdict at once, as a new done job, with zero new states explored. A
+// run the memory budget stopped is not reused: the fingerprint leaves
+// the budget out.
 //
 // # Layout
 //
-//	<data>/jobs/<id>/job.json     job record (spec, state, times)
-//	<data>/jobs/<id>/run.ckpt     layer-barrier checkpoint (GCMCCKP1)
-//	<data>/jobs/<id>/verdict.json final verdict.Record
-//	<data>/cache/<fp>.json        CRC-checked cached verdict
+//	<data>/jobs/<id>/job.json     job record (spec, state, times, verdict; CRC-checked)
+//	<data>/jobs/<id>/run.ckpt     layer-barrier checkpoint log (GCMCCKP1)
+//	<data>/jobs/<id>/spill/       parked frontier layers, while the spill is armed
 //
 // # Corpus mode
 //
@@ -75,7 +80,7 @@ type Options struct {
 	// (nil = every shipped preset).
 	CorpusPresets []string
 	// FS routes every byte of the engine's disk I/O — job records,
-	// checkpoints, verdicts, the cache — through a pluggable filesystem;
+	// checkpoints, spill files — through a pluggable filesystem;
 	// nil means the real one. Fault injection (storage.FaultFS) plugs in
 	// here.
 	FS storage.FS
@@ -86,13 +91,12 @@ type Options struct {
 	Log *log.Logger
 }
 
-// Engine is the verification service: a job queue, a worker pool, the
-// on-disk job store and the verdict cache. It is safe for concurrent
-// use; Handler exposes it over HTTP.
+// Engine is the verification service: a job queue, a worker pool, and
+// the on-disk job table, which is also the verdict cache. It is safe
+// for concurrent use; Handler exposes it over HTTP.
 type Engine struct {
 	opt   Options     // gcrt:guard immutable
 	log   *log.Logger // gcrt:guard immutable
-	cache *cache      // gcrt:guard immutable
 	start time.Time   // gcrt:guard immutable
 	fs    storage.FS  // gcrt:guard immutable
 	retry RetryPolicy // gcrt:guard immutable
@@ -121,18 +125,18 @@ type Engine struct {
 // Submit (or crash recovery) publishes the job, and workers read them
 // unlocked; the mutable run state is guarded by Engine.mu.
 type job struct {
-	id        string                    // gcrt:guard immutable(Engine.Submit, Engine.recover)
-	spec      core.JobSpec              // gcrt:guard immutable(Engine.Submit, Engine.recover)
-	fp        uint64                    // gcrt:guard immutable(Engine.Submit, Engine.recover)
-	summary   string                    // gcrt:guard immutable(Engine.Submit, Engine.recover)
+	id        string                    // gcrt:guard immutable(Engine.submit, Engine.recover)
+	spec      core.JobSpec              // gcrt:guard immutable(Engine.submit, Engine.recover)
+	fp        uint64                    // gcrt:guard immutable(Engine.submit, Engine.recover)
 	state     core.JobState             // gcrt:guard by(Engine.mu)
-	priority  int                       // gcrt:guard immutable(Engine.Submit, Engine.recover)
-	corpus    bool                      // gcrt:guard immutable(Engine.Submit, Engine.recover)
+	priority  int                       // gcrt:guard immutable(Engine.submit, Engine.recover)
+	corpus    bool                      // gcrt:guard immutable(Engine.submit, Engine.recover)
+	unchecked bool                      // record had no checksum: listed, never reused; gcrt:guard immutable(Engine.recover)
 	cached    bool                      // gcrt:guard by(Engine.mu)
 	resumed   bool                      // gcrt:guard by(Engine.mu)
 	cancelReq bool                      // gcrt:guard by(Engine.mu)
 	pushSeq   int                       // gcrt:guard by(Engine.mu)
-	submitted time.Time                 // gcrt:guard immutable(Engine.Submit, Engine.recover)
+	submitted time.Time                 // gcrt:guard immutable(Engine.submit, Engine.recover)
 	started   time.Time                 // gcrt:guard by(Engine.mu)
 	finished  time.Time                 // gcrt:guard by(Engine.mu)
 	progress  *ProgressInfo             // gcrt:guard by(Engine.mu)
@@ -144,10 +148,9 @@ type job struct {
 	subs      map[chan JobInfo]struct{} // gcrt:guard by(Engine.mu)
 }
 
-// New opens (or creates) the data directory, loads the verdict cache,
-// recovers persisted jobs — re-enqueueing any that were queued, running
-// or interrupted when the previous process died — and starts the worker
-// pool.
+// New opens (or creates) the data directory, recovers persisted jobs —
+// re-enqueueing any that were queued, running or interrupted when the
+// previous process died — and starts the worker pool.
 func New(opt Options) (*Engine, error) {
 	if opt.DataDir == "" {
 		return nil, fmt.Errorf("server: DataDir is required")
@@ -171,19 +174,13 @@ func New(opt Options) (*Engine, error) {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 	}
-	c, swept, err := openCache(fsys, filepath.Join(opt.DataDir, "cache"), lg)
-	if err != nil {
-		return nil, err
-	}
 	e := &Engine{
-		opt:      opt,
-		log:      lg,
-		cache:    c,
-		start:    time.Now(),
-		fs:       fsys,
-		retry:    opt.Retry.withDefaults(3, 250*time.Millisecond, 10*time.Second),
-		jobs:     make(map[string]*job),
-		tmpSwept: int64(swept),
+		opt:   opt,
+		log:   lg,
+		start: time.Now(),
+		fs:    fsys,
+		retry: opt.Retry.withDefaults(3, 250*time.Millisecond, 10*time.Second),
+		jobs:  make(map[string]*job),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	if err := e.recover(); err != nil {
@@ -207,7 +204,7 @@ func (e *Engine) jobFile(id, name string) string {
 
 // normalize applies the engine defaults a spec did not set. Neither
 // field enters the options fingerprint, so defaults never change which
-// cached verdict a spec matches.
+// settled job a spec matches.
 func (e *Engine) normalize(spec core.JobSpec) core.JobSpec {
 	if spec.Options.CheckpointEvery <= 0 {
 		spec.Options.CheckpointEvery = e.opt.CheckpointEvery
@@ -218,68 +215,83 @@ func (e *Engine) normalize(spec core.JobSpec) core.JobSpec {
 	return spec
 }
 
-// Submit validates the spec, consults the verdict cache, and either
-// returns a completed cache-hit job immediately or enqueues a new run.
-// An already-queued or running job with the same fingerprint is
-// coalesced (its record is returned instead of a duplicate being
-// enqueued).
+// Submit validates the spec and scans the job table once: a queued or
+// running job with the same fingerprint is coalesced (its record is
+// returned instead of a duplicate being enqueued); a settled one whose
+// verdict can be reused mints a done cache-hit job; otherwise a new run
+// is enqueued. Either new job is published only once its record is on
+// disk, so a failed Submit leaves no job and moves no counter.
 func (e *Engine) Submit(spec core.JobSpec, priority int, corpus bool) (JobInfo, error) {
+	info, _, err := e.submit(spec, priority, corpus)
+	return info, err
+}
+
+// submit is Submit, also reporting whether it enqueued a new run.
+func (e *Engine) submit(spec core.JobSpec, priority int, corpus bool) (JobInfo, bool, error) {
 	spec = e.normalize(spec)
-	fp, summary, err := spec.Fingerprint()
+	fp, _, err := spec.Fingerprint()
 	if err != nil {
-		return JobInfo{}, err
+		return JobInfo{}, false, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return JobInfo{}, fmt.Errorf("server: shutting down")
+		return JobInfo{}, false, fmt.Errorf("server: shutting down")
 	}
-	// Coalesce with an identical in-flight job.
+	var hit *job
 	for _, j := range e.jobs {
-		if j.fp == fp && !j.state.Terminal() {
-			return e.infoLocked(j), nil
+		if j.fp != fp {
+			continue
+		}
+		if !j.state.Terminal() {
+			return e.infoLocked(j), false, nil
+		}
+		if hit == nil && reusableLocked(j) {
+			hit = j
 		}
 	}
 	j := &job{
 		spec:      spec,
 		fp:        fp,
-		summary:   summary,
 		priority:  priority,
 		corpus:    corpus,
+		state:     core.JobQueued,
 		submitted: time.Now(),
 		subs:      make(map[chan JobInfo]struct{}),
 	}
 	e.seq++
 	j.id = fmt.Sprintf("j%06d", e.seq)
-	if rec, ok := e.cache.get(fp); ok {
-		e.cacheHits++
-		hit := *rec
-		hit.Cached = true
+	if hit != nil {
+		rec := *hit.verdict
+		rec.Cached = true
 		j.state = core.JobDone
 		j.cached = true
-		j.verdict = &hit
+		j.verdict = &rec
 		j.finished = j.submitted
-		e.jobs[j.id] = j
-		if err := e.persistLocked(j); err != nil {
-			return JobInfo{}, err
-		}
-		if err := writeJSONAtomic(e.fs, e.jobFile(j.id, "verdict.json"), &hit); err != nil {
-			e.noteStorageErrorLocked(err)
-			return JobInfo{}, err
-		}
-		e.log.Printf("job %s: cache hit (fp %016x, %s)", j.id, fp, spec.Preset)
-		return e.infoLocked(j), nil
+	}
+	if err := e.persistLocked(j); err != nil {
+		return JobInfo{}, false, err
+	}
+	e.jobs[j.id] = j
+	if hit != nil {
+		e.cacheHits++
+		e.log.Printf("job %s: cache hit from %s (fp %016x, %s)", j.id, hit.id, fp, spec.Preset)
+		return e.infoLocked(j), false, nil
 	}
 	e.cacheMisses++
-	j.state = core.JobQueued
-	e.jobs[j.id] = j
-	if err := e.persistLocked(j); err != nil {
-		delete(e.jobs, j.id)
-		return JobInfo{}, err
-	}
 	e.pushLocked(j)
 	e.log.Printf("job %s: queued (fp %016x, %s prio %d)", j.id, fp, spec.Preset, priority)
-	return e.infoLocked(j), nil
+	return e.infoLocked(j), true, nil
+}
+
+// reusableLocked reports whether j's verdict answers every later
+// submission of its fingerprint: j is done, its record was checksummed,
+// and the memory budget did not stop it (the fingerprint leaves the
+// budget out, so that verdict would answer the same spec under any
+// budget).
+func reusableLocked(j *job) bool {
+	return j.state == core.JobDone && j.verdict != nil && !j.unchecked &&
+		!j.verdict.StoppedOn(explore.StopMemBudget)
 }
 
 // pushLocked enqueues j and wakes a worker.
@@ -371,19 +383,23 @@ func (e *Engine) Subscribe(id string) (<-chan JobInfo, func(), bool) {
 	return ch, cancel, true
 }
 
-// CachedVerdict looks a fingerprint (hex) up in the verdict cache.
+// CachedVerdict returns the verdict a submission of the fingerprint
+// (hex) would be served from the job table.
 func (e *Engine) CachedVerdict(fpHex string) (*verdict.Record, bool) {
 	var fp uint64
 	if _, err := fmt.Sscanf(fpHex, "%x", &fp); err != nil {
 		return nil, false
 	}
-	rec, ok := e.cache.get(fp)
-	if !ok {
-		return nil, false
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, j := range e.jobs {
+		if j.fp == fp && reusableLocked(j) {
+			rec := *j.verdict
+			rec.Cached = true
+			return &rec, true
+		}
 	}
-	hit := *rec
-	hit.Cached = true
-	return &hit, true
+	return nil, false
 }
 
 // Shutdown stops the engine gracefully: intake closes, every running
@@ -421,7 +437,8 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 // recover loads persisted jobs from the data directory and re-enqueues
 // every non-terminal one — the crash-recovery path. A job with a
 // checkpoint resumes from it (state "resuming"); one killed before its
-// first snapshot restarts from scratch (state "queued").
+// first snapshot restarts from scratch (state "queued"). A record that
+// fails its checksum is logged and skipped, but its id stays taken.
 func (e *Engine) recover() error {
 	dirs, err := e.fs.ReadDir(filepath.Join(e.opt.DataDir, "jobs"))
 	if err != nil {
@@ -438,13 +455,16 @@ func (e *Engine) recover() error {
 			e.tmpSwept += int64(n)
 			e.log.Printf("recover: %s: quarantined %d stale staging file(s)", id, n)
 		}
-		var pj persistedJob
-		if err := readJSON(e.fs, e.jobFile(id, "job.json"), &pj); err != nil {
+		if n := numericSuffix(id); n > e.seq {
+			e.seq = n
+		}
+		pj, unchecked, err := readJobRecord(e.fs, e.jobFile(id, "job.json"))
+		if err != nil {
 			e.log.Printf("recover: skipping %s: %v", id, err)
 			continue
 		}
 		spec := e.normalize(pj.Spec)
-		fp, summary, err := spec.Fingerprint()
+		fp, _, err := spec.Fingerprint()
 		if err != nil {
 			e.log.Printf("recover: skipping %s: %v", id, err)
 			continue
@@ -453,7 +473,6 @@ func (e *Engine) recover() error {
 			id:        id,
 			spec:      spec,
 			fp:        fp,
-			summary:   summary,
 			state:     pj.State,
 			priority:  pj.Priority,
 			corpus:    pj.Corpus,
@@ -463,22 +482,13 @@ func (e *Engine) recover() error {
 			started:   pj.Started,
 			finished:  pj.Finished,
 			errMsg:    pj.Error,
+			verdict:   pj.Verdict,
 			subs:      make(map[chan JobInfo]struct{}),
 		}
-		if n := numericSuffix(id); n > e.seq {
-			e.seq = n
-		}
 		if j.state.Terminal() {
-			if j.state == core.JobDone {
-				var rec verdict.Record
-				if err := readJSON(e.fs, e.jobFile(id, "verdict.json"), &rec); err == nil {
-					j.verdict = &rec
-				} else if cached, ok := e.cache.get(fp); ok {
-					j.verdict = cached
-				} else {
-					e.log.Printf("recover: %s done but verdict unreadable: %v", id, err)
-				}
-			}
+			// A verdict read from an unchecksummed record is shown,
+			// never reused; the record itself is left as it is.
+			j.unchecked = unchecked
 			e.jobs[id] = j
 			continue
 		}
@@ -645,39 +655,27 @@ func (e *Engine) runJob(ctx context.Context, j *job) {
 	default:
 		rec := verdict.New(j.spec.Preset, j.spec.Ablations, j.fp, res)
 		rec.Build = buildinfo.String()
-		if err := writeJSONAtomic(e.fs, e.jobFile(j.id, "verdict.json"), &rec); err != nil {
+		j.state = core.JobDone
+		j.verdict = &rec
+	}
+	j.finished = time.Now()
+	if err := e.persistLocked(j); err != nil {
+		e.log.Printf("job %s: persist: %v", j.id, err)
+		if j.state == core.JobDone {
 			// A verdict that cannot be persisted is not settled: the
 			// whole point of the service is durable verdicts. Transient
 			// failures re-enqueue (the run resumes from its final
 			// checkpoint, or replays — either way the verdict is
 			// recomputed identically); a permanent one fails the job.
-			e.noteStorageErrorLocked(err)
-			e.log.Printf("job %s: verdict persist: %v", j.id, err)
+			j.verdict, j.finished = nil, time.Time{}
 			if storage.IsTransient(err) && e.requeueLocked(j, err) {
 				return
 			}
-			j.state = core.JobFailed
-			j.errMsg = err.Error()
-			break
+			j.state, j.errMsg, j.finished = core.JobFailed, err.Error(), time.Now()
+			if err := e.persistLocked(j); err != nil {
+				e.log.Printf("job %s: persist: %v", j.id, err)
+			}
 		}
-		j.state = core.JobDone
-		j.verdict = &rec
-		if rec.StoppedOn(explore.StopMemBudget) {
-			// The key leaves the budget out, so a cached entry would
-			// answer the same spec under any budget with this
-			// incomplete verdict.
-			break
-		}
-		if err := e.cache.put(j.fp, j.summary, rec); err != nil {
-			// The per-job verdict survived; a cache-write failure only
-			// costs a future cache hit.
-			e.noteStorageErrorLocked(err)
-			e.log.Printf("job %s: cache: %v", j.id, err)
-		}
-	}
-	j.finished = time.Now()
-	if err := e.persistLocked(j); err != nil {
-		e.log.Printf("job %s: persist: %v", j.id, err)
 	}
 	e.notifyLocked(j)
 	e.log.Printf("job %s: %s (%d states, resumed=%v, attempts=%d)", j.id, j.state, res.States, j.resumed, j.attempts)
@@ -772,7 +770,7 @@ func (e *Engine) persistLocked(j *job) error {
 		e.noteStorageErrorLocked(err)
 		return fmt.Errorf("server: %w", err)
 	}
-	err := writeJSONAtomic(e.fs, e.jobFile(j.id, "job.json"), persistedJob{
+	err := writeJobRecord(e.fs, e.jobFile(j.id, "job.json"), &persistedJob{
 		ID:        j.id,
 		Spec:      j.spec,
 		State:     j.state,
@@ -784,6 +782,7 @@ func (e *Engine) persistLocked(j *job) error {
 		Started:   j.started,
 		Finished:  j.finished,
 		Error:     j.errMsg,
+		Verdict:   j.verdict,
 	})
 	if err != nil {
 		e.noteStorageErrorLocked(err)
@@ -860,7 +859,6 @@ func (e *Engine) Metrics() Metrics {
 		JobsByState:    map[string]int{},
 		CacheHits:      e.cacheHits,
 		CacheMisses:    e.cacheMisses,
-		CacheEntries:   e.cache.len(),
 		StatesExplored: e.statesExplored,
 		TmpSwept:       e.tmpSwept,
 		StorageErrors:  e.storageErrors,
@@ -872,7 +870,11 @@ func (e *Engine) Metrics() Metrics {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	m.HeapAllocBytes = ms.HeapAlloc
+	entries := make(map[uint64]struct{})
 	for _, j := range e.jobs {
+		if reusableLocked(j) {
+			entries[j.fp] = struct{}{}
+		}
 		m.JobsByState[string(j.state)]++
 		jm := JobMetric{ID: j.id, State: j.state, MemBudgetMiB: j.spec.Options.MemBudgetMiB}
 		if j.progress != nil {
@@ -882,6 +884,7 @@ func (e *Engine) Metrics() Metrics {
 		}
 		m.Jobs = append(m.Jobs, jm)
 	}
+	m.CacheEntries = len(entries)
 	sortJobMetrics(m.Jobs)
 	return m
 }

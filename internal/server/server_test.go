@@ -6,10 +6,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -518,8 +520,9 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptionSkipped flips bytes in a cache entry and checks
-// the poisoned entry is skipped on reload rather than served.
+// TestCacheCorruptionSkipped flips bytes in a done job's record and
+// checks the record is skipped on reload: never listed, never served as
+// a cache hit, and a resubmission of its spec recomputes the verdict.
 func TestCacheCorruptionSkipped(t *testing.T) {
 	dir := t.TempDir()
 	e := newEngine(t, dir)
@@ -530,43 +533,250 @@ func TestCacheCorruptionSkipped(t *testing.T) {
 	waitState(t, e, info.ID, core.JobDone)
 	shutdown(t, e)
 
-	// Corrupt the verdict inside the entry (valid JSON, wrong bytes —
+	// Corrupt the verdict inside the record (valid JSON, wrong bytes —
 	// only the CRC can catch it).
-	corruptCacheEntry(t, dir)
+	corruptJobRecord(t, dir, info.ID)
 
 	e2 := newEngine(t, dir)
 	defer shutdown(t, e2)
 	if n := e2.Metrics().CacheEntries; n != 0 {
-		t.Fatalf("corrupt cache entry survived the CRC check (%d entries)", n)
+		t.Fatalf("corrupt job record survived the CRC check (%d cache entries)", n)
+	}
+	if _, ok := e2.Get(info.ID); ok {
+		t.Fatal("corrupt job record listed")
+	}
+	if _, ok := e2.CachedVerdict(info.Fingerprint); ok {
+		t.Fatal("corrupt job record serves /v1/verdicts")
 	}
 	again, err := e2.Submit(quickSpec(), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.Cached {
-		t.Fatal("corrupt entry served as a cache hit")
+		t.Fatal("corrupt record served as a cache hit")
+	}
+	if again.ID == info.ID {
+		t.Fatalf("resubmission reused the skipped record's id %s", again.ID)
 	}
 	waitState(t, e2, again.ID, core.JobDone)
 }
 
-// corruptCacheEntry rewrites the verdict bytes inside the single cache
-// entry under dir without fixing the CRC — valid JSON, poisoned record.
-func corruptCacheEntry(t *testing.T, dir string) {
+// corruptJobRecord rewrites the verdict bytes inside a job's record
+// without fixing the CRC — valid JSON, poisoned record.
+func corruptJobRecord(t *testing.T, dir, id string) {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "cache", "*.json"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("expected one cache entry: %v, %v", files, err)
-	}
-	b, err := os.ReadFile(files[0])
+	path := filepath.Join(dir, "jobs", id, "job.json")
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mangled := bytes.Replace(b, []byte(`no-violation`), []byte(`ok-violation`), 1)
 	if bytes.Equal(mangled, b) {
-		t.Fatal("corruption did not change the entry")
+		t.Fatal("corruption did not change the record")
 	}
-	if err := os.WriteFile(files[0], mangled, 0o644); err != nil {
+	if err := os.WriteFile(path, mangled, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoadParentDataDir loads a data directory in the layout that
+// predates checksummed job records: a bare job.json, the verdict in
+// verdict.json beside it, and a CRC-checked copy under cache/. Every
+// job keeps its state and verdict, but a verdict read from an
+// unchecksummed file is never reused: the first resubmission runs, and
+// only the second is a hit.
+func TestLoadParentDataDir(t *testing.T) {
+	dir := t.TempDir()
+	res, _, err := core.RunJob(quickSpec(), core.JobRun{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, summary, err := quickSpec().Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := verdict.New("tiny", core.Ablations{}, fp, res)
+	recJSON, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := `{"preset":"tiny","options":{"max_depth":16,"checkpoint_every":4}}`
+	at := `"submitted":"2026-01-01T00:00:00Z","started":"2026-01-01T00:00:01Z","finished":"2026-01-01T00:00:02Z"`
+	files := map[string]string{
+		"jobs/j000001/job.json":     `{"id":"j000001","spec":` + spec + `,"state":"done","priority":0,` + at + `}`,
+		"jobs/j000001/verdict.json": string(recJSON),
+		"jobs/j000002/job.json":     `{"id":"j000002","spec":` + spec + `,"state":"cancelled","priority":0,` + at + `}`,
+		fmt.Sprintf("cache/%016x.json", fp): fmt.Sprintf(`{"schema":"gcmc.cache/v1","fingerprint":"%016x","summary":%q,"crc32":%d,"record":%s}`,
+			fp, summary, crc32.ChecksumIEEE(recJSON), recJSON),
+	}
+	for name, body := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	e := newEngine(t, dir)
+	defer shutdown(t, e)
+	ts := httptest.NewServer(e.Handler())
+	defer ts.Close()
+	cli := NewClient(ts.URL)
+	ctx := context.Background()
+
+	done, err := cli.Job(ctx, "j000001")
+	if err != nil || done.State != core.JobDone || done.Verdict == nil {
+		t.Fatalf("old done job: %+v, %v", done, err)
+	}
+	if !bytes.Equal(canonBytes(t, done.Verdict), canonBytes(t, &rec)) {
+		t.Error("old done job's verdict changed on load")
+	}
+	if cancelled, err := cli.Job(ctx, "j000002"); err != nil || cancelled.State != core.JobCancelled {
+		t.Fatalf("old cancelled job: %+v, %v", cancelled, err)
+	}
+	if m := e.Metrics(); m.CacheEntries != 0 {
+		t.Errorf("cache entries = %d, want 0: no old verdict is reusable", m.CacheEntries)
+	}
+	if _, err := cli.Verdict(ctx, fmt.Sprintf("%016x", fp)); err == nil {
+		t.Error("/v1/verdicts served an old verdict")
+	}
+
+	first, err := cli.Submit(ctx, quickSpec(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Cached || first.ID != "j000003" {
+		t.Fatalf("first resubmission: %+v, want a fresh run as j000003", first)
+	}
+	waitState(t, e, first.ID, core.JobDone)
+	if m := e.Metrics(); m.StatesExplored != int64(res.States) || m.CacheEntries != 1 {
+		t.Errorf("after the rerun: %d states explored, %d cache entries; want %d and 1", m.StatesExplored, m.CacheEntries, res.States)
+	}
+	second, err := cli.Submit(ctx, quickSpec(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.Cached {
+		t.Fatalf("second resubmission missed the rerun's verdict: %+v", second)
+	}
+}
+
+// TestHTTPCancel cancels a queued and a running job through the client:
+// both land cancelled, their streams close, and a second cancel changes
+// nothing.
+func TestHTTPCancel(t *testing.T) {
+	e := newEngine(t, t.TempDir())
+	defer shutdown(t, e)
+	ts := httptest.NewServer(e.Handler())
+	defer ts.Close()
+	cli := NewClient(ts.URL)
+	ctx := context.Background()
+
+	running, err := cli.Submit(ctx, core.JobSpec{Preset: "tiny"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, e, running.ID, core.JobRunning)
+	queued, err := cli.Submit(ctx, quickSpec(), 0)
+	if err != nil || queued.State != core.JobQueued {
+		t.Fatalf("second job behind the first: %+v, %v", queued, err)
+	}
+
+	streams := make(map[string]chan JobInfo)
+	for _, id := range []string{running.ID, queued.ID} {
+		ch := make(chan JobInfo, 1)
+		streams[id] = ch
+		go func() {
+			final, err := cli.Stream(ctx, id, nil)
+			if err != nil {
+				t.Errorf("stream %s: %v", id, err)
+			}
+			ch <- final
+		}()
+	}
+	for _, id := range []string{queued.ID, running.ID} {
+		if _, err := cli.Cancel(ctx, id); err != nil {
+			t.Fatalf("cancel %s: %v", id, err)
+		}
+		select {
+		case final := <-streams[id]:
+			if final.State != core.JobCancelled {
+				t.Errorf("stream of %s ended %s, want cancelled", id, final.State)
+			}
+		case <-time.After(60 * time.Second):
+			t.Fatalf("stream of %s did not close after cancel", id)
+		}
+		settled, err := cli.Job(ctx, id)
+		if err != nil || settled.State != core.JobCancelled {
+			t.Fatalf("job %s after cancel: %+v, %v", id, settled, err)
+		}
+		again, err := cli.Cancel(ctx, id)
+		if err != nil {
+			t.Fatalf("second cancel of %s: %v", id, err)
+		}
+		if again.State != settled.State || !again.Finished.Equal(*settled.Finished) {
+			t.Errorf("second cancel of %s changed the job: %+v -> %+v", id, settled, again)
+		}
+	}
+	if _, err := cli.Cancel(ctx, "j999999"); err == nil {
+		t.Error("cancel of an unknown job should 404")
+	}
+}
+
+// TestHTTPCorpus checks GET and POST /v1/corpus against the engine's
+// Corpus and EnqueueCorpus, before, during and after a sweep.
+func TestHTTPCorpus(t *testing.T) {
+	e := newEngine(t, t.TempDir())
+	defer shutdown(t, e)
+	ts := httptest.NewServer(e.Handler())
+	defer ts.Close()
+	cli := NewClient(ts.URL)
+	ctx := context.Background()
+
+	same := func(when string) {
+		t.Helper()
+		want, err := e.Corpus()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cli.Corpus(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: GET /v1/corpus differs from Corpus():\n%+v\n%+v", when, got, want)
+		}
+	}
+	same("fresh")
+	n, err := cli.EnqueueCorpus(ctx)
+	if err != nil || n != 12 {
+		t.Fatalf("POST /v1/corpus enqueued %d, %v; want 12", n, err)
+	}
+	if n, err := e.EnqueueCorpus(); err != nil || n != 0 {
+		t.Fatalf("EnqueueCorpus during the sweep enqueued %d, %v; want 0 (all in flight)", n, err)
+	}
+	deadline := time.Now().Add(120 * time.Second)
+	for e.Metrics().JobsByState[string(core.JobDone)] < 12 {
+		if time.Now().After(deadline) {
+			t.Fatal("corpus never settled")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	same("settled")
+	if n, err := cli.EnqueueCorpus(ctx); err != nil || n != 0 {
+		t.Fatalf("POST /v1/corpus after the sweep enqueued %d, %v; want 0 (all cached)", n, err)
+	}
+	same("re-enqueued")
+	cells, err := cli.Corpus(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		if c.State != core.JobDone || !c.Cached || c.Verdict == "" {
+			t.Errorf("cell %s/%s/%s after a cached re-enqueue: %+v", c.Preset, c.Ablations, c.Memory, c)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package storage is the filesystem seam under every durable artifact
-// in the checker: checkpoint saves, the daemon's job records and
-// verdict cache, and the explorer's disk-spill files. All of them do
+// in the checker: checkpoint saves, the daemon's job records, and the
+// explorer's disk-spill files. All of them do
 // their I/O through the FS interface so a single fault-injecting
 // implementation (FaultFS) can hurt every durability path the same way
 // an adversarial disk would — EIO, ENOSPC, short writes, torn renames,
@@ -34,7 +34,7 @@ type File interface {
 
 // FS is the filesystem abstraction every durability path goes through.
 // It is deliberately small: exactly the operations the checkpoint
-// writer, the verdict cache, the job store, and the spill path need.
+// writer, the job store, and the spill path need.
 type FS interface {
 	// Open opens an existing file for reading.
 	Open(name string) (File, error)

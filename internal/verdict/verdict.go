@@ -1,6 +1,6 @@
 // Package verdict is the one machine-readable schema for every verdict
 // this repository emits. gcmc -json, gclint -json, the gcmcd service
-// (job records, the verdict cache, /v1/verdicts) and gcmc -remote all
+// (its job records and /v1/verdicts) and gcmc -remote all
 // marshal these types, so a verdict produced anywhere round-trips
 // everywhere: a cached service verdict prints exactly like a local run,
 // and a golden-file test pins the wire format.
