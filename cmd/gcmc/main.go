@@ -16,7 +16,8 @@
 // the verdict depends on comes from the spec, read strictly: an unknown
 // field or trailing data exits 2 naming it. -preset name is shorthand
 // for {"preset": name}; giving both is exit 2. The flags only wire the
-// run into this process.
+// run into this process: they fill its core.JobRun, and the run goes
+// through core.RunJob exactly as a gcmcd job does.
 //
 // Examples:
 //
@@ -181,21 +182,23 @@ func main() {
 		}
 	}
 
-	opt.Context = ctx
-	opt.CheckpointPath = *ckptPath
-	opt.Resume = *resume
-	opt.SpillDir = *spillDir
+	run := core.JobRun{
+		Context:        ctx,
+		CheckpointPath: *ckptPath,
+		Resume:         *resume,
+		SpillDir:       *spillDir,
+	}
 	if ffs != nil {
-		opt.FS = ffs
+		run.FS = ffs
 	}
 	if !*quiet {
-		opt.Progress = func(p core.Progress) {
+		run.Progress = func(p core.Progress) {
 			fmt.Fprintf(os.Stderr, "\r%10d states, %10d transitions, depth %4d, %8.1fs",
 				p.States, p.Transitions, p.Depth, p.Elapsed.Seconds())
 		}
 	}
 
-	res, err := core.Verify(cfg, opt)
+	res, _, err := core.RunJob(spec, run)
 	if ffs != nil && *chaosTrace != "" {
 		if terr := os.WriteFile(*chaosTrace, []byte(storage.FormatTrace(ffs.Trace())), 0o644); terr != nil {
 			fmt.Fprintln(os.Stderr, "gcmc: chaos trace:", terr)
@@ -232,7 +235,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gcmc: %d checkpoint(s), %d bytes written to %s\n", res.Checkpoints, res.CheckpointBytes, *ckptPath)
 	}
 
-	fp, _, _ := core.Fingerprint(cfg, opt) // 0 omits the field; Verify built this configuration, so it cannot fail here
+	fp, _, _ := core.Fingerprint(cfg, opt) // 0 omits the field; RunJob built this configuration, so it cannot fail here
 	rec := verdict.New(spec.Preset, spec.Ablations, fp, res)
 	rec.Build = buildinfo.String()
 	if *jsonOut {

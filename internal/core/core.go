@@ -9,8 +9,8 @@
 //     headline theorem by exhaustive search of bounded configurations
 //     (packages explore, liveness).
 //
-// A run is one serializable JobSpec (job.go), executed the same way by
-// gcmc, gclint and the gcmcd daemon. The executable collector kernel
+// A run is one serializable JobSpec (job.go), read the same way by
+// gcmc, gclint and the gcmcd daemon and executed by RunJob. The executable collector kernel
 // with real goroutine mutators is package gcrt; core does not link it.
 //
 // The headline property, checked at every reachable state:
@@ -19,7 +19,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/analysis"
@@ -38,96 +37,9 @@ type ModelConfig = gcmodel.Config
 // Progress re-exports the checker's progress report.
 type Progress = explore.Progress
 
-// VerifyOptions bounds a verification run.
-type VerifyOptions struct {
-	// MaxStates caps the exploration (0 = unbounded).
-	MaxStates int
-	// MaxDepth caps the BFS depth (0 = unbounded).
-	MaxDepth int
-	// Trace records counterexample traces.
-	Trace bool
-	// HeadlineOnly checks just valid_refs_inv instead of the full
-	// battery.
-	HeadlineOnly bool
-	// Progress, if non-nil, receives periodic updates.
-	Progress func(Progress)
-	// ProgressEvery is the number of newly visited states between
-	// Progress reports (0 = checker default, 8192). Verdict-neutral.
-	ProgressEvery int
-	// Workers is the number of checker worker goroutines per BFS layer
-	// (0 = GOMAXPROCS). Verdicts do not depend on the worker count.
-	Workers int
-	// Audit retains the full canonical fingerprint of every visited
-	// state alongside its 64-bit hash and counts hash collisions
-	// (VerifyResult.HashCollisions). It costs string-fingerprint memory
-	// and exists to validate the default compact-hash mode.
-	Audit bool
-	// Reduce enables the TSO-aware partial-order reduction (skip
-	// commuting interleavings of safe buffer-local steps); see
-	// explore.Options.Reduce. Verdicts are preserved; the BFS
-	// shortest-counterexample guarantee is not.
-	Reduce bool
-	// Liveness additionally runs the fair-cycle liveness checker
-	// (package liveness): every progress property is checked for weakly
-	// fair violating cycles, with lasso counterexamples in
-	// VerifyResult.Liveness. The cycle search needs the graph of the
-	// full, unreduced relation from the initial state. When the safety
-	// pass walks exactly that (no Reduce, no Resume) the graph is
-	// recorded during it and the run explores once; otherwise
-	// the liveness pass explores the unreduced relation itself (see
-	// DESIGN.md "Liveness architecture"). Skipped when the safety pass
-	// found a violation.
-	Liveness bool
-	// LivenessProps selects a subset of the progress properties by name
-	// (nil = all; see liveness.All).
-	LivenessProps []string
-	// ValidateEffects cross-checks the static analysis layer against the
-	// exploration (see package analysis): every taken transition is
-	// checked against the declared effect footprint, and at every visited
-	// state where the reduction would nominate an ample step, that step
-	// is run against every other enabled step (analysis.CheckAmple). Any
-	// failure is reported as a violation
-	// ("event-check" / "state-check"). VerifyResult.Effects carries the
-	// validation counters.
-	ValidateEffects bool
-	// Context, if non-nil, requests graceful interruption: the checker
-	// observes cancellation at BFS layer boundaries, writes a final
-	// checkpoint when one is configured, and reports the run incomplete
-	// (Stopped == explore.StopInterrupted). See explore.Options.Context.
-	Context context.Context
-	// CheckpointPath enables periodic snapshots of the search state to
-	// this file, a log: the first is written whole (temp file and
-	// rename), each later one appended as what changed; empty disables.
-	CheckpointPath string
-	// CheckpointEvery is the number of BFS layers between snapshots
-	// (0 = checker default).
-	CheckpointEvery int
-	// Resume, if non-empty, restores the search from the checkpoint file
-	// at this path instead of starting at the initial state. The
-	// checkpoint's options must match this run's (Verify returns an
-	// error otherwise), and the resumed run reaches the same counts and
-	// verdict as an uninterrupted one.
-	Resume string
-	// MemBudget, if positive, is a soft heap budget in bytes: as the
-	// checker's live heap approaches it, the run degrades in steps
-	// (emergency checkpoint, then dropping audit fingerprints, then a
-	// clean incomplete stop) instead of dying to the OOM killer. See
-	// explore.Options.MemBudget.
-	MemBudget int64
-	// SpillDir, if non-empty, arms the disk-spill degradation rung: when
-	// the memory ladder would otherwise drop audit data or stop the run,
-	// the visited records move to the checkpoint log (CheckpointPath, or
-	// run.ckpt in this directory) and frontier layers are parked here, and
-	// the run completes exhaustively instead; a spilled run with a
-	// CheckpointPath resumes from its latest cut. The directory holds
-	// working files only. Representation-only — excluded from the options
-	// fingerprint. See explore.Options.SpillDir.
-	SpillDir string
-	// FS, when non-nil, routes all of the run's disk I/O (checkpoints
-	// and spill files) through this filesystem; nil means the real one.
-	// A fault-injecting FS (storage.FaultFS) plugs in here.
-	FS storage.FS
-}
+// VerifyOptions re-exports JobOptions, the one description of what a
+// run checks: Verify takes the same options a JobSpec carries.
+type VerifyOptions = JobOptions
 
 // VerifyResult reports a verification run.
 type VerifyResult struct {
@@ -136,10 +48,10 @@ type VerifyResult struct {
 	// Model is the built model (for rendering traces).
 	Model *gcmodel.Model
 	// Liveness is the fair-cycle checker's outcome, nil unless
-	// VerifyOptions.Liveness was set (and the safety pass was clean).
+	// JobOptions.Liveness was set (and the safety pass was clean).
 	Liveness *liveness.Result
 	// Effects is the effect validator used by the run, nil unless
-	// VerifyOptions.ValidateEffects was set. Its Stats method reports
+	// JobOptions.ValidateEffects was set. Its Stats method reports
 	// how many transitions and states were validated.
 	Effects *analysis.Validator
 	// ResumeDropped is the number of torn segments at the end of the
@@ -192,36 +104,40 @@ func (r VerifyResult) RenderViolation() string {
 }
 
 // battery selects the invariant set a run checks.
-func battery(opt VerifyOptions) []invariant.Check {
+func battery(opt JobOptions) []invariant.Check {
 	if opt.HeadlineOnly {
 		return invariant.Safety()
 	}
 	return invariant.All()
 }
 
-// exploreOptions maps the public VerifyOptions onto the checker's
-// options. Verify and Fingerprint share it so the fingerprint computed
-// without running is exactly the one the checkpoint layer embeds and
-// validates on resume.
-func exploreOptions(opt VerifyOptions) explore.Options {
-	return explore.Options{
+// exploreOptions maps a run's options and environment onto the
+// checker's options. Verify and Fingerprint share it so the fingerprint
+// computed without running is exactly the one the checkpoint layer
+// embeds and validates on resume. Traces are always recorded: a verdict
+// must carry its counterexample.
+func exploreOptions(opt JobOptions, run JobRun) explore.Options {
+	eopt := explore.Options{
 		MaxStates:     opt.MaxStates,
 		MaxDepth:      opt.MaxDepth,
-		Trace:         opt.Trace,
-		Progress:      opt.Progress,
-		ProgressEvery: opt.ProgressEvery,
+		Trace:         true,
+		Progress:      run.Progress,
+		ProgressEvery: run.ProgressEvery,
 		Workers:       opt.Workers,
 		HashOnly:      !opt.Audit,
 		Reduce:        opt.Reduce,
-		Context:       opt.Context,
+		Context:       run.Context,
 		Checkpoint: explore.CheckpointOptions{
-			Path:        opt.CheckpointPath,
+			Path:        run.CheckpointPath,
 			EveryLayers: opt.CheckpointEvery,
 		},
-		MemBudget: opt.MemBudget,
-		SpillDir:  opt.SpillDir,
-		FS:        opt.FS,
+		MemBudget: int64(opt.MemBudgetMiB) << 20,
+		FS:        run.FS,
 	}
+	if opt.Spill {
+		eopt.SpillDir = run.SpillDir
+	}
+	return eopt
 }
 
 // Fingerprint computes the verdict-relevant options fingerprint of a
@@ -232,33 +148,40 @@ func exploreOptions(opt VerifyOptions) explore.Options {
 // liveness-pass selections the safety checker does not see. The verdict
 // cache (package server) keys completed verdicts by it, so a repeated
 // submission is recognized before any state is expanded.
-func Fingerprint(cfg ModelConfig, opt VerifyOptions) (uint64, string, error) {
+func Fingerprint(cfg ModelConfig, opt JobOptions) (uint64, string, error) {
 	m, err := gcmodel.Build(cfg)
 	if err != nil {
 		return 0, "", fmt.Errorf("core: %w", err)
 	}
-	eopt := exploreOptions(opt)
+	eopt := exploreOptions(opt, JobRun{})
 	if opt.ValidateEffects {
 		// Only the presence of a checking visitor enters the summary; the
 		// empty adapter stands in for the one Verify installs.
 		eopt.Visitors = []explore.Visitor{effectsVisitor{}}
 	}
 	_, summary := explore.OptionsFingerprint(m, battery(opt), eopt)
-	summary = fmt.Sprintf("%s liveness=%v liveProps=%v", summary, opt.Liveness, opt.LivenessProps)
+	summary = fmt.Sprintf("%s liveness=%v liveProps=%v", summary, opt.liveness(), opt.LivenessProps)
 	return gcmodel.Hash64([]byte(summary)), summary, nil
 }
 
-// Verify model-checks a configuration against the paper's invariants.
+// Verify model-checks a configuration against the paper's invariants,
+// in memory: no checkpoint, progress, cancellation or spill. A run with
+// an environment goes through RunJob.
 func Verify(cfg ModelConfig, opt VerifyOptions) (VerifyResult, error) {
+	return verify(cfg, opt, JobRun{})
+}
+
+// verify is Verify in the environment run describes.
+func verify(cfg ModelConfig, opt JobOptions, run JobRun) (VerifyResult, error) {
 	m, err := gcmodel.Build(cfg)
 	if err != nil {
 		return VerifyResult{}, fmt.Errorf("core: %w", err)
 	}
 	checks := battery(opt)
-	eopt := exploreOptions(opt)
+	eopt := exploreOptions(opt, run)
 	dropped := 0
-	if opt.Resume != "" {
-		snap, err := checkpoint.LoadFS(storage.OrOS(opt.FS), opt.Resume)
+	if run.Resume != "" {
+		snap, err := checkpoint.LoadFS(storage.OrOS(run.FS), run.Resume)
 		if err != nil {
 			return VerifyResult{}, fmt.Errorf("core: %w", err)
 		}
@@ -274,7 +197,7 @@ func Verify(cfg ModelConfig, opt VerifyOptions) (VerifyResult, error) {
 	}
 	var rec *liveness.Recorder
 	var lopt liveness.Options
-	if opt.Liveness {
+	if opt.liveness() {
 		if opt.LivenessProps != nil {
 			lopt.Properties, err = liveness.ByName(m, opt.LivenessProps)
 			if err != nil {
@@ -284,7 +207,7 @@ func Verify(cfg ModelConfig, opt VerifyOptions) (VerifyResult, error) {
 		// A safety pass that walks the full relation from the initial
 		// state is the exploration the cycle search needs: record its
 		// graph instead of exploring a second time.
-		if !opt.Reduce && opt.Resume == "" {
+		if !opt.Reduce && run.Resume == "" {
 			rec, err = liveness.NewRecorder(m, lopt)
 			if err != nil {
 				return VerifyResult{}, fmt.Errorf("core: %w", err)
@@ -304,7 +227,7 @@ func Verify(cfg ModelConfig, opt VerifyOptions) (VerifyResult, error) {
 	case explore.StopInterrupted, explore.StopMemBudget, explore.StopPanic, explore.StopSpill:
 		return vr, nil
 	}
-	if opt.Liveness && res.Violation == nil {
+	if opt.liveness() && res.Violation == nil {
 		var lres liveness.Result
 		if rec != nil {
 			lres, err = rec.Result(res)

@@ -56,7 +56,7 @@ func TestVerifyBoundedRunHoldsOnSafeModel(t *testing.T) {
 func TestVerifyFindsAblationViolationWithTrace(t *testing.T) {
 	cfg := TinyConfig()
 	cfg.Drop = gcmodel.AblationDrop("no_deletion_barrier", cfg.NMutators)
-	res, err := Verify(cfg, VerifyOptions{Trace: true, HeadlineOnly: true})
+	res, err := Verify(cfg, VerifyOptions{HeadlineOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +155,7 @@ func TestLivenessExploresOnce(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var log progressLog
 			opt.Liveness = true
-			opt.Progress = log.add
-			opt.ProgressEvery = every
-			res, err := Verify(livenessTestConfig(), opt)
+			res, err := verify(livenessTestConfig(), opt, JobRun{Progress: log.add, ProgressEvery: every})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +221,7 @@ func TestLivenessFallbackExploresUnreduced(t *testing.T) {
 
 	t.Run("reduced", func(t *testing.T) {
 		var log progressLog
-		res, err := Verify(cfg, VerifyOptions{Liveness: true, Reduce: true, Progress: log.add, ProgressEvery: 500})
+		res, err := verify(cfg, VerifyOptions{Liveness: true, Reduce: true}, JobRun{Progress: log.add, ProgressEvery: 500})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,14 +235,14 @@ func TestLivenessFallbackExploresUnreduced(t *testing.T) {
 		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		opt := VerifyOptions{Liveness: true, CheckpointPath: ckpt, ProgressEvery: 500}
-		opt.Context = ctx
-		opt.Progress = func(p Progress) {
+		opt := VerifyOptions{Liveness: true}
+		run := JobRun{CheckpointPath: ckpt, ProgressEvery: 500, Context: ctx}
+		run.Progress = func(p Progress) {
 			if p.States > full.States/3 {
 				cancel()
 			}
 		}
-		cut, err := Verify(cfg, opt)
+		cut, err := verify(cfg, opt, run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,8 +252,8 @@ func TestLivenessFallbackExploresUnreduced(t *testing.T) {
 		// The first run carried the recorder and the resumed one does not:
 		// the checkpoint must not care.
 		var log progressLog
-		opt.Context, opt.Resume, opt.Progress = nil, ckpt, log.add
-		res, err := Verify(cfg, opt)
+		run.Context, run.Resume, run.Progress = nil, ckpt, log.add
+		res, err := verify(cfg, opt, run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,28 +272,48 @@ func TestVerifyLivenessRejectsUnknownProperty(t *testing.T) {
 }
 
 // TestAllocBudgetZeroVerifies (E10): tiny with allocation and the op
-// budget off, store buffers bounded at 1 — the spec
-// {"preset":"alloc","bounds":{"refs":2,"budget":0,"maxbuf":1}} — is
-// explored exhaustively and every invariant holds at every reachable
-// state.
+// budget off, store buffers bounded at 1, is explored exhaustively and
+// every invariant holds at every reachable state.
 func TestAllocBudgetZeroVerifies(t *testing.T) {
+	verifyPinned(t, `{"preset":"alloc","bounds":{"refs":2,"budget":0,"maxbuf":1}}`, 1_627_664, 4_701_322, 223)
+}
+
+// TestTinyUnboundedBufferVerifies: tiny with no store-buffer bound
+// reaches exactly tiny's own counts, so no reachable state of tiny
+// holds more in a buffer than tiny's bound of 2 allows. A model change
+// that makes the buffer bound bind moves these counts.
+func TestTinyUnboundedBufferVerifies(t *testing.T) {
+	verifyPinned(t, `{"preset":"tiny","bounds":{"maxbuf":0}}`, 997_438, 2_795_677, 258)
+}
+
+// TestTinyTwoFieldsVerifies: tiny with two fields per object, a buffer
+// bound of 1 and an op budget of 1 — the first pinned instance whose
+// objects have more than one field.
+func TestTinyTwoFieldsVerifies(t *testing.T) {
+	verifyPinned(t, `{"preset":"tiny","bounds":{"fields":2,"maxbuf":1,"budget":1}}`, 3_435_821, 7_669_434, 331)
+}
+
+// verifyPinned runs the JSON job spec exhaustively and requires it
+// VERIFIED with exactly these counts. The runs take seconds each, so
+// they skip under -short and under the race detector.
+func verifyPinned(t *testing.T, specJSON string, states, transitions, depth int) {
+	t.Helper()
 	if raceEnabled || testing.Short() {
-		t.Skip("exhaustive 1.6M-state run")
+		t.Skip("exhaustive multi-second run")
 	}
-	refs, budget, maxbuf := 2, 0, 1
-	cfg, opt, err := JobSpec{Preset: "alloc", Bounds: Bounds{Refs: &refs, Budget: &budget, MaxBuf: &maxbuf}}.Build()
-	if err != nil {
+	var spec JobSpec
+	if err := DecodeStrict(strings.NewReader(specJSON), &spec); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Verify(cfg, opt)
+	res, _, err := RunJob(spec, JobRun{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Holds() {
 		t.Fatalf("status %s:\n%s", res.Status(), res.RenderViolation())
 	}
-	if res.States != 1_627_664 || res.Transitions != 4_701_322 || res.Depth != 223 {
-		t.Fatalf("%d states, %d transitions, depth %d; want 1627664, 4701322, 223",
-			res.States, res.Transitions, res.Depth)
+	if res.States != states || res.Transitions != transitions || res.Depth != depth {
+		t.Fatalf("%d states, %d transitions, depth %d; want %d, %d, %d",
+			res.States, res.Transitions, res.Depth, states, transitions, depth)
 	}
 }

@@ -16,7 +16,7 @@ func ExampleVerify() {
 	core.Ablations{NoDeletionBarrier: true}.Apply(&cfg)
 	// One worker: the violating state and its depth are the same at any
 	// width, but the path follows whichever parent won each insert race.
-	res, err := core.Verify(cfg, core.VerifyOptions{Trace: true, HeadlineOnly: true, Workers: 1})
+	res, err := core.Verify(cfg, core.VerifyOptions{HeadlineOnly: true, Workers: 1})
 	if err != nil {
 		panic(err)
 	}

@@ -1,12 +1,13 @@
-// Job layer: package core is no longer just "call Verify" — a
-// verification run is described by a serializable JobSpec (preset +
+// Job layer: a verification run is a serializable JobSpec (preset +
 // bounds + ablations + options), identified by a stable fingerprint, and
-// executed by RunJob, which wires checkpointing, resume, progress and
-// cancellation in one place. The long-running daemon (internal/server,
-// cmd/gcmcd) schedules JobSpecs on a worker pool and caches their
-// verdicts by fingerprint; gcmc and gclint read the same spec
-// (ReadJobSpec), so a run submitted remotely is byte-for-byte the run
-// gcmc performs locally.
+// placed in its process by a JobRun (checkpoint and resume paths,
+// progress, cancellation, spill directory, filesystem). RunJob executes
+// the pair and is the one executor: gcmc's local runs and the daemon's
+// jobs (internal/server, cmd/gcmcd) both go through it, and gcmc and
+// gclint read the same spec (ReadJobSpec), so a run submitted remotely is
+// the run gcmc performs locally. RunJob runs exactly what it is given; a
+// checkpoint it cannot resume is its error, and the recovery policy —
+// retry, or quarantine the file and start fresh — belongs to the caller.
 
 package core
 
@@ -44,33 +45,75 @@ func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCancelled
 }
 
-// JobOptions is the serializable subset of VerifyOptions a job may
-// carry: everything verdict-relevant, nothing process-local (contexts,
-// callbacks and file paths are wired by the executor, not the
-// submitter).
+// JobOptions is what a run checks and how far it searches: every field
+// is serializable, and everything process-local (contexts, callbacks,
+// file paths) is the run's JobRun instead. Verify takes it as
+// VerifyOptions.
 type JobOptions struct {
-	MaxStates       int      `json:"max_states,omitempty"`
-	MaxDepth        int      `json:"max_depth,omitempty"`
-	HeadlineOnly    bool     `json:"headline_only,omitempty"`
-	Audit           bool     `json:"audit,omitempty"`
-	Reduce          bool     `json:"reduce,omitempty"`
-	Liveness        bool     `json:"liveness,omitempty"`
-	LivenessProps   []string `json:"liveness_props,omitempty"`
-	ValidateEffects bool     `json:"validate_effects,omitempty"`
-	// Workers tunes the checker without affecting the verdict; it is
-	// excluded from the fingerprint.
+	// MaxStates caps the exploration (0 = unbounded).
+	MaxStates int `json:"max_states,omitempty"`
+	// MaxDepth caps the BFS depth (0 = unbounded).
+	MaxDepth int `json:"max_depth,omitempty"`
+	// HeadlineOnly checks just valid_refs_inv instead of the full
+	// battery.
+	HeadlineOnly bool `json:"headline_only,omitempty"`
+	// Audit retains the full canonical fingerprint of every visited
+	// state alongside its 64-bit hash and counts hash collisions
+	// (VerifyResult.HashCollisions). It costs string-fingerprint memory
+	// and exists to validate the default compact-hash mode.
+	Audit bool `json:"audit,omitempty"`
+	// Reduce enables the TSO-aware partial-order reduction (skip
+	// commuting interleavings of safe buffer-local steps); see
+	// explore.Options.Reduce. Verdicts are preserved; the BFS
+	// shortest-counterexample guarantee is not.
+	Reduce bool `json:"reduce,omitempty"`
+	// Liveness additionally runs the fair-cycle liveness checker
+	// (package liveness): every progress property is checked for weakly
+	// fair violating cycles, with lasso counterexamples in
+	// VerifyResult.Liveness. The cycle search needs the graph of the
+	// full, unreduced relation from the initial state. When the safety
+	// pass walks exactly that (no Reduce, no resume) the graph is
+	// recorded during it and the run explores once; otherwise the
+	// liveness pass explores the unreduced relation itself (see
+	// DESIGN.md "Liveness architecture"). Skipped when the safety pass
+	// found a violation.
+	Liveness bool `json:"liveness,omitempty"`
+	// LivenessProps selects a subset of the progress properties by name
+	// (nil = all; see liveness.All). Naming one selects the liveness
+	// pass.
+	LivenessProps []string `json:"liveness_props,omitempty"`
+	// ValidateEffects cross-checks the static analysis layer against the
+	// exploration (see package analysis): every taken transition is
+	// checked against the declared effect footprint, and at every visited
+	// state where the reduction would nominate an ample step, that step
+	// is run against every other enabled step (analysis.CheckAmple). Any
+	// failure is reported as a violation ("event-check" /
+	// "state-check"). VerifyResult.Effects carries the counters.
+	ValidateEffects bool `json:"validate_effects,omitempty"`
+	// Workers is the number of checker goroutines per BFS layer
+	// (0 = GOMAXPROCS). Verdicts do not depend on it; it is excluded
+	// from the fingerprint.
 	Workers int `json:"workers,omitempty"`
 	// CheckpointEvery is the number of BFS layers between snapshots when
-	// the executor configures a checkpoint path (0 = checker default).
+	// the run has a checkpoint path (0 = checker default).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// MemBudgetMiB is the per-job soft heap budget in MiB (0 = none).
+	// MemBudgetMiB is a soft heap budget in MiB (0 = none): as the
+	// checker's live heap approaches it, the run degrades in steps
+	// (emergency checkpoint, then dropping audit fingerprints, then a
+	// clean incomplete stop) instead of dying to the OOM killer. See
+	// explore.Options.MemBudget.
 	MemBudgetMiB int `json:"mem_budget_mib,omitempty"`
-	// Spill arms the disk-spill degradation rung: the executor provides a
-	// per-job spill directory and a budget-pressed run completes
-	// exhaustively from disk instead of stopping at the 100% rung.
-	// Representation-only; excluded from the fingerprint.
+	// Spill arms the disk-spill degradation rung when the run has a
+	// spill directory (JobRun.SpillDir): where the memory ladder would
+	// drop audit data or stop, the visited records move to the
+	// checkpoint log and frontier layers are parked on disk, and the run
+	// completes exhaustively instead. Representation-only; excluded from
+	// the fingerprint. See explore.Options.SpillDir.
 	Spill bool `json:"spill,omitempty"`
 }
+
+// liveness reports whether the run includes the liveness pass.
+func (o JobOptions) liveness() bool { return o.Liveness || len(o.LivenessProps) > 0 }
 
 // JobSpec describes one verification job completely: a named preset,
 // the bounds and ablation switches overlaid on it, and the bounded-run
@@ -93,13 +136,12 @@ type Bounds struct {
 	MaxBuf   *int `json:"maxbuf,omitempty"`
 }
 
-// Build resolves the spec into a concrete configuration and verify
-// options. Trace recording is always on: service verdicts must carry
-// counterexamples.
+// Build resolves the spec into a concrete configuration and the options
+// Verify takes.
 func (s JobSpec) Build() (ModelConfig, VerifyOptions, error) {
 	cfg, err := PresetConfig(s.Preset)
 	if err != nil {
-		return ModelConfig{}, VerifyOptions{}, err
+		return ModelConfig{}, JobOptions{}, err
 	}
 	b := s.Bounds
 	for _, o := range []struct{ dst, v *int }{
@@ -111,7 +153,7 @@ func (s JobSpec) Build() (ModelConfig, VerifyOptions, error) {
 		}
 	}
 	s.Ablations.Apply(&cfg)
-	return cfg, s.Options.VerifyOptions(), nil
+	return cfg, s.Options, nil
 }
 
 // DecodeStrict decodes exactly one JSON value from r into v. An unknown
@@ -158,32 +200,10 @@ func ReadJobSpec(path, preset string) (JobSpec, error) {
 	return spec, nil
 }
 
-// VerifyOptions is the one mapping from the serializable options onto
-// the ones Verify takes; the process-local fields (context, progress,
-// checkpoint and spill paths, filesystem) are left for the executor.
-// Naming a progress property selects the liveness pass.
-func (o JobOptions) VerifyOptions() VerifyOptions {
-	return VerifyOptions{
-		MaxStates:       o.MaxStates,
-		MaxDepth:        o.MaxDepth,
-		Trace:           true,
-		HeadlineOnly:    o.HeadlineOnly,
-		Audit:           o.Audit,
-		Reduce:          o.Reduce,
-		Liveness:        o.Liveness || len(o.LivenessProps) > 0,
-		LivenessProps:   o.LivenessProps,
-		ValidateEffects: o.ValidateEffects,
-		Workers:         o.Workers,
-		CheckpointEvery: o.CheckpointEvery,
-		MemBudget:       int64(o.MemBudgetMiB) << 20,
-	}
-}
-
 // Fingerprint identifies the verdict the spec requests: the checkpoint
 // layer's options fingerprint over the built configuration, extended
 // with the liveness-pass selections. The summary string is the
-// human-readable rendering (embedded in cache entries so a hit can say
-// what it matched).
+// human-readable rendering of what the fingerprint covers.
 func (s JobSpec) Fingerprint() (uint64, string, error) {
 	cfg, opt, err := s.Build()
 	if err != nil {
@@ -192,79 +212,52 @@ func (s JobSpec) Fingerprint() (uint64, string, error) {
 	return Fingerprint(cfg, opt)
 }
 
-// JobRun wires a JobSpec execution into its environment: where to
-// checkpoint, whether to resume, how to report progress, and the
-// cancellation context. All fields are optional.
+// JobRun is the environment one run executes in: everything local to
+// the process, none of it part of what the verdict rests on. All fields
+// are optional; the zero value runs in memory.
 type JobRun struct {
-	// CheckpointPath enables layer-barrier snapshots to this file.
+	// CheckpointPath enables snapshots of the search state to this file
+	// at layer barriers, every JobOptions.CheckpointEvery layers. The
+	// file is a log: the first snapshot is written whole (temp file and
+	// rename), each later one appended as what changed.
 	CheckpointPath string
-	// Resume restores the run from CheckpointPath when that file exists
-	// (a missing file starts fresh — the crash happened before the first
-	// snapshot). If the checkpoint is refused (damaged, or from a
-	// different build's options), the run restarts from scratch rather
-	// than failing: the service must make progress after any crash.
-	Resume bool
-	// Progress receives periodic checker reports; ProgressEvery tunes
-	// the cadence in newly visited states (0 = checker default).
+	// Resume, if non-empty, restores the search from the checkpoint log
+	// at this path instead of starting at the initial state. The
+	// checkpoint's options must match the run's, and the resumed run
+	// reaches the same counts and verdict as an uninterrupted one. A
+	// checkpoint that cannot be read or is refused is an error.
+	Resume string
+	// Progress receives periodic checker reports; ProgressEvery is the
+	// number of newly visited states between them (0 = checker default,
+	// 8192).
 	Progress      func(Progress)
 	ProgressEvery int
-	// Context requests graceful interruption at layer boundaries.
+	// Context requests graceful interruption: the checker observes
+	// cancellation at BFS layer boundaries, writes a final checkpoint
+	// when one is configured, and reports the run incomplete
+	// (Stopped == explore.StopInterrupted).
 	Context context.Context
 	// SpillDir is the directory for the disk-spill rung's parked
-	// frontiers when the spec asks for it (JobOptions.Spill); empty
+	// frontiers when the options ask for it (JobOptions.Spill); empty
 	// leaves the rung unarmed. The spilled records go to the checkpoint
-	// log (CheckpointPath, else run.ckpt in this directory).
+	// log (CheckpointPath, else run.ckpt in this directory), and the
+	// directory holds working files only.
 	SpillDir string
-	// FS routes the run's disk I/O (checkpoint, spill) through a
-	// pluggable filesystem; nil means the real one. Fault injection for
-	// the chaos tests plugs in here.
+	// FS routes the run's disk I/O (checkpoint, resume, spill) through a
+	// pluggable filesystem; nil means the real one. Fault injection
+	// (storage.FaultFS) plugs in here.
 	FS storage.FS
 }
 
-// RunJob executes a job spec. The returned bool reports whether the run
-// actually resumed from a checkpoint (false when Resume was set but no
-// usable checkpoint existed).
+// RunJob executes a job spec in the environment run describes, exactly
+// as given: it renames and removes nothing, and a resume that fails (an
+// unreadable or refused checkpoint) is its error. The returned bool
+// reports whether the run resumed from run.Resume.
 func RunJob(spec JobSpec, run JobRun) (VerifyResult, bool, error) {
 	cfg, opt, err := spec.Build()
 	if err != nil {
 		return VerifyResult{}, false, err
 	}
-	opt.Context = run.Context
-	opt.Progress = run.Progress
-	opt.ProgressEvery = run.ProgressEvery
-	opt.CheckpointPath = run.CheckpointPath
-	opt.FS = run.FS
-	if spec.Options.Spill && run.SpillDir != "" {
-		opt.SpillDir = run.SpillDir
-	}
-	fsys := storage.OrOS(run.FS)
-	resumed := false
-	if run.Resume && run.CheckpointPath != "" {
-		if _, serr := fsys.Stat(run.CheckpointPath); serr == nil {
-			opt.Resume = run.CheckpointPath
-			resumed = true
-		}
-	}
-	res, err := Verify(cfg, opt)
-	if err != nil && resumed {
-		// A refused or corrupt checkpoint must not wedge the job: retry
-		// from the initial state (the fingerprint made a mismatch
-		// impossible for a same-spec resume, so this is corruption or a
-		// format bump — either way a fresh run is the correct recovery).
-		// The damaged file is quarantined under a .poisoned suffix, not
-		// deleted: the evidence of what went wrong on disk outlives the
-		// recovery.
-		if rerr := fsys.Rename(run.CheckpointPath, run.CheckpointPath+".poisoned"); rerr != nil {
-			// Removal beats leaving a poisoned file where the next resume
-			// will trip over it again.
-			fsys.Remove(run.CheckpointPath)
-		}
-		opt.Resume = ""
-		res, err = Verify(cfg, opt)
-		resumed = false
-	}
-	if err != nil {
-		return res, resumed, fmt.Errorf("core: job %s: %w", spec.Preset, err)
-	}
-	return res, resumed, nil
+	res, err := verify(cfg, opt, run)
+	return res, err == nil && run.Resume != "", err
 }

@@ -8,10 +8,14 @@
 // object slots inside a pre-allocated arena instead — the two collectors
 // cannot interfere, while every algorithmically relevant memory access
 // (mark flags, control variables, reference fields) goes through
-// sync/atomic operations, which on x86 compile to exactly the plain
-// MOV / locked CMPXCHG discipline the paper models: plain stores are
-// TSO-buffered, the marking CAS is a locked instruction, and the
-// handshake fences are sequentially consistent.
+// sync/atomic operations. On amd64 those compile to MOV for loads,
+// XCHG for stores and locked CMPXCHG for the marking CAS. XCHG is a
+// locked instruction and a full barrier (go1.24,
+// internal/runtime/atomic/atomic_amd64.s), so no store is ever
+// buffered: the runtime runs sequentially consistent, which is stronger
+// than the x86-TSO the paper models. The store-buffer interleavings the
+// paper's proof pays for are explored by the model (packages gcmodel and
+// tso), not exercised here.
 //
 // The kernel reproduces, at runtime scale, the structures verified in
 // the model (package gcmodel): the mark-sense flip (f_M), allocation

@@ -51,13 +51,17 @@ func faultEngine(t *testing.T, dir string, fsys storage.FS, attempts int) *Engin
 
 // quickVerdict is quickSpec's verdict from an uninterrupted in-process
 // run, in canonical form.
-func quickVerdict(t *testing.T) []byte {
+func quickVerdict(t *testing.T) []byte { return cleanVerdict(t, quickSpec()) }
+
+// cleanVerdict is a tiny spec's verdict from an uninterrupted in-process
+// run, in canonical form.
+func cleanVerdict(t *testing.T, spec core.JobSpec) []byte {
 	t.Helper()
-	res, _, err := core.RunJob(quickSpec(), core.JobRun{})
+	res, _, err := core.RunJob(spec, core.JobRun{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, _, err := quickSpec().Fingerprint()
+	fp, _, err := spec.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,5 +493,130 @@ func TestClientStreamIdle(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Errorf("Stream took %s; the idle watchdog is not biting", elapsed)
+	}
+}
+
+// interruptedJob runs slowSpec on an engine over dir and shuts the
+// engine down mid-run, after a few checkpoints. It returns the job's id
+// and its checkpoint's path.
+func interruptedJob(t *testing.T, dir string) (string, string) {
+	t.Helper()
+	e := newEngine(t, dir)
+	info, err := e.Submit(slowSpec(), 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, e, info.ID, "mid-run checkpoint", func(i JobInfo) bool {
+		return i.State == core.JobRunning && i.HasCheckpoint &&
+			i.Progress != nil && i.Progress.Depth >= 8
+	})
+	shutdown(t, e)
+	if stopped, _ := e.Get(info.ID); stopped.State != core.JobInterrupted || !stopped.HasCheckpoint {
+		t.Fatalf("after shutdown: state %s, checkpoint %v", stopped.State, stopped.HasCheckpoint)
+	}
+	return info.ID, filepath.Join(dir, "jobs", info.ID, "run.ckpt")
+}
+
+// checkpointOpenEIO fails the first open of a run.ckpt with EIO.
+type checkpointOpenEIO struct {
+	storage.FS
+	fired atomic.Bool
+}
+
+func (f *checkpointOpenEIO) Open(name string) (storage.File, error) {
+	if filepath.Base(name) == "run.ckpt" && f.fired.CompareAndSwap(false, true) {
+		return nil, &os.PathError{Op: "open", Path: name, Err: syscall.EIO}
+	}
+	return f.FS.Open(name)
+}
+
+// TestResumeTransientFaultKeepsCheckpoint: an EIO on the restarted
+// engine's open of a healthy checkpoint is a transient storage failure.
+// The job is requeued once with its checkpoint left in place, and the
+// retry resumes from it to the clean run's verdict.
+func TestResumeTransientFaultKeepsCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	id, ckpt := interruptedJob(t, dir)
+
+	fsys := &checkpointOpenEIO{FS: storage.OSFS{}}
+	e := faultEngine(t, dir, fsys, 3)
+	defer shutdown(t, e)
+	done := waitState(t, e, id, core.JobDone)
+	if !fsys.fired.Load() {
+		t.Fatal("the resume never opened the checkpoint")
+	}
+	if done.Attempts != 1 || !done.Resumed {
+		t.Errorf("attempts = %d, resumed = %v; want one retry that resumed", done.Attempts, done.Resumed)
+	}
+	if _, err := os.Stat(ckpt + ".poisoned"); err == nil {
+		t.Error("a transient fault quarantined the healthy checkpoint")
+	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Errorf("checkpoint gone after the retry: %v", err)
+	}
+	if m := e.Metrics(); m.JobRetries != 1 {
+		t.Errorf("job_retries = %d, want 1", m.JobRetries)
+	}
+	if got, want := canonBytes(t, done.Verdict), cleanVerdict(t, slowSpec()); !bytes.Equal(got, want) {
+		t.Errorf("verdict after the retried resume differs from a clean run:\n%s\n%s", got, want)
+	}
+}
+
+// TestResumeRefusedCheckpointPoisoned: a checkpoint whose base fails its
+// checksum is refused. The engine renames it run.ckpt.poisoned, bytes
+// intact, and the job starts fresh to the clean run's verdict.
+func TestResumeRefusedCheckpointPoisoned(t *testing.T) {
+	dir := t.TempDir()
+	id, ckpt := interruptedJob(t, dir)
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Byte 23 is the first payload byte of the base's header section:
+	// the 8-byte magic, then the name length, "header" and a u64 length.
+	data[23] ^= 0x40
+	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e := newEngine(t, dir)
+	defer shutdown(t, e)
+	done := waitState(t, e, id, core.JobDone)
+	if done.Attempts != 0 || done.Resumed {
+		t.Errorf("attempts = %d, resumed = %v; want a fresh start without a retry", done.Attempts, done.Resumed)
+	}
+	kept, err := os.ReadFile(ckpt + ".poisoned")
+	if err != nil {
+		t.Fatalf("refused checkpoint not quarantined: %v", err)
+	}
+	if !bytes.Equal(kept, data) {
+		t.Error("the quarantined checkpoint is not the refused file")
+	}
+	if got, want := canonBytes(t, done.Verdict), cleanVerdict(t, slowSpec()); !bytes.Equal(got, want) {
+		t.Errorf("verdict after the fresh start differs from a clean run:\n%s\n%s", got, want)
+	}
+}
+
+// TestPoisonKeepsEarlierQuarantine: quarantining a second refused
+// checkpoint of the same job never replaces the first.
+func TestPoisonKeepsEarlierQuarantine(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	for _, f := range []struct{ path, data string }{{ckpt, "second"}, {ckpt + ".poisoned", "first"}} {
+		if err := os.WriteFile(f.path, []byte(f.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := &Engine{fs: storage.OSFS{}}
+	got, err := e.poison(ckpt)
+	if err != nil || got != ckpt+".poisoned.1" {
+		t.Fatalf("poison = %q, %v; want %s.poisoned.1", got, err, ckpt)
+	}
+	for path, want := range map[string]string{ckpt + ".poisoned": "first", ckpt + ".poisoned.1": "second"} {
+		if b, err := os.ReadFile(path); err != nil || string(b) != want {
+			t.Errorf("%s = %q, %v; want %q", filepath.Base(path), b, err, want)
+		}
+	}
+	if _, err := os.Stat(ckpt); err == nil {
+		t.Error("the refused checkpoint is still in the resume path")
 	}
 }

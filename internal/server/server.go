@@ -20,6 +20,13 @@
 // that fails its checksum is logged and skipped: never listed, never
 // reused.
 //
+// Every run goes through core.RunJob, which resumes exactly the
+// checkpoint it is given. The recovery policy is the engine's (runJob):
+// a transient storage error requeues the job under the retry policy
+// with its checkpoint untouched; a checkpoint the resume refuses is
+// renamed run.ckpt.poisoned and the job starts fresh. Nothing is
+// deleted.
+//
 // The job table is the verdict cache. A submission whose options
 // fingerprint (core.Fingerprint — the same fingerprint the checkpoint
 // layer validates on resume) matches a done job's returns that job's
@@ -31,6 +38,7 @@
 //
 //	<data>/jobs/<id>/job.json     job record (spec, state, times, verdict; CRC-checked)
 //	<data>/jobs/<id>/run.ckpt     layer-barrier checkpoint log (GCMCCKP1)
+//	<data>/jobs/<id>/run.ckpt.poisoned  a checkpoint the resume refused
 //	<data>/jobs/<id>/spill/       parked frontier layers, while the spill is armed
 //
 // # Corpus mode
@@ -43,8 +51,10 @@ package server
 import (
 	"container/heap"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"path/filepath"
 	"runtime"
@@ -497,7 +507,6 @@ func (e *Engine) recover() error {
 		// checkpoint when one survived.
 		if _, err := e.fs.Stat(e.jobFile(id, "run.ckpt")); err == nil {
 			j.state = core.JobResuming
-			j.resumed = true
 		} else {
 			j.state = core.JobQueued
 		}
@@ -574,8 +583,11 @@ func (e *Engine) worker() {
 	}
 }
 
-// runJob executes one job and settles its terminal (or interrupted)
-// state.
+// runJob executes one job through core.RunJob, resuming from the job's
+// checkpoint when one is on disk, and settles its terminal (or
+// interrupted) state. It owns the recovery policy: a transient error
+// requeues the job with the checkpoint untouched, and a refused
+// checkpoint is quarantined (poison) before the job starts fresh.
 func (e *Engine) runJob(ctx context.Context, j *job) {
 	// Settle the job even if a panic escapes the checker's own
 	// containment (explore.StopPanic): a job left in the running state
@@ -597,9 +609,9 @@ func (e *Engine) runJob(ctx context.Context, j *job) {
 		e.log.Printf("job %s: failed on recovered panic: %v", j.id, r)
 	}()
 	e.log.Printf("job %s: running (%s %s)", j.id, j.spec.Preset, j.spec.Ablations)
-	res, resumed, err := core.RunJob(j.spec, core.JobRun{
-		CheckpointPath: e.jobFile(j.id, "run.ckpt"),
-		Resume:         true,
+	ckpt := e.jobFile(j.id, "run.ckpt")
+	run := core.JobRun{
+		CheckpointPath: ckpt,
 		Context:        ctx,
 		Progress:       func(p core.Progress) { e.onProgress(j, p) },
 		// Stream subscribers want reports well before the checker's
@@ -607,7 +619,28 @@ func (e *Engine) runJob(ctx context.Context, j *job) {
 		ProgressEvery: 500,
 		SpillDir:      e.jobFile(j.id, "spill"),
 		FS:            e.fs,
-	})
+	}
+	// Resume from the job's checkpoint unless there is none: a job
+	// killed before its first snapshot starts fresh. A checkpoint that
+	// cannot even be statted is left to the resume to report.
+	if _, err := e.fs.Stat(ckpt); !errors.Is(err, fs.ErrNotExist) {
+		run.Resume = ckpt
+	}
+	res, resumed, err := core.RunJob(j.spec, run)
+	if err != nil && run.Resume != "" && !storage.IsTransient(err) {
+		// The checkpoint is refused (damaged, or from another format):
+		// it must not wedge the job. Quarantine it — the evidence
+		// outlives the recovery — and start from the initial state. A
+		// transient error instead takes the retry path below with the
+		// checkpoint untouched.
+		refused := err
+		var poisoned string
+		if poisoned, err = e.poison(ckpt); err == nil {
+			e.log.Printf("job %s: checkpoint refused, renamed %s; starting fresh: %v", j.id, filepath.Base(poisoned), refused)
+			run.Resume = ""
+			res, resumed, err = core.RunJob(j.spec, run)
+		}
+	}
 
 	if res.ResumeDropped > 0 {
 		e.log.Printf("job %s: resume dropped %d torn checkpoint segment(s)", j.id, res.ResumeDropped)
@@ -679,6 +712,24 @@ func (e *Engine) runJob(ctx context.Context, j *job) {
 	}
 	e.notifyLocked(j)
 	e.log.Printf("job %s: %s (%d states, resumed=%v, attempts=%d)", j.id, j.state, res.States, j.resumed, j.attempts)
+}
+
+// poison renames a refused checkpoint out of the resume path, to
+// <path>.poisoned, or <path>.poisoned.N when earlier ones are there:
+// nothing is deleted. It returns the new name.
+func (e *Engine) poison(path string) (string, error) {
+	dst := path + ".poisoned"
+	for n := 1; ; n++ {
+		_, err := e.fs.Stat(dst)
+		if errors.Is(err, fs.ErrNotExist) {
+			break
+		}
+		if err != nil {
+			return "", err
+		}
+		dst = fmt.Sprintf("%s.poisoned.%d", path, n)
+	}
+	return dst, e.fs.Rename(path, dst)
 }
 
 // requeueLocked re-enqueues a job after a transient storage failure:

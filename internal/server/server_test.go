@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -77,6 +78,27 @@ func waitFor(t *testing.T, e *Engine, id string, what string, cond func(JobInfo)
 	info, _ := e.Get(id)
 	t.Fatalf("job %s never reached %s (state %s)", id, what, info.State)
 	return JobInfo{}
+}
+
+// waitCorpusDone polls until every corpus cell is done and returns the
+// cells. It waits on the cells themselves, not on a count of done jobs:
+// a cache hit minted mid-sweep is a done job too.
+func waitCorpusDone(t *testing.T, e *Engine) []CorpusCell {
+	t.Helper()
+	deadline := time.Now().Add(120 * time.Second)
+	for {
+		cells, err := e.Corpus()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(cells, func(c CorpusCell) bool { return c.State != core.JobDone }) {
+			return cells
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("corpus never settled: %+v", cells)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
 func waitState(t *testing.T, e *Engine, id string, want core.JobState) JobInfo {
@@ -461,18 +483,7 @@ func TestCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, e, jump.ID, core.JobDone)
-	deadline := time.Now().Add(120 * time.Second)
-	for time.Now().Before(deadline) {
-		m := e.Metrics()
-		if m.JobsByState[string(core.JobDone)] == 13 {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	cells, err = e.Corpus()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells = waitCorpusDone(t, e)
 	for _, c := range cells {
 		if c.State != core.JobDone {
 			t.Fatalf("corpus cell %s/%s/%s state %s", c.Preset, c.Ablations, c.Memory, c.State)
@@ -757,13 +768,7 @@ func TestHTTPCorpus(t *testing.T) {
 	if n, err := e.EnqueueCorpus(); err != nil || n != 0 {
 		t.Fatalf("EnqueueCorpus during the sweep enqueued %d, %v; want 0 (all in flight)", n, err)
 	}
-	deadline := time.Now().Add(120 * time.Second)
-	for e.Metrics().JobsByState[string(core.JobDone)] < 12 {
-		if time.Now().After(deadline) {
-			t.Fatal("corpus never settled")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitCorpusDone(t, e)
 	same("settled")
 	if n, err := cli.EnqueueCorpus(ctx); err != nil || n != 0 {
 		t.Fatalf("POST /v1/corpus after the sweep enqueued %d, %v; want 0 (all cached)", n, err)

@@ -78,7 +78,7 @@ type Op struct {
 	Injected Kind // "" when the op ran clean
 }
 
-// Fault is one scheduled injection, the unit the shrinker minimizes.
+// Fault is one scheduled injection.
 type Fault struct {
 	// Op selects a zero-based operation index; -1 selects by Path.
 	Op int
@@ -109,7 +109,7 @@ type pathFault struct {
 
 // FaultFS wraps an inner FS and injects scheduled or seeded-random
 // faults at operation boundaries, recording an op trace so a failing
-// schedule can be reported and shrunk.
+// schedule can be reported.
 type FaultFS struct {
 	inner FS // gcrt:guard immutable
 
@@ -482,26 +482,6 @@ func (w *faultFile) Close() error {
 }
 
 func (w *faultFile) Name() string { return w.path }
-
-// Shrink greedily minimizes a failing fault schedule: it drops each
-// fault in turn and keeps the removal whenever fails still reports
-// true, converging on a locally minimal schedule. fails must be a
-// deterministic replay (fresh FaultFS + Apply per call).
-func Shrink(sched []Fault, fails func([]Fault) bool) []Fault {
-	out := append([]Fault(nil), sched...)
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < len(out); i++ {
-			trial := append(append([]Fault(nil), out[:i]...), out[i+1:]...)
-			if fails(trial) {
-				out = trial
-				changed = true
-				break
-			}
-		}
-	}
-	return out
-}
 
 // FromSpec builds a FaultFS over inner from a command-line spec: a
 // comma-separated list of clauses

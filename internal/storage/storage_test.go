@@ -220,29 +220,6 @@ func TestFaultTraceAndDeterminism(t *testing.T) {
 	}
 }
 
-// TestShrink: the greedy minimizer strips faults that do not
-// contribute to the failure.
-func TestShrink(t *testing.T) {
-	sched := []Fault{
-		{Op: 0, Kind: EIO},
-		{Op: -1, Path: "irrelevant", Kind: ENOSPC},
-		{Op: 7, Kind: FsyncFail},
-	}
-	// "Fails" iff op 7 is faulted — the other two are noise.
-	fails := func(s []Fault) bool {
-		for _, f := range s {
-			if f.Op == 7 {
-				return true
-			}
-		}
-		return false
-	}
-	min := Shrink(sched, fails)
-	if len(min) != 1 || min[0].Op != 7 {
-		t.Fatalf("shrunk to %v", min)
-	}
-}
-
 // TestFromSpec: the CLI grammar covers index, path, skip, and seeded
 // clauses, and rejects unknown kinds.
 func TestFromSpec(t *testing.T) {
