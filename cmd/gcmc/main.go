@@ -88,7 +88,7 @@ func main() {
 		preset   = flag.String("preset", "", "shorthand for -spec {\"preset\": name}, default tiny: "+strings.Join(core.PresetNames(), ", "))
 		quiet    = flag.Bool("q", false, "suppress progress output")
 		jsonOut  = flag.Bool("json", false, "emit a machine-readable JSON verdict on stdout")
-		lint     = flag.Bool("lint", false, "static preflight: run the gclint placement rules on the configuration before exploring")
+		lint     = flag.Bool("lint", false, "static preflight: run the placement rules of internal/analysis on the configuration before exploring")
 
 		ckptPath = flag.String("checkpoint", "", "snapshot the search state to this file at layer boundaries (an atomic first write, then fsynced appends of what changed)")
 		resume   = flag.String("resume", "", "resume the search from this checkpoint file (the spec must match; options.workers may differ)")

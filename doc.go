@@ -23,13 +23,13 @@
 //   - internal/analysis: the static effect/robustness analyzer (declared
 //     effect footprints, CFG dataflow, Shasha–Snir robustness, placement
 //     rules, the executed ample-step check), cross-checked against the
-//     dynamic checker; cmd/gclint is its CLI;
+//     dynamic checker; gcmc -lint runs its placement rules on a spec;
 //   - internal/analysis/golint, internal/analysis/gortlint: the
 //     self-lint layer — a stdlib-only module loader and call graph, and
 //     the runtime conformance passes (field-access discipline,
 //     write-barrier coverage, publication discipline, benchmark-hook
 //     confinement) that check internal/gcrt and internal/server against
-//     their declared concurrency tables (gclint -gosrc);
+//     their declared concurrency tables (gated by go test);
 //   - internal/gcrt: the executable Schism-style collector kernel with
 //     real goroutine mutators;
 //   - internal/core: the library façade.

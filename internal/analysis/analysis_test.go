@@ -89,15 +89,16 @@ func outcomesEqual(a, b map[string]tso.Outcome) bool {
 }
 
 // TestLintCleanPresets checks that no shipped (un-ablated) preset
-// triggers any placement rule.
+// triggers any placement rule. It walks core.PresetNames, so a preset
+// added to the table is gated without editing this test.
 func TestLintCleanPresets(t *testing.T) {
-	presets := map[string]gcmodel.Config{
-		"tiny":              core.TinyConfig(),
-		"alloc":             core.AllocConfig(),
-		"two-mutator":       core.TwoMutatorConfig(),
-		"two-sym":           core.SymmetricConfig(),
-		"two-mutator-loads": core.TwoMutatorLoadsConfig(),
-		"chain":             core.ChainConfig(),
+	presets := make(map[string]gcmodel.Config)
+	for _, name := range core.PresetNames() {
+		cfg, err := core.PresetConfig(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		presets[name] = cfg
 	}
 	// Variants that are deliberately clean statically: round 4 elision
 	// is verified safe dynamically (E12) and the ladder rule exempts
@@ -161,30 +162,69 @@ func TestLintAblations(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := core.TinyConfig()
 			tc.mut(&cfg)
-			rep, err := analysis.LintModel(cfg)
+			checkRules(t, cfg, tc.rules)
+		})
+	}
+	// Ablations as a JobSpec names them, the path gcmc -lint takes: the
+	// JSON alias is decoded strictly and JobSpec.Build expands it into
+	// the drop list the rules read.
+	specs := []struct {
+		name     string
+		spec     string
+		findings int
+		rules    []string
+	}{
+		{"spec-no-hs-fence", `{"preset":"tiny","ablations":{"no_hs_fence":true}}`,
+			7, []string{"handshake-fence"}},
+		{"spec-unlocked-mark", `{"preset":"tiny","ablations":{"unlocked_mark":true}}`,
+			4, []string{"mark-cas"}},
+		{"spec-no-barriers", `{"preset":"tiny","ablations":{"no_deletion_barrier":true,"no_insertion_barrier":true}}`,
+			2, []string{"deletion-barrier", "insertion-barrier"}},
+	}
+	for _, tc := range specs {
+		t.Run(tc.name, func(t *testing.T) {
+			var spec core.JobSpec
+			if err := core.DecodeStrict(strings.NewReader(tc.spec), &spec); err != nil {
+				t.Fatal(err)
+			}
+			cfg, _, err := spec.Build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := make(map[string]bool)
-			for _, f := range rep.Findings {
-				got[f.Rule] = true
-			}
-			want := make(map[string]bool)
-			for _, r := range tc.rules {
-				want[r] = true
-			}
-			for r := range want {
-				if !got[r] {
-					t.Errorf("rule %s did not fire; findings: %v", r, rep.Findings)
-				}
-			}
-			for r := range got {
-				if !want[r] {
-					t.Errorf("unexpected rule %s fired; findings: %v", r, rep.Findings)
-				}
+			if n := checkRules(t, cfg, tc.rules); n != tc.findings {
+				t.Errorf("%d finding(s), want %d", n, tc.findings)
 			}
 		})
 	}
+}
+
+// checkRules lints cfg and requires the distinct rules that fire to be
+// exactly rules. It returns the number of findings.
+func checkRules(t *testing.T, cfg gcmodel.Config, rules []string) int {
+	t.Helper()
+	rep, err := analysis.LintModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]bool)
+	for _, f := range rep.Findings {
+		got[f.Rule] = true
+	}
+	want := make(map[string]bool)
+	for _, r := range rules {
+		want[r] = true
+	}
+	for r := range want {
+		if !got[r] {
+			t.Errorf("rule %s did not fire; findings: %v", r, rep.Findings)
+		}
+	}
+	for r := range got {
+		if !want[r] {
+			t.Errorf("unexpected rule %s fired; findings: %v", r, rep.Findings)
+		}
+	}
+	return len(rep.Findings)
 }
 
 // TestFootprintExtraction spot-checks the extracted site table against

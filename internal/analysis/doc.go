@@ -1,6 +1,6 @@
 // Package analysis is a static effect and robustness analyzer for the
-// CIMP programs of this repository (gclint). It complements the dynamic
-// model checker (package explore) with analyses that need no state-space
+// CIMP programs of this repository. It complements the dynamic model
+// checker (package explore) with analyses that need no state-space
 // exploration, and it is cross-checked against the checker so the static
 // layer cannot silently drift from the executable semantics:
 //
@@ -43,6 +43,10 @@
 //     a class the battery observes (ObservedBuffered) is refused
 //     outright.
 //
-// cmd/gclint is the command-line front end; cmd/gcmc -lint runs the
-// static preflight and enables the dynamic validation hooks.
+// go test gates every analysis: TestLintCleanPresets and
+// TestLintAblations run the placement rules over every preset and
+// ablation, and TestLitmusRobustness holds each litmus verdict to TSO/SC
+// exploration. cmd/gcmc -lint runs the rules on one spec before
+// exploring it, and options.validate_effects enables the dynamic
+// validation hooks.
 package analysis

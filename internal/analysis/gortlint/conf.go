@@ -1,13 +1,14 @@
 package gortlint
 
-// This file declares what `gclint -gosrc` loads and runs, and the part
-// of each package's discipline that cannot live at a field: the structs
-// in scope and the function-level Init/Exempt/Holds tables. The field
-// classes are the `gcrt:guard` annotations in the packages themselves.
+// This file declares what the package's Go-source gate tests load and
+// run, and the part of each package's discipline that cannot live at a
+// field: the structs in scope and the function-level Init/Exempt/Holds
+// tables. The field classes are the `gcrt:guard` annotations in the
+// packages themselves.
 
 import "repro/internal/analysis/golint"
 
-// Roots lists the module-relative directories `gclint -gosrc` loads,
+// Roots lists the module-relative directories the gate tests load,
 // in one golint.LoadPackages call whose module every pass shares: each
 // package a pass targets, plus the runtime's non-test clients (its
 // workload driver and cmd/gcrt-demo), so their accesses to the
@@ -25,7 +26,7 @@ func Roots() []string {
 	}
 }
 
-// Pass is one zero-findings gate of `gclint -gosrc`.
+// Pass is one zero-findings gate over the real tree.
 type Pass struct {
 	// Name is the check; Dir is the module-relative directory of the
 	// package it targets. Together they label the pass in reports.
@@ -34,9 +35,9 @@ type Pass struct {
 	Run func(mod *golint.Module) ([]golint.Diagnostic, error)
 }
 
-// Passes lists every `gclint -gosrc` gate in report order: golint's
-// fingerprint map-order and recover-guard passes, then the gortlint
-// conformance passes over the runtime, the service and the disk layer.
+// Passes lists every Go-source gate: golint's fingerprint map-order
+// and recover-guard passes, then the gortlint conformance passes over
+// the runtime, the service and the disk layer.
 func Passes() []Pass {
 	passes := []Pass{{
 		Name: "fingerprint-map-order", Dir: "internal/gcmodel",

@@ -4,18 +4,16 @@ import (
 	"repro/internal/analysis/golint"
 )
 
-// FixtureSpec pairs an analyzer pass with a seeded-defect fixture it
-// must flag. The CLI's -gosrc-fixtures mode runs every spec and treats
-// a fixture that produces NO findings as a regression: the gate that
-// keeps the real trees honest only means something while the passes
-// demonstrably still catch the defects they were built for.
-type FixtureSpec struct {
-	// Name identifies the spec in CLI and test output.
+// fixtureSpec pairs an analyzer pass with a seeded-defect fixture it
+// must flag. TestFixtures matches the findings exactly against the
+// fixture's `// want` comments: the gates over the real trees only mean
+// something while the passes demonstrably still catch the defects they
+// were built for.
+type fixtureSpec struct {
+	// Name identifies the spec in test output.
 	Name string
 	// Dirs are the fixture load roots, relative to the module root.
 	Dirs []string
-	// Min is the number of findings the seeded defects guarantee.
-	Min int
 	// Run executes the pass against the loaded fixture module.
 	Run func(mod *golint.Module) ([]golint.Diagnostic, error)
 }
@@ -23,15 +21,12 @@ type FixtureSpec struct {
 // fixtureBase is the fixture root, relative to the module root.
 const fixtureBase = "internal/analysis/gortlint/testdata"
 
-// Fixtures returns every seeded-defect fixture spec. The package tests
-// additionally check the findings line-by-line against the fixtures'
-// `// want` comments; the CLI smoke only requires Min findings.
-func Fixtures() []FixtureSpec {
-	return []FixtureSpec{
+// fixtures returns every seeded-defect fixture spec.
+func fixtures() []fixtureSpec {
+	return []fixtureSpec{
 		{
 			Name: "discipline",
 			Dirs: []string{fixtureBase + "/discipline"},
-			Min:  14,
 			Run: func(mod *golint.Module) ([]golint.Diagnostic, error) {
 				return CheckDiscipline(mod, fixtureDiscipline())
 			},
@@ -39,7 +34,6 @@ func Fixtures() []FixtureSpec {
 		{
 			Name: "barriers",
 			Dirs: []string{fixtureBase + "/barrier"},
-			Min:  4,
 			Run: func(mod *golint.Module) ([]golint.Diagnostic, error) {
 				return CheckBarriers(mod, fixtureBarriers())
 			},
@@ -47,7 +41,6 @@ func Fixtures() []FixtureSpec {
 		{
 			Name: "publication",
 			Dirs: []string{fixtureBase + "/publish"},
-			Min:  4,
 			Run: func(mod *golint.Module) ([]golint.Diagnostic, error) {
 				return CheckPublish(mod, fixturePublish())
 			},

@@ -43,7 +43,7 @@
 // (stdlib go/parser + go/types only, no x/tools) and validated the
 // established way: testdata fixture packages with seeded defects and
 // `// want` comments that must be flagged exactly, plus zero-findings
-// gates over the real trees wired into `gclint -gosrc` and CI.
+// gates over the real trees, run by the package tests.
 //
 // Soundness caveats (vs -race): the lockset conflates lock instances
 // (sh1.mu counts for sh2.free — field identity, not object identity),

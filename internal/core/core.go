@@ -9,9 +9,10 @@
 //     headline theorem by exhaustive search of bounded configurations
 //     (packages explore, liveness).
 //
-// A run is one serializable JobSpec (job.go), read the same way by
-// gcmc, gclint and the gcmcd daemon and executed by RunJob. The executable collector kernel
-// with real goroutine mutators is package gcrt; core does not link it.
+// A run is one serializable JobSpec (job.go), read the same way by gcmc
+// and the gcmcd daemon and executed by RunJob. The executable collector
+// kernel with real goroutine mutators is package gcrt; core does not
+// link it.
 //
 // The headline property, checked at every reachable state:
 //

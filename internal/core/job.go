@@ -3,9 +3,9 @@
 // placed in its process by a JobRun (checkpoint and resume paths,
 // progress, cancellation, spill directory, filesystem). RunJob executes
 // the pair and is the one executor: gcmc's local runs and the daemon's
-// jobs (internal/server, cmd/gcmcd) both go through it, and gcmc and
-// gclint read the same spec (ReadJobSpec), so a run submitted remotely is
-// the run gcmc performs locally. RunJob runs exactly what it is given; a
+// jobs (internal/server, cmd/gcmcd) both go through it, and gcmc reads
+// its spec with ReadJobSpec, so a run submitted remotely is the run gcmc
+// performs locally. RunJob runs exactly what it is given; a
 // checkpoint it cannot resume is its error, and the recovery policy —
 // retry, or quarantine the file and start fresh — belongs to the caller.
 

@@ -10,7 +10,7 @@ import (
 
 // presetBuilders maps preset names to their configuration constructors.
 // The registry is the single source of truth for every CLI and for the
-// verification service: gcmc, gclint, gcmcd and the corpus
+// verification service: gcmc, gcmcd and the corpus
 // enumerator all resolve presets here, so a preset added once is
 // submittable, lintable and cacheable everywhere.
 var presetBuilders = map[string]func() ModelConfig{

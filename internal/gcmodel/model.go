@@ -270,14 +270,8 @@ func (g Global) Mut(m int) *MutLocal { return g.State.Procs[m+1].Data.Mut }
 // GCConfig returns the collector's full process configuration.
 func (g Global) GCConfig() cimp.Config[*Local] { return g.State.Procs[0] }
 
-// MutConfig returns mutator m's full process configuration.
-func (g Global) MutConfig(m int) cimp.Config[*Local] { return g.State.Procs[m+1] }
-
 // Buf returns the TSO store buffer of PID p.
 func (g Global) Buf(p cimp.PID) []WAct { return g.Sys().Bufs[p] }
-
-// MemFM is the shared-memory value of f_M.
-func (g Global) MemFM() bool { return g.Sys().FM }
 
 // GCViewFM is f_M as the collector sees it: its newest buffered write if
 // any, else memory. The collector is the sole writer of f_M, so this is

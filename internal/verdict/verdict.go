@@ -1,7 +1,6 @@
 // Package verdict is the one machine-readable schema for every verdict
-// this repository emits. gcmc -json, gclint -json, the gcmcd service
-// (its job records and /v1/verdicts) and gcmc -remote all
-// marshal these types, so a verdict produced anywhere round-trips
+// this repository emits. gcmc -json, the gcmcd service (its job records
+// and /v1/verdicts) and gcmc -remote all marshal these types, so a verdict produced anywhere round-trips
 // everywhere: a cached service verdict prints exactly like a local run,
 // and a golden-file test pins the wire format.
 //
@@ -18,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/explore"
 )
@@ -191,112 +189,4 @@ func (r Record) ExitCode() int {
 		return 130
 	}
 	return 0
-}
-
-// --- Lint reports (gclint -json) ---
-
-// ModelLint is the machine-readable model lint report.
-type ModelLint struct {
-	Schema   string        `json:"schema"` // "gclint.model/v1"
-	Preset   string        `json:"preset"`
-	Clean    bool          `json:"clean"`
-	Findings []LintFinding `json:"findings,omitempty"`
-	Relaxed  []RelaxedPair `json:"relaxed,omitempty"`
-	Fences   []FenceCover  `json:"fence_coverage,omitempty"`
-}
-
-// LintSchema and LitmusSchema tag the two lint report shapes.
-const (
-	LintSchema   = "gclint.model/v1"
-	LitmusSchema = "gclint.litmus/v1"
-)
-
-type LintFinding struct {
-	Rule   string `json:"rule"`
-	PID    int    `json:"pid"`
-	Label  string `json:"label"`
-	Detail string `json:"detail"`
-}
-
-type RelaxedPair struct {
-	PID   int    `json:"pid"`
-	Store string `json:"store"`
-	Load  string `json:"load"`
-}
-
-type FenceCover struct {
-	PID    int    `json:"pid"`
-	Label  string `json:"label"`
-	Covers int    `json:"covers"`
-}
-
-// LitmusLint is the machine-readable litmus robustness report for one
-// program.
-type LitmusLint struct {
-	Schema   string   `json:"schema"`
-	Name     string   `json:"name"`
-	Robust   bool     `json:"robust"`
-	Critical []string `json:"critical,omitempty"`
-	// Dynamic is the ground-truth verdict (TSO outcome set == SC
-	// outcome set), present when the dynamic cross-check ran.
-	Dynamic *bool `json:"dynamic_robust,omitempty"`
-}
-
-// GoSrcSchema tags the Go-source lint report (gclint -gosrc -json).
-const GoSrcSchema = "gclint.gosrc/v1"
-
-// GoSrcLint is the machine-readable report of gclint -gosrc: the
-// checker's and runtime's own Go source swept by every conformance
-// pass (fingerprint map order, goroutine recover guards, and the
-// gortlint discipline/barrier/publication/hook passes).
-type GoSrcLint struct {
-	Schema string `json:"schema"`
-	// Clean is true iff every pass produced zero findings.
-	Clean  bool        `json:"clean"`
-	Passes []GoSrcPass `json:"passes"`
-}
-
-// GoSrcPass is one analysis pass over one load root.
-type GoSrcPass struct {
-	Pass     string         `json:"pass"`
-	Dir      string         `json:"dir"`
-	Clean    bool           `json:"clean"`
-	Findings []GoSrcFinding `json:"findings,omitempty"`
-}
-
-// GoSrcFinding is one source-level finding. Pos is module-root
-// relative (file:line:col) so reports are stable across checkouts.
-type GoSrcFinding struct {
-	Pos     string `json:"pos"`
-	Func    string `json:"func,omitempty"`
-	Message string `json:"message"`
-}
-
-// FromModelReport converts a static model lint into the wire shape.
-// The informational relaxed pairs and fence coverage are included only
-// when relaxed is set (mirroring gclint -relaxed).
-func FromModelReport(preset string, rep *analysis.ModelReport, relaxed bool) ModelLint {
-	v := ModelLint{Schema: LintSchema, Preset: preset, Clean: rep.Clean()}
-	for _, f := range rep.Findings {
-		v.Findings = append(v.Findings, LintFinding{Rule: f.Rule, PID: int(f.PID), Label: f.Label, Detail: f.Detail})
-	}
-	if relaxed {
-		for _, p := range rep.Relaxed {
-			v.Relaxed = append(v.Relaxed, RelaxedPair{PID: int(p.PID), Store: p.Store, Load: p.Load})
-		}
-		for _, c := range rep.FenceCoverage {
-			v.Fences = append(v.Fences, FenceCover{PID: int(c.PID), Label: c.Label, Covers: c.Covers})
-		}
-	}
-	return v
-}
-
-// FromTSOReport converts a litmus robustness report into the wire
-// shape; dynamic is the optional exploration cross-check verdict.
-func FromTSOReport(name string, rep analysis.TSOReport, dynamic *bool) LitmusLint {
-	j := LitmusLint{Schema: LitmusSchema, Name: name, Robust: rep.Robust, Dynamic: dynamic}
-	for _, p := range rep.Critical {
-		j.Critical = append(j.Critical, p.String())
-	}
-	return j
 }

@@ -2,7 +2,6 @@ package verdict_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -112,57 +111,5 @@ func TestCanonicalZeroing(t *testing.T) {
 	}
 	if orig.Liveness.ElapsedSec != 2.5 {
 		t.Errorf("Canonical mutated the original liveness block")
-	}
-}
-
-// TestGoSrcLintGolden pins the gclint.gosrc/v1 wire format: a fixed
-// report (one clean pass, one pass with a finding) must marshal to the
-// checked-in golden file byte for byte.
-func TestGoSrcLintGolden(t *testing.T) {
-	rep := verdict.GoSrcLint{
-		Schema: verdict.GoSrcSchema,
-		Clean:  false,
-		Passes: []verdict.GoSrcPass{
-			{
-				Pass:  "gcrt-discipline",
-				Dir:   "internal/gcrt",
-				Clean: true,
-			},
-			{
-				Pass:  "goroutine-recover-guard",
-				Dir:   "internal/server",
-				Clean: false,
-				Findings: []verdict.GoSrcFinding{
-					{
-						Pos:     "internal/server/server.go:12:2",
-						Func:    "worker",
-						Message: "goroutine has no deferred recover guard: a worker panic kills the whole run",
-					},
-				},
-			},
-		},
-	}
-	if rep.Schema != verdict.GoSrcSchema {
-		t.Fatalf("schema = %q, want %q", rep.Schema, verdict.GoSrcSchema)
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got := buf.Bytes()
-	path := filepath.Join("testdata", "gosrc_lint.golden")
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("gosrc lint report drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 	}
 }
