@@ -49,7 +49,7 @@
 // checkpoint (the spec must match; options.workers may differ) and
 // reaches the same verdict and counts as an uninterrupted run.
 // options.mem_budget_mib caps the heap: as usage climbs the run degrades
-// in steps (emergency checkpoint, drop audit fingerprints, clean
+// in steps (emergency checkpoint, drop the collision auditor, clean
 // incomplete stop) instead of being OOM-killed; with -spill-dir the last
 // step spills to disk and the run completes instead.
 //
@@ -268,9 +268,6 @@ func main() {
 			fmt.Printf("spill: %d layer(s) parked, %d bytes via %s; visited records in %d checkpoint bytes\n",
 				res.Spilled.Layers, res.Spilled.Bytes, *spillDir, res.CheckpointBytes)
 		}
-		if res.Degraded {
-			fmt.Fprintln(os.Stderr, "gcmc: note: memory watchdog dropped audit fingerprints mid-run; collision count is partial")
-		}
 		if mm := res.Memo; mm.StepHits+mm.StepMisses > 0 {
 			// On stderr: the counts vary with worker timing and with where a
 			// resumed run started, and stdout is what runs are compared by.
@@ -283,14 +280,6 @@ func main() {
 			// where a resumed run started.
 			fmt.Fprintf(os.Stderr, "gcmc: note: visited table: %d slots, load %.2f, %d stripe rebuild(s), %d overflow hit(s)\n",
 				tb.Slots, tb.Load, tb.Grows, tb.Overflows)
-		}
-		if spec.Options.Audit {
-			if res.HashCollisions > 0 {
-				fmt.Fprintf(os.Stderr, "gcmc: WARNING: %d fingerprint hash collisions — hashed verdict unsound at this size\n",
-					res.HashCollisions)
-			} else {
-				fmt.Println("audit: 0 fingerprint hash collisions")
-			}
 		}
 		if lr := res.Liveness; lr != nil {
 			fmt.Printf("liveness-graph: %d bytes\n", lr.GraphBytes)
@@ -373,12 +362,23 @@ func runRemote(base string, spec core.JobSpec, quiet, jsonOut bool) int {
 
 // printRecord is the one rendering of a verdict, local or remote: the
 // counts line, then whatever detail lines the caller has beyond the
-// record (nil for none), then the outcome. It returns the exit code.
+// record (nil for none), then the collision audit, then the outcome. It
+// returns the exit code.
 func printRecord(rec *verdict.Record, details func()) int {
 	fmt.Printf("states=%d transitions=%d depth=%d complete=%v deadlocks=%d elapsed=%.3fs\n",
 		rec.States, rec.Transitions, rec.Depth, rec.Complete, rec.Deadlocks, rec.ElapsedSec)
 	if details != nil {
 		details()
+	}
+	if a := rec.Audit; a != nil {
+		if a.Partial {
+			fmt.Fprintln(os.Stderr, "gcmc: note: the collision count covers only part of the run (the memory watchdog dropped the auditor, or the run resumed from a checkpoint)")
+		}
+		if a.Collisions > 0 {
+			fmt.Fprintf(os.Stderr, "gcmc: WARNING: %d fingerprint hash collisions — hashed verdict unsound at this size\n", a.Collisions)
+		} else {
+			fmt.Println("audit: 0 fingerprint hash collisions")
+		}
 	}
 	if v := rec.Violation; v != nil {
 		fmt.Println("VIOLATION:")

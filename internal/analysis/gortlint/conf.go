@@ -8,12 +8,12 @@ package gortlint
 
 import "repro/internal/analysis/golint"
 
-// Roots lists the module-relative directories the gate tests load,
+// roots lists the module-relative directories the gate tests load,
 // in one golint.LoadPackages call whose module every pass shares: each
 // package a pass targets, plus the runtime's non-test clients (its
 // workload driver and cmd/gcrt-demo), so their accesses to the
 // runtime's exported fields are checked too.
-func Roots() []string {
+func roots() []string {
 	return []string{
 		"internal/gcmodel",
 		"internal/explore",
@@ -26,44 +26,44 @@ func Roots() []string {
 	}
 }
 
-// Pass is one zero-findings gate over the real tree.
-type Pass struct {
+// pass is one zero-findings gate over the real tree.
+type pass struct {
 	// Name is the check; Dir is the module-relative directory of the
 	// package it targets. Together they label the pass in reports.
 	Name, Dir string
-	// Run executes the pass against the module loaded from Roots.
+	// Run executes the pass against the module loaded from roots.
 	Run func(mod *golint.Module) ([]golint.Diagnostic, error)
 }
 
-// Passes lists every Go-source gate: golint's fingerprint map-order
+// passes lists every Go-source gate: golint's fingerprint map-order
 // and recover-guard passes, then the gortlint conformance passes over
 // the runtime, the service and the disk layer.
-func Passes() []Pass {
-	passes := []Pass{{
+func passes() []pass {
+	ps := []pass{{
 		Name: "fingerprint-map-order", Dir: "internal/gcmodel",
 		Run: func(mod *golint.Module) ([]golint.Diagnostic, error) {
 			return golint.Check(mod, "repro/internal/gcmodel", []string{"AppendFingerprint"})
 		},
 	}}
 	for _, dir := range []string{"internal/explore", "internal/liveness", "internal/server", "internal/gcrt"} {
-		passes = append(passes, Pass{
+		ps = append(ps, pass{
 			Name: "goroutine-recover-guard", Dir: dir,
 			Run: func(mod *golint.Module) ([]golint.Diagnostic, error) {
 				return golint.CheckGoRecover(mod, "repro/"+dir)
 			},
 		})
 	}
-	discipline := func(name, dir string, cfg DisciplineConfig) Pass {
-		return Pass{Name: name, Dir: dir, Run: func(mod *golint.Module) ([]golint.Diagnostic, error) {
+	discipline := func(name, dir string, cfg DisciplineConfig) pass {
+		return pass{Name: name, Dir: dir, Run: func(mod *golint.Module) ([]golint.Diagnostic, error) {
 			return CheckDiscipline(mod, cfg)
 		}}
 	}
-	return append(passes,
+	return append(ps,
 		discipline("gcrt-discipline", "internal/gcrt", gcrtDiscipline()),
-		Pass{Name: "gcrt-barriers", Dir: "internal/gcrt", Run: func(mod *golint.Module) ([]golint.Diagnostic, error) {
+		pass{Name: "gcrt-barriers", Dir: "internal/gcrt", Run: func(mod *golint.Module) ([]golint.Diagnostic, error) {
 			return CheckBarriers(mod, gcrtBarriers())
 		}},
-		Pass{Name: "gcrt-publication", Dir: "internal/gcrt", Run: func(mod *golint.Module) ([]golint.Diagnostic, error) {
+		pass{Name: "gcrt-publication", Dir: "internal/gcrt", Run: func(mod *golint.Module) ([]golint.Diagnostic, error) {
 			return CheckPublish(mod, gcrtPublish())
 		}},
 		discipline("server-discipline", "internal/server", serverDiscipline()),

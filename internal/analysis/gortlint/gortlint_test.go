@@ -137,17 +137,17 @@ func TestDisciplineNamesResolve(t *testing.T) {
 	}
 }
 
-// The zero-findings gates below run the Passes over one module loaded
-// from Roots, shared by every test in the package.
+// The zero-findings gates below run the passes over one module loaded
+// from roots, shared by every test in the package.
 var (
 	treeOnce sync.Once
 	tree     *golint.Module
 )
 
 // check runs p over the real tree and requires zero findings.
-func check(t *testing.T, p Pass) {
+func check(t *testing.T, p pass) {
 	t.Helper()
-	treeOnce.Do(func() { tree = load(t, Roots()) })
+	treeOnce.Do(func() { tree = load(t, roots()) })
 	if tree == nil {
 		t.Fatal("the real tree did not load")
 	}
@@ -166,7 +166,7 @@ func gate(t *testing.T, names ...string) {
 	t.Helper()
 	for _, name := range names {
 		ran := false
-		for _, p := range Passes() {
+		for _, p := range passes() {
 			if p.Name == name {
 				ran = true
 				check(t, p)
@@ -178,10 +178,10 @@ func gate(t *testing.T, names ...string) {
 	}
 }
 
-// TestEveryPassClean runs every entry of Passes, so a pass appended
+// TestEveryPassClean runs every entry of passes, so a pass appended
 // there is gated before it has a named test of its own.
 func TestEveryPassClean(t *testing.T) {
-	for _, p := range Passes() {
+	for _, p := range passes() {
 		check(t, p)
 	}
 }

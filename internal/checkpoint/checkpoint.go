@@ -85,11 +85,6 @@ type Snapshot struct {
 	// States, Transitions, Ample and Deadlocks are the exploration
 	// counters at the cut.
 	States, Transitions, Ample, Deadlocks int64
-	// Audit records whether the visited set retains full fingerprints
-	// (explore's audit mode); Degraded records that a memory-budget
-	// watchdog dropped them mid-run.
-	Audit    bool
-	Degraded bool
 	// Checkpoints counts snapshots written so far in this run,
 	// including this one.
 	Checkpoints int
@@ -107,14 +102,11 @@ type Snapshot struct {
 
 // Shard is the serialized form of one visited-set stripe: parallel
 // arrays of state-fingerprint hashes, parent hashes, and event indices
-// (the trace-replay table), plus full fingerprints in audit mode.
+// (the trace-replay table).
 type Shard struct {
 	Hashes  []uint64
 	Parents []uint64
 	EIdxs   []int32
-	// FPs carries the canonical fingerprint per entry in audit mode,
-	// nil otherwise.
-	FPs [][]byte
 }
 
 // Section describes one framed section of a checkpoint file, for
@@ -161,9 +153,14 @@ func ReadSection(data []byte, off int) (name string, payload []byte, next int, e
 	return name, payload, r.off, err
 }
 
-// flagDelta marks a delta segment in the meta flags; its meta section
-// then ends with the predecessor's trailer hash.
-const flagDelta = 4
+// The meta section's flags. flagDelta marks a delta segment, whose meta
+// section then ends with the predecessor's trailer hash. Older audited
+// runs set flagFingerprints when each shard entry carried a fingerprint,
+// refused here, and 0x2 once their watchdog had dropped them, ignored.
+const (
+	flagFingerprints = 1
+	flagDelta        = 4
+)
 
 // ForEach calls f(i) once for every i in [0, n). Create and Append take
 // one to write an image's shard sections, which may run in any order and
@@ -198,12 +195,6 @@ func (s *Snapshot) encode(each ForEach, delta bool, prev uint64) []byte {
 	meta = binary.AppendVarint(meta, s.Ample)
 	meta = binary.AppendVarint(meta, s.Deadlocks)
 	var flags byte
-	if s.Audit {
-		flags |= 1
-	}
-	if s.Degraded {
-		flags |= 2
-	}
 	if delta {
 		flags |= flagDelta
 	}
@@ -259,11 +250,6 @@ func (s *Snapshot) shardLen(i int) int {
 	for _, e := range sh.EIdxs {
 		n += uvarintLen(zigzag(int64(e)))
 	}
-	if s.Audit {
-		for _, fp := range sh.FPs {
-			n += uvarintLen(uint64(len(fp))) + len(fp)
-		}
-	}
 	return n
 }
 
@@ -274,10 +260,6 @@ func (s *Snapshot) appendShard(p []byte, i int) []byte {
 		p = binary.LittleEndian.AppendUint64(p, sh.Hashes[j])
 		p = binary.LittleEndian.AppendUint64(p, sh.Parents[j])
 		p = binary.AppendVarint(p, int64(sh.EIdxs[j]))
-		if s.Audit {
-			p = binary.AppendUvarint(p, uint64(len(sh.FPs[j])))
-			p = append(p, sh.FPs[j]...)
-		}
 	}
 	return p
 }
@@ -497,8 +479,8 @@ func Scan(data []byte) ([]Section, error) {
 
 // Unmarshal decodes a checkpoint image, verifying every section
 // checksum and the whole-file trailer hash. It reads one full image: a
-// log of several is read by Load. The snapshot's frontier states and
-// fingerprints share data's memory.
+// log of several is read by Load. The snapshot's frontier states share
+// data's memory.
 func Unmarshal(data []byte) (*Snapshot, error) {
 	img, err := decode(data)
 	if err != nil {
@@ -569,8 +551,6 @@ func decode(data []byte) (image, error) {
 	s.Ample = d.varint()
 	s.Deadlocks = d.varint()
 	flags := d.byte()
-	s.Audit = flags&1 != 0
-	s.Degraded = flags&2 != 0
 	s.Checkpoints = int(d.uvarint())
 	nshards := d.uvarint()
 	nfrontier := d.uvarint()
@@ -582,6 +562,9 @@ func decode(data []byte) (image, error) {
 	}
 	if len(d.buf) != 0 {
 		return image{}, fmt.Errorf("checkpoint: section \"meta\": %d bytes left over", len(d.buf))
+	}
+	if flags&flagFingerprints != 0 {
+		return image{}, fmt.Errorf("checkpoint: an audit-mode checkpoint (meta flag 0x%x): its visited records carry fingerprints, which this build does not read; rerun from the start", flagFingerprints)
 	}
 	if s.States < 0 || s.Transitions < 0 || s.Ample < 0 || s.Deadlocks < 0 {
 		return image{}, fmt.Errorf("checkpoint: section \"meta\": negative counter")
@@ -630,16 +613,10 @@ func decode(data []byte) (image, error) {
 		sh.Hashes = make([]uint64, 0, n)
 		sh.Parents = make([]uint64, 0, n)
 		sh.EIdxs = make([]int32, 0, n)
-		if s.Audit {
-			sh.FPs = make([][]byte, 0, n)
-		}
 		for j := uint64(0); j < n; j++ {
 			sh.Hashes = append(sh.Hashes, d.u64())
 			sh.Parents = append(sh.Parents, d.u64())
 			sh.EIdxs = append(sh.EIdxs, int32(d.varint()))
-			if s.Audit {
-				sh.FPs = append(sh.FPs, d.bytes())
-			}
 			if d.err != nil {
 				return image{}, fmt.Errorf("checkpoint: section %q: entry %d: %w", want, j, d.err)
 			}
@@ -729,7 +706,7 @@ func union(segs []image) (*Snapshot, error) {
 			return nil, fmt.Errorf("checkpoint: segment %d is a full image inside a log", k)
 		}
 		if g.OptionsFP != base.OptionsFP || g.Options != base.Options ||
-			len(g.Shards) != len(base.Shards) || g.Audit != base.Audit {
+			len(g.Shards) != len(base.Shards) {
 			return nil, fmt.Errorf("checkpoint: segment %d was written by a different run", k)
 		}
 		for _, sh := range g.Shards {
@@ -748,7 +725,7 @@ func union(segs []image) (*Snapshot, error) {
 	s := *last.Snapshot
 	s.Shards = make([]Shard, len(base.Shards))
 	for i := range s.Shards {
-		sh, err := mergeShard(segs, i, s.Audit)
+		sh, err := mergeShard(segs, i)
 		if err != nil {
 			return nil, err
 		}
@@ -759,7 +736,7 @@ func union(segs []image) (*Snapshot, error) {
 
 // mergeShard merges shard i of every segment, each in hash order, into
 // one: pairs of runs are merged until one is left.
-func mergeShard(segs []image, i int, audit bool) (Shard, error) {
+func mergeShard(segs []image, i int) (Shard, error) {
 	runs := make([]Shard, len(segs))
 	for k, g := range segs {
 		runs[k] = g.Shards[i]
@@ -767,7 +744,7 @@ func mergeShard(segs []image, i int, audit bool) (Shard, error) {
 	for len(runs) > 1 {
 		next := runs[:0:0]
 		for k := 0; k+1 < len(runs); k += 2 {
-			m, err := mergeRuns(&runs[k], &runs[k+1], audit)
+			m, err := mergeRuns(&runs[k], &runs[k+1])
 			if err != nil {
 				return Shard{}, fmt.Errorf("checkpoint: shard %d %w", i, err)
 			}
@@ -782,19 +759,13 @@ func mergeShard(segs []image, i int, audit bool) (Shard, error) {
 }
 
 // mergeRuns merges two shards in hash order into one.
-func mergeRuns(a, b *Shard, audit bool) (Shard, error) {
+func mergeRuns(a, b *Shard) (Shard, error) {
 	n := len(a.Hashes) + len(b.Hashes)
 	out := Shard{Hashes: make([]uint64, 0, n), Parents: make([]uint64, 0, n), EIdxs: make([]int32, 0, n)}
-	if audit {
-		out.FPs = make([][]byte, 0, n)
-	}
 	take := func(s *Shard, j int) {
 		out.Hashes = append(out.Hashes, s.Hashes[j])
 		out.Parents = append(out.Parents, s.Parents[j])
 		out.EIdxs = append(out.EIdxs, s.EIdxs[j])
-		if audit {
-			out.FPs = append(out.FPs, s.FPs[j])
-		}
 	}
 	x, y := 0, 0
 	for x < len(a.Hashes) || y < len(b.Hashes) {

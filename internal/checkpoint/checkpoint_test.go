@@ -11,9 +11,8 @@ import (
 )
 
 // sample builds a nontrivial snapshot exercising every section: options
-// text, counters, a multi-state frontier, several shards (one empty),
-// and audit fingerprints.
-func sample(audit bool) *Snapshot {
+// text, counters, a multi-state frontier and several shards (one empty).
+func sample() *Snapshot {
 	s := &Snapshot{
 		OptionsFP:   0x1234567890abcdef,
 		Options:     "cfg={NMutators:1} workers=any reduce=false",
@@ -22,8 +21,6 @@ func sample(audit bool) *Snapshot {
 		Transitions: 5678,
 		Ample:       42,
 		Deadlocks:   1,
-		Audit:       audit,
-		Degraded:    false,
 		Checkpoints: 3,
 		Frontier: [][]byte{
 			{0x01, 0x02, 0x03},
@@ -44,42 +41,38 @@ func sample(audit bool) *Snapshot {
 			},
 		},
 	}
-	if audit {
-		s.Shards[0].FPs = [][]byte{{0xaa}, {0xbb, 0xcc}, {}}
-		s.Shards[1].FPs = [][]byte{}
-		s.Shards[2].FPs = [][]byte{{0xdd, 0xee, 0xff}}
-	}
 	return s
 }
 
+// TestSaveLoadRoundTrip: a snapshot saved and loaded back marshals to
+// the same bytes. A snapshot carries no per-record audit fingerprints,
+// which the subtest name records.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	for _, audit := range []bool{false, true} {
-		t.Run(fmt.Sprintf("audit=%v", audit), func(t *testing.T) {
-			want := sample(audit)
-			path := filepath.Join(t.TempDir(), "run.ckpt")
-			n, err := Save(path, want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fi, err := os.Stat(path); err != nil || fi.Size() != n {
-				t.Fatalf("Save reported %d bytes, file has %v (%v)", n, fi, err)
-			}
-			got, err := Load(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Marshal equality is the right comparison: Load builds
-			// empty (not nil) slices, which DeepEqual distinguishes.
-			if !bytes.Equal(want.Marshal(), got.Marshal()) {
-				t.Fatalf("round trip mismatch:\nwant %+v\ngot  %+v", want, got)
-			}
-		})
-	}
+	t.Run("audit=false", func(t *testing.T) {
+		want := sample()
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		n, err := Save(path, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() != n {
+			t.Fatalf("Save reported %d bytes, file has %v (%v)", n, fi, err)
+		}
+		got, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Marshal equality is the right comparison: Load builds
+		// empty (not nil) slices, which DeepEqual distinguishes.
+		if !bytes.Equal(want.Marshal(), got.Marshal()) {
+			t.Fatalf("round trip mismatch:\nwant %+v\ngot  %+v", want, got)
+		}
+	})
 }
 
 func TestMarshalDeterministic(t *testing.T) {
-	a := sample(true).Marshal()
-	b := sample(true).Marshal()
+	a := sample().Marshal()
+	b := sample().Marshal()
 	if string(a) != string(b) {
 		t.Fatal("Marshal is not deterministic")
 	}
@@ -91,7 +84,7 @@ func TestMarshalDeterministic(t *testing.T) {
 // for the trailer, the whole-file hash). Corruption is always detected —
 // never a garbage verdict.
 func TestBitFlipEverySectionDetected(t *testing.T) {
-	data := sample(true).Marshal()
+	data := sample().Marshal()
 	secs, err := Scan(data)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +124,7 @@ func TestBitFlipEverySectionDetected(t *testing.T) {
 // names, length fields, CRC fields) must also fail the load — the
 // per-section CRCs or the whole-file trailer hash catch them.
 func TestFramingFlipDetected(t *testing.T) {
-	data := sample(false).Marshal()
+	data := sample().Marshal()
 	secs, err := Scan(data)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +150,7 @@ func TestFramingFlipDetected(t *testing.T) {
 // TestTruncationDetected: every proper prefix of a valid checkpoint must
 // fail to load.
 func TestTruncationDetected(t *testing.T) {
-	data := sample(true).Marshal()
+	data := sample().Marshal()
 	for cut := 0; cut < len(data); cut++ {
 		if _, err := Unmarshal(data[:cut]); err == nil {
 			t.Fatalf("truncation to %d of %d bytes: load succeeded", cut, len(data))
@@ -177,7 +170,7 @@ func TestStaleTempFileIgnored(t *testing.T) {
 	path := filepath.Join(dir, "run.ckpt")
 
 	// A previous writer died mid-write, leaving a torn temp file.
-	torn := sample(false).Marshal()[:20]
+	torn := sample().Marshal()[:20]
 	if err := os.WriteFile(path+".tmp", torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +183,7 @@ func TestStaleTempFileIgnored(t *testing.T) {
 
 	// A fresh Save must succeed despite the stale temp file and leave a
 	// loadable checkpoint.
-	want := sample(false)
+	want := sample()
 	if _, err := Save(path, want); err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +206,11 @@ func TestStaleTempFileIgnored(t *testing.T) {
 func TestSaveOverwritesAtomically(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
-	old := sample(false)
+	old := sample()
 	if _, err := Save(path, old); err != nil {
 		t.Fatal(err)
 	}
-	newer := sample(false)
+	newer := sample()
 	newer.Depth = 99
 	newer.States = 999999
 	if _, err := Save(path, newer); err != nil {
@@ -238,7 +231,7 @@ func TestBadMagicAndVersion(t *testing.T) {
 	}
 	// Bump the version field and re-frame the header section so only the
 	// version check can object.
-	s := sample(false)
+	s := sample()
 	data := s.Marshal()
 	secs, _ := Scan(data)
 	hdr := secs[0]

@@ -19,7 +19,8 @@ import (
 // It must NEVER load a third, silently-wrong snapshot (the torn-rename
 // kind exists precisely to try).
 func TestSaveFaultMatrix(t *testing.T) {
-	prev, next := sample(false), sample(true)
+	prev, next := sample(), sample()
+	next.Depth, next.Checkpoints = 8, 4
 	prevBytes, nextBytes := prev.Marshal(), next.Marshal()
 	if bytes.Equal(prevBytes, nextBytes) {
 		t.Fatal("matrix needs two distinguishable snapshots")
@@ -81,7 +82,7 @@ func TestSaveFaultMatrix(t *testing.T) {
 // TestLoadFaultMatrix: every fault kind at every read-side operation.
 // A faulted load either errors or returns exactly the saved snapshot.
 func TestLoadFaultMatrix(t *testing.T) {
-	snap := sample(true)
+	snap := sample()
 	want := snap.Marshal()
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	if _, err := Save(path, snap); err != nil {

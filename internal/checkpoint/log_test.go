@@ -28,7 +28,7 @@ var logDeltas = [][]testRec{
 }
 
 // cutSnapshot is the snapshot of cut k holding recs, which it sorts.
-func cutSnapshot(k int, recs []testRec, audit bool) *Snapshot {
+func cutSnapshot(k int, recs []testRec) *Snapshot {
 	states := 0
 	for _, d := range logDeltas[:k+1] {
 		states += len(d)
@@ -41,7 +41,6 @@ func cutSnapshot(k int, recs []testRec, audit bool) *Snapshot {
 		Transitions: int64(10 * states),
 		Ample:       int64(k),
 		Deadlocks:   1,
-		Audit:       audit,
 		Checkpoints: k + 1,
 		Frontier:    [][]byte{{byte(k), 0x02}, {0xff, byte(k)}},
 		Shards:      make([]Shard, 3),
@@ -52,23 +51,20 @@ func cutSnapshot(k int, recs []testRec, audit bool) *Snapshot {
 		sh.Hashes = append(sh.Hashes, r.hash)
 		sh.Parents = append(sh.Parents, r.parent)
 		sh.EIdxs = append(sh.EIdxs, r.eidx)
-		if audit {
-			sh.FPs = append(sh.FPs, []byte{byte(r.hash), 0xaa, byte(r.parent)})
-		}
 	}
 	return s
 }
 
 // sampleLog writes the three cuts as a log at path through fsys and
 // returns the full snapshot of each cut, marshalled.
-func sampleLog(t *testing.T, fsys storage.FS, path string, audit bool) (cuts [][]byte) {
+func sampleLog(t *testing.T, fsys storage.FS, path string) (cuts [][]byte) {
 	t.Helper()
 	var l *Log
 	var all []testRec
 	for k, d := range logDeltas {
 		all = append(all, d...)
-		cuts = append(cuts, cutSnapshot(k, slices.Clone(all), audit).Marshal())
-		seg := cutSnapshot(k, slices.Clone(d), audit)
+		cuts = append(cuts, cutSnapshot(k, slices.Clone(all)).Marshal())
+		seg := cutSnapshot(k, slices.Clone(d))
 		var n int64
 		var err error
 		if k == 0 {
@@ -106,33 +102,33 @@ func imageStarts(t *testing.T, data []byte) []int {
 
 // TestLogLoadsTheLastCut: a log of three segments loads as the full
 // snapshot of its last cut, and a reader of single images refuses it.
+// Its segments carry no per-record audit fingerprints, which the subtest
+// name records.
 func TestLogLoadsTheLastCut(t *testing.T) {
-	for _, audit := range []bool{false, true} {
-		t.Run(fmt.Sprintf("audit=%v", audit), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "run.ckpt")
-			cuts := sampleLog(t, storage.OSFS{}, path, audit)
-			got, err := Load(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Dropped != 0 {
-				t.Fatalf("dropped %d segments of an undamaged log", got.Dropped)
-			}
-			if !bytes.Equal(got.Marshal(), cuts[2]) {
-				t.Fatal("the log's union is not the last cut's snapshot")
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Unmarshal(data); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
-				t.Fatalf("Unmarshal of a log: err = %v, want trailing bytes refused", err)
-			}
-			if _, err := os.Stat(path + storage.TmpSuffix); !os.IsNotExist(err) {
-				t.Fatalf("staging file left behind: %v", err)
-			}
-		})
-	}
+	t.Run("audit=false", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		cuts := sampleLog(t, storage.OSFS{}, path)
+		got, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Dropped != 0 {
+			t.Fatalf("dropped %d segments of an undamaged log", got.Dropped)
+		}
+		if !bytes.Equal(got.Marshal(), cuts[2]) {
+			t.Fatal("the log's union is not the last cut's snapshot")
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Unmarshal(data); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+			t.Fatalf("Unmarshal of a log: err = %v, want trailing bytes refused", err)
+		}
+		if _, err := os.Stat(path + storage.TmpSuffix); !os.IsNotExist(err) {
+			t.Fatalf("staging file left behind: %v", err)
+		}
+	})
 }
 
 // TestLogTornAndDamagedTail: a log cut anywhere inside its last segment,
@@ -140,7 +136,7 @@ func TestLogLoadsTheLastCut(t *testing.T) {
 // the one segment it dropped; any flipped byte of the base refuses it.
 func TestLogTornAndDamagedTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	cuts := sampleLog(t, storage.OSFS{}, path, true)
+	cuts := sampleLog(t, storage.OSFS{}, path)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +179,7 @@ func TestLogTornAndDamagedTail(t *testing.T) {
 // make one log are refused, not merged.
 func TestLogRefusesSplices(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	sampleLog(t, storage.OSFS{}, path, false)
+	sampleLog(t, storage.OSFS{}, path)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -216,13 +212,13 @@ func TestLogRefusesSplices(t *testing.T) {
 	// A segment that adds no records leaves the union count alone when
 	// it goes missing: the predecessor link catches that.
 	path = filepath.Join(t.TempDir(), "links.ckpt")
-	l, _, err := Create(storage.OSFS{}, path, cutSnapshot(0, slices.Clone(logDeltas[0]), false), serial)
+	l, _, err := Create(storage.OSFS{}, path, cutSnapshot(0, slices.Clone(logDeltas[0])), serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty := cutSnapshot(0, nil, false)
+	empty := cutSnapshot(0, nil)
 	empty.Depth++
-	for _, s := range []*Snapshot{empty, cutSnapshot(1, slices.Clone(logDeltas[1]), false)} {
+	for _, s := range []*Snapshot{empty, cutSnapshot(1, slices.Clone(logDeltas[1]))} {
 		if _, err := l.Append(s, serial); err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +243,7 @@ func TestLogRefusesSplices(t *testing.T) {
 // cut before it or to its own — to its own if it reported success.
 func TestAppendFaultMatrix(t *testing.T) {
 	probe := storage.NewFaultFS(nil)
-	sampleLog(t, probe, filepath.Join(t.TempDir(), "run.ckpt"), false)
+	sampleLog(t, probe, filepath.Join(t.TempDir(), "run.ckpt"))
 	// create, write, sync, rename for the base; then two appends and the
 	// close.
 	perAppend := (probe.Ops() - 4 - 1) / 2
@@ -258,20 +254,20 @@ func TestAppendFaultMatrix(t *testing.T) {
 	var cuts [][]byte
 	for k, d := range logDeltas[:2] {
 		all = append(all, d...)
-		cuts = append(cuts, cutSnapshot(k, slices.Clone(all), false).Marshal())
+		cuts = append(cuts, cutSnapshot(k, slices.Clone(all)).Marshal())
 	}
 	for _, kind := range storage.Kinds {
 		for op := 0; op < perAppend; op++ {
 			t.Run(fmt.Sprintf("%s@%d", kind, op), func(t *testing.T) {
 				path := filepath.Join(t.TempDir(), "run.ckpt")
 				ffs := storage.NewFaultFS(nil)
-				l, _, err := Create(ffs, path, cutSnapshot(0, slices.Clone(logDeltas[0]), false), serial)
+				l, _, err := Create(ffs, path, cutSnapshot(0, slices.Clone(logDeltas[0])), serial)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer l.Close()
 				ffs.FailAt(ffs.Ops()+op, kind)
-				_, aerr := l.Append(cutSnapshot(1, slices.Clone(logDeltas[1]), false), serial)
+				_, aerr := l.Append(cutSnapshot(1, slices.Clone(logDeltas[1])), serial)
 
 				got, err := Load(path) // through a clean filesystem: a restart
 				if err != nil {

@@ -59,6 +59,10 @@ type VerifyResult struct {
 	// checkpoint log that the resume dropped (checkpoint.Snapshot.Dropped):
 	// the run redid their layers.
 	ResumeDropped int
+	// Audited says the run had the collision auditor (JobOptions.Audit):
+	// HashCollisions is then its count, and Degraded says the count covers
+	// only part of the run.
+	Audited bool
 }
 
 // Holds reports whether the checked properties are established on the
@@ -217,7 +221,7 @@ func verify(cfg ModelConfig, opt JobOptions, run JobRun) (VerifyResult, error) {
 		}
 	}
 	res := explore.Run(m, checks, eopt)
-	vr := VerifyResult{Result: res, Model: m, Effects: val, ResumeDropped: dropped}
+	vr := VerifyResult{Result: res, Model: m, Effects: val, ResumeDropped: dropped, Audited: opt.Audit}
 	if res.Stopped == explore.StopResume {
 		return vr, fmt.Errorf("core: %w", res.Err)
 	}

@@ -57,10 +57,13 @@ type JobOptions struct {
 	// HeadlineOnly checks just valid_refs_inv instead of the full
 	// battery.
 	HeadlineOnly bool `json:"headline_only,omitempty"`
-	// Audit retains the full canonical fingerprint of every visited
-	// state alongside its 64-bit hash and counts hash collisions
-	// (VerifyResult.HashCollisions). It costs string-fingerprint memory
-	// and exists to validate the default compact-hash mode.
+	// Audit attaches the checker's collision auditor
+	// (explore.Options.HashOnly off): it keeps the full canonical
+	// fingerprint of every visited state beside the hashed visited table,
+	// counts hash collisions (VerifyResult.HashCollisions) and checks every
+	// state's hash against its fingerprint. It costs string-fingerprint
+	// memory and exists to validate the 64-bit hash pruning every run
+	// relies on; the verdict record carries its count.
 	Audit bool `json:"audit,omitempty"`
 	// Reduce enables the TSO-aware partial-order reduction (skip
 	// commuting interleavings of safe buffer-local steps); see
@@ -99,7 +102,7 @@ type JobOptions struct {
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// MemBudgetMiB is a soft heap budget in MiB (0 = none): as the
 	// checker's live heap approaches it, the run degrades in steps
-	// (emergency checkpoint, then dropping audit fingerprints, then a
+	// (emergency checkpoint, then dropping the collision auditor, then a
 	// clean incomplete stop) instead of dying to the OOM killer. See
 	// explore.Options.MemBudget.
 	MemBudgetMiB int `json:"mem_budget_mib,omitempty"`

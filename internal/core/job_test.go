@@ -129,6 +129,7 @@ func TestJobSpecFingerprintPinned(t *testing.T) {
 		{JobSpec{Preset: "tiny", Options: JobOptions{LivenessProps: []string{"gc-sweep"}, MaxDepth: 20}}, 0x95b4631a2885e0b9},
 		{JobSpec{Preset: "tiny", Options: JobOptions{ValidateEffects: true, Liveness: true}}, 0x87b0727c1f9e0c6e},
 		{JobSpec{Preset: "two-mutator", Options: JobOptions{Reduce: true}}, 0x680b09ab58ea049f},
+		{JobSpec{Preset: "tiny", Options: JobOptions{Audit: true}}, 0x3f6fd163747708b0},
 		// Ablated specs: with violation.golden's no_deletion_barrier key
 		// these cover every alias that drops commands.
 		{JobSpec{Preset: "tiny", Ablations: Ablations{NoHSFence: true}}, 0x31aef466ea2ad036},

@@ -27,23 +27,22 @@ func (e *explorer) watchdog(depth int, layer []qent) bool {
 	}
 	used := int64(e.memSample())
 	switch {
-	case used >= e.opt.MemBudget:
-		if e.spill != nil {
-			// The spill rung replaces the stop: activate (idempotent)
-			// and keep exploring from disk. If the spill is broken the
-			// run stops anyway — run() turns the latched error into
-			// StopSpill rather than StopMemBudget.
-			return e.activateSpill(depth, layer) != nil
-		}
+	case used >= e.opt.MemBudget && e.spill == nil:
 		e.writeCheckpoint(depth, layer)
 		return true
 	case used >= e.opt.MemBudget*85/100:
-		if e.seen.audit {
-			e.dropAudit()
+		if e.audit != nil && !e.audit.dropped {
+			// The auditor rides last on the run's copy of the visitors.
+			e.opt.Visitors = e.opt.Visitors[:len(e.opt.Visitors)-1]
+			e.audit.drop()
 			runtime.GC()
 		}
 		if e.spill != nil {
-			return e.activateSpill(depth, layer) != nil // latched; run() reports StopSpill
+			// Past the budget too, the spill replaces the stop: activate
+			// (idempotent) and keep exploring from disk. If the spill is
+			// broken the run stops anyway — run() turns the latched error
+			// into StopSpill rather than StopMemBudget.
+			return e.activateSpill(depth, layer) != nil
 		}
 	case used >= e.opt.MemBudget*70/100:
 		if !e.emergency {
@@ -55,16 +54,11 @@ func (e *explorer) watchdog(depth int, layer []qent) bool {
 }
 
 // activateSpill moves the visited records to the checkpoint log: it
-// drops audit retention (a spilled table is hash-only, and the log then
-// rewrites whole without fingerprints), writes the cut at depth, and only
-// once the log holds every record releases the table's payload arrays.
-// Idempotent; boundary-only.
+// writes the cut at depth, and only once the log holds every record
+// releases the table's payload arrays. Idempotent; boundary-only.
 func (e *explorer) activateSpill(depth int, layer []qent) error {
 	if e.spill.isActive() {
 		return e.spill.firstErr()
-	}
-	if e.seen.audit {
-		e.dropAudit()
 	}
 	if err := e.spill.activate(); err != nil {
 		return err
@@ -76,14 +70,6 @@ func (e *explorer) activateSpill(depth int, layer []qent) error {
 	}
 	e.seen.spill()
 	return nil
-}
-
-// dropAudit degrades the run to hash-only. The open checkpoint log holds
-// fingerprints, so the next checkpoint rewrites the file whole.
-func (e *explorer) dropAudit() {
-	e.seen.dropAudit()
-	e.degraded = true
-	e.closeLog()
 }
 
 // logPath is where the run's checkpoint log is: Checkpoint.Path, or once
@@ -110,8 +96,6 @@ func (e *explorer) snapshot(depth int, layer []qent) *checkpoint.Snapshot {
 		Transitions: e.transitions.Load(),
 		Ample:       e.ample.Load(),
 		Deadlocks:   e.deadlocks.Load(),
-		Audit:       e.seen.audit,
-		Degraded:    e.degraded,
 		Frontier:    e.encodeFrontier(layer),
 		Shards:      make([]checkpoint.Shard, len(e.seen.stripes)),
 	}
@@ -133,14 +117,8 @@ func (e *explorer) snapshot(depth int, layer []qent) *checkpoint.Snapshot {
 			Parents: make([]uint64, n),
 			EIdxs:   make([]int32, n),
 		}
-		if e.seen.audit {
-			out.FPs = make([][]byte, n)
-		}
 		each(func(j int, en entry) {
 			out.Hashes[j], out.Parents[j], out.EIdxs[j] = en.hash, en.parent, en.eidx
-			if e.seen.audit {
-				out.FPs[j] = []byte(e.seen.stripes[i].fps[en.hash])
-			}
 		})
 		s.Shards[i] = out
 	})
@@ -176,10 +154,9 @@ func (e *explorer) encodeFrontier(layer []qent) [][]byte {
 }
 
 // writeCheckpoint writes the cut at depth to the log: the base of a new
-// log when none is open — after start, resume, a failed write, or dropped
-// audit retention — and a delta segment of the records inserted since the
-// last cut otherwise. A cut the open log already ends with is not written
-// again. Before the spill a write failure does not stop the search: the
+// log when none is open — after start, resume or a failed write — and a
+// delta segment of the records inserted since the last cut otherwise. A
+// cut the open log already ends with is not written again. Before the spill a write failure does not stop the search: the
 // first is surfaced in Result.Err, and the next cut rewrites the file
 // whole. Once the spill is active the log is the only copy of the
 // records, so a failure is latched as the spill's and stops the run.
@@ -256,18 +233,6 @@ func (e *explorer) restore(snap *checkpoint.Snapshot) ([]qent, int, error) {
 	if len(snap.Shards) != len(e.seen.stripes) {
 		return nil, 0, fmt.Errorf("explore: checkpoint has %d shards, this run %d", len(snap.Shards), len(e.seen.stripes))
 	}
-	switch {
-	case snap.Audit && !e.seen.audit:
-		return nil, 0, fmt.Errorf("explore: audit-mode checkpoint resumed into a hash-only run")
-	case !snap.Audit && e.seen.audit:
-		if !snap.Degraded {
-			return nil, 0, fmt.Errorf("explore: hash-only checkpoint resumed into an audit-mode run")
-		}
-		// The original audit run was degraded to hash-only by the memory
-		// watchdog; the resumed run continues hash-only.
-		e.seen.dropAudit()
-	}
-	e.degraded = snap.Degraded
 	in := e.ins[0]
 	for i := range snap.Shards {
 		sh := &snap.Shards[i]
@@ -276,11 +241,7 @@ func (e *explorer) restore(snap *checkpoint.Snapshot) ([]qent, int, error) {
 			if int(h>>e.seen.shift) != i {
 				return nil, 0, fmt.Errorf("explore: checkpoint shard %d holds hash %016x belonging to shard %d", i, h, h>>e.seen.shift)
 			}
-			var fp []byte
-			if e.seen.audit {
-				fp = sh.FPs[j]
-			}
-			if !e.seen.insert(in, h, rec{parent: sh.Parents[j], eidx: sh.EIdxs[j]}, fp) {
+			if !e.seen.insert(in, h, rec{parent: sh.Parents[j], eidx: sh.EIdxs[j]}) {
 				return nil, 0, fmt.Errorf("explore: checkpoint shard %d holds duplicate hash %016x", i, h)
 			}
 		}

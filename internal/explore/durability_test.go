@@ -379,11 +379,10 @@ func TestWorkerPanicContained(t *testing.T) {
 
 // TestMemBudgetLadder drives the watchdog through its whole degradation
 // ladder with a scripted heap probe: below 70% nothing happens; at 70%
-// exactly one emergency checkpoint; at 85% audit fingerprints are
-// dropped (Degraded); at 100% a final checkpoint and a clean
-// StopMemBudget. The degraded checkpoint then resumes into an
-// audit-configured run, which continues hash-only to the same verdict
-// as a clean audit run.
+// exactly one emergency checkpoint; at 85% the auditor is dropped with its
+// fingerprints (Degraded); at 100% a final checkpoint and a clean
+// StopMemBudget. The checkpoint then resumes into an audited run, which
+// reaches a clean audited run's verdict with a partial collision count.
 func TestMemBudgetLadder(t *testing.T) {
 	m := mustBuild(t, safeCfg())
 	const budget = 1 << 30
@@ -391,14 +390,14 @@ func TestMemBudgetLadder(t *testing.T) {
 		budget * 10 / 100,  // layer 1: calm
 		budget * 75 / 100,  // layer 2: emergency checkpoint
 		budget * 75 / 100,  // layer 3: emergency already taken, no second one
-		budget * 90 / 100,  // layer 4: drop audit fingerprints
+		budget * 90 / 100,  // layer 4: drop the auditor
 		budget * 110 / 100, // layer 5: stop
 	}
 	call := 0
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	opt := Options{
 		Workers:    2,
-		HashOnly:   false, // audit mode, so the 85% rung has something to drop
+		HashOnly:   false, // audited, so the 85% rung has something to drop
 		MemBudget:  budget,
 		Checkpoint: CheckpointOptions{Path: path, EveryLayers: 1000},
 		MemSample: func() uint64 {
@@ -418,7 +417,11 @@ func TestMemBudgetLadder(t *testing.T) {
 		t.Fatal("budget-stopped run reported complete")
 	}
 	if !res.Degraded {
-		t.Fatal("85% rung did not degrade audit mode")
+		t.Fatal("85% rung did not drop the auditor")
+	}
+	// A dropped auditor holds nothing: the run's bytes are the table's.
+	if res.VisitedBytes != int64(res.States)*recBytes || res.HashCollisions != 0 {
+		t.Fatalf("after the drop: %d visited bytes for %d states, %d collisions", res.VisitedBytes, res.States, res.HashCollisions)
 	}
 	// Emergency (70%) + final (100%) = exactly two snapshots; the 75%
 	// repeat must not write a second emergency one.
@@ -429,17 +432,15 @@ func TestMemBudgetLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Audit || !snap.Degraded {
-		t.Fatalf("final snapshot audit=%v degraded=%v, want hash-only degraded", snap.Audit, snap.Degraded)
-	}
 
-	// Resume the degraded snapshot into the same (audit-configured)
-	// options without a budget: it must continue hash-only and land on
-	// the clean audit baseline's verdict and counts.
+	// Resume the snapshot into the same (audited) options without a
+	// budget: it must land on the clean audited baseline's verdict and
+	// counts, its collision count covering only the layers after the cut.
 	want := Run(m, invariant.Safety(), Options{Workers: 2, HashOnly: false})
 	res2 := Run(m, invariant.Safety(), Options{Workers: 2, HashOnly: false, Resume: snap})
-	if !res2.Complete || !res2.Degraded {
-		t.Fatalf("degraded resume: complete=%v degraded=%v err=%v", res2.Complete, res2.Degraded, res2.Err)
+	if !res2.Complete || !res2.Degraded || want.Degraded || res2.HashCollisions != 0 {
+		t.Fatalf("degraded resume: complete=%v degraded=%v (baseline %v) collisions=%d err=%v",
+			res2.Complete, res2.Degraded, want.Degraded, res2.HashCollisions, res2.Err)
 	}
 	if res2.States != want.States || res2.Transitions != want.Transitions ||
 		res2.Depth != want.Depth || res2.Deadlocks != want.Deadlocks {
@@ -465,9 +466,10 @@ func TestCapsReportStopReasons(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTripThroughExplorer: a checkpoint of an audit+trace
-// run — the most stateful configuration — must load and resume to the
-// uninterrupted verdict.
+// TestCheckpointRoundTripThroughExplorer: a checkpoint of an audited,
+// traced run must load and resume to the uninterrupted verdict. The
+// checkpoint holds no fingerprints, so the resumed auditor sees only the
+// layers after the cut and says so (Degraded).
 func TestCheckpointRoundTripThroughExplorer(t *testing.T) {
 	m := mustBuild(t, safeCfg())
 	base := Options{HashOnly: false, Trace: true, Workers: 2, Shards: 4}
@@ -488,9 +490,6 @@ func TestCheckpointRoundTripThroughExplorer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !snap.Audit {
-		t.Fatal("audit snapshot lost its fingerprints")
-	}
 	second := base
 	second.Resume = snap
 	res := Run(m, invariant.Safety(), second)
@@ -502,6 +501,9 @@ func TestCheckpointRoundTripThroughExplorer(t *testing.T) {
 		t.Fatalf("audit resume diverged: got s=%d t=%d d=%d c=%d, want s=%d t=%d d=%d c=%d",
 			res.States, res.Transitions, res.Depth, res.HashCollisions,
 			want.States, want.Transitions, want.Depth, want.HashCollisions)
+	}
+	if want.Degraded || !res.Degraded {
+		t.Fatalf("degraded: uninterrupted %v, resumed %v; want false, true", want.Degraded, res.Degraded)
 	}
 }
 

@@ -19,12 +19,12 @@
 // The visited set is one open-addressed table keyed by the state's
 // 64-bit FNV-1a fingerprint hash, cut into Options.Shards stripes by the
 // hash's top bits; a worker claims a key with one compare-and-swap, and
-// stripes are resized only at the layer barrier (visited.go). By default
-// only the hash is retained (Options.HashOnly), at 20 payload bytes per
-// state regardless of configuration size; the full canonical fingerprint
-// encoding is kept only in the opt-in audit mode, which counts hash
-// collisions (Result.HashCollisions) to back the compaction's soundness
-// argument — see DESIGN.md.
+// stripes are resized only at the layer barrier (visited.go). Only the
+// hash is retained, at 20 payload bytes per state regardless of
+// configuration size. With Options.HashOnly off, an auditor (audit.go)
+// keeps the full fingerprints beside the search, counting hash collisions
+// (Result.HashCollisions) and checking the engine's hashes, to back the
+// compaction's soundness argument — see DESIGN.md.
 //
 // Memory: full states live only on the two live BFS layers (current and
 // next); visited states are retained as hashes plus, when Options.Trace
@@ -107,17 +107,16 @@ type Options struct {
 	Workers int
 	// Shards is the number of stripes the visited table is cut into by
 	// the hash's top bits, rounded up to a power of two (0 = 64). A stripe
-	// is the unit of growth, of a checkpoint section and of the audit-mode
-	// lock.
+	// is the unit of growth and of a checkpoint section.
 	Shards int
-	// HashOnly stores only the 64-bit fingerprint hash per visited state
-	// (compact mode — the production default, wired by package core and
-	// cmd/gcmc). When false, the checker additionally retains every
-	// state's full canonical fingerprint and counts hash collisions in
-	// Result.HashCollisions; this audit mode costs string-fingerprint
-	// memory and exists to validate the compaction (the verdict itself
-	// is computed from hashes in both modes, so the two modes agree
-	// exactly whenever HashCollisions is 0).
+	// HashOnly runs without the collision auditor: the production
+	// default, wired by package core and cmd/gcmc. When false, an auditor
+	// rides beside the search (audit.go): it retains every visited state's
+	// canonical fingerprint, counts hash collisions in
+	// Result.HashCollisions, and stops the run with StopPanic if the
+	// engine's hash of a state is not its fingerprint's. The table, the
+	// checkpoints and the verdict do not change with it, but
+	// OptionsFingerprint does.
 	HashOnly bool
 	// Reduce enables the TSO-aware partial-order reduction: at states
 	// where gcmodel.AmpleChoice nominates a safe buffer-local step
@@ -160,9 +159,9 @@ type Options struct {
 	// a watchdog at layer boundaries. As the live heap approaches the
 	// budget the run degrades in steps rather than dying to the OOM
 	// killer: at 70% it writes a one-time emergency checkpoint (when a
-	// checkpoint path is configured); at 85% it drops audit-mode
-	// fingerprint retention and continues hash-only (Result.Degraded);
-	// at 100% it writes a final checkpoint and stops cleanly with
+	// checkpoint path is configured); at 85% it drops the collision
+	// auditor and its fingerprints (Result.Degraded) and, with SpillDir,
+	// spills; at 100% it writes a final checkpoint and stops cleanly with
 	// Result.Stopped == StopMemBudget.
 	MemBudget int64
 	// MemSample overrides the watchdog's heap probe (a test hook; nil
@@ -192,7 +191,7 @@ type CheckpointOptions struct {
 	// Path is the checkpoint file; empty disables checkpointing until a
 	// spill, which logs to run.ckpt in Options.SpillDir. The file is a
 	// log (package checkpoint): the run's first snapshot, and the first
-	// after a failed write or dropped audit retention, replaces it
+	// after a failed write, replaces it
 	// atomically (temp file + rename); each later one appends the
 	// records visited since, fsynced. checkpoint.Load reads the latest
 	// cut that verifies. Once the spill is active the log is the only
@@ -380,28 +379,30 @@ type Result struct {
 	// CheckpointBytes is the number of bytes this run wrote to its
 	// checkpoint file, over every full rewrite and appended segment.
 	CheckpointBytes int64
-	// Degraded reports that the memory watchdog dropped audit-mode
-	// fingerprint retention mid-run (or that the run resumed from a
-	// degraded snapshot): HashCollisions then undercounts.
+	// Degraded reports that HashCollisions covers only part of an audited
+	// run: the memory watchdog dropped the auditor mid-run, or the run
+	// resumed from a checkpoint and the auditor saw only what came after
+	// the cut. Always false without the auditor.
 	Degraded bool
 	// Deadlocks counts states with no outgoing transition.
 	Deadlocks int
 	// Violation is the minimal-depth invariant failure found, or nil.
 	Violation *Violation
-	// HashCollisions counts pairs of distinct canonical fingerprints
-	// observed to share a 64-bit hash. Only audit mode (HashOnly off)
-	// can detect collisions; the count is always 0 in compact mode.
+	// HashCollisions counts the transitions into a known hash whose
+	// canonical fingerprint differs from the one first seen under it. Only
+	// the auditor (HashOnly off) can see collisions; without it the count
+	// is always 0.
 	HashCollisions int
 	// AmpleStates counts the expanded states at which the partial-order
 	// reduction restricted the successor set to a single safe
 	// transition. Always 0 unless Options.Reduce.
 	AmpleStates int
-	// VisitedBytes is the payload memory retained by the visited set: 20
-	// bytes per state (key, parent hash, event index; 8 once the spill has
-	// moved the records to the checkpoint log) plus the audit-mode
-	// fingerprint strings. It is a function of the set, not of the table's
-	// capacity (Table has that), and leaves out the records buffered for
-	// the log's next cut.
+	// VisitedBytes is the payload memory retained for the visited states:
+	// 20 bytes per state in the table (key, parent hash, event index; 8
+	// once the spill has moved the records to the checkpoint log), plus
+	// the auditor's fingerprint strings while it runs. It is a function of
+	// the set, not of the table's capacity (Table has that), and leaves
+	// out the records buffered for the log's next cut.
 	VisitedBytes int64
 	// Table describes the visited table when the run ended: capacity,
 	// load, stripes rebuilt and overflow hits.
@@ -436,6 +437,9 @@ type explorer struct {
 	init     cimp.System[*gcmodel.Local]
 	initHash uint64
 	seen     *visited
+	// audit is the auditor (nil with HashOnly). It rides last on opt.Visitors,
+	// the run's own copy, until the memory watchdog drops it.
+	audit *auditor
 
 	// ws are the workers' private states and ins their sides of the
 	// visited table (ins[i] is ws[i].ins), kept for the whole run; spare is
@@ -485,7 +489,6 @@ type explorer struct {
 	log         *checkpoint.Log
 	logDepth    int
 	frontierBuf []byte
-	degraded    bool
 	emergency   bool
 	memSample   func() uint64
 
@@ -534,9 +537,15 @@ func newExplorer(m *gcmodel.Model, init cimp.System[*gcmodel.Local], checks []in
 		workers:   workers,
 		every:     every,
 		init:      init,
-		seen:      newVisited(opt.Shards, !opt.HashOnly),
+		seen:      newVisited(opt.Shards),
 		start:     start,
 		memSample: opt.MemSample,
+	}
+	if !opt.HashOnly {
+		// Last, so that it sees exactly the transitions whose successors
+		// are inserted: a failing visitor stops the others.
+		e.audit = newAuditor(m)
+		e.opt.Visitors = append(slices.Clip(opt.Visitors), e.audit)
 	}
 	for i := 0; i < workers; i++ {
 		w := &worker{ins: e.seen.inserter(), buf: make([]byte, 0, 256)}
@@ -648,8 +657,7 @@ func frozenConfig(c gcmodel.Config) (configV1, []string) {
 func (e *explorer) run() Result {
 	var res Result
 
-	buf := e.m.AppendFingerprint(nil, e.init)
-	e.initHash = gcmodel.Hash64(buf)
+	e.initHash = e.m.FingerprintHash(e.init)
 
 	var layer []qent
 	startDepth := 0
@@ -662,7 +670,7 @@ func (e *explorer) run() Result {
 			return res
 		}
 	} else {
-		e.seen.insert(e.ins[0], e.initHash, rec{eidx: -1}, buf)
+		e.seen.insert(e.ins[0], e.initHash, rec{eidx: -1})
 		e.seen.settle(e.ins[:1], 1)
 		e.states.Store(1)
 		if v := e.check(e.ws[0], e.init, e.initHash, 0); v != nil {
@@ -795,11 +803,15 @@ func (e *explorer) collect(res *Result) {
 	res.Deadlocks = int(e.deadlocks.Load())
 	res.Checkpoints = e.checkpoints
 	res.CheckpointBytes = e.ckptBytes
-	res.Degraded = e.degraded
-	for i := range e.seen.stripes {
-		res.HashCollisions += int(e.seen.stripes[i].collisions)
-	}
 	res.VisitedBytes = e.seen.bytes()
+	if a := e.audit; a != nil {
+		// A resumed auditor has seen nothing before the cut.
+		res.Degraded = a.dropped || e.opt.Resume != nil
+		for i := range a.stripes {
+			res.HashCollisions += int(a.stripes[i].collisions)
+			res.VisitedBytes += a.stripes[i].bytes
+		}
+	}
 	res.Table = e.seen.stats()
 	if e.spill != nil {
 		res.Spilled = e.spill.stats()
@@ -1015,9 +1027,9 @@ claim:
 // unreduced relation.
 //
 // Successors arrive borrowed, in the worker's scratch process table: they
-// are fingerprinted, hashed, shown to the Edge visitors and probed for as
-// they are, and only one that turns out to be new — or to violate — gets a
-// process table of its own.
+// are hashed, shown to the Edge visitors and probed for as they are, and
+// only one that turns out to be new — or to violate — gets a process table
+// of its own.
 func (e *explorer) expandState(w *worker, cur qent, nd int, amp gcmodel.Ample) (out, taken int) {
 	e.m.SuccessorsBorrowed(&w.succ, cur.state, func(ns cimp.System[*gcmodel.Local], ev cimp.Event) bool {
 		eidx := out
@@ -1029,12 +1041,7 @@ func (e *explorer) expandState(w *worker, cur qent, nd int, amp gcmodel.Ample) (
 		w.transitions++
 		via := rec{parent: cur.hash, eidx: int32(eidx)}
 		var h uint64
-		if e.opt.HashOnly {
-			h, w.buf = e.m.BorrowedHash(&w.succ, ns, w.buf)
-		} else {
-			w.buf = e.m.AppendFingerprint(w.buf[:0], ns)
-			h = gcmodel.Hash64(w.buf)
-		}
+		h, w.buf = e.m.BorrowedHash(&w.succ, ns, w.buf)
 		for _, v := range e.opt.Visitors {
 			edge := Edge{From: cur.state, To: ns, FromHash: cur.hash, ToHash: h, Ev: ev, EIdx: eidx}
 			if err := v.Edge(edge); err != nil {
@@ -1046,7 +1053,7 @@ func (e *explorer) expandState(w *worker, cur qent, nd int, amp gcmodel.Ample) (
 		if e.opt.Trace {
 			r = via
 		}
-		if !e.seen.insert(w.ins, h, r, w.buf) {
+		if !e.seen.insert(w.ins, h, r) {
 			return true
 		}
 		ns = ns.CloneShallow()

@@ -33,7 +33,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 		{Workers: 1, HashOnly: true},
 		{Workers: 2, Shards: 4, HashOnly: true},
 		{Workers: 8, Shards: 256, HashOnly: true},
-		{Workers: 2, HashOnly: false}, // audit mode must agree exactly
+		{Workers: 2, HashOnly: false}, // an audited run must agree exactly
 	} {
 		res := Run(m, invariant.Safety(), opt)
 		if res.Violation != nil {
@@ -134,15 +134,17 @@ func TestShortestCounterexampleAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCollisionAudit explores a mid-size configuration with the full
-// fingerprints retained (HashOnly off) and asserts that the 64-bit
-// hashes of all distinct canonical fingerprints are themselves distinct.
+// TestCollisionAudit explores a mid-size configuration with the auditor
+// attached (HashOnly off), which keeps the full fingerprints beside the
+// table, and asserts that the 64-bit hashes of all distinct canonical
+// fingerprints are themselves distinct and are the hashes the engine
+// computed.
 //
 // This documents the compaction's soundness argument: the checker's
 // verdict is exact if and only if no two distinct reachable
 // fingerprints collide in 64 bits. For n uniformly hashed states the
 // collision probability is ≈ n²/2⁶⁵ (birthday bound) — about 10⁻⁹ at
-// n = 10⁶ — and the audit mode turns that probabilistic argument into a
+// n = 10⁶ — and the auditor turns that probabilistic argument into a
 // checked fact for any configuration small enough to afford the
 // strings. Compact mode is validated here, and can be re-validated for
 // any new configuration with gcmc's `audit` option.
@@ -164,7 +166,7 @@ func TestCollisionAudit(t *testing.T) {
 		t.Fatalf("%d hash collisions among %d states", res.HashCollisions, res.States)
 	}
 	if res.VisitedBytes <= int64(res.States)*recBytes {
-		t.Fatalf("audit mode should retain fingerprint strings: %d bytes for %d states",
+		t.Fatalf("the auditor should retain fingerprint strings: %d bytes for %d states",
 			res.VisitedBytes, res.States)
 	}
 	t.Logf("0 collisions among %d states (%.1f audit bytes/state)",

@@ -18,9 +18,9 @@ type rec struct {
 	eidx   int32
 }
 
-// recBytes is the visited-set payload per state in compact mode: one slot
-// of the table — an 8-byte key, an 8-byte parent hash and a 4-byte event
-// index, each in its own array.
+// recBytes is the visited-set payload per state: one slot of the table —
+// an 8-byte key, an 8-byte parent hash and a 4-byte event index, each in
+// its own array.
 const recBytes = 8 + 8 + 4
 
 const (
@@ -53,13 +53,9 @@ type stripe struct {
 	// barrier from the workers' own counts.
 	n int
 
-	// mu guards the slow paths: the overflow set, and in audit mode the
-	// whole claim, with the fingerprint strings kept beside the table.
-	mu         sync.Mutex
-	over       map[uint64]rec
-	fps        map[uint64]string
-	fpBytes    int64
-	collisions int64
+	// mu guards the slow path, the overflow set.
+	mu   sync.Mutex
+	over map[uint64]rec
 }
 
 // visited is the visited set: one table keyed by fingerprint hash, cut
@@ -77,7 +73,6 @@ type stripe struct {
 type visited struct {
 	stripes []stripe
 	shift   uint // a hash's stripe is h >> shift
-	audit   bool
 	// logged says a checkpoint log is open: every inserter keeps the
 	// records it adds for the log's next segment. spilled says the payload
 	// arrays are gone (spill.go): the records are in the log and in those
@@ -102,7 +97,7 @@ type inserter struct {
 	recs  [][]entry // per stripe, the records since the last cut
 }
 
-func newVisited(n int, audit bool) *visited {
+func newVisited(n int) *visited {
 	if n <= 0 {
 		n = 64
 	}
@@ -110,13 +105,9 @@ func newVisited(n int, audit bool) *visited {
 	v := &visited{
 		stripes: make([]stripe, n),
 		shift:   uint(64 - bits.Len(uint(n-1))),
-		audit:   audit,
 	}
 	for i := range v.stripes {
 		v.stripes[i].alloc(stripeSlots)
-		if audit {
-			v.stripes[i].fps = make(map[uint64]string)
-		}
 	}
 	return v
 }
@@ -141,38 +132,21 @@ func (v *visited) start(h uint64, slots int) int {
 }
 
 // insert records hash h with bookkeeping r and reports whether the state
-// was new. In audit mode fp must be the canonical encoding; a known hash
-// carried by a different encoding increments the collision counter (the
-// state is still treated as visited, keeping audit-mode verdicts
-// identical to compact mode).
-func (v *visited) insert(in *inserter, h uint64, r rec, fp []byte) bool {
+// was new.
+func (v *visited) insert(in *inserter, h uint64, r rec) bool {
 	si := h >> v.shift
-	s := &v.stripes[si]
-	var fresh bool
-	if v.audit {
-		s.mu.Lock()
-		if fresh = v.claim(s, h, r, true); fresh {
-			s.fps[h] = string(fp)
-			s.fpBytes += int64(16 + len(fp))
-		} else if s.fps[h] != string(fp) {
-			s.collisions++
-		}
-		s.mu.Unlock()
-	} else {
-		fresh = v.claim(s, h, r, false)
+	if !v.claim(&v.stripes[si], h, r) {
+		return false
 	}
-	if fresh {
-		in.added[si]++
-		if v.logged {
-			in.recs[si] = append(in.recs[si], entry{h, r})
-		}
+	in.added[si]++
+	if v.logged {
+		in.recs[si] = append(in.recs[si], entry{h, r})
 	}
-	return fresh
+	return true
 }
 
-// claim makes h a key of s, reporting whether this call did. locked says
-// the caller holds s.mu.
-func (v *visited) claim(s *stripe, h uint64, r rec, locked bool) bool {
+// claim makes h a key of s, reporting whether this call did.
+func (v *visited) claim(s *stripe, h uint64, r rec) bool {
 	if h == 0 {
 		if !v.zero.CompareAndSwap(false, true) {
 			return false
@@ -200,16 +174,14 @@ func (v *visited) claim(s *stripe, h uint64, r rec, locked bool) bool {
 			i = 0
 		}
 	}
-	return s.overflow(h, r, locked)
+	return s.overflow(h, r)
 }
 
 // overflow is claim for a stripe past its hard limit: every probe for h
 // ends here until the next barrier, so the overflow set alone decides.
-func (s *stripe) overflow(h uint64, r rec, locked bool) bool {
-	if !locked {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
+func (s *stripe) overflow(h uint64, r rec) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, ok := s.over[h]; ok {
 		return false
 	}
@@ -406,16 +378,6 @@ func (v *visited) spill() {
 	v.spilled = true
 }
 
-// dropAudit releases the audit-mode fingerprint strings and switches the
-// set to hash-only operation. Callers invoke it only at a layer boundary
-// (no workers running), so flipping v.audit is race-free.
-func (v *visited) dropAudit() {
-	for i := range v.stripes {
-		v.stripes[i].fps, v.stripes[i].fpBytes = nil, 0
-	}
-	v.audit = false
-}
-
 // TableStats describes the visited table when the run ended.
 type TableStats struct {
 	// Slots is the table's capacity and Load the fraction of it in use.
@@ -439,15 +401,14 @@ func (v *visited) stats() TableStats {
 }
 
 // bytes is the payload the set retains: a deterministic function of the
-// keys held (and, in audit mode, their fingerprints), not of the table's
-// capacity.
+// keys held, not of the table's capacity.
 func (v *visited) bytes() (n int64) {
 	per := int64(recBytes)
 	if v.spilled {
 		per = spillKeyBytes
 	}
 	for i := range v.stripes {
-		n += int64(v.stripes[i].n)*per + v.stripes[i].fpBytes
+		n += int64(v.stripes[i].n) * per
 	}
 	return n
 }

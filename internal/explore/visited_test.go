@@ -42,7 +42,7 @@ func keysInStripe(v *visited, i uint64, n int, rng *rand.Rand) []uint64 {
 func recOf(h uint64) rec { return rec{parent: h ^ 0xabcdef, eidx: int32(h % 1000)} }
 
 func TestTableInsertLookupDuplicate(t *testing.T) {
-	v := newVisited(8, false)
+	v := newVisited(8)
 	in := v.inserter()
 	rng := rand.New(rand.NewSource(1))
 	var keys []uint64
@@ -50,12 +50,12 @@ func TestTableInsertLookupDuplicate(t *testing.T) {
 		keys = append(keys, keysInStripe(v, i, 40, rng)...)
 	}
 	for _, h := range keys {
-		if !v.insert(in, h, recOf(h), nil) {
+		if !v.insert(in, h, recOf(h)) {
 			t.Fatalf("first insert of %016x reported a duplicate", h)
 		}
 	}
 	for _, h := range keys {
-		if v.insert(in, h, rec{parent: 1, eidx: 1}, nil) {
+		if v.insert(in, h, rec{parent: 1, eidx: 1}) {
 			t.Fatalf("second insert of %016x reported a new key", h)
 		}
 	}
@@ -75,16 +75,16 @@ func TestTableInsertLookupDuplicate(t *testing.T) {
 
 // TestTableZeroKey: hash 0 is a legal key although 0 marks an empty slot.
 func TestTableZeroKey(t *testing.T) {
-	v := newVisited(4, false)
+	v := newVisited(4)
 	in := v.inserter()
 	if _, ok := v.lookup(0); ok {
 		t.Fatal("empty table holds key 0")
 	}
 	r := rec{parent: 77, eidx: 3}
-	if !v.insert(in, 0, r, nil) {
+	if !v.insert(in, 0, r) {
 		t.Fatal("first insert of key 0 reported a duplicate")
 	}
-	if v.insert(in, 0, rec{}, nil) {
+	if v.insert(in, 0, rec{}) {
 		t.Fatal("second insert of key 0 reported a new key")
 	}
 	v.settle([]*inserter{in}, 0)
@@ -98,10 +98,10 @@ func TestTableZeroKey(t *testing.T) {
 		t.Fatalf("bytes() = %d with one key", v.bytes())
 	}
 	// A restored table takes it back like any other key.
-	v2 := newVisited(4, false)
+	v2 := newVisited(4)
 	in2 := v2.inserter()
 	for _, e := range v.entries(0) {
-		if !v2.insert(in2, e.hash, e.rec, nil) {
+		if !v2.insert(in2, e.hash, e.rec) {
 			t.Fatal("restoring key 0 reported a duplicate")
 		}
 	}
@@ -115,7 +115,7 @@ func TestTableZeroKey(t *testing.T) {
 // event index) back, in hash order, with the load inside the band.
 func TestTableGrowthPreservesRecords(t *testing.T) {
 	tinyStripes(t, 16)
-	v := newVisited(4, false)
+	v := newVisited(4)
 	in := v.inserter()
 	rng := rand.New(rand.NewSource(2))
 	want := map[uint64]rec{}
@@ -127,7 +127,7 @@ func TestTableGrowthPreservesRecords(t *testing.T) {
 				continue
 			}
 			want[h] = recOf(h)
-			if !v.insert(in, h, recOf(h), nil) {
+			if !v.insert(in, h, recOf(h)) {
 				t.Fatalf("round %d: %016x reported a duplicate", round, h)
 			}
 		}
@@ -173,7 +173,7 @@ func TestTableGrowthPreservesRecords(t *testing.T) {
 // capacity is not a power of two continue at slot 0.
 func TestTableProbeWraps(t *testing.T) {
 	tinyStripes(t, 13)
-	v := newVisited(1, false)
+	v := newVisited(1)
 	in := v.inserter()
 	// The largest hashes start at the last slot.
 	var keys []uint64
@@ -184,7 +184,7 @@ func TestTableProbeWraps(t *testing.T) {
 		if got := v.start(h, 13); got != 12 {
 			t.Fatalf("start(%016x) = %d, want the last slot", h, got)
 		}
-		if !v.insert(in, h, recOf(h), nil) {
+		if !v.insert(in, h, recOf(h)) {
 			t.Fatalf("%016x reported a duplicate", h)
 		}
 	}
@@ -198,7 +198,7 @@ func TestTableProbeWraps(t *testing.T) {
 		}
 	}
 	for _, h := range keys {
-		if v.insert(in, h, rec{}, nil) {
+		if v.insert(in, h, rec{}) {
 			t.Fatalf("%016x inserted twice across the wrap", h)
 		}
 		if r, ok := v.lookup(h); !ok || r != recOf(h) {
@@ -215,72 +215,64 @@ func TestTableProbeWraps(t *testing.T) {
 // next barrier merges the overflow sets into stripes that hold everything.
 func TestTableOverflow(t *testing.T) {
 	tinyStripes(t, 16)
-	for _, audit := range []bool{false, true} {
-		v := newVisited(2, audit)
-		in := v.inserter()
-		rng := rand.New(rand.NewSource(3))
-		keys := append(keysInStripe(v, 0, 100, rng), keysInStripe(v, 1, 7, rng)...)
-		fp := func(h uint64) []byte { return []byte(fmt.Sprint(h)) }
-		for _, h := range keys {
-			if !v.insert(in, h, recOf(h), fp(h)) {
-				t.Fatalf("audit=%v: %016x lost: reported as a duplicate", audit, h)
-			}
+	v := newVisited(2)
+	in := v.inserter()
+	rng := rand.New(rand.NewSource(3))
+	keys := append(keysInStripe(v, 0, 100, rng), keysInStripe(v, 1, 7, rng)...)
+	for _, h := range keys {
+		if !v.insert(in, h, recOf(h)) {
+			t.Fatalf("%016x lost: reported as a duplicate", h)
 		}
-		if got := len(v.stripes[0].over); got != 100-16 {
-			t.Fatalf("audit=%v: overflow set holds %d keys, want %d", audit, got, 100-16)
+	}
+	if got := len(v.stripes[0].over); got != 100-16 {
+		t.Fatalf("overflow set holds %d keys, want %d", got, 100-16)
+	}
+	if len(v.stripes[1].over) != 0 {
+		t.Fatalf("a stripe under its limit overflowed")
+	}
+	for _, h := range keys {
+		if v.insert(in, h, rec{}) {
+			t.Fatalf("%016x inserted twice", h)
 		}
-		if len(v.stripes[1].over) != 0 {
-			t.Fatalf("audit=%v: a stripe under its limit overflowed", audit)
+		if r, ok := v.lookup(h); !ok || r != recOf(h) {
+			t.Fatalf("lookup(%016x) = %+v, %v before the merge", h, r, ok)
 		}
-		for _, h := range keys {
-			if v.insert(in, h, rec{}, fp(h)) {
-				t.Fatalf("audit=%v: %016x inserted twice", audit, h)
-			}
-			if r, ok := v.lookup(h); !ok || r != recOf(h) {
-				t.Fatalf("audit=%v: lookup(%016x) = %+v, %v before the merge", audit, h, r, ok)
-			}
+	}
+	if got := len(v.entries(0)); got != 100 {
+		t.Fatalf("snapshot of an overflowing stripe has %d entries", got)
+	}
+	v.settle([]*inserter{in}, 0)
+	if st := v.stats(); st.Overflows != 100-16 || st.Grows == 0 {
+		t.Fatalf("stats after the merge: %+v", st)
+	}
+	if v.stripes[0].over != nil || len(v.stripes[0].keys) < 100 {
+		t.Fatalf("overflow not merged: %d slots, %d still over", len(v.stripes[0].keys), len(v.stripes[0].over))
+	}
+	for _, h := range keys {
+		if r, ok := v.lookup(h); !ok || r != recOf(h) {
+			t.Fatalf("lookup(%016x) = %+v, %v after the merge", h, r, ok)
 		}
-		if got := len(v.entries(0)); got != 100 {
-			t.Fatalf("audit=%v: snapshot of an overflowing stripe has %d entries", audit, got)
-		}
-		v.settle([]*inserter{in}, 0)
-		if st := v.stats(); st.Overflows != 100-16 || st.Grows == 0 {
-			t.Fatalf("audit=%v: stats after the merge: %+v", audit, st)
-		}
-		if v.stripes[0].over != nil || len(v.stripes[0].keys) < 100 {
-			t.Fatalf("audit=%v: overflow not merged: %d slots, %d still over", audit, len(v.stripes[0].keys), len(v.stripes[0].over))
-		}
-		for _, h := range keys {
-			if r, ok := v.lookup(h); !ok || r != recOf(h) {
-				t.Fatalf("audit=%v: lookup(%016x) = %+v, %v after the merge", audit, h, r, ok)
-			}
-			if v.insert(in, h, rec{}, fp(h)) {
-				t.Fatalf("audit=%v: %016x inserted again after the merge", audit, h)
-			}
-		}
-		if audit && v.stripes[0].collisions+v.stripes[1].collisions != 0 {
-			t.Fatalf("audit counted collisions among identical fingerprints")
+		if v.insert(in, h, rec{}) {
+			t.Fatalf("%016x inserted again after the merge", h)
 		}
 	}
 }
 
 // TestTableConcurrentClaims: four goroutines insert overlapping key sets —
-// through the lock-free claim, the overflow path and the audit lock — and
-// every key must have exactly one winner, whose record is the one kept.
+// through the lock-free claim and the overflow path — and every key must
+// have exactly one winner, whose record is the one kept.
 func TestTableConcurrentClaims(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		slots  int
-		audit  bool
 		settle bool
 	}{
-		{"claim", 1 << 12, false, true},
-		{"overflow", 16, false, false},
-		{"audit", 1 << 12, true, true},
+		{"claim", 1 << 12, true},
+		{"overflow", 16, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tinyStripes(t, c.slots)
-			v := newVisited(4, c.audit)
+			v := newVisited(4)
 			rng := rand.New(rand.NewSource(4))
 			keys := []uint64{0}
 			for i := uint64(0); i < 4; i++ {
@@ -300,7 +292,7 @@ func TestTableConcurrentClaims(t *testing.T) {
 					for j := 0; j < len(keys)*3/4; j++ {
 						i := (j + w*len(keys)/4) % len(keys)
 						h := keys[i]
-						if v.insert(ins[w], h, rec{parent: h, eidx: int32(w)}, []byte{byte(h)}) {
+						if v.insert(ins[w], h, rec{parent: h, eidx: int32(w)}) {
 							wins[i].Add(1)
 						}
 					}
@@ -319,7 +311,7 @@ func TestTableConcurrentClaims(t *testing.T) {
 				}
 			}
 			if c.settle {
-				if got, want := v.bytes(), int64(len(keys))*recBytes; !c.audit && got != want {
+				if got, want := v.bytes(), int64(len(keys))*recBytes; got != want {
 					t.Fatalf("bytes() = %d, want %d", got, want)
 				}
 			}

@@ -30,8 +30,9 @@ var fpBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b
 // into a pooled scratch buffer and returns the 64-bit FNV-1a hash of the
 // canonical encoding, allocating nothing in steady state. Two states
 // with equal fingerprints always hash equal; the converse holds up to
-// 64-bit collisions (see package explore's audit mode for the soundness
-// argument). Safe for concurrent use.
+// 64-bit collisions. Package explore's auditor counts those, and checks
+// every hash the search computes (BorrowedHash) against this encoding's;
+// see DESIGN.md "Hashed fingerprints". Safe for concurrent use.
 func (m *Model) FingerprintHash(st cimp.System[*Local]) uint64 {
 	bp := fpBufPool.Get().(*[]byte)
 	b := m.AppendFingerprint((*bp)[:0], st)

@@ -47,11 +47,9 @@ type Mutator struct {
 	parkMu sync.Mutex   // gcrt:guard atomic
 	served atomic.Int64 // gcrt:guard atomic
 
-	// Pause accounting: the longest and cumulative time this mutator has
-	// been held at a safe point.
-	pauseMax   atomic.Int64 // gcrt:guard atomic
-	pauseTotal atomic.Int64 // gcrt:guard atomic
-	pauseCount atomic.Int64 // gcrt:guard atomic
+	// Pause accounting: the longest time this mutator has been held at a
+	// safe point.
+	pauseMax atomic.Int64 // gcrt:guard atomic
 
 	// ops counts operations performed (stats).
 	// gcrt:guard owner(mutator)
@@ -182,11 +180,9 @@ func (m *Mutator) SafePoint() {
 	m.recordPause(time.Since(start))
 }
 
-// recordPause tracks the maximum and total pause this mutator observed.
+// recordPause tracks the maximum pause this mutator observed.
 func (m *Mutator) recordPause(d time.Duration) {
 	n := d.Nanoseconds()
-	m.pauseTotal.Add(n)
-	m.pauseCount.Add(1)
 	for {
 		cur := m.pauseMax.Load()
 		if n <= cur || m.pauseMax.CompareAndSwap(cur, n) {
@@ -198,11 +194,6 @@ func (m *Mutator) recordPause(d time.Duration) {
 // MaxPause reports the largest single pause this mutator has observed at
 // a safe point servicing a handshake.
 func (m *Mutator) MaxPause() time.Duration { return time.Duration(m.pauseMax.Load()) }
-
-// TotalPause reports the cumulative pause time and the number of pauses.
-func (m *Mutator) TotalPause() (time.Duration, int64) {
-	return time.Duration(m.pauseTotal.Load()), m.pauseCount.Load()
-}
 
 // serviceHandshake performs the mutator-side work of the current round.
 // Every round starts by draining the barrier buffer — the handshake is

@@ -336,6 +336,52 @@ func TestHTTPAPI(t *testing.T) {
 	}
 }
 
+// TestAuditRecordRemote: an audited job's record carries the collision
+// count, and the record a remote client streams back equals, in canonical
+// form, the one a local run of the spec builds. gcmc prints local and
+// remote verdicts through one renderer of the record (printRecord), so
+// the audit line a -remote run prints is the local run's. A job without
+// the option has no audit in its record.
+func TestAuditRecordRemote(t *testing.T) {
+	e := newEngine(t, t.TempDir())
+	defer shutdown(t, e)
+	ts := httptest.NewServer(e.Handler())
+	defer ts.Close()
+	cli := NewClient(ts.URL)
+	ctx := context.Background()
+
+	audited := quickSpec()
+	audited.Options.Audit = true
+	for _, spec := range []core.JobSpec{audited, quickSpec()} {
+		info, err := cli.Submit(ctx, spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final, err := cli.Stream(ctx, info.ID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != core.JobDone || final.Verdict == nil {
+			t.Fatalf("audit=%v: streamed final: %+v", spec.Options.Audit, final)
+		}
+		if a := final.Verdict.Audit; spec.Options.Audit != (a != nil) || a != nil && (a.Collisions != 0 || a.Partial) {
+			t.Fatalf("audit=%v: the record's audit is %+v", spec.Options.Audit, a)
+		}
+		res, _, err := core.RunJob(spec, core.JobRun{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, _, err := spec.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := verdict.New(spec.Preset, spec.Ablations, fp, res)
+		if got, want := canonBytes(t, final.Verdict), canonBytes(t, &local); !bytes.Equal(got, want) {
+			t.Fatalf("audit=%v: remote record differs from the local one:\n%s\n%s", spec.Options.Audit, got, want)
+		}
+	}
+}
+
 // TestSubmitRejectsWhatItDoesNotUnderstand: a request the daemon cannot
 // read in full is a 400 naming the offending field and creates no job — a
 // misspelt cap must not run the uncapped job, and the options this build

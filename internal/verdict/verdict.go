@@ -52,6 +52,19 @@ type Record struct {
 
 	Violation *Violation `json:"violation,omitempty"`
 	Liveness  *Liveness  `json:"liveness,omitempty"`
+	// Audit is the collision audit's summary, present when the run had
+	// the audit option.
+	Audit *Audit `json:"audit,omitempty"`
+}
+
+// Audit summarizes the hash-collision audit.
+type Audit struct {
+	// Collisions is explore.Result.HashCollisions.
+	Collisions int `json:"collisions"`
+	// Partial says the count covers only part of the run
+	// (explore.Result.Degraded): the memory watchdog dropped the auditor,
+	// or the run resumed from a checkpoint.
+	Partial bool `json:"partial,omitempty"`
 }
 
 // Violation describes a safety counterexample.
@@ -107,6 +120,9 @@ func New(preset string, ablations core.Ablations, fp uint64, res core.VerifyResu
 	if fp != 0 {
 		r.Fingerprint = fmt.Sprintf("%016x", fp)
 	}
+	if res.Audited {
+		r.Audit = &Audit{Collisions: res.HashCollisions, Partial: res.Degraded}
+	}
 	if res.Violation != nil {
 		r.Violation = &Violation{
 			Invariant: res.Violation.Invariant,
@@ -141,17 +157,22 @@ func New(preset string, ablations core.Ablations, fp uint64, res core.VerifyResu
 }
 
 // Canonical returns the record with every non-deterministic field
-// zeroed: build identity, wall-clock timings, checkpoint counts and
-// cache provenance. Two runs of the same configuration — including one
-// that crashed mid-run and resumed from a checkpoint — marshal to
-// byte-identical canonical records, except that a violation found at
-// more than one worker may render a different path of the same length
-// (explore.Options.Trace).
+// zeroed: build identity, wall-clock timings, checkpoint counts, cache
+// provenance and whether an audit covered only part of its run. Two runs
+// of the same configuration — including one that crashed mid-run and
+// resumed from a checkpoint — marshal to byte-identical canonical
+// records, except that a violation found at more than one worker may
+// render a different path of the same length (explore.Options.Trace).
 func (r Record) Canonical() Record {
 	r.Build = ""
 	r.ElapsedSec = 0
 	r.Checkpoints = 0
 	r.Cached = false
+	if r.Audit != nil {
+		a := *r.Audit
+		a.Partial = false
+		r.Audit = &a
+	}
 	if r.Liveness != nil {
 		l := *r.Liveness
 		l.ElapsedSec = 0
