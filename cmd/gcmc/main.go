@@ -50,8 +50,10 @@
 // reaches the same verdict and counts as an uninterrupted run.
 // options.mem_budget_mib caps the heap: as usage climbs the run degrades
 // in steps (emergency checkpoint, drop the collision auditor, clean
-// incomplete stop) instead of being OOM-killed; with -spill-dir the last
-// step spills to disk and the run completes instead.
+// incomplete stop) instead of being OOM-killed; with options.spill and
+// -checkpoint the last step moves the visited records to the checkpoint
+// log and keeps each frontier layer encoded, and the run completes
+// instead. options.spill without -checkpoint exits 2.
 //
 // # Remote runs
 //
@@ -92,7 +94,6 @@ func main() {
 
 		ckptPath = flag.String("checkpoint", "", "snapshot the search state to this file at layer boundaries (an atomic first write, then fsynced appends of what changed)")
 		resume   = flag.String("resume", "", "resume the search from this checkpoint file (the spec must match; options.workers may differ)")
-		spillDir = flag.String("spill-dir", "", "disk-spill directory, and sets options.spill: when the mem_budget_mib ladder would stop the run, move the visited records to the checkpoint log (-checkpoint, else run.ckpt here) and park frontier layers here, and complete exhaustively instead (remote runs: the daemon picks a per-job directory)")
 
 		chaosFS    = flag.String("chaos-storage", "", "fault-injection spec for all disk I/O, e.g. 'eio@3', 'crash@run.ckpt+2', 'seed=7,rate=0.01,kinds=eio|enospc' (testing)")
 		chaosTrace = flag.String("chaos-trace", "", "write the storage op/fault trace to this file after the run (with -chaos-storage)")
@@ -110,10 +111,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gcmc:", err)
 		os.Exit(2)
 	}
-	if *spillDir != "" {
-		spec.Options.Spill = true
-	}
-
 	if *remote != "" {
 		// Flags that name this process's files or preflight have no
 		// meaning for a daemon's run: refuse them rather than ignore them.
@@ -126,8 +123,10 @@ func main() {
 		})
 		os.Exit(runRemote(*remote, spec, *quiet, *jsonOut))
 	}
-	if spec.Options.Spill && *spillDir == "" {
-		fmt.Fprintln(os.Stderr, "gcmc: options.spill needs -spill-dir on a local run")
+	if spec.Options.Spill && *ckptPath == "" {
+		// The spill's records go to the checkpoint log: without one the
+		// rung would never arm.
+		fmt.Fprintln(os.Stderr, "gcmc: options.spill needs -checkpoint on a local run")
 		os.Exit(2)
 	}
 
@@ -186,7 +185,6 @@ func main() {
 		Context:        ctx,
 		CheckpointPath: *ckptPath,
 		Resume:         *resume,
-		SpillDir:       *spillDir,
 	}
 	if ffs != nil {
 		run.FS = ffs
@@ -265,8 +263,8 @@ func main() {
 				res.VisitedBytes, float64(res.VisitedBytes)/float64(res.States))
 		}
 		if res.Spilled.Active {
-			fmt.Printf("spill: %d layer(s) parked, %d bytes via %s; visited records in %d checkpoint bytes\n",
-				res.Spilled.Layers, res.Spilled.Bytes, *spillDir, res.CheckpointBytes)
+			fmt.Printf("spill: %d layer(s) expanded from the compact frontier; visited records in %d checkpoint bytes\n",
+				res.Spilled.Layers, res.CheckpointBytes)
 		}
 		if mm := res.Memo; mm.StepHits+mm.StepMisses > 0 {
 			// On stderr: the counts vary with worker timing and with where a

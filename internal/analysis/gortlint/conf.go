@@ -68,7 +68,6 @@ func passes() []pass {
 		}},
 		discipline("server-discipline", "internal/server", serverDiscipline()),
 		discipline("storage-discipline", "internal/storage", storageDiscipline()),
-		discipline("explore-spill-discipline", "internal/explore", exploreSpillDiscipline()),
 	)
 }
 
@@ -176,23 +175,5 @@ func storageDiscipline() DisciplineConfig {
 		Package: "repro/internal/storage",
 		Structs: []string{"FaultFS", "pathFault", "faultFile"},
 		Init:    []string{"NewFaultFS", "FaultFS.Open", "FaultFS.Create"},
-	}
-}
-
-// exploreSpillDiscipline is the checker's disk-spill discipline: spill
-// activation, the failure latch and the parked frontier layer mutate
-// under one spillState lock (workers fetch parked states read-only
-// through the immutable parkedLayer handle the boundary published).
-func exploreSpillDiscipline() DisciplineConfig {
-	return DisciplineConfig{
-		Package: "repro/internal/explore",
-		Structs: []string{"spillState", "parkedLayer"},
-		Init:    []string{"newSpillState"},
-		Holds: map[string][]string{
-			// The *Locked suffix is the caller-holds convention:
-			// park (and cleanup) take the lock, then delegate.
-			"spillState.parkLayerLocked":   {"spillState.mu"},
-			"spillState.closeParkedLocked": {"spillState.mu"},
-		},
 	}
 }

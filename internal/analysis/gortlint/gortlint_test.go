@@ -202,11 +202,9 @@ func TestGCRTPublish(t *testing.T) { gate(t, "gcrt-publication") }
 func TestServerDiscipline(t *testing.T) { gate(t, "server-discipline") }
 
 // TestStorageDiscipline gates the hostile-disk layer: the fault-
-// injecting filesystem and the checker's spill state conform to their
-// declared access disciplines with zero findings.
-func TestStorageDiscipline(t *testing.T) {
-	gate(t, "storage-discipline", "explore-spill-discipline")
-}
+// injecting filesystem conforms to its declared access discipline with
+// zero findings.
+func TestStorageDiscipline(t *testing.T) { gate(t, "storage-discipline") }
 
 // TestRealFingerprintGraph requires the fingerprint call graph of the
 // real gcmodel package to contain no map iteration.

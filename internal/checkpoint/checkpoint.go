@@ -129,30 +129,6 @@ func appendSection(dst []byte, name string, payload []byte) []byte {
 	return dst
 }
 
-// AppendSection frames one named, CRC-32-checksummed section onto dst
-// using the checkpoint file encoding. The explorer's parked frontier
-// files reuse this framing so their entries get the same corruption
-// detection as checkpoints.
-func AppendSection(dst []byte, name string, payload []byte) []byte {
-	return appendSection(dst, name, payload)
-}
-
-// SectionOverhead returns the framing bytes AppendSection adds around
-// a payload for the given section name: readers that random-access a
-// frame need its full on-disk length, not just the payload's.
-func SectionOverhead(name string) int {
-	return 1 + len(name) + 8 + 4
-}
-
-// ReadSection parses the section frame starting at off in data,
-// verifying its checksum, and returns the section name, its payload,
-// and the offset of the next frame.
-func ReadSection(data []byte, off int) (name string, payload []byte, next int, err error) {
-	r := &reader{data: data, off: off}
-	name, payload, _, err = r.section()
-	return name, payload, r.off, err
-}
-
 // The meta section's flags. flagDelta marks a delta segment, whose meta
 // section then ends with the predecessor's trailer hash. Older audited
 // runs set flagFingerprints when each shard entry carried a fingerprint,
@@ -264,9 +240,11 @@ func (s *Snapshot) appendShard(p []byte, i int) []byte {
 	return p
 }
 
-// framed is the on-disk length of a section with an n-byte payload.
+// framed is the on-disk length of a section with an n-byte payload: the
+// name's length byte and bytes, the payload length, the payload and its
+// CRC-32.
 func framed(name string, n int) int {
-	return SectionOverhead(name) + n
+	return 1 + len(name) + 8 + n + 4
 }
 
 // appendFrame frames a section of n payload bytes, which fill appends,

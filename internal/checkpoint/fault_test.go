@@ -111,22 +111,3 @@ func TestLoadFaultMatrix(t *testing.T) {
 		}
 	}
 }
-
-// TestSectionFraming: the exported framing used by the spill files
-// round-trips and detects corruption, and SectionOverhead accounts for
-// every framing byte.
-func TestSectionFraming(t *testing.T) {
-	payload := []byte("spilled frontier entry")
-	frame := AppendSection(nil, "s", payload)
-	if len(frame) != len(payload)+SectionOverhead("s") {
-		t.Fatalf("frame length %d, overhead says %d", len(frame), len(payload)+SectionOverhead("s"))
-	}
-	name, got, next, err := ReadSection(frame, 0)
-	if err != nil || name != "s" || !bytes.Equal(got, payload) || next != len(frame) {
-		t.Fatalf("round trip: name=%q err=%v next=%d", name, err, next)
-	}
-	frame[len(frame)-6] ^= 0x40 // flip a payload bit
-	if _, _, _, err := ReadSection(frame, 0); err == nil {
-		t.Fatal("corrupted frame read silently")
-	}
-}

@@ -122,7 +122,7 @@ func battery(opt JobOptions) []invariant.Check {
 // embeds and validates on resume. Traces are always recorded: a verdict
 // must carry its counterexample.
 func exploreOptions(opt JobOptions, run JobRun) explore.Options {
-	eopt := explore.Options{
+	return explore.Options{
 		MaxStates:     opt.MaxStates,
 		MaxDepth:      opt.MaxDepth,
 		Trace:         true,
@@ -137,12 +137,9 @@ func exploreOptions(opt JobOptions, run JobRun) explore.Options {
 			EveryLayers: opt.CheckpointEvery,
 		},
 		MemBudget: int64(opt.MemBudgetMiB) << 20,
+		Spill:     opt.Spill,
 		FS:        run.FS,
 	}
-	if opt.Spill {
-		eopt.SpillDir = run.SpillDir
-	}
-	return eopt
 }
 
 // Fingerprint computes the verdict-relevant options fingerprint of a

@@ -317,3 +317,29 @@ func verifyPinned(t *testing.T, specJSON string, states, transitions, depth int)
 			res.States, res.Transitions, res.Depth, states, transitions, depth)
 	}
 }
+
+// TestLivenessFallbackNeverSpills: a liveness pass that explores on its
+// own writes no checkpoint, so the spill rung cannot arm there even when
+// the safety pass spilled. Under a budget the spill carried the safety
+// pass through, the liveness pass stops incomplete, and the run does not
+// hold.
+func TestLivenessFallbackNeverSpills(t *testing.T) {
+	spec := JobSpec{Preset: "tiny", Options: JobOptions{Reduce: true, Liveness: true, Spill: true, MemBudgetMiB: 1}}
+	res, _, err := RunJob(spec, JobRun{CheckpointPath: filepath.Join(t.TempDir(), "run.ckpt")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Complete || !res.Spilled.Active {
+		t.Fatalf("safety pass: stopped=%q spilled=%v, want a complete spilled run", res.Stopped, res.Spilled.Active)
+	}
+	l := res.Liveness
+	if l == nil {
+		t.Fatal("no liveness result")
+	}
+	if l.Complete || l.Stopped != explore.StopMemBudget {
+		t.Fatalf("liveness pass: complete=%v stopped=%q, want a mem-budget stop", l.Complete, l.Stopped)
+	}
+	if res.Holds() || res.Status() == "verified" {
+		t.Fatalf("an incomplete liveness pass holds: status %s", res.Status())
+	}
+}

@@ -1,7 +1,7 @@
 // Job layer: a verification run is a serializable JobSpec (preset +
 // bounds + ablations + options), identified by a stable fingerprint, and
 // placed in its process by a JobRun (checkpoint and resume paths,
-// progress, cancellation, spill directory, filesystem). RunJob executes
+// progress, cancellation, filesystem). RunJob executes
 // the pair and is the one executor: gcmc's local runs and the daemon's
 // jobs (internal/server, cmd/gcmcd) both go through it, and gcmc reads
 // its spec with ReadJobSpec, so a run submitted remotely is the run gcmc
@@ -107,11 +107,14 @@ type JobOptions struct {
 	// explore.Options.MemBudget.
 	MemBudgetMiB int `json:"mem_budget_mib,omitempty"`
 	// Spill arms the disk-spill degradation rung when the run has a
-	// spill directory (JobRun.SpillDir): where the memory ladder would
-	// drop audit data or stop, the visited records move to the
-	// checkpoint log and frontier layers are parked on disk, and the run
-	// completes exhaustively instead. Representation-only; excluded from
-	// the fingerprint. See explore.Options.SpillDir.
+	// checkpoint path (JobRun.CheckpointPath; gcmcd always sets one):
+	// where the memory ladder would drop audit data or stop, the visited
+	// records move to the checkpoint log and each frontier layer is kept
+	// encoded, and the run completes exhaustively instead. A liveness pass
+	// that explores on its own (with Reduce, or after a resume) writes no
+	// checkpoint, so it never spills: under the budget it stops
+	// incomplete. Representation-only; excluded from the fingerprint. See
+	// explore.Options.Spill.
 	Spill bool `json:"spill,omitempty"`
 }
 
@@ -240,12 +243,6 @@ type JobRun struct {
 	// when one is configured, and reports the run incomplete
 	// (Stopped == explore.StopInterrupted).
 	Context context.Context
-	// SpillDir is the directory for the disk-spill rung's parked
-	// frontiers when the options ask for it (JobOptions.Spill); empty
-	// leaves the rung unarmed. The spilled records go to the checkpoint
-	// log (CheckpointPath, else run.ckpt in this directory), and the
-	// directory holds working files only.
-	SpillDir string
 	// FS routes the run's disk I/O (checkpoint, resume, spill) through a
 	// pluggable filesystem; nil means the real one. Fault injection
 	// (storage.FaultFS) plugs in here.

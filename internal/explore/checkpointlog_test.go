@@ -2,6 +2,7 @@ package explore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,22 +15,23 @@ import (
 )
 
 // segmentBounds returns the offsets at which a checkpoint log's images
-// start, followed by its length: image k is data[at[k]:at[k+1]].
+// start, followed by its length: image k is data[at[k]:at[k+1]]. It
+// walks each image's section frames (name length, name, payload length,
+// payload, CRC-32) to its trailer.
 func segmentBounds(t *testing.T, data []byte) []int {
 	t.Helper()
 	var at []int
 	for off := 0; off < len(data); {
 		at = append(at, off)
 		p := off + len("GCMCCKP1")
-		for {
-			name, _, next, err := checkpoint.ReadSection(data, p)
-			if err != nil {
-				t.Fatalf("image at %d: %v", off, err)
+		for name := ""; name != "trailer"; {
+			if p+1 > len(data) || p+1+int(data[p])+8 > len(data) {
+				t.Fatalf("image at %d: truncated frame at %d", off, p)
 			}
-			p = next
-			if name == "trailer" {
-				break
-			}
+			n := int(data[p])
+			name = string(data[p+1 : p+1+n])
+			p += 1 + n
+			p += 8 + int(binary.LittleEndian.Uint64(data[p:])) + 4
 		}
 		off = p
 	}

@@ -11,14 +11,6 @@ import (
 	"repro/internal/storage"
 )
 
-// spillErr returns the latched spill failure (nil without a spill).
-func (e *explorer) spillErr() error {
-	if e.spill == nil {
-		return nil
-	}
-	return e.spill.firstErr()
-}
-
 // watchdog is the layer-boundary memory ladder; see Options.MemBudget.
 // It reports true when the run must stop.
 func (e *explorer) watchdog(depth int, layer []qent) bool {
@@ -27,7 +19,7 @@ func (e *explorer) watchdog(depth int, layer []qent) bool {
 	}
 	used := int64(e.memSample())
 	switch {
-	case used >= e.opt.MemBudget && e.spill == nil:
+	case used >= e.opt.MemBudget && !e.opt.Spill:
 		e.writeCheckpoint(depth, layer)
 		return true
 	case used >= e.opt.MemBudget*85/100:
@@ -37,13 +29,9 @@ func (e *explorer) watchdog(depth int, layer []qent) bool {
 			e.audit.drop()
 			runtime.GC()
 		}
-		if e.spill != nil {
-			// Past the budget too, the spill replaces the stop: activate
-			// (idempotent) and keep exploring from disk. If the spill is
-			// broken the run stops anyway — run() turns the latched error
-			// into StopSpill rather than StopMemBudget.
-			return e.activateSpill(depth, layer) != nil
-		}
+		// Past the budget too, an armed spill replaces the stop: from this
+		// boundary on the run spills (spill.go) and keeps exploring.
+		e.spilled.Active = e.spilled.Active || e.opt.Spill
 	case used >= e.opt.MemBudget*70/100:
 		if !e.emergency {
 			e.emergency = true
@@ -51,35 +39,6 @@ func (e *explorer) watchdog(depth int, layer []qent) bool {
 		}
 	}
 	return false
-}
-
-// activateSpill moves the visited records to the checkpoint log: it
-// writes the cut at depth, and only once the log holds every record
-// releases the table's payload arrays. Idempotent; boundary-only.
-func (e *explorer) activateSpill(depth int, layer []qent) error {
-	if e.spill.isActive() {
-		return e.spill.firstErr()
-	}
-	if err := e.spill.activate(); err != nil {
-		return err
-	}
-	e.writeCheckpoint(depth, layer)
-	if err := e.spill.firstErr(); err != nil || e.log == nil || e.logDepth != depth {
-		// Failed, or a poisoned run wrote nothing: the records stay.
-		return err
-	}
-	e.seen.spill()
-	return nil
-}
-
-// logPath is where the run's checkpoint log is: Checkpoint.Path, or once
-// the spill is active in a run without one, run.ckpt in the spill
-// directory. Empty means the run writes no checkpoints.
-func (e *explorer) logPath() string {
-	if e.opt.Checkpoint.Path == "" && e.spill != nil && e.spill.isActive() {
-		return e.spill.log
-	}
-	return e.opt.Checkpoint.Path
 }
 
 // snapshot captures the search at a layer boundary: the frontier at
@@ -96,7 +55,7 @@ func (e *explorer) snapshot(depth int, layer []qent) *checkpoint.Snapshot {
 		Transitions: e.transitions.Load(),
 		Ample:       e.ample.Load(),
 		Deadlocks:   e.deadlocks.Load(),
-		Frontier:    e.encodeFrontier(layer),
+		Frontier:    e.frontier(layer),
 		Shards:      make([]checkpoint.Shard, len(e.seen.stripes)),
 	}
 	e.share(len(s.Shards), depth, func(i int) {
@@ -126,8 +85,9 @@ func (e *explorer) snapshot(depth int, layer []qent) *checkpoint.Snapshot {
 }
 
 // encodeFrontier serializes the layer in hash order into one buffer,
-// reused from checkpoint to checkpoint; the returned slices share it.
-func (e *explorer) encodeFrontier(layer []qent) [][]byte {
+// reused from boundary to boundary, and returns where each state's
+// encoding ends in it.
+func (e *explorer) encodeFrontier(layer []qent) []int {
 	type ref struct {
 		hash uint64
 		i    int
@@ -144,10 +104,26 @@ func (e *explorer) encodeFrontier(layer []qent) [][]byte {
 		ends[k] = len(buf)
 	}
 	e.frontierBuf = buf
+	e.encoded += len(ord)
+	return ends
+}
+
+// frontier is the cut's frontier section. A spilled run's is the
+// compacted layer's encoding, so that a boundary encodes its layer once
+// whichever cut comes first; otherwise the layer is encoded now. The
+// slices share frontierBuf.
+func (e *explorer) frontier(layer []qent) [][]byte {
+	if e.spilled.Active {
+		e.compact(layer)
+	}
+	ends := e.ends
+	if ends == nil {
+		ends = e.encodeFrontier(layer)
+	}
 	out := make([][]byte, len(ends))
 	start := 0
 	for k, end := range ends {
-		out[k] = buf[start:end:end]
+		out[k] = e.frontierBuf[start:end:end]
 		start = end
 	}
 	return out
@@ -156,12 +132,13 @@ func (e *explorer) encodeFrontier(layer []qent) [][]byte {
 // writeCheckpoint writes the cut at depth to the log: the base of a new
 // log when none is open — after start, resume or a failed write — and a
 // delta segment of the records inserted since the last cut otherwise. A
-// cut the open log already ends with is not written again. Before the spill a write failure does not stop the search: the
-// first is surfaced in Result.Err, and the next cut rewrites the file
-// whole. Once the spill is active the log is the only copy of the
-// records, so a failure is latched as the spill's and stops the run.
+// cut the open log already ends with is not written again. Before the
+// spill a write failure does not stop the search: the first is surfaced
+// in Result.Err, and the next cut rewrites the file whole. Once the spill
+// is active the log is the only copy of the records, so a failure is
+// latched as the spill's and stops the run.
 func (e *explorer) writeCheckpoint(depth int, layer []qent) {
-	path := e.logPath()
+	path := e.opt.Checkpoint.Path
 	if path == "" || (e.log != nil && depth == e.logDepth) {
 		return
 	}
@@ -187,8 +164,8 @@ func (e *explorer) writeCheckpoint(depth int, layer []qent) {
 		e.checkpoints--
 		e.closeLog()
 		switch {
-		case e.spill != nil && e.spill.isActive():
-			e.spill.fail(fmt.Errorf("explore: spill log %s %s: %w", op, path, err))
+		case e.spilled.Active:
+			e.spillErr = fmt.Errorf("explore: spill log %s %s: %w", op, path, err)
 		case e.ckptErr == nil:
 			e.ckptErr = err
 		}

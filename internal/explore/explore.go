@@ -28,8 +28,9 @@
 //
 // Memory: full states live only on the two live BFS layers (current and
 // next); visited states are retained as hashes plus, when Options.Trace
-// is set, a compact (parent hash, event index) pair per state, which the
-// disk-spill rung moves to the checkpoint log (spill.go).
+// is set, a compact (parent hash, event index) pair per state. The
+// disk-spill rung moves those pairs to the checkpoint log and keeps the
+// frontier encoded (spill.go).
 // Counterexample traces are materialized afterwards by replaying the
 // recorded event indices from the initial state.
 //
@@ -160,38 +161,36 @@ type Options struct {
 	// budget the run degrades in steps rather than dying to the OOM
 	// killer: at 70% it writes a one-time emergency checkpoint (when a
 	// checkpoint path is configured); at 85% it drops the collision
-	// auditor and its fingerprints (Result.Degraded) and, with SpillDir,
+	// auditor and its fingerprints (Result.Degraded) and, with Spill,
 	// spills; at 100% it writes a final checkpoint and stops cleanly with
 	// Result.Stopped == StopMemBudget.
 	MemBudget int64
 	// MemSample overrides the watchdog's heap probe (a test hook; nil
 	// means runtime.ReadMemStats HeapAlloc).
 	MemSample func() uint64
-	// SpillDir, if set, arms the disk-spill degradation rung: at the
-	// watchdog's 85% rung the explorer moves the visited-set records to
-	// the checkpoint log (Checkpoint.Path, else run.ckpt in this
-	// directory) and parks frontier layers in CRC-framed files here, and
-	// keeps going, so a run that would stop at the 100% rung completes
+	// Spill arms the disk-spill degradation rung on a run with a
+	// Checkpoint.Path (without one it is ignored): at the watchdog's 85%
+	// rung the explorer moves the visited-set records to the checkpoint
+	// log and keeps each frontier layer encoded in memory, and keeps
+	// going, so a run that would stop at the 100% rung completes
 	// degraded-but-exhaustive (see Result.Spilled). Checkpoints keep
-	// their cadence, so a spilled run with a Checkpoint.Path resumes from
-	// its latest cut; the directory holds working files only, removed
-	// when the run ends. Spilling changes only the representation of the
-	// search state, never the verdict, so it is excluded from
-	// OptionsFingerprint. A spill I/O failure, or a failed log write once
-	// spilled, stops the run loudly with StopSpill. See spill.go.
-	SpillDir string
-	// FS routes the run's durable writes (checkpoints and spill files)
-	// through a storage.FS; nil means the real filesystem. Process-
-	// local and verdict-neutral: excluded from OptionsFingerprint.
+	// their cadence, so a spilled run resumes from its latest cut.
+	// Spilling changes only the representation of the search state,
+	// never the verdict, so it is excluded from OptionsFingerprint. A
+	// failed log write once spilled stops the run loudly with StopSpill.
+	// See spill.go.
+	Spill bool
+	// FS routes the run's durable writes (the checkpoint log) through a
+	// storage.FS; nil means the real filesystem. Process-local and
+	// verdict-neutral: excluded from OptionsFingerprint.
 	FS storage.FS
 }
 
 // CheckpointOptions configures run snapshots.
 type CheckpointOptions struct {
-	// Path is the checkpoint file; empty disables checkpointing until a
-	// spill, which logs to run.ckpt in Options.SpillDir. The file is a
-	// log (package checkpoint): the run's first snapshot, and the first
-	// after a failed write, replaces it
+	// Path is the checkpoint file; empty disables checkpointing (and the
+	// spill). The file is a log (package checkpoint): the run's first
+	// snapshot, and the first after a failed write, replaces it
 	// atomically (temp file + rename); each later one appends the
 	// records visited since, fsynced. checkpoint.Load reads the latest
 	// cut that verifies. Once the spill is active the log is the only
@@ -408,7 +407,7 @@ type Result struct {
 	// load, stripes rebuilt and overflow hits.
 	Table TableStats
 	// Spilled reports the disk-spill rung's counters; zero unless
-	// Options.SpillDir was set and the rung fired.
+	// Options.Spill was armed and the rung fired.
 	Spilled SpillStats
 	// Memo reports the model's configuration table (cimp/memo.go): its
 	// size when the run ended, and the lookups, interned configurations
@@ -480,7 +479,8 @@ type explorer struct {
 	// Durability bookkeeping, touched only at layer boundaries. log is the
 	// open checkpoint log (durability.go), nil until the first write and
 	// after a failed one, and logDepth the depth of its last cut;
-	// frontierBuf is the encoded frontier's buffer.
+	// frontierBuf is the encoded frontier's buffer, and encoded counts the
+	// states encoded into it.
 	optFP       uint64
 	optSummary  string
 	checkpoints int
@@ -489,17 +489,17 @@ type explorer struct {
 	log         *checkpoint.Log
 	logDepth    int
 	frontierBuf []byte
+	encoded     int
 	emergency   bool
 	memSample   func() uint64
 
-	// Disk-spill rung (spill.go). spill is nil unless SpillDir is set;
-	// parked points at the on-disk file backing the layer currently
-	// being expanded (set at the boundary, before workers start);
-	// spillBad poisons the claim loops when a worker's spill read
-	// fails, mirroring capped/poisoned.
-	spill    *spillState
-	parked   *parkedLayer
-	spillBad atomic.Bool
+	// Disk-spill rung (spill.go), armed by opt.Spill. spilled counts its
+	// work once it fired and spillErr latches a failed log write. ends is
+	// where each state of the compacted next layer ends in frontierBuf,
+	// from the boundary that encoded it to the expansion that reads it.
+	spilled  SpillStats
+	spillErr error
+	ends     []int
 }
 
 // Run explores the model's reachable states, checking every invariant at
@@ -559,9 +559,8 @@ func newExplorer(m *gcmodel.Model, init cimp.System[*gcmodel.Local], checks []in
 			return ms.HeapAlloc
 		}
 	}
-	if opt.SpillDir != "" {
-		e.spill = newSpillState(opt.FS, opt.SpillDir, opt.Checkpoint.Path)
-	}
+	// The log is the spill's only file.
+	e.opt.Spill = opt.Spill && opt.Checkpoint.Path != ""
 	return e
 }
 
@@ -693,11 +692,7 @@ func (e *explorer) run() Result {
 			res.Stopped = StopMaxDepth
 			break
 		}
-		if e.spill != nil {
-			e.parked = e.spill.takeParked()
-		}
 		layer = e.expandLayer(layer, depth)
-		e.parked = nil
 		layersDone++
 		if e.panicErr != nil {
 			// The visited set and counters may be mid-update for this
@@ -710,13 +705,6 @@ func (e *explorer) run() Result {
 			res.Stopped = StopViolation
 			break
 		}
-		if err := e.spillErr(); err != nil {
-			// A worker's spill read failed mid-layer: the layer is torn,
-			// so nothing below may treat it as a cut.
-			res.Stopped = StopSpill
-			res.Err = err
-			break
-		}
 		if e.capped.Load() {
 			// Workers bail mid-layer on the cap, so the frontier is not
 			// a consistent cut: no checkpoint either.
@@ -725,28 +713,24 @@ func (e *explorer) run() Result {
 		}
 		// The layer barrier has been crossed: the frontier at depth+1 is
 		// complete and every counter is settled — the only consistent
-		// cut. The memory watchdog acts first (activating the spill writes
-		// a cut), then the interrupt or cadence cut, and only then is the
-		// next layer parked, so every cut encodes an in-memory frontier.
+		// cut. The memory watchdog acts first, then a spilled run encodes
+		// the next layer (and on its first boundary writes a cut), and
+		// only then comes the interrupt or cadence cut, which reuses that
+		// encoding.
 		if stop := e.watchdog(depth+1, layer); stop {
-			if err := e.spillErr(); err != nil {
-				res.Stopped = StopSpill
-				res.Err = err
-			} else {
-				res.Stopped = StopMemBudget
-			}
+			res.Stopped = StopMemBudget
 			break
 		}
+		if e.spilled.Active {
+			e.spill(depth+1, layer)
+		}
 		stop := interrupted(e.opt.Context)
-		if stop || (layersDone%every == 0 && len(layer) > 0) {
+		if e.spillErr == nil && (stop || (layersDone%every == 0 && len(layer) > 0)) {
 			e.writeCheckpoint(depth+1, layer)
 		}
-		if !stop && e.spill != nil && e.spill.isActive() {
-			e.spill.park(e.m, layer) // a failure is latched, like the cut's
-		}
-		if err := e.spillErr(); err != nil {
+		if e.spillErr != nil {
 			res.Stopped = StopSpill
-			res.Err = err
+			res.Err = e.spillErr
 			break
 		}
 		if stop {
@@ -760,7 +744,7 @@ func (e *explorer) run() Result {
 		if e.opt.Trace {
 			if path, err := e.tracePath(e.violLast.parent); err != nil {
 				// The verdict (a violation) stands; only its replayed
-				// counterexample was lost to the failed spill read.
+				// counterexample was lost to the unreadable log.
 				if res.Err == nil {
 					res.Err = err
 				}
@@ -775,9 +759,6 @@ func (e *explorer) run() Result {
 		res.Err = e.ckptErr
 	}
 	e.closeLog()
-	if e.spill != nil {
-		e.spill.cleanup()
-	}
 	e.collect(&res)
 	return res
 }
@@ -813,9 +794,7 @@ func (e *explorer) collect(res *Result) {
 		}
 	}
 	res.Table = e.seen.stats()
-	if e.spill != nil {
-		res.Spilled = e.spill.stats()
-	}
+	res.Spilled = e.spilled
 }
 
 // worker is one expansion goroutine's private state, kept for the whole
@@ -853,6 +832,10 @@ func (e *explorer) expandLayer(layer []qent, depth int) []qent {
 	e.frontierLen.Store(int64(len(layer)))
 	k := min(e.workers, len(layer))
 	chunk := min(len(layer)/(k*8)+1, 256)
+	var at []int
+	if e.ends != nil {
+		at = e.chunkStarts(len(layer), chunk)
+	}
 	var cursor atomic.Int64
 	if k == 1 {
 		// The single-worker path gets the same containment as the
@@ -860,7 +843,7 @@ func (e *explorer) expandLayer(layer []qent, depth int) []qent {
 		func() {
 			var cur uint64
 			defer e.contain(&cur, depth)
-			e.expandChunks(e.ws[0], layer, depth, &cursor, chunk, &cur)
+			e.expandChunks(e.ws[0], layer, at, depth, &cursor, chunk, &cur)
 		}()
 	} else {
 		var wg sync.WaitGroup
@@ -873,7 +856,7 @@ func (e *explorer) expandLayer(layer []qent, depth int) []qent {
 				defer wg.Done()
 				var cur uint64
 				defer e.contain(&cur, depth)
-				e.expandChunks(w, layer, depth, &cursor, chunk, &cur)
+				e.expandChunks(w, layer, at, depth, &cursor, chunk, &cur)
 			}()
 		}
 		wg.Wait()
@@ -954,9 +937,10 @@ func (e *explorer) contain(cur *uint64, depth int) {
 // expandChunks is the worker body: it claims chunks of the current layer
 // from the shared cursor until the layer is drained (or the state cap
 // fires, or a sibling worker poisons the run) and leaves its share of the
-// next layer in w.next. *curHash is kept at the hash of the state in hand,
-// for contain.
-func (e *explorer) expandChunks(w *worker, layer []qent, depth int, cursor *atomic.Int64, chunk int, curHash *uint64) {
+// next layer in w.next. A compacted layer's states are decoded from
+// frontierBuf, chunk c's from offset at[c]; nil at means they are in the
+// layer. *curHash is kept at the hash of the state in hand, for contain.
+func (e *explorer) expandChunks(w *worker, layer []qent, at []int, depth int, cursor *atomic.Int64, chunk int, curHash *uint64) {
 	var ample, deadlocks int64
 	nd := depth + 1
 claim:
@@ -966,29 +950,23 @@ claim:
 			break
 		}
 		hi := min(lo+chunk, len(layer))
-		// A parked layer's states live on disk: fetch this chunk's range
-		// with one contiguous read. A failed read poisons the spill (the
-		// layer can no longer be expanded completely) and drains every
-		// worker, mirroring the cap.
-		var fetched []cimp.System[*gcmodel.Local]
-		if pl := e.parked; pl != nil {
-			var err error
-			fetched, err = pl.fetchRange(e.m, lo, hi)
-			if err != nil {
-				e.spill.fail(err)
-				e.spillBad.Store(true)
-				break claim
-			}
+		var enc []byte
+		if at != nil {
+			enc = e.frontierBuf[at[lo/chunk]:]
 		}
 		for i := lo; i < hi; i++ {
-			if e.capped.Load() || e.poisoned.Load() || e.spillBad.Load() {
+			if e.capped.Load() || e.poisoned.Load() {
 				break claim
 			}
 			cur := layer[i]
-			if fetched != nil {
-				cur.state = fetched[i-lo]
-			}
 			*curHash = cur.hash
+			if at != nil {
+				// Dropped once expanded, as the layer's entry holds none.
+				var err error
+				if cur.state, enc, err = e.m.DecodeState(enc); err != nil {
+					panic(fmt.Sprintf("explore: compact frontier state %d: %v", i, err))
+				}
+			}
 			var amp gcmodel.Ample
 			if e.opt.Reduce {
 				amp = e.m.AmpleChoice(cur.state)
@@ -1152,7 +1130,7 @@ type pathStep struct {
 func (e *explorer) tracePath(h uint64) ([]pathStep, error) {
 	recOf := e.seen.lookup
 	if e.seen.spilled {
-		snap, err := checkpoint.LoadFS(storage.OrOS(e.opt.FS), e.logPath())
+		snap, err := checkpoint.LoadFS(storage.OrOS(e.opt.FS), e.opt.Checkpoint.Path)
 		if err != nil {
 			return nil, fmt.Errorf("explore: spill trace records unreadable: %w", err)
 		}

@@ -66,9 +66,6 @@ type Options struct {
 	// workers race safely.
 	MarkWorkers int
 
-	// TLABSize sets the per-mutator allocation-cache batch reserved per
-	// refill (0 picks a default of 64). See tlab.go.
-	TLABSize int
 	// BarrierBuffer sets the batched write-barrier buffer capacity
 	// (0 picks a default of 64; negative disables buffering so barrier
 	// targets are marked immediately, the paper figures' literal

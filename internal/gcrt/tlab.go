@@ -22,18 +22,13 @@ package gcrt
 // verified allocation-color discipline (allocate black during marking)
 // is untouched; only the free-slot reservation is batched.
 
-// defaultTLABSize is the per-refill reservation when Options.TLABSize
-// is zero.
-const defaultTLABSize = 64
+// tlabSize is the per-refill reservation.
+const tlabSize = 64
 
 // tlabRefill reserves a fresh batch from the arena, preferring the
 // mutator's home shard. Returns false when every shard is exhausted.
 func (m *Mutator) tlabRefill() bool {
-	n := m.rt.opt.TLABSize
-	if n <= 0 {
-		n = defaultTLABSize
-	}
-	m.tlab = m.rt.arena.reserveBatch(m.tlab, m.id, n)
+	m.tlab = m.rt.arena.reserveBatch(m.tlab, m.id, tlabSize)
 	if len(m.tlab) == 0 {
 		return false
 	}

@@ -12,46 +12,47 @@ import (
 // slots stay invisible to LiveCount and the sweep. Run with -race.
 
 func TestTLABRefillBatches(t *testing.T) {
-	rt := New(Options{Slots: 256, Fields: 1, Mutators: 1, TLABSize: 16})
+	rt := New(Options{Slots: 4 * tlabSize, Fields: 1, Mutators: 1})
 	m := rt.Mutator(0)
 
 	if m.TLABSize() != 0 {
 		t.Fatalf("fresh mutator holds %d reserved slots", m.TLABSize())
 	}
 	m.Alloc()
-	if got := m.TLABSize(); got != 15 {
-		t.Fatalf("after first alloc TLAB holds %d slots, want 15", got)
+	if got := m.TLABSize(); got != tlabSize-1 {
+		t.Fatalf("after first alloc TLAB holds %d slots, want %d", got, tlabSize-1)
 	}
 	s := rt.Stats()
 	if s.TLABRefills != 1 {
 		t.Fatalf("refills = %d, want 1", s.TLABRefills)
 	}
-	// The next 15 allocations are lock-free from the cache: no refill.
-	for i := 0; i < 15; i++ {
+	// The rest of the batch is allocated lock-free from the cache: no
+	// refill.
+	for i := 0; i < tlabSize-1; i++ {
 		m.Alloc()
 	}
 	if got := rt.Stats().TLABRefills; got != 1 {
 		t.Fatalf("refills after draining cache = %d, want 1", got)
 	}
-	m.Alloc() // 17th allocation triggers the second batch
+	m.Alloc() // the next allocation triggers the second batch
 	if got := rt.Stats().TLABRefills; got != 2 {
 		t.Fatalf("refills = %d, want 2", got)
 	}
 }
 
 func TestTLABReservedSlotsInvisibleToSweep(t *testing.T) {
-	rt := New(Options{Slots: 64, Fields: 1, Mutators: 1, TLABSize: 32})
+	rt := New(Options{Slots: 2 * tlabSize, Fields: 1, Mutators: 1})
 	m := rt.Mutator(0)
-	m.Alloc() // reserves 32, allocates 1
+	m.Alloc() // reserves a batch, allocates 1
 
 	if got := rt.Arena().LiveCount(); got != 1 {
 		t.Fatalf("LiveCount = %d, want 1 (reserved slots must not count)", got)
 	}
-	// A collection must not free (or corrupt) the 31 reserved slots:
-	// they have clear headers, so the sweep skips them, and afterwards
-	// they are still allocatable.
+	// A collection must not free (or corrupt) the batch's other reserved
+	// slots: they have clear headers, so the sweep skips them, and
+	// afterwards they are still allocatable.
 	collectWithMutators(rt, m)
-	for i := 0; i < 31; i++ {
+	for i := 0; i < tlabSize-1; i++ {
 		if m.Alloc() < 0 {
 			t.Fatalf("reserved slot %d lost after collection", i)
 		}
@@ -60,22 +61,21 @@ func TestTLABReservedSlotsInvisibleToSweep(t *testing.T) {
 
 func TestTLABExhaustionAndRecovery(t *testing.T) {
 	// Two mutators, two shards: shard 0 holds the first 256-slot block and
-	// shard 1 only 16 slots, less than one TLAB. m1's reservation must
-	// spill from its own shard into m0's, the arena must exhaust cleanly,
-	// and ReturnTLAB must make the hoarded slots allocatable by the other
-	// mutator.
+	// shard 1 only half a TLAB. m1's reservation must spill from its own
+	// shard into m0's, the arena must exhaust cleanly, and ReturnTLAB must
+	// make the hoarded slots allocatable by the other mutator.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	const slots = 1<<blockShift + 16
-	rt := New(Options{Slots: slots, Fields: 1, Mutators: 2, TLABSize: 32})
+	const slots = 1<<blockShift + tlabSize/2
+	rt := New(Options{Slots: slots, Fields: 1, Mutators: 2})
 	if n := rt.Arena().NumShards(); n != 2 {
 		t.Fatalf("%d shards at GOMAXPROCS 2, want 2", n)
 	}
 	m0, m1 := rt.Mutator(0), rt.Mutator(1)
 
-	m0.Alloc() // m0 reserves 32 from shard 0
-	m1.Alloc() // m1 takes shard 1's 16 and spills 16 from shard 0
-	if got := m1.TLABSize(); got != 31 {
-		t.Fatalf("m1 holds %d reserved slots after its first alloc, want 31 (a spill)", got)
+	m0.Alloc() // m0 reserves a batch from shard 0
+	m1.Alloc() // m1 takes shard 1's half batch and spills the rest from shard 0
+	if got := m1.TLABSize(); got != tlabSize-1 {
+		t.Fatalf("m1 holds %d reserved slots after its first alloc, want %d (a spill)", got, tlabSize-1)
 	}
 
 	// Drain everything: 2 already allocated.
@@ -128,9 +128,10 @@ func TestTLABConcurrentAllocationDisjoint(t *testing.T) {
 		t.Run(formatProcs(procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 
+			// Each mutator refills several times, so the caches compete.
 			const nmut = 8
-			const perMut = 100
-			rt := New(Options{Slots: nmut * perMut * 2, Fields: 1, Mutators: nmut, TLABSize: 16})
+			const perMut = 6*tlabSize + tlabSize/4
+			rt := New(Options{Slots: nmut * perMut * 2, Fields: 1, Mutators: nmut})
 
 			var mu sync.Mutex
 			seen := make(map[Obj]int)

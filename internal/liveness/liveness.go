@@ -234,7 +234,9 @@ func (r Result) Violations() []PropertyResult {
 // searches the recorded graph. eopt supplies the run's bounds, workers,
 // progress, cancellation and memory budget; whatever in it would change
 // the relation walked or belongs to a safety pass (reduction, resume,
-// checkpoints, traces, visitors) is ignored.
+// checkpoints, traces, visitors) is ignored. Without a checkpoint log the
+// spill rung cannot arm, so this run stops at the memory budget instead
+// of spilling.
 func Check(m *gcmodel.Model, opt Options, eopt explore.Options) (Result, error) {
 	rec, err := NewRecorder(m, opt)
 	if err != nil {
@@ -265,8 +267,9 @@ func (r *Recorder) Result(run explore.Result) (Result, error) {
 	}
 	switch run.Stopped {
 	case explore.StopPanic, explore.StopSpill:
-		// The last layer is torn: a state may be half expanded, which
-		// would under-report what is enabled there.
+		// A panic tears the last layer: a state may be half expanded,
+		// which would under-report what is enabled there. A failed spill
+		// stopped the run on a broken disk; neither is analysed.
 		return res, fmt.Errorf("liveness: recorded run failed: %w", run.Err)
 	}
 	// The run's visited set and last frontier died with it, and the graph

@@ -39,7 +39,6 @@
 //	<data>/jobs/<id>/job.json     job record (spec, state, times, verdict; CRC-checked)
 //	<data>/jobs/<id>/run.ckpt     layer-barrier checkpoint log (GCMCCKP1)
 //	<data>/jobs/<id>/run.ckpt.poisoned  a checkpoint the resume refused
-//	<data>/jobs/<id>/spill/       parked frontier layers, while the spill is armed
 //
 // # Corpus mode
 //
@@ -89,8 +88,8 @@ type Options struct {
 	// CorpusPresets restricts the corpus matrix to these presets
 	// (nil = every shipped preset).
 	CorpusPresets []string
-	// FS routes every byte of the engine's disk I/O — job records,
-	// checkpoints, spill files — through a pluggable filesystem;
+	// FS routes every byte of the engine's disk I/O — job records and
+	// checkpoint logs — through a pluggable filesystem;
 	// nil means the real one. Fault injection (storage.FaultFS) plugs in
 	// here.
 	FS storage.FS
@@ -617,7 +616,6 @@ func (e *Engine) runJob(ctx context.Context, j *job) {
 		// Stream subscribers want reports well before the checker's
 		// 8192-state default on small jobs.
 		ProgressEvery: 500,
-		SpillDir:      e.jobFile(j.id, "spill"),
 		FS:            e.fs,
 	}
 	// Resume from the job's checkpoint unless there is none: a job
