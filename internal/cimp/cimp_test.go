@@ -313,6 +313,35 @@ func TestIndexStableAndComplete(t *testing.T) {
 	}
 }
 
+// TestDecodeStackCanonical: DecodeStack inverts AppendStack and refuses
+// every other spelling of a stack: a varint padded with a zero
+// continuation group (the length or an entry), a truncation, an identity
+// outside the index.
+func TestDecodeStackCanonical(t *testing.T) {
+	a, b := incr("a", 1), incr("b", 2)
+	ix := NewIndex(encCounter, Seqs[*counter](a, b))
+	enc := ix.AppendStack(nil, []Com[*counter]{b, a})
+	stack, rest, err := ix.DecodeStack(append(enc, 0xAA))
+	if err != nil || len(stack) != 2 || stack[0] != b || stack[1] != a || len(rest) != 1 {
+		t.Fatalf("DecodeStack(%x) = %v, %x, %v", enc, stack, rest, err)
+	}
+	padded := func(at int) []byte { // enc with the varint at byte at spelt in two bytes
+		out := append([]byte(nil), enc[:at]...)
+		out = append(out, enc[at]|0x80, 0)
+		return append(out, enc[at+1:]...)
+	}
+	for name, in := range map[string][]byte{
+		"non-minimal length": padded(0),
+		"non-minimal entry":  padded(2),
+		"truncated":          enc[:2],
+		"unknown identity":   {1, byte(ix.Len())},
+	} {
+		if _, _, err := ix.DecodeStack(in); err == nil {
+			t.Errorf("%s: DecodeStack(%x) accepted", name, in)
+		}
+	}
+}
+
 // TestSmallStepAgreesWithAtomicSemantics: running a program to completion
 // under the Figure 7 small-step rules reaches the same final data states
 // as the derived atomic-action semantics, which runs through the Index's

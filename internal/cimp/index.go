@@ -2,6 +2,7 @@ package cimp
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -153,14 +154,14 @@ func (ix *Index[S]) AppendStack(dst []byte, stack []Com[S]) []byte {
 // the stack and the remaining bytes. Command identities are resolved
 // through the index, so the decoded stack aliases the (immutable)
 // program graph the index was built over. Malformed input — a truncated
-// varint, an out-of-range identity, or an absurd length — is an error,
-// never a panic: checkpoint loading must reject corruption gracefully.
+// or non-minimal varint, an out-of-range identity, or an absurd length —
+// is an error, never a panic: checkpoint loading must reject corruption
+// gracefully, and a stack that decodes re-encodes to the bytes it came from.
 func (ix *Index[S]) DecodeStack(data []byte) ([]Com[S], []byte, error) {
-	n, k := binary.Uvarint(data)
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("cimp: truncated stack length")
+	n, data, err := uvarint(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cimp: stack length: %w", err)
 	}
-	data = data[k:]
 	if n > uint64(len(ix.coms)) {
 		// A stack can never hold more frames than there are command
 		// nodes: Norm collapses structural wrappers and programs are
@@ -169,11 +170,10 @@ func (ix *Index[S]) DecodeStack(data []byte) ([]Com[S], []byte, error) {
 	}
 	stack := make([]Com[S], 0, n)
 	for i := uint64(0); i < n; i++ {
-		id, k := binary.Uvarint(data)
-		if k <= 0 {
-			return nil, nil, fmt.Errorf("cimp: truncated stack entry %d", i)
+		var id uint64
+		if id, data, err = uvarint(data); err != nil {
+			return nil, nil, fmt.Errorf("cimp: stack entry %d: %w", i, err)
 		}
-		data = data[k:]
 		c, ok := ix.Com(int(id))
 		if !ok {
 			return nil, nil, fmt.Errorf("cimp: stack entry %d: command id %d not in index (%d commands)", i, id, len(ix.coms))
@@ -181,4 +181,17 @@ func (ix *Index[S]) DecodeStack(data []byte) ([]Com[S], []byte, error) {
 		stack = append(stack, c)
 	}
 	return stack, data, nil
+}
+
+// uvarint reads one unsigned varint in the minimal form AppendUvarint
+// writes, returning it and the bytes after it.
+func uvarint(data []byte) (uint64, []byte, error) {
+	v, k := binary.Uvarint(data)
+	switch {
+	case k <= 0:
+		return 0, nil, errors.New("truncated or overflowing varint")
+	case k > 1 && data[k-1] == 0:
+		return 0, nil, errors.New("non-minimal varint")
+	}
+	return v, data[k:], nil
 }

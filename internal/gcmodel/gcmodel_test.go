@@ -267,25 +267,38 @@ func TestLocalCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestFingerprintSensitivity: each edit of one field of the initial state,
+// a process register or a heap object's flag, field or allocation, moves
+// the fingerprint.
 func TestFingerprintSensitivity(t *testing.T) {
 	m := build(t, testConfig())
-	st := m.Initial()
-	base := m.Fingerprint(st)
-
-	st2 := st.CloneShallow()
-	st2.Procs[1] = cimp.Config[*Local]{Stack: st.Procs[1].Stack, Data: st.Procs[1].Data.Clone()}
-	st2.Procs[1].Data.Mut.Roots = st2.Procs[1].Data.Mut.Roots.Add(1)
-	if m.Fingerprint(st2) == base {
-		t.Fatal("root change invisible to fingerprint")
+	base := m.Fingerprint(m.Initial())
+	sys := int(m.SysPID())
+	for _, tc := range []struct {
+		name string
+		pid  int
+		edit func(*Local)
+	}{
+		{"root", 1, func(l *Local) { l.Mut.Roots = l.Mut.Roots.Add(1) }},
+		{"f_M", sys, func(l *Local) { l.Sys.FM = true }},
+		{"heap flag", sys, func(l *Local) { l.Sys.Heap.SetFlag(0, true) }},
+		{"heap field", sys, func(l *Local) { l.Sys.Heap.Store(0, 0, heap.NilRef) }},
+		{"heap free", sys, func(l *Local) { l.Sys.Heap.Free(1) }},
+	} {
+		st := edited(m.Initial(), tc.pid, tc.edit)
+		if m.Fingerprint(st) == base {
+			t.Errorf("%s change invisible to fingerprint", tc.name)
+		}
 	}
+}
 
-	st3 := st.CloneShallow()
-	sysIdx := len(st.Procs) - 1
-	st3.Procs[sysIdx] = cimp.Config[*Local]{Stack: st.Procs[sysIdx].Stack, Data: st.Procs[sysIdx].Data.Clone()}
-	st3.Procs[sysIdx].Data.Sys.FM = true
-	if m.Fingerprint(st3) == base {
-		t.Fatal("f_M change invisible to fingerprint")
-	}
+// edited is st with process pid's local state replaced by an edited clone.
+func edited(st cimp.System[*Local], pid int, edit func(*Local)) cimp.System[*Local] {
+	st = st.CloneShallow()
+	l := st.Procs[pid].Data.Clone()
+	edit(l)
+	st.Procs[pid] = cimp.Config[*Local]{Stack: st.Procs[pid].Stack, Data: l}
+	return st
 }
 
 func TestValidateRejectsBadConfigs(t *testing.T) {

@@ -2,26 +2,44 @@ package gcmodel
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/cimp"
 	"repro/internal/heap"
 )
 
-// This file makes the canonical fingerprint encoding a full state codec.
-// AppendFingerprint (fingerprint.go, state.go) already writes every field
-// of every process — frame stacks as command-index identities, local data
-// field by field — so the encoding is invertible given the model: the
-// command index resolves stack identities back to program nodes and the
-// configuration fixes the universe, field count, and process count. The
-// checkpoint layer (package checkpoint, wired by package explore) uses
-// this to serialize BFS frontier states and rebuild them on resume.
+// This file is the state codec. A state's identity is its canonical
+// encoding: the fingerprint behind the visited set and the bytes every
+// checkpoint stores. One walk per role (mut, gc, sys) names each field of
+// the role's local state once, in byte order, and a codec runs the walk in
+// one of two directions: appending (AppendFingerprint, EncodeState) or
+// reading (DecodeState). Each process's frame stack comes first, written by
+// the command index (cimp.Index.AppendStack), which resolves identities
+// back to program nodes; the configuration fixes the universe, the field
+// count and the process count.
 //
-// The decoder never panics on malformed input: checkpoints are untrusted
-// bytes, and corruption must surface as a section-named load error, not
-// a crash. Resumed states are additionally re-encoded and hash-checked
-// by the caller, so a decode that succeeds on tampered input but yields
-// the wrong state cannot survive.
+// The reader accepts only what the writer emits. Its primitives refuse a
+// non-minimal varint, a set padding bit in a bool byte, an unknown tag, and
+// a value outside the model: a ref outside NilRef ∪ [0, NRefs), a set
+// member at or above NRefs, a field at or above NFields, an enum value its
+// type does not define, a lock owner that is no PID, a store buffer longer
+// than MaxBuf. So a decode that succeeds re-encodes to exactly the bytes it
+// consumed, and a decoded state never indexes past the heap. Checkpoints
+// are untrusted bytes: malformed input is an error, never a panic.
+
+// codec runs a walk: with read unset it appends each field to buf; with
+// read set it reads each field from buf, latching the first error, after
+// which every field reads as zero and nothing more is consumed.
+type codec struct {
+	buf  []byte // appending: the output; reading: the unread input
+	read bool
+	err  error
+
+	// Reading only: the model's bounds (Config).
+	nrefs, nfields, nmut, maxbuf, budget int
+}
 
 // EncodeState appends the serialized form of st to dst. The encoding is
 // exactly the canonical fingerprint (AppendFingerprint); the alias
@@ -33,195 +51,287 @@ func (m *Model) EncodeState(dst []byte, st cimp.System[*Local]) []byte {
 // DecodeState decodes one system state encoded by EncodeState (equally:
 // by AppendFingerprint), returning the state and the remaining bytes.
 func (m *Model) DecodeState(data []byte) (cimp.System[*Local], []byte, error) {
-	nproc := m.NProcs()
-	st := cimp.System[*Local]{Procs: make([]cimp.Config[*Local], nproc)}
-	var err error
-	for p := 0; p < nproc; p++ {
-		var stack []cimp.Com[*Local]
-		stack, data, err = m.Index.DecodeStack(data)
+	c := codec{buf: data, read: true, nrefs: m.Cfg.NRefs, nfields: m.Cfg.NFields,
+		nmut: m.Cfg.NMutators, maxbuf: m.Cfg.MaxBuf, budget: m.Cfg.OpBudget}
+	st := cimp.System[*Local]{Procs: make([]cimp.Config[*Local], m.NProcs())}
+	for p := range st.Procs {
+		stack, rest, err := m.Index.DecodeStack(c.buf)
 		if err != nil {
 			return cimp.System[*Local]{}, nil, fmt.Errorf("gcmodel: proc %d: %w", p, err)
 		}
-		var l *Local
-		l, data, err = m.decodeLocal(data, cimp.PID(p))
-		if err != nil {
-			return cimp.System[*Local]{}, nil, fmt.Errorf("gcmodel: proc %d: %w", p, err)
+		// The role is fixed by the position: the collector is PID 0, the
+		// system the last PID, the mutators are in between (model.go).
+		l := &Local{Self: cimp.PID(p)}
+		switch l.Self {
+		case GCPID:
+			l.GC = &GCLocal{}
+		case m.SysPID():
+			l.Sys = &SysLocal{Heap: heap.New(m.Cfg.NRefs), Bufs: make([][]WAct, m.NProcs()),
+				Pending: make([]bool, m.Cfg.NMutators)}
+		default:
+			l.Mut = &MutLocal{}
+		}
+		c.buf = rest
+		c.local(l)
+		if c.err != nil {
+			return cimp.System[*Local]{}, nil, fmt.Errorf("gcmodel: proc %d: %w", p, c.err)
 		}
 		st.Procs[p] = cimp.Config[*Local]{Stack: stack, Data: l}
 	}
-	return st, data, nil
+	return st, c.buf, nil
 }
 
-// decodeLocal decodes one process's data state. The role tag must match
-// the process position: the collector is PID 0, the system is the last
-// PID, mutators are in between (model.go).
-func (m *Model) decodeLocal(data []byte, self cimp.PID) (*Local, []byte, error) {
-	d := decoder{buf: data}
-	if len(d.buf) == 0 {
-		return nil, nil, fmt.Errorf("truncated at role tag")
-	}
-	tag := d.buf[0]
-	d.buf = d.buf[1:]
+// AppendFingerprint appends a canonical encoding of the local data state.
+func (l *Local) AppendFingerprint(dst []byte) []byte {
+	c := codec{buf: dst}
+	c.local(l)
+	return c.buf
+}
 
-	want := byte('M')
+// local walks the role tag and the populated role's state. A reader is
+// handed a Local whose role is already chosen (DecodeState).
+func (c *codec) local(l *Local) {
 	switch {
-	case self == GCPID:
-		want = 'G'
-	case self == m.SysPID():
-		want = 'S'
+	case l.Mut != nil:
+		c.tag('M')
+		c.mut(l.Mut)
+	case l.GC != nil:
+		c.tag('G')
+		c.gc(l.GC)
+	case l.Sys != nil:
+		c.tag('S')
+		c.sys(l.Sys)
 	}
-	if tag != want {
-		return nil, nil, fmt.Errorf("role tag %q where %q expected", tag, want)
-	}
+}
 
-	l := &Local{Self: self}
-	switch tag {
-	case 'M':
-		mu := &MutLocal{}
-		mu.Roots = heap.RefSet(d.uvarint())
-		mu.WM = heap.RefSet(d.uvarint())
-		mu.MRef = heap.Ref(d.varint())
-		bs := d.bools(6)
-		if d.err == nil {
-			mu.MFM, mu.MFlag, mu.Winner, mu.InMark, mu.InMarkDel, mu.RootsDone =
-				bs[0], bs[1], bs[2], bs[3], bs[4], bs[5]
+func (c *codec) mut(m *MutLocal) {
+	c.set(&m.Roots)
+	c.set(&m.WM)
+	c.ref(&m.MRef)
+	c.bools(&m.MFM, &m.MFlag, &m.Winner, &m.InMark, &m.InMarkDel, &m.RootsDone)
+	num(c, &m.MPhase, 0, int(PhSweep))
+	c.ref(&m.SSrc)
+	c.field(&m.SFld)
+	c.ref(&m.SDst)
+	c.ref(&m.TmpRef)
+	c.set(&m.PendRoots)
+	num(c, &m.OpsLeft, 0, c.budget)
+	c.bools(&m.HSP)
+	num(c, &m.HSTy, 0, int(HSGetWork))
+	num(c, &m.HSTag, 0, int(TagWork))
+	c.ref(&m.GHG)
+	num(c, &m.HP, 0, int(HpIdleMarkSweep))
+}
+
+// gc walks the collector's state. Its InMarkDel is not written: the
+// collector never runs a deletion barrier, so the bit is always clear.
+func (c *codec) gc(g *GCLocal) {
+	c.set(&g.W)
+	c.bools(&g.FM, &g.FA, &g.MFM, &g.MFlag, &g.Winner, &g.SwFlag, &g.InMark)
+	num(c, &g.Phase, 0, int(PhSweep))
+	c.ref(&g.MRef)
+	num(c, &g.MPhase, 0, int(PhSweep))
+	c.ref(&g.Src)
+	num(c, &g.FldIdx, 0, c.nfields)
+	c.ref(&g.TmpRef)
+	c.set(&g.Sweep)
+	c.ref(&g.SwRef)
+	num(c, &g.MutIdx, 0, c.nmut)
+	c.ref(&g.GHG)
+}
+
+// sys walks the system's state. A reader's heap, buffer table and pending
+// bits come sized from the configuration.
+func (c *codec) sys(s *SysLocal) {
+	for r := range s.Heap.Objs {
+		c.object(&s.Heap.Objs[r])
+	}
+	c.bools(&s.FA, &s.FM)
+	num(c, &s.Phase, 0, int(PhSweep))
+	num(c, &s.Lock, -1, c.nmut+1)
+	for p := range s.Bufs {
+		c.buffer(&s.Bufs[p])
+	}
+	num(c, &s.HSType, 0, int(HSGetWork))
+	num(c, &s.Tag, 0, int(TagWork))
+	pending := make([]*bool, 0, 8)
+	for i := range s.Pending {
+		pending = append(pending, &s.Pending[i])
+	}
+	c.bools(pending...)
+	c.set(&s.W)
+}
+
+// object walks one heap slot: a tag byte (0 free, 1 allocated, 2 allocated
+// with its flag set), then an allocated object's fields.
+func (c *codec) object(p **heap.Object) {
+	var tag byte
+	if o := *p; o != nil {
+		tag = 1
+		if o.Flag {
+			tag = 2
 		}
-		mu.MPhase = Phase(d.varint())
-		mu.SSrc = heap.Ref(d.varint())
-		mu.SFld = heap.Field(d.varint())
-		mu.SDst = heap.Ref(d.varint())
-		mu.TmpRef = heap.Ref(d.varint())
-		mu.PendRoots = heap.RefSet(d.uvarint())
-		mu.OpsLeft = int(d.varint())
-		hb := d.bools(1)
-		if d.err == nil {
-			mu.HSP = hb[0]
+	}
+	c.raw(&tag, 2)
+	if tag == 0 {
+		return
+	}
+	if c.read {
+		*p = &heap.Object{Flag: tag == 2, Fields: make([]heap.Ref, c.nfields)}
+	}
+	for f := range (*p).Fields {
+		c.ref(&(*p).Fields[f])
+	}
+}
+
+// buffer walks one TSO store buffer: its length, then each write. A
+// write's value is a bool, a Phase or a ref according to its location.
+func (c *codec) buffer(b *[]WAct) {
+	n, most := len(*b), c.maxbuf
+	if most == 0 {
+		most = len(c.buf) // unbounded: each write takes at least four bytes
+	}
+	unum(c, &n, uint64(most))
+	if c.read && n > 0 {
+		*b = make([]WAct, n)
+	}
+	for i := range *b {
+		w := &(*b)[i]
+		num(c, &w.Loc.Kind, 0, int(LField))
+		c.ref(&w.Loc.R)
+		c.field(&w.Loc.F)
+		switch w.Loc.Kind {
+		case LPhase:
+			num(c, &w.Val, 0, int(PhSweep))
+		case LField:
+			num(c, &w.Val, -1, c.nrefs-1)
+		default:
+			num(c, &w.Val, 0, 1)
 		}
-		mu.HSTy = HSType(d.varint())
-		mu.HSTag = RoundTag(d.varint())
-		mu.GHG = heap.Ref(d.varint())
-		mu.HP = HandshakePhase(d.varint())
-		l.Mut = mu
-	case 'G':
-		g := &GCLocal{}
-		g.W = heap.RefSet(d.uvarint())
-		bs := d.bools(7)
-		if d.err == nil {
-			g.FM, g.FA, g.MFM, g.MFlag, g.Winner, g.SwFlag, g.InMark =
-				bs[0], bs[1], bs[2], bs[3], bs[4], bs[5], bs[6]
-		}
-		g.Phase = Phase(d.varint())
-		g.MRef = heap.Ref(d.varint())
-		g.MPhase = Phase(d.varint())
-		g.Src = heap.Ref(d.varint())
-		g.FldIdx = int(d.varint())
-		g.TmpRef = heap.Ref(d.varint())
-		g.Sweep = heap.RefSet(d.uvarint())
-		g.SwRef = heap.Ref(d.varint())
-		g.MutIdx = int(d.varint())
-		g.GHG = heap.Ref(d.varint())
-		l.GC = g
-	case 'S':
-		s := &SysLocal{}
-		var err error
-		s.Heap, d.buf, err = heap.DecodeFingerprint(d.buf, m.Cfg.NRefs, m.Cfg.NFields)
-		if err != nil {
-			return nil, nil, err
-		}
-		bs := d.bools(2)
-		if d.err == nil {
-			s.FA, s.FM = bs[0], bs[1]
-		}
-		s.Phase = Phase(d.varint())
-		s.Lock = cimp.PID(d.varint())
-		nproc := m.NProcs()
-		s.Bufs = make([][]WAct, nproc)
-		for p := 0; p < nproc && d.err == nil; p++ {
-			n := d.uvarint()
-			if n > 1<<16 {
-				d.fail(fmt.Errorf("store buffer %d claims %d entries", p, n))
-				break
+	}
+}
+
+// --- Primitives: each appends, or reads and refuses what it would not
+// have written. ---
+
+// ref walks a reference: NilRef or one of the universe's.
+func (c *codec) ref(p *heap.Ref) { num(c, p, -1, c.nrefs-1) }
+
+// field walks a field index. Zero is every field register's reset value,
+// so it stands even in a model without fields.
+func (c *codec) field(p *heap.Field) { num(c, p, 0, max(c.nfields-1, 0)) }
+
+// set walks a reference set, whose members lie below NRefs.
+func (c *codec) set(p *heap.RefSet) { unum(c, p, 1<<uint(c.nrefs)-1) }
+
+// tag walks a role tag.
+func (c *codec) tag(want byte) {
+	got := want
+	c.raw(&got, 0xff)
+	if got != want {
+		c.fail(fmt.Errorf("role tag %q where %q expected", got, want))
+	}
+}
+
+// bools walks booleans packed eight to a byte, the first in the low bit;
+// the last byte's unused high bits are clear.
+func (c *codec) bools(bs ...*bool) {
+	for len(bs) > 0 {
+		k := min(len(bs), 8)
+		var b byte
+		for i, p := range bs[:k] {
+			if *p {
+				b |= 1 << i
 			}
-			for i := uint64(0); i < n; i++ {
-				w := WAct{
-					Loc: Loc{
-						Kind: LocKind(d.varint()),
-						R:    heap.Ref(d.varint()),
-						F:    heap.Field(d.varint()),
-					},
-					Val: Val(d.varint()),
-				}
-				s.Bufs[p] = append(s.Bufs[p], w)
+		}
+		c.raw(&b, byte(1<<k-1))
+		if c.read {
+			for i, p := range bs[:k] {
+				*p = b>>i&1 != 0
 			}
 		}
-		s.HSType = HSType(d.varint())
-		s.Tag = RoundTag(d.varint())
-		pb := d.bools(m.Cfg.NMutators)
-		if d.err == nil {
-			s.Pending = append([]bool(nil), pb...)
-		}
-		s.W = heap.RefSet(d.uvarint())
-		l.Sys = s
-	}
-	if d.err != nil {
-		return nil, nil, d.err
-	}
-	return l, d.buf, nil
-}
-
-// decoder reads varint-packed fields, latching the first error so call
-// sites can decode a whole record before checking.
-type decoder struct {
-	buf []byte
-	err error
-}
-
-func (d *decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
+		bs = bs[k:]
 	}
 }
 
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
+// raw walks one byte no greater than most.
+func (c *codec) raw(p *byte, most byte) {
+	if c.read {
+		*p = c.readByte(most)
+		return
+	}
+	c.buf = append(c.buf, *p)
+}
+
+// num walks a signed (zigzag) varint in [lo, hi].
+func num[T ~int | ~int64](c *codec, p *T, lo, hi int) {
+	if c.read {
+		*p = T(c.readInt(lo, hi))
+		return
+	}
+	c.buf = binary.AppendVarint(c.buf, int64(*p))
+}
+
+// unum walks an unsigned varint no greater than most.
+func unum[T ~int | ~uint64](c *codec, p *T, most uint64) {
+	if c.read {
+		*p = T(c.uvarint(most))
+		return
+	}
+	c.buf = binary.AppendUvarint(c.buf, uint64(*p))
+}
+
+// The readers below return zero once an error is latched.
+
+func (c *codec) readByte(most byte) byte {
+	switch {
+	case c.err != nil:
+	case len(c.buf) == 0:
+		c.fail(errors.New("truncated"))
+	case c.buf[0] > most:
+		c.fail(fmt.Errorf("byte %#x above %#x", c.buf[0], most))
+	default:
+		b := c.buf[0]
+		c.buf = c.buf[1:]
+		return b
+	}
+	return 0
+}
+
+func (c *codec) readInt(lo, hi int) int64 {
+	u := c.uvarint(math.MaxUint64)
+	v := int64(u>>1) ^ -int64(u&1)
+	if v < int64(lo) || v > int64(hi) {
+		c.fail(fmt.Errorf("value %d outside [%d, %d]", v, lo, hi))
 		return 0
 	}
-	v, k := binary.Uvarint(d.buf)
-	if k <= 0 {
-		d.fail(fmt.Errorf("truncated uvarint"))
-		return 0
-	}
-	d.buf = d.buf[k:]
 	return v
 }
 
-func (d *decoder) varint() int64 {
-	if d.err != nil {
+// uvarint reads one minimal unsigned varint no greater than most:
+// binary.AppendUvarint never ends an encoding of more than one byte with a
+// zero byte.
+func (c *codec) uvarint(most uint64) uint64 {
+	if c.err != nil {
 		return 0
 	}
-	v, k := binary.Varint(d.buf)
-	if k <= 0 {
-		d.fail(fmt.Errorf("truncated varint"))
-		return 0
+	v, k := binary.Uvarint(c.buf)
+	switch {
+	case k <= 0:
+		c.fail(errors.New("truncated or overflowing varint"))
+	case k > 1 && c.buf[k-1] == 0:
+		c.fail(errors.New("non-minimal varint"))
+	case v > most:
+		c.fail(fmt.Errorf("value %d above %d", v, most))
+	default:
+		c.buf = c.buf[k:]
+		return v
 	}
-	d.buf = d.buf[k:]
-	return v
+	return 0
 }
 
-// bools unpacks n booleans packed by appendBools (8 per byte).
-func (d *decoder) bools(n int) []bool {
-	if d.err != nil {
-		return make([]bool, n)
+func (c *codec) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
-	nb := (n + 7) / 8
-	if len(d.buf) < nb {
-		d.fail(fmt.Errorf("truncated bool block (%d of %d bytes)", len(d.buf), nb))
-		return make([]bool, n)
-	}
-	out := make([]bool, n)
-	for i := 0; i < n; i++ {
-		out[i] = d.buf[i/8]&(1<<uint(i%8)) != 0
-	}
-	d.buf = d.buf[nb:]
-	return out
 }

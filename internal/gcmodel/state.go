@@ -16,7 +16,6 @@
 package gcmodel
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/cimp"
@@ -364,83 +363,3 @@ func (l *Local) mark() *MarkState {
 // resetMark clears the mark operation's state, so completed marks leave
 // no dead-register residue to distinguish otherwise-identical states.
 func (l *Local) resetMark() { *l.mark() = MarkState{MRef: heap.NilRef, GHG: heap.NilRef} }
-
-// --- Fingerprinting ---
-
-// AppendFingerprint appends a canonical encoding of the local data state.
-func (l *Local) AppendFingerprint(dst []byte) []byte {
-	switch {
-	case l.Mut != nil:
-		m := l.Mut
-		dst = append(dst, 'M')
-		dst = binary.AppendUvarint(dst, uint64(m.Roots))
-		dst = binary.AppendUvarint(dst, uint64(m.WM))
-		dst = binary.AppendVarint(dst, int64(m.MRef))
-		dst = appendBools(dst, m.MFM, m.MFlag, m.Winner, m.InMark, m.InMarkDel, m.RootsDone)
-		dst = binary.AppendVarint(dst, int64(m.MPhase))
-		dst = binary.AppendVarint(dst, int64(m.SSrc))
-		dst = binary.AppendVarint(dst, int64(m.SFld))
-		dst = binary.AppendVarint(dst, int64(m.SDst))
-		dst = binary.AppendVarint(dst, int64(m.TmpRef))
-		dst = binary.AppendUvarint(dst, uint64(m.PendRoots))
-		dst = binary.AppendVarint(dst, int64(m.OpsLeft))
-		dst = appendBools(dst, m.HSP)
-		dst = binary.AppendVarint(dst, int64(m.HSTy))
-		dst = binary.AppendVarint(dst, int64(m.HSTag))
-		dst = binary.AppendVarint(dst, int64(m.GHG))
-		dst = binary.AppendVarint(dst, int64(m.HP))
-	case l.GC != nil:
-		g := l.GC
-		dst = append(dst, 'G')
-		dst = binary.AppendUvarint(dst, uint64(g.W))
-		dst = appendBools(dst, g.FM, g.FA, g.MFM, g.MFlag, g.Winner, g.SwFlag, g.InMark)
-		dst = binary.AppendVarint(dst, int64(g.Phase))
-		dst = binary.AppendVarint(dst, int64(g.MRef))
-		dst = binary.AppendVarint(dst, int64(g.MPhase))
-		dst = binary.AppendVarint(dst, int64(g.Src))
-		dst = binary.AppendVarint(dst, int64(g.FldIdx))
-		dst = binary.AppendVarint(dst, int64(g.TmpRef))
-		dst = binary.AppendUvarint(dst, uint64(g.Sweep))
-		dst = binary.AppendVarint(dst, int64(g.SwRef))
-		dst = binary.AppendVarint(dst, int64(g.MutIdx))
-		dst = binary.AppendVarint(dst, int64(g.GHG))
-	case l.Sys != nil:
-		s := l.Sys
-		dst = append(dst, 'S')
-		dst = s.Heap.AppendFingerprint(dst)
-		dst = appendBools(dst, s.FA, s.FM)
-		dst = binary.AppendVarint(dst, int64(s.Phase))
-		dst = binary.AppendVarint(dst, int64(s.Lock))
-		for _, buf := range s.Bufs {
-			dst = binary.AppendUvarint(dst, uint64(len(buf)))
-			for _, w := range buf {
-				dst = binary.AppendVarint(dst, int64(w.Loc.Kind))
-				dst = binary.AppendVarint(dst, int64(w.Loc.R))
-				dst = binary.AppendVarint(dst, int64(w.Loc.F))
-				dst = binary.AppendVarint(dst, int64(w.Val))
-			}
-		}
-		dst = binary.AppendVarint(dst, int64(s.HSType))
-		dst = binary.AppendVarint(dst, int64(s.Tag))
-		dst = appendBools(dst, s.Pending...)
-		dst = binary.AppendUvarint(dst, uint64(s.W))
-	}
-	return dst
-}
-
-func appendBools(dst []byte, bs ...bool) []byte {
-	var acc byte
-	for i, b := range bs {
-		if b {
-			acc |= 1 << uint(i%8)
-		}
-		if i%8 == 7 {
-			dst = append(dst, acc)
-			acc = 0
-		}
-	}
-	if len(bs)%8 != 0 {
-		dst = append(dst, acc)
-	}
-	return dst
-}

@@ -12,7 +12,6 @@
 package heap
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -214,61 +213,6 @@ func (h Heap) PointersTo(dst Ref) []Edge {
 type Edge struct {
 	Src   Ref
 	Field Field
-}
-
-// DecodeFingerprint decodes a heap encoded by AppendFingerprint over a
-// universe of n references with nfields fields per object, returning the
-// heap and the remaining bytes. Malformed input is an error, never a
-// panic: checkpoint loading must reject corruption gracefully.
-func DecodeFingerprint(data []byte, n, nfields int) (Heap, []byte, error) {
-	h := New(n)
-	for i := 0; i < n; i++ {
-		if len(data) == 0 {
-			return Heap{}, nil, fmt.Errorf("heap: truncated at object %d", i)
-		}
-		tag := data[0]
-		data = data[1:]
-		switch tag {
-		case 0:
-			continue // free reference
-		case 1, 2:
-			o := &Object{Flag: tag == 2, Fields: make([]Ref, nfields)}
-			for f := 0; f < nfields; f++ {
-				v, k := binary.Varint(data)
-				if k <= 0 {
-					return Heap{}, nil, fmt.Errorf("heap: truncated field %d of object %d", f, i)
-				}
-				data = data[k:]
-				if v != int64(NilRef) && (v < 0 || v >= int64(n)) {
-					return Heap{}, nil, fmt.Errorf("heap: field %d of object %d holds ref %d outside universe %d", f, i, v, n)
-				}
-				o.Fields[f] = Ref(v)
-			}
-			h.Objs[i] = o
-		default:
-			return Heap{}, nil, fmt.Errorf("heap: bad object tag %d at ref %d", tag, i)
-		}
-	}
-	return h, data, nil
-}
-
-// AppendFingerprint appends a canonical encoding of the heap.
-func (h Heap) AppendFingerprint(dst []byte) []byte {
-	for _, o := range h.Objs {
-		if o == nil {
-			dst = append(dst, 0)
-			continue
-		}
-		if o.Flag {
-			dst = append(dst, 2)
-		} else {
-			dst = append(dst, 1)
-		}
-		for _, f := range o.Fields {
-			dst = binary.AppendVarint(dst, int64(f))
-		}
-	}
-	return dst
 }
 
 // String renders the heap for traces, e.g. "{0*:[1 -] 1:[- -]}" where *

@@ -155,28 +155,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestFingerprintSensitivity(t *testing.T) {
-	a := build(t, 2, map[Ref][]Ref{0: {1}, 1: {NilRef}})
-	b := a.Clone()
-	if string(a.AppendFingerprint(nil)) != string(b.AppendFingerprint(nil)) {
-		t.Fatal("identical heaps fingerprint differently")
-	}
-	b.SetFlag(0, true)
-	if string(a.AppendFingerprint(nil)) == string(b.AppendFingerprint(nil)) {
-		t.Fatal("flag change not visible in fingerprint")
-	}
-	c := a.Clone()
-	c.Store(0, 0, NilRef)
-	if string(a.AppendFingerprint(nil)) == string(c.AppendFingerprint(nil)) {
-		t.Fatal("field change not visible in fingerprint")
-	}
-	d := a.Clone()
-	d.Free(1)
-	if string(a.AppendFingerprint(nil)) == string(d.AppendFingerprint(nil)) {
-		t.Fatal("free not visible in fingerprint")
-	}
-}
-
 // Property: reachability is monotone in the root set.
 func TestReachableMonotoneQuick(t *testing.T) {
 	f := func(edges []uint8, roots1, roots2 uint8) bool {
