@@ -280,7 +280,7 @@ func main() {
 				tb.Slots, tb.Load, tb.Grows, tb.Overflows)
 		}
 		if lr := res.Liveness; lr != nil {
-			fmt.Printf("liveness-graph: %d bytes\n", lr.GraphBytes)
+			fmt.Printf("liveness-graph: %d bytes, from a %d-byte log\n", lr.GraphBytes, lr.LogBytes)
 		}
 	}))
 }

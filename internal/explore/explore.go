@@ -203,9 +203,22 @@ type CheckpointOptions struct {
 }
 
 // Visitor is an analysis attached to the search. The engine calls it
-// from every worker concurrently, so implementations synchronize their
-// own state. A resumed run (Options.Resume) shows a visitor only the
-// part of the space explored after the cut.
+// from every worker concurrently, with the calling worker's index in
+// Edge.Worker and Node.Worker, and promises:
+//
+//   - one worker's calls are sequential: a worker makes its next call
+//     only after its last one returned;
+//   - on an unreduced run (Options.Reduce off), the edges of one source
+//     arrive consecutively from one worker, with EIdx 0, 1, …, deg−1,
+//     and no source is expanded twice. Only that worker's State calls
+//     for the successors it inserts come in between.
+//
+// A visitor may therefore keep per-worker state indexed by Worker without
+// locks; state shared between workers it synchronizes itself. Visitors
+// are called in order and a failing one stops the rest, so a visitor
+// after a checking one sees a source's run end early once that fails
+// (the run then stops with a violation). A resumed run (Options.Resume)
+// shows a visitor only the part of the space explored after the cut.
 //
 // Edge.To is borrowed: it is the worker's scratch process table, valid
 // only during the Edge call and overwritten by the next transition. A
@@ -237,6 +250,10 @@ type Edge struct {
 	// EIdx is the transition's index in From's unreduced successor
 	// enumeration: the recipe ReplayStep takes.
 	EIdx int
+	// Worker is the index of the worker that took the transition, the one
+	// expanding From: 0 ≤ Worker < the run's worker count (Options.Workers,
+	// or GOMAXPROCS when that is 0). See Visitor.
+	Worker int
 }
 
 // Node is one newly visited state as a Visitor sees it.
@@ -244,6 +261,9 @@ type Node struct {
 	State cimp.System[*gcmodel.Local]
 	Hash  uint64
 	Depth int
+	// Worker is the index of the worker that inserted the state, in the
+	// range Edge.Worker has; the initial state is worker 0's. See Visitor.
+	Worker int
 }
 
 // Progress is one progress report.
@@ -548,7 +568,7 @@ func newExplorer(m *gcmodel.Model, init cimp.System[*gcmodel.Local], checks []in
 		e.opt.Visitors = append(slices.Clip(opt.Visitors), e.audit)
 	}
 	for i := 0; i < workers; i++ {
-		w := &worker{ins: e.seen.inserter(), buf: make([]byte, 0, 256)}
+		w := &worker{id: i, ins: e.seen.inserter(), buf: make([]byte, 0, 256)}
 		e.ws, e.ins = append(e.ws, w), append(e.ins, w.ins)
 	}
 	e.optFP, e.optSummary = OptionsFingerprint(m, checks, opt)
@@ -803,6 +823,7 @@ func (e *explorer) collect(res *Result) {
 // this worker's share of the next layer, and the counts it has not
 // published yet.
 type worker struct {
+	id                  int // the index visitors see as Edge.Worker and Node.Worker
 	states, transitions int64
 	succ                gcmodel.Scratch
 	buf                 []byte
@@ -1021,7 +1042,7 @@ func (e *explorer) expandState(w *worker, cur qent, nd int, amp gcmodel.Ample) (
 		var h uint64
 		h, w.buf = e.m.BorrowedHash(&w.succ, ns, w.buf)
 		for _, v := range e.opt.Visitors {
-			edge := Edge{From: cur.state, To: ns, FromHash: cur.hash, ToHash: h, Ev: ev, EIdx: eidx}
+			edge := Edge{From: cur.state, To: ns, FromHash: cur.hash, ToHash: h, Ev: ev, EIdx: eidx, Worker: w.id}
 			if err := v.Edge(edge); err != nil {
 				e.offerViolation(&Violation{Invariant: "event-check", Err: err, Depth: nd, State: ns.CloneShallow()}, h, via)
 				return true
@@ -1067,7 +1088,7 @@ func (e *explorer) check(w *worker, st cimp.System[*gcmodel.Local], h uint64, de
 		}
 	}
 	for _, v := range e.opt.Visitors {
-		if err := v.State(Node{State: st, Hash: h, Depth: depth}); err != nil {
+		if err := v.State(Node{State: st, Hash: h, Depth: depth, Worker: w.id}); err != nil {
 			return &Violation{Invariant: "state-check", Err: err, Depth: depth, State: st}
 		}
 	}

@@ -1,7 +1,9 @@
 package explore
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cimp"
@@ -292,6 +294,119 @@ func TestVisitorSeesWholeExpansions(t *testing.T) {
 		}
 		if edges != res.Transitions {
 			t.Errorf("cap %d/%d: %d transitions reported, %d taken", opt.MaxStates, opt.MaxDepth, edges, res.Transitions)
+		}
+	}
+}
+
+// workerTrace is what one worker showed a workerContract.
+type workerTrace struct {
+	runs   []expansion
+	states int
+	fault  string // the first breach of the contract seen
+}
+
+// expansion is one source's run of edges: its state and how many edges
+// arrived, in event-index order.
+type expansion struct {
+	hash uint64
+	from cimp.System[*gcmodel.Local]
+	deg  int
+}
+
+// workerContract is an observing Visitor that keeps its state per worker,
+// indexed by Worker and without a lock, as the Visitor contract allows.
+// busy catches a worker with two calls in flight.
+type workerContract struct {
+	busy       []atomic.Int32
+	trace      []workerTrace
+	outOfRange atomic.Int32 // calls whose Worker was out of range
+}
+
+func newWorkerContract(workers int) *workerContract {
+	return &workerContract{busy: make([]atomic.Int32, workers), trace: make([]workerTrace, workers)}
+}
+
+// enter returns worker w's trace, or nil after noting a breach.
+func (c *workerContract) enter(w int) *workerTrace {
+	if w < 0 || w >= len(c.trace) {
+		c.outOfRange.Add(1)
+		return nil
+	}
+	t := &c.trace[w]
+	if c.busy[w].Add(1) != 1 && t.fault == "" {
+		t.fault = "two calls in flight"
+	}
+	return t
+}
+
+func (c *workerContract) leave(w int) { c.busy[w].Add(-1) }
+
+func (c *workerContract) Edge(e Edge) error {
+	t := c.enter(e.Worker)
+	if t == nil {
+		return nil
+	}
+	defer c.leave(e.Worker)
+	switch n := len(t.runs); {
+	case e.EIdx == 0:
+		t.runs = append(t.runs, expansion{hash: e.FromHash, from: e.From, deg: 1})
+	case n > 0 && t.runs[n-1].hash == e.FromHash && t.runs[n-1].deg == e.EIdx:
+		t.runs[n-1].deg++
+	case t.fault == "":
+		t.fault = fmt.Sprintf("edge %016x/%d does not continue the worker's last expansion", e.FromHash, e.EIdx)
+	}
+	return nil
+}
+
+func (c *workerContract) State(n Node) error {
+	if t := c.enter(n.Worker); t != nil {
+		t.states++
+		c.leave(n.Worker)
+	}
+	return nil
+}
+
+func (*workerContract) Checks() bool { return false }
+
+// TestVisitorWorkerContract pins what Visitor promises about workers on
+// an unreduced run, capped tiny at 1, 2 and 4 workers: Worker is in
+// range, one worker's calls never overlap, and a source's edges arrive
+// consecutively on one worker with event indices 0..deg-1 — every
+// successor, each source once. Under -race the per-worker state, kept
+// without a lock, is also checked for unsynchronized access.
+func TestVisitorWorkerContract(t *testing.T) {
+	m := mustBuild(t, baseCfg())
+	for _, workers := range []int{1, 2, 4} {
+		c := newWorkerContract(workers)
+		res := Run(m, nil, Options{Workers: workers, HashOnly: true, MaxStates: 20000, Visitors: []Visitor{c}})
+		if res.Err != nil || res.Complete {
+			t.Fatalf("workers=%d: err %v, complete %v: want a capped run", workers, res.Err, res.Complete)
+		}
+		if n := c.outOfRange.Load(); n > 0 {
+			t.Errorf("workers=%d: %d calls with Worker out of range", workers, n)
+		}
+		seen := map[uint64]bool{}
+		edges, states := 0, 0
+		for w, tr := range c.trace {
+			if tr.fault != "" {
+				t.Errorf("workers=%d: worker %d: %s", workers, w, tr.fault)
+			}
+			states += tr.states
+			for _, x := range tr.runs {
+				if seen[x.hash] {
+					t.Errorf("workers=%d: state %016x expanded twice", workers, x.hash)
+				}
+				seen[x.hash] = true
+				edges += x.deg
+				want := 0
+				m.Successors(x.from, func(cimp.System[*gcmodel.Local], cimp.Event) { want++ })
+				if x.deg != want {
+					t.Errorf("workers=%d: state %016x: %d edges arrived in order, it has %d successors", workers, x.hash, x.deg, want)
+				}
+			}
+		}
+		if edges != res.Transitions || states != res.States {
+			t.Errorf("workers=%d: %d edges and %d states seen, run took %d and visited %d", workers, edges, states, res.Transitions, res.States)
 		}
 	}
 }

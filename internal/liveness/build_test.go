@@ -13,19 +13,48 @@ import (
 	"repro/internal/heap"
 )
 
+// refGraph is the graph as the map-based build spells it out: the
+// arrays the graph keeps, and those it derives (event index, taken mask,
+// enabled set, BFS parent) stored whole.
+type refGraph struct {
+	hash          []uint64
+	bad           []uint32
+	estart, eto   []int32
+	eeidx, parent []int32
+	etaken, en    []uint64
+}
+
 // buildRef is the sequential, map-based graph build: one (depth, hash)
-// sort of the whole log and a map from hash to id. It is the reference
-// the parallel build must reproduce array for array.
-func (r *Recorder) buildRef() (*graph, error) {
-	n, nedges := 0, 0
-	for i := range r.stripes {
-		n += len(r.stripes[i].nodes)
-		nedges += len(r.stripes[i].edges)
+// sort of the whole log, a map from hash to id, and every run's edges
+// given their event indices explicitly. It is the reference the parallel
+// build must reproduce array for array.
+func (r *Recorder) buildRef() (*refGraph, error) {
+	type edgeRec struct {
+		from, to uint64
+		code     uint8
+		eidx     int32
 	}
-	nodes := make([]nodeRec, 0, n)
-	for i := range r.stripes {
-		nodes = append(nodes, r.stripes[i].nodes...)
-		r.stripes[i].nodes = nil
+	var nodes []nodeRec
+	var edges []edgeRec
+	for _, l := range r.workerLogs() {
+		if l == nil {
+			continue
+		}
+		if l.broken != nil {
+			return nil, l.broken
+		}
+		for _, c := range l.nodes.cs {
+			nodes = append(nodes, c...)
+		}
+		j := 0
+		for _, c := range l.runs.cs {
+			for _, rn := range c {
+				for k := range rn.deg {
+					edges = append(edges, edgeRec{from: rn.from, to: l.to.cs[j/chunkLen][j%chunkLen], code: l.code.cs[j/chunkLen][j%chunkLen], eidx: k})
+					j++
+				}
+			}
+		}
 	}
 	slices.SortFunc(nodes, func(a, b nodeRec) int {
 		if a.depth != b.depth {
@@ -34,32 +63,31 @@ func (r *Recorder) buildRef() (*graph, error) {
 		return cmp.Compare(a.hash, b.hash)
 	})
 
-	g := &graph{
-		m: r.m, ents: r.ents,
+	n := len(nodes)
+	g := &refGraph{
 		hash:   make([]uint64, n),
 		bad:    make([]uint32, n),
 		en:     make([]uint64, n),
 		parent: make([]int32, n),
-		peidx:  make([]int32, n),
-		depth:  make([]int32, n),
 		estart: make([]int32, n+1),
-		eto:    make([]int32, nedges),
-		etaken: make([]uint64, nedges),
-		eeidx:  make([]int32, nedges),
+		eto:    make([]int32, len(edges)),
+		etaken: make([]uint64, len(edges)),
+		eeidx:  make([]int32, len(edges)),
 	}
 	ids := make(map[uint64]int32, n)
+	depth := make([]int32, n)
 	for i, nd := range nodes {
-		g.hash[i], g.bad[i], g.depth[i] = nd.hash, nd.bad, nd.depth
-		g.parent[i], g.peidx[i] = -1, -1
+		g.hash[i], g.bad[i], depth[i], g.parent[i] = nd.hash, nd.bad, nd.depth, -1
 		ids[nd.hash] = int32(i)
 	}
-	nodes = nil
 
 	// Out-degrees, then their prefix sums.
-	for i := range r.stripes {
-		for _, e := range r.stripes[i].edges {
-			g.estart[ids[e.from]+1]++
+	for _, e := range edges {
+		u, known := ids[e.from]
+		if !known {
+			return nil, partialLog(e.from, int(e.eidx))
 		}
+		g.estart[u+1]++
 	}
 	for u := 0; u < n; u++ {
 		g.estart[u+1] += g.estart[u]
@@ -67,28 +95,45 @@ func (r *Recorder) buildRef() (*graph, error) {
 	for j := range g.eto {
 		g.eto[j] = -1
 	}
+	taken := r.ents.codes()
 	// An expanded state's edges carry the event indices 0..deg-1, so an
 	// edge's slot is its source's base plus its event index.
-	for i := range r.stripes {
-		s := &r.stripes[i]
-		for _, e := range s.edges {
-			u, known := ids[e.from]
-			v, ok := ids[e.to]
-			j := g.estart[u] + e.eidx
-			if !known || !ok || j >= g.estart[u+1] || g.eto[j] != -1 {
-				return nil, fmt.Errorf("liveness: edge log is not a full expansion (state %016x, event index %d)", e.from, e.eidx)
-			}
-			g.eto[j], g.etaken[j], g.eeidx[j] = v, e.taken, e.eidx
-			g.en[u] |= e.taken
-			if g.depth[u]+1 == g.depth[v] {
-				if p := g.parent[v]; p < 0 || u < p || (u == p && e.eidx < g.peidx[v]) {
-					g.parent[v], g.peidx[v] = u, e.eidx
-				}
+	pidx := make([]int32, n) // the parent edge's event index
+	for _, e := range edges {
+		u := ids[e.from]
+		v, ok := ids[e.to]
+		j := g.estart[u] + e.eidx
+		if !ok || j >= g.estart[u+1] || g.eto[j] != -1 {
+			return nil, partialLog(e.from, int(e.eidx))
+		}
+		g.eto[j], g.etaken[j], g.eeidx[j] = v, taken[e.code], e.eidx
+		g.en[u] |= taken[e.code]
+		if depth[u]+1 == depth[v] {
+			if p := g.parent[v]; p < 0 || u < p || (u == p && e.eidx < pidx[v]) {
+				g.parent[v], pidx[v] = u, e.eidx
 			}
 		}
-		s.edges = nil
 	}
 	return g, nil
+}
+
+// derived spells out g the way refGraph does, from the arrays it keeps.
+func derived(g *graph) *refGraph {
+	d := &refGraph{
+		hash: g.hash, bad: g.bad, estart: g.estart, eto: g.eto,
+		parent: g.parents(),
+		en:     make([]uint64, len(g.hash)),
+		eeidx:  make([]int32, len(g.eto)),
+		etaken: make([]uint64, len(g.eto)),
+	}
+	for u := int32(0); u < int32(len(g.hash)); u++ {
+		d.en[u] = g.enabled(u)
+		lo, hi := g.outEdges(u)
+		for j := lo; j < hi; j++ {
+			d.eeidx[j], d.etaken[j] = j-lo, g.takenAt(j)
+		}
+	}
+	return d
 }
 
 // recordedLog runs the engine over m with a recorder attached and
@@ -111,25 +156,39 @@ func recordedLog(t *testing.T, m *gcmodel.Model, eopt explore.Options) *Recorder
 // several builds (a build releases the log it reads).
 func cloneLog(r *Recorder) *Recorder {
 	c := &Recorder{m: r.m, props: r.props, ents: r.ents}
-	for i := range r.stripes {
-		c.stripes[i].nodes = slices.Clone(r.stripes[i].nodes)
-		c.stripes[i].edges = slices.Clone(r.stripes[i].edges)
+	for w, l := range r.workerLogs() {
+		if l == nil {
+			continue
+		}
+		cl := c.log(w)
+		cl.broken = l.broken
+		cl.nodes, cl.runs, cl.to, cl.code = cloneChunks(l.nodes), cloneChunks(l.runs), cloneChunks(l.to), cloneChunks(l.code)
 	}
 	return c
 }
 
-// graphArrays names every array of a graph, for field-by-field diffs.
-func graphArrays(g *graph) map[string]any {
+func cloneChunks[T any](c chunks[T]) chunks[T] {
+	d := chunks[T]{n: c.n}
+	for _, cs := range c.cs {
+		d.cs = append(d.cs, slices.Clone(cs))
+	}
+	return d
+}
+
+// refArrays names every array of a refGraph, for field-by-field diffs.
+func refArrays(g *refGraph) map[string]any {
 	return map[string]any{
-		"hash": g.hash, "bad": g.bad, "en": g.en, "parent": g.parent, "peidx": g.peidx,
-		"depth": g.depth, "estart": g.estart, "eto": g.eto, "etaken": g.etaken, "eeidx": g.eeidx,
+		"hash": g.hash, "bad": g.bad, "estart": g.estart, "eto": g.eto,
+		"eeidx": g.eeidx, "etaken": g.etaken, "en": g.en, "parent": g.parent,
 	}
 }
 
-// TestBuildMatchesReference: the parallel build gives the reference
-// build's arrays exactly, at every goroutine count, on clean, violating
-// and capped logs recorded by two workers (so the log order is the
-// engine's, not a sorted one).
+// TestBuildMatchesReference: the parallel build keeps the reference
+// build's hash, bad, estart and eto exactly, and derives its event
+// indices, taken masks, enabled sets and BFS parents, at every goroutine
+// count, on clean, violating and capped logs recorded by two workers (so
+// the logs are split between workers in the engine's order, not a sorted
+// one).
 func TestBuildMatchesReference(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -152,6 +211,9 @@ func TestBuildMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := recordedLog(t, m, explore.Options{Workers: 2, MaxStates: c.maxState})
+			if len(rec.workerLogs()) != 2 {
+				t.Fatalf("%d worker logs, want 2", len(rec.workerLogs()))
+			}
 			want, err := cloneLog(rec).buildRef()
 			if err != nil {
 				t.Fatal(err)
@@ -164,7 +226,7 @@ func TestBuildMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("procs=%d: %v", procs, err)
 				}
-				wa, ga := graphArrays(want), graphArrays(got)
+				wa, ga := refArrays(want), refArrays(derived(got))
 				for name := range wa {
 					if !reflect.DeepEqual(ga[name], wa[name]) {
 						t.Errorf("procs=%d: %s differs from the reference build", procs, name)
@@ -177,42 +239,52 @@ func TestBuildMatchesReference(t *testing.T) {
 
 // TestBuildRefusesPartialLog: a log that is not a full expansion of the
 // states it records is refused, never turned into a graph. State a at
-// depth 0 has one edge (event index 0) to state b at depth 1.
+// depth 0 has one edge (event index 0) to state b at depth 1; each case
+// logs the two states on worker 0, then its runs on the given workers.
 func TestBuildRefusesPartialLog(t *testing.T) {
 	const a, b = uint64(1) << 60, uint64(3) << 62
-	nodes := []nodeRec{{hash: a}, {hash: b, depth: 1}}
-	for name, edges := range map[string][]edgeRec{
-		"clean":                    {{from: a, to: b}},
-		"edge to unrecorded state": {{from: a, to: b + 1}},
-		"edge from unrecorded":     {{from: a, to: b}, {from: a + 1, to: b}},
-		"duplicated event index":   {{from: a, to: b}, {from: a, to: a}},
-		"event index past degree":  {{from: a, to: b, eidx: 1}},
-		"negative event index":     {{from: a, to: b, eidx: -1}},
-		"edge in another stripe":   {{from: a, to: b}},
+	type edge struct {
+		worker   int
+		from, to uint64
+		eidx     int
+	}
+	for name, edges := range map[string][]edge{
+		"clean":                             {{0, a, b, 0}},
+		"run from unrecorded state":         {{0, a, b, 0}, {0, a + 1, b, 0}},
+		"edge to unrecorded state":          {{0, a, b + 1, 0}},
+		"one source in two runs, 1 worker":  {{0, a, b, 0}, {0, a, a, 0}},
+		"one source in two runs, 2 workers": {{0, a, b, 0}, {1, a, b, 0}},
+		"event index out of order":          {{0, a, b, 1}},
+		"event index repeated":              {{0, a, b, 0}, {0, a, a, 1}, {0, a, b, 1}},
 	} {
 		for _, procs := range []int{1, 2} {
 			r := &Recorder{ents: entities{nmut: 1}}
-			for _, n := range nodes {
-				s := &r.stripes[n.hash>>logShift]
-				s.nodes = append(s.nodes, n)
-			}
+			r.log(0).nodes.add(nodeRec{hash: a})
+			r.log(0).nodes.add(nodeRec{hash: b, depth: 1})
 			for _, e := range edges {
-				stripe := e.from >> logShift
-				if name == "edge in another stripe" {
-					stripe++ // two goroutines could then write a's degree
-				}
-				r.stripes[stripe].edges = append(r.stripes[stripe].edges, e)
+				r.log(e.worker).edge(e.from, e.eidx, e.to, noneCode)
 			}
 			g, err := r.build(procs)
 			switch {
 			case name == "clean" && err != nil:
 				t.Errorf("procs=%d: clean log refused: %v", procs, err)
-			case name == "clean" && (len(g.eto) != 1 || g.parent[1] != 0):
-				t.Errorf("procs=%d: clean log built wrong: eto %v parent %v", procs, g.eto, g.parent)
+			case name == "clean" && (len(g.eto) != 1 || g.parents()[1] != 0):
+				t.Errorf("procs=%d: clean log built wrong: eto %v parents %v", procs, g.eto, g.parents())
 			case name != "clean" && (err == nil || !strings.Contains(err.Error(), "edge log is not a full expansion")):
 				t.Errorf("procs=%d: %s: got %v, want the log refused", procs, name, err)
 			}
 		}
+	}
+
+	// A log whose edge count is not the run's transition count: the run
+	// took a transition the recorder did not see.
+	r := &Recorder{ents: entities{nmut: 1}}
+	r.log(0).nodes.add(nodeRec{hash: a})
+	r.log(0).nodes.add(nodeRec{hash: b, depth: 1})
+	r.log(0).edge(a, 0, b, noneCode)
+	_, err := r.Result(explore.Result{States: 2, Transitions: 2, Depth: 1, Complete: true})
+	if err == nil || !strings.Contains(err.Error(), "recorded 2 states and 1 transitions of a run that visited 2 and took 2") {
+		t.Errorf("edge count short of Transitions: got %v, want the log refused", err)
 	}
 }
 

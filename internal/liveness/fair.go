@@ -10,6 +10,9 @@ package liveness
 //	fair(C) ⇔ C has an internal edge ∧
 //	          (∧_{u∈C} en[u]) &^ (∨_{e internal to C} taken[e]) == 0
 //
+// where en[u], the entities enabled at u, is the union of the taken sets
+// of u's out-edges.
+//
 // Soundness: any weakly fair Bad-cycle lies inside one SCC C of the Bad
 // subgraph; every entity enabled at all states of the cycle is in
 // particular enabled at... — more carefully, the two directions are:
@@ -144,14 +147,19 @@ func (g *graph) checkSCC(scc []int32, inSCC []bool) []walkEdge {
 	andEn := ^uint64(0)
 	orTaken := uint64(0)
 	for _, u := range scc {
-		andEn &= g.en[u]
+		// The enabled set is the out-edges' taken sets, those leaving C
+		// included.
+		en := uint64(0)
 		lo, hi := g.outEdges(u)
 		for j := lo; j < hi; j++ {
+			t := g.takenAt(j)
+			en |= t
 			if inSCC[g.eto[j]] {
 				internal = append(internal, walkEdge{from: u, j: j})
-				orTaken |= g.etaken[j]
+				orTaken |= t
 			}
 		}
+		andEn &= en
 	}
 	if len(internal) == 0 || andEn&^orTaken != 0 {
 		return nil
@@ -189,17 +197,17 @@ func (g *graph) buildWalk(scc []int32, inSCC []bool, andEn uint64, internal []wa
 				continue
 			}
 			for _, e := range internal {
-				if g.etaken[e.j]&bit != 0 {
+				if t := g.takenAt(e.j); t&bit != 0 {
 					edgeTargets = append(edgeTargets, e)
-					covered |= g.etaken[e.j]
+					covered |= t
 					break
 				}
 			}
-		} else if g.en[head]&bit != 0 {
+		} else if g.enabled(head)&bit != 0 {
 			// Enabled at the head but not throughout: route the walk
 			// through a node where it is disabled.
 			for _, u := range scc {
-				if g.en[u]&bit == 0 {
+				if g.enabled(u)&bit == 0 {
 					nodeTargets = append(nodeTargets, u)
 					break
 				}

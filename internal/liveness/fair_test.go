@@ -1,6 +1,7 @@
 package liveness
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 )
@@ -12,23 +13,45 @@ import (
 // bit 3 = drain(m0), bit 4 = hs(m0).
 func ents1() entities { return entities{nmut: 1} }
 
-// loop1 builds a single-node graph with one self-loop of the given
-// taken mask, the node's enabled mask en, and the node Bad for
-// property 0.
-func loop1(en, taken uint64) *graph {
-	return &graph{
-		ents:   ents1(),
-		hash:   []uint64{1},
-		bad:    []uint32{1},
-		en:     []uint64{en},
-		parent: []int32{-1},
-		peidx:  []int32{-1},
-		depth:  []int32{0},
-		estart: []int32{0, 1},
-		eto:    []int32{0},
-		etaken: []uint64{taken},
-		eeidx:  []int32{0},
+// tedge is one out-edge of a hand-built graph: its target and the
+// entities it serves (one of ents1's codes).
+type tedge struct {
+	to    int32
+	taken uint64
+}
+
+// csr builds a graph whose node u is Bad for property 0 iff bad[u] is 1
+// and has the out-edges out[u], in event-index order. A node's enabled
+// set is what its out-edges serve, so an entity enabled at a Bad state
+// but not taken on the cycle is stated by an edge leaving the Bad states.
+func csr(bad []uint32, out [][]tedge) *graph {
+	e := ents1()
+	n := len(bad)
+	g := &graph{ents: e, taken: e.codes(), hash: make([]uint64, n), bad: bad, estart: make([]int32, n+1)}
+	for u, es := range out {
+		g.hash[u] = uint64(u + 1)
+		for _, x := range es {
+			code := slices.Index(g.taken, x.taken)
+			if code < 0 {
+				panic(fmt.Sprintf("no code serves entities %#x", x.taken))
+			}
+			g.eto = append(g.eto, x.to)
+			g.ecode = append(g.ecode, uint8(code))
+		}
+		g.estart[u+1] = int32(len(g.eto))
 	}
+	return g
+}
+
+// loop1 builds a Bad node (property 0) with one self-loop of the given
+// taken mask, and one edge to a second, good node for each exit mask:
+// the entities enabled at the Bad node are taken | exits.
+func loop1(taken uint64, exits ...uint64) *graph {
+	out := [][]tedge{{{0, taken}}, nil}
+	for _, x := range exits {
+		out[0] = append(out[0], tedge{1, x})
+	}
+	return csr([]uint32{1, 0}, out)
 }
 
 func TestStutterStarvationLoopNotReported(t *testing.T) {
@@ -36,7 +59,7 @@ func TestStutterStarvationLoopNotReported(t *testing.T) {
 	// The pure-stutter scheduler loop: the mutator spins while the
 	// collector has an enabled step at every state of the cycle but is
 	// never scheduled. Weak fairness must exclude it.
-	g := loop1(e.proc(0)|e.proc(1), e.proc(1))
+	g := loop1(e.proc(1), e.proc(0))
 	if walk := g.fairCycle(0); walk != nil {
 		t.Fatalf("starvation loop reported as fair: %v", walk)
 	}
@@ -46,7 +69,7 @@ func TestDisabledProcessLoopIsFair(t *testing.T) {
 	e := ents1()
 	// Same loop, but the collector is disabled (blocked) at the state:
 	// starving it is no excuse, the cycle is genuinely fair.
-	g := loop1(e.proc(1), e.proc(1))
+	g := loop1(e.proc(1))
 	walk := g.fairCycle(0)
 	if walk == nil {
 		t.Fatal("fair self-loop with the collector disabled was not reported")
@@ -62,7 +85,7 @@ func TestBufferProcrastinationLoopNotReported(t *testing.T) {
 	// buffer is enabled at the state (drain(gc) ∈ en) but the loop never
 	// takes it. Hardware would drain the buffer, so this schedule is
 	// unfair and must be excluded.
-	g := loop1(e.proc(1)|e.drain(0), e.proc(1))
+	g := loop1(e.proc(1), e.drain(0))
 	if walk := g.fairCycle(0); walk != nil {
 		t.Fatalf("buffer-procrastination loop reported as fair: %v", walk)
 	}
@@ -73,7 +96,7 @@ func TestUnpolledHandshakeLoopNotReported(t *testing.T) {
 	// The mutator loops on some non-handshake step while a poll that
 	// would advance the pending handshake is enabled (hs(m0) ∈ en):
 	// the §3.1 regular-polling assumption makes this unfair.
-	g := loop1(e.proc(1)|e.hs(0), e.proc(1))
+	g := loop1(e.proc(1), e.proc(1)|e.hs(0))
 	if walk := g.fairCycle(0); walk != nil {
 		t.Fatalf("unpolled-handshake loop reported as fair: %v", walk)
 	}
@@ -84,19 +107,7 @@ func TestBadRestrictionSplitsCycle(t *testing.T) {
 	// Two-node cycle 0 → 1 → 0 where only node 0 is Bad: the property
 	// recovers at node 1, so no all-Bad cycle exists and nothing may be
 	// reported even though the graph cycle is fair.
-	g := &graph{
-		ents:   ents1(),
-		hash:   []uint64{1, 2},
-		bad:    []uint32{1, 0},
-		en:     []uint64{e.proc(1), e.proc(1)},
-		parent: []int32{-1, 0},
-		peidx:  []int32{-1, 0},
-		depth:  []int32{0, 1},
-		estart: []int32{0, 1, 2},
-		eto:    []int32{1, 0},
-		etaken: []uint64{e.proc(1), e.proc(1)},
-		eeidx:  []int32{0, 0},
-	}
+	g := csr([]uint32{1, 0}, [][]tedge{{{1, e.proc(1)}}, {{0, e.proc(1)}}})
 	if walk := g.fairCycle(0); walk != nil {
 		t.Fatalf("cycle through a non-Bad state reported: %v", walk)
 	}
@@ -104,22 +115,15 @@ func TestBadRestrictionSplitsCycle(t *testing.T) {
 
 func TestFairnessNeedsOnlyOneExcusePerEntity(t *testing.T) {
 	e := ents1()
-	// Two-node all-Bad cycle: the collector is enabled at node 0 but
-	// disabled at node 1. Weak fairness only requires the entity to be
-	// disabled somewhere on the cycle, so this is a real violation.
-	g := &graph{
-		ents:   ents1(),
-		hash:   []uint64{1, 2},
-		bad:    []uint32{1, 1},
-		en:     []uint64{e.proc(0) | e.proc(1), e.proc(1)},
-		parent: []int32{-1, 0},
-		peidx:  []int32{-1, 0},
-		depth:  []int32{0, 1},
-		estart: []int32{0, 1, 2},
-		eto:    []int32{1, 0},
-		etaken: []uint64{e.proc(1), e.proc(1)},
-		eeidx:  []int32{0, 0},
-	}
+	// Two-node all-Bad cycle: the collector is enabled at node 0 (its
+	// step leaves for the good node 2) but disabled at node 1. Weak
+	// fairness only requires the entity to be disabled somewhere on the
+	// cycle, so this is a real violation.
+	g := csr([]uint32{1, 1, 0}, [][]tedge{
+		{{1, e.proc(1)}, {2, e.proc(0)}},
+		{{0, e.proc(1)}},
+		nil,
+	})
 	walk := g.fairCycle(0)
 	if walk == nil {
 		t.Fatal("fair two-node cycle (collector disabled at one state) not reported")
@@ -147,22 +151,14 @@ func TestFairnessNeedsOnlyOneExcusePerEntity(t *testing.T) {
 
 func TestTakenEntityOnCycleIsFair(t *testing.T) {
 	e := ents1()
-	// Both processes enabled throughout and both take steps on the
-	// cycle: nobody is starved, the violation is real.
-	both := e.proc(0) | e.proc(1)
-	g := &graph{
-		ents:   ents1(),
-		hash:   []uint64{1, 2},
-		bad:    []uint32{1, 1},
-		en:     []uint64{both, both},
-		parent: []int32{-1, 0},
-		peidx:  []int32{-1, 0},
-		depth:  []int32{0, 1},
-		estart: []int32{0, 1, 2},
-		eto:    []int32{1, 0},
-		etaken: []uint64{e.proc(0), e.proc(1)},
-		eeidx:  []int32{0, 0},
-	}
+	// Both processes enabled throughout (each node's other step leaves
+	// for the good node 2) and both take steps on the cycle: nobody is
+	// starved, the violation is real.
+	g := csr([]uint32{1, 1, 0}, [][]tedge{
+		{{1, e.proc(0)}, {2, e.proc(1)}},
+		{{0, e.proc(1)}, {2, e.proc(0)}},
+		nil,
+	})
 	if walk := g.fairCycle(0); walk == nil {
 		t.Fatal("cycle on which every enabled entity steps was not reported")
 	}

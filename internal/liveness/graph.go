@@ -9,8 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cimp"
-	"repro/internal/explore"
 	"repro/internal/gcmodel"
 )
 
@@ -18,41 +16,44 @@ import (
 // instance. The safety checker never stores edges — it only needs the
 // BFS frontier — but cycle detection needs the whole graph at once, so
 // a Recorder logs every transition explore.Run takes and the graph is
-// built from that log: a compressed-sparse-row edge list alongside the
-// per-node metadata the fairness check and lasso reconstruction need.
-// A node is its 64-bit fingerprint hash plus its (parent, event-index)
-// recipe, exactly the representation the safety checker replays traces
-// from.
+// built from that log: a compressed-sparse-row edge list beside the
+// per-node hash and Bad bits. Everything else the fairness check and the
+// lasso need is derived: an edge's event index from its CSR slot, a
+// node's enabled set from its out-edges, its depth from the layer
+// offsets, and BFS parents by one pass over the CSR when a lasso is
+// built. A node is its 64-bit fingerprint hash plus its (parent,
+// event-index) recipe, exactly the representation the safety checker
+// replays traces from.
 type graph struct {
 	m    *gcmodel.Model
 	ents entities
+	// taken maps an edge's code to the fairness entities it serves
+	// (ents.codes()).
+	taken []uint64
 
 	// Per-node arrays, indexed by node id. Ids are assigned by BFS depth,
 	// then fingerprint hash, so they do not depend on which worker found
-	// a state first.
-	hash   []uint64 // fingerprint hash
-	bad    []uint32 // property bitmask: bit i ⇔ props[i].Bad holds here
-	en     []uint64 // fairness entities enabled here (∪ of the out-edges' taken masks)
-	parent []int32  // BFS parent id: the least in-edge from the previous layer (-1 at the root)
-	peidx  []int32  // event index that produced this node from parent
-	depth  []int32
+	// a state first; the nodes at depth d are layer[d] .. layer[d+1]-1.
+	hash  []uint64 // fingerprint hash
+	bad   []uint32 // property bitmask: bit i ⇔ props[i].Bad holds here
+	layer []int32
 
 	// CSR out-edges: node u's edges occupy indices estart[u] ..
-	// estart[u+1]-1, in event-index order. The engine expands a state
-	// fully or not at all, so a node cut off by MaxDepth, MaxStates or an
-	// interruption has no out-edges and no cycle passes through it:
-	// capped runs under-approximate, they never fabricate violations.
+	// estart[u+1]-1, in event-index order, so edge j's event index is
+	// j-estart[u]. The engine expands a state fully or not at all, so a
+	// node cut off by MaxDepth, MaxStates or an interruption has no
+	// out-edges and no cycle passes through it: capped runs
+	// under-approximate, they never fabricate violations.
 	estart []int32
-	eto    []int32  // target node id
-	etaken []uint64 // fairness entities this edge serves
-	eeidx  []int32  // event index in the source's successor enumeration
+	eto    []int32 // target node id
+	ecode  []uint8 // fairness entities this edge serves, as a code into taken
 }
 
 // bytes is the payload memory retained by the graph arrays.
 func (g *graph) bytes() int64 {
-	nodes := int64(len(g.hash)) * (8 + 4 + 8 + 4 + 4 + 4)
-	edges := int64(len(g.eto))*(4+8+4) + int64(len(g.estart))*4
-	return nodes + edges
+	nodes := int64(len(g.hash))*(8+4) + int64(len(g.estart))*4 + int64(len(g.layer))*4
+	edges := int64(len(g.eto)) * (4 + 1)
+	return nodes + edges + int64(len(g.taken))*8
 }
 
 // outEdges returns the CSR index range of node u's out-edges.
@@ -60,165 +61,124 @@ func (g *graph) outEdges(u int32) (int32, int32) {
 	return g.estart[u], g.estart[u+1]
 }
 
-// Recorder is the liveness analysis as an explore.Visitor: attached to a
-// run over the full, unreduced relation from the initial state, it logs
-// every visited state and every transition taken, and Result turns the
-// log into the state graph and searches it. It never fails the run it
-// watches.
-type Recorder struct {
-	m     *gcmodel.Model
-	props []Property
-	ents  entities
-	// The engine's workers append concurrently; the log is striped by
-	// the top bits of the (source) state hash like the visited set.
-	// Measured against one mutex around one slice on liveness-tiny-b1 at
-	// two workers: 8% faster, and 15 MiB lower at the peak because no
-	// single slice regrows to tens of megabytes.
-	stripes [logStripes]stripe
-}
+// takenAt returns the fairness entities edge j serves.
+func (g *graph) takenAt(j int32) uint64 { return g.taken[g.ecode[j]] }
 
-const (
-	logStripes = 64
-	logShift   = 64 - 6
-)
-
-type stripe struct {
-	mu    sync.Mutex
-	nodes []nodeRec
-	edges []edgeRec
-}
-
-type nodeRec struct {
-	hash  uint64
-	depth int32
-	bad   uint32
-}
-
-type edgeRec struct {
-	from, to uint64
-	taken    uint64
-	eidx     int32
-}
-
-// NewRecorder returns a recorder for the selected progress properties
-// of m.
-func NewRecorder(m *gcmodel.Model, opt Options) (*Recorder, error) {
-	props := opt.Properties
-	if props == nil {
-		props = All(m)
+// enabled returns the fairness entities enabled at u: those its
+// out-edges serve.
+func (g *graph) enabled(u int32) uint64 {
+	en := uint64(0)
+	lo, hi := g.outEdges(u)
+	for j := lo; j < hi; j++ {
+		en |= g.takenAt(j)
 	}
-	if len(props) > maxProperties {
-		return nil, fmt.Errorf("liveness: %d properties exceed the %d-property limit", len(props), maxProperties)
-	}
-	ents := entities{nmut: m.Cfg.NMutators}
-	if ents.count() > 64 {
-		return nil, fmt.Errorf("liveness: %d mutators exceed the fairness-entity limit", m.Cfg.NMutators)
-	}
-	return &Recorder{m: m, props: props, ents: ents}, nil
+	return en
 }
 
-// Edge logs one transition with the fairness entities it serves.
-func (r *Recorder) Edge(e explore.Edge) error {
-	rec := edgeRec{from: e.FromHash, to: e.ToHash, taken: r.takenMask(e.From, e.Ev, e.To), eidx: int32(e.EIdx)}
-	s := &r.stripes[e.FromHash>>logShift]
-	s.mu.Lock()
-	s.edges = append(s.edges, rec)
-	s.mu.Unlock()
-	return nil
-}
-
-// State logs one newly visited state with the properties outstanding
-// there.
-func (r *Recorder) State(n explore.Node) error {
-	gl := gcmodel.Global{Model: r.m, State: n.State}
-	rec := nodeRec{hash: n.Hash, depth: int32(n.Depth)}
-	for i := range r.props {
-		if r.props[i].Bad(gl) {
-			rec.bad |= 1 << uint(i)
+// parents returns every node's BFS parent: the source of its least
+// (source, event index) in-edge from the previous layer, which is the
+// first such edge an ascending pass over the CSR meets (-1 at the root).
+func (g *graph) parents() []int32 {
+	parent := make([]int32, len(g.hash))
+	for v := range parent {
+		parent[v] = -1
+	}
+	d := 0
+	for u := int32(0); u < int32(len(g.hash)); u++ {
+		for u >= g.layer[d+1] {
+			d++
+		}
+		if d+2 >= len(g.layer) {
+			break // the deepest layer has no successor layer
+		}
+		lo, hi := g.layer[d+1], g.layer[d+2]
+		for j := g.estart[u]; j < g.estart[u+1]; j++ {
+			if v := g.eto[j]; lo <= v && v < hi && parent[v] < 0 {
+				parent[v] = u
+			}
 		}
 	}
-	s := &r.stripes[n.Hash>>logShift]
-	s.mu.Lock()
-	s.nodes = append(s.nodes, rec)
-	s.mu.Unlock()
-	return nil
+	return parent
 }
-
-// Checks is false: the recorder only observes.
-func (r *Recorder) Checks() bool { return false }
 
 // build turns the log into the graph on procs goroutines, releasing the
 // log as it goes. Node ids are ordered by (depth, hash) and a node's
 // edges by event index, so the graph — and every verdict and lasso
 // derived from it — is the same for every worker count and every procs.
 //
-// Stripes are keyed by the top bits of the hash, so once each is sorted
-// by hash their concatenation is the whole log in hash order. That order
-// gives the ids (a stable counting sort over depth) and the index that
-// resolves an edge's endpoints. An edge lives in its source's stripe, so
-// the degree, enabled mask and CSR slots of a source are written by the
-// goroutine that owns its stripe and no other.
+// The node records are bucketed by the top bits of their hash and each
+// run of buckets is sorted in parallel; in that hash order they give the
+// ids (a stable counting sort over depth) and, numbered, serve as the
+// index that resolves a run's source and an edge's target. A source has
+// one run, so its degree and CSR slots are written by the goroutine
+// that reads that run's log and no other.
 func (r *Recorder) build(procs int) (*graph, error) {
-	err := parallel(procs, logStripes, func(i int) error {
-		slices.SortFunc(r.stripes[i].nodes, func(a, b nodeRec) int { return cmp.Compare(a.hash, b.hash) })
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	n, nedges := 0, 0
+	logs := slices.DeleteFunc(slices.Clone(r.workerLogs()), func(l *workerLog) bool { return l == nil })
+	n := 0
 	maxDepth := int32(0)
-	for i := range r.stripes {
-		n += len(r.stripes[i].nodes)
-		nedges += len(r.stripes[i].edges)
-		for _, nd := range r.stripes[i].nodes {
-			maxDepth = max(maxDepth, nd.depth)
+	for _, l := range logs {
+		if l.broken != nil {
+			return nil, l.broken
+		}
+		n += l.nodes.n
+		for _, c := range l.nodes.cs {
+			for _, nd := range c {
+				maxDepth = max(maxDepth, nd.depth)
+			}
 		}
 	}
+	x := newHashIndex(n)
 	// next[d] is the id of the next node at depth d met in hash order.
 	next := make([]int32, maxDepth+2)
-	for i := range r.stripes {
-		for _, nd := range r.stripes[i].nodes {
-			next[nd.depth+1]++
+	for _, l := range logs {
+		for _, c := range l.nodes.cs {
+			for _, nd := range c {
+				x.count(nd.hash)
+				next[nd.depth+1]++
+			}
 		}
 	}
 	for d := 1; d < len(next); d++ {
 		next[d] += next[d-1]
 	}
+	x.seal()
+	for _, l := range logs {
+		for i := range l.nodes.n {
+			x.place(l.nodes.take(i))
+		}
+		l.nodes = chunks[nodeRec]{}
+	}
+	if err := x.sort(procs); err != nil {
+		return nil, err
+	}
 
 	g := &graph{
-		m: r.m, ents: r.ents,
+		m: r.m, ents: r.ents, taken: r.ents.codes(),
 		hash:   make([]uint64, n),
 		bad:    make([]uint32, n),
-		en:     make([]uint64, n),
-		parent: make([]int32, n),
-		peidx:  make([]int32, n),
-		depth:  make([]int32, n),
+		layer:  slices.Clone(next),
 		estart: make([]int32, n+1),
-		eto:    make([]int32, nedges),
-		etaken: make([]uint64, nedges),
-		eeidx:  make([]int32, nedges),
 	}
-	x := newHashIndex(n)
-	for i := range r.stripes {
-		for _, nd := range r.stripes[i].nodes {
-			id := next[nd.depth]
-			next[nd.depth]++
-			g.hash[id], g.bad[id], g.depth[id] = nd.hash, nd.bad, nd.depth
-			x.add(nd.hash, id)
-		}
-		r.stripes[i].nodes = nil
+	for i := range x.nodes {
+		nd := &x.nodes[i]
+		id := next[nd.depth]
+		next[nd.depth]++
+		g.hash[id], g.bad[id] = nd.hash, nd.bad
+		nd.depth = id
 	}
-	x.seal()
 
-	// Out-degrees, then their prefix sums.
-	err = parallel(procs, logStripes, func(i int) error {
-		for _, e := range r.stripes[i].edges {
-			u, ok := x.lookup(e.from)
-			if !ok || e.from>>logShift != uint64(i) {
-				return partialLog(e)
+	// Out-degrees straight from the runs, then their prefix sums. A
+	// second run of one source, on any log, finds its degree written.
+	err := parallel(procs, len(logs), func(w int) error {
+		for _, c := range logs[w].runs.cs {
+			for i := range c {
+				rn := &c[i]
+				u, ok := x.lookup(rn.from)
+				if !ok || !atomic.CompareAndSwapInt32(&g.estart[u+1], 0, rn.deg) {
+					return partialLog(rn.from, 0)
+				}
+				rn.id = u
 			}
-			g.estart[u+1]++
 		}
 		return nil
 	})
@@ -228,63 +188,44 @@ func (r *Recorder) build(procs int) (*graph, error) {
 	for u := 0; u < n; u++ {
 		g.estart[u+1] += g.estart[u]
 	}
-	for j := range g.eto {
-		g.eto[j] = -1
-	}
-	// An expanded state's edges carry the event indices 0..deg-1, so an
-	// edge's slot is its source's base plus its event index.
-	err = parallel(procs, logStripes, func(i int) error {
-		s := &r.stripes[i]
-		for _, e := range s.edges {
-			u, _ := x.lookup(e.from) // the degree pass resolved every source
-			v, ok := x.lookup(e.to)
-			j := g.estart[u] + e.eidx
-			if !ok || e.eidx < 0 || j >= g.estart[u+1] || g.eto[j] != -1 {
-				return partialLog(e)
+	g.eto = make([]int32, g.estart[n])
+	g.ecode = make([]uint8, g.estart[n])
+	// A run's edges are its source's slots in order.
+	err = parallel(procs, len(logs), func(w int) error {
+		l := logs[w]
+		j := 0
+		for i := range l.runs.n {
+			rn := l.runs.take(i)
+			base := g.estart[rn.id]
+			for k := range rn.deg {
+				v, ok := x.lookup(l.to.take(j))
+				if !ok {
+					return partialLog(rn.from, int(k))
+				}
+				g.eto[base+k], g.ecode[base+k] = v, l.code.take(j)
+				j++
 			}
-			g.eto[j], g.etaken[j], g.eeidx[j] = v, e.taken, e.eidx
-			g.en[u] |= e.taken
 		}
-		s.edges = nil
+		l.runs, l.to, l.code = chunks[runRec]{}, chunks[uint64]{}, chunks[uint8]{}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	// BFS parents: the least (u, event index) in-edge from the previous
-	// layer, which is the first one an ascending pass over the CSR meets.
-	for u := range g.parent {
-		g.parent[u], g.peidx[u] = -1, -1
-	}
-	for u := int32(0); u < int32(n); u++ {
-		for j := g.estart[u]; j < g.estart[u+1]; j++ {
-			if v := g.eto[j]; g.depth[u]+1 == g.depth[v] && g.parent[v] < 0 {
-				g.parent[v], g.peidx[v] = u, g.eeidx[j]
-			}
-		}
-	}
 	return g, nil
 }
 
-func partialLog(e edgeRec) error {
-	return fmt.Errorf("liveness: edge log is not a full expansion (state %016x, event index %d)", e.from, e.eidx)
-}
-
 // hashIndex resolves a recorded hash to its node id without a map: the
-// (hash, id) pairs in hash order, and for each value of the hash's top
-// bits the offset of the first pair carrying it. With ⌈log₂ n⌉ top bits
-// a bucket holds about one pair; lookups are exact whatever the spread,
-// only their speed depends on it.
+// node records in hash order, and for each value of the hash's top bits
+// the offset of the first record carrying it. With ⌈log₂ n⌉ top bits a
+// bucket holds about one record; lookups are exact whatever the spread,
+// only their speed depends on it. It is filled by counting every hash,
+// sealing, placing every record and sorting; once the build has written
+// each record's id over its depth, lookup returns that id.
 type hashIndex struct {
-	pairs []hashID
-	start []int32 // bucket b is pairs[start[b]:start[b+1]]
+	nodes []nodeRec
+	start []int32 // bucket b is nodes[start[b]:start[b+1]]
 	shift uint
-}
-
-type hashID struct {
-	hash uint64
-	id   int32
 }
 
 func newHashIndex(n int) *hashIndex {
@@ -293,30 +234,48 @@ func newHashIndex(n int) *hashIndex {
 		b = bits.Len(uint(n - 1))
 	}
 	return &hashIndex{
-		pairs: make([]hashID, 0, n),
+		nodes: make([]nodeRec, n),
 		start: make([]int32, 1<<b+1),
 		shift: uint(64 - b),
 	}
 }
 
-// add appends a pair; pairs must come in ascending hash order.
-func (x *hashIndex) add(h uint64, id int32) {
-	x.pairs = append(x.pairs, hashID{h, id})
-	x.start[h>>x.shift+1]++
-}
+// count notes one hash of bucket b in start[b]: summed by seal, start[b]
+// is the end of bucket b.
+func (x *hashIndex) count(h uint64) { x.start[h>>x.shift]++ }
 
-// seal turns the per-bucket counts add left into start offsets.
 func (x *hashIndex) seal() {
-	for b := 1; b < len(x.start); b++ {
+	for b := 1; b < len(x.start)-1; b++ {
 		x.start[b] += x.start[b-1]
 	}
+	x.start[len(x.start)-1] = int32(len(x.nodes))
+}
+
+// place puts a record at the end of its bucket's free space; once every
+// record is placed, start[b] is where bucket b begins.
+func (x *hashIndex) place(nd nodeRec) {
+	b := nd.hash >> x.shift
+	x.start[b]--
+	x.nodes[x.start[b]] = nd
+}
+
+// sort orders the records by hash: runs of whole buckets, sorted in
+// parallel.
+func (x *hashIndex) sort(procs int) error {
+	buckets := len(x.start) - 1
+	parts := min(buckets, 8*max(procs, 1))
+	return parallel(procs, parts, func(i int) error {
+		lo, hi := x.start[i*buckets/parts], x.start[(i+1)*buckets/parts]
+		slices.SortFunc(x.nodes[lo:hi], func(a, b nodeRec) int { return cmp.Compare(a.hash, b.hash) })
+		return nil
+	})
 }
 
 func (x *hashIndex) lookup(h uint64) (int32, bool) {
 	b := h >> x.shift
-	for _, p := range x.pairs[x.start[b]:x.start[b+1]] {
-		if p.hash == h {
-			return p.id, true
+	for _, nd := range x.nodes[x.start[b]:x.start[b+1]] {
+		if nd.hash == h {
+			return nd.depth, true
 		}
 	}
 	return -1, false
@@ -353,45 +312,4 @@ func parallel(procs, n int, f func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// takenMask computes the fairness entities served by the transition
-// su —ev→ ns:
-//
-//   - a collector or mutator step serves that process's entity (system
-//     responder halves are attributed to the requester: the system is
-//     always willing, so fairness obligations belong to the requesting
-//     process);
-//   - a mutator step that starts from or lands in a state where the
-//     mutator holds a polled pending bit (HSP) additionally serves the
-//     mutator's handshake-response entity — it advances the handshake
-//     protocol (poll, handshake work, done);
-//   - the system's internal dequeue step serves the drain entity of
-//     the buffer it pops.
-func (r *Recorder) takenMask(su gcmodel.SysState, ev cimp.Event, ns gcmodel.SysState) uint64 {
-	sysPID := r.m.SysPID()
-	if ev.Proc == sysPID {
-		if !ev.Tau() {
-			// The system never initiates rendezvous; defensive only.
-			return 0
-		}
-		sb := gcmodel.Global{Model: r.m, State: su}.Sys().Bufs
-		nb := gcmodel.Global{Model: r.m, State: ns}.Sys().Bufs
-		for p := range sb {
-			if len(nb[p]) < len(sb[p]) {
-				return r.ents.drain(cimp.PID(p))
-			}
-		}
-		return 0
-	}
-	mask := r.ents.proc(ev.Proc)
-	if ev.Proc != gcmodel.GCPID {
-		mi := int(ev.Proc) - 1
-		srcHSP := (gcmodel.Global{Model: r.m, State: su}).Mut(mi).HSP
-		dstHSP := (gcmodel.Global{Model: r.m, State: ns}).Mut(mi).HSP
-		if srcHSP || dstHSP {
-			mask |= r.ents.hs(mi)
-		}
-	}
-	return mask
 }

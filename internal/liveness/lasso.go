@@ -36,38 +36,44 @@ func (l *Lasso) Head(m *gcmodel.Model) gcmodel.SysState {
 
 // lasso materializes a witness walk into concrete states by replaying
 // event indices through the transition relation: the stem is the BFS
-// parent chain of the walk's first node, the cycle is the walk itself.
-// Every replayed state is cross-checked against the hash recorded at
-// graph-construction time, so a 64-bit fingerprint collision surfaces
-// as an error here rather than as a nonsense trace.
-func (g *graph) lasso(walk []walkEdge) (*Lasso, error) {
+// parent chain (parent, from graph.parents) of the walk's first node, the
+// cycle is the walk itself. Every replayed state is cross-checked against
+// the hash recorded at graph-construction time, so a 64-bit fingerprint
+// collision surfaces as an error here rather than as a nonsense trace.
+func (g *graph) lasso(walk []walkEdge, parent []int32) (*Lasso, error) {
 	head := walk[0].from
 
-	// Stem: event indices root → head along BFS parents.
-	var rev []int32 // node ids, head first, excluding the root
-	for v := head; g.parent[v] >= 0; v = g.parent[v] {
-		rev = append(rev, v)
+	// Stem: parent edges root → head. A node's parent edge is the
+	// parent's first out-edge into it.
+	var rev []walkEdge // the head's parent edge first
+	for v := head; parent[v] >= 0; v = parent[v] {
+		u := parent[v]
+		j, _ := g.outEdges(u)
+		for g.eto[j] != v {
+			j++
+		}
+		rev = append(rev, walkEdge{from: u, j: j})
 	}
 	cur := g.m.Initial()
 	l := &Lasso{}
+	replay := func(e walkEdge) (Step, error) {
+		st, err := explore.ReplayStep(g.m, cur, e.j-g.estart[e.from], g.hash[g.eto[e.j]])
+		cur = st.State
+		return st, err
+	}
 	for i := len(rev) - 1; i >= 0; i-- {
-		v := rev[i]
-		st, err := explore.ReplayStep(g.m, cur, g.peidx[v], g.hash[v])
+		st, err := replay(rev[i])
 		if err != nil {
 			return nil, fmt.Errorf("stem: %w", err)
 		}
 		l.Stem = append(l.Stem, st)
-		cur = st.State
 	}
-
 	for _, e := range walk {
-		v := g.eto[e.j]
-		st, err := explore.ReplayStep(g.m, cur, g.eeidx[e.j], g.hash[v])
+		st, err := replay(e)
 		if err != nil {
 			return nil, fmt.Errorf("cycle: %w", err)
 		}
 		l.Cycle = append(l.Cycle, st)
-		cur = st.State
 	}
 	return l, nil
 }

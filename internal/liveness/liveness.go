@@ -53,13 +53,14 @@
 // # Algorithm
 //
 // The analysis does not explore: a Recorder rides on explore.Run as a
-// Visitor and logs every visited state (64-bit fingerprint hash, depth,
-// outstanding properties) and every transition taken (the event index
-// into the unreduced successor enumeration plus a bitmask of the
-// fairness entities it serves). From the log it builds the reachable
-// graph once, on every core, then runs Tarjan's SCC algorithm on the
-// subgraph induced by each property's Bad states, one property per
-// core. A strongly connected component admits a weakly fair cycle iff
+// Visitor and logs, per worker and without a lock, every visited state
+// (64-bit fingerprint hash, depth, outstanding properties) and every
+// transition taken (the successor's hash and a one-byte code of the
+// fairness entities it serves, its event index implicit in the order the
+// engine hands over a state's successors). From the log it builds the
+// reachable graph once, on every core, then runs Tarjan's SCC algorithm
+// on the subgraph induced by each property's Bad states, one property
+// per core. A strongly connected component admits a weakly fair cycle iff
 // every entity enabled at all of its states is taken on some internal
 // edge; from the first such component a concrete lasso (stem + cycle)
 // is stitched together from shortest paths and replayed through the
@@ -197,8 +198,10 @@ type Result struct {
 	Complete    bool
 	Stopped     explore.StopReason
 	// GraphBytes is the payload memory retained by the state graph
-	// (node and edge arrays).
+	// (node and edge arrays), and LogBytes that of the log it was built
+	// from: the records of every state, expansion and transition.
 	GraphBytes int64
+	LogBytes   int64
 	// Properties holds one verdict per checked property, in the order
 	// they were given.
 	Properties []PropertyResult
@@ -274,10 +277,10 @@ func (r *Recorder) Result(run explore.Result) (Result, error) {
 	}
 	// The run's visited set and last frontier died with it, and the graph
 	// arrays are about to be allocated beside the log: collecting here,
-	// not when the pacer next gets to it, keeps the two from stacking
-	// (11 MiB of 78 at the peak of the benchmark's liveness-tiny-b1).
+	// not when the pacer next gets to it, keeps the two from stacking.
 	runtime.GC()
 	procs := runtime.GOMAXPROCS(0)
+	res.LogBytes = r.logBytes()
 	g, err := r.build(procs)
 	if err != nil {
 		return res, err
@@ -296,10 +299,14 @@ func (r *Recorder) Result(run explore.Result) (Result, error) {
 	}); err != nil {
 		return res, err
 	}
+	var parent []int32 // BFS parents, derived for the first lasso
 	for i, p := range r.props {
 		pr := PropertyResult{Name: p.Name, Desc: p.Desc, Holds: true}
 		if walks[i] != nil {
-			lasso, err := g.lasso(walks[i])
+			if parent == nil {
+				parent = g.parents()
+			}
+			lasso, err := g.lasso(walks[i], parent)
 			if err != nil {
 				return res, fmt.Errorf("liveness: %s: %w", p.Name, err)
 			}
@@ -338,6 +345,29 @@ func (e entities) drain(p cimp.PID) uint64 { return 1 << uint(e.nmut+1+int(p)) }
 
 // hs is the handshake-response entity of mutator ordinal m.
 func (e entities) hs(m int) uint64 { return 1 << uint(2*(e.nmut+1)+m) }
+
+// An edge stores the entities it serves as a one-byte code, an index into
+// codes(): none, a process entity per collector and mutator, a mutator's
+// process and handshake-response entities together, and a buffer's drain
+// entity. These are every set takenCode returns, 3·nmut+3 of them.
+const noneCode = 0
+
+func (e entities) procCode(p cimp.PID) uint8  { return uint8(1 + int(p)) }
+func (e entities) hsCode(m int) uint8         { return uint8(2 + e.nmut + m) }
+func (e entities) drainCode(p cimp.PID) uint8 { return uint8(2 + 2*e.nmut + int(p)) }
+
+// codes is the table a code indexes: the entity mask of each code.
+func (e entities) codes() []uint64 {
+	c := make([]uint64, 3*e.nmut+3)
+	for p := cimp.PID(0); int(p) <= e.nmut; p++ {
+		c[e.procCode(p)] = e.proc(p)
+		c[e.drainCode(p)] = e.drain(p)
+	}
+	for m := 0; m < e.nmut; m++ {
+		c[e.hsCode(m)] = e.proc(cimp.PID(m+1)) | e.hs(m)
+	}
+	return c
+}
 
 // name renders entity bit index b for diagnostics.
 func (e entities) name(b int) string {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/gcmodel"
 	"repro/internal/heap"
@@ -300,5 +301,43 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 				t.Error("ablation found no fair cycle")
 			}
 		})
+	}
+}
+
+// TestLogAndGraphBytes pins the byte accounting on tiny at budget 1
+// (208,519 states, 486,687 transitions, depth 295) as functions of the
+// counts. The graph keeps 16 B per state (hash, Bad bits, CSR offset)
+// and 5 B per edge (target, entity code), plus the depth- and model-sized
+// layer offsets, code table and the CSR's closing offset. The log holds
+// 16 B per state, 16 B per expanded state (its run's head) and 9 B per
+// edge (successor hash, code), at most 32 B per state and 9 B per edge.
+// Neither count depends on the worker count.
+func TestLogAndGraphBytes(t *testing.T) {
+	cfg := core.TinyConfig()
+	cfg.OpBudget = 1
+	m := build(t, cfg)
+	var want liveness.Result
+	for _, workers := range []int{1, 2, 4} {
+		res, err := liveness.Check(m, liveness.Options{}, explore.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, e := int64(res.States), int64(res.Transitions)
+		if n != 208519 || e != 486687 || res.Depth != 295 || !res.Holds() {
+			t.Fatalf("workers=%d: %d/%d/%d holds=%v, want 208519/486687/295 holding", workers, n, e, res.Depth, res.Holds())
+		}
+		layers, codes := int64(res.Depth+2), int64(3*cfg.NMutators+3)
+		if got, formula := res.GraphBytes, 16*n+5*e+4+4*layers+8*codes; got != formula {
+			t.Errorf("workers=%d: graph %d bytes, want 16·%d + 5·%d + %d = %d", workers, got, n, e, 4+4*layers+8*codes, formula)
+		}
+		if got := res.LogBytes; got > 32*n+9*e || got < 16*n+9*e {
+			t.Errorf("workers=%d: log %d bytes, want between 16·%d + 9·%d and 32·%d + 9·%d", workers, got, n, e, n, e)
+		}
+		if workers == 1 {
+			want = res
+		} else if res.GraphBytes != want.GraphBytes || res.LogBytes != want.LogBytes {
+			t.Errorf("workers=%d: graph %d and log %d bytes, at one worker %d and %d", workers, res.GraphBytes, res.LogBytes, want.GraphBytes, want.LogBytes)
+		}
+		t.Logf("workers=%d: graph %d B, log %d B", workers, res.GraphBytes, res.LogBytes)
 	}
 }
