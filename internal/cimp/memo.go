@@ -44,11 +44,14 @@ import (
 // whose type is not comparable is simply never cached.
 //
 // Readers take no lock. A record is immutable once its id has been handed
-// out; its three tables are published through atomic pointers (the side
-// tables copy-on-write under a striped mutex). The bytes → id map is
-// sharded and touched only to intern a configuration that carries no
-// valid id: a hand-built or decoded one, or a successor computed for the
-// first time.
+// out; its three tables are published through atomic pointers. A side
+// table is a chain of immutable runs, one per key: a new key's run is
+// pushed on the front under a striped mutex, after a walk that makes sure
+// the key has none yet, and a reader walks whichever chain it loaded —
+// storing a key costs one link, not a copy of the table. The bytes → id
+// map is sharded and touched only to intern a configuration that carries
+// no valid id: a hand-built or decoded one, or a successor computed for
+// the first time.
 //
 // Growth is bounded by retiring the table. A breadth-first search works
 // on a moving window of configurations, and a table that kept every
@@ -127,8 +130,15 @@ type record[S any] struct {
 	key string    // AppendStack(cfg.Stack) ++ enc(cfg.Data); "" when not in the table
 
 	steps   atomic.Pointer[steps[S]]
-	replies atomic.Pointer[[]reply[S]] // runs of equal aid, in the order asked
-	conts   atomic.Pointer[[]cont[S]]  // runs of equal (head, bid), in the order heard
+	replies atomic.Pointer[chain[reply[S]]] // one run per aid, the last asked first
+	conts   atomic.Pointer[chain[cont[S]]]  // one run per (head, bid), the last heard first
+}
+
+// chain is a side table: the run of entries stored for one key, never
+// modified once published, and the runs stored before it.
+type chain[T any] struct {
+	ents []T
+	next *chain[T]
 }
 
 // steps is what a configuration can do on its own.
@@ -498,20 +508,13 @@ func (m *memo[S]) repliesOf(rq *record[S], peer Config[S], o *offer[S], sc *Scra
 	t := &sc.tally
 	keyed := rq != nil && o.aid != 0
 	if keyed {
-		if tab := rq.replies.Load(); tab != nil {
-			for i, rs := 0, *tab; i < len(rs); i++ {
-				if rs[i].aid != o.aid {
-					continue
-				}
+		for rn := rq.replies.Load(); rn != nil; rn = rn.next {
+			if rs := rn.ents; rs[0].aid == o.aid {
 				t.replyHit++
-				if rs[i].next == nil {
+				if rs[0].next == nil {
 					return nil
 				}
-				j := i + 1
-				for j < len(rs) && rs[j].aid == o.aid {
-					j++
-				}
-				return rs[i:j]
+				return rs
 			}
 		}
 	}
@@ -537,7 +540,7 @@ func (m *memo[S]) repliesOf(rq *record[S], peer Config[S], o *offer[S], sc *Scra
 		if len(add) == 0 {
 			add = []reply[S]{{aid: o.aid}}
 		}
-		if !appendRun(m.stripe(rq), &rq.replies, add, func(r *reply[S]) bool { return r.aid == o.aid }) {
+		if !pushRun(m.stripe(rq), &rq.replies, add, func(r *reply[S]) bool { return r.aid == o.aid }) {
 			m.release(size)
 		}
 	}
@@ -552,20 +555,13 @@ func (m *memo[S]) contsOf(rp *record[S], cfg Config[S], o *offer[S], r *reply[S]
 	t := &sc.tally
 	keyed := rp != nil && r.bid != 0
 	if keyed {
-		if tab := rp.conts.Load(); tab != nil {
-			for i, cs := 0, *tab; i < len(cs); i++ {
-				if cs[i].bid != r.bid || cs[i].head != o.head {
-					continue
-				}
+		for rn := rp.conts.Load(); rn != nil; rn = rn.next {
+			if cs := rn.ents; cs[0].bid == r.bid && cs[0].head == o.head {
 				t.contHit++
-				if cs[i].next == nil {
+				if cs[0].next == nil {
 					return nil
 				}
-				j := i + 1
-				for j < len(cs) && cs[j].bid == r.bid && cs[j].head == o.head {
-					j++
-				}
-				return cs[i:j]
+				return cs
 			}
 		}
 	}
@@ -584,34 +580,29 @@ func (m *memo[S]) contsOf(rp *record[S], cfg Config[S], o *offer[S], r *reply[S]
 		if len(add) == 0 {
 			add = []cont[S]{{head: o.head, bid: r.bid}}
 		}
-		if !appendRun(m.stripe(rp), &rp.conts, add, func(c *cont[S]) bool { return c.bid == r.bid && c.head == o.head }) {
+		if !pushRun(m.stripe(rp), &rp.conts, add, func(c *cont[S]) bool { return c.bid == r.bid && c.head == o.head }) {
 			m.release(size)
 		}
 	}
 	return out
 }
 
-// appendRun is the copy-on-write step of the side tables: under the
-// record's stripe lock it publishes a fresh table holding the old entries
-// followed by run — unless an entry with run's key (is) is already there,
-// stored by a concurrent enumeration that missed the same key: a second
-// copy would lengthen the run and yield its transitions twice. It reports
-// whether it stored run.
-func appendRun[T any](mu *sync.Mutex, p *atomic.Pointer[[]T], run []T, is func(*T) bool) bool {
+// pushRun stores ents as the run of their key (is) at the front of a side
+// table's chain, under the record's stripe lock — unless the key already
+// has a run, stored by a concurrent enumeration that missed it too: a key
+// has one run, and a second would count its entries twice. It reports
+// whether it stored ents. The runs already published are not copied: a
+// reader walking an older head sees a suffix of the chain.
+func pushRun[T any](mu *sync.Mutex, head *atomic.Pointer[chain[T]], ents []T, is func(*T) bool) bool {
 	mu.Lock()
 	defer mu.Unlock()
-	var tab []T
-	if old := p.Load(); old != nil {
-		for i := range *old {
-			if is(&(*old)[i]) {
-				return false
-			}
+	old := head.Load()
+	for rn := old; rn != nil; rn = rn.next {
+		if is(&rn.ents[0]) {
+			return false
 		}
-		tab = make([]T, len(*old), len(*old)+len(run))
-		copy(tab, *old)
 	}
-	tab = append(tab, run...)
-	p.Store(&tab)
+	head.Store(&chain[T]{ents: ents, next: old})
 	return true
 }
 

@@ -27,10 +27,12 @@
 // compaction's soundness argument — see DESIGN.md.
 //
 // Memory: full states live only on the two live BFS layers (current and
-// next); visited states are retained as hashes plus, when Options.Trace
-// is set, a compact (parent hash, event index) pair per state. The
-// disk-spill rung moves those pairs to the checkpoint log and keeps the
-// frontier encoded (spill.go).
+// next), their process tables in per-worker slabs whose chunks are
+// recycled at the layer barrier; visited states are retained as hashes
+// plus, when Options.Trace is set, a compact (parent hash, event index)
+// pair per state, in segments the table reuses as its stripes grow. The
+// hot path allocates only what it keeps. The disk-spill rung moves those
+// pairs to the checkpoint log and keeps the frontier encoded (spill.go).
 // Counterexample traces are materialized afterwards by replaying the
 // recorded event indices from the initial state.
 //
@@ -220,10 +222,11 @@ type CheckpointOptions struct {
 // (the run then stops with a violation). A resumed run (Options.Resume)
 // shows a visitor only the part of the space explored after the cut.
 //
-// Edge.To is borrowed: it is the worker's scratch process table, valid
-// only during the Edge call and overwritten by the next transition. A
-// visitor that keeps the successor takes Edge.To.CloneShallow(). Edge.From
-// and Node.State are the search's own states and may be kept.
+// The states a visitor is shown are borrowed, valid only during the call:
+// Edge.To is the worker's scratch process table, overwritten by the next
+// transition, and Edge.From and Node.State are frontier states whose
+// process tables live in the worker's slab, which is recycled once their
+// layer is done. A visitor that keeps a state takes its CloneShallow().
 type Visitor interface {
 	// Edge is called for every transition the search takes, including
 	// transitions into already-visited states. A non-nil error is
@@ -829,8 +832,64 @@ type worker struct {
 	buf                 []byte
 	view                invariant.View
 	next                []qent
+	slab                slab
 	ins                 *inserter
 	_                   [64]byte // keep the next worker's counters off this one's last line
+}
+
+// slabChunk is the number of process configurations in a chunk of a
+// worker's slab; tests shrink it so that chunks recycle every layer.
+var slabChunk = 4096
+
+// slab holds the process tables of the states one worker inserts: a new
+// state's table is a capped slice of a chunk rather than an allocation of
+// its own. Chunks rotate at the layer barrier (turn): those backing the
+// layer being built are filling (the last one in use up to used), those
+// backing the layer being expanded are live, and the rest are free and
+// cleared, so that no chunk keeps a state alive.
+type slab struct {
+	filling, live, free [][]cimp.Config[*gcmodel.Local]
+	used                int
+}
+
+// hold returns sys with its process table copied into the slab.
+func (sl *slab) hold(sys cimp.System[*gcmodel.Local]) cimp.System[*gcmodel.Local] {
+	n := len(sys.Procs)
+	if len(sl.filling) == 0 || sl.used+n > slabChunk {
+		var c []cimp.Config[*gcmodel.Local]
+		if k := len(sl.free); k > 0 {
+			c, sl.free = sl.free[k-1], sl.free[:k-1]
+		} else {
+			c = make([]cimp.Config[*gcmodel.Local], slabChunk)
+		}
+		sl.filling, sl.used = append(sl.filling, c), 0
+	}
+	ps := sl.filling[len(sl.filling)-1][sl.used : sl.used+n : sl.used+n]
+	sl.used += n
+	copy(ps, sys.Procs)
+	return cimp.System[*gcmodel.Local]{Procs: ps, DisableFusion: sys.DisableFusion}
+}
+
+// turn is the slab's part of the layer barrier: the layer just expanded
+// is gone, so its chunks are freed, and the one just built is the next to
+// expand. The free list keeps as many chunks as that layer used.
+func (sl *slab) turn() {
+	sl.release()
+	sl.live, sl.filling = sl.filling, sl.live
+	if k := len(sl.live); len(sl.free) > k {
+		clear(sl.free[k:])
+		sl.free = sl.free[:k]
+	}
+}
+
+// release frees the live chunks: their layer has been expanded, or
+// compacted (spill.go) and holds no decoded state.
+func (sl *slab) release() {
+	for _, c := range sl.live {
+		clear(c)
+	}
+	sl.free = append(sl.free, sl.live...)
+	sl.live = sl.live[:0]
 }
 
 // publish adds the worker's counts to the run's. Called when a chunk of
@@ -898,6 +957,9 @@ func (e *explorer) expandLayer(layer []qent, depth int) []qent {
 	}
 	clear(layer)
 	e.spare = layer[:0]
+	for _, w := range e.ws {
+		w.slab.turn()
+	}
 	e.settle(k, len(next), depth)
 	return next
 }
@@ -1027,8 +1089,8 @@ claim:
 //
 // Successors arrive borrowed, in the worker's scratch process table: they
 // are hashed, shown to the Edge visitors and probed for as they are, and
-// only one that turns out to be new — or to violate — gets a process table
-// of its own.
+// only one that turns out to be new gets a process table in the worker's
+// slab, and one that violates a table of its own.
 func (e *explorer) expandState(w *worker, cur qent, nd int, amp gcmodel.Ample) (out, taken int) {
 	e.m.SuccessorsBorrowed(&w.succ, cur.state, func(ns cimp.System[*gcmodel.Local], ev cimp.Event) bool {
 		eidx := out
@@ -1055,7 +1117,7 @@ func (e *explorer) expandState(w *worker, cur qent, nd int, amp gcmodel.Ample) (
 		if !e.seen.insert(w.ins, h, r) {
 			return true
 		}
-		ns = ns.CloneShallow()
+		ns = w.slab.hold(ns)
 		w.states++
 		if e.opt.Progress != nil || e.opt.MaxStates > 0 {
 			n := e.states.Load() + w.states
@@ -1077,19 +1139,19 @@ func (e *explorer) expandState(w *worker, cur qent, nd int, amp gcmodel.Ample) (
 }
 
 // check evaluates the invariant battery, then the visitors, at the newly
-// visited state st, which the caller owns (a violation keeps it).
+// visited state st; a violation keeps a copy of it.
 func (e *explorer) check(w *worker, st cimp.System[*gcmodel.Local], h uint64, depth int) *Violation {
 	if len(e.checks) > 0 {
 		w.view.Reset(gcmodel.Global{Model: e.m, State: st})
 		for _, c := range e.checks {
 			if err := c.Pred(&w.view); err != nil {
-				return &Violation{Invariant: c.Name, Err: err, Depth: depth, State: st}
+				return &Violation{Invariant: c.Name, Err: err, Depth: depth, State: st.CloneShallow()}
 			}
 		}
 	}
 	for _, v := range e.opt.Visitors {
 		if err := v.State(Node{State: st, Hash: h, Depth: depth, Worker: w.id}); err != nil {
-			return &Violation{Invariant: "state-check", Err: err, Depth: depth, State: st}
+			return &Violation{Invariant: "state-check", Err: err, Depth: depth, State: st.CloneShallow()}
 		}
 	}
 	return nil

@@ -233,7 +233,7 @@ type expansionLog struct {
 
 func (l *expansionLog) Edge(e Edge) error {
 	l.mu.Lock()
-	l.from[e.FromHash] = e.From
+	l.from[e.FromHash] = e.From.CloneShallow()
 	l.eidxs[e.FromHash] = append(l.eidxs[e.FromHash], e.EIdx)
 	l.mu.Unlock()
 	return nil
@@ -349,7 +349,7 @@ func (c *workerContract) Edge(e Edge) error {
 	defer c.leave(e.Worker)
 	switch n := len(t.runs); {
 	case e.EIdx == 0:
-		t.runs = append(t.runs, expansion{hash: e.FromHash, from: e.From, deg: 1})
+		t.runs = append(t.runs, expansion{hash: e.FromHash, from: e.From.CloneShallow(), deg: 1})
 	case n > 0 && t.runs[n-1].hash == e.FromHash && t.runs[n-1].deg == e.EIdx:
 		t.runs[n-1].deg++
 	case t.fault == "":

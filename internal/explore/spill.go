@@ -87,6 +87,9 @@ func (e *explorer) compact(layer []qent) {
 	for i := range layer {
 		layer[i].state = zero
 	}
+	for _, w := range e.ws {
+		w.slab.release()
+	}
 	runtime.GC() // the layer's decoded states just became garbage
 }
 

@@ -20,8 +20,16 @@ type rec struct {
 
 // recBytes is the visited-set payload per state: one slot of the table —
 // an 8-byte key, an 8-byte parent hash and a 4-byte event index, each in
-// its own array.
+// its own segments.
 const recBytes = 8 + 8 + 4
+
+// A stripe's slots are kept in segments of segSlots: slot i is entry
+// i&segMask of segment i>>segBits.
+const (
+	segBits  = 10
+	segSlots = 1 << segBits
+	segMask  = segSlots - 1
+)
 
 const (
 	// A stripe is grown at a layer barrier when the coming layer could
@@ -42,13 +50,16 @@ const (
 // so that every layer grows.
 var stripeSlots = 128
 
-// stripe is one open-addressed section of the visited table: three
-// parallel pointer-free arrays probed linearly from a start slot that is
-// monotone in the hash. A zero key marks an empty slot.
+// stripe is one open-addressed section of the visited table, probed
+// linearly from a start slot that is monotone in the hash: slots slots,
+// each a key, a parent hash and an event index, held in three parallel
+// lists of pointer-free segments (the last segment shorter when slots is
+// not a multiple of segSlots). A zero key marks an empty slot.
 type stripe struct {
-	keys    []uint64
-	parents []uint64 // nil once the records have spilled
-	eidx    []int32
+	slots   int
+	keys    [][]uint64
+	parents [][]uint64 // nil once the records have spilled
+	eidx    [][]int32
 	// n is the number of keys the stripe holds, settled at the layer
 	// barrier from the workers' own counts.
 	n int
@@ -87,6 +98,19 @@ type visited struct {
 
 	grows     int64 // stripes rebuilt
 	overflows int64 // keys that went through an overflow set
+
+	pool segPool
+}
+
+// segPool holds the table's spare segments. A rebuild takes the new
+// stripe's segments from it and gives the old stripe's back, so growing
+// the table allocates about its final size once rather than every size it
+// passes through. Rebuilds run concurrently (explorer.share), so the pool
+// has a lock; nothing else touches it.
+type segPool struct {
+	mu            sync.Mutex
+	keys, parents [][]uint64 // key segments are zero
+	eidx          [][]int32
 }
 
 // inserter is one worker's private side of the table: what it inserted
@@ -107,7 +131,7 @@ func newVisited(n int) *visited {
 		shift:   uint(64 - bits.Len(uint(n-1))),
 	}
 	for i := range v.stripes {
-		v.stripes[i].alloc(stripeSlots)
+		v.alloc(&v.stripes[i], stripeSlots, true)
 	}
 	return v
 }
@@ -116,16 +140,80 @@ func (v *visited) inserter() *inserter {
 	return &inserter{added: make([]int32, len(v.stripes)), recs: make([][]entry, len(v.stripes))}
 }
 
-func (s *stripe) alloc(slots int) {
-	s.keys = make([]uint64, slots)
-	s.parents = make([]uint64, slots)
-	s.eidx = make([]int32, slots)
+// alloc gives s slots empty slots, with records when recs is set.
+func (v *visited) alloc(s *stripe, slots int, recs bool) {
+	p := &v.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s.slots = slots
+	s.keys = segments(&p.keys, slots)
+	s.parents, s.eidx = nil, nil
+	if recs {
+		s.parents = segments(&p.parents, slots)
+		s.eidx = segments(&p.eidx, slots)
+	}
+}
+
+// free gives a stripe's old segments back to the pool, key segments
+// cleared.
+func (v *visited) free(keys, parents [][]uint64, eidx [][]int32) {
+	for _, seg := range keys {
+		if cap(seg) == segSlots {
+			clear(seg[:segSlots])
+		}
+	}
+	p := &v.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.keys = release(p.keys, keys)
+	p.parents = release(p.parents, parents)
+	p.eidx = release(p.eidx, eidx)
+}
+
+// segments cuts slots slots into segments, taking spare ones from free.
+// A short last segment the pool cannot supply is made to its length
+// rather than a full segment's, and is garbage once the stripe grows.
+func segments[T any](free *[][]T, slots int) [][]T {
+	segs := make([][]T, 0, (slots+segMask)>>segBits)
+	for lo := 0; lo < slots; lo += segSlots {
+		n := min(segSlots, slots-lo)
+		var seg []T
+		if k := len(*free); k > 0 {
+			seg, *free = (*free)[k-1][:n], (*free)[:k-1]
+		} else {
+			seg = make([]T, n)
+		}
+		segs = append(segs, seg)
+	}
+	return segs
+}
+
+// release appends segs' full-size segments to free.
+func release[T any](free [][]T, segs [][]T) [][]T {
+	for _, seg := range segs {
+		if cap(seg) == segSlots {
+			free = append(free, seg[:segSlots])
+		}
+	}
+	return free
+}
+
+// slot is the key of slot i.
+func (s *stripe) slot(i int) *uint64 { return &s.keys[i>>segBits][i&segMask] }
+
+// rec is slot i's record; set writes it.
+func (s *stripe) rec(i int) rec {
+	return rec{parent: s.parents[i>>segBits][i&segMask], eidx: s.eidx[i>>segBits][i&segMask]}
+}
+
+func (s *stripe) set(i int, r rec) {
+	s.parents[i>>segBits][i&segMask], s.eidx[i>>segBits][i&segMask] = r.parent, r.eidx
 }
 
 // start is the slot a probe for h begins at: the hash bits below the
 // stripe's, read as a fraction of the capacity. It is monotone in h, so a
 // stripe's slots are nearly in hash order: a rebuild writes the new
-// arrays front to back, and a snapshot sorts an almost sorted list.
+// segments front to back, and a snapshot sorts an almost sorted list.
 func (v *visited) start(h uint64, slots int) int {
 	i, _ := bits.Mul64(h<<(64-v.shift), uint64(slots))
 	return int(i)
@@ -154,23 +242,24 @@ func (v *visited) claim(s *stripe, h uint64, r rec) bool {
 		v.zeroRec = r
 		return true
 	}
-	keys := s.keys
-	i := v.start(h, len(keys))
-	for range min(len(keys), probeLimit) {
-		k := atomic.LoadUint64(&keys[i])
+	slots := s.slots
+	i := v.start(h, slots)
+	for range min(slots, probeLimit) {
+		key := s.slot(i)
+		k := atomic.LoadUint64(key)
 		if k == 0 {
-			if atomic.CompareAndSwapUint64(&keys[i], 0, h) {
+			if atomic.CompareAndSwapUint64(key, 0, h) {
 				if s.parents != nil {
-					s.parents[i], s.eidx[i] = r.parent, r.eidx
+					s.set(i, r)
 				}
 				return true
 			}
-			k = atomic.LoadUint64(&keys[i])
+			k = atomic.LoadUint64(key)
 		}
 		if k == h {
 			return false
 		}
-		if i++; i == len(keys) {
+		if i++; i == slots {
 			i = 0
 		}
 	}
@@ -200,18 +289,18 @@ func (v *visited) lookup(h uint64) (rec, bool) {
 		return v.zeroRec, v.zero.Load()
 	}
 	s := &v.stripes[h>>v.shift]
-	i := v.start(h, len(s.keys))
-	for range min(len(s.keys), probeLimit) {
-		switch s.keys[i] {
+	i := v.start(h, s.slots)
+	for range min(s.slots, probeLimit) {
+		switch *s.slot(i) {
 		case h:
 			if s.parents == nil {
 				return rec{}, true
 			}
-			return rec{parent: s.parents[i], eidx: s.eidx[i]}, true
+			return s.rec(i), true
 		case 0:
 			return rec{}, false
 		}
-		if i++; i == len(s.keys) {
+		if i++; i == s.slots {
 			i = 0
 		}
 	}
@@ -234,7 +323,7 @@ func (v *visited) fold(ins []*inserter, frontier int) (due []*stripe, head int) 
 	for i := range v.stripes {
 		s := &v.stripes[i]
 		v.overflows += int64(len(s.over))
-		if len(s.over) > 0 || float64(s.n+head) > maxLoad*float64(len(s.keys)) {
+		if len(s.over) > 0 || float64(s.n+head) > maxLoad*float64(s.slots) {
 			due = append(due, s)
 		}
 	}
@@ -255,25 +344,22 @@ func (v *visited) settle(ins []*inserter, frontier int) {
 // they are inserted.
 func (v *visited) reserve(i, n int) {
 	s := &v.stripes[i]
-	if float64(s.n+n) > maxLoad*float64(len(s.keys)) {
+	if float64(s.n+n) > maxLoad*float64(s.slots) {
 		v.rebuild(s, n)
 	}
 }
 
-// rebuild moves s, overflow set included, into arrays sized so that head
-// more keys leave it at minLoad. The old arrays are walked in slot order,
-// which is nearly hash order, so the new ones fill front to back.
+// rebuild moves s, overflow set included, into segments sized so that
+// head more keys leave it at minLoad, and gives the old ones back to the
+// pool. The old segments are walked in slot order, which is nearly hash
+// order, so the new ones fill front to back.
 func (v *visited) rebuild(s *stripe, head int) {
 	keys, parents, eidx := s.keys, s.parents, s.eidx
 	slots := max(stripeSlots, int(float64(s.n+head)/minLoad)+1)
-	s.keys = make([]uint64, slots)
-	if parents != nil {
-		s.parents = make([]uint64, slots)
-		s.eidx = make([]int32, slots)
-	}
+	v.alloc(s, slots, parents != nil)
 	put := func(h uint64, r rec) {
 		i := v.start(h, slots)
-		for n := 0; s.keys[i] != 0; n++ {
+		for n := 0; *s.slot(i) != 0; n++ {
 			if n == slots {
 				panic(fmt.Sprintf("explore: visited stripe of %d slots is full while rebuilding it for %d keys", slots, s.n))
 			}
@@ -281,25 +367,28 @@ func (v *visited) rebuild(s *stripe, head int) {
 				i = 0
 			}
 		}
-		s.keys[i] = h
+		*s.slot(i) = h
 		if s.parents != nil {
-			s.parents[i], s.eidx[i] = r.parent, r.eidx
+			s.set(i, r)
 		}
 	}
-	for i, h := range keys {
-		if h == 0 {
-			continue
+	for j, seg := range keys {
+		for k, h := range seg {
+			if h == 0 {
+				continue
+			}
+			var r rec
+			if parents != nil {
+				r = rec{parent: parents[j][k], eidx: eidx[j][k]}
+			}
+			put(h, r)
 		}
-		var r rec
-		if parents != nil {
-			r = rec{parent: parents[i], eidx: eidx[i]}
-		}
-		put(h, r)
 	}
 	for h, r := range s.over {
 		put(h, r)
 	}
 	s.over = nil
+	v.free(keys, parents, eidx)
 }
 
 // entry is one key of the table with its record.
@@ -319,9 +408,11 @@ func (v *visited) entries(i int) []entry {
 	if i == 0 && v.zero.Load() {
 		out = append(out, entry{0, v.zeroRec})
 	}
-	for j, h := range s.keys {
-		if h != 0 {
-			out = append(out, entry{h, rec{parent: s.parents[j], eidx: s.eidx[j]}})
+	for j, seg := range s.keys {
+		for k, h := range seg {
+			if h != 0 {
+				out = append(out, entry{h, rec{parent: s.parents[j][k], eidx: s.eidx[j][k]}})
+			}
 		}
 	}
 	for h, r := range s.over {
@@ -368,13 +459,14 @@ func (in *inserter) cut() {
 	}
 }
 
-// spill releases the payload arrays, leaving the key arrays as the
-// membership set. Only at a layer boundary, once the checkpoint log holds
-// every record.
+// spill releases the record segments, the pool's spares included,
+// leaving the keys as the membership set. Only at a layer boundary, once
+// the checkpoint log holds every record.
 func (v *visited) spill() {
 	for i := range v.stripes {
 		v.stripes[i].parents, v.stripes[i].eidx = nil, nil
 	}
+	v.pool.parents, v.pool.eidx = nil, nil
 	v.spilled = true
 }
 
@@ -393,7 +485,7 @@ func (v *visited) stats() TableStats {
 	t := TableStats{Grows: v.grows, Overflows: v.overflows}
 	n := 0
 	for i := range v.stripes {
-		t.Slots += len(v.stripes[i].keys)
+		t.Slots += v.stripes[i].slots
 		n += v.stripes[i].n
 	}
 	t.Load = float64(n) / float64(t.Slots)

@@ -189,12 +189,12 @@ func TestTableProbeWraps(t *testing.T) {
 		}
 	}
 	s := &v.stripes[0]
-	if s.keys[12] != keys[0] {
-		t.Fatalf("slot 12 holds %016x", s.keys[12])
+	if *s.slot(12) != keys[0] {
+		t.Fatalf("slot 12 holds %016x", *s.slot(12))
 	}
 	for i, h := range keys[1:] {
-		if s.keys[i] != h {
-			t.Fatalf("slot %d holds %016x, want the wrapped key %016x", i, s.keys[i], h)
+		if *s.slot(i) != h {
+			t.Fatalf("slot %d holds %016x, want the wrapped key %016x", i, *s.slot(i), h)
 		}
 	}
 	for _, h := range keys {
@@ -245,8 +245,8 @@ func TestTableOverflow(t *testing.T) {
 	if st := v.stats(); st.Overflows != 100-16 || st.Grows == 0 {
 		t.Fatalf("stats after the merge: %+v", st)
 	}
-	if v.stripes[0].over != nil || len(v.stripes[0].keys) < 100 {
-		t.Fatalf("overflow not merged: %d slots, %d still over", len(v.stripes[0].keys), len(v.stripes[0].over))
+	if v.stripes[0].over != nil || v.stripes[0].slots < 100 {
+		t.Fatalf("overflow not merged: %d slots, %d still over", v.stripes[0].slots, len(v.stripes[0].over))
 	}
 	for _, h := range keys {
 		if r, ok := v.lookup(h); !ok || r != recOf(h) {
